@@ -13,13 +13,11 @@ from .errors import (
 )
 from .heights import (
     HeightValue,
-    Place,
     canonical_height,
     height_constants,
     naive_height,
     naive_height_by_places,
     neron_tate,
-    place_decomposition,
     tate_limit_raw,
 )
 from .lattes import (

@@ -157,13 +157,16 @@ def _cmd_height(args) -> dict:
                 "iterations": hv.iterations_used,
             }
         )
-    return {
+    out = {
         "command": "height",
         "map": label,
         "degree": phi.degree,
         "bad_primes": consts["bad_primes"],
         "results": results,
     }
+    if consts["unfactored"] != 1:
+        out["unfactored_cofactor"] = consts["unfactored"]
+    return out
 
 
 def _cmd_nt_height(args) -> dict:

@@ -9,12 +9,14 @@ where v0 is an integral coprime representative, g_k is the coordinate
 content extracted at step k of the exact orbit, and g_inf is the limit
 of renormalized sup-norms.  The archimedean part iterates renormalized
 coordinates at a working precision padded against worst-case round-off
-amplification; each finite prime runs in its own modular
-tracker, valid because the content of a coprime pair divides the
-resultant of the lifted map, so per-step valuations are bounded and the
-needed precision is known in advance.  Both tails carry explicit
-geometric bounds derived from the coefficient one-norms (upper) and an
-exact Bezout certificate (lower).
+amplification.  The finite part runs one tracker on integral basis
+pairs modulo a power of m_R, the least positive integer in the ideal of
+the resultant R of the lifted map: the content of a coprime pair divides
+R, so a gcd against R reads it without factoring anything, and each
+step costs at most one factor m_R of precision, so the needed modulus is
+known in advance.  Both tails carry explicit geometric bounds derived
+from the coefficient one-norms (upper) and an exact Bezout certificate
+(lower).
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from sympy import factorint
-from sympy.ntheory import sqrt_mod
 
 from .errors import DomainError, IterationBudgetError
 from .lattes import EllipticCurveCM, lattes_double
@@ -35,6 +35,8 @@ from .ratmaps import ProjPoint, RationalMap, cofactor_certificate
 _LN2 = math.log(2)
 _ARCH_CAP = 300
 _FIN_CAP = 64
+# bad primes are reported by trial division below this bound
+_TRIAL_LIMIT = 1 << 16
 
 
 def _log_int(n: int) -> float:
@@ -50,19 +52,25 @@ def _log_fraction(fr: Fraction) -> float:
     return _log_int(fr.numerator) - _log_int(fr.denominator)
 
 
-@dataclass(frozen=True)
-class Place:
-    """A place of the base field: archimedean or a finite prime."""
+def _trial_factor(n: int) -> tuple:
+    """Prime exponents of n found by trial division, and the cofactor left.
 
-    kind: str
-    prime: object = None
-    local_degree: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("archimedean", "finite"):
-            raise DomainError(f"unknown place kind {self.kind!r}")
-        if self.kind == "finite" and self.prime is None:
-            raise DomainError("finite place needs a prime")
+    Divides by 2 and the odd numbers below _TRIAL_LIMIT.  A cofactor
+    below _TRIAL_LIMIT**2 that survives has no two prime factors left,
+    so it is prime and joins the exponents; the returned cofactor is
+    then 1.
+    """
+    exps = {}
+    p = 2
+    while p < _TRIAL_LIMIT and p * p <= n:
+        while n % p == 0:
+            exps[p] = exps.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if 1 < n < _TRIAL_LIMIT**2:
+        exps[n] = 1
+        n = 1
+    return exps, n
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,8 @@ def naive_height_by_places(P: ProjPoint) -> HeightValue:
 
     No gcd pre-reduction: the finite places are read off the prime
     factorization, so this cross-checks the reduce-first shortcut.
+    Raises DomainError when the coordinate gcd does not factor by trial
+    division.
     """
     if P.d != 0:
         raise DomainError("place-by-place oracle is for rational points")
@@ -103,180 +113,48 @@ def naive_height_by_places(P: ProjPoint) -> HeightValue:
         raise DomainError("oracle expects integral coordinates")
     xi, yi = int(x.a), int(y.a)
     total = _log_int(max(abs(xi), abs(yi)))
-    g = math.gcd(xi, yi)
-    for p, e in factorint(g).items():
+    exps, rest = _trial_factor(math.gcd(xi, yi))
+    if rest != 1:
+        raise DomainError(
+            f"coordinate gcd keeps the cofactor {rest} after trial division"
+        )
+    for p, e in exps.items():
         # min of the two valuations is the valuation of the integer gcd
-        total -= e * math.log(int(p))
+        total -= e * math.log(p)
     return HeightValue(max(total, 0.0), 0, 0.0)
 
 
-def place_decomposition(P: ProjPoint) -> list:
-    """The places contributing to naive_height_by_places, for inspection."""
-    if P.d != 0:
-        raise DomainError("place decomposition implemented over the rationals")
-    if not (P.x0.is_integral() and P.x1.is_integral()):
-        raise DomainError("place decomposition expects integral coordinates")
-    xi, yi = int(P.x0.a), int(P.x1.a)
-    out = [(Place("archimedean", None, 1), _log_int(max(abs(xi), abs(yi))))]
-    for p, e in factorint(math.gcd(xi, yi)).items():
-        out.append((Place("finite", int(p), 1), -e * math.log(int(p))))
-    return out
+def _mul(a, b, t):
+    """Product of integral basis pairs: t = 0 for Z and Z[i], t = 1 for
+    Z[omega], where omega^2 = omega - 1."""
+    x = a[1] * b[1]
+    return (a[0] * b[0] - x, a[0] * b[1] + a[1] * b[0] + t * x)
 
 
-def _vp_capped(n: int, p: int, cap: int) -> int:
-    if n == 0:
-        return cap
-    e = 0
-    while e < cap and n % p == 0:
-        n //= p
-        e += 1
-    return e
+def _pair_norm(a, t) -> int:
+    return a[0] * a[0] + t * a[0] * a[1] + a[1] * a[1]
 
 
-class _PrimeTracker:
-    """Orbit of one prime's local data, in fixed modular precision.
+def _eval_form(coeffs, x0, x1, mod, t):
+    """sum_k c_k x0^k x1^(deg-k) on basis pairs, reduced mod `mod`."""
+    acc = coeffs[-1]
+    p1 = x1
+    for c in reversed(coeffs[:-1]):
+        s, u = _mul(acc, x0, t), _mul(c, p1, t)
+        acc = ((s[0] + u[0]) % mod, (s[1] + u[1]) % mod)
+        p1 = tuple(z % mod for z in _mul(p1, x1, t))
+    return acc
 
-    Tracks an integral coordinate pair modulo p^K, extracting at each
-    step the minimum valuation of the evaluated pair.  The tracked pair
-    drifts from the true orbit by a local unit only (each step divides by
-    a fixed element of the right valuation; the map is homogeneous), so
-    the valuations read off are exact.
-    """
 
-    def __init__(self, p, cap, K, kind, d, c0, c1, v0, gen_image=None):
-        self.p = p
-        self.cap = cap
-        self.kind = kind  # "int" | "inert" | "ramified"
-        self.d = d
-        self.mod = p**K
-        self.gen = gen_image
-        # log of the absolute norm of the prime being tracked
-        if kind == "int":
-            self.log_norm = 2 * math.log(p) if d == 0 else math.log(p)
-        elif kind == "inert":
-            self.log_norm = 2 * math.log(p)
-        else:
-            self.log_norm = math.log(p)
-        if kind == "ramified":
-            if d == 1:
-                self.pi_conj = (1, self.mod - 1)  # 1 - i
-            else:
-                self.pi_conj = (1, self.mod - 2)  # -(2w - 1) = 1 - 2w
-        self.rc0 = [self._embed(c) for c in c0]
-        self.rc1 = [self._embed(c) for c in c1]
-        self.v = (self._embed(v0[0]), self._embed(v0[1]))
-
-    def _embed(self, x: QuadFieldElement):
-        u, v = x.basis_pair()
-        if self.kind == "int":
-            if self.d == 0:
-                return u % self.mod
-            return (u + v * self.gen) % self.mod
-        return (u % self.mod, v % self.mod)
-
-    def _mul(self, a, b):
-        m = self.mod
-        if self.kind == "int":
-            return a * b % m
-        a0, a1 = a
-        b0, b1 = b
-        if self.d == 1:
-            return ((a0 * b0 - a1 * b1) % m, (a0 * b1 + a1 * b0) % m)
-        # (1, w) basis with w^2 = w - 1
-        return (
-            (a0 * b0 - a1 * b1) % m,
-            (a0 * b1 + a1 * b0 + a1 * b1) % m,
+def _divide(a, g_conj, n_g, t):
+    """a / g as a * conj(g) / N(g), which must divide exactly."""
+    u, v = _mul(a, g_conj, t)
+    if u % n_g or v % n_g:
+        raise DomainError(
+            "content does not divide the tracked pair; the map model is "
+            "inconsistent"
         )
-
-    def _add(self, a, b):
-        if self.kind == "int":
-            return (a + b) % self.mod
-        return ((a[0] + b[0]) % self.mod, (a[1] + b[1]) % self.mod)
-
-    def _val(self, a) -> int:
-        p, cap = self.p, self.cap
-        if self.kind == "int":
-            return _vp_capped(a, p, cap)
-        if self.kind == "inert":
-            return min(_vp_capped(a[0], p, cap), _vp_capped(a[1], p, cap))
-        u, v = a
-        if self.d == 1:
-            norm = u * u + v * v
-        else:
-            norm = u * u + u * v + v * v
-        return _vp_capped(norm % self.mod, p, cap)
-
-    def _divide(self, a, e):
-        pe = self.p**e
-        if self.kind == "int":
-            return a // pe
-        if self.kind == "inert":
-            return (a[0] // pe, a[1] // pe)
-        for _ in range(e):
-            a = self._mul(a, self.pi_conj)
-        return (a[0] // pe, a[1] // pe)
-
-    def _eval_form(self, coeffs):
-        x0, x1 = self.v
-        acc = coeffs[-1]
-        p1 = x1
-        for k in range(len(coeffs) - 2, -1, -1):
-            acc = self._add(self._mul(acc, x0), self._mul(coeffs[k], p1))
-            p1 = self._mul(p1, x1)
-        return acc
-
-    def step(self) -> int:
-        f0 = self._eval_form(self.rc0)
-        f1 = self._eval_form(self.rc1)
-        e = min(self._val(f0), self._val(f1))
-        if e >= self.cap:
-            raise DomainError(
-                f"content valuation at p={self.p} exceeded its resultant "
-                "bound; the map model is inconsistent"
-            )
-        if e:
-            f0 = self._divide(f0, e)
-            f1 = self._divide(f1, e)
-        self.v = (f0, f1)
-        return e
-
-
-def _lift_sqrt(a: int, p: int, K: int) -> int:
-    """Square root of a mod p^K by Newton lifting from a root mod p."""
-    s = sqrt_mod(a % p, p)
-    if s is None:
-        raise DomainError(f"{a} is not a square mod {p}")
-    s = int(s)
-    prec = 1
-    while prec < K:
-        prec = min(2 * prec, K)
-        m = p**prec
-        s = (s - (s * s - a) * pow(2 * s, -1, m)) % m
-    return s
-
-
-def _trackers_for_prime(p, w, n_steps, d, c0, c1, v0):
-    cap = w + 1
-    K = n_steps * cap + 4
-    if d == 0:
-        return [_PrimeTracker(p, cap, K, "int", d, c0, c1, v0)]
-    ramified = (d == 1 and p == 2) or (d == 3 and p == 3)
-    if ramified:
-        return [_PrimeTracker(p, cap, K, "ramified", d, c0, c1, v0)]
-    split = (d == 1 and p % 4 == 1) or (d == 3 and p % 3 == 1)
-    if not split:
-        return [_PrimeTracker(p, cap, K, "inert", d, c0, c1, v0)]
-    mod = p**K
-    s = _lift_sqrt(-d, p, K)
-    if d == 1:
-        gens = [s, mod - s]
-    else:
-        inv2 = pow(2, -1, mod)
-        gens = [(1 + s) * inv2 % mod, (1 + mod - s) * inv2 % mod]
-    return [
-        _PrimeTracker(p, cap, K, "int", d, c0, c1, v0, gen_image=g)
-        for g in gens
-    ]
+    return (u // n_g, v // n_g)
 
 
 class _HeightEngine:
@@ -296,6 +174,8 @@ class _HeightEngine:
         if n_R.denominator != 1:
             raise DomainError("integral model produced a non-integral resultant")
         self.n_R = int(n_R)
+        # the least positive integer in the ideal (R)
+        self.m_R = self.n_R // math.gcd(*R.basis_pair())
         self.log_nR = _log_fraction(n_R)
         s_up = max(
             sum(math.sqrt(float(c.norm())) for c in c0),
@@ -312,11 +192,9 @@ class _HeightEngine:
         self._amp_bits = max(2, math.ceil(math.log2(amp)))
         self._ab0 = [(c.a, c.b) for c in c0]
         self._ab1 = [(c.a, c.b) for c in c1]
-        self.prime_exponents = (
-            {int(p): int(e) for p, e in factorint(self.n_R).items()}
-            if self.n_R > 1
-            else {}
-        )
+        self._bp0 = [c.basis_pair() for c in c0]
+        self._bp1 = [c.basis_pair() for c in c1]
+        self._t = 1 if self.d == 3 else 0
 
     def _arch_steps_needed(self, tol: float) -> int:
         if self.c_bound == 0.0:
@@ -328,7 +206,7 @@ class _HeightEngine:
         return n
 
     def _fin_steps_needed(self, tol: float) -> int:
-        if not self.prime_exponents:
+        if self.n_R == 1:
             return 0
         n = 0
         bound = 0.5 * self.log_nR / (self.alpha - 1)
@@ -377,19 +255,34 @@ class _HeightEngine:
     def _fin_value(self, x0, x1, n_fin):
         if n_fin == 0:
             return 0.0, 0.0
-        trackers = []
-        for p, w in self.prime_exponents.items():
-            trackers.extend(
-                _trackers_for_prime(p, w, n_fin, self.d, self.c0, self.c1, (x0, x1))
-            )
+        d, t, n_R = self.d, self._t, self.n_R
+        # every content divides R and so m_R: after k < n_fin steps the
+        # pair is still known modulo m_R^2, a multiple of n_R, which is
+        # all that reading the next content needs
+        mod = self.m_R ** (n_fin + 1)
+        v0, v1 = x0.basis_pair(), x1.basis_pair()
         total = 0.0
         scale = 1.0
         for _ in range(n_fin):
             scale /= self.alpha
-            for t in trackers:
-                e = t.step()
-                if e:
-                    total += 0.5 * e * t.log_norm * scale
+            f0 = _eval_form(self._bp0, v0, v1, mod, t)
+            f1 = _eval_form(self._bp1, v0, v1, mod, t)
+            # N(g) divides this integer, and g divides N(g)
+            h = math.gcd(_pair_norm(f0, t) % n_R, _pair_norm(f1, t) % n_R, n_R)
+            if h > 1:
+                g = integral_gcd(
+                    QuadFieldElement(h, 0, d),
+                    QuadFieldElement.from_basis_pair(f0[0] % h, f0[1] % h, d),
+                )
+                g = integral_gcd(
+                    g, QuadFieldElement.from_basis_pair(f1[0] % h, f1[1] % h, d)
+                )
+                n_g = int(g.norm())
+                total += 0.5 * _log_int(n_g) * scale
+                g_conj = g.conj().basis_pair()
+                f0 = _divide(f0, g_conj, n_g, t)
+                f1 = _divide(f1, g_conj, n_g, t)
+            v0, v1 = f0, f1
         tail = 0.5 * self.log_nR / (self.alpha - 1) * scale
         return total, tail
 
@@ -466,13 +359,20 @@ def canonical_height(
 
 
 def height_constants(phi: RationalMap) -> dict:
-    """Expansion constants and bad primes of the lifted map (diagnostic)."""
+    """Expansion constants and bad primes of the lifted map (diagnostic).
+
+    The bad primes divide the resultant norm and come from trial
+    division; "unfactored" is the part of the norm that trial division
+    leaves, 1 when it factors completely.
+    """
     eng = _engine(phi)
+    exps, rest = _trial_factor(eng.n_R)
     return {
         "c_upper": eng.c_up,
         "c_lower": eng.c_low,
         "resultant_norm": eng.n_R,
-        "bad_primes": sorted(eng.prime_exponents),
+        "bad_primes": sorted(exps),
+        "unfactored": rest,
     }
 
 

@@ -70,13 +70,6 @@ class QuadFieldElement:
     def one(cls, d=0):
         return cls(1, 0, d)
 
-    @classmethod
-    def sqrt_gen(cls, d):
-        """The generator sqrt(-d) of the field with tag d (d > 0)."""
-        if d == 0:
-            raise DomainError("d=0 has no quadratic generator")
-        return cls(0, 1, d)
-
     def embed(self, d: int) -> "QuadFieldElement":
         """Lift this element into the field tagged d.
 

@@ -1,0 +1,168 @@
+"""The finite-place part of the height engine.
+
+The engine reads each step's content gcd(F0, F1) from one tracker that
+works modulo a power of the resultant's least integer.  These tests
+compare it with the contents of the exact orbit, run it on a map whose
+resultant has only 31-digit prime factors, and check that the package
+imports without sympy.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+import p1dyn
+from p1dyn import cli
+from p1dyn.errors import DomainError
+from p1dyn.heights import (
+    _engine,
+    canonical_height,
+    height_constants,
+    naive_height_by_places,
+)
+from p1dyn.quadfield import integral_gcd, parse_element
+from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
+
+
+def point(x, y, d):
+    return ProjPoint(parse_element(x, d), parse_element(y, d), d)
+
+
+def exact_content_sum(phi, P, steps):
+    """(1/2) sum_k log N(g_k) / alpha^(k+1) along the exact orbit."""
+    eng = _engine(phi)
+    f0, f1 = Poly(eng.c0, phi.d), Poly(eng.c1, phi.d)
+    x0, x1 = P.reduced_pair()
+    total = 0.0
+    scale = 1.0
+    for _ in range(steps):
+        y0 = f0.eval_pair(x0, x1, eng.alpha)
+        y1 = f1.eval_pair(x0, x1, eng.alpha)
+        g = integral_gcd(y0, y1)
+        x0, x1 = y0 / g, y1 / g
+        scale /= eng.alpha
+        total += 0.5 * math.log(g.norm()) * scale
+    return total
+
+
+# (num, den, d, points): each map's resultant has primes of the kinds
+# named; every point picks up content along its orbit
+FINITE_CASES = [
+    # Q: 2, 3, 5; the orbit of 5 ends on the fixed point 1 with content 6
+    (["5", "0", "1"], ["0", "6"], 0, [("5", "1"), ("7", "2")]),
+    # Q(i): 5 split, 3 inert
+    (["5", "0", "1"], ["0", "3"], 1, [("2+w", "1"), ("1", "2")]),
+    # Q(i): 5 split, content 2+i at every step
+    (["1", "0", "1"], ["0", "5"], 1, [("3+w", "2")]),
+    # Q(i): 2 ramified, 3 inert, 5 split
+    (["10", "0", "1"], ["0", "6"], 1, [("1+w", "1"), ("2", "3")]),
+    # Q(omega): 7 split, 2 and 5 inert
+    (["7", "0", "1"], ["0", "10"], 3, [("2+w", "1"), ("2*w", "1")]),
+    # Q(omega): 3 ramified, 7 and 13 split, 2 inert
+    (["3", "21", "0", "1"], ["0", "0", "26"], 3, [("w", "1"), ("3", "1")]),
+    # Q(omega): 3 ramified, then a prime above 7 at every step
+    (["3", "0", "1"], ["0", "21"], 3, [("-6-w", "2")]),
+    # (p^2 z^2 + p z) / (p z^2 + 1): the contents depend on deep digits of
+    # the point, so a modulus of m_R^2 at every step misreads these orbits
+    (["0", "5", "25"], ["1", "0", "5"], 0, [("-19", "5")]),
+    (["0", "5", "25"], ["1", "0", "5"], 1, [("5-52*w", "4")]),
+    (["0", "3", "9"], ["1", "0", "3"], 3, [("43-16*w", "3")]),
+    (["0", "13", "169"], ["1", "0", "13"], 3, [("3-26*w", "24")]),
+]
+
+
+class TestContentTracker:
+    @pytest.mark.parametrize("num,den,d,points", FINITE_CASES)
+    def test_matches_exact_orbit_contents(self, num, den, d, points):
+        phi = RationalMap.from_strings(num, den, d)
+        eng = _engine(phi)
+        for x, y in points:
+            P = point(x, y, d)
+            for steps in (3, 4):
+                expect = exact_content_sum(phi, P, steps)
+                got, _ = eng._fin_value(*P.reduced_pair(), steps)
+                assert expect > 0
+                assert abs(got - expect) <= 1e-12 * max(1.0, expect)
+
+
+# four 31-digit primes; (C z^2 + B z + A) / (D z) has resultant A C D^2
+# up to sign, so trial division finds none of its prime factors
+BIG_A = 8665615322153222214338126608253
+BIG_B = 2824741362180460075340360596117
+BIG_C = 6473297521872677890786520439071
+BIG_D = 4522228361873140535516143229483
+
+
+def big_map():
+    return RationalMap.from_strings(
+        [str(BIG_A), str(BIG_B), str(BIG_C)], ["0", str(BIG_D)], 0
+    )
+
+
+class TestBigResultant:
+    def test_constants_report_the_cofactor(self):
+        c = height_constants(big_map())
+        assert c["bad_primes"] == []
+        assert c["unfactored"] == (BIG_A * BIG_C * BIG_D**2) ** 2
+        assert c["resultant_norm"] == c["unfactored"]
+
+    def test_functional_equation(self):
+        phi = big_map()
+        P = point("2", "1", 0)
+        h = canonical_height(phi, P, 1e-9)
+        h_img = canonical_height(phi, phi(P), 1e-9)
+        assert h.error_bound <= 1e-9 and h_img.error_bound <= 1e-9
+        assert h.value > 0
+        assert abs(h_img.value - 2 * h.value) <= (
+            h_img.error_bound + 2 * h.error_bound
+        )
+
+    def test_cli_height_map(self, tmp_path, capsys):
+        path = tmp_path / "bigmap.json"
+        path.write_text(json.dumps({
+            "field": {"d": 0},
+            "num": [str(BIG_A), str(BIG_B), str(BIG_C)],
+            "den": ["0", str(BIG_D)],
+        }))
+        rc = cli.main(["height", "--map", str(path), "--point", "2,1",
+                       "--tol", "1e-9"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert payload["bad_primes"] == []
+        assert payload["unfactored_cofactor"] == (BIG_A * BIG_C * BIG_D**2) ** 2
+        assert payload["results"][0]["error_bound"] <= 1e-9
+
+    def test_catalog_height_has_no_cofactor_key(self, capsys):
+        rc = cli.main(["height", "--catalog", "phi_2@E1", "--point", "2,1"])
+        assert rc == 0
+        assert "unfactored_cofactor" not in json.loads(capsys.readouterr().out)
+
+
+class TestTrialDivision:
+    def test_cofactor_below_the_square_is_prime(self):
+        # 4294967291 is prime and below 2^32, so trial division to 2^16
+        # leaves it and it is taken as prime
+        q = 4294967291
+        hv = naive_height_by_places(point(str(2 * q), str(q), 0))
+        assert hv.value == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_unfactored_gcd_is_rejected(self):
+        n = 65537 * 65539
+        with pytest.raises(DomainError):
+            naive_height_by_places(point(str(n), str(n), 0))
+
+
+def test_import_does_not_load_sympy():
+    src = os.path.dirname(os.path.dirname(p1dyn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, p1dyn; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

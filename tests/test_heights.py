@@ -6,13 +6,11 @@ import pytest
 from p1dyn.errors import DomainError, IterationBudgetError
 from p1dyn.heights import (
     HeightValue,
-    Place,
     canonical_height,
     height_constants,
     naive_height,
     naive_height_by_places,
     neron_tate,
-    place_decomposition,
     tate_limit_raw,
 )
 from p1dyn.lattes import catalog, curve_E1, curve_E2, lattes_double
@@ -80,19 +78,6 @@ class TestByPlaces:
     def test_rejects_non_rational(self):
         with pytest.raises(DomainError):
             naive_height_by_places(ProjPoint(QF(1, 1, 1), QF(1, 0, 1), 1))
-
-    def test_place_decomposition(self):
-        places = place_decomposition(pt(6, 4))
-        kinds = [p.kind for p, _ in places]
-        assert kinds[0] == "archimedean"
-        assert {p.prime for p, _ in places[1:]} == {2}
-        assert sum(v for _, v in places) == pytest.approx(math.log(3), abs=1e-12)
-
-    def test_place_validation(self):
-        with pytest.raises(DomainError):
-            Place("finite")
-        with pytest.raises(DomainError):
-            Place("nowhere")
 
 
 class TestHeightValue:
