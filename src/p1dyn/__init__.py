@@ -23,7 +23,6 @@ from .heights import (
 from .lattes import (
     CatalogEntry,
     EllipticCurveCM,
-    Multiplier,
     RamificationProfile,
     catalog,
     catalog_entry,

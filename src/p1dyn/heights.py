@@ -29,7 +29,15 @@ import mpmath
 
 from .errors import DomainError, IterationBudgetError
 from .lattes import EllipticCurveCM, lattes_double
-from .quadfield import QuadFieldElement, integral_gcd
+from .quadfield import (
+    QuadFieldElement,
+    integral_gcd,
+    omega_flag,
+    pair_divexact,
+    pair_gcd,
+    pair_mul,
+    pair_norm,
+)
 from .ratmaps import ProjPoint, RationalMap, cofactor_certificate
 
 _LN2 = math.log(2)
@@ -124,37 +132,15 @@ def naive_height_by_places(P: ProjPoint) -> HeightValue:
     return HeightValue(max(total, 0.0), 0, 0.0)
 
 
-def _mul(a, b, t):
-    """Product of integral basis pairs: t = 0 for Z and Z[i], t = 1 for
-    Z[omega], where omega^2 = omega - 1."""
-    x = a[1] * b[1]
-    return (a[0] * b[0] - x, a[0] * b[1] + a[1] * b[0] + t * x)
-
-
-def _pair_norm(a, t) -> int:
-    return a[0] * a[0] + t * a[0] * a[1] + a[1] * a[1]
-
-
 def _eval_form(coeffs, x0, x1, mod, t):
     """sum_k c_k x0^k x1^(deg-k) on basis pairs, reduced mod `mod`."""
     acc = coeffs[-1]
     p1 = x1
     for c in reversed(coeffs[:-1]):
-        s, u = _mul(acc, x0, t), _mul(c, p1, t)
+        s, u = pair_mul(acc, x0, t), pair_mul(c, p1, t)
         acc = ((s[0] + u[0]) % mod, (s[1] + u[1]) % mod)
-        p1 = tuple(z % mod for z in _mul(p1, x1, t))
+        p1 = tuple(z % mod for z in pair_mul(p1, x1, t))
     return acc
-
-
-def _divide(a, g_conj, n_g, t):
-    """a / g as a * conj(g) / N(g), which must divide exactly."""
-    u, v = _mul(a, g_conj, t)
-    if u % n_g or v % n_g:
-        raise DomainError(
-            "content does not divide the tracked pair; the map model is "
-            "inconsistent"
-        )
-    return (u // n_g, v // n_g)
 
 
 class _HeightEngine:
@@ -194,7 +180,7 @@ class _HeightEngine:
         self._ab1 = [(c.a, c.b) for c in c1]
         self._bp0 = [c.basis_pair() for c in c0]
         self._bp1 = [c.basis_pair() for c in c1]
-        self._t = 1 if self.d == 3 else 0
+        self._t = omega_flag(self.d)
 
     def _arch_steps_needed(self, tol: float) -> int:
         if self.c_bound == 0.0:
@@ -255,7 +241,7 @@ class _HeightEngine:
     def _fin_value(self, x0, x1, n_fin):
         if n_fin == 0:
             return 0.0, 0.0
-        d, t, n_R = self.d, self._t, self.n_R
+        t, n_R = self._t, self.n_R
         # every content divides R and so m_R: after k < n_fin steps the
         # pair is still known modulo m_R^2, a multiple of n_R, which is
         # all that reading the next content needs
@@ -268,20 +254,14 @@ class _HeightEngine:
             f0 = _eval_form(self._bp0, v0, v1, mod, t)
             f1 = _eval_form(self._bp1, v0, v1, mod, t)
             # N(g) divides this integer, and g divides N(g)
-            h = math.gcd(_pair_norm(f0, t) % n_R, _pair_norm(f1, t) % n_R, n_R)
+            h = math.gcd(pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R)
             if h > 1:
-                g = integral_gcd(
-                    QuadFieldElement(h, 0, d),
-                    QuadFieldElement.from_basis_pair(f0[0] % h, f0[1] % h, d),
-                )
-                g = integral_gcd(
-                    g, QuadFieldElement.from_basis_pair(f1[0] % h, f1[1] % h, d)
-                )
-                n_g = int(g.norm())
+                g = pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
+                g = pair_gcd(g, (f1[0] % h, f1[1] % h), t)
+                n_g = pair_norm(g, t)
                 total += 0.5 * _log_int(n_g) * scale
-                g_conj = g.conj().basis_pair()
-                f0 = _divide(f0, g_conj, n_g, t)
-                f1 = _divide(f1, g_conj, n_g, t)
+                f0 = pair_divexact(f0, g, t)
+                f1 = pair_divexact(f1, g, t)
             v0, v1 = f0, f1
         tail = 0.5 * self.log_nR / (self.alpha - 1) * scale
         return total, tail

@@ -25,7 +25,6 @@ class EllipticCurveCM:
 
     G: Poly
     d: int
-    tau_im: float
 
     def __post_init__(self):
         if self.G.degree != 3:
@@ -36,40 +35,16 @@ class EllipticCurveCM:
             raise DomainError("G must be squarefree (smooth curve)")
         if self.d not in (1, 3):
             raise DomainError("supported CM discriminant tags are 1 and 3")
-        if self.tau_im <= 0:
-            raise DomainError("lattice parameter must have positive imaginary part")
 
 
-def curve_E1(tau_im: float = 1.0) -> EllipticCurveCM:
+def curve_E1() -> EllipticCurveCM:
     """y^2 = x^3 + x, square lattice, CM by the Gaussian integers."""
-    return EllipticCurveCM(Poly([0, 1, 0, 1], 1), 1, tau_im)
+    return EllipticCurveCM(Poly([0, 1, 0, 1], 1), 1)
 
 
-def curve_E2(tau_im: float = math.sqrt(3) / 2) -> EllipticCurveCM:
+def curve_E2() -> EllipticCurveCM:
     """y^2 = x^3 + 1, hexagonal lattice, CM by the Eisenstein integers."""
-    return EllipticCurveCM(Poly([1, 0, 0, 1], 3), 3, tau_im)
-
-
-@dataclass(frozen=True)
-class Multiplier:
-    """A CM multiplier attached (optionally) to its curve."""
-
-    lam: QuadFieldElement
-    curve: EllipticCurveCM | None = None
-
-    def __post_init__(self):
-        if self.lam.norm() < 2:
-            raise DomainError(
-                f"multiplier {format_element(self.lam)} has norm < 2; "
-                "no interesting dynamics"
-            )
-
-    @property
-    def degree(self) -> int:
-        n = self.lam.norm()
-        if n.denominator != 1:
-            raise DomainError("multiplier is not an algebraic integer")
-        return int(n)
+    return EllipticCurveCM(Poly([1, 0, 0, 1], 3), 3)
 
 
 @dataclass(frozen=True)
@@ -221,14 +196,13 @@ def ramification_profile(
     return RamificationProfile(counts, phi.degree)
 
 
-def predict_profile(mult: Multiplier | QuadFieldElement) -> RamificationProfile:
+def predict_profile(lam: QuadFieldElement) -> RamificationProfile:
     """Parity-table prediction of the four counts for a multiplier.
 
     The table is indexed by the parities of lambda = a + b*sqrt(-d); it
     only covers multipliers with integer coordinates, and reports the
     parity signature when asked outside that range.
     """
-    lam = mult.lam if isinstance(mult, Multiplier) else mult
     a, b, d = lam.a, lam.b, lam.d
     n_frac = lam.norm()
     if a.denominator != 1 or b.denominator != 1 or n_frac.denominator != 1:

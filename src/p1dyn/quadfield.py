@@ -19,8 +19,6 @@ from .errors import DomainError, FieldMismatchError, MapSpecError
 
 SUPPORTED_D = (0, 1, 3)
 
-_HALF = Fraction(1, 2)
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -246,71 +244,140 @@ class QuadFieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Ring-of-integers machinery: rounding, Euclidean division, gcd.
+# Ring-of-integers machinery on integral basis pairs: rounding, Euclidean
+# division, gcd.
+#
+# An algebraic integer is the int pair (u, v) meaning u + v*w, with w = i
+# for d=1 and w = omega = (1 + sqrt(-3))/2 for d=3 (see basis_pair); for
+# d=0 the second coordinate is 0.  With t = 1 for d=3 and t = 0 otherwise,
+# w^2 = t*w - 1, conj(w) = t - w and N(u + v*w) = u^2 + t*u*v + v^2, so
+# one set of formulas serves all three rings.  Multiplying by w (the unit
+# i or omega) maps (u, v) to (-v, u + t*v).
 # ---------------------------------------------------------------------------
 
 
-def _round_fraction(x: Fraction) -> int:
-    """Nearest integer, ties toward +infinity; |x - result| <= 1/2."""
-    return math.floor(x + _HALF)
+def omega_flag(d: int) -> int:
+    """t for the field tag d: 1 for Z[omega], 0 for Z and Z[i]."""
+    return 1 if d == 3 else 0
+
+
+def pair_mul(x, y, t: int) -> tuple:
+    """Product of two basis pairs."""
+    m = x[1] * y[1]
+    return (x[0] * y[0] - m, x[0] * y[1] + x[1] * y[0] + t * m)
+
+
+def pair_conj(x, t: int) -> tuple:
+    return (x[0] + t * x[1], -x[1])
+
+
+def pair_norm(x, t: int) -> int:
+    return x[0] * x[0] + t * x[0] * x[1] + x[1] * x[1]
+
+
+def _round_ratio(n: int, m: int) -> int:
+    """Nearest integer to n/m for m > 0, ties toward +infinity."""
+    return (2 * n + m) // (2 * m)
+
+
+def pair_divmod(x, y, t: int) -> tuple:
+    """Euclidean division x = q*y + r of basis pairs, N(r) < N(y).
+
+    q rounds each basis coordinate of x*conj(y)/N(y) to the nearest
+    integer, ties toward +infinity.
+    """
+    n = pair_norm(y, t)
+    p0, p1 = pair_mul(x, pair_conj(y, t), t)
+    q = (_round_ratio(p0, n), _round_ratio(p1, n))
+    qy = pair_mul(q, y, t)
+    return q, (x[0] - qy[0], x[1] - qy[1])
+
+
+def pair_gcd(x, y, t: int) -> tuple:
+    """Unit-normalized gcd of two basis pairs, not both zero."""
+    if x[1] == 0 and y[1] == 0:
+        # two rational integers: Bezout in Z makes their gcd in Z the gcd
+        # in every ring of integers
+        return (math.gcd(x[0], y[0]), 0)
+    while y[0] or y[1]:
+        x, y = y, pair_divmod(x, y, t)[1]
+    return pair_normalize(x, t)
+
+
+def unit_turns(x, t: int) -> int:
+    """The k for which w^k * x is the canonical associate of nonzero x.
+
+    Exactly one unit multiple of a nonzero x has complex argument in
+    [0, pi/2) for d=1 or in [0, pi/3) for d=3, or is positive for d=0; in
+    basis coordinates that is u > 0 and v >= 0 in every ring.  With t = 0
+    a rational x (v = 0) needs k = 0 or 2, and w^2 = -1, so d=0 fits the
+    same rule.
+    """
+    u, v = x
+    k = 0
+    while not (u > 0 and v >= 0):
+        u, v = -v, u + t * v
+        k += 1
+    return k
+
+
+def pair_turn(x, k: int, t: int) -> tuple:
+    """w^k * x."""
+    u, v = x
+    for _ in range(k):
+        u, v = -v, u + t * v
+    return (u, v)
+
+
+def pair_normalize(x, t: int) -> tuple:
+    """The canonical associate of a basis pair (zero stays zero)."""
+    if not (x[0] or x[1]):
+        return x
+    return pair_turn(x, unit_turns(x, t), t)
+
+
+def pair_divexact(x, y, t: int) -> tuple:
+    """x / y for basis pairs; DomainError unless y divides x."""
+    n = pair_norm(y, t)
+    u, v = pair_mul(x, pair_conj(y, t), t)
+    if u % n or v % n:
+        raise DomainError("basis pair division is not exact")
+    return (u // n, v // n)
 
 
 def round_to_integers(x: QuadFieldElement) -> QuadFieldElement:
     """Nearest element of the ring of integers.
 
     The covering radius of each integer lattice is < 1 in the norm, which
-    is what makes the Euclidean division below terminate: d=0 gives
+    is what makes Euclidean division (pair_divmod) terminate: d=0 gives
     error <= 1/4, d=1 gives <= 1/2, d=3 (hexagonal lattice) gives <= 3/4.
     """
-    if x.d in (0, 1):
-        return QuadFieldElement(_round_fraction(x.a), _round_fraction(x.b), x.d)
-    u = _round_fraction(x.a - x.b)
-    v = _round_fraction(2 * x.b)
-    return QuadFieldElement.from_basis_pair(u, v, 3)
+    u, v = (Fraction(c) for c in x.basis_pair())
+    return QuadFieldElement.from_basis_pair(
+        _round_ratio(u.numerator, u.denominator),
+        _round_ratio(v.numerator, v.denominator),
+        x.d,
+    )
+
+
+def _integral_pairs(x: QuadFieldElement, y: QuadFieldElement, what: str):
+    if x.d != y.d:
+        raise FieldMismatchError(f"field tags differ: d={x.d} vs d={y.d}")
+    if not (x.is_integral() and y.is_integral()):
+        raise DomainError(f"{what} requires algebraic integers")
+    return x.basis_pair(), y.basis_pair()
 
 
 def divmod_integral(x: QuadFieldElement, y: QuadFieldElement):
     """Euclidean division x = q*y + r in the ring of integers, norm(r) < norm(y)."""
-    if y.d != x.d:
-        raise FieldMismatchError(f"field tags differ: d={x.d} vs d={y.d}")
-    if not (x.is_integral() and y.is_integral()):
-        raise DomainError("divmod_integral requires algebraic integers")
+    px, py = _integral_pairs(x, y, "divmod_integral")
     if y.is_zero():
         raise ZeroDivisionError("division by zero")
-    q = round_to_integers(x / y)
-    r = x - q * y
-    return q, r
-
-
-_GAUSS_UNITS = None
-_EISENSTEIN_UNITS = None
-
-
-def _units(d: int):
-    global _GAUSS_UNITS, _EISENSTEIN_UNITS
-    if d == 0:
-        return (QuadFieldElement(1), QuadFieldElement(-1))
-    if d == 1:
-        if _GAUSS_UNITS is None:
-            i = QuadFieldElement(0, 1, 1)
-            _GAUSS_UNITS = (QuadFieldElement.one(1), i, i * i, i * i * i)
-        return _GAUSS_UNITS
-    if _EISENSTEIN_UNITS is None:
-        z6 = QuadFieldElement(_HALF, _HALF, 3)  # primitive sixth root of unity
-        us = [QuadFieldElement.one(3)]
-        for _ in range(5):
-            us.append(us[-1] * z6)
-        _EISENSTEIN_UNITS = tuple(us)
-    return _EISENSTEIN_UNITS
-
-
-def _is_normalized_associate(x: QuadFieldElement) -> bool:
-    # Argument in [0, pi/2) for d=1, [0, pi/3) for d=3, positive for d=0.
-    if x.d == 0:
-        return x.a > 0
-    if x.d == 1:
-        return x.a > 0 and x.b >= 0
-    return x.a > 0 and x.b >= 0 and x.b < x.a
+    q, r = pair_divmod(px, py, omega_flag(x.d))
+    return (
+        QuadFieldElement.from_basis_pair(*q, x.d),
+        QuadFieldElement.from_basis_pair(*r, x.d),
+    )
 
 
 def normalize_unit(x: QuadFieldElement) -> QuadFieldElement:
@@ -319,27 +386,17 @@ def normalize_unit(x: QuadFieldElement) -> QuadFieldElement:
     Exactly one unit multiple of a nonzero x has complex argument in
     [0, pi/2) for d=1, in [0, pi/3) for d=3, or is positive for d=0.
     """
-    if x.is_zero():
-        return x
-    for u in _units(x.d):
-        c = x * u
-        if _is_normalized_associate(c):
-            return c
-    raise AssertionError(f"no normalized associate found for {x!r}")
+    u, v = pair_normalize(x.basis_pair(), omega_flag(x.d))
+    return QuadFieldElement.from_basis_pair(u, v, x.d)
 
 
 def integral_gcd(x: QuadFieldElement, y: QuadFieldElement) -> QuadFieldElement:
     """Greatest common divisor in the ring of integers, unit-normalized."""
-    if x.d != y.d:
-        raise FieldMismatchError(f"field tags differ: d={x.d} vs d={y.d}")
-    if not (x.is_integral() and y.is_integral()):
-        raise DomainError("integral_gcd requires algebraic integers")
+    px, py = _integral_pairs(x, y, "integral_gcd")
     if x.is_zero() and y.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
-    while not y.is_zero():
-        _, r = divmod_integral(x, y)
-        x, y = y, r
-    return normalize_unit(x)
+    u, v = pair_gcd(px, py, omega_flag(x.d))
+    return QuadFieldElement.from_basis_pair(u, v, x.d)
 
 
 def sqrt_in_field(x: QuadFieldElement):
@@ -382,6 +439,35 @@ def sqrt_in_field(x: QuadFieldElement):
             if cand * cand == x:
                 return cand
     return None
+
+
+# ---------------------------------------------------------------------------
+# Integer coordinates of coefficient vectors.
+# ---------------------------------------------------------------------------
+
+
+def int_coords(elements) -> tuple:
+    """(A, B, den) with elements[k] = (A[k] + B[k]*sqrt(-d)) / den.
+
+    den is the least common denominator of all coordinates, so callers can
+    run whole vectors of field arithmetic on ints.
+    """
+    den = 1
+    for x in elements:
+        den = math.lcm(den, x._a.denominator, x._b.denominator)
+    return (
+        [x._a.numerator * (den // x._a.denominator) for x in elements],
+        [x._b.numerator * (den // x._b.denominator) for x in elements],
+        den,
+    )
+
+
+def from_int_coords(A, B, den: int, d: int) -> list:
+    """The elements (A[k] + B[k]*sqrt(-d)) / den; inverse of int_coords."""
+    return [
+        QuadFieldElement(Fraction(a, den), Fraction(b, den), d)
+        for a, b in zip(A, B)
+    ]
 
 
 # ---------------------------------------------------------------------------

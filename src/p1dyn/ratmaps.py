@@ -16,10 +16,17 @@ from typing import Iterable, Sequence
 from .errors import DomainError, FieldMismatchError
 from .quadfield import (
     QuadFieldElement,
+    from_int_coords,
     integral_gcd,
+    int_coords,
     normalize_unit,
+    omega_flag,
+    pair_divexact,
+    pair_gcd,
+    pair_turn,
     parse_element,
     format_element,
+    unit_turns,
 )
 
 
@@ -106,21 +113,13 @@ class Poly:
         return Poly([-x for x in self._c], self._d)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            self._check(other)
-            if not self._c or not other._c:
-                return Poly([], self._d)
-            out = [QuadFieldElement.zero(self._d)] * (
-                len(self._c) + len(other._c) - 1
-            )
-            for i, a in enumerate(self._c):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other._c):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out, self._d)
-        s = _coerce_coeff(other, self._d)
-        return Poly([s * x for x in self._c], self._d)
+        if not isinstance(other, Poly):
+            other = Poly([other], self._d)
+        self._check(other)
+        A, B, den_x = int_coords(self._c)
+        C, E, den_y = int_coords(other._c)
+        re, im = _field_convolve((A, B), (C, E), self._d)
+        return Poly(from_int_coords(re, im, den_x * den_y, self._d), self._d)
 
     __rmul__ = __mul__
 
@@ -235,6 +234,52 @@ class Poly:
         return f"Poly({self})"
 
 
+def _convolve(x: list, y: list) -> list:
+    """Coefficient list of the product of two integer polynomials."""
+    if not x or not y:
+        return []
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
+
+
+def _field_convolve(x: tuple, y: tuple, d: int) -> tuple:
+    """Product of two polynomials over Q(sqrt(-d)) in integer coordinates.
+
+    A polynomial is a pair (A, B) of int lists, coefficient k being
+    A[k] + B[k]*sqrt(-d).  Rational factors (B all zero) take one or two
+    integer products, the rest three (Karatsuba's trick for the cross
+    term).
+    """
+    (A, B), (C, E) = x, y
+    ac = _convolve(A, C)
+    if not any(B):
+        return ac, _convolve(A, E) if any(E) else [0] * len(ac)
+    if not any(E):
+        return ac, _convolve(B, C)
+    be = _convolve(B, E)
+    s = _convolve([a + b for a, b in zip(A, B)], [c + e for c, e in zip(C, E)])
+    return (
+        [p - d * q for p, q in zip(ac, be)],
+        [u - p - q for u, p, q in zip(s, ac, be)],
+    )
+
+
+def _coords(*polys) -> list:
+    """(A, B) integer coordinate vectors of polys over one common
+    denominator, which is dropped: it scales every polynomial alike."""
+    A, B, _ = int_coords([c for p in polys for c in p._c])
+    out, i = [], 0
+    for p in polys:
+        j = i + len(p._c)
+        out.append((A[i:j], B[i:j]))
+        i = j
+    return out
+
+
 def poly_from_strings(coeffs: Sequence[str], d: int) -> Poly:
     return Poly([parse_element(s, d) for s in coeffs], d)
 
@@ -327,18 +372,21 @@ class ProjPoint:
         Clears denominators with one rational integer, removes the
         integral gcd, and fixes the unit so the pair is canonical.
         """
-        den_lcm = 1
-        for coord in (self._x0, self._x1):
-            u, v = coord.basis_pair()
-            den_lcm = math.lcm(den_lcm, u.denominator, v.denominator)
-        a = self._x0 * den_lcm
-        b = self._x1 * den_lcm
-        g = integral_gcd(a, b)
-        a, b = a / g, b / g
+        d = self._d
+        t = omega_flag(d)
+        p0, p1 = self._x0.basis_pair(), self._x1.basis_pair()
+        den = math.lcm(*(c.denominator for c in p0 + p1))
+        a = tuple(c.numerator * (den // c.denominator) for c in p0)
+        b = tuple(c.numerator * (den // c.denominator) for c in p1)
+        g = pair_gcd(a, b, t)
+        if g != (1, 0):
+            a, b = pair_divexact(a, g, t), pair_divexact(b, g, t)
         # fix residual unit on the pair via the first nonzero coordinate
-        lead = b if not b.is_zero() else a
-        u = normalize_unit(lead) / lead
-        return (a * u, b * u)
+        k = unit_turns(b if any(b) else a, t)
+        return (
+            QuadFieldElement.from_basis_pair(*pair_turn(a, k, t), d),
+            QuadFieldElement.from_basis_pair(*pair_turn(b, k, t), d),
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):
@@ -372,15 +420,42 @@ class RationalMap:
             raise FieldMismatchError("numerator and denominator field mismatch")
         if num.is_zero() and den.is_zero():
             raise DomainError("0/0 does not define a map")
-        self._d = num.d
         if not num.is_zero() and not den.is_zero():
             g = poly_gcd(num, den)
             if g.degree >= 1:
                 num, den = num // g, den // g
-        # canonical scale: monic denominator, else monic numerator
-        scale = (den if not den.is_zero() else num).leading().inverse()
-        self._num = scale * num
-        self._den = scale * den
+        self._set_scaled(*_coords(num, den), num.d)
+
+    @classmethod
+    def _from_coprime(cls, num: tuple, den: tuple, d: int) -> "RationalMap":
+        """The map num/den for coprime polynomials, without poly_gcd.
+
+        num and den are (A, B) integer coordinate vectors as in
+        _field_convolve, scaled by one common nonzero factor and not both
+        zero.  Callers vouch for coprimality; only the scale is normalized.
+        """
+        out = object.__new__(cls)
+        out._set_scaled(num, den, d)
+        return out
+
+    def _set_scaled(self, num: tuple, den: tuple, d: int) -> None:
+        # canonical scale: monic denominator, else monic numerator; a
+        # coefficient c becomes c * conj(L) / N(L) for the leading one L
+        num, den = _trim(*num), _trim(*den)
+        lead_a, lead_b = den if den[0] else num
+        la, lb = lead_a[-1], lead_b[-1]
+        n = la * la + d * lb * lb
+
+        def scaled(A, B):
+            return Poly(from_int_coords(
+                [a * la + d * b * lb for a, b in zip(A, B)],
+                [b * la - a * lb for a, b in zip(A, B)],
+                n, d,
+            ), d)
+
+        self._d = d
+        self._num = scaled(*num)
+        self._den = scaled(*den)
         self._deg = max(self._num.degree, self._den.degree)
 
     @classmethod
@@ -432,29 +507,46 @@ class RationalMap:
         return self(ProjPoint.affine(z))
 
     def compose(self, inner: "RationalMap") -> "RationalMap":
-        """self after inner, by homogeneous substitution."""
+        """self after inner, by homogeneous substitution.
+
+        The substituted pair needs no gcd: a common root of the composite
+        forms would be mapped by inner to a common root of the outer
+        forms, which has none (the composite's resultant is a product of
+        powers of the two nonzero resultants).
+        """
         if self._d != inner._d:
             raise FieldMismatchError("composition across different fields")
-        p, q = inner._num, inner._den
-        dd = inner._deg
-        # powers of p and q up to the outer degree
+        d = self._d
         m = self._deg
-        pp = [Poly([1], self._d)]
-        qq = [Poly([1], self._d)]
+        # common denominators of the inner and of the outer pair only
+        # scale the composite, which _from_coprime normalizes away
+        p, q = _coords(inner._num, inner._den)
+        outer = [
+            (A + [0] * (m + 1 - len(A)), B + [0] * (m + 1 - len(B)))
+            for A, B in _coords(self._num, self._den)
+        ]
+        pp = [([1], [0])]
+        qq = [([1], [0])]
         for _ in range(m):
-            pp.append(pp[-1] * p)
-            qq.append(qq[-1] * q)
-        num = Poly([], self._d)
-        den = Poly([], self._d)
+            pp.append(_field_convolve(pp[-1], p, d))
+            qq.append(_field_convolve(qq[-1], q, d))
+        size = m * inner._deg + 1
+        num = ([0] * size, [0] * size)
+        den = ([0] * size, [0] * size)
+        # num = sum_k c_k p^k q^(m-k) over the outer numerator's c_k, and
+        # likewise den
         for k in range(m + 1):
-            cn = self._num.coeff(k)
-            cd = self._den.coeff(k)
-            cross = pp[k] * qq[m - k]
-            if not cn.is_zero():
-                num = num + cn * cross
-            if not cd.is_zero():
-                den = den + cd * cross
-        out = RationalMap(num, den)
+            cross = None
+            for (acc_a, acc_b), (c_a, c_b) in zip((num, den), outer):
+                ca, cb = c_a[k], c_b[k]
+                if not (ca or cb):
+                    continue
+                if cross is None:
+                    cross = _field_convolve(pp[k], qq[m - k], d)
+                for j, (u, v) in enumerate(zip(*cross)):
+                    acc_a[j] += ca * u - d * cb * v
+                    acc_b[j] += ca * v + cb * u
+        out = RationalMap._from_coprime(num, den, d)
         if out.degree != self._deg * inner._deg and self._deg and inner._deg:
             raise DomainError("degree collapsed under composition")
         return out
@@ -504,14 +596,19 @@ class RationalMap:
         return n, m
 
     def embed(self, d: int) -> "RationalMap":
-        return RationalMap(self._num.embed(d), self._den.embed(d))
+        # a gcd over Q stays a gcd over any extension field
+        return RationalMap._from_coprime(
+            *_coords(self._num.embed(d), self._den.embed(d)), d
+        )
 
     def scalar_multiple(self, c) -> "RationalMap":
         """The map c * self (post-composition with multiplication by c)."""
         s = _coerce_coeff(c, self._d)
         if s.is_zero():
             raise DomainError("scaling a map by zero")
-        return RationalMap(s * self._num, self._den)
+        return RationalMap._from_coprime(
+            *_coords(s * self._num, self._den), self._d
+        )
 
     def __str__(self) -> str:
         if self._den.degree <= 0 and not self._den.is_zero():
@@ -521,6 +618,14 @@ class RationalMap:
 
     def __repr__(self) -> str:
         return f"RationalMap({self})"
+
+
+def _trim(A: list, B: list) -> tuple:
+    """Drop trailing zero coefficients from an (A, B) coordinate vector."""
+    n = len(A)
+    while n and not (A[n - 1] or B[n - 1]):
+        n -= 1
+    return A[:n], B[:n]
 
 
 def distinct_preimages(phi: RationalMap, target: ProjPoint) -> int:

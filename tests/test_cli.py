@@ -3,8 +3,10 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -432,10 +434,18 @@ class TestErrorPaths:
 
 class TestModuleExecution:
     def test_python_dash_m(self):
+        # run the package under test, also when only pytest's pythonpath
+        # setting (not the environment) puts src/ on the import path
+        src = str(Path(p1dyn.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "p1dyn.cli", "catalog"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == 1

@@ -5,7 +5,6 @@ import pytest
 from p1dyn.errors import DomainError, MapSpecError
 from p1dyn.lattes import (
     EllipticCurveCM,
-    Multiplier,
     catalog,
     catalog_entry,
     catalog_names,
@@ -73,7 +72,7 @@ class TestTripling:
         assert tri == RationalMap(num, den)
 
     def test_rejects_non_depressed_cubic(self):
-        curve = EllipticCurveCM(Poly([1, 0, 1, 1], 1), 1, 1.0)
+        curve = EllipticCurveCM(Poly([1, 0, 1, 1], 1), 1)
         with pytest.raises(DomainError):
             lattes_triple(curve)
 
@@ -81,15 +80,15 @@ class TestTripling:
 class TestCurveValidation:
     def test_singular_curve_rejected(self):
         with pytest.raises(DomainError):
-            EllipticCurveCM(Poly([0, 0, 0, 1], 1), 1, 1.0)
+            EllipticCurveCM(Poly([0, 0, 0, 1], 1), 1)
 
     def test_non_monic_rejected(self):
         with pytest.raises(DomainError):
-            EllipticCurveCM(Poly([1, 0, 0, 2], 1), 1, 1.0)
+            EllipticCurveCM(Poly([1, 0, 0, 2], 1), 1)
 
     def test_quadratic_rejected(self):
         with pytest.raises(DomainError):
-            EllipticCurveCM(Poly([1, 0, 1], 1), 1, 1.0)
+            EllipticCurveCM(Poly([1, 0, 1], 1), 1)
 
 
 class TestCatalog:
@@ -223,7 +222,7 @@ class TestTwoTorsion:
             assert (x ** 3 + 1).is_zero()
 
     def test_unsplittable_curve_errors(self):
-        curve = EllipticCurveCM(Poly([-2, 0, 0, 1], 1), 1, 1.0)
+        curve = EllipticCurveCM(Poly([-2, 0, 0, 1], 1), 1)
         with pytest.raises(DomainError):
             two_torsion_targets(curve)
 
@@ -296,12 +295,6 @@ class TestPredictions:
     def test_norm_too_small(self):
         with pytest.raises(DomainError):
             predict_profile(QF(1, 0, 1))
-
-    def test_multiplier_wrapper(self):
-        m = Multiplier(QF(2, 0, 1), curve_E1())
-        assert predict_profile(m).counts == (4, 2, 2, 2)
-        with pytest.raises(DomainError):
-            Multiplier(QF(0, 1, 1))
 
     def test_prediction_matches_computation(self):
         cases = [
