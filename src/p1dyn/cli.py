@@ -2,9 +2,9 @@
 
 Every subcommand prints a single JSON object (sorted keys, top-level
 "schema": 1) to stdout; grid and raster payloads go to files named by
---out.  Exit status: 0 success, 1 domain/convergence error, 2 usage or
-map-spec error.  Identical arguments and seed give byte-identical
-output.
+--out.  Exit status: 0 success, 1 domain/convergence error or a number
+beyond the floating-point range, 2 usage or map-spec error.  Identical
+arguments and seed give byte-identical output.
 
 Run configs are plain argparse namespaces; OPERATIONS maps each
 subcommand to the library operations it reaches.
@@ -575,10 +575,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose values may start with '-': a point, window or multiplier
+_DASH_VALUE_OPTIONS = ("--point", "--window", "--lambda")
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set:
+    """Every option string of the parser and of its subcommands."""
+    out = set()
+    for action in parser._actions:
+        out.update(action.option_strings)
+        if isinstance(action.choices, dict):
+            for sp in action.choices.values():
+                out |= _option_strings(sp)
+    return out
+
+
+def _join_dash_values(argv: list, options: set) -> list:
+    """Spell `--point -1,2` as `--point=-1,2`.
+
+    argparse reads a token that starts with '-' as an option, so a value
+    such as a negative coordinate is joined to its option unless the
+    token is one of the parser's option strings.
+    """
+    out = []
+    for tok in argv:
+        if (
+            out
+            and out[-1] in _DASH_VALUE_OPTIONS
+            and tok.startswith("-")
+            and tok not in options
+        ):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_dash_values(argv, _option_strings(parser))
+        )
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -588,6 +627,11 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # exact input too large for the floating-point stages
+        print(f"error: number out of floating-point range: {exc}",
+              file=sys.stderr)
         return 1
     _emit(payload)
     return 0

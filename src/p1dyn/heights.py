@@ -38,7 +38,12 @@ from .quadfield import (
     pair_mul,
     pair_norm,
 )
-from .ratmaps import ProjPoint, RationalMap, cofactor_certificate
+from .ratmaps import (
+    ProjPoint,
+    RationalMap,
+    cofactor_certificate,
+    log_one_norm,
+)
 
 _LN2 = math.log(2)
 _ARCH_CAP = 300
@@ -155,7 +160,7 @@ class _HeightEngine:
         c0, c1 = phi.integral_model()
         self.c0 = c0
         self.c1 = c1
-        R, s_cof = cofactor_certificate(c0, c1, self.alpha)
+        R, log_s_cof = cofactor_certificate(c0, c1, self.alpha)
         n_R = R.norm()
         if n_R.denominator != 1:
             raise DomainError("integral model produced a non-integral resultant")
@@ -163,19 +168,20 @@ class _HeightEngine:
         # the least positive integer in the ideal (R)
         self.m_R = self.n_R // math.gcd(*R.basis_pair())
         self.log_nR = _log_fraction(n_R)
-        s_up = max(
-            sum(math.sqrt(float(c.norm())) for c in c0),
-            sum(math.sqrt(float(c.norm())) for c in c1),
+        log_s_up = max(
+            log_one_norm([int(c.norm()) for c in cs]) for cs in (c0, c1)
         )
-        self.c_up = max(0.0, math.log(s_up))
-        self.c_low = max(0.0, math.log(s_cof) - 0.5 * self.log_nR)
+        self.c_up = max(0.0, log_s_up)
+        self.c_low = max(0.0, log_s_cof - 0.5 * self.log_nR)
         self.c_bound = max(self.c_up, self.c_low)
         # per-step error amplification of the renormalized iteration:
         # the differential of w -> F(w/||w||) on the unit sphere is at
         # most alpha * e^{c_up}, and the next division by ||F|| costs
         # another e^{c_low}; the 4 soaks up evaluation round-off
-        amp = 4.0 * self.alpha * math.exp(self.c_up + self.c_low)
-        self._amp_bits = max(2, math.ceil(math.log2(amp)))
+        log2_amp = (
+            math.log2(4.0 * self.alpha) + (self.c_up + self.c_low) / _LN2
+        )
+        self._amp_bits = max(2, math.ceil(log2_amp))
         self._ab0 = [(c.a, c.b) for c in c0]
         self._ab1 = [(c.a, c.b) for c in c1]
         self._bp0 = [c.basis_pair() for c in c0]

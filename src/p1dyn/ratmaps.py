@@ -23,11 +23,17 @@ from .quadfield import (
     omega_flag,
     pair_divexact,
     pair_gcd,
+    pair_mul,
+    pair_norm,
     pair_turn,
     parse_element,
     format_element,
     unit_turns,
 )
+
+_LN2 = math.log(2)
+# integers from here up round to infinity as floats
+_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
 
 
 def _coerce_coeff(c, d: int) -> QuadFieldElement:
@@ -663,33 +669,64 @@ def critical_points_poly(phi: RationalMap) -> Poly:
     )
 
 
-def _solve_exact(mat: list, rhs: list, d: int) -> list:
-    """Gaussian elimination over the field; mat is modified in place."""
-    n = len(mat)
-    x = list(rhs)
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if not mat[r][col].is_zero()), None
-        )
+def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
+    """Resultant R of two forms, with the solutions of their cofactor system.
+
+    Column i < deg of the cofactor matrix holds c0 shifted down by i and
+    column deg + i holds c1 shifted by i; it is the Sylvester matrix
+    transposed with its columns and each block of rows reversed, so R =
+    (-1)^deg det.  One integer D clears all denominators, and M = D * (the
+    cofactor matrix), with the unit columns e_(2deg-1) and e_0 appended, is
+    eliminated fraction-free on integral basis pairs (Bareiss, Math. Comp.
+    22, 1968), each division exact or DomainError.  Returns (R, D, sols),
+    sols the two integral vectors +-det(M) * M^-1 e, or None when R = 0.
+    """
+    if len(c0) != deg + 1 or len(c1) != deg + 1:
+        raise DomainError("coefficient lists must have length deg+1")
+    d, n, zero = c0[0].d, 2 * deg, (0, 0)
+    t = omega_flag(d)
+    pairs = [c.basis_pair() for c in list(c0) + list(c1)]
+    den = math.lcm(*(Fraction(x).denominator for p in pairs for x in p))
+    p0 = [(int(u * den), int(v * den)) for u, v in pairs[: deg + 1]]
+    p1 = [(int(u * den), int(v * den)) for u, v in pairs[deg + 1:]]
+    mat = [
+        [p0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        + [p1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        + [(int(k == n - 1), 0), (int(k == 0), 0)]
+        for k in range(n)
+    ]
+    sign, det = (-1) ** deg, (1, 0)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if mat[r][k] != zero), None)
         if piv is None:
-            raise DomainError("singular linear system")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        x[col], x[piv] = x[piv], x[col]
-        inv = mat[col][col].inverse()
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f.is_zero():
-                continue
-            for c in range(col, n):
-                mat[r][c] = mat[r][c] - f * mat[col][c]
-            x[r] = x[r] - f * x[col]
-    out = [QuadFieldElement.zero(d)] * n
-    for r in range(n - 1, -1, -1):
-        acc = x[r]
-        for c in range(r + 1, n):
-            acc = acc - mat[r][c] * out[c]
-        out[r] = acc * mat[r][r].inverse()
-    return out
+            return QuadFieldElement.zero(d), den, None
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        top = mat[k]
+        for row in mat[k + 1:]:
+            for c in range(k + 1, n + 2):
+                u, v = pair_mul(row[c], top[k], t)
+                x, y = pair_mul(row[k], top[c], t)
+                row[c] = pair_divexact((u - x, v - y), det, t)
+        det = top[k]
+    # row k now reads mat[k][k] y_k + sum_(c > k) mat[k][c] y_c = det * b_k
+    # for y = det * M^-1 e, an integral vector
+    sols = []
+    for col in (n, n + 1):
+        y = [zero] * n
+        for k in range(n - 1, -1, -1):
+            u, v = pair_mul(mat[k][col], det, t)
+            for c in range(k + 1, n):
+                x, w = pair_mul(mat[k][c], y[c], t)
+                u, v = u - x, v - w
+            y[k] = pair_divexact((u, v), mat[k][k], t)
+        sols.append(y)
+    scale = sign * den**n
+    R = QuadFieldElement.from_basis_pair(
+        Fraction(det[0], scale), Fraction(det[1], scale), d
+    )
+    return R, den, sols
 
 
 def homogeneous_resultant(c0: Sequence, c1: Sequence, deg: int):
@@ -698,79 +735,37 @@ def homogeneous_resultant(c0: Sequence, c1: Sequence, deg: int):
     Lists are lowest-first, length deg+1.  Nonzero exactly when the forms
     share no projective root.
     """
-    if len(c0) != deg + 1 or len(c1) != deg + 1:
-        raise DomainError("coefficient lists must have length deg+1")
-    d = c0[0].d
-    n = 2 * deg
-    zero = QuadFieldElement.zero(d)
-    mat = []
-    for shift in range(deg):
-        row = [zero] * n
-        for j in range(deg + 1):
-            row[shift + j] = c0[deg - j]
-        mat.append(row)
-    for shift in range(deg):
-        row = [zero] * n
-        for j in range(deg + 1):
-            row[shift + j] = c1[deg - j]
-        mat.append(row)
-    # exact determinant by elimination with partial (nonzero) pivoting
-    det = QuadFieldElement.one(d)
-    sign = 1
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if not mat[r][col].is_zero()), None
-        )
-        if piv is None:
-            return zero
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            sign = -sign
-        det = det * mat[col][col]
-        inv = mat[col][col].inverse()
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f.is_zero():
-                continue
-            for c in range(col, n):
-                mat[r][c] = mat[r][c] - f * mat[col][c]
-    return det if sign == 1 else -det
+    return _bareiss(c0, c1, deg)[0]
+
+
+def log_one_norm(norms: Sequence) -> float:
+    """log sum(sqrt(n)) over integer norms, not all zero, without overflow.
+
+    Each norm is shifted right by 2k bits, rounded up, and k*log(2) added
+    back, an upper bound; k = 0, the plain float sum, when all norms fit.
+    """
+    big = max(norms)
+    k = 0 if big < _FLOAT_LIMIT else (big.bit_length() - 1022) // 2
+    return (
+        math.log(sum(math.sqrt(float(-(-n >> 2 * k))) for n in norms))
+        + k * _LN2
+    )
 
 
 def cofactor_certificate(c0: Sequence, c1: Sequence, deg: int) -> tuple:
     """Resultant R plus a bound certificate for the fiber of the pair.
 
     Solves A0*F0 + A1*F1 = R*x^(2deg-1) and the mirror equation ending in
-    R*z^(2deg-1); returns (R, S) where S is the larger coefficient
+    R*z^(2deg-1); returns (R, log S) where S is the larger coefficient
     one-norm of a solving pair.  On the unit polydisc this certifies
     max(|F0|, |F1|) >= |R| / S.
     """
-    if len(c0) != deg + 1 or len(c1) != deg + 1:
-        raise DomainError("coefficient lists must have length deg+1")
-    d = c0[0].d
-    R = homogeneous_resultant(list(c0), list(c1), deg)
-    if R.is_zero():
+    if deg < 1:
+        raise DomainError("a certificate needs forms of degree >= 1")
+    R, den, sols = _bareiss(c0, c1, deg)
+    if sols is None:
         raise DomainError("forms share a root; resultant vanishes")
-    n = 2 * deg
-    zero = QuadFieldElement.zero(d)
-
-    def build():
-        mat = []
-        for k in range(n):
-            row = [zero] * n
-            for i in range(deg):
-                j = k - i
-                if 0 <= j <= deg:
-                    row[i] = c0[j]
-                    row[deg + i] = c1[j]
-            mat.append(row)
-        return mat
-
-    s_max = 0.0
-    for top in (True, False):
-        rhs = [zero] * n
-        rhs[n - 1 if top else 0] = R
-        sol = _solve_exact(build(), rhs, d)
-        s = sum(math.sqrt(float(x.norm())) for x in sol)
-        s_max = max(s_max, s)
-    return R, s_max
+    t = omega_flag(R.d)
+    # the cleared matrix's solutions are R's times den^(2deg-1), up to sign
+    log_s = max(log_one_norm([pair_norm(x, t) for x in y]) for y in sols)
+    return R, log_s - (2 * deg - 1) * math.log(den)

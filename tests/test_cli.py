@@ -432,6 +432,62 @@ class TestErrorPaths:
         assert rc == 0
 
 
+class TestDashValues:
+    """A value starting with '-' may follow its option after a space."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["green", "--catalog", "phi_2@E1", "--point", "-0.5,0.3"],
+            ["measure", "--catalog", "pow_2", "--res", "32",
+             "--window", "-1,1,-1,1"],
+            ["table-check", "--lambda", "-1,1,1"],
+        ],
+    )
+    def test_same_bytes_as_equals_spelling(self, args, capsys):
+        joined = args[:-2] + [args[-2] + "=" + args[-1]]
+        assert run(args, capsys) == run(joined, capsys)
+        assert run(args, capsys)[0] == 0
+
+    def test_option_is_not_taken_as_value(self, capsys):
+        rc, _, err = run(
+            ["height", "--catalog", "pow_2", "--point", "--tol", "1e-9"],
+            capsys,
+        )
+        assert rc == 2
+        assert "--point: expected one argument" in err
+
+
+class TestBigCoefficients:
+    """(10^200 z^2 + 1)/z: the certificate sizes exceed the float range."""
+
+    def spec(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps({"num": ["1", "0", str(10**200)], "den": ["0", "1"]})
+        )
+        return str(path)
+
+    def test_height_certified(self, tmp_path, capsys):
+        payload = run_json(
+            ["height", "--map", self.spec(tmp_path), "--point", "3,1",
+             "--tol", "1e-6"],
+            capsys,
+        )
+        (result,) = payload["results"]
+        assert result["error_bound"] <= 1e-6
+        assert result["value"] > 200 * math.log(10)
+
+    def test_float_overflow_is_one_error_line(self, tmp_path, capsys):
+        rc, out, err = run(
+            ["periodic", "--map", self.spec(tmp_path), "--depth", "2"],
+            capsys,
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestModuleExecution:
     def test_python_dash_m(self):
         # run the package under test, also when only pytest's pythonpath

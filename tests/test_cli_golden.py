@@ -36,3 +36,13 @@ def test_stdout_bytes(case, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.encode() == GOLDEN[case].encode()
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in GOLDEN if "--point=-" in c)
+)
+def test_negative_point_after_a_space(case, capsys):
+    rc = cli.main(shlex.split(case.replace("--point=-", "--point -")))
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.encode() == GOLDEN[case].encode()

@@ -2,16 +2,20 @@
 
 integral_gcd, normalize_unit, divmod_integral and ProjPoint.reduced_pair
 run on integral basis pairs, Poly multiplication on integer coordinate
-vectors, and compose, scalar_multiple and embed skip poly_gcd.  The
-oracles below are the Fraction versions: Euclid through exact field
+vectors, compose, scalar_multiple and embed skip poly_gcd, and the
+resultant and the Bezout certificate share one fraction-free elimination.
+The oracles below are the Fraction versions: Euclid through exact field
 division with nearest rounding (ties toward +infinity), a search of the
 unit group for the canonical associate, the schoolbook product of field
-elements, and the full gcd constructor RationalMap(num, den).
+elements, the full gcd constructor RationalMap(num, den), and Gaussian
+elimination over the field for the Sylvester determinant and the
+cofactor systems.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +27,15 @@ from p1dyn.quadfield import (
     integral_gcd,
     normalize_unit,
 )
-from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
+from p1dyn.ratmaps import (
+    Poly,
+    ProjPoint,
+    RationalMap,
+    _bareiss,
+    cofactor_certificate,
+    homogeneous_resultant,
+    log_one_norm,
+)
 
 # --------------------------------------------------------------------------
 # Fraction oracles
@@ -112,6 +124,85 @@ def oracle_compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     return RationalMap(num, den)
 
 
+def oracle_resultant(c0: list, c1: list, deg: int) -> QF:
+    """Sylvester determinant by Gaussian elimination over the field."""
+    d = c0[0].d
+    n = 2 * deg
+    zero = QF.zero(d)
+    mat = []
+    for coeffs in (c0, c1):
+        for shift in range(deg):
+            row = [zero] * n
+            for j in range(deg + 1):
+                row[shift + j] = coeffs[deg - j]
+            mat.append(row)
+    det = QF.one(d)
+    sign = 1
+    for col in range(n):
+        piv = next(
+            (r for r in range(col, n) if not mat[r][col].is_zero()), None
+        )
+        if piv is None:
+            return zero
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            sign = -sign
+        det = det * mat[col][col]
+        inv = mat[col][col].inverse()
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv
+            if f.is_zero():
+                continue
+            for c in range(col, n):
+                mat[r][c] = mat[r][c] - f * mat[col][c]
+    return det if sign == 1 else -det
+
+
+def oracle_solve(mat: list, rhs: list) -> list:
+    """Gaussian elimination over the field; mat is modified in place."""
+    n = len(mat)
+    x = list(rhs)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if not mat[r][col].is_zero())
+        mat[col], mat[piv] = mat[piv], mat[col]
+        x[col], x[piv] = x[piv], x[col]
+        inv = mat[col][col].inverse()
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv
+            if f.is_zero():
+                continue
+            for c in range(col, n):
+                mat[r][c] = mat[r][c] - f * mat[col][c]
+            x[r] = x[r] - f * x[col]
+    out = [None] * n
+    for r in range(n - 1, -1, -1):
+        acc = x[r]
+        for c in range(r + 1, n):
+            acc = acc - mat[r][c] * out[c]
+        out[r] = acc * mat[r][r].inverse()
+    return out
+
+
+def oracle_certificate(c0: list, c1: list, deg: int) -> tuple:
+    """R and the solutions of A0*F0 + A1*F1 = R*x^(2deg-1) and of the
+    mirror system ending in R*z^(2deg-1)."""
+    R = oracle_resultant(c0, c1, deg)
+    n = 2 * deg
+    zero = QF.zero(R.d)
+    sols = []
+    for top in (True, False):
+        mat = [[zero] * n for _ in range(n)]
+        for k in range(n):
+            for i in range(deg):
+                if 0 <= k - i <= deg:
+                    mat[k][i] = c0[k - i]
+                    mat[k][deg + i] = c1[k - i]
+        rhs = [zero] * n
+        rhs[n - 1 if top else 0] = R
+        sols.append(oracle_solve(mat, rhs))
+    return R, sols
+
+
 # --------------------------------------------------------------------------
 # Strategies
 # --------------------------------------------------------------------------
@@ -153,6 +244,45 @@ def polys_of(draw, d):
         for _ in range(n)
     ]
     return Poly(coeffs, d)
+
+
+# small, medium and 20-digit coordinates keep the Fraction oracle quick
+FORM_COORDS = st.one_of(
+    st.integers(-9, 9), st.integers(-10**6, 10**6),
+    st.integers(-10**20, 10**20),
+)
+
+
+@st.composite
+def forms_of(draw, d, n, integral=True):
+    """n coefficients of a binary form, zeros included.
+
+    Integral coefficients come from basis pairs, so d=3 gives half-integer
+    coordinates; otherwise coordinates have mixed denominators.
+    """
+
+    def coord():
+        if integral:
+            return draw(FORM_COORDS)
+        return Fraction(draw(FORM_COORDS), draw(st.integers(1, 60)))
+
+    def coeff():
+        if draw(st.integers(0, 3)) == 0:
+            return QF.zero(d)
+        if integral:
+            return QF.from_basis_pair(coord(), coord() if d else 0, d)
+        return QF(coord(), coord() if d else 0, d)
+
+    return [coeff() for _ in range(n)]
+
+
+def times_linear(lin: list, g: list) -> list:
+    """Coefficients of the product of a linear form and a form."""
+    out = [QF.zero(lin[0].d)] * (len(g) + 1)
+    for i, a in enumerate(lin):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -322,3 +452,105 @@ class TestComposeTrusted:
                 assert phi.embed(d) == RationalMap(
                     phi.num.embed(d), phi.den.embed(d)
                 )
+
+
+# --------------------------------------------------------------------------
+# Resultant and Bezout certificate
+# --------------------------------------------------------------------------
+
+DEGREES = st.integers(1, 7)
+
+
+def _same_up_to_sign(xs: list, ys: list) -> bool:
+    return xs == ys or xs == [-y for y in ys]
+
+
+def _check_certificate(c0: list, c1: list, deg: int) -> None:
+    """The kernel's R and solutions against the oracle's, and log S."""
+    d = c0[0].d
+    R, sols = oracle_certificate(c0, c1, deg)
+    R_k, den, pairs = _bareiss(c0, c1, deg)
+    assert R_k == R
+    # the cleared matrix scales every solution by den^(2deg-1)
+    scale = den ** (2 * deg - 1)
+    for sol, ys in zip(sols, pairs):
+        mine = [QF.from_basis_pair(u, v, d) / scale for u, v in ys]
+        assert _same_up_to_sign(mine, sol)
+    log_s = max(
+        log_one_norm([int(x.norm() * scale**2) for x in sol]) for sol in sols
+    ) - (2 * deg - 1) * math.log(den)
+    assert cofactor_certificate(c0, c1, deg) == (R, log_s)
+
+
+class TestResultantKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(d=FIELDS, deg=DEGREES, data=st.data())
+    def test_resultant_matches_sylvester_oracle(self, d, deg, data):
+        c0 = data.draw(forms_of(d, deg + 1))
+        c1 = data.draw(forms_of(d, deg + 1))
+        assert homogeneous_resultant(c0, c1, deg) == oracle_resultant(
+            c0, c1, deg
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=FIELDS, deg=DEGREES, data=st.data())
+    def test_fraction_inputs(self, d, deg, data):
+        c0 = data.draw(forms_of(d, deg + 1, integral=False))
+        c1 = data.draw(forms_of(d, deg + 1, integral=False))
+        R = oracle_resultant(c0, c1, deg)
+        assert homogeneous_resultant(c0, c1, deg) == R
+        if not R.is_zero():
+            _check_certificate(c0, c1, deg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=FIELDS, deg=DEGREES, data=st.data())
+    def test_certificate_matches_oracle(self, d, deg, data):
+        c0 = data.draw(forms_of(d, deg + 1))
+        c1 = data.draw(forms_of(d, deg + 1))
+        if oracle_resultant(c0, c1, deg).is_zero():
+            with pytest.raises(DomainError):
+                cofactor_certificate(c0, c1, deg)
+        else:
+            _check_certificate(c0, c1, deg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=FIELDS, deg=DEGREES, at_infinity=st.booleans(), data=st.data())
+    def test_shared_root_vanishes(self, d, deg, at_infinity, data):
+        # the linear form a*y + b*x vanishes at (-a : b); b = 0 puts the
+        # common root at infinity
+        a = data.draw(forms_of(d, 1).filter(lambda c: not c[0].is_zero()))[0]
+        b = QF.zero(d) if at_infinity else data.draw(forms_of(d, 1))[0]
+        c0 = times_linear([a, b], data.draw(forms_of(d, deg)))
+        c1 = times_linear([a, b], data.draw(forms_of(d, deg)))
+        assert oracle_resultant(c0, c1, deg).is_zero()
+        assert homogeneous_resultant(c0, c1, deg).is_zero()
+        with pytest.raises(DomainError):
+            cofactor_certificate(c0, c1, deg)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_integral_models(self, name):
+        phi = catalog(name)
+        _check_certificate(*phi.integral_model(), phi.degree)
+
+
+class TestLogOneNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(norms=st.lists(st.integers(0, 10**300), min_size=1, max_size=20))
+    def test_plain_float_sum_in_range(self, norms):
+        if any(norms):
+            assert log_one_norm(norms) == math.log(
+                sum(math.sqrt(float(n)) for n in norms)
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        norms=st.lists(st.integers(0, 10**1200), min_size=1, max_size=20)
+    )
+    def test_upper_bound_beyond_float_range(self, norms):
+        if not any(norms):
+            return
+        with mpmath.workprec(200):
+            exact = mpmath.log(sum(mpmath.sqrt(mpmath.mpf(n)) for n in norms))
+            got = log_one_norm(norms)
+            assert got >= exact - 1e-12 * abs(exact)
+            assert got - exact <= 1e-12 * max(1.0, abs(exact))

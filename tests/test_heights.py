@@ -210,6 +210,20 @@ class TestCanonicalGeneric:
         hb = canonical_height(catalog("phi_sqrt-3*rho"), p, 1e-8)
         assert abs(ha.value - hb.value) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "outer, inner", [("phi_1+2i", "phi_1+2i"), ("phi_3@E1", "phi_2@E1")]
+    )
+    def test_composite_shares_height(self, outer, inner):
+        # phi o psi commutes with phi and psi, with eigenvalue alpha*beta,
+        # so it has their canonical height; degrees 25 and 36
+        phi = catalog(outer)
+        comp = phi.compose(catalog(inner))
+        assert comp.degree == phi.degree * catalog(inner).degree
+        for p in (pt(3, 1, 1), pt(QF(1, 2, 1), 5, 1)):
+            hc = canonical_height(comp, p, 1e-9)
+            hp = canonical_height(phi, p, 1e-9)
+            assert abs(hc.value - hp.value) <= hc.error_bound + hp.error_bound
+
     def test_rational_point_embeds(self):
         dbl = lattes_double(curve_E1())
         a = canonical_height(dbl, pt(2, 1), 1e-9).value

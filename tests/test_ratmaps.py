@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -248,9 +249,11 @@ class TestResultant:
     def test_cofactor_certificate_power_map(self):
         one = QF.one(0)
         zero = QF.zero(0)
-        R, s = cofactor_certificate([zero, zero, one], [one, zero, zero], 2)
+        R, log_s = cofactor_certificate(
+            [zero, zero, one], [one, zero, zero], 2
+        )
         assert R.norm() == 1
-        assert s == pytest.approx(1.0)
+        assert log_s == pytest.approx(0.0, abs=1e-12)
 
     def test_cofactor_certificate_shared_root(self):
         with pytest.raises(DomainError):
@@ -263,10 +266,10 @@ class TestResultant:
         # certified inequality at a sample of unit-box points
         c0 = [QF(1), QF(2), QF(3)]
         c1 = [QF(-1), QF(0), QF(1)]
-        R, s = cofactor_certificate(c0, c1, 2)
+        R, log_s = cofactor_certificate(c0, c1, 2)
         f0 = Poly(c0)
         f1 = Poly(c1)
         Rc = abs(complex(R))
         for z in (0.3 + 0.4j, -0.9j, 1.0, 0.99 - 0.1j):
             v = max(abs(f0(z)), abs(f1(z)))
-            assert v >= Rc / s * max(abs(z), 1.0) ** 2 * 0.999999
+            assert v >= Rc / math.exp(log_s) * max(abs(z), 1.0) ** 2 * 0.999999
