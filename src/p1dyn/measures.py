@@ -625,12 +625,50 @@ def compare_l1(a: DensityGrid, b: DensityGrid) -> float:
 
 # ------------------------------------------------------- periodic points
 
+# largest chordal distance from a returned finite periodic point to its
+# n-th image; true cycles of the catalog maps come back within about
+# 1e-6, roots that are not periodic points land near distance 1
+_CYCLE_TOL = 1e-3
+
+
+def _unit_pair(w0: complex, w1: complex) -> tuple:
+    """(w0 : w1) rescaled so its largest real or imaginary part is 1."""
+    s = max(abs(w0.real), abs(w0.imag), abs(w1.real), abs(w1.imag))
+    if not 0.0 < s < math.inf:
+        return complex("nan"), complex("nan")
+    return w0 / s, w1 / s
+
+
+def _cycle_residual(f0: list, f1: list, z: complex, n: int) -> float:
+    """Chordal distance from z to its n-th image under the lift (f0, f1),
+    iterated in double precision on pairs renormalised after each step,
+    so orbits through infinity stay finite; nan when the pair degenerates."""
+    p0, p1 = _unit_pair(z, 1.0)
+    w0, w1 = p0, p1
+    for _ in range(n):
+        # homogeneous Horner as in Lift.eval, but on scalars: building a
+        # Lift runs its float resultant test, which huge coefficients
+        # overflow
+        a0, a1, q = f0[-1], f1[-1], w1
+        for k in range(len(f0) - 2, -1, -1):
+            a0 = a0 * w0 + f0[k] * q
+            a1 = a1 * w0 + f1[k] * q
+            q = q * w1
+        w0, w1 = _unit_pair(a0, a1)
+    return abs(p0 * w1 - p1 * w0) / (
+        math.hypot(abs(p0), abs(p1)) * math.hypot(abs(w0), abs(w1))
+    )
+
+
 def periodic_points(phi: RationalMap, n: int) -> list:
     """Points of period dividing n, with multipliers.
 
     Returns (point, multiplier) pairs sorted by real then imaginary
     part; the point at infinity, when periodic, appears last as
     complex(inf, 0).  A point is repelling iff |multiplier| > 1.
+    Raises DomainError when phi^n is the identity, and ConvergenceError
+    when a finite root found is not within _CYCLE_TOL (chordal) of its
+    n-th image under phi.
     """
     if n < 1:
         raise DomainError("period must be at least 1")
@@ -643,8 +681,21 @@ def periodic_points(phi: RationalMap, n: int) -> list:
     num, den = psi.num, psi.den
     zpoly = Poly([0, 1], phi.d)
     fixed = num - zpoly * den
+    if fixed.is_zero():
+        raise DomainError(
+            f"phi^{n} is the identity: every point has period dividing {n}"
+        )
     coeffs = [complex(fixed.coeff(k)) for k in range(fixed.degree + 1)]
     inf_mult_count = (alpha + 1) - fixed.degree
+    roots = poly_roots(coeffs) if fixed.degree >= 1 else []
+    f0, f1 = phi.complex_pair()
+    resid = [_cycle_residual(f0, f1, r, n) for r in roots]
+    if not all(e <= _CYCLE_TOL for e in resid):
+        raise ConvergenceError(
+            f"period-{n} roots miss their cycles by up to chordal "
+            f"distance {max(resid):.3g}",
+            partial=roots, residuals=resid,
+        )
     dpsi = psi.derivative_map()
     dn = [complex(dpsi.num.coeff(k)) for k in range(dpsi.num.degree + 1)]
     dd = [complex(dpsi.den.coeff(k)) for k in range(dpsi.den.degree + 1)]
@@ -655,10 +706,7 @@ def periodic_points(phi: RationalMap, n: int) -> list:
             acc = acc * z + ck
         return acc
 
-    out = []
-    if fixed.degree >= 1:
-        for r in poly_roots(coeffs):
-            out.append((r, _at(dn, r) / _at(dd, r)))
+    out = [(r, _at(dn, r) / _at(dd, r)) for r in roots]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     if inf_mult_count > 0:
         # flip charts: the multiplier at infinity is the derivative of

@@ -176,21 +176,13 @@ class QuadFieldElement:
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 
-    def is_rational(self) -> bool:
-        return self._b == 0
-
     def is_integral(self) -> bool:
         """Membership in the ring of integers of the tagged field.
 
         d=0: Z.  d=1: Z[i].  d=3: Z[(1+sqrt(-3))/2], i.e. half-integer
         coordinates with matching parity are allowed.
         """
-        a, b = self._a, self._b
-        if self._d in (0, 1):
-            return a.denominator == 1 and b.denominator == 1
-        u = a - b
-        v = 2 * b
-        return u.denominator == 1 and v.denominator == 1
+        return cleared_pairs([self])[1] == 1
 
     def basis_pair(self):
         """Coordinates in the integral basis: (1, i) for d=1, (1, omega) for d=3.
@@ -352,11 +344,9 @@ def round_to_integers(x: QuadFieldElement) -> QuadFieldElement:
     is what makes Euclidean division (pair_divmod) terminate: d=0 gives
     error <= 1/4, d=1 gives <= 1/2, d=3 (hexagonal lattice) gives <= 3/4.
     """
-    u, v = (Fraction(c) for c in x.basis_pair())
+    ((u, v),), den = cleared_pairs([x])
     return QuadFieldElement.from_basis_pair(
-        _round_ratio(u.numerator, u.denominator),
-        _round_ratio(v.numerator, v.denominator),
-        x.d,
+        _round_ratio(u, den), _round_ratio(v, den), x.d
     )
 
 
@@ -460,6 +450,15 @@ def int_coords(elements) -> tuple:
         [x._b.numerator * (den // x._b.denominator) for x in elements],
         den,
     )
+
+
+def cleared_pairs(elements) -> tuple:
+    """(pairs, den): pairs[k] is the integral basis pair of den*elements[k],
+    for the least positive integer den that makes all of them integral."""
+    coords = [x.basis_pair() for x in elements]
+    den = math.lcm(*(c.denominator for p in coords for c in p))
+    return [tuple(c.numerator * (den // c.denominator) for c in p)
+            for p in coords], den
 
 
 def from_int_coords(A, B, den: int, d: int) -> list:

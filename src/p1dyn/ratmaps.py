@@ -16,10 +16,9 @@ from typing import Iterable, Sequence
 from .errors import DomainError, FieldMismatchError
 from .quadfield import (
     QuadFieldElement,
+    cleared_pairs,
     from_int_coords,
-    integral_gcd,
     int_coords,
-    normalize_unit,
     omega_flag,
     pair_divexact,
     pair_gcd,
@@ -145,26 +144,16 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._c)
-        dq = len(rem) - len(other._c)
-        if dq < 0:
-            return Poly([], self._d), self
-        inv_lead = other.leading().inverse()
-        quot = [QuadFieldElement.zero(self._d)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            t = rem[k + other.degree] * inv_lead
-            quot[k] = t
-            if t.is_zero():
-                continue
-            for j, b in enumerate(other._c):
-                rem[k + j] = rem[k + j] - t * b
-        return Poly(quot, self._d), Poly(rem[: other.degree], self._d)
+        A, B, den_x = int_coords(self._c)
+        C, E, den_y = int_coords(other._c)
+        s, (qa, qb), r = _pseudo_divmod((A, B), (C, E), self._d)
+        # self = (A, B)/den_x and other = (C, E)/den_y
+        q = ([a * den_y for a in qa], [b * den_y for b in qb])
+        return tuple(Poly(from_int_coords(*v, s * den_x, self._d), self._d)
+                     for v in (q, r))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -205,9 +194,6 @@ class Poly:
 
     def embed(self, d: int) -> "Poly":
         return Poly([c.embed(d) for c in self._c], d)
-
-    def complex_coeffs(self) -> list:
-        return [complex(c) for c in self._c]
 
     def __str__(self) -> str:
         if not self._c:
@@ -274,6 +260,55 @@ def _field_convolve(x: tuple, y: tuple, d: int) -> tuple:
     )
 
 
+def _times_conj(x: tuple, y: tuple, d: int) -> tuple:
+    """(x * conj(L), N(L)), L the leading coefficient of y; int coords."""
+    (A, B), la, lb = x, y[0][-1], y[1][-1]
+    return (
+        [a * la + d * b * lb for a, b in zip(A, B)],
+        [b * la - a * lb for a, b in zip(A, B)],
+    ), la * la + d * lb * lb
+
+
+def _poly_over(x: tuple, y: tuple, d: int) -> Poly:
+    """The Poly x / L, L the leading coefficient of y; int coords."""
+    (A, B), n = _times_conj(x, y, d)
+    return Poly(from_int_coords(A, B, n, d), d)
+
+
+def _pseudo_divmod(x: tuple, y: tuple, d: int) -> tuple:
+    """(s, q, r) with s*x = q*y + r, deg r < deg y, s a positive integer.
+
+    x, y in integer coordinates as in _field_convolve, y trimmed, nonzero.
+    With y scaled by conj(L) for its leading coefficient L, a step that
+    cancels a nonzero top coefficient c maps r to N(L)*r - c*z^k*conj(L)*y
+    and q to N(L)*q + c*z^k, all in the integers; s gains a factor N(L).
+    """
+    (C, E), n = _times_conj(y, y, d)
+    m, s = len(C) - 1, 1
+    # the quotient builds up above the remainder, q_k at index k + m
+    ra, rb = list(x[0]), list(x[1])
+    for k in range(len(ra) - 1 - m, -1, -1):
+        ca, cb = ra[k + m], rb[k + m]
+        if ca or cb:
+            s *= n
+            ra, rb = [a * n for a in ra], [b * n for b in rb]
+            ra[k + m], rb[k + m] = ca, cb
+            for j in range(m):
+                ra[k + j] -= ca * C[j] - d * cb * E[j]
+                rb[k + j] -= ca * E[j] + cb * C[j]
+    return s, _times_conj((ra[m:], rb[m:]), y, d)[0], (ra[:m], rb[:m])
+
+
+def _gcd_coords(x: tuple, y: tuple, d: int) -> tuple:
+    """A gcd of trimmed integer coordinate vectors, not both zero: the
+    primitive remainder sequence (Collins, J. ACM 14, 1967)."""
+    while y[0]:
+        A, B = _trim(*_pseudo_divmod(x, y, d)[2])
+        g = math.gcd(*A, *B) or 1
+        x, y = y, ([a // g for a in A], [b // g for b in B])
+    return x
+
+
 def _coords(*polys) -> list:
     """(A, B) integer coordinate vectors of polys over one common
     denominator, which is dropped: it scales every polynomial alike."""
@@ -291,31 +326,12 @@ def poly_from_strings(coeffs: Sequence[str], d: int) -> Poly:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd, by Euclid on integer pseudo-remainders."""
+    f._check(g)
     if f.is_zero() and g.is_zero():
         raise DomainError("gcd of two zero polynomials")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def _squarefree_factors(h: Poly) -> list:
-    """Yun decomposition: list of (multiplicity, squarefree factor)."""
-    out = []
-    g = poly_gcd(h, h.derivative()) if h.degree >= 1 else Poly([1], h.d)
-    w = h // g
-    y = h.derivative() // g
-    i = 1
-    while w.degree >= 1:
-        z = y - w.derivative()
-        a = poly_gcd(w, z)
-        if a.degree >= 1:
-            out.append((i, a))
-        w = w // a
-        y = z // a
-        i += 1
-    return out
+    x = _gcd_coords(_coords(f)[0], _coords(g)[0], f.d)
+    return _poly_over(x, x, f.d)
 
 
 class ProjPoint:
@@ -378,12 +394,8 @@ class ProjPoint:
         Clears denominators with one rational integer, removes the
         integral gcd, and fixes the unit so the pair is canonical.
         """
-        d = self._d
-        t = omega_flag(d)
-        p0, p1 = self._x0.basis_pair(), self._x1.basis_pair()
-        den = math.lcm(*(c.denominator for c in p0 + p1))
-        a = tuple(c.numerator * (den // c.denominator) for c in p0)
-        b = tuple(c.numerator * (den // c.denominator) for c in p1)
+        d, t = self._d, omega_flag(self._d)
+        (a, b), _ = cleared_pairs((self._x0, self._x1))
         g = pair_gcd(a, b, t)
         if g != (1, 0):
             a, b = pair_divexact(a, g, t), pair_divexact(b, g, t)
@@ -445,23 +457,12 @@ class RationalMap:
         return out
 
     def _set_scaled(self, num: tuple, den: tuple, d: int) -> None:
-        # canonical scale: monic denominator, else monic numerator; a
-        # coefficient c becomes c * conj(L) / N(L) for the leading one L
+        # canonical scale: monic denominator, else monic numerator
         num, den = _trim(*num), _trim(*den)
-        lead_a, lead_b = den if den[0] else num
-        la, lb = lead_a[-1], lead_b[-1]
-        n = la * la + d * lb * lb
-
-        def scaled(A, B):
-            return Poly(from_int_coords(
-                [a * la + d * b * lb for a, b in zip(A, B)],
-                [b * la - a * lb for a, b in zip(A, B)],
-                n, d,
-            ), d)
-
+        lead = den if den[0] else num
         self._d = d
-        self._num = scaled(*num)
-        self._den = scaled(*den)
+        self._num = _poly_over(num, lead, d)
+        self._den = _poly_over(den, lead, d)
         self._deg = max(self._num.degree, self._den.degree)
 
     @classmethod
@@ -566,11 +567,10 @@ class RationalMap:
         return self.compose(other) == other.compose(self)
 
     def derivative_map(self) -> "RationalMap":
-        num = self._num.derivative() * self._den - self._num * self._den.derivative()
-        den = self._den * self._den
+        num = critical_points_poly(self)
         if num.is_zero():
             return RationalMap(Poly([0], self._d), Poly([1], self._d))
-        return RationalMap(num, den)
+        return RationalMap(num, self._den * self._den)
 
     def integral_model(self) -> tuple:
         """Coefficient lists of an integral content-free model.
@@ -579,21 +579,17 @@ class RationalMap:
         is an algebraic integer and the joint gcd of all coefficients is
         a unit.  Lists are padded to length degree+1 (homogeneous form).
         """
-        den_lcm = 1
-        for poly in (self._num, self._den):
-            for c in poly.coeffs:
-                u, v = c.basis_pair()
-                den_lcm = math.lcm(den_lcm, u.denominator, v.denominator)
-        c0 = [self._num.coeff(k) * den_lcm for k in range(self._deg + 1)]
-        c1 = [self._den.coeff(k) * den_lcm for k in range(self._deg + 1)]
-        nz = [x for x in c0 + c1 if not x.is_zero()]
-        g = nz[0]
-        for x in nz[1:]:
-            if g.norm() == 1:
-                break
-            g = integral_gcd(g, x)
-        g = normalize_unit(g)
-        return ([x / g for x in c0], [x / g for x in c1])
+        d, t, n = self._d, omega_flag(self._d), self._deg + 1
+        pairs, _ = cleared_pairs(
+            [p.coeff(k) for p in (self._num, self._den) for k in range(n)]
+        )
+        g = (0, 0)
+        for x in pairs:
+            if x != (0, 0) and pair_norm(g, t) != 1:
+                g = pair_gcd(g, x, t)
+        out = [QuadFieldElement.from_basis_pair(*pair_divexact(x, g, t), d)
+               for x in pairs]
+        return out[:n], out[n:]
 
     def complex_pair(self) -> tuple:
         """(num coeffs, den coeffs) as complex lists padded to degree+1."""
@@ -656,9 +652,16 @@ def preimage_multiplicities(phi: RationalMap, target: ProjPoint) -> list:
     m_inf = phi.degree - h.degree
     if m_inf > 0:
         mults.append(m_inf)
-    if h.degree >= 1:
-        for mult, factor in _squarefree_factors(h):
-            mults.extend([mult] * factor.degree)
+    # g <- gcd(g, g') from g = h lowers every root's multiplicity by one,
+    # so deg g_k = sum of max(e - k, 0) over the roots, e their multiplicity
+    g, degs = _coords(h)[0], []
+    while len(g[0]) > 1:
+        degs.append(len(g[0]) - 1)
+        dg = tuple([k * c for k, c in enumerate(v)][1:] for v in g)
+        g = _gcd_coords(g, dg, phi.d)
+    degs += [0, 0]
+    for k in range(1, len(degs) - 1):
+        mults.extend([k] * (degs[k - 1] - 2 * degs[k] + degs[k + 1]))
     return sorted(mults, reverse=True)
 
 
@@ -685,10 +688,8 @@ def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
         raise DomainError("coefficient lists must have length deg+1")
     d, n, zero = c0[0].d, 2 * deg, (0, 0)
     t = omega_flag(d)
-    pairs = [c.basis_pair() for c in list(c0) + list(c1)]
-    den = math.lcm(*(Fraction(x).denominator for p in pairs for x in p))
-    p0 = [(int(u * den), int(v * den)) for u, v in pairs[: deg + 1]]
-    p1 = [(int(u * den), int(v * den)) for u, v in pairs[deg + 1:]]
+    pairs, den = cleared_pairs(list(c0) + list(c1))
+    p0, p1 = pairs[: deg + 1], pairs[deg + 1:]
     mat = [
         [p0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
         + [p1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]

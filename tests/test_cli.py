@@ -341,6 +341,21 @@ class TestPeriodic:
         mr, mi = repelling[0]["multiplier"]
         assert abs(mr - 2.0) <= 1e-8 and abs(mi) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "num,den,depth", [(["1"], ["0", "1"], 2), (["0", "1"], ["1"], 1)]
+    )
+    def test_identity_iterate_is_one_error_line(
+        self, tmp_path, capsys, num, den, depth
+    ):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"num": num, "den": den}))
+        rc, out, err = run(
+            ["periodic", "--map", str(path), "--depth", str(depth)], capsys
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestJulia:
     def test_raster_written_and_deterministic(self, tmp_path, capsys):

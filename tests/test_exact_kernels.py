@@ -1,15 +1,17 @@
 """Integer kernels of the exact core against slow Fraction oracles.
 
-integral_gcd, normalize_unit, divmod_integral and ProjPoint.reduced_pair
-run on integral basis pairs, Poly multiplication on integer coordinate
-vectors, compose, scalar_multiple and embed skip poly_gcd, and the
-resultant and the Bezout certificate share one fraction-free elimination.
-The oracles below are the Fraction versions: Euclid through exact field
-division with nearest rounding (ties toward +infinity), a search of the
-unit group for the canonical associate, the schoolbook product of field
-elements, the full gcd constructor RationalMap(num, den), and Gaussian
-elimination over the field for the Sylvester determinant and the
-cofactor systems.
+integral_gcd, normalize_unit, divmod_integral, ProjPoint.reduced_pair,
+cleared_pairs and integral_model run on integral basis pairs; Poly
+multiplication, division, poly_gcd and preimage_multiplicities on integer
+coordinate vectors; compose, scalar_multiple and embed skip poly_gcd, and
+the resultant and the Bezout certificate share one fraction-free
+elimination.  The oracles below are the Fraction versions: Euclid through
+exact field division with nearest rounding (ties toward +infinity), a
+search of the unit group for the canonical associate, the schoolbook
+product of field elements, long division of polynomials over the field,
+its Euclidean remainder sequence, Yun's square-free split, the full gcd
+constructor RationalMap(num, den), and Gaussian elimination over the field
+for the Sylvester determinant and the cofactor systems.
 """
 
 import math
@@ -20,9 +22,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1dyn.errors import DomainError
-from p1dyn.lattes import catalog, catalog_names
+from p1dyn.lattes import (
+    catalog,
+    catalog_entry,
+    catalog_names,
+    curve_for_name,
+    two_torsion_targets,
+)
 from p1dyn.quadfield import (
     QuadFieldElement as QF,
+    cleared_pairs,
     divmod_integral,
     integral_gcd,
     normalize_unit,
@@ -35,6 +44,8 @@ from p1dyn.ratmaps import (
     cofactor_certificate,
     homogeneous_resultant,
     log_one_norm,
+    poly_gcd,
+    preimage_multiplicities,
 )
 
 # --------------------------------------------------------------------------
@@ -102,6 +113,79 @@ def oracle_reduced_pair(P: ProjPoint) -> tuple:
     lead = b if not b.is_zero() else a
     u = oracle_normalize(lead) / lead
     return a * u, b * u
+
+
+def oracle_cleared_pairs(elements: list) -> tuple:
+    den = 1
+    for x in elements:
+        for c in x.basis_pair():
+            den = math.lcm(den, Fraction(c).denominator)
+    return [(x * den).basis_pair() for x in elements], den
+
+
+def oracle_integral_model(phi: RationalMap) -> tuple:
+    _, den = oracle_cleared_pairs(list(phi.num.coeffs + phi.den.coeffs))
+    c0 = [phi.num.coeff(k) * den for k in range(phi.degree + 1)]
+    c1 = [phi.den.coeff(k) * den for k in range(phi.degree + 1)]
+    nz = [x for x in c0 + c1 if not x.is_zero()]
+    g = nz[0]
+    for x in nz[1:]:
+        g = oracle_gcd(g, x)
+    g = oracle_normalize(g)
+    return [x / g for x in c0], [x / g for x in c1]
+
+
+def oracle_poly_divmod(f: Poly, g: Poly) -> tuple:
+    """Long division over the field, one Fraction coefficient at a time."""
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return Poly([], f.d), f
+    inv_lead = g.leading().inverse()
+    quot = [QF.zero(f.d)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        t = rem[k + g.degree] * inv_lead
+        quot[k] = t
+        if t.is_zero():
+            continue
+        for j, b in enumerate(g.coeffs):
+            rem[k + j] = rem[k + j] - t * b
+    return Poly(quot, f.d), Poly(rem[: g.degree], f.d)
+
+
+def oracle_poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd by the Euclidean remainder sequence over the field."""
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, oracle_poly_divmod(a, b)[1]
+    return a.monic()
+
+
+def oracle_yun(h: Poly) -> list:
+    """Yun's square-free split: (multiplicity, square-free factor) pairs."""
+    out = []
+    g = oracle_poly_gcd(h, h.derivative())
+    w = oracle_poly_divmod(h, g)[0]
+    y = oracle_poly_divmod(h.derivative(), g)[0]
+    i = 1
+    while w.degree >= 1:
+        z = y - w.derivative()
+        a = oracle_poly_gcd(w, z)
+        if a.degree >= 1:
+            out.append((i, a))
+        w = oracle_poly_divmod(w, a)[0]
+        y = oracle_poly_divmod(z, a)[0]
+        i += 1
+    return out
+
+
+def oracle_multiplicities(phi: RationalMap, target: ProjPoint) -> list:
+    h = target.x1 * phi.num - target.x0 * phi.den
+    mults = [phi.degree - h.degree] if phi.degree > h.degree else []
+    if h.degree >= 1:
+        for mult, factor in oracle_yun(h):
+            mults.extend([mult] * factor.degree)
+    return sorted(mults, reverse=True)
 
 
 def schoolbook(f: Poly, g: Poly) -> Poly:
@@ -246,6 +330,37 @@ def polys_of(draw, d):
     return Poly(coeffs, d)
 
 
+@st.composite
+def kernel_coeffs(draw, d):
+    """Zero, small, non-integral, 50-digit, or (d=3) half-integer."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return QF.zero(d)
+    if kind == 1:
+        u, v = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+    elif kind == 2:
+        u = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 12)))
+        v = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 12)))
+        return QF(u, v if d else 0, d)
+    elif kind == 3:
+        u = draw(st.integers(-10**50, 10**50))
+        v = draw(st.integers(-10**50, 10**50))
+    else:
+        return draw(rationals_of(d))
+    # basis pairs: odd v gives d=3 half-integer coordinates
+    return QF.from_basis_pair(u, v if d else 0, d)
+
+
+@st.composite
+def kernel_polys(draw, d, lengths=(0, 1, 2, 3, 5, 8)):
+    """Zero for length 0, else with a nonzero top coefficient."""
+    n = draw(st.sampled_from(lengths))
+    if n == 0:
+        return Poly([], d)
+    coeffs = [draw(kernel_coeffs(d)) for _ in range(n - 1)]
+    return Poly(coeffs + [draw(kernel_coeffs(d).filter(bool))], d)
+
+
 # small, medium and 20-digit coordinates keep the Fraction oracle quick
 FORM_COORDS = st.one_of(
     st.integers(-9, 9), st.integers(-10**6, 10**6),
@@ -354,6 +469,131 @@ class TestGcdOracle:
             return
         P = ProjPoint(x0, x1, d)
         assert P.reduced_pair() == oracle_reduced_pair(P)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_cleared_pairs_match_oracle(self, d, data):
+        xs = data.draw(st.lists(kernel_coeffs(d), max_size=6))
+        pairs, den = cleared_pairs(xs)
+        assert (pairs, den) == oracle_cleared_pairs(xs)
+        assert all(type(u) is int and type(v) is int for u, v in pairs)
+        assert [QF.from_basis_pair(u, v, d) / den for u, v in pairs] == xs
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_integral_model_matches_oracle(self, d, data):
+        num = data.draw(kernel_polys(d))
+        den = data.draw(kernel_polys(d))
+        if num.is_zero() and den.is_zero():
+            return
+        phi = RationalMap(num, den)
+        assert phi.integral_model() == oracle_integral_model(phi)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_integral_model_matches_oracle(self, name):
+        phi = catalog(name)
+        assert phi.integral_model() == oracle_integral_model(phi)
+
+
+# --------------------------------------------------------------------------
+# Poly division, gcd and fiber multiplicities
+# --------------------------------------------------------------------------
+
+
+class TestPolyDivision:
+    @settings(max_examples=80, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_divmod_matches_fraction_loop(self, d, data):
+        f = data.draw(kernel_polys(d, lengths=(0, 1, 2, 4, 7, 12)))
+        g = data.draw(kernel_polys(d).filter(lambda p: not p.is_zero()))
+        q, r = divmod(f, g)
+        assert q * g + r == f
+        assert r.degree < g.degree
+        assert (q, r) == oracle_poly_divmod(f, g)
+        assert f // g == q
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(Poly([1, 2], 1), Poly([], 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_gcd_matches_fraction_euclid(self, d, data):
+        # a common factor h makes most gcds nontrivial
+        h = data.draw(kernel_polys(d, lengths=(1, 2, 3, 4)))
+        f = data.draw(kernel_polys(d)) * h
+        g = data.draw(kernel_polys(d)) * h
+        if f.is_zero() and g.is_zero():
+            with pytest.raises(DomainError):
+                poly_gcd(f, g)
+            return
+        expect = oracle_poly_gcd(f, g)
+        assert poly_gcd(f, g) == expect
+        assert poly_gcd(g, f) == expect
+
+    def test_gcd_zero_and_constants(self):
+        f = Poly([QF(Fraction(1, 3), 2, 3), QF(0, Fraction(1, 2), 3)], 3)
+        one = Poly([1], 3)
+        assert poly_gcd(f, Poly([], 3)) == f.monic()
+        assert poly_gcd(Poly([], 3), f) == f.monic()
+        assert poly_gcd(f, Poly([QF(5, 7, 3)], 3)) == one
+        with pytest.raises(DomainError):
+            poly_gcd(Poly([], 3), Poly([], 3))
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_multiplicities_of_linear_products(self, d, data):
+        roots = data.draw(st.lists(
+            kernel_coeffs(d).filter(lambda c: c.is_zero() or c.norm() < 10**6),
+            min_size=1, max_size=3, unique=True,
+        ))
+        exps = [data.draw(st.integers(1, 5)) for _ in roots]
+        h = Poly([data.draw(kernel_coeffs(d).filter(bool))], d)
+        for r, e in zip(roots, exps):
+            h = h * Poly([-r, 1], d) ** e
+        want = sorted(exps, reverse=True)
+        zero, inf = ProjPoint(0, 1, d), ProjPoint.infinity(d)
+        # the fiber of h over 0 and of 1/h over infinity
+        for phi, target in (
+            (RationalMap(h, Poly([1], d)), zero),
+            (RationalMap(Poly([1], d), h), inf),
+        ):
+            assert preimage_multiplicities(phi, target) == want
+            assert oracle_multiplicities(phi, target) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_multiplicities_match_yun(self, d, data):
+        square = data.draw(kernel_polys(d, lengths=(2, 3)))
+        num = data.draw(kernel_polys(d, lengths=(1, 2, 3))) * square * square
+        den = data.draw(kernel_polys(d, lengths=(1, 2, 3)))
+        phi = RationalMap(num, den)
+        if phi.degree < 1:
+            return
+        # half the time the fiber over 0, where the square shows
+        x0, x1 = data.draw(st.one_of(
+            st.just((QF.zero(d), QF.one(d))),
+            st.tuples(kernel_coeffs(d), kernel_coeffs(d)),
+        ))
+        if x0.is_zero() and x1.is_zero():
+            return
+        target = ProjPoint(x0, x1, d)
+        if (x1 * phi.num - x0 * phi.den).is_zero():
+            return
+        assert preimage_multiplicities(phi, target) == oracle_multiplicities(
+            phi, target
+        )
+
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if catalog_entry(n).curve_name]
+    )
+    def test_two_torsion_fibers_match_yun(self, name):
+        phi = catalog(name)
+        for target in two_torsion_targets(curve_for_name(name)):
+            assert preimage_multiplicities(
+                phi, target
+            ) == oracle_multiplicities(phi, target)
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,27 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
 from p1dyn.errors import ConvergenceError, DomainError
-from p1dyn.lattes import catalog, curve_E1, curve_E2, lattes_double
+from p1dyn.lattes import (
+    catalog,
+    catalog_entry,
+    curve_E1,
+    curve_E2,
+    curve_for_name,
+    lattes_double,
+    two_torsion_targets,
+)
 from p1dyn.measures import (
     ComplexSampleSet,
     DensityGrid,
     GreenField,
     INF_POINT,
     Lift,
+    _CYCLE_TOL,
     _grid_centers,
     compare_l1,
     green,
@@ -29,6 +39,7 @@ from p1dyn.measures import (
     write_pgm,
     write_ppm,
 )
+from p1dyn.ratmaps import RationalMap
 
 SQUARE = Lift([0, 0, 1], [1, 0, 0])
 WIN = (-2.0, 2.0, -2.0, 2.0)
@@ -341,6 +352,42 @@ class TestPeriodicPoints:
     def test_budget(self):
         with pytest.raises(DomainError):
             periodic_points(lattes_double(curve_E1()), 4)
+
+    def test_identity_iterate_refused(self):
+        # every point is periodic when phi^n is the identity
+        inv = RationalMap.from_strings(["1"], ["0", "1"], 0)
+        ident = RationalMap.from_strings(["0", "1"], ["1"], 0)
+        for phi, n in ((inv, 2), (inv, 4), (ident, 1), (ident, 3)):
+            with pytest.raises(DomainError, match="identity"):
+                periodic_points(phi, n)
+        fixed = sorted(z.real for z, _ in periodic_points(inv, 1))
+        assert fixed == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [("phi_sqrt-3", 4), ("phi_1+i", 6), ("phi_2@E1", 3), ("phi_3@E1", 2)],
+    )
+    def test_cap_cases_right_or_refused(self, name, n):
+        # degree^n = 64 or 81, at the cap: each call either passes the
+        # Lattes multiplier identity |mult| = |lambda|^n (Milnor, "On Lattes
+        # maps") off the postcritical set, or raises ConvergenceError, and
+        # does so in well under the time a caller would wait
+        entry = catalog_entry(name)
+        phi = entry.map
+        t0 = time.perf_counter()
+        try:
+            pts = periodic_points(phi, n)
+        except ConvergenceError as exc:
+            assert max(exc.residuals) > _CYCLE_TOL
+        else:
+            post = [complex(t) for t in two_torsion_targets(
+                curve_for_name(name)) if not t.is_infinity()]
+            want = abs(complex(entry.lam)) ** n
+            assert len(pts) == phi.degree**n + 1
+            for z, mult in pts:
+                if z != INF_POINT and all(abs(z - q) > 1e-6 for q in post):
+                    assert abs(abs(mult) - want) <= 1e-6 * want
+        assert time.perf_counter() - t0 < 20.0
 
 
 class TestRaster:
