@@ -7,9 +7,10 @@ archimedean Green value plus finite-place corrections:
 
 where v0 is an integral coprime representative, g_k is the coordinate
 content extracted at step k of the exact orbit, and g_inf is the limit
-of renormalized sup-norms.  The archimedean part iterates renormalized
-coordinates at a working precision padded against worst-case round-off
-amplification.  The finite part runs one tracker on integral basis
+of renormalized sup-norms.  The archimedean part iterates the integral
+model exactly on integral basis pairs, shifted right by powers of two to a
+size padded against worst-case round-off amplification, and takes one
+logarithm at the end.  The finite part runs one tracker on integral basis
 pairs modulo a power of m_R, the least positive integer in the ideal of
 the resultant R of the lifted map: the content of a coprime pair divides
 R, so a gcd against R reads it without factoring anything, and each
@@ -23,9 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-
-import mpmath
 
 from .errors import DomainError, IterationBudgetError
 from .lattes import EllipticCurveCM, lattes_double
@@ -137,14 +137,17 @@ def naive_height_by_places(P: ProjPoint) -> HeightValue:
     return HeightValue(max(total, 0.0), 0, 0.0)
 
 
-def _eval_form(coeffs, x0, x1, mod, t):
-    """sum_k c_k x0^k x1^(deg-k) on basis pairs, reduced mod `mod`."""
+def _eval_form(coeffs, x0, x1, t, mod=0):
+    """sum_k c_k x0^k x1^(deg-k) on basis pairs, reduced mod `mod` if set."""
     acc = coeffs[-1]
     p1 = x1
     for c in reversed(coeffs[:-1]):
         s, u = pair_mul(acc, x0, t), pair_mul(c, p1, t)
-        acc = ((s[0] + u[0]) % mod, (s[1] + u[1]) % mod)
-        p1 = tuple(z % mod for z in pair_mul(p1, x1, t))
+        acc = (s[0] + u[0], s[1] + u[1])
+        p1 = pair_mul(p1, x1, t)
+        if mod:
+            acc = (acc[0] % mod, acc[1] % mod)
+            p1 = (p1[0] % mod, p1[1] % mod)
     return acc
 
 
@@ -174,16 +177,19 @@ class _HeightEngine:
         self.c_up = max(0.0, log_s_up)
         self.c_low = max(0.0, log_s_cof - 0.5 * self.log_nR)
         self.c_bound = max(self.c_up, self.c_low)
-        # per-step error amplification of the renormalized iteration:
-        # the differential of w -> F(w/||w||) on the unit sphere is at
-        # most alpha * e^{c_up}, and the next division by ||F|| costs
-        # another e^{c_low}; the 4 soaks up evaluation round-off
+        # bits per step that _arch_value pads its pairs by: a relative
+        # error in w grows by at most alpha * e^{c_up} under F and by
+        # e^{c_low} in the next renormalization, and the 4 leaves 2 bits
+        # per step for the truncation itself.  F and its coefficients are
+        # exact; each right shift moves a basis coordinate by less than one
+        # unit, so an element by less than 2 units (|i| = |omega| = 1),
+        # against a largest element of at least (sqrt(3)/2) 2^(bits-1).
+        # After n steps the relative error stays below 2^(4 - bits) times
+        # (e^{c_up + c_low} alpha)^n, that is below 2^(-60 - 2n)
         log2_amp = (
             math.log2(4.0 * self.alpha) + (self.c_up + self.c_low) / _LN2
         )
         self._amp_bits = max(2, math.ceil(log2_amp))
-        self._ab0 = [(c.a, c.b) for c in c0]
-        self._ab1 = [(c.a, c.b) for c in c1]
         self._bp0 = [c.basis_pair() for c in c0]
         self._bp1 = [c.basis_pair() for c in c1]
         self._t = omega_flag(self.d)
@@ -207,42 +213,27 @@ class _HeightEngine:
         return n
 
     def _arch_value(self, x0, x1, n_arch):
-        # plain doubles are not enough here: orbits through transversally
-        # repelling configurations blow round-off up by _amp_bits bits per
-        # step, so pad the working mantissa to absorb the full run
+        # F^n(v) = 2^shift * (w0, w1) up to the truncation of each shift,
+        # and the Green sum telescopes to log ||F^n(v)|| / alpha^n for any
+        # representatives, so only the final pair needs a logarithm
         bits = 64 + n_arch * self._amp_bits
-        with mpmath.workprec(bits):
-            sq = mpmath.sqrt(self.d) if self.d else None
-
-            def lift(ab):
-                a, b = ab
-                re = mpmath.mpf(a.numerator) / a.denominator
-                if not b:
-                    return mpmath.mpc(re, 0)
-                im = mpmath.mpf(b.numerator) / b.denominator * sq
-                return mpmath.mpc(re, im)
-
-            g0 = [lift(ab) for ab in self._ab0]
-            g1 = [lift(ab) for ab in self._ab1]
-            w0 = lift((x0.a, x0.b))
-            w1 = lift((x1.a, x1.b))
-            total = mpmath.mpf(0)
-            scale = mpmath.mpf(1)
-            for _ in range(n_arch):
-                m = max(abs(w0), abs(w1))
-                total += mpmath.log(m) * scale
-                w0, w1 = w0 / m, w1 / m
-                acc0, acc1, p1 = g0[-1], g1[-1], w1
-                for k in range(self.alpha - 1, -1, -1):
-                    acc0 = acc0 * w0 + g0[k] * p1
-                    acc1 = acc1 * w0 + g1[k] * p1
-                    p1 = p1 * w1
-                w0, w1 = acc0, acc1
-                scale /= self.alpha
-            m = max(abs(w0), abs(w1))
-            total += mpmath.log(m) * scale
-            tail = self.c_bound / (self.alpha - 1) * float(scale)
-            return float(total), tail
+        t, alpha = self._t, self.alpha
+        w0, w1 = x0.basis_pair(), x1.basis_pair()
+        shift = 0
+        for _ in range(n_arch):
+            f0 = _eval_form(self._bp0, w0, w1, t)
+            f1 = _eval_form(self._bp1, w0, w1, t)
+            e = max(0, max(c.bit_length() for c in f0 + f1) - bits)
+            w0 = (f0[0] >> e, f0[1] >> e)
+            w1 = (f1[0] >> e, f1[1] >> e)
+            shift = shift * alpha + e
+        top = max(pair_norm(w0, t), pair_norm(w1, t))
+        # a fresh context, so a caller's decimal settings cannot leak in
+        with localcontext(Context(prec=30 + len(str(shift)))):
+            log_top = shift * Decimal(2).ln() + Decimal(top).ln() / 2
+            value = float(log_top / alpha**n_arch)
+        tail = self.c_bound / (alpha - 1) * (1 / alpha**n_arch)
+        return value, tail
 
     def _fin_value(self, x0, x1, n_fin):
         if n_fin == 0:
@@ -257,8 +248,8 @@ class _HeightEngine:
         scale = 1.0
         for _ in range(n_fin):
             scale /= self.alpha
-            f0 = _eval_form(self._bp0, v0, v1, mod, t)
-            f1 = _eval_form(self._bp1, v0, v1, mod, t)
+            f0 = _eval_form(self._bp0, v0, v1, t, mod)
+            f1 = _eval_form(self._bp1, v0, v1, t, mod)
             # N(g) divides this integer, and g divides N(g)
             h = math.gcd(pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R)
             if h > 1:

@@ -62,6 +62,11 @@ class Lift:
     """
 
     def __init__(self, f0, f1, degree: int | None = None):
+        self._set(f0, f1, degree)
+        if self._degenerate():
+            raise DomainError("degenerate lift: resultant vanishes")
+
+    def _set(self, f0, f1, degree) -> None:
         f0 = [complex(c) for c in f0]
         f1 = [complex(c) for c in f1]
         if degree is None:
@@ -77,8 +82,6 @@ class Lift:
         self.f1 = np.array(f1, dtype=complex)
         self.f0.setflags(write=False)
         self.f1.setflags(write=False)
-        if self._degenerate():
-            raise DomainError("degenerate lift: resultant vanishes")
 
     def _degenerate(self) -> bool:
         n = self.degree
@@ -97,8 +100,11 @@ class Lift:
 
     @classmethod
     def from_map(cls, phi: RationalMap) -> "Lift":
-        n, m = phi.complex_pair()
-        return cls(n, m, phi.degree)
+        # a RationalMap's resultant is exactly nonzero by construction, so
+        # the float test, which huge coefficients overflow, is skipped
+        lift = cls.__new__(cls)
+        lift._set(*phi.complex_pair(), phi.degree)
+        return lift
 
     def scaled(self, c) -> "Lift":
         c = complex(c)
@@ -639,25 +645,17 @@ def _unit_pair(w0: complex, w1: complex) -> tuple:
     return w0 / s, w1 / s
 
 
-def _cycle_residual(f0: list, f1: list, z: complex, n: int) -> float:
-    """Chordal distance from z to its n-th image under the lift (f0, f1),
-    iterated in double precision on pairs renormalised after each step,
-    so orbits through infinity stay finite; nan when the pair degenerates."""
+def _cycle_residual(lift: Lift, z: complex, n: int) -> float:
+    """Chordal distance from z to its n-th image under the lift, iterated
+    in double precision on pairs renormalised after each step, so orbits
+    through infinity stay finite; nan when the pair degenerates."""
     p0, p1 = _unit_pair(z, 1.0)
     w0, w1 = p0, p1
     for _ in range(n):
-        # homogeneous Horner as in Lift.eval, but on scalars: building a
-        # Lift runs its float resultant test, which huge coefficients
-        # overflow
-        a0, a1, q = f0[-1], f1[-1], w1
-        for k in range(len(f0) - 2, -1, -1):
-            a0 = a0 * w0 + f0[k] * q
-            a1 = a1 * w0 + f1[k] * q
-            q = q * w1
-        w0, w1 = _unit_pair(a0, a1)
-    return abs(p0 * w1 - p1 * w0) / (
+        w0, w1 = _unit_pair(*lift.eval(w0, w1))
+    return float(abs(p0 * w1 - p1 * w0) / (
         math.hypot(abs(p0), abs(p1)) * math.hypot(abs(w0), abs(w1))
-    )
+    ))
 
 
 def periodic_points(phi: RationalMap, n: int) -> list:
@@ -688,8 +686,8 @@ def periodic_points(phi: RationalMap, n: int) -> list:
     coeffs = [complex(fixed.coeff(k)) for k in range(fixed.degree + 1)]
     inf_mult_count = (alpha + 1) - fixed.degree
     roots = poly_roots(coeffs) if fixed.degree >= 1 else []
-    f0, f1 = phi.complex_pair()
-    resid = [_cycle_residual(f0, f1, r, n) for r in roots]
+    lift = Lift.from_map(phi)
+    resid = [_cycle_residual(lift, r, n) for r in roots]
     if not all(e <= _CYCLE_TOL for e in resid):
         raise ConvergenceError(
             f"period-{n} roots miss their cycles by up to chordal "

@@ -483,15 +483,31 @@ class TestBigCoefficients:
         )
         return str(path)
 
-    def test_height_certified(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_height_certified(self, tmp_path, capsys, tol):
         payload = run_json(
             ["height", "--map", self.spec(tmp_path), "--point", "3,1",
-             "--tol", "1e-6"],
+             "--tol", str(tol)],
             capsys,
         )
         (result,) = payload["results"]
-        assert result["error_bound"] <= 1e-6
+        assert result["error_bound"] <= tol
         assert result["value"] > 200 * math.log(10)
+
+    def test_analytic_commands_run(self, tmp_path, capsys):
+        # the float lift holds 1e200, whose float resultant overflows;
+        # pytest turns numpy's overflow warnings into errors
+        spec = self.spec(tmp_path)
+        green = run_json(["green", "--map", spec, "--point", "0.5,0.3"],
+                         capsys)
+        assert all(math.isfinite(r["value"]) for r in green["results"])
+        measure = run_json(["measure", "--map", spec], capsys)
+        assert math.isfinite(measure["max_cell"])
+        assert measure["nonzero_cells"] > 0
+        out = tmp_path / "big.pgm"
+        julia = run_json(["julia", "--map", spec, "--out", str(out)], capsys)
+        assert julia["written"] == [str(out)]
+        assert out.read_bytes().startswith(b"P5")
 
     def test_float_overflow_is_one_error_line(self, tmp_path, capsys):
         rc, out, err = run(

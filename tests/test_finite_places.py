@@ -4,7 +4,7 @@ The engine reads each step's content gcd(F0, F1) from one tracker that
 works modulo a power of the resultant's least integer.  These tests
 compare it with the contents of the exact orbit, run it on a map whose
 resultant has only 31-digit prime factors, and check that the package
-imports without sympy.
+imports without sympy or mpmath.
 """
 
 import json
@@ -161,8 +161,9 @@ def test_import_does_not_load_sympy():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, p1dyn; print('sympy' in sys.modules)"],
+         "import sys, p1dyn; print('sympy' in sys.modules,"
+         " 'mpmath' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
