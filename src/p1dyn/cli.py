@@ -633,6 +633,10 @@ def main(argv=None) -> int:
         print(f"error: number out of floating-point range: {exc}",
               file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # an array too large for this machine, refused when allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     _emit(payload)
     return 0
 

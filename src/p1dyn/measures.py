@@ -48,9 +48,12 @@ def _grid_centers(window, nx, ny):
     a, b, c, d = window
     dx = (b - a) / nx
     dy = (d - c) / ny
-    xs = a + dx * (np.arange(nx) + 0.5)
-    ys = c + dy * (np.arange(ny) + 0.5)
-    return xs[None, :] + 1j * ys[:, None], dx, dy
+    # the grid first, so one too large for memory is refused before its
+    # axes are built
+    out = np.empty((ny, nx), dtype=complex)
+    out.real = a + dx * (np.arange(nx) + 0.5)
+    out.imag = (c + dy * (np.arange(ny) + 0.5))[:, None]
+    return out, dx, dy
 
 
 class Lift:
@@ -212,10 +215,11 @@ def green(lift, z, n: int, metric0: str = "sup") -> float:
     """
     if n < 1:
         raise DomainError("need at least one iteration")
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError("point must be finite")
     lift = _as_lift(lift)
-    val = _green_core(
-        lift, np.asarray(complex(z)), np.asarray(1.0 + 0j), n, metric0
-    )
+    val = _green_core(lift, np.asarray(z), np.asarray(1.0 + 0j), n, metric0)
     return float(val)
 
 
@@ -270,7 +274,7 @@ def _poly_val(C, z):
     return acc
 
 
-def _aberth_batch(C, rng=None, tol=1e-10, max_iter=300):
+def _aberth_batch(C, rng, tol, max_iter):
     """Simultaneous root iteration on a batch of same-degree polynomials.
 
     C is (N, deg+1), constant term first, leading column nonzero.
@@ -323,12 +327,17 @@ def _aberth_batch(C, rng=None, tol=1e-10, max_iter=300):
     return z, converged, np.abs(val)
 
 
-def poly_roots(coeffs, tol: float = 1e-10, max_iter: int = 300) -> list:
+# poly_roots: residual target and sweep cap
+_ROOT_TOL = 1e-10
+_ROOT_SWEEPS = 300
+
+
+def poly_roots(coeffs) -> list:
     """All complex roots by simultaneous (Aberth-style) iteration.
 
     coeffs is constant term first.  Residuals are checked against
-    tol * ||p||_1 * max(1,|root|)^deg; failure to reach that after
-    max_iter sweeps raises with the residual list attached.
+    _ROOT_TOL * ||p||_1 * max(1,|root|)^deg; failure to reach that after
+    _ROOT_SWEEPS sweeps raises with the residual list attached.
     """
     c = [complex(x) for x in coeffs]
     if len(c) < 2:
@@ -339,11 +348,11 @@ def poly_roots(coeffs, tol: float = 1e-10, max_iter: int = 300) -> list:
     if deg == 1:
         return [-c[0] / c[1]]
     roots, ok, resid = _aberth_batch(
-        np.array([c]), rng=None, tol=tol, max_iter=max_iter
+        np.array([c]), rng=None, tol=_ROOT_TOL, max_iter=_ROOT_SWEEPS
     )
     if not ok[0]:
         raise ConvergenceError(
-            f"root iteration stalled after {max_iter} sweeps",
+            f"root iteration stalled after {_ROOT_SWEEPS} sweeps",
             residuals=[float(r) for r in resid[0]],
         )
     out = [complex(r) for r in roots[0]]
@@ -371,9 +380,13 @@ class ComplexSampleSet:
 
 
 _BATCH = 1 << 16
+# _solve_generation: the relaxed residual target of a preimage tree, and
+# its sweep cap; rows that miss it are counted, not raised
+_PREIMAGE_TOL = 1e-8
+_PREIMAGE_SWEEPS = 120
 
 
-def _solve_generation(f0, f1, deg, a0, a1, rng, tol=1e-8, max_iter=120):
+def _solve_generation(f0, f1, deg, a0, a1, rng):
     """All preimages of the projective points (a0[i] : a1[i]).
 
     Solves a1*F0 - a0*F1 = 0 per point, flipping to the w = 1/z chart
@@ -406,7 +419,7 @@ def _solve_generation(f0, f1, deg, a0, a1, rng, tol=1e-8, max_iter=120):
             # nudge the coefficient rather than losing the whole row
             C[~lead_ok, -1] = 1e-280
         roots, converged, _ = _aberth_batch(
-            C, rng=rng, tol=tol, max_iter=max_iter
+            C, rng=rng, tol=_PREIMAGE_TOL, max_iter=_PREIMAGE_SWEEPS
         )
         missed += int(np.sum(~converged))
         r0 = np.where(flip[:, None], np.ones_like(roots), roots)
@@ -528,20 +541,27 @@ def _abs_g_on(gc, z):
     return np.abs(acc)
 
 
-def _quad_total_mass(gc, roots, radius=8.0, base=64, levels=6):
+# _quad_total_mass: half-width of the square it grids, cells per side at
+# the top level, and refinement levels
+_MASS_RADIUS = 8.0
+_MASS_BASE = 64
+_MASS_LEVELS = 6
+
+
+def _quad_total_mass(gc, roots):
     """integral of 1/|G| over the plane by midpoint refinement.
 
-    Cells near a root of G are split 4x4 down `levels` times; beyond
-    `radius` the cubic decay gives the exact tail 2*pi/radius.
+    Cells near a root of G are split 4x4 down _MASS_LEVELS times; beyond
+    _MASS_RADIUS the cubic decay gives the exact tail 2*pi/_MASS_RADIUS.
     """
-    cell = 2.0 * radius / base
-    xs = -radius + cell * (np.arange(base) + 0.5)
+    cell = 2.0 * _MASS_RADIUS / _MASS_BASE
+    xs = -_MASS_RADIUS + cell * (np.arange(_MASS_BASE) + 0.5)
     cx, cy = np.meshgrid(xs, xs)
     centers = (cx + 1j * cy).ravel()
     sizes = np.full(centers.shape, cell)
     total = 0.0
     rts = np.array(roots)
-    for level in range(levels):
+    for level in range(_MASS_LEVELS):
         dmin = np.min(
             np.abs(centers[:, None] - rts[None, :]), axis=1
         ) if len(rts) else np.full(centers.shape, np.inf)
@@ -551,7 +571,7 @@ def _quad_total_mass(gc, roots, radius=8.0, base=64, levels=6):
         centers, sizes = centers[near], sizes[near]
         if centers.size == 0:
             break
-        if level < levels - 1:
+        if level < _MASS_LEVELS - 1:
             quarter = sizes / 4.0
             offs = (np.arange(4) - 1.5)
             ox, oy = np.meshgrid(offs, offs)
@@ -564,7 +584,7 @@ def _quad_total_mass(gc, roots, radius=8.0, base=64, levels=6):
         vals = _abs_g_on(gc, centers)
         keep = vals > 1e-300
         total += float(np.sum(sizes[keep] ** 2 / vals[keep]))
-    return total + TWO_PI / radius
+    return total + TWO_PI / _MASS_RADIUS
 
 
 def lattes_density(

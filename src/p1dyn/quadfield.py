@@ -202,9 +202,7 @@ class QuadFieldElement:
 
     @classmethod
     def from_basis_pair(cls, u: int, v: int, d: int) -> "QuadFieldElement":
-        if d == 3:
-            return cls(Fraction(2 * u + v, 2), Fraction(v, 2), 3)
-        return cls(u, v, d)
+        return _from_cleared(u, v, 1, d)
 
     def __complex__(self) -> complex:
         return complex(float(self._a), float(self._b) * math.sqrt(self._d))
@@ -221,7 +219,8 @@ class QuadFieldElement:
         return self._a == o._a and self._b == o._b
 
     def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        # a rational's hash when b = 0, since the element equals it then
+        return hash(self._a if self._b == 0 else (self._a, self._b, self._d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -432,24 +431,8 @@ def sqrt_in_field(x: QuadFieldElement):
 
 
 # ---------------------------------------------------------------------------
-# Integer coordinates of coefficient vectors.
+# Vectors of elements over one common denominator.
 # ---------------------------------------------------------------------------
-
-
-def int_coords(elements) -> tuple:
-    """(A, B, den) with elements[k] = (A[k] + B[k]*sqrt(-d)) / den.
-
-    den is the least common denominator of all coordinates, so callers can
-    run whole vectors of field arithmetic on ints.
-    """
-    den = 1
-    for x in elements:
-        den = math.lcm(den, x._a.denominator, x._b.denominator)
-    return (
-        [x._a.numerator * (den // x._a.denominator) for x in elements],
-        [x._b.numerator * (den // x._b.denominator) for x in elements],
-        den,
-    )
 
 
 def cleared_pairs(elements) -> tuple:
@@ -461,12 +444,13 @@ def cleared_pairs(elements) -> tuple:
             for p in coords], den
 
 
-def from_int_coords(A, B, den: int, d: int) -> list:
-    """The elements (A[k] + B[k]*sqrt(-d)) / den; inverse of int_coords."""
-    return [
-        QuadFieldElement(Fraction(a, den), Fraction(b, den), d)
-        for a, b in zip(A, B)
-    ]
+def _from_cleared(u: int, v: int, den: int, d: int) -> QuadFieldElement:
+    """The element (u + v*w)/den, w as in basis_pair; undoes cleared_pairs."""
+    if d == 3:
+        return QuadFieldElement(
+            Fraction(2 * u + v, 2 * den), Fraction(v, 2 * den), 3
+        )
+    return QuadFieldElement(Fraction(u, den), Fraction(v, den), d)
 
 
 # ---------------------------------------------------------------------------

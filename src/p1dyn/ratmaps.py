@@ -10,15 +10,14 @@ is coefficient equality.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import DomainError, FieldMismatchError
 from .quadfield import (
     QuadFieldElement,
+    _from_cleared,
     cleared_pairs,
-    from_int_coords,
-    int_coords,
     omega_flag,
     pair_divexact,
     pair_gcd,
@@ -46,16 +45,31 @@ def _coerce_coeff(c, d: int) -> QuadFieldElement:
 
 
 class Poly:
-    """Univariate polynomial with exact quadratic-field coefficients."""
+    """Univariate polynomial with exact quadratic-field coefficients.
 
-    __slots__ = ("_c", "_d")
+    Coefficient k is (u[k] + v[k]*w)/den on the integral basis (1, w) of
+    quadfield.basis_pair: int lists u, v without trailing zeros, and den
+    the least positive common denominator, so equal polynomials store
+    equal ints.  Arithmetic runs on the ints; coefficients become
+    QuadFieldElements only when asked for.
+    """
+
+    __slots__ = ("_u", "_v", "_den", "_d")
 
     def __init__(self, coeffs: Iterable, d: int = 0):
-        c = [_coerce_coeff(x, d) for x in coeffs]
-        while c and c[-1].is_zero():
-            c.pop()
-        self._c = c
-        self._d = d
+        pairs, den = cleared_pairs([_coerce_coeff(x, d) for x in coeffs])
+        self._u, self._v = _trim([p[0] for p in pairs], [p[1] for p in pairs])
+        self._den, self._d = den, d
+
+    @classmethod
+    def _of(cls, u: list, v: list, den: int, d: int) -> "Poly":
+        """The polynomial with coefficients (u[k] + v[k]*w)/den, den > 0."""
+        u, v = _trim(u, v)
+        g = math.gcd(den, *u, *v)
+        out = object.__new__(cls)
+        out._u, out._v = [a // g for a in u], [b // g for b in v]
+        out._den, out._d = den // g, d
+        return out
 
     @property
     def d(self) -> int:
@@ -63,28 +77,28 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(self._c)
+        return tuple(self.coeff(k) for k in range(len(self._u)))
 
     @property
     def degree(self) -> int:
         # zero polynomial reports -1
-        return len(self._c) - 1
+        return len(self._u) - 1
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._u
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._u)
 
     def coeff(self, k: int) -> QuadFieldElement:
-        if 0 <= k < len(self._c):
-            return self._c[k]
+        if 0 <= k < len(self._u):
+            return _from_cleared(self._u[k], self._v[k], self._den, self._d)
         return QuadFieldElement.zero(self._d)
 
     def leading(self) -> QuadFieldElement:
-        if not self._c:
+        if not self._u:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return self.coeff(self.degree)
 
     def _check(self, other: "Poly") -> None:
         if self._d != other._d:
@@ -95,43 +109,44 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._d == other._d and self._c == other._c
+        return (self._d, self._den, self._u, self._v) == (
+            other._d, other._den, other._u, other._v
+        )
 
     def __hash__(self) -> int:
-        return hash((self._d, tuple(self._c)))
+        return hash((self._d, self._den, tuple(self._u), tuple(self._v)))
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        n = max(len(self._c), len(other._c))
-        return Poly(
-            [self.coeff(k) + other.coeff(k) for k in range(n)], self._d
+        ((a, b), (c, e)), den = _coords(self, other)
+        return Poly._of(
+            [x + y for x, y in zip_longest(a, c, fillvalue=0)],
+            [x + y for x, y in zip_longest(b, e, fillvalue=0)],
+            den, self._d,
         )
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        n = max(len(self._c), len(other._c))
-        return Poly(
-            [self.coeff(k) - other.coeff(k) for k in range(n)], self._d
-        )
+        return self + -other
 
     def __neg__(self) -> "Poly":
-        return Poly([-x for x in self._c], self._d)
+        return Poly._of(
+            [-a for a in self._u], [-b for b in self._v], self._den, self._d
+        )
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly([other], self._d)
         self._check(other)
-        A, B, den_x = int_coords(self._c)
-        C, E, den_y = int_coords(other._c)
-        re, im = _field_convolve((A, B), (C, E), self._d)
-        return Poly(from_int_coords(re, im, den_x * den_y, self._d), self._d)
+        u, v = _field_convolve((self._u, self._v), (other._u, other._v),
+                               omega_flag(self._d))
+        return Poly._of(u, v, self._den * other._den, self._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise DomainError("negative polynomial power")
-        out = Poly([QuadFieldElement.one(self._d)], self._d)
+        out = Poly._of([1], [0], 1, self._d)
         base = self
         while n:
             if n & 1:
@@ -144,13 +159,13 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        A, B, den_x = int_coords(self._c)
-        C, E, den_y = int_coords(other._c)
-        s, (qa, qb), r = _pseudo_divmod((A, B), (C, E), self._d)
-        # self = (A, B)/den_x and other = (C, E)/den_y
-        q = ([a * den_y for a in qa], [b * den_y for b in qb])
-        return tuple(Poly(from_int_coords(*v, s * den_x, self._d), self._d)
-                     for v in (q, r))
+        s, (qa, qb), (ra, rb) = _pseudo_divmod(
+            (self._u, self._v), (other._u, other._v), omega_flag(self._d)
+        )
+        # s*den_x*self = q*den_y*other + r
+        q = ([a * other._den for a in qa], [b * other._den for b in qb])
+        return (Poly._of(*q, s * self._den, self._d),
+                Poly._of(ra, rb, s * self._den, self._d))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -158,32 +173,32 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.leading().inverse() * self
+        x = (self._u, self._v)
+        return Poly._of(*_times_conj(x, x, omega_flag(self._d)), self._d)
 
     def derivative(self) -> "Poly":
-        return Poly(
-            [k * self._c[k] for k in range(1, len(self._c))], self._d
-        )
+        return Poly._of([k * a for k, a in enumerate(self._u)][1:],
+                        [k * b for k, b in enumerate(self._v)][1:],
+                        self._den, self._d)
 
     def __call__(self, z):
         """Horner evaluation; accepts field elements or complex."""
         if isinstance(z, QuadFieldElement):
             acc = QuadFieldElement.zero(self._d)
-            for c in reversed(self._c):
+            for c in reversed(self.coeffs):
                 acc = acc * z + c
             return acc
         acc = 0j
-        for c in reversed(self._c):
+        for c in reversed(self.coeffs):
             acc = acc * z + complex(c)
         return acc
 
     def eval_pair(self, x0, x1, deg: int):
         """Evaluate the degree-`deg` homogenization at the pair (x0, x1).
 
-        Returns sum of c_k x0^k x1^(deg-k); works for field elements and
-        for anything with ring semantics (used by tracker arithmetic too).
+        Returns sum of c_k x0^k x1^(deg-k) for field elements x0, x1.
         """
-        if len(self._c) - 1 > deg:
+        if self.degree > deg:
             raise DomainError("declared degree below actual degree")
         acc = self.coeff(deg)
         p1 = x1
@@ -193,14 +208,17 @@ class Poly:
         return acc
 
     def embed(self, d: int) -> "Poly":
-        return Poly([c.embed(d) for c in self._c], d)
+        # QuadFieldElement.embed's checks; a rational's basis pair (a, 0)
+        # is the same in every ring
+        QuadFieldElement.zero(self._d).embed(d)
+        return Poly._of(self._u, self._v, self._den, d)
 
     def __str__(self) -> str:
-        if not self._c:
+        if self.is_zero():
             return "0"
         parts = []
-        for k in range(len(self._c) - 1, -1, -1):
-            c = self._c[k]
+        for k in range(self.degree, -1, -1):
+            c = self.coeff(k)
             if c.is_zero():
                 continue
             cs = format_element(c)
@@ -238,13 +256,13 @@ def _convolve(x: list, y: list) -> list:
     return out
 
 
-def _field_convolve(x: tuple, y: tuple, d: int) -> tuple:
-    """Product of two polynomials over Q(sqrt(-d)) in integer coordinates.
+def _field_convolve(x: tuple, y: tuple, t: int) -> tuple:
+    """Product of two polynomials on integral basis pairs.
 
-    A polynomial is a pair (A, B) of int lists, coefficient k being
-    A[k] + B[k]*sqrt(-d).  Rational factors (B all zero) take one or two
-    integer products, the rest three (Karatsuba's trick for the cross
-    term).
+    A polynomial is a pair (u, v) of int lists, coefficient k being
+    u[k] + v[k]*w with w^2 = t*w - 1 (see quadfield.pair_mul).  Rational
+    factors (v all zero) take one or two integer products, the rest three
+    (Karatsuba's trick for the cross term).
     """
     (A, B), (C, E) = x, y
     ac = _convolve(A, C)
@@ -255,35 +273,33 @@ def _field_convolve(x: tuple, y: tuple, d: int) -> tuple:
     be = _convolve(B, E)
     s = _convolve([a + b for a, b in zip(A, B)], [c + e for c, e in zip(C, E)])
     return (
-        [p - d * q for p, q in zip(ac, be)],
-        [u - p - q for u, p, q in zip(s, ac, be)],
+        [p - q for p, q in zip(ac, be)],
+        [u - p - q + t * q for u, p, q in zip(s, ac, be)],
     )
 
 
-def _times_conj(x: tuple, y: tuple, d: int) -> tuple:
-    """(x * conj(L), N(L)), L the leading coefficient of y; int coords."""
+def _times_conj(x: tuple, y: tuple, t: int) -> tuple:
+    """(A, B, N(L)) with (A, B) = x * conj(L), L the leading coefficient
+    of y; basis pairs.  x/L is the polynomial (A, B)/N(L)."""
     (A, B), la, lb = x, y[0][-1], y[1][-1]
+    # conj(la + lb*w) = (la + t*lb) - lb*w
+    lc = la + t * lb
     return (
-        [a * la + d * b * lb for a, b in zip(A, B)],
+        [a * lc + b * lb for a, b in zip(A, B)],
         [b * la - a * lb for a, b in zip(A, B)],
-    ), la * la + d * lb * lb
+        la * lc + lb * lb,
+    )
 
 
-def _poly_over(x: tuple, y: tuple, d: int) -> Poly:
-    """The Poly x / L, L the leading coefficient of y; int coords."""
-    (A, B), n = _times_conj(x, y, d)
-    return Poly(from_int_coords(A, B, n, d), d)
-
-
-def _pseudo_divmod(x: tuple, y: tuple, d: int) -> tuple:
+def _pseudo_divmod(x: tuple, y: tuple, t: int) -> tuple:
     """(s, q, r) with s*x = q*y + r, deg r < deg y, s a positive integer.
 
-    x, y in integer coordinates as in _field_convolve, y trimmed, nonzero.
-    With y scaled by conj(L) for its leading coefficient L, a step that
-    cancels a nonzero top coefficient c maps r to N(L)*r - c*z^k*conj(L)*y
-    and q to N(L)*q + c*z^k, all in the integers; s gains a factor N(L).
+    x, y on basis pairs as in _field_convolve, y trimmed, nonzero.  With
+    y scaled by conj(L) for its leading coefficient L, a step that cancels
+    a nonzero top coefficient c maps r to N(L)*r - c*z^k*conj(L)*y and q
+    to N(L)*q + c*z^k, all in the integers; s gains a factor N(L).
     """
-    (C, E), n = _times_conj(y, y, d)
+    C, E, n = _times_conj(y, y, t)
     m, s = len(C) - 1, 1
     # the quotient builds up above the remainder, q_k at index k + m
     ra, rb = list(x[0]), list(x[1])
@@ -294,31 +310,31 @@ def _pseudo_divmod(x: tuple, y: tuple, d: int) -> tuple:
             ra, rb = [a * n for a in ra], [b * n for b in rb]
             ra[k + m], rb[k + m] = ca, cb
             for j in range(m):
-                ra[k + j] -= ca * C[j] - d * cb * E[j]
-                rb[k + j] -= ca * E[j] + cb * C[j]
-    return s, _times_conj((ra[m:], rb[m:]), y, d)[0], (ra[:m], rb[:m])
+                be = cb * E[j]
+                ra[k + j] -= ca * C[j] - be
+                rb[k + j] -= ca * E[j] + cb * C[j] + t * be
+    return s, _times_conj((ra[m:], rb[m:]), y, t)[:2], (ra[:m], rb[:m])
 
 
-def _gcd_coords(x: tuple, y: tuple, d: int) -> tuple:
-    """A gcd of trimmed integer coordinate vectors, not both zero: the
-    primitive remainder sequence (Collins, J. ACM 14, 1967)."""
+def _gcd_coords(x: tuple, y: tuple, t: int) -> tuple:
+    """A gcd of trimmed basis pair vectors, not both zero: the primitive
+    remainder sequence (Collins, J. ACM 14, 1967)."""
     while y[0]:
-        A, B = _trim(*_pseudo_divmod(x, y, d)[2])
+        A, B = _trim(*_pseudo_divmod(x, y, t)[2])
         g = math.gcd(*A, *B) or 1
         x, y = y, ([a // g for a in A], [b // g for b in B])
     return x
 
 
-def _coords(*polys) -> list:
-    """(A, B) integer coordinate vectors of polys over one common
-    denominator, which is dropped: it scales every polynomial alike."""
-    A, B, _ = int_coords([c for p in polys for c in p._c])
-    out, i = [], 0
-    for p in polys:
-        j = i + len(p._c)
-        out.append((A[i:j], B[i:j]))
-        i = j
-    return out
+def _coords(*polys) -> tuple:
+    """(vectors, den): the (u, v) basis pair vectors of den*p for each p
+    in polys, den their least common denominator."""
+    den = math.lcm(*(p._den for p in polys))
+    return [
+        ([a * (den // p._den) for a in p._u],
+         [b * (den // p._den) for b in p._v])
+        for p in polys
+    ], den
 
 
 def poly_from_strings(coeffs: Sequence[str], d: int) -> Poly:
@@ -330,8 +346,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     f._check(g)
     if f.is_zero() and g.is_zero():
         raise DomainError("gcd of two zero polynomials")
-    x = _gcd_coords(_coords(f)[0], _coords(g)[0], f.d)
-    return _poly_over(x, x, f.d)
+    t = omega_flag(f.d)
+    x = _gcd_coords((f._u, f._v), (g._u, g._v), t)
+    return Poly._of(*_times_conj(x, x, t), f.d)
 
 
 class ProjPoint:
@@ -442,15 +459,15 @@ class RationalMap:
             g = poly_gcd(num, den)
             if g.degree >= 1:
                 num, den = num // g, den // g
-        self._set_scaled(*_coords(num, den), num.d)
+        self._set_scaled(*_coords(num, den)[0], num.d)
 
     @classmethod
     def _from_coprime(cls, num: tuple, den: tuple, d: int) -> "RationalMap":
         """The map num/den for coprime polynomials, without poly_gcd.
 
-        num and den are (A, B) integer coordinate vectors as in
-        _field_convolve, scaled by one common nonzero factor and not both
-        zero.  Callers vouch for coprimality; only the scale is normalized.
+        num and den are (u, v) basis pair vectors as in _field_convolve,
+        scaled by one common nonzero factor and not both zero.  Callers
+        vouch for coprimality; only the scale is normalized.
         """
         out = object.__new__(cls)
         out._set_scaled(num, den, d)
@@ -461,8 +478,8 @@ class RationalMap:
         num, den = _trim(*num), _trim(*den)
         lead = den if den[0] else num
         self._d = d
-        self._num = _poly_over(num, lead, d)
-        self._den = _poly_over(den, lead, d)
+        self._num = Poly._of(*_times_conj(num, lead, omega_flag(d)), d)
+        self._den = Poly._of(*_times_conj(den, lead, omega_flag(d)), d)
         self._deg = max(self._num.degree, self._den.degree)
 
     @classmethod
@@ -523,20 +540,20 @@ class RationalMap:
         """
         if self._d != inner._d:
             raise FieldMismatchError("composition across different fields")
-        d = self._d
+        d, t = self._d, omega_flag(self._d)
         m = self._deg
         # common denominators of the inner and of the outer pair only
         # scale the composite, which _from_coprime normalizes away
-        p, q = _coords(inner._num, inner._den)
+        p, q = _coords(inner._num, inner._den)[0]
         outer = [
             (A + [0] * (m + 1 - len(A)), B + [0] * (m + 1 - len(B)))
-            for A, B in _coords(self._num, self._den)
+            for A, B in _coords(self._num, self._den)[0]
         ]
         pp = [([1], [0])]
         qq = [([1], [0])]
         for _ in range(m):
-            pp.append(_field_convolve(pp[-1], p, d))
-            qq.append(_field_convolve(qq[-1], q, d))
+            pp.append(_field_convolve(pp[-1], p, t))
+            qq.append(_field_convolve(qq[-1], q, t))
         size = m * inner._deg + 1
         num = ([0] * size, [0] * size)
         den = ([0] * size, [0] * size)
@@ -549,10 +566,11 @@ class RationalMap:
                 if not (ca or cb):
                     continue
                 if cross is None:
-                    cross = _field_convolve(pp[k], qq[m - k], d)
+                    cross = _field_convolve(pp[k], qq[m - k], t)
                 for j, (u, v) in enumerate(zip(*cross)):
-                    acc_a[j] += ca * u - d * cb * v
-                    acc_b[j] += ca * v + cb * u
+                    bv = cb * v
+                    acc_a[j] += ca * u - bv
+                    acc_b[j] += ca * v + cb * u + t * bv
         out = RationalMap._from_coprime(num, den, d)
         if out.degree != self._deg * inner._deg and self._deg and inner._deg:
             raise DomainError("degree collapsed under composition")
@@ -600,7 +618,7 @@ class RationalMap:
     def embed(self, d: int) -> "RationalMap":
         # a gcd over Q stays a gcd over any extension field
         return RationalMap._from_coprime(
-            *_coords(self._num.embed(d), self._den.embed(d)), d
+            *_coords(self._num.embed(d), self._den.embed(d))[0], d
         )
 
     def scalar_multiple(self, c) -> "RationalMap":
@@ -609,7 +627,7 @@ class RationalMap:
         if s.is_zero():
             raise DomainError("scaling a map by zero")
         return RationalMap._from_coprime(
-            *_coords(s * self._num, self._den), self._d
+            *_coords(s * self._num, self._den)[0], self._d
         )
 
     def __str__(self) -> str:
@@ -623,7 +641,7 @@ class RationalMap:
 
 
 def _trim(A: list, B: list) -> tuple:
-    """Drop trailing zero coefficients from an (A, B) coordinate vector."""
+    """Drop trailing zero coefficients from an (A, B) basis pair vector."""
     n = len(A)
     while n and not (A[n - 1] or B[n - 1]):
         n -= 1
@@ -654,11 +672,11 @@ def preimage_multiplicities(phi: RationalMap, target: ProjPoint) -> list:
         mults.append(m_inf)
     # g <- gcd(g, g') from g = h lowers every root's multiplicity by one,
     # so deg g_k = sum of max(e - k, 0) over the roots, e their multiplicity
-    g, degs = _coords(h)[0], []
+    g, degs, t = (h._u, h._v), [], omega_flag(phi.d)
     while len(g[0]) > 1:
         degs.append(len(g[0]) - 1)
         dg = tuple([k * c for k, c in enumerate(v)][1:] for v in g)
-        g = _gcd_coords(g, dg, phi.d)
+        g = _gcd_coords(g, dg, t)
     degs += [0, 0]
     for k in range(1, len(degs) - 1):
         mults.extend([k] * (degs[k - 1] - 2 * degs[k] + degs[k + 1]))
@@ -724,10 +742,7 @@ def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
             y[k] = pair_divexact((u, v), mat[k][k], t)
         sols.append(y)
     scale = sign * den**n
-    R = QuadFieldElement.from_basis_pair(
-        Fraction(det[0], scale), Fraction(det[1], scale), d
-    )
-    return R, den, sols
+    return _from_cleared(det[0], det[1], scale, d), den, sols
 
 
 def homogeneous_resultant(c0: Sequence, c1: Sequence, deg: int):

@@ -243,6 +243,15 @@ class TestGreen:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("point", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_point_is_one_error_line(self, point, capsys):
+        rc, out, err = run(
+            ["green", "--catalog", "pow_2", "--point", point], capsys
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestMeasure:
     def test_summary_fields(self, capsys):
@@ -252,6 +261,15 @@ class TestMeasure:
         assert payload["resolution"] == [48, 48]
         assert payload["max_cell"] > 0
         assert "written" not in payload
+
+    def test_grid_too_large_is_one_error_line(self, capsys):
+        # 10^16 cells: numpy refuses the allocation outright
+        rc, out, err = run(
+            ["measure", "--catalog", "pow_2", "--res", "100000000"], capsys
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_csv_requires_out(self, capsys):
         rc, _, err = run(

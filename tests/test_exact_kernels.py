@@ -1,17 +1,19 @@
 """Integer kernels of the exact core against slow Fraction oracles.
 
-integral_gcd, normalize_unit, divmod_integral, ProjPoint.reduced_pair,
-cleared_pairs and integral_model run on integral basis pairs; Poly
-multiplication, division, poly_gcd and preimage_multiplicities on integer
-coordinate vectors; compose, scalar_multiple and embed skip poly_gcd, and
-the resultant and the Bezout certificate share one fraction-free
-elimination.  The oracles below are the Fraction versions: Euclid through
-exact field division with nearest rounding (ties toward +infinity), a
-search of the unit group for the canonical associate, the schoolbook
-product of field elements, long division of polynomials over the field,
-its Euclidean remainder sequence, Yun's square-free split, the full gcd
-constructor RationalMap(num, den), and Gaussian elimination over the field
-for the Sylvester determinant and the cofactor systems.  The height
+The exact core runs on integral basis pairs: integral_gcd,
+normalize_unit, divmod_integral, ProjPoint.reduced_pair, cleared_pairs
+and integral_model, and every Poly operation, since a Poly stores int
+basis pair lists over one common denominator; compose, scalar_multiple
+and embed skip poly_gcd, and the resultant and the Bezout certificate
+share one fraction-free elimination.  The oracles below are the Fraction
+versions: Euclid through exact field division with nearest rounding (ties
+toward +infinity), a search of the unit group for the canonical
+associate, coefficient-wise sums, negation, derivative, monic scaling and
+embedding of field elements, the schoolbook product of field elements,
+long division of polynomials over the field, its Euclidean remainder
+sequence, Yun's square-free split, the full gcd constructor
+RationalMap(num, den), and Gaussian elimination over the field for the
+Sylvester determinant and the cofactor systems.  The height
 engine's archimedean Green sum runs on integer pairs shifted by powers of
 two; its oracle is the same sum in mpmath, one logarithm per step.
 """
@@ -25,7 +27,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p1dyn.errors import DomainError
+from p1dyn.errors import DomainError, FieldMismatchError
 from p1dyn.heights import _engine, canonical_height
 from p1dyn.lattes import (
     catalog,
@@ -49,6 +51,7 @@ from p1dyn.ratmaps import (
     cofactor_certificate,
     homogeneous_resultant,
     log_one_norm,
+    poly_from_strings,
     poly_gcd,
     preimage_multiplicities,
 )
@@ -138,6 +141,38 @@ def oracle_integral_model(phi: RationalMap) -> tuple:
         g = oracle_gcd(g, x)
     g = oracle_normalize(g)
     return [x / g for x in c0], [x / g for x in c1]
+
+
+def _trimmed(coeffs: list) -> tuple:
+    while coeffs and coeffs[-1].is_zero():
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+def oracle_poly_add(f: Poly, g: Poly, sign: int = 1) -> tuple:
+    """Coefficients of f + sign*g, one field element at a time."""
+    n = max(len(f.coeffs), len(g.coeffs))
+    return _trimmed([f.coeff(k) + sign * g.coeff(k) for k in range(n)])
+
+
+def oracle_poly_neg(f: Poly) -> tuple:
+    return _trimmed([-c for c in f.coeffs])
+
+
+def oracle_poly_derivative(f: Poly) -> tuple:
+    c = f.coeffs
+    return _trimmed([k * c[k] for k in range(1, len(c))])
+
+
+def oracle_poly_monic(f: Poly) -> tuple:
+    if f.is_zero():
+        return ()
+    inv = f.leading().inverse()
+    return _trimmed([inv * c for c in f.coeffs])
+
+
+def oracle_poly_embed(f: Poly, d: int) -> tuple:
+    return _trimmed([c.embed(d) for c in f.coeffs])
 
 
 def oracle_poly_divmod(f: Poly, g: Poly) -> tuple:
@@ -637,6 +672,116 @@ class TestPolyDivision:
             assert preimage_multiplicities(
                 phi, target
             ) == oracle_multiplicities(phi, target)
+
+
+# --------------------------------------------------------------------------
+# Poly sums, negation, derivative, monic, embedding; equality and hashing
+# --------------------------------------------------------------------------
+
+
+class TestPolyLinear:
+    @settings(max_examples=80, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_sum_and_difference_match_fraction_loop(self, d, data):
+        f = data.draw(polys_of(d))
+        g = data.draw(polys_of(d))
+        assert (f + g).coeffs == oracle_poly_add(f, g)
+        assert (f - g).coeffs == oracle_poly_add(f, g, -1)
+        assert (f - f).is_zero() and f + Poly([], d) == f
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_unary_maps_match_fraction_loop(self, d, data):
+        f = data.draw(polys_of(d))
+        assert (-f).coeffs == oracle_poly_neg(f)
+        assert f.derivative().coeffs == oracle_poly_derivative(f)
+        assert f.monic().coeffs == oracle_poly_monic(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 3]), data=st.data())
+    def test_embed_matches_fraction_loop(self, d, data):
+        f = data.draw(polys_of(0))
+        assert f.embed(d).coeffs == oracle_poly_embed(f, d)
+        assert f.embed(d).d == d and f.embed(0) == f
+        g = data.draw(polys_of(d))
+        assert g.embed(d) == g
+        with pytest.raises(FieldMismatchError):
+            g.embed(4 - d)
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_zero_and_constants(self, d):
+        zero, c = Poly([], d), Poly([QF(Fraction(-3, 4), 0, d)], d)
+        for f in (zero, c):
+            assert (-f).coeffs == oracle_poly_neg(f)
+            assert f.derivative() == zero
+            assert f.monic().coeffs == oracle_poly_monic(f)
+        assert c.monic() == Poly([1], d) and zero.monic() == zero
+        assert (c + c).coeffs == (QF(Fraction(-3, 2), 0, d),)
+        assert (c - c) == zero and zero.degree == -1 and c.degree == 0
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_equal_and_hash_across_constructions(self, d):
+        half = QF(Fraction(1, 2), Fraction(1, 2) if d else 0, d)
+        f = Poly([half, 0, QF(Fraction(-2, 3), 0, d), 5], d)
+        w = "+1/2*w" if d else ""
+        routes = [
+            Poly([half, 0, Fraction(-2, 3), 5, 0, 0], d),
+            poly_from_strings([f"1/2{w}", "0", "-2/3", "5"], d),
+            (f * Poly([3], d)) * Poly([Fraction(1, 3)], d),
+            (f + Poly([1, 2, 3, 4, 5], d)) - Poly([1, 2, 3, 4, 5], d),
+            -(-f),
+            divmod(f * Poly([-half, 1], d), Poly([-half, 1], d))[0],
+            Poly([half], d) + Poly([0, 0, Fraction(-2, 3), 5], d),
+            Poly(f.coeffs, d),
+        ]
+        if d:
+            routes.append(Poly([half], d) + Poly([0, 0, -2, 15], 0).embed(d)
+                          * Poly([Fraction(1, 3)], d))
+        for g in routes:
+            assert g == f and hash(g) == hash(f)
+            assert g.coeffs == f.coeffs
+        assert len(set(routes + [f])) == 1
+        assert {f: 1}[routes[2]] == 1
+        assert f != f + Poly([0, 0, 0, 0, 1], d)
+        # same stored ints over another field
+        other = 3 if d != 3 else 1
+        assert f != Poly([Fraction(1, 2), 0, Fraction(-2, 3), 5], other)
+
+
+def _guard_polys(d: int) -> list:
+    half = Fraction(1, 2)
+    c = QF(half, half if d else 0, d)
+    return [
+        Poly([c, 3, Fraction(-7, 5), 1], d),
+        Poly([-2, c, 9], d),
+        Poly([c], d),
+        Poly([], d),
+    ]
+
+
+class TestPolyBuildsNoFieldElements:
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_poly_by_poly_arithmetic(self, d, monkeypatch):
+        polys = _guard_polys(d)
+        built = []
+        init = QF.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QF, "__init__", counting_init)
+        out = []
+        for f in polys:
+            out += [f.monic(), f.derivative(), -f, f**3]
+            for g in polys:
+                out += [f + g, f - g, f * g]
+                if not g.is_zero():
+                    out += [*divmod(f, g), f // g]
+        assert built == [] and all(isinstance(p, Poly) for p in out)
+        # the counter is live: a coefficient read builds one
+        polys[0].leading()
+        assert len(built) == 1
 
 
 # --------------------------------------------------------------------------

@@ -73,6 +73,17 @@ class TestBasicArithmetic:
         assert gauss(1, 1) + 1 == gauss(2, 1)
         assert Fraction(1, 2) * gauss(2, 4) == gauss(1, 2)
 
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_hash_agrees_with_equal_rationals(self, d):
+        for r in (3, -7, 0, Fraction(1, 2), Fraction(-5, 3)):
+            x = QF(r, 0, d)
+            assert x == r and hash(x) == hash(r)
+            assert r in {x} and x in {r}
+        assert {QF(3, 0, d): "three"}[3] == "three"
+        if d:
+            assert hash(QF(3, 1, d)) == hash(QF(3, 1, d))
+            assert QF(3, 1, d) not in {QF(3, 0, d), 3}
+
     def test_embed(self):
         x = QF(Fraction(2, 3))
         assert x.embed(1) == QF(Fraction(2, 3), 0, 1)

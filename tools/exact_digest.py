@@ -1,0 +1,121 @@
+"""Print a JSON digest of the exact core's results, to compare two commits.
+
+    PYTHONPATH=src python3 tools/exact_digest.py > digest.json
+
+Run it in two checkouts and compare the files byte for byte (`cmp`).  The
+digest holds, with floats by `repr` so a one-ulp change shows:
+  - for every catalog map: canonical num/den, integral_model,
+    height_constants and derivative_map;
+  - compose and commutes_with on every same-field catalog pair with
+    degree product <= 81;
+  - periodic_points on the `exact` benchmark workload's cases below the
+    degree^n cap;
+  - value, error bound and iteration count of every canonical_height and
+    neron_tate of the `exact` workload's points for one seed.
+"""
+
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import p1dyn  # noqa: E402
+import wl_exact  # noqa: E402
+
+SEED = 3
+
+
+def _poly(p):
+    return [str(p.coeff(k)) for k in range(p.degree + 1)]
+
+
+def _map(phi):
+    return [_poly(phi.num), _poly(phi.den)]
+
+
+def _height(h):
+    return [repr(h.value), repr(h.error_bound), h.iterations_used]
+
+
+def _catalog(cat, names) -> dict:
+    out = {}
+    for name in names:
+        phi = cat(name)
+        consts = p1dyn.height_constants(phi)
+        out[name] = {
+            "map": _map(phi),
+            "integral_model": [[str(c) for c in cs]
+                               for cs in phi.integral_model()],
+            "height_constants": {k: repr(v) for k, v in consts.items()},
+            "derivative_map": _map(phi.derivative_map()),
+        }
+    return out
+
+
+def _pairs(cat, names) -> dict:
+    out = {}
+    for a in names:
+        for b in names:
+            fa, fb = cat(a), cat(b)
+            small = fa.degree * fb.degree <= wl_exact.MAX_PAIR_DEGREE
+            if fa.d == fb.d and small:
+                out[f"{a} o {b}"] = {"compose": _map(fa.compose(fb)),
+                                     "commutes": fa.commutes_with(fb)}
+    return out
+
+
+def _periodic(cat) -> dict:
+    out = {}
+    for name, periods in wl_exact.PERIODIC:
+        for n in periods:
+            label = f"periodic_points {name} n={n}"
+            if label in wl_exact.KNOWN_DEFECTS:
+                continue
+            pts = p1dyn.periodic_points(cat(name), n)
+            out[label] = [[repr(z), repr(m)] for z, m in pts]
+    return out
+
+
+def _heights(cat) -> list:
+    with tempfile.TemporaryDirectory() as work:
+        inp = wl_exact.prepare(p1dyn, SEED, work)
+    out = []
+    for name, label, tol, (xs, ys) in inp["heights"]:
+        phi, psi = cat(name), cat(inp["partner"][name])
+        P = p1dyn.ProjPoint(p1dyn.parse_element(xs, phi.d),
+                            p1dyn.parse_element(ys, phi.d), phi.d)
+        row = [name, label, tol, xs, ys]
+        for f, Q in ((phi, P), (phi, phi(P)), (psi, P)):
+            try:
+                row.append(_height(p1dyn.canonical_height(f, Q, tol)))
+            except p1dyn.IterationBudgetError as exc:
+                row.append(f"raised {exc}")
+        out.append(row)
+    curves = {"E1": p1dyn.curve_E1(), "E2": p1dyn.curve_E2()}
+    for curve_name, lam_map, xs in inp["nt"]:
+        curve = curves[curve_name]
+        x = p1dyn.parse_element(xs, curve.d)
+        X = cat(lam_map)(p1dyn.ProjPoint.affine(x))
+        out.append([curve_name, lam_map, xs,
+                    _height(p1dyn.neron_tate(curve, x)),
+                    _height(p1dyn.neron_tate(curve, X))])
+    return out
+
+
+def main() -> None:
+    cat, names = p1dyn.catalog, p1dyn.catalog_names()
+    digest = {
+        "catalog": _catalog(cat, names),
+        "pairs": _pairs(cat, names),
+        "periodic": _periodic(cat),
+        "heights": _heights(cat),
+    }
+    json.dump(digest, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()
