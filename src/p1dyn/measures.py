@@ -116,14 +116,39 @@ class Lift:
         return Lift(list(self.f0 * c), list(self.f1 * c), self.degree)
 
     def eval(self, w0, w1):
-        """Evaluate both forms; accepts scalars or numpy arrays."""
+        """Evaluate both forms; accepts scalars or numpy arrays.
+
+        Horner in w0, carrying the powers of w1.  On arrays the two
+        accumulators, the power and one scratch array are allocated once
+        and reused.  Scalars keep numpy's scalar arithmetic, whose complex
+        product rounds differently from the array loop's (which can fuse
+        a multiply-add).
+        """
+        if np.ndim(w0) == 0:
+            w0, w1 = np.complex128(w0), np.complex128(w1)
+            acc0 = self.f0[-1] * np.ones_like(w0)
+            acc1 = self.f1[-1] * np.ones_like(w0)
+            p1 = w1
+            for k in range(self.degree - 1, -1, -1):
+                acc0 = acc0 * w0 + self.f0[k] * p1
+                acc1 = acc1 * w0 + self.f1[k] * p1
+                p1 = p1 * w1
+            return acc0, acc1
+        # no complex product is written over one of its factors: on a
+        # one-element array numpy then takes a loop that rounds like the
+        # scalar arithmetic above, not like the array loop
         acc0 = self.f0[-1] * np.ones_like(w0)
         acc1 = self.f1[-1] * np.ones_like(w0)
-        p1 = w1
+        p1 = np.array(w1, dtype=complex)
+        tmp = np.empty_like(acc0)
         for k in range(self.degree - 1, -1, -1):
-            acc0 = acc0 * w0 + self.f0[k] * p1
-            acc1 = acc1 * w0 + self.f1[k] * p1
-            p1 = p1 * w1
+            for acc, f in ((acc0, self.f0), (acc1, self.f1)):
+                np.multiply(acc, w0, out=tmp)
+                np.multiply(f[k], p1, out=acc)
+                acc += tmp
+            if k:
+                np.multiply(p1, w1, out=tmp)
+                p1, tmp = tmp, p1
         return acc0, acc1
 
 
@@ -185,23 +210,37 @@ class DensityGrid:
         )
 
 
-def _green_core(lift: Lift, w0, w1, n: int, metric0: str):
+# cells of the flattened grid that green_field iterates at a time, so
+# every temporary of a step stays in cache
+_GREEN_BLOCK = 8192
+
+
+def _green_core(lift: Lift, w0, w1, n: int, metric0: str, out=None):
+    """n-th Green value of each pair (w0, w1), both consumed.
+
+    On arrays (one block of a grid) w0, w1 and the values, kept in out,
+    are updated in place; numpy scalars, from a 0-d point, keep their
+    scalar arithmetic.  The loop stops once scale underflows to 0.0:
+    every later step would add log(m) * 0.0 and leave g as it is.
+    """
     if metric0 not in ("sup", "fs"):
         raise DomainError("metric0 must be 'sup' or 'fs'")
     m = np.maximum(np.abs(w0), np.abs(w1))
-    g = np.log(m)
-    w0 = w0 / m
-    w1 = w1 / m
+    g = np.log(m, out=out)
+    w0 /= m
+    w1 /= m
     scale = 1.0
     for _ in range(n):
+        scale /= lift.degree
+        if scale == 0.0:
+            break
         w0, w1 = lift.eval(w0, w1)
         m = np.maximum(np.abs(w0), np.abs(w1))
-        scale /= lift.degree
-        g = g + np.log(m) * scale
-        w0 = w0 / m
-        w1 = w1 / m
+        g += np.log(m) * scale
+        w0 /= m
+        w1 /= m
     if metric0 == "fs":
-        g = g + 0.5 * scale * np.log(np.abs(w0) ** 2 + np.abs(w1) ** 2)
+        g += 0.5 * scale * np.log(np.abs(w0) ** 2 + np.abs(w1) ** 2)
     return g
 
 
@@ -212,6 +251,8 @@ def green(lift, z, n: int, metric0: str = "sup") -> float:
     within C/(deg^n (deg-1)) of the limit.  metric0 picks the norm read
     off at the last step: plain sup or the rotation-invariant quadratic
     mean; the choice moves the value by at most (log 2)/(2 deg^n).
+    Counts past about 1075/log2(deg) cost no more: deg^-n has underflowed
+    and the value no longer changes.
     """
     if n < 1:
         raise DomainError("need at least one iteration")
@@ -219,8 +260,8 @@ def green(lift, z, n: int, metric0: str = "sup") -> float:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("point must be finite")
     lift = _as_lift(lift)
-    val = _green_core(lift, np.asarray(z), np.asarray(1.0 + 0j), n, metric0)
-    return float(val)
+    return float(_green_core(
+        lift, np.asarray(z), np.asarray(1.0 + 0j), n, metric0))
 
 
 def green_field(
@@ -233,10 +274,14 @@ def green_field(
     window = _check_window(window)
     nx, ny = _resolution_pair(resolution)
     centers, _, _ = _grid_centers(window, nx, ny)
-    vals = _green_core(
-        lift, centers, np.ones_like(centers), n, metric0
-    )
-    return GreenField(window, (nx, ny), np.asarray(vals, dtype=float), n)
+    flat = centers.ravel()
+    vals = np.empty((ny, nx))
+    out = vals.ravel()
+    for lo in range(0, flat.size, _GREEN_BLOCK):
+        hi = min(lo + _GREEN_BLOCK, flat.size)
+        _green_core(lift, flat[lo:hi].copy(), np.ones(hi - lo, complex),
+                    n, metric0, out[lo:hi])
+    return GreenField(window, (nx, ny), vals, n)
 
 
 def measure_from_green(field: GreenField) -> DensityGrid:
@@ -251,6 +296,9 @@ def measure_from_green(field: GreenField) -> DensityGrid:
     a, b, c, d = field.window
     dx = (b - a) / nx
     dy = (d - c) / ny
+    if not all(0.0 < h * h < math.inf for h in (dx, dy)):
+        raise DomainError("window cells are too small or too large for "
+                          "the Laplacian in double precision")
     g = field.values
     lap = np.zeros_like(g)
     lap[1:-1, 1:-1] = (
@@ -267,10 +315,13 @@ def measure_from_green(field: GreenField) -> DensityGrid:
 # ---------------------------------------------------------------- roots
 
 def _poly_val(C, z):
-    # C: (N, w) constant-first rows; z: (N, m); Horner down the columns
+    # C: (N, w) constant-first rows; z: (N, m); Horner down the columns,
+    # no product written over a factor (see Lift.eval)
     acc = np.broadcast_to(C[:, -1][:, None], z.shape).copy()
+    tmp = np.empty_like(acc)
     for k in range(C.shape[1] - 2, -1, -1):
-        acc = acc * z + C[:, k][:, None]
+        np.multiply(acc, z, out=tmp)
+        np.add(tmp, C[:, k][:, None], out=acc)
     return acc
 
 
@@ -280,7 +331,10 @@ def _aberth_batch(C, rng, tol, max_iter):
     C is (N, deg+1), constant term first, leading column nonzero.
     Returns (roots (N, deg), converged (N,), residuals (N, deg)).
     The convergence test is scale-free: |p(z)| against the coefficient
-    one-norm times max(1, |z|)^deg.
+    one-norm times max(1, |z|)^deg.  A row that passes it is never
+    updated again, so the sweeps work on compacted arrays of the rows
+    still active; a finished row's roots and residuals are written back
+    in the sweep it finishes.
     """
     C = np.asarray(C, dtype=complex)
     N, w = C.shape
@@ -301,30 +355,39 @@ def _aberth_batch(C, rng, tol, max_iter):
     z = radius[:, None] * np.exp(1j * (angles[None, :] + tilt[:, None]))
 
     scale = np.sum(np.abs(monic), axis=1)[:, None]
-    active = np.ones(N, dtype=bool)
-    for _ in range(max_iter):
+    roots = np.empty_like(z)
+    resid = np.empty(z.shape)
+    converged = np.zeros(N, dtype=bool)
+    rows = np.arange(N)
+    idx = np.arange(deg)
+    for sweep in range(max_iter + 1):
         val = _poly_val(monic, z)
+        res = np.abs(val)
         bound = tol * scale * np.maximum(1.0, np.abs(z)) ** deg
-        row_done = np.all(np.abs(val) <= bound, axis=1)
-        active = ~row_done
-        if not np.any(active):
-            break
-        vald = _poly_val(dC[active], z[active])
-        vald = np.where(vald == 0, 1e-300, vald)
-        newton = val[active] / vald
-        diff = z[active, :, None] - z[active, None, :]
-        idx = np.arange(deg)
+        done = np.all(res <= bound, axis=1)
+        last = sweep == max_iter or np.all(done)
+        if last or np.any(done):
+            out = done | last
+            roots[rows[out]] = z[out]
+            resid[rows[out]] = res[out]
+            converged[rows[out]] = done[out]
+            if last:
+                break
+            keep = ~done
+            rows, z, val = rows[keep], z[keep], val[keep]
+            monic, dC, scale = monic[keep], dC[keep], scale[keep]
+        vald = _poly_val(dC, z)
+        vald[vald == 0] = 1e-300
+        newton = val / vald
+        diff = z[:, :, None] - z[:, None, :]
         diff[:, idx, idx] = 1.0
-        diff = np.where(diff == 0, 1e-300, diff)
-        s = np.sum(1.0 / diff, axis=2) - 1.0 / diff[:, idx, idx]
+        diff[diff == 0] = 1e-300
+        np.divide(1.0, diff, out=diff)
+        s = np.sum(diff, axis=2) - diff[:, idx, idx]
         denom = 1.0 - newton * s
-        denom = np.where(np.abs(denom) < 1e-30, 1e-30, denom)
-        zn = z[active] - newton / denom
-        z[active] = zn
-    val = _poly_val(monic, z)
-    bound = tol * scale * np.maximum(1.0, np.abs(z)) ** deg
-    converged = np.all(np.abs(val) <= bound, axis=1)
-    return z, converged, np.abs(val)
+        denom[np.abs(denom) < 1e-30] = 1e-30
+        z = z - newton / denom
+    return roots, converged, resid
 
 
 # poly_roots: residual target and sweep cap
@@ -802,10 +865,12 @@ def write_ppm(path, image, metadata=None) -> None:
 
 def write_csv(grid: DensityGrid, path, sidecar: bool = True) -> None:
     """Row-major CSV of cell masses plus a JSON metadata sidecar."""
+    # one format string per row: a whole-grid tolist() would hold every
+    # cell as a Python float at once
+    line = ",".join(["%.12e"] * grid.mass.shape[1]) + "\n"
     with open(path, "w") as f:
         for row in grid.mass:
-            f.write(",".join(format(v, ".12e") for v in row))
-            f.write("\n")
+            f.write(line % tuple(row.tolist()))
     if sidecar:
         meta = {
             "schema": 1,

@@ -19,6 +19,7 @@ from .quadfield import (
     _from_cleared,
     cleared_pairs,
     omega_flag,
+    pair_conj,
     pair_divexact,
     pair_gcd,
     pair_mul,
@@ -723,11 +724,17 @@ def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
             mat[k], mat[piv] = mat[piv], mat[k]
             sign = -sign
         top = mat[k]
+        # every division of this step is by det: pair_divexact inlined,
+        # with the conjugate and norm of det taken once
+        det_conj, det_norm = pair_conj(det, t), pair_norm(det, t)
         for row in mat[k + 1:]:
             for c in range(k + 1, n + 2):
                 u, v = pair_mul(row[c], top[k], t)
                 x, y = pair_mul(row[k], top[c], t)
-                row[c] = pair_divexact((u - x, v - y), det, t)
+                u, v = pair_mul((u - x, v - y), det_conj, t)
+                if u % det_norm or v % det_norm:
+                    raise DomainError("basis pair division is not exact")
+                row[c] = (u // det_norm, v // det_norm)
         det = top[k]
     # row k now reads mat[k][k] y_k + sum_(c > k) mat[k][c] y_c = det * b_k
     # for y = det * M^-1 e, an integral vector

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -252,8 +253,39 @@ class TestGreen:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_huge_iteration_count_returns_fast(self):
+        # the loop stops once 2^-n underflows, so 10^8 iterations cost
+        # what about 1075 do
+        src = str(Path(p1dyn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        args = ["green", "--catalog", "pow_2", "--point", "0.3,0.1"]
+        runs = []
+        for iters in ("100000000", "1100"):
+            t0 = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "p1dyn.cli", *args, "--iters", iters],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            runs.append((time.perf_counter() - t0, proc))
+        (elapsed, big), (_, small) = runs
+        assert big.returncode == 0, big.stderr
+        assert elapsed < 5.0
+        value = json.loads(big.stdout)["results"][0]["value"]
+        assert value == json.loads(small.stdout)["results"][0]["value"]
+
 
 class TestMeasure:
+    def test_subnormal_window_is_one_error_line(self, capsys):
+        # cells 2.5e-322 wide square to 0.0 in double precision
+        rc, out, err = run(
+            ["measure", "--catalog", "pow_2", "--res", "40",
+             "--window", "0,1e-320,0,1e-320"],
+            capsys,
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_summary_fields(self, capsys):
         payload = run_json(
             ["measure", "--catalog", "pow_2", "--res", "48"], capsys

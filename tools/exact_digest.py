@@ -11,13 +11,21 @@ digest holds, with floats by `repr` so a one-ulp change shows:
   - periodic_points on the `exact` benchmark workload's cases below the
     degree^n cap;
   - value, error bound and iteration count of every canonical_height and
-    neron_tate of the `exact` workload's points for one seed.
+    neron_tate of the `exact` workload's points for one seed;
+  - under "analytic", the double-precision kernels: sha256 of the
+    green_field values of every catalog map (both metrics, a grid of three
+    blocks), repr of scalar green values (one past the underflow of 2^-n),
+    sha256 of the depth-6 preimage_sample points, repr of poly_roots on
+    fixed polynomials, and sha256 of write_csv's bytes.
 """
 
+import hashlib
 import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -105,6 +113,52 @@ def _heights(cat) -> list:
     return out
 
 
+GREEN_WINDOW = (-1.9, 2.1, -1.7, 1.8)
+GREEN_POINTS = (0.3 + 0.1j, 2.5 - 0.5j, -0.7 + 1.2j, 0j)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _analytic(cat, names) -> dict:
+    m = p1dyn.measures
+    fields, greens, trees = {}, {}, {}
+    for name in names:
+        lift = m.Lift.from_map(cat(name))
+        for metric in ("sup", "fs"):
+            f = m.green_field(lift, GREEN_WINDOW, (130, 127), 24, metric)
+            fields[f"{name} {metric}"] = _sha(f.values.tobytes())
+            greens[f"{name} {metric}"] = [
+                repr(m.green(lift, z, 24, metric)) for z in GREEN_POINTS
+            ]
+        try:
+            s = m.preimage_sample(cat(name), 0.3 + 0.2j, 6, seed=SEED)
+            trees[name] = [_sha(s.points.tobytes()), s.n_infinite]
+        except (p1dyn.DomainError, p1dyn.ConvergenceError) as exc:
+            trees[name] = f"raised {type(exc).__name__}: {exc}"
+    greens["pow_2 n=1100"] = [
+        repr(m.green(cat("pow_2"), 1.7 - 0.2j, 1100, metric))
+        for metric in ("sup", "fs")
+    ]
+    rng = np.random.default_rng(SEED)
+    polys = [[complex(curve.G.coeff(k)) for k in range(curve.G.degree + 1)]
+             for curve in (p1dyn.curve_E1(), p1dyn.curve_E2())]
+    for deg in (2, 3, 5, 8, 13, 21):
+        polys.append(list(rng.normal(size=deg + 1)
+                          + 1j * rng.normal(size=deg + 1)))
+    roots = [[repr(r) for r in m.poly_roots(c)] for c in polys]
+    grid = m.measure_from_green(m.green_field(
+        cat("phi_2@E1"), GREEN_WINDOW, (130, 127), 24))
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "grid.csv")
+        m.write_csv(grid, path)
+        with open(path, "rb") as f:
+            csv = _sha(f.read())
+    return {"green_field": fields, "green": greens, "preimage": trees,
+            "poly_roots": roots, "csv": csv}
+
+
 def main() -> None:
     cat, names = p1dyn.catalog, p1dyn.catalog_names()
     digest = {
@@ -112,6 +166,7 @@ def main() -> None:
         "pairs": _pairs(cat, names),
         "periodic": _periodic(cat),
         "heights": _heights(cat),
+        "analytic": _analytic(cat, names),
     }
     json.dump(digest, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
