@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 
 from .errors import DomainError, IterationBudgetError
 from .lattes import EllipticCurveCM, lattes_double
@@ -35,12 +34,13 @@ from .quadfield import (
     omega_flag,
     pair_divexact,
     pair_gcd,
-    pair_mul,
     pair_norm,
 )
 from .ratmaps import (
+    Poly,
     ProjPoint,
     RationalMap,
+    _eval_form,
     cofactor_certificate,
     log_one_norm,
 )
@@ -60,9 +60,6 @@ def _log_int(n: int) -> float:
         return math.log(n)
     k = n.bit_length() - 60
     return math.log(n >> k) + k * _LN2
-
-def _log_fraction(fr: Fraction) -> float:
-    return _log_int(fr.numerator) - _log_int(fr.denominator)
 
 
 def _trial_factor(n: int) -> tuple:
@@ -107,8 +104,7 @@ def naive_height(P: ProjPoint) -> HeightValue:
     contributes.
     """
     a, b = P.reduced_pair()
-    nmax = max(a.norm(), b.norm())
-    return HeightValue(0.5 * _log_fraction(nmax), 0, 0.0)
+    return HeightValue(0.5 * _log_int(int(max(a.norm(), b.norm()))), 0, 0.0)
 
 
 def naive_height_by_places(P: ProjPoint) -> HeightValue:
@@ -137,20 +133,6 @@ def naive_height_by_places(P: ProjPoint) -> HeightValue:
     return HeightValue(max(total, 0.0), 0, 0.0)
 
 
-def _eval_form(coeffs, x0, x1, t, mod=0):
-    """sum_k c_k x0^k x1^(deg-k) on basis pairs, reduced mod `mod` if set."""
-    acc = coeffs[-1]
-    p1 = x1
-    for c in reversed(coeffs[:-1]):
-        s, u = pair_mul(acc, x0, t), pair_mul(c, p1, t)
-        acc = (s[0] + u[0], s[1] + u[1])
-        p1 = pair_mul(p1, x1, t)
-        if mod:
-            acc = (acc[0] % mod, acc[1] % mod)
-            p1 = (p1[0] % mod, p1[1] % mod)
-    return acc
-
-
 class _HeightEngine:
     """Per-map state for canonical height evaluation."""
 
@@ -164,13 +146,12 @@ class _HeightEngine:
         self.c0 = c0
         self.c1 = c1
         R, log_s_cof = cofactor_certificate(c0, c1, self.alpha)
-        n_R = R.norm()
-        if n_R.denominator != 1:
+        if not R.is_integral():
             raise DomainError("integral model produced a non-integral resultant")
-        self.n_R = int(n_R)
+        self.n_R = int(R.norm())
         # the least positive integer in the ideal (R)
         self.m_R = self.n_R // math.gcd(*R.basis_pair())
-        self.log_nR = _log_fraction(n_R)
+        self.log_nR = _log_int(self.n_R)
         log_s_up = max(
             log_one_norm([int(c.norm()) for c in cs]) for cs in (c0, c1)
         )
@@ -330,7 +311,7 @@ def canonical_height(
     target_error unless the iteration caps are hit, which raises with
     the partial value attached.
     """
-    if target_error <= 0:
+    if not target_error > 0:
         raise DomainError("target_error must be positive")
     return _engine(phi).height(_coerce_point(phi, P), target_error)
 
@@ -363,8 +344,6 @@ def tate_limit_raw(phi: RationalMap, P: ProjPoint, steps: int) -> list:
         raise DomainError("needs degree >= 2")
     P = _coerce_point(phi, P)
     eng = _engine(phi)
-    from .ratmaps import Poly
-
     f0 = Poly(eng.c0, phi.d)
     f1 = Poly(eng.c1, phi.d)
     x0, x1 = P.reduced_pair()
@@ -376,8 +355,7 @@ def tate_limit_raw(phi: RationalMap, P: ProjPoint, steps: int) -> list:
         g = integral_gcd(y0, y1)
         x0, x1 = y0 / g, y1 / g
         weight /= eng.alpha
-        nmax = max(x0.norm(), x1.norm())
-        out.append(0.5 * _log_fraction(nmax) * weight)
+        out.append(0.5 * _log_int(int(max(x0.norm(), x1.norm()))) * weight)
     return out
 
 

@@ -225,6 +225,9 @@ def _green_core(lift: Lift, w0, w1, n: int, metric0: str, out=None):
     """
     if metric0 not in ("sup", "fs"):
         raise DomainError("metric0 must be 'sup' or 'fs'")
+    if lift.degree < 2:
+        # 1/deg^n never shrinks: the sum grows without limit
+        raise DomainError("Green functions need a map of degree at least 2")
     m = np.maximum(np.abs(w0), np.abs(w1))
     g = np.log(m, out=out)
     w0 /= m

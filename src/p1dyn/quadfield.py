@@ -1,10 +1,12 @@
 """Exact arithmetic in Q and in the imaginary quadratic fields Q(sqrt(-d)).
 
-An element is a + b*sqrt(-d) with exact rational a, b and a field tag
-d in {0, 1, 3}.  The tag d = 0 marks plain rationals (b must vanish).
-All three rings of integers (Z, Z[i], Z[(1+sqrt(-3))/2]) are
-norm-Euclidean, so gcds are computed by repeated division with
-remainder and then pinned to a canonical associate.
+An element a + b*sqrt(-d) of the field tagged d in {0, 1, 3} (d = 0:
+the rationals) is held as (u + v*w)/den, ints u, v on the integral basis
+(1, w) of basis_pair over the least positive den, as a Poly coefficient
+is, and its ring operations are the basis pair kernels below.  All three
+rings of integers (Z, Z[i], Z[(1+sqrt(-3))/2]) are norm-Euclidean, so
+gcds are computed by repeated division with remainder and then pinned to
+a canonical associate.
 
 The string grammar used by the CLI and the map files is handled here:
 rationals are written `p/q`, a generic element `a+b*w` where `w` stands
@@ -20,11 +22,9 @@ from .errors import DomainError, FieldMismatchError, MapSpecError
 SUPPORTED_D = (0, 1, 3)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value):
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -33,26 +33,43 @@ def _as_fraction(value) -> Fraction:
 class QuadFieldElement:
     """Exact element a + b*sqrt(-d) of Q (d=0), Q(i) (d=1) or Q(sqrt(-3)) (d=3)."""
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_u", "_v", "_den", "_d")
 
     def __init__(self, a, b=0, d=0):
         if d not in SUPPORTED_D:
             raise DomainError(f"unsupported field tag d={d}; supported: {SUPPORTED_D}")
-        a = _as_fraction(a)
-        b = _as_fraction(b)
+        a = _as_rational(a)
+        b = _as_rational(b)
         if d == 0 and b != 0:
             raise DomainError("rational field (d=0) cannot hold a sqrt part")
-        self._a = a
-        self._b = b
-        self._d = d
+        if d == 3:
+            # sqrt(-3) = 2*omega - 1
+            a, b = a - b, 2 * b
+        # reduced a and b make den the least denominator
+        den = math.lcm(a.denominator, b.denominator)
+        self._u = a.numerator * (den // a.denominator)
+        self._v = b.numerator * (den // b.denominator)
+        self._den, self._d = den, d
+
+    @classmethod
+    def _of(cls, u: int, v: int, den: int, d: int) -> "QuadFieldElement":
+        """The element (u + v*w)/den for ints u, v and any den != 0."""
+        g = math.gcd(u, v, den)
+        if den < 0:
+            g = -g
+        out = object.__new__(cls)
+        out._u, out._v, out._den, out._d = u // g, v // g, den // g, d
+        return out
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        if self._d == 3:
+            return Fraction(2 * self._u + self._v, 2 * self._den)
+        return Fraction(self._u, self._den)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._v, 2 * self._den if self._d == 3 else self._den)
 
     @property
     def d(self) -> int:
@@ -77,7 +94,8 @@ class QuadFieldElement:
         if d == self._d:
             return self
         if self._d == 0:
-            return QuadFieldElement(self._a, 0, d)
+            # a rational's basis pair (u, 0) is the same in every ring
+            return QuadFieldElement._of(self._u, 0, self._den, d)
         raise FieldMismatchError(
             f"cannot embed an element of d={self._d} into d={d}"
         )
@@ -92,7 +110,9 @@ class QuadFieldElement:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadFieldElement(other, 0, self._d)
+            return QuadFieldElement._of(
+                other.numerator, 0, other.denominator, self._d
+            )
         return None
 
     # -- ring operations ------------------------------------------------------
@@ -101,18 +121,21 @@ class QuadFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadFieldElement(self._a + o._a, self._b + o._b, self._d)
+        s, r = self._den, o._den
+        return QuadFieldElement._of(
+            self._u * r + o._u * s, self._v * r + o._v * s, s * r, self._d
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadFieldElement(-self._a, -self._b, self._d)
+        return QuadFieldElement._of(-self._u, -self._v, self._den, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadFieldElement(self._a - o._a, self._b - o._b, self._d)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -124,18 +147,19 @@ class QuadFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
-        return QuadFieldElement(
-            a1 * a2 - self._d * b1 * b2, a1 * b2 + b1 * a2, self._d
-        )
+        u, v = pair_mul((self._u, self._v), (o._u, o._v), omega_flag(self._d))
+        return QuadFieldElement._of(u, v, self._den * o._den, self._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadFieldElement":
-        n = self.norm()
-        if n == 0:
+        if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return QuadFieldElement(self._a / n, -self._b / n, self._d)
+        x, t = (self._u, self._v), omega_flag(self._d)
+        u, v = pair_conj(x, t)
+        return QuadFieldElement._of(
+            u * self._den, v * self._den, pair_norm(x, t), self._d
+        )
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -154,27 +178,21 @@ class QuadFieldElement:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadFieldElement.one(self._d)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, QuadFieldElement.one(self._d))
 
     # -- field-specific structure ----------------------------------------------
 
     def conj(self) -> "QuadFieldElement":
-        return QuadFieldElement(self._a, -self._b, self._d)
+        u, v = pair_conj((self._u, self._v), omega_flag(self._d))
+        return QuadFieldElement._of(u, v, self._den, self._d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 + d*b^2 (the square of the complex modulus)."""
-        return self._a * self._a + self._d * self._b * self._b
+        n = pair_norm((self._u, self._v), omega_flag(self._d))
+        return Fraction(n, self._den * self._den)
 
     def is_zero(self) -> bool:
-        return self._a == 0 and self._b == 0
+        return not (self._u or self._v)
 
     def is_integral(self) -> bool:
         """Membership in the ring of integers of the tagged field.
@@ -182,7 +200,7 @@ class QuadFieldElement:
         d=0: Z.  d=1: Z[i].  d=3: Z[(1+sqrt(-3))/2], i.e. half-integer
         coordinates with matching parity are allowed.
         """
-        return cleared_pairs([self])[1] == 1
+        return self._den == 1
 
     def basis_pair(self):
         """Coordinates in the integral basis: (1, i) for d=1, (1, omega) for d=3.
@@ -191,21 +209,18 @@ class QuadFieldElement:
         Integral elements give plain ints, everything else Fractions, so
         callers can clear denominators coordinate-wise.
         """
-        if self._d == 3:
-            u = self._a - self._b
-            v = 2 * self._b
-        else:
-            u, v = self._a, self._b
-        if u.denominator == 1 and v.denominator == 1:
-            return int(u), int(v)
-        return u, v
+        if self._den == 1:
+            return self._u, self._v
+        return Fraction(self._u, self._den), Fraction(self._v, self._den)
 
     @classmethod
     def from_basis_pair(cls, u: int, v: int, d: int) -> "QuadFieldElement":
-        return _from_cleared(u, v, 1, d)
+        if d not in SUPPORTED_D or (d == 0 and v):
+            raise DomainError(f"({u}, {v}) is no basis pair of d={d}")
+        return cls._of(u, v, 1, d)
 
     def __complex__(self) -> complex:
-        return complex(float(self._a), float(self._b) * math.sqrt(self._d))
+        return complex(float(self.a), float(self.b) * math.sqrt(self._d))
 
     # -- comparison / hashing ----------------------------------------------------
 
@@ -216,11 +231,13 @@ class QuadFieldElement:
             return False
         if o is None:
             return NotImplemented
-        return self._a == o._a and self._b == o._b
+        return (self._u, self._v, self._den) == (o._u, o._v, o._den)
 
     def __hash__(self):
-        # a rational's hash when b = 0, since the element equals it then
-        return hash(self._a if self._b == 0 else (self._a, self._b, self._d))
+        # a rational's hash when v = 0, since the element equals it then
+        if self._v:
+            return hash((self._u, self._v, self._den, self._d))
+        return hash(self._u if self._den == 1 else Fraction(self._u, self._den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -231,20 +248,29 @@ class QuadFieldElement:
         return format_element(self)
 
     def __repr__(self):
-        return f"QuadFieldElement({self._a!r}, {self._b!r}, d={self._d})"
+        return f"QuadFieldElement({self.a!r}, {self.b!r}, d={self._d})"
 
 
 # ---------------------------------------------------------------------------
 # Ring-of-integers machinery on integral basis pairs: rounding, Euclidean
 # division, gcd.
 #
-# An algebraic integer is the int pair (u, v) meaning u + v*w, with w = i
-# for d=1 and w = omega = (1 + sqrt(-3))/2 for d=3 (see basis_pair); for
-# d=0 the second coordinate is 0.  With t = 1 for d=3 and t = 0 otherwise,
-# w^2 = t*w - 1, conj(w) = t - w and N(u + v*w) = u^2 + t*u*v + v^2, so
-# one set of formulas serves all three rings.  Multiplying by w (the unit
-# i or omega) maps (u, v) to (-v, u + t*v).
+# An algebraic integer is the int pair (u, v) meaning u + v*w, w as in
+# basis_pair.  With t = 1 for d=3 and t = 0 otherwise, w^2 = t*w - 1,
+# conj(w) = t - w and N(u + v*w) = u^2 + t*u*v + v^2, so one set of
+# formulas serves all three rings.  Multiplying by w (the unit i or
+# omega) maps (u, v) to (-v, u + t*v).
 # ---------------------------------------------------------------------------
+
+
+def _power(base, e: int, one):
+    """base**e for an int e >= 0 by repeated squaring, from `one`."""
+    while e:
+        if e & 1:
+            one = one * base
+        base = base * base
+        e >>= 1
+    return one
 
 
 def omega_flag(d: int) -> int:
@@ -343,9 +369,8 @@ def round_to_integers(x: QuadFieldElement) -> QuadFieldElement:
     is what makes Euclidean division (pair_divmod) terminate: d=0 gives
     error <= 1/4, d=1 gives <= 1/2, d=3 (hexagonal lattice) gives <= 3/4.
     """
-    ((u, v),), den = cleared_pairs([x])
     return QuadFieldElement.from_basis_pair(
-        _round_ratio(u, den), _round_ratio(v, den), x.d
+        _round_ratio(x._u, x._den), _round_ratio(x._v, x._den), x.d
     )
 
 
@@ -375,8 +400,8 @@ def normalize_unit(x: QuadFieldElement) -> QuadFieldElement:
     Exactly one unit multiple of a nonzero x has complex argument in
     [0, pi/2) for d=1, in [0, pi/3) for d=3, or is positive for d=0.
     """
-    u, v = pair_normalize(x.basis_pair(), omega_flag(x.d))
-    return QuadFieldElement.from_basis_pair(u, v, x.d)
+    u, v = pair_normalize((x._u, x._v), omega_flag(x.d))
+    return QuadFieldElement._of(u, v, x._den, x.d)
 
 
 def integral_gcd(x: QuadFieldElement, y: QuadFieldElement) -> QuadFieldElement:
@@ -438,19 +463,9 @@ def sqrt_in_field(x: QuadFieldElement):
 def cleared_pairs(elements) -> tuple:
     """(pairs, den): pairs[k] is the integral basis pair of den*elements[k],
     for the least positive integer den that makes all of them integral."""
-    coords = [x.basis_pair() for x in elements]
-    den = math.lcm(*(c.denominator for p in coords for c in p))
-    return [tuple(c.numerator * (den // c.denominator) for c in p)
-            for p in coords], den
-
-
-def _from_cleared(u: int, v: int, den: int, d: int) -> QuadFieldElement:
-    """The element (u + v*w)/den, w as in basis_pair; undoes cleared_pairs."""
-    if d == 3:
-        return QuadFieldElement(
-            Fraction(2 * u + v, 2 * den), Fraction(v, 2 * den), 3
-        )
-    return QuadFieldElement(Fraction(u, den), Fraction(v, den), d)
+    den = math.lcm(*(x._den for x in elements))
+    return [(x._u * (den // x._den), x._v * (den // x._den))
+            for x in elements], den
 
 
 # ---------------------------------------------------------------------------

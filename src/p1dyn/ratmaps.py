@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, FieldMismatchError
 from .quadfield import (
     QuadFieldElement,
-    _from_cleared,
+    _power,
     cleared_pairs,
     omega_flag,
     pair_conj,
@@ -93,7 +93,9 @@ class Poly:
 
     def coeff(self, k: int) -> QuadFieldElement:
         if 0 <= k < len(self._u):
-            return _from_cleared(self._u[k], self._v[k], self._den, self._d)
+            return QuadFieldElement._of(
+                self._u[k], self._v[k], self._den, self._d
+            )
         return QuadFieldElement.zero(self._d)
 
     def leading(self) -> QuadFieldElement:
@@ -147,14 +149,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise DomainError("negative polynomial power")
-        out = Poly._of([1], [0], 1, self._d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Poly._of([1], [0], 1, self._d))
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
@@ -185,10 +180,7 @@ class Poly:
     def __call__(self, z):
         """Horner evaluation; accepts field elements or complex."""
         if isinstance(z, QuadFieldElement):
-            acc = QuadFieldElement.zero(self._d)
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
-            return acc
+            return self.eval_pair(z, 1, max(self.degree, 0))
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + complex(c)
@@ -201,12 +193,11 @@ class Poly:
         """
         if self.degree > deg:
             raise DomainError("declared degree below actual degree")
-        acc = self.coeff(deg)
-        p1 = x1
-        for k in range(deg - 1, -1, -1):
-            acc = acc * x0 + self.coeff(k) * p1
-            p1 = p1 * x1
-        return acc
+        d, pad = self._d, [0] * (deg + 1 - len(self._u))
+        (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
+        coeffs = list(zip(self._u + pad, self._v + pad))
+        u, v = _eval_form(coeffs, p0, p1, omega_flag(d))
+        return QuadFieldElement._of(u, v, self._den * e**deg, d)
 
     def embed(self, d: int) -> "Poly":
         # QuadFieldElement.embed's checks; a rational's basis pair (a, 0)
@@ -243,6 +234,20 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _eval_form(coeffs: list, x0, x1, t: int, mod: int = 0) -> tuple:
+    """sum_k c_k x0^k x1^(deg-k) on basis pairs, reduced mod `mod` if set."""
+    acc = coeffs[-1]
+    p1 = x1
+    for c in reversed(coeffs[:-1]):
+        s, u = pair_mul(acc, x0, t), pair_mul(c, p1, t)
+        acc = (s[0] + u[0], s[1] + u[1])
+        p1 = pair_mul(p1, x1, t)
+        if mod:
+            acc = (acc[0] % mod, acc[1] % mod)
+            p1 = (p1[0] % mod, p1[1] % mod)
+    return acc
 
 
 def _convolve(x: list, y: list) -> list:
@@ -748,8 +753,7 @@ def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
                 u, v = u - x, v - w
             y[k] = pair_divexact((u, v), mat[k][k], t)
         sols.append(y)
-    scale = sign * den**n
-    return _from_cleared(det[0], det[1], scale, d), den, sols
+    return QuadFieldElement._of(*det, sign * den**n, d), den, sols
 
 
 def homogeneous_resultant(c0: Sequence, c1: Sequence, deg: int):

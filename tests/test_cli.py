@@ -133,6 +133,13 @@ class TestHeight:
         assert rc == 2
         assert "point" in err
 
+    def test_nan_tolerance_is_one_error_line(self, capsys):
+        rc, out, err = run(["height", "--catalog", "pow_2", "--point", "7,3",
+                            "--tol", "nan"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: target_error must be positive\n"
+
 
 class TestNtHeight:
     def test_affine_equals_pair(self, capsys):
@@ -272,6 +279,36 @@ class TestGreen:
         assert elapsed < 5.0
         value = json.loads(big.stdout)["results"][0]["value"]
         assert value == json.loads(small.stdout)["results"][0]["value"]
+
+
+def degree_one_map(tmp_path):
+    """z -> 2z, whose Green sum n*log 2 has no limit."""
+    path = tmp_path / "deg1.json"
+    path.write_text(json.dumps({"num": ["0", "2"], "den": ["1"]}))
+    return str(path)
+
+
+class TestDegreeOne:
+    @pytest.mark.parametrize("args", [
+        ["green", "--point", "0.5,0", "--iters", "1000"],
+        ["measure", "--res", "40"],
+    ])
+    def test_green_is_one_error_line(self, tmp_path, capsys, args):
+        rc, out, err = run(
+            [args[0], "--map", degree_one_map(tmp_path), *args[1:]], capsys
+        )
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            "error: Green functions need a map of degree at least 2\n"
+        )
+
+    def test_periodic_points_still_run(self, tmp_path, capsys):
+        payload = run_json(
+            ["periodic", "--map", degree_one_map(tmp_path), "--depth", "2"],
+            capsys,
+        )
+        assert payload["count"] == 2
 
 
 class TestMeasure:

@@ -1,12 +1,15 @@
 """Integer kernels of the exact core against slow Fraction oracles.
 
-The exact core runs on integral basis pairs: integral_gcd,
-normalize_unit, divmod_integral, ProjPoint.reduced_pair, cleared_pairs
-and integral_model, and every Poly operation, since a Poly stores int
-basis pair lists over one common denominator; compose, scalar_multiple
-and embed skip poly_gcd, and the resultant and the Bezout certificate
-share one fraction-free elimination.  The oracles below are the Fraction
-versions: Euclid through exact field division with nearest rounding (ties
+The exact core runs on integral basis pairs: a field element and every
+Poly coefficient are held as one over a least common denominator, so the
+ring operations, Horner evaluation of forms (Poly.eval_pair, a map's
+image of a point), integral_gcd, normalize_unit, divmod_integral,
+ProjPoint.reduced_pair, cleared_pairs, integral_model and every Poly
+operation run on ints; compose, scalar_multiple and embed skip poly_gcd,
+and the resultant and the Bezout certificate share one fraction-free
+elimination.  The oracles below are the Fraction versions: elements with
+Fraction coordinates on the basis (1, sqrt(-d)) and Horner's rule on
+them, Euclid through exact field division with nearest rounding (ties
 toward +infinity), a search of the unit group for the canonical
 associate, coefficient-wise sums, negation, derivative, monic scaling and
 embedding of field elements, the schoolbook product of field elements,
@@ -59,6 +62,83 @@ from p1dyn.ratmaps import (
 # --------------------------------------------------------------------------
 # Fraction oracles
 # --------------------------------------------------------------------------
+
+
+class FracQF:
+    """The Fraction element format: a + b*sqrt(-d) with Fraction a, b,
+    multiplied, inverted and normed by the (1, sqrt(-d)) formulas."""
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    @classmethod
+    def of(cls, x: QF) -> "FracQF":
+        return cls(x.a, x.b, x.d)
+
+    @classmethod
+    def from_basis_pair(cls, u, v, d: int) -> "FracQF":
+        if d == 3:
+            return cls(Fraction(2 * u + v, 2), Fraction(v, 2), 3)
+        return cls(u, v, d)
+
+    def qf(self) -> QF:
+        return QF(self.a, self.b, self.d)
+
+    def __add__(self, o):
+        return FracQF(self.a + o.a, self.b + o.b, self.d)
+
+    def __sub__(self, o):
+        return FracQF(self.a - o.a, self.b - o.b, self.d)
+
+    def __neg__(self):
+        return FracQF(-self.a, -self.b, self.d)
+
+    def __mul__(self, o):
+        return FracQF(self.a * o.a - self.d * self.b * o.b,
+                      self.a * o.b + self.b * o.a, self.d)
+
+    def norm(self) -> Fraction:
+        return self.a * self.a + self.d * self.b * self.b
+
+    def conj(self):
+        return FracQF(self.a, -self.b, self.d)
+
+    def inverse(self):
+        n = self.norm()
+        return FracQF(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** -e
+        out = FracQF(1, 0, self.d)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __eq__(self, o):
+        return (self.a, self.b, self.d) == (o.a, o.b, o.d)
+
+    def basis_pair(self) -> tuple:
+        u, v = (self.a - self.b, 2 * self.b) if self.d == 3 else (self.a, self.b)
+        if u.denominator == 1 and v.denominator == 1:
+            return int(u), int(v)
+        return u, v
+
+    def is_integral(self) -> bool:
+        return all(type(c) is int for c in self.basis_pair())
+
+
+def oracle_eval_pair(f: Poly, x0: FracQF, x1: FracQF, deg: int) -> FracQF:
+    """Horner on Fraction elements: sum_k c_k x0^k x1^(deg-k)."""
+    c = [FracQF.of(f.coeff(k)) for k in range(deg + 1)]
+    acc, p1 = c[deg], x1
+    for k in range(deg - 1, -1, -1):
+        acc = acc * x0 + c[k] * p1
+        p1 = p1 * x1
+    return acc
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -124,11 +204,12 @@ def oracle_reduced_pair(P: ProjPoint) -> tuple:
 
 
 def oracle_cleared_pairs(elements: list) -> tuple:
+    xs = [FracQF.of(x) for x in elements]
     den = 1
-    for x in elements:
+    for x in xs:
         for c in x.basis_pair():
             den = math.lcm(den, Fraction(c).denominator)
-    return [(x * den).basis_pair() for x in elements], den
+    return [(x * FracQF(den, 0, x.d)).basis_pair() for x in xs], den
 
 
 def oracle_integral_model(phi: RationalMap) -> tuple:
@@ -479,6 +560,213 @@ def times_linear(lin: list, g: list) -> list:
 
 
 # --------------------------------------------------------------------------
+# The element format against the Fraction element oracle
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def element_coords(draw, d):
+    """(a, b) of zero, an algebraic integer (d=3 half-integers among them)
+    or an element with mixed denominators; coordinates up to 200 digits."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return Fraction(0), Fraction(0)
+    if kind == 1:
+        x = FracQF.from_basis_pair(draw(COORDS), draw(COORDS) if d else 0, d)
+        return x.a, x.b
+    dens = st.integers(1, 10**6)
+    a = Fraction(draw(COORDS), draw(dens))
+    return a, Fraction(draw(COORDS), draw(dens)) if d else Fraction(0)
+
+
+def elements_of(d):
+    return element_coords(d).map(lambda ab: QF(ab[0], ab[1], d))
+
+
+def both(d, data) -> tuple:
+    """One drawn element in the element format and in the oracle's."""
+    a, b = data.draw(element_coords(d))
+    return QF(a, b, d), FracQF(a, b, d)
+
+
+def assert_same(x: QF, X: FracQF) -> None:
+    """x is X, held as the basis pair over the least denominator."""
+    assert (x.a, x.b, x.d) == (X.a, X.b, X.d)
+    u, v = (Fraction(c) for c in X.basis_pair())
+    den = math.lcm(u.denominator, v.denominator)
+    assert (x._u, x._v, x._den) == (u * den, v * den, den)
+
+
+@st.composite
+def maps_of(draw, d):
+    """A catalog map over d, or num/den from kernel_polys, not both zero."""
+    names = [n for n in catalog_names() if catalog(n).d == d]
+    if names and draw(st.booleans()):
+        return catalog(draw(st.sampled_from(names)))
+    num = draw(kernel_polys(d))
+    den = draw(kernel_polys(d).filter(bool) if num.is_zero()
+               else kernel_polys(d))
+    return RationalMap(num, den)
+
+
+class TestElementFormat:
+    @settings(max_examples=150, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_ring_operations_match_fraction_oracle(self, d, data):
+        x, X = both(d, data)
+        y, Y = both(d, data)
+        assert_same(x, X)
+        assert_same(x + y, X + Y)
+        assert_same(x - y, X - Y)
+        assert_same(-x, -X)
+        assert_same(x * y, X * Y)
+        assert_same(x.conj(), X.conj())
+        for k in (0, 1, 2, 5):
+            assert_same(x**k, X**k)
+        n = x.norm()
+        assert type(n) is Fraction and n == X.norm()
+        r = Fraction(data.draw(COORDS), data.draw(st.integers(1, 10**6)))
+        R = FracQF(r, 0, d)
+        assert_same(x + r, X + R)
+        assert_same(r - x, R - X)
+        assert_same(x * r, X * R)
+        assert_same(3 * x - 1, FracQF(3, 0, d) * X - FracQF(1, 0, d))
+        if y.is_zero():
+            for call in (y.inverse, lambda: x / y, lambda: r / y):
+                with pytest.raises(ZeroDivisionError):
+                    call()
+            return
+        assert_same(y.inverse(), Y.inverse())
+        assert_same(x / y, X / Y)
+        assert_same(r / y, R / Y)
+        assert_same(y**-3, Y**-3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_equality_and_hash(self, d, data):
+        x, X = both(d, data)
+        y, Y = both(d, data)
+        assert (x == y) == (X == Y) and (x != y) == (not X == Y)
+        # an unreduced representative, negative denominators included
+        k = data.draw(st.sampled_from([-7, -1, 2, 10**30]))
+        z = QF._of(x._u * k, x._v * k, x._den * k, d)
+        assert_same(z, X)
+        assert z == x and hash(z) == hash(x)
+        if X.b == 0:
+            assert x == X.a and X.a == x and hash(x) == hash(X.a)
+            assert {X.a: 1}[x] == 1
+        else:
+            assert x != X.a
+        assert x != QF(X.a, 0, 0 if d else 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_basis_pair_and_integrality(self, d, data):
+        x, X = both(d, data)
+        got, want = x.basis_pair(), X.basis_pair()
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+        assert x.is_integral() == X.is_integral()
+        u, v = data.draw(COORDS), data.draw(COORDS) if d else 0
+        assert_same(QF.from_basis_pair(u, v, d), FracQF.from_basis_pair(u, v, d))
+        if x.is_integral():
+            assert QF.from_basis_pair(*got, d) == x
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_poly_eval_pair_matches_element_horner(self, d, data):
+        f = data.draw(kernel_polys(d))
+        x0, X0 = both(d, data)
+        x1, X1 = both(d, data)
+        deg = max(f.degree, 0) + data.draw(st.integers(0, 2))
+        assert_same(f.eval_pair(x0, x1, deg), oracle_eval_pair(f, X0, X1, deg))
+        one = FracQF(1, 0, d)
+        assert_same(f(x0), oracle_eval_pair(f, X0, one, max(f.degree, 0)))
+        if f.degree >= 1:
+            with pytest.raises(DomainError):
+                f.eval_pair(x0, x1, f.degree - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_map_call_matches_element_horner(self, d, data):
+        phi = data.draw(maps_of(d))
+        x0, X0 = both(d, data)
+        x1, X1 = both(d, data)
+        if x0.is_zero() and x1.is_zero():
+            return
+        F0 = oracle_eval_pair(phi.num, X0, X1, phi.degree)
+        F1 = oracle_eval_pair(phi.den, X0, X1, phi.degree)
+        image = phi(ProjPoint(x0, x1, d))
+        assert_same(image.x0, F0)
+        assert_same(image.x1, F1)
+        assert phi.eval_pair(x0, x1) == (image.x0, image.x1)
+
+    def test_rational_examples(self):
+        assert 3 in {QF(3)}
+        assert QF(1, 0, 3) == Fraction(1) and Fraction(1) == QF(1, 0, 3)
+        assert hash(QF(1, 0, 3)) == hash(Fraction(1)) == hash(1)
+        assert {QF(Fraction(1, 2), 0, 1): 1}[Fraction(1, 2)] == 1
+        assert QF(0, 1, 1) != QF(0, 1, 3)
+        for u, v, d in ((1, 1, 0), (1, 0, 2)):
+            with pytest.raises(DomainError):
+                QF.from_basis_pair(u, v, d)
+
+
+def _count_fractions(monkeypatch, made: list) -> None:
+    """Record every Fraction built, through __new__ or, where the
+    fractions module has it, the constructor its arithmetic uses."""
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if coprime is not None:
+        def counting_coprime(cls, n, d):
+            made.append((n, d))
+            return coprime(n, d)
+
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(counting_coprime)
+        )
+
+
+class TestRingOperationsBuildNoFractions:
+    def test_ring_operations_cleared_pairs_and_images(self, monkeypatch):
+        xs = [QF(Fraction(7, 2), Fraction(-3, 4), 3), QF(5, -2, 3),
+              QF(0, 0, 3), QF(Fraction(-1, 6), Fraction(2, 9), 1),
+              QF(4, 1, 1), QF(Fraction(10**200 + 1, 3)), QF(-12)]
+        r, half, third = Fraction(5, 7), Fraction(1, 2), Fraction(1, 3)
+        phi = catalog("phi_1+i")
+        P = ProjPoint(QF(half, 1, 1), QF(2, Fraction(-5, 3), 1), 1)
+        made = []
+        _count_fractions(monkeypatch, made)
+        out = []
+        for x in xs:
+            for y in xs:
+                if x.d == y.d:
+                    out += [x + y, x - y, x * y, x == y, x != y]
+                    if y:
+                        out += [x / y, y**-2]
+            out += [-x, x.conj(), x**3, x + 1, 2 - x, x * r, r - x, x == r,
+                    x.is_integral(), x.is_zero(), x.embed(x.d)]
+            if x:
+                out += [x.inverse(), r / x]
+        for d in (0, 1, 3):
+            out.append(cleared_pairs([x for x in xs if x.d == d]))
+        out += [phi(P), phi.eval_pair(P.x0, P.x1), phi.num(P.x0),
+                xs[-1].embed(1), xs[1].basis_pair()]
+        assert made == [] and len(out) > 100
+        # the counter is live: Fraction arithmetic and a coordinate read
+        half + third
+        assert len(made) == 1
+        xs[0].a
+        assert len(made) == 2
+
+
+# --------------------------------------------------------------------------
 # gcd, unit normalization, division, reduced pairs
 # --------------------------------------------------------------------------
 
@@ -552,7 +840,9 @@ class TestGcdOracle:
     @settings(max_examples=60, deadline=None)
     @given(d=FIELDS, data=st.data())
     def test_cleared_pairs_match_oracle(self, d, data):
-        xs = data.draw(st.lists(kernel_coeffs(d), max_size=6))
+        xs = data.draw(st.lists(
+            st.one_of(kernel_coeffs(d), elements_of(d)), max_size=6
+        ))
         pairs, den = cleared_pairs(xs)
         assert (pairs, den) == oracle_cleared_pairs(xs)
         assert all(type(u) is int and type(v) is int for u, v in pairs)
@@ -764,13 +1054,19 @@ class TestPolyBuildsNoFieldElements:
     def test_poly_by_poly_arithmetic(self, d, monkeypatch):
         polys = _guard_polys(d)
         built = []
-        init = QF.__init__
+        init, of = QF.__init__, QF._of.__func__
 
         def counting_init(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
+        def counting_of(cls, *args):
+            built.append(args)
+            return of(cls, *args)
+
+        # elements come from the constructor or from _of
         monkeypatch.setattr(QF, "__init__", counting_init)
+        monkeypatch.setattr(QF, "_of", classmethod(counting_of))
         out = []
         for f in polys:
             out += [f.monic(), f.derivative(), -f, f**3]

@@ -2,9 +2,10 @@
 
 The engine reads each step's content gcd(F0, F1) from one tracker that
 works modulo a power of the resultant's least integer.  These tests
-compare it with the contents of the exact orbit, run it on a map whose
-resultant has only 31-digit prime factors, and check that the package
-imports without sympy or mpmath.
+compare it with the contents of the exact orbit, evaluated by Horner's
+rule on Fraction elements, run it on a map whose resultant has only
+31-digit prime factors, and check that the package imports without sympy
+or mpmath.
 """
 
 import json
@@ -26,6 +27,7 @@ from p1dyn.heights import (
 )
 from p1dyn.quadfield import integral_gcd, parse_element
 from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
+from test_exact_kernels import FracQF, oracle_eval_pair
 
 
 def point(x, y, d):
@@ -40,8 +42,10 @@ def exact_content_sum(phi, P, steps):
     total = 0.0
     scale = 1.0
     for _ in range(steps):
-        y0 = f0.eval_pair(x0, x1, eng.alpha)
-        y1 = f1.eval_pair(x0, x1, eng.alpha)
+        # the element Horner oracle, not the shared evaluator the engine uses
+        X0, X1 = FracQF.of(x0), FracQF.of(x1)
+        y0 = oracle_eval_pair(f0, X0, X1, eng.alpha).qf()
+        y1 = oracle_eval_pair(f1, X0, X1, eng.alpha).qf()
         g = integral_gcd(y0, y1)
         x0, x1 = y0 / g, y1 / g
         scale /= eng.alpha

@@ -267,9 +267,12 @@ class TestBudgetsAndErrors:
         with pytest.raises(DomainError):
             canonical_height(rmap([1, 1], [1]), pt(2, 1), 1e-9)
 
-    def test_bad_target(self):
-        with pytest.raises(DomainError):
-            canonical_height(rmap([0, 0, 1], [1]), pt(2, 1), 0.0)
+    @pytest.mark.parametrize("target", [0.0, -1e-9, math.nan])
+    def test_bad_target(self, target):
+        with pytest.raises(DomainError, match="must be positive"):
+            canonical_height(rmap([0, 0, 1], [1]), pt(2, 1), target)
+        with pytest.raises(DomainError, match="must be positive"):
+            neron_tate(curve_E1(), 2, target)
 
     def test_field_mismatch(self):
         dbl = lattes_double(curve_E1())

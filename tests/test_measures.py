@@ -77,6 +77,14 @@ class TestGreen:
         with pytest.raises(DomainError):
             green(SQUARE, 2, 0)
 
+    def test_degree_one_refused(self):
+        # z -> 2z: the sum n*log 2 grows without limit
+        lift = Lift([0, 2], [1])
+        for call in (lambda: green(lift, 0.5, 1000),
+                     lambda: green_field(lift, WIN, 32, 16)):
+            with pytest.raises(DomainError, match="degree at least 2"):
+                call()
+
     def test_functional_equation_catalog(self):
         # max over pseudo-random points of |g(F(z))/deg - g(z)|
         for name, bound in [("phi_1+i", 1e-4), ("phi_sqrt-3", 1e-4),

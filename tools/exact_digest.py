@@ -12,6 +12,12 @@ digest holds, with floats by `repr` so a one-ulp change shows:
     degree^n cap;
   - value, error bound and iteration count of every canonical_height and
     neron_tate of the `exact` workload's points for one seed;
+  - under "images", for every point of that workload: each coordinate
+    string after a parse_element/format_element round trip, and both
+    coordinates of its image under the map it is fed to (phi(P) for the
+    heights, the multiplication map for neron_tate, the inner map and the
+    composite for the compositions), so the representatives a map's
+    __call__ returns are compared, not only their heights;
   - under "analytic", the double-precision kernels: sha256 of the
     green_field values of every catalog map (both metrics, a grid of three
     blocks), repr of scalar green values (one past the underflow of 2^-n),
@@ -113,6 +119,29 @@ def _heights(cat) -> list:
     return out
 
 
+def _images(cat) -> list:
+    with tempfile.TemporaryDirectory() as work:
+        inp = wl_exact.prepare(p1dyn, SEED, work)
+
+    def image(f, g, pair):
+        d = f.d
+        xs = [p1dyn.parse_element(s, d) for s in pair]
+        P = p1dyn.ProjPoint(*xs, d)
+        out = [p1dyn.format_element(x) for x in xs]
+        for h in (f, g):
+            P = h(P)
+            out += [str(P.x0), str(P.x1)]
+        return out
+
+    out = [[name] + image(cat(name), cat(inp["partner"][name]), pt)
+           for name, _, _, pt in inp["heights"]]
+    out += [[lam_map] + image(cat(lam_map), cat(lam_map), (xs, "1"))
+            for _, lam_map, xs in inp["nt"]]
+    out += [[a, b] + image(cat(b), cat(a), pt)
+            for a, b, _, pts in inp["composes"] for pt in pts]
+    return out
+
+
 GREEN_WINDOW = (-1.9, 2.1, -1.7, 1.8)
 GREEN_POINTS = (0.3 + 0.1j, 2.5 - 0.5j, -0.7 + 1.2j, 0j)
 
@@ -166,6 +195,7 @@ def main() -> None:
         "pairs": _pairs(cat, names),
         "periodic": _periodic(cat),
         "heights": _heights(cat),
+        "images": _images(cat),
         "analytic": _analytic(cat, names),
     }
     json.dump(digest, sys.stdout, indent=1, sort_keys=True)
