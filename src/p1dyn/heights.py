@@ -220,9 +220,10 @@ class _HeightEngine:
         if n_fin == 0:
             return 0.0, 0.0
         t, n_R = self._t, self.n_R
-        # every content divides R and so m_R: after k < n_fin steps the
-        # pair is still known modulo m_R^2, a multiple of n_R, which is
-        # all that reading the next content needs
+        # every content divides R and so m_R: dividing one out leaves the
+        # pair known modulo one factor m_R less, so after k < n_fin steps
+        # it is kept modulo m_R^(n_fin+1-k), at least m_R^2, a multiple of
+        # n_R, which is all that reading the next content needs
         mod = self.m_R ** (n_fin + 1)
         v0, v1 = x0.basis_pair(), x1.basis_pair()
         total = 0.0
@@ -241,6 +242,7 @@ class _HeightEngine:
                 f0 = pair_divexact(f0, g, t)
                 f1 = pair_divexact(f1, g, t)
             v0, v1 = f0, f1
+            mod //= self.m_R
         tail = 0.5 * self.log_nR / (self.alpha - 1) * scale
         return total, tail
 

@@ -8,6 +8,7 @@ certified bounds of the height engine; see heights for the exact side.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -66,6 +67,8 @@ class Lift:
 
     def __init__(self, f0, f1, degree: int | None = None):
         self._set(f0, f1, degree)
+        if self.degree < 1:
+            raise DomainError("lift degree must be at least 1")
         if self._degenerate():
             raise DomainError("degenerate lift: resultant vanishes")
 
@@ -74,8 +77,6 @@ class Lift:
         f1 = [complex(c) for c in f1]
         if degree is None:
             degree = max(len(f0), len(f1)) - 1
-        if degree < 1:
-            raise DomainError("lift degree must be at least 1")
         if len(f0) > degree + 1 or len(f1) > degree + 1:
             raise DomainError("coefficient list longer than degree + 1")
         f0 = f0 + [0j] * (degree + 1 - len(f0))
@@ -104,7 +105,8 @@ class Lift:
     @classmethod
     def from_map(cls, phi: RationalMap) -> "Lift":
         # a RationalMap's resultant is exactly nonzero by construction, so
-        # the float test, which huge coefficients overflow, is skipped
+        # the float test, which huge coefficients overflow, is skipped; a
+        # constant map c0/c1 gets the degree-0 lift (c0, c1)
         lift = cls.__new__(cls)
         lift._set(*phi.complex_pair(), phi.degree)
         return lift
@@ -179,8 +181,10 @@ class GreenField:
 class DensityGrid:
     """Nonnegative cell masses over a window, summing to one.
 
-    window_fraction records how much of the full measure the window is
-    believed to capture (1.0 when unknown/irrelevant).
+    window_fraction is the share of the whole measure that the window
+    captures, as estimated by the construction that built the grid (see
+    measure_from_green and lattes_density); 1.0 where none is estimated,
+    as for sample histograms.
     """
 
     window: tuple
@@ -291,7 +295,9 @@ def measure_from_green(field: GreenField) -> DensityGrid:
     """Equilibrium measure as the normalized discrete Laplacian of g.
 
     Five-point stencil on interior cells, negative noise clamped to
-    zero, boundary ring zeroed, mass normalized to one.
+    zero, boundary ring zeroed, mass normalized to one.  window_fraction
+    is the mass of the Laplacian / 2 pi after clamping and before
+    normalizing, capped at 1 because the measure is a probability measure.
     """
     nx, ny = field.resolution
     if min(nx, ny) < 32:
@@ -312,7 +318,8 @@ def measure_from_green(field: GreenField) -> DensityGrid:
     total = float(mass.sum())
     if total <= 0.0:
         raise DomainError("flat Green field: no measure in this window")
-    return DensityGrid(field.window, (nx, ny), mass / total)
+    return DensityGrid(field.window, (nx, ny), mass / total,
+                       window_fraction=min(1.0, total))
 
 
 # ---------------------------------------------------------------- roots
@@ -607,50 +614,39 @@ def _abs_g_on(gc, z):
     return np.abs(acc)
 
 
-# _quad_total_mass: half-width of the square it grids, cells per side at
-# the top level, and refinement levels
-_MASS_RADIUS = 8.0
-_MASS_BASE = 64
-_MASS_LEVELS = 6
+# _agm: steps before it gives up; roots 1e-300 apart need 13
+_AGM_STEPS = 40
 
 
-def _quad_total_mass(gc, roots):
-    """integral of 1/|G| over the plane by midpoint refinement.
+def _agm(a: complex, b: complex) -> complex:
+    """Optimal arithmetic-geometric mean: each step takes the root of a*b
+    nearer (a + b)/2."""
+    for _ in range(_AGM_STEPS):
+        if abs(a - b) <= 1e-15 * abs(a):
+            return a
+        a, b = (a + b) / 2, cmath.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+    raise ConvergenceError(f"AGM not converged after {_AGM_STEPS} steps")
 
-    Cells near a root of G are split 4x4 down _MASS_LEVELS times; beyond
-    _MASS_RADIUS the cubic decay gives the exact tail 2*pi/_MASS_RADIUS.
+
+def _lattice_mass(roots) -> float:
+    """integral of 1/|G| over the plane, for G monic with these roots.
+
+    It is half the covolume of the period lattice of dx/y on y^2 = G,
+    whose basis pi/AGM(a, b), pi*i/AGM(a, c) comes from the optimal
+    complex AGM (Cremona and Thongjunthug, J. Number Theory 133, 2013).
     """
-    cell = 2.0 * _MASS_RADIUS / _MASS_BASE
-    xs = -_MASS_RADIUS + cell * (np.arange(_MASS_BASE) + 0.5)
-    cx, cy = np.meshgrid(xs, xs)
-    centers = (cx + 1j * cy).ravel()
-    sizes = np.full(centers.shape, cell)
-    total = 0.0
-    rts = np.array(roots)
-    for level in range(_MASS_LEVELS):
-        dmin = np.min(
-            np.abs(centers[:, None] - rts[None, :]), axis=1
-        ) if len(rts) else np.full(centers.shape, np.inf)
-        near = dmin < 1.5 * sizes * math.sqrt(2.0)
-        far_c, far_s = centers[~near], sizes[~near]
-        total += float(np.sum(far_s**2 / _abs_g_on(gc, far_c)))
-        centers, sizes = centers[near], sizes[near]
-        if centers.size == 0:
-            break
-        if level < _MASS_LEVELS - 1:
-            quarter = sizes / 4.0
-            offs = (np.arange(4) - 1.5)
-            ox, oy = np.meshgrid(offs, offs)
-            shift = (ox + 1j * oy).ravel()
-            centers = (
-                centers[:, None] + quarter[:, None] * shift[None, :]
-            ).ravel()
-            sizes = np.repeat(quarter, 16)
-    if centers.size:
-        vals = _abs_g_on(gc, centers)
-        keep = vals > 1e-300
-        total += float(np.sum(sizes[keep] ** 2 / vals[keep]))
-    return total + TWO_PI / _MASS_RADIUS
+    e1, e2, e3 = roots
+    a, b, c = (cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2),
+               cmath.sqrt(e2 - e3))
+    if abs(a - b) > abs(a + b):
+        b = -b
+    if abs(a - c) > abs(a + c):
+        c = -c
+    w1 = math.pi / _agm(a, b)
+    w2 = 1j * math.pi / _agm(a, c)
+    return 2.0 * abs((w1.conjugate() * w2).imag)
 
 
 def lattes_density(
@@ -659,8 +655,9 @@ def lattes_density(
     """Smooth-side density 1/|G| of the doubling measure, gridded.
 
     Cell values are midpoint evaluations except cells containing a root
-    of G, which get a 4x4 subsample.  window_fraction reports the share
-    of the full plane mass captured by the window.
+    of G, which get a 4x4 subsample.  window_fraction is the window's
+    gridded mass over the exact plane mass, half the covolume of the
+    period lattice of dx/y (see _lattice_mass), capped at 1.
     """
     window = _check_window(window)
     nx, ny = _resolution_pair(resolution)
@@ -699,12 +696,11 @@ def lattes_density(
     window_mass = float(mass.sum())
     if window_mass <= 0.0:
         raise DomainError("window captures no mass")
-    total = _quad_total_mass(gc, roots)
     return DensityGrid(
         window,
         (nx, ny),
         mass / window_mass,
-        window_fraction=min(1.0, window_mass / total),
+        window_fraction=min(1.0, window_mass / _lattice_mass(roots)),
     )
 
 

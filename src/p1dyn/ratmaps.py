@@ -461,10 +461,10 @@ class RationalMap:
             raise FieldMismatchError("numerator and denominator field mismatch")
         if num.is_zero() and den.is_zero():
             raise DomainError("0/0 does not define a map")
-        if not num.is_zero() and not den.is_zero():
-            g = poly_gcd(num, den)
-            if g.degree >= 1:
-                num, den = num // g, den // g
+        # gcd(0, f) = f, so a constant map comes out as c/1 or 1/0
+        g = poly_gcd(num, den)
+        if g.degree >= 1:
+            num, den = num // g, den // g
         self._set_scaled(*_coords(num, den)[0], num.d)
 
     @classmethod

@@ -311,6 +311,35 @@ class TestDegreeOne:
         assert payload["count"] == 2
 
 
+class TestConstantMaps:
+    """0/z is the constant map 0 and z/0 the constant map infinity."""
+
+    @pytest.mark.parametrize("num,den,z", [
+        (["0"], ["0", "1"], [0.0, 0.0]), (["0", "1"], ["0"], "inf"),
+    ])
+    @pytest.mark.parametrize("depth", ["1", "3"])
+    def test_periodic_is_the_constant(self, tmp_path, capsys, num, den, z,
+                                      depth):
+        path = tmp_path / "const.json"
+        path.write_text(json.dumps({"num": num, "den": den}))
+        payload = run_json(
+            ["periodic", "--map", str(path), "--depth", depth], capsys
+        )
+        assert payload["count"] == 1
+        (point,) = payload["points"]
+        assert point["z"] == z
+        assert point["multiplier"] == [0.0, 0.0]
+
+    def test_compose(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"num": ["0"], "den": ["0", "1"]}))
+        payload = run_json(
+            ["compose", "--catalog", "pow_2", "--map", str(path)], capsys
+        )
+        assert payload["degree"] == 0
+        assert payload["num"] == [] and payload["den"] == ["1"]
+
+
 class TestMeasure:
     def test_subnormal_window_is_one_error_line(self, capsys):
         # cells 2.5e-322 wide square to 0.0 in double precision

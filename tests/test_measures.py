@@ -2,8 +2,10 @@ import cmath
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import (
@@ -22,7 +24,9 @@ from p1dyn.measures import (
     INF_POINT,
     Lift,
     _CYCLE_TOL,
+    _abs_g_on,
     _grid_centers,
+    _lattice_mass,
     compare_l1,
     green,
     green_field,
@@ -175,6 +179,28 @@ class TestMeasureFromGreen:
         with pytest.raises(DomainError):
             measure_from_green(f)
 
+    def test_window_fraction_is_the_raw_mass(self):
+        # z^2's measure lives on the unit circle: off it the grid is
+        # normalised noise, and the window fraction says so
+        f = green_field(SQUARE, (10.0, 11.0, 10.0, 11.0), 64, 24)
+        assert 0.0 <= measure_from_green(f).window_fraction < 1e-6
+        ring = measure_from_green(green_field(SQUARE, WIN, 128, 20))
+        assert ring.window_fraction == 1.0
+
+    def test_window_fraction_matches_the_lattice(self):
+        # the Laplacian mass in (-3, 3)^2 is the measure of the window,
+        # which lattes_density reads off exactly; commuting maps share
+        # the measure, so their Green fields give the same mass
+        win = (-3.0, 3.0, -3.0, 3.0)
+        for curve, pair in ((curve_E1(), ("phi_2@E1", "phi_1+i")),
+                            (curve_E2(), ("phi_2@E2", "phi_3@E2"))):
+            exact = lattes_density(curve, win, 256).window_fraction
+            a, b = (measure_from_green(green_field(
+                catalog(name), win, 256, 24)).window_fraction
+                for name in pair)
+            assert a == pytest.approx(exact, rel=1e-2)
+            assert a == pytest.approx(b, abs=1e-6)
+
     def test_density_tracks_inverse_cubic(self):
         dbl = lattes_double(curve_E1())
         f = green_field(Lift.from_map(dbl), (-3, 3, -3, 3), 128, 24)
@@ -275,7 +301,133 @@ class TestPreimageSampling:
         assert compare_l1(m, h) <= 0.1
 
 
+def oracle_plane_mass(gc, roots, radius=8.0, base=64, levels=6):
+    """Coarse oracle for the integral of 1/|G| over the plane.
+
+    Midpoint rule on [-radius, radius]^2, cells near a root of G split 4x4
+    down `levels` times, plus 2*pi/radius for the tail outside the disc of
+    that radius.  The square's corners are counted twice, and it is off
+    by up to about 0.5 %.
+    """
+    cell = 2.0 * radius / base
+    xs = -radius + cell * (np.arange(base) + 0.5)
+    cx, cy = np.meshgrid(xs, xs)
+    centers = (cx + 1j * cy).ravel()
+    sizes = np.full(centers.shape, cell)
+    rts = np.array(roots)
+    total = 0.0
+    for level in range(levels):
+        dmin = np.min(np.abs(centers[:, None] - rts[None, :]), axis=1)
+        near = dmin < 1.5 * sizes * math.sqrt(2.0)
+        total += float(np.sum(sizes[~near] ** 2
+                              / _abs_g_on(gc, centers[~near])))
+        centers, sizes = centers[near], sizes[near]
+        if level < levels - 1:
+            offs = np.arange(4) - 1.5
+            ox, oy = np.meshgrid(offs, offs)
+            shift = (ox + 1j * oy).ravel()
+            centers = (centers[:, None]
+                       + sizes[:, None] / 4.0 * shift[None, :]).ravel()
+            sizes = np.repeat(sizes / 4.0, 16)
+    vals = _abs_g_on(gc, centers)
+    keep = vals > 1e-300
+    total += float(np.sum(sizes[keep] ** 2 / vals[keep]))
+    return total + 2.0 * math.pi / radius
+
+
+def curve_roots(curve):
+    gc = [complex(curve.G.coeff(k)) for k in range(4)]
+    return gc, poly_roots(gc)
+
+
+CUBIC_ROOT = st.builds(
+    complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)
+)
+
+
+def separated(roots):
+    return min(abs(roots[i] - roots[j])
+               for i in range(3) for j in range(i)) >= 0.1
+
+
+class TestLatticeMass:
+    """_lattice_mass is the integral of 1/|G|, half the covolume of the
+    period lattice of dx/y on y^2 = G."""
+
+    def test_closed_forms(self):
+        g = math.gamma
+        e1 = g(0.25) ** 4 / (4.0 * math.pi)
+        e2 = math.sqrt(3.0) * g(1.0 / 3.0) ** 6 / (
+            2.0 ** (8.0 / 3.0) * math.pi**2)
+        for curve, exact in ((curve_E1(), e1), (curve_E2(), e2)):
+            _, roots = curve_roots(curve)
+            assert _lattice_mass(roots) == pytest.approx(exact, rel=1e-13)
+
+    def test_root_order_is_irrelevant(self):
+        roots = [0.3 + 1.1j, -1.7 - 0.2j, 2.2 - 0.9j]
+        ref = _lattice_mass(roots)
+        for perm in ((1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)):
+            assert _lattice_mass([roots[i] for i in perm]) == pytest.approx(
+                ref, rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(roots=st.lists(CUBIC_ROOT, min_size=3, max_size=3).filter(
+        separated), shift=CUBIC_ROOT, scale=CUBIC_ROOT.filter(
+        lambda s: 0.1 <= abs(s)))
+    def test_translation_and_scaling(self, roots, shift, scale):
+        ref = _lattice_mass(roots)
+        moved = _lattice_mass([r + shift for r in roots])
+        assert moved == pytest.approx(ref, rel=1e-12)
+        scaled = _lattice_mass([r * scale for r in roots])
+        assert scaled == pytest.approx(ref / abs(scale), rel=1e-12)
+
+    def test_periods_by_direct_integration(self):
+        # 2 * integral of dx/y from e_a to e_b is a period of dx/y; on a
+        # segment that misses e_c, sqrt(e_a - e_c) sqrt(1 + t r) continues
+        # y along it (real roots: the middle one first)
+        def period(ea, eb, ec):
+            r = (eb - ea) / (ea - ec)
+            return 2 * mpmath.quad(
+                lambda t: 1 / (mpmath.sqrt(t * (1 - t))
+                               * mpmath.sqrt(1 + t * r)),
+                [0, 1]) / mpmath.sqrt(ea - ec)
+
+        rng = np.random.default_rng(5)
+        cases = [[0.25 + 0j, -1.0 + 0j, 2.0 + 0j]]
+        cases += [list(rng.normal(size=3) + 1j * rng.normal(size=3))
+                  for _ in range(4)]
+        with mpmath.workdps(30):
+            for roots in cases:
+                e1, e2, e3 = (mpmath.mpc(r) for r in roots)
+                w1, w2 = period(e1, e2, e3), period(e1, e3, e2)
+                exact = abs(mpmath.im(mpmath.conj(w1) * w2)) / 2
+                assert _lattice_mass(roots) == pytest.approx(
+                    float(exact), rel=1e-13)
+
+    def test_coarse_quadrature_agrees(self):
+        cases = [curve_roots(curve_E1()), curve_roots(curve_E2())]
+        rng = np.random.default_rng(11)
+        while len(cases) < 8:
+            roots = list(rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3))
+            if separated(roots):
+                cases.append((list(np.poly(roots)[::-1]), roots))
+        for gc, roots in cases:
+            exact = _lattice_mass(roots)
+            assert oracle_plane_mass(gc, roots) == pytest.approx(
+                exact, rel=1e-2)
+
+    def test_double_root_raises(self):
+        # b = sqrt(e1 - e2) = 0, and AGM(a, 0) halves a forever
+        with pytest.raises(ConvergenceError, match="AGM"):
+            _lattice_mass([1.0 + 0j, 1.0 + 0j, -1.0 + 0j])
+
+
 class TestLattesDensity:
+    def test_window_fraction_is_gridded_over_exact_mass(self):
+        win = (-3.0, 3.0, -3.0, 3.0)
+        d = lattes_density(curve_E2(), win, 128)
+        assert d.window_fraction == pytest.approx(0.81246, abs=5e-6)
+
     def test_mass_one(self):
         d = lattes_density(curve_E1(), WIN, 64)
         assert d.mass.sum() == pytest.approx(1.0, abs=1e-9)

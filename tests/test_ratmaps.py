@@ -178,6 +178,25 @@ class TestRationalMap:
         with pytest.raises(DomainError):
             rmap([0], [0])
 
+    def test_zero_over_z_is_the_constant_zero(self):
+        f = rmap([0], [0, 1])
+        assert f.degree == 0
+        assert f == rmap([0], [1]) == rmap([0], [3, 0, 2])
+        for p in (ProjPoint(0, 1), ProjPoint.infinity(), ProjPoint(5, 2)):
+            assert f(p) == ProjPoint.affine(QF(0))
+
+    def test_z_over_zero_is_the_constant_infinity(self):
+        f = rmap([0, 1], [0])
+        assert f.degree == 0
+        assert f == rmap([1], [0]) == rmap([0, 0, 7], [0])
+        for p in (ProjPoint(0, 1), ProjPoint.infinity(), ProjPoint(5, 2)):
+            assert f(p).is_infinity()
+
+    def test_constant_maps_compose(self):
+        zero, sq = rmap([0], [0, 1]), rmap([0, 0, 1], [1])
+        assert zero.compose(sq) == sq.compose(zero) == rmap([0], [1])
+        assert rmap([0, 1], [0]).compose(zero) == rmap([1], [0])
+
     def test_str(self):
         assert str(rmap([0, 0, 1], [1])) == "z^2"
         assert str(rmap([1, 0, 1], [0, 2])) == "(1/2*z^2 + 1/2) / (z)"

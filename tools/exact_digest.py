@@ -22,7 +22,10 @@ digest holds, with floats by `repr` so a one-ulp change shows:
     green_field values of every catalog map (both metrics, a grid of three
     blocks), repr of scalar green values (one past the underflow of 2^-n),
     sha256 of the depth-6 preimage_sample points, repr of poly_roots on
-    fixed polynomials, and sha256 of write_csv's bytes.
+    fixed polynomials, and sha256 of write_csv's bytes;
+  - under "densities", for E1 and E2 on two windows: sha256 of the
+    lattes_density cell masses, and repr of the window_fraction of
+    lattes_density and of measure_from_green on the curve's doubling map.
 """
 
 import hashlib
@@ -188,6 +191,25 @@ def _analytic(cat, names) -> dict:
             "poly_roots": roots, "csv": csv}
 
 
+DENSITY_WINDOWS = ((-3.0, 3.0, -3.0, 3.0), GREEN_WINDOW)
+
+
+def _densities(cat) -> dict:
+    m = p1dyn.measures
+    out = {}
+    for name, curve in (("E1", p1dyn.curve_E1()), ("E2", p1dyn.curve_E2())):
+        for window in DENSITY_WINDOWS:
+            dens = m.lattes_density(curve, window, 128)
+            grid = m.measure_from_green(m.green_field(
+                cat(f"phi_2@{name}"), window, 128, 24))
+            out[f"{name} {window}"] = {
+                "mass": _sha(dens.mass.tobytes()),
+                "window_fraction": [repr(dens.window_fraction),
+                                    repr(grid.window_fraction)],
+            }
+    return out
+
+
 def main() -> None:
     cat, names = p1dyn.catalog, p1dyn.catalog_names()
     digest = {
@@ -197,6 +219,7 @@ def main() -> None:
         "heights": _heights(cat),
         "images": _images(cat),
         "analytic": _analytic(cat, names),
+        "densities": _densities(cat),
     }
     json.dump(digest, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
