@@ -2,6 +2,11 @@
 fields: exact field arithmetic, rational maps, canonical heights with
 certified error bounds, a catalog of commuting map families attached to
 CM elliptic curves, and the complex-analytic measure machinery.
+
+The exact layers (quadfield, ratmaps, lattes, heights) are pure Python.
+The complex-analytic layer, measures, needs numpy; it and its names
+below are imported on first access (PEP 562), so exact work never loads
+numpy.
 """
 
 from .errors import (
@@ -18,7 +23,6 @@ from .heights import (
     naive_height,
     naive_height_by_places,
     neron_tate,
-    tate_limit_raw,
 )
 from .lattes import (
     CatalogEntry,
@@ -36,27 +40,6 @@ from .lattes import (
     predict_profile,
     ramification_profile,
     two_torsion_targets,
-)
-from .measures import (
-    ComplexSampleSet,
-    DensityGrid,
-    GreenField,
-    Lift,
-    compare_l1,
-    green,
-    green_field,
-    julia_raster,
-    ks_uniform_statistic,
-    lattes_density,
-    map_samples,
-    measure_from_green,
-    periodic_points,
-    poly_roots,
-    preimage_sample,
-    sample_histogram,
-    write_csv,
-    write_pgm,
-    write_ppm,
 )
 from .quadfield import (
     QuadFieldElement,
@@ -77,4 +60,42 @@ from .ratmaps import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public names of the measures module, served by __getattr__
+_MEASURES_NAMES = (
+    "ComplexSampleSet",
+    "DensityGrid",
+    "GreenField",
+    "Lift",
+    "compare_l1",
+    "green",
+    "green_field",
+    "julia_raster",
+    "lattes_density",
+    "measure_from_green",
+    "periodic_points",
+    "poly_roots",
+    "preimage_sample",
+    "sample_histogram",
+    "write_csv",
+    "write_pgm",
+)
+
+
+def __getattr__(name):
+    if name != "measures" and name not in _MEASURES_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not `from . import`: the latter probes this
+    # module's attributes first and would recurse into __getattr__
+    from importlib import import_module
+
+    measures = import_module(".measures", __name__)
+    # later lookups become plain attribute hits
+    globals().update({n: getattr(measures, n) for n in _MEASURES_NAMES})
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), "measures", *_MEASURES_NAMES})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -7,7 +7,10 @@ beyond the floating-point range, 2 usage or map-spec error.  Identical
 arguments and seed give byte-identical output.
 
 Run configs are plain argparse namespaces; OPERATIONS maps each
-subcommand to the library operations it reaches.
+subcommand to the library operations it reaches.  Only the handlers of
+the analytic subcommands (green, measure, density-compare, periodic,
+julia) import measures, and with it numpy; the exact subcommands never
+load numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .quadfield import QuadFieldElement, format_element, parse_element
 from .ratmaps import ProjPoint, RationalMap
 from . import heights
 from . import lattes
-from . import measures
 
 
 # ---------------------------------------------------------------- parsing
@@ -275,6 +277,8 @@ def _cmd_table_check(args) -> dict:
 
 
 def _cmd_green(args) -> dict:
+    from . import measures
+
     label, phi = _load_maps(args, 1)[0]
     if not args.point:
         raise MapSpecError("green needs at least one --point re,im")
@@ -294,6 +298,8 @@ def _cmd_green(args) -> dict:
 
 def _grid_files(args, grid, extra: dict) -> dict:
     """Write the grid per --out/--format; return stdout metadata."""
+    from . import measures
+
     out = {
         "window": list(grid.window),
         "resolution": list(grid.resolution),
@@ -321,6 +327,8 @@ def _grid_files(args, grid, extra: dict) -> dict:
 
 
 def _cmd_measure(args) -> dict:
+    from . import measures
+
     label, phi = _load_maps(args, 1)[0]
     lift = measures.Lift.from_map(phi)
     field = measures.green_field(lift, args.window, args.res, args.iters)
@@ -334,6 +342,8 @@ def _cmd_measure(args) -> dict:
 
 
 def _cmd_density_compare(args) -> dict:
+    from . import measures
+
     label, phi = _load_maps(args, 1)[0]
     if not args.catalog:
         raise MapSpecError(
@@ -359,6 +369,8 @@ def _cmd_density_compare(args) -> dict:
 
 
 def _cmd_periodic(args) -> dict:
+    from . import measures
+
     label, phi = _load_maps(args, 1)[0]
     pts = []
     for z, mult in measures.periodic_points(phi, args.depth):
@@ -380,6 +392,8 @@ def _cmd_periodic(args) -> dict:
 
 
 def _cmd_julia(args) -> dict:
+    from . import measures
+
     label, phi = _load_maps(args, 1)[0]
     if not args.out:
         raise MapSpecError("julia needs --out PATH for the raster")

@@ -30,14 +30,12 @@ from .errors import DomainError, IterationBudgetError
 from .lattes import EllipticCurveCM, lattes_double
 from .quadfield import (
     QuadFieldElement,
-    integral_gcd,
     omega_flag,
     pair_divexact,
     pair_gcd,
     pair_norm,
 )
 from .ratmaps import (
-    Poly,
     ProjPoint,
     RationalMap,
     _eval_form,
@@ -334,31 +332,6 @@ def height_constants(phi: RationalMap) -> dict:
         "bad_primes": sorted(exps),
         "unfactored": rest,
     }
-
-
-def tate_limit_raw(phi: RationalMap, P: ProjPoint, steps: int) -> list:
-    """Exact gcd-reduced orbit heights h(phi^n P) / alpha^n.
-
-    The direct definition, kept as a slow cross-check for the decomposed
-    engine.  Coordinate sizes grow like alpha^n, so keep steps small.
-    """
-    if phi.degree < 2:
-        raise DomainError("needs degree >= 2")
-    P = _coerce_point(phi, P)
-    eng = _engine(phi)
-    f0 = Poly(eng.c0, phi.d)
-    f1 = Poly(eng.c1, phi.d)
-    x0, x1 = P.reduced_pair()
-    out = []
-    weight = 1.0
-    for _ in range(steps):
-        y0 = f0.eval_pair(x0, x1, eng.alpha)
-        y1 = f1.eval_pair(x0, x1, eng.alpha)
-        g = integral_gcd(y0, y1)
-        x0, x1 = y0 / g, y1 / g
-        weight /= eng.alpha
-        out.append(0.5 * _log_int(int(max(x0.norm(), x1.norm()))) * weight)
-    return out
 
 
 def neron_tate(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .lattes import EllipticCurveCM
-from .ratmaps import Poly, RationalMap
+from .ratmaps import Poly, RationalMap, _coords
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,19 +199,6 @@ class DensityGrid:
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"density grid mass {total} is not 1")
         self.mass.setflags(write=False)
-
-    def coarsen(self, factor: int) -> "DensityGrid":
-        """Sum blocks of factor x factor cells into a coarser grid."""
-        nx, ny = self.resolution
-        if factor < 1 or nx % factor or ny % factor:
-            raise DomainError("factor must divide both resolutions")
-        m = self.mass.reshape(ny // factor, factor, nx // factor, factor)
-        return DensityGrid(
-            self.window,
-            (nx // factor, ny // factor),
-            m.sum(axis=(1, 3)),
-            self.window_fraction,
-        )
 
 
 # cells of the flattened grid that green_field iterates at a time, so
@@ -419,7 +406,9 @@ def poly_roots(coeffs) -> list:
         raise DomainError("leading coefficient must be nonzero")
     deg = len(c) - 1
     if deg == 1:
-        return [-c[0] / c[1]]
+        r = -c[0] / c[1]
+        # x + 0.0 turns -0.0 into 0.0 and leaves every other x alone
+        return [complex(r.real + 0.0, r.imag + 0.0)]
     roots, ok, resid = _aberth_batch(
         np.array([c]), rng=None, tol=_ROOT_TOL, max_iter=_ROOT_SWEEPS
     )
@@ -561,27 +550,6 @@ def preimage_sample(
     infinite = np.abs(a1) <= 1e-14 * np.abs(a0)
     pts = a0[~infinite] / a1[~infinite]
     return ComplexSampleSet(pts, int(np.sum(infinite)), seed, depth)
-
-
-def map_samples(phi: RationalMap, samples: ComplexSampleSet) -> ComplexSampleSet:
-    """Push a sample set forward through phi (sizes are preserved)."""
-    lift = Lift.from_map(phi)
-    z = samples.points
-    big = np.abs(z) > 1.0
-    a0 = np.where(big, z / np.maximum(np.abs(z), 1.0), z)
-    a1 = np.where(big, 1.0 / np.maximum(np.abs(z), 1.0), np.ones_like(z))
-    w0, w1 = lift.eval(a0, a1)
-    if samples.n_infinite:
-        i0, i1 = lift.eval(np.array([1.0 + 0j]), np.array([0j]))
-        w0 = np.concatenate([w0, np.repeat(i0, samples.n_infinite)])
-        w1 = np.concatenate([w1, np.repeat(i1, samples.n_infinite)])
-    finite = np.abs(w1) > 1e-14 * np.abs(w0)
-    return ComplexSampleSet(
-        w0[finite] / w1[finite],
-        int(np.sum(~finite)),
-        samples.seed,
-        samples.depth,
-    )
 
 
 def sample_histogram(
@@ -794,7 +762,10 @@ def periodic_points(phi: RationalMap, n: int) -> list:
         top = alpha
         fn = [psi.den.coeff(top - k) for k in range(top + 1)]
         fd = [psi.num.coeff(top - k) for k in range(top + 1)]
-        flipped = RationalMap(Poly(fn, phi.d), Poly(fd, phi.d))
+        # z^top psi(1/z) reverses coprime forms, so it stays coprime
+        flipped = RationalMap._from_coprime(
+            *_coords(Poly(fn, phi.d), Poly(fd, phi.d))[0], phi.d
+        )
         dflip = flipped.derivative_map()
         m_inf = complex(dflip.num.coeff(0)) / complex(dflip.den.coeff(0))
         out.extend([(INF_POINT, m_inf)] * inf_mult_count)
@@ -847,21 +818,6 @@ def write_pgm(path, image, metadata=None) -> None:
         f.write(img.tobytes())
 
 
-def write_ppm(path, image, metadata=None) -> None:
-    """Binary PPM; grayscale input is replicated across channels."""
-    img = np.asarray(image, dtype=np.uint8)
-    if img.ndim == 2:
-        img = np.repeat(img[:, :, None], 3, axis=2)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise DomainError("PPM wants (h, w) or (h, w, 3)")
-    h, w, _ = img.shape
-    with open(path, "wb") as f:
-        f.write(b"P6\n")
-        f.write(_header_comments(metadata))
-        f.write(f"{w} {h}\n255\n".encode())
-        f.write(img.tobytes())
-
-
 def write_csv(grid: DensityGrid, path, sidecar: bool = True) -> None:
     """Row-major CSV of cell masses plus a JSON metadata sidecar."""
     # one format string per row: a whole-grid tolist() would hold every
@@ -880,13 +836,3 @@ def write_csv(grid: DensityGrid, path, sidecar: bool = True) -> None:
         with open(str(path) + ".json", "w") as f:
             json.dump(meta, f, sort_keys=True, indent=1)
             f.write("\n")
-
-
-def ks_uniform_statistic(values, period: float = 1.0) -> float:
-    """Kolmogorov-Smirnov distance of values mod period from uniform."""
-    u = np.sort(np.mod(np.asarray(values, dtype=float), period) / period)
-    n = len(u)
-    if n == 0:
-        raise DomainError("empty sample")
-    k = np.arange(1, n + 1)
-    return float(max(np.max(k / n - u), np.max(u - (k - 1) / n)))

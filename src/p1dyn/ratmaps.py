@@ -591,10 +591,22 @@ class RationalMap:
         return self.compose(other) == other.compose(self)
 
     def derivative_map(self) -> "RationalMap":
-        num = critical_points_poly(self)
-        if num.is_zero():
+        """The map z -> phi'(z), the Wronskian W over den^2 in lowest terms.
+
+        num and den are coprime, so at a root of den of multiplicity e
+        W vanishes to order exactly e-1: gcd(W, den^2) = gcd(den, den'),
+        a gcd of the small polynomials rather than of the large ones.
+        """
+        w = critical_points_poly(self)
+        if w.is_zero():
             return RationalMap(Poly([0], self._d), Poly([1], self._d))
-        return RationalMap(num, self._den * self._den)
+        den = self._den
+        g = poly_gcd(den, den.derivative())
+        if g.degree >= 1:
+            w, den = w // g, den // g
+        return RationalMap._from_coprime(
+            *_coords(w, den * self._den)[0], self._d
+        )
 
     def integral_model(self) -> tuple:
         """Coefficient lists of an integral content-free model.

@@ -35,13 +35,13 @@ from p1dyn.measures import (
     green,
     green_field,
     julia_raster,
-    ks_uniform_statistic,
     lattes_density,
     measure_from_green,
     periodic_points,
     preimage_sample,
     sample_histogram,
 )
+from test_measures import ks_uniform_statistic
 
 
 def _line(capfd, text: str) -> None:

@@ -328,6 +328,9 @@ class TestConstantMaps:
         assert payload["count"] == 1
         (point,) = payload["points"]
         assert point["z"] == z
+        if z != "inf":
+            # -0.0 == 0.0; the printed sign shows only through copysign
+            assert [math.copysign(1.0, x) for x in point["z"]] == [1.0, 1.0]
         assert point["multiplier"] == [0.0, 0.0]
 
     def test_compose(self, tmp_path, capsys):

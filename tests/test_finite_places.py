@@ -5,7 +5,7 @@ works modulo a power of the resultant's least integer.  These tests
 compare it with the contents of the exact orbit, evaluated by Horner's
 rule on Fraction elements, run it on a map whose resultant has only
 31-digit prime factors, and check that the package imports without sympy
-or mpmath.
+or mpmath, and that the exact subcommands run without numpy.
 """
 
 import json
@@ -27,6 +27,7 @@ from p1dyn.heights import (
 )
 from p1dyn.quadfield import integral_gcd, parse_element
 from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
+from test_cli_golden import GOLDEN
 from test_exact_kernels import FracQF, oracle_eval_pair
 
 
@@ -160,14 +161,80 @@ class TestTrialDivision:
             naive_height_by_places(point(str(n), str(n), 0))
 
 
-def test_import_does_not_load_sympy():
+# one command per exact subcommand; these never need numpy
+EXACT_CASES = [
+    "height --catalog pow_2 --point 7,3 --point=-10,9 --tol 1e-9",
+    "nt-height --curve E1 --point 2,1 --point 1/4 --point 3+w,2",
+    "commute --catalog phi_1+i phi_1-i",
+    "compose --catalog phi_sqrt-3 phi_sqrt-3*rho",
+    "ramify --catalog phi_2@E2",
+    "table-check --lambda 1,2,1",
+    "catalog",
+]
+
+# run EXACT_CASES through cli.main in a fresh interpreter (with numpy
+# blocked when argv[1] is "blocked"), then inspect the package surface;
+# prints one JSON object
+_FRESH_RUN = """
+import contextlib, io, json, shlex, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+import p1dyn
+from p1dyn import cli
+runs = {}
+for case in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(shlex.split(case))
+    runs[case] = [rc, buf.getvalue()]
+report = {
+    "runs": runs,
+    "loaded": sorted(m for m in ("mpmath", "numpy", "sympy")
+                     if sys.modules.get(m) is not None),
+    "dir": dir(p1dyn),
+}
+if sys.argv[1] == "open":
+    report["all"] = p1dyn.__all__
+    report["unresolved"] = [n for n in p1dyn.__all__
+                            if getattr(p1dyn, n, None) is None]
+    star = {}
+    exec("from p1dyn import *", star)
+    report["star"] = sorted(n for n in star if not n.startswith("__"))
+print(json.dumps(report))
+"""
+
+
+def _fresh_run(mode: str) -> dict:
     src = os.path.dirname(os.path.dirname(p1dyn.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, p1dyn; print('sympy' in sys.modules,"
-         " 'mpmath' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", _FRESH_RUN, mode, json.dumps(EXACT_CASES)],
+        capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    return json.loads(proc.stdout)
+
+
+def test_import_does_not_load_sympy(capsys):
+    expected = {}
+    for case in EXACT_CASES:
+        if case in GOLDEN:
+            expected[case] = GOLDEN[case]
+        else:
+            assert cli.main(case.split()) == 0
+            expected[case] = capsys.readouterr().out
+    lazy = ["measures", *p1dyn._MEASURES_NAMES]
+
+    report = _fresh_run("open")
+    # the exact subcommands load none of the numeric packages
+    assert report["loaded"] == []
+    assert report["runs"] == {c: [0, out] for c, out in expected.items()}
+    # the lazy names are listed before anything loads them
+    assert set(lazy) <= set(report["dir"])
+    assert set(lazy) <= set(report["all"])
+    assert report["unresolved"] == []
+    assert report["star"] == sorted(report["all"])
+
+    blocked = _fresh_run("blocked")
+    assert blocked["loaded"] == []
+    assert blocked["runs"] == report["runs"]

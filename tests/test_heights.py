@@ -11,10 +11,9 @@ from p1dyn.heights import (
     naive_height,
     naive_height_by_places,
     neron_tate,
-    tate_limit_raw,
 )
 from p1dyn.lattes import catalog, curve_E1, curve_E2, lattes_double
-from p1dyn.quadfield import QuadFieldElement as QF
+from p1dyn.quadfield import QuadFieldElement as QF, integral_gcd
 from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
 
 
@@ -25,6 +24,24 @@ def rmap(num, den, d=0):
 def pt(x, y, d=0):
     return ProjPoint(QF(x, 0, d) if not isinstance(x, QF) else x,
                      QF(y, 0, d) if not isinstance(y, QF) else y, d)
+
+
+def tate_limit_raw(phi, P, steps):
+    """Exact gcd-reduced orbit heights h(phi^n P) / alpha^n, n = 1..steps.
+
+    The direct definition, a slow oracle for the decomposed engine; P
+    lies in phi's field.  Coordinate sizes grow like alpha^n.
+    """
+    alpha = phi.degree
+    f0, f1 = (Poly(c, phi.d) for c in phi.integral_model())
+    x0, x1 = P.reduced_pair()
+    out = []
+    for n in range(1, steps + 1):
+        y0, y1 = f0.eval_pair(x0, x1, alpha), f1.eval_pair(x0, x1, alpha)
+        g = integral_gcd(y0, y1)
+        x0, x1 = y0 / g, y1 / g
+        out.append(0.5 * math.log(int(max(x0.norm(), x1.norm()))) / alpha**n)
+    return out
 
 
 class TestNaive:

@@ -25,15 +25,14 @@ from p1dyn.measures import (
     Lift,
     _CYCLE_TOL,
     _abs_g_on,
+    _header_comments,
     _grid_centers,
     _lattice_mass,
     compare_l1,
     green,
     green_field,
     julia_raster,
-    ks_uniform_statistic,
     lattes_density,
-    map_samples,
     measure_from_green,
     periodic_points,
     poly_roots,
@@ -41,9 +40,70 @@ from p1dyn.measures import (
     sample_histogram,
     write_csv,
     write_pgm,
-    write_ppm,
 )
 from p1dyn.ratmaps import RationalMap
+
+
+# helpers that only the tests use, as oracles and fixtures
+def ks_uniform_statistic(values, period: float = 1.0) -> float:
+    """Kolmogorov-Smirnov distance of values mod period from uniform."""
+    u = np.sort(np.mod(np.asarray(values, dtype=float), period) / period)
+    n = len(u)
+    if n == 0:
+        raise DomainError("empty sample")
+    k = np.arange(1, n + 1)
+    return float(max(np.max(k / n - u), np.max(u - (k - 1) / n)))
+
+
+def map_samples(phi: RationalMap, samples: ComplexSampleSet) -> ComplexSampleSet:
+    """Push a sample set forward through phi (sizes are preserved)."""
+    lift = Lift.from_map(phi)
+    z = samples.points
+    big = np.abs(z) > 1.0
+    a0 = np.where(big, z / np.maximum(np.abs(z), 1.0), z)
+    a1 = np.where(big, 1.0 / np.maximum(np.abs(z), 1.0), np.ones_like(z))
+    w0, w1 = lift.eval(a0, a1)
+    if samples.n_infinite:
+        i0, i1 = lift.eval(np.array([1.0 + 0j]), np.array([0j]))
+        w0 = np.concatenate([w0, np.repeat(i0, samples.n_infinite)])
+        w1 = np.concatenate([w1, np.repeat(i1, samples.n_infinite)])
+    finite = np.abs(w1) > 1e-14 * np.abs(w0)
+    return ComplexSampleSet(
+        w0[finite] / w1[finite],
+        int(np.sum(~finite)),
+        samples.seed,
+        samples.depth,
+    )
+
+
+def coarsen(grid: DensityGrid, factor: int) -> DensityGrid:
+    """Sum blocks of factor x factor cells into a coarser grid."""
+    nx, ny = grid.resolution
+    if factor < 1 or nx % factor or ny % factor:
+        raise DomainError("factor must divide both resolutions")
+    m = grid.mass.reshape(ny // factor, factor, nx // factor, factor)
+    return DensityGrid(
+        grid.window,
+        (nx // factor, ny // factor),
+        m.sum(axis=(1, 3)),
+        grid.window_fraction,
+    )
+
+
+def write_ppm(path, image, metadata=None) -> None:
+    """Binary PPM; grayscale input is replicated across channels."""
+    img = np.asarray(image, dtype=np.uint8)
+    if img.ndim == 2:
+        img = np.repeat(img[:, :, None], 3, axis=2)
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise DomainError("PPM wants (h, w) or (h, w, 3)")
+    h, w, _ = img.shape
+    with open(path, "wb") as f:
+        f.write(b"P6\n")
+        f.write(_header_comments(metadata))
+        f.write(f"{w} {h}\n255\n".encode())
+        f.write(img.tobytes())
+
 
 SQUARE = Lift([0, 0, 1], [1, 0, 0])
 WIN = (-2.0, 2.0, -2.0, 2.0)
@@ -242,6 +302,16 @@ class TestPolyRoots:
     def test_linear(self):
         assert poly_roots([6, -2]) == [3 + 0j]
 
+    @pytest.mark.parametrize(
+        "coeffs", [[0, 1], [0j, -1], [0, 1 + 1j], [-0.0, 2], [-0.0 - 0.0j, -3j]]
+    )
+    def test_linear_root_at_zero_is_unsigned(self, coeffs):
+        # -0.0 == 0.0, so only copysign sees the sign
+        (r,) = poly_roots(coeffs)
+        assert r == 0
+        assert math.copysign(1.0, r.real) == 1.0
+        assert math.copysign(1.0, r.imag) == 1.0
+
     def test_repeated_root(self):
         r = poly_roots([1, 2, 1])  # (z+1)^2
         assert all(abs(z + 1) <= 1e-4 for z in r)
@@ -295,7 +365,7 @@ class TestPreimageSampling:
 
     def test_two_constructions_agree(self):
         f = green_field(SQUARE, WIN, 256, 20)
-        m = measure_from_green(f).coarsen(8)
+        m = coarsen(measure_from_green(f), 8)
         s = preimage_sample(catalog("pow_2"), 2.0, 16, seed=5)
         h = sample_histogram(s, WIN, 32)
         assert compare_l1(m, h) <= 0.1
