@@ -53,7 +53,6 @@ from .ratmaps import (
     ProjPoint,
     RationalMap,
     distinct_preimages,
-    homogeneous_resultant,
     poly_from_strings,
     preimage_multiplicities,
 )

@@ -25,7 +25,12 @@ from .errors import (
     DomainError,
     MapSpecError,
 )
-from .quadfield import QuadFieldElement, format_element, parse_element
+from .quadfield import (
+    SUPPORTED_D,
+    QuadFieldElement,
+    format_element,
+    parse_element,
+)
 from .ratmaps import ProjPoint, RationalMap
 from . import heights
 from . import lattes
@@ -65,6 +70,13 @@ def _parse_window(text: str) -> tuple:
         raise MapSpecError(f"window {text!r} must be four decimals") from None
 
 
+def _field_tag(d, where: str) -> int:
+    # type(), not isinstance: True and 1.0 both compare equal to 1
+    if type(d) is not int or d not in SUPPORTED_D:
+        raise MapSpecError(f"{where}: field d must be 0, 1 or 3, got {d!r}")
+    return d
+
+
 def _parse_lambda(text: str) -> QuadFieldElement:
     parts = text.split(",")
     if len(parts) != 3:
@@ -76,7 +88,7 @@ def _parse_lambda(text: str) -> QuadFieldElement:
         raise MapSpecError(
             f"--lambda {text!r} needs two rationals and an integer d"
         ) from None
-    return QuadFieldElement(a, b, d)
+    return QuadFieldElement(a, b, _field_tag(d, f"--lambda {text!r}"))
 
 
 def _map_from_file(path: str) -> RationalMap:
@@ -91,19 +103,21 @@ def _map_from_file(path: str) -> RationalMap:
         ) from None
     if not isinstance(spec, dict) or "num" not in spec or "den" not in spec:
         raise MapSpecError(f"{path}: map spec needs 'num' and 'den' lists")
-    d = spec.get("field", {}).get("d", 0)
-    if d not in (0, 1, 3):
-        raise MapSpecError(f"{path}: field d must be 0, 1 or 3, got {d!r}")
+    field = spec.get("field", {})
+    if not isinstance(field, dict):
+        raise MapSpecError(f"{path}: 'field' must be an object, got {field!r}")
+    d = _field_tag(field.get("d", 0), path)
 
+    # raised messages get the path prefix from the except clause below
     def strings(key):
         coeffs = spec[key]
         if not isinstance(coeffs, list) or not coeffs:
-            raise MapSpecError(f"{path}: {key!r} must be a non-empty list")
+            raise MapSpecError(f"{key!r} must be a non-empty list")
         out = []
         for c in coeffs:
             if isinstance(c, bool) or not isinstance(c, (int, str)):
                 raise MapSpecError(
-                    f"{path}: coefficient {c!r} must be an integer or an "
+                    f"coefficient {c!r} must be an integer or an "
                     "exact-grammar string"
                 )
             out.append(str(c))

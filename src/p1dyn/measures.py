@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .lattes import EllipticCurveCM
-from .ratmaps import Poly, RationalMap, _coords
+from .ratmaps import Poly, RationalMap
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,12 +110,6 @@ class Lift:
         lift = cls.__new__(cls)
         lift._set(*phi.complex_pair(), phi.degree)
         return lift
-
-    def scaled(self, c) -> "Lift":
-        c = complex(c)
-        if c == 0:
-            raise DomainError("lift scale must be nonzero")
-        return Lift(list(self.f0 * c), list(self.f1 * c), self.degree)
 
     def eval(self, w0, w1):
         """Evaluate both forms; accepts scalars or numpy arrays.
@@ -757,17 +751,10 @@ def periodic_points(phi: RationalMap, n: int) -> list:
     out = [(r, _at(dn, r) / _at(dd, r)) for r in roots]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     if inf_mult_count > 0:
-        # flip charts: the multiplier at infinity is the derivative of
-        # the conjugated map at zero
-        top = alpha
-        fn = [psi.den.coeff(top - k) for k in range(top + 1)]
-        fd = [psi.num.coeff(top - k) for k in range(top + 1)]
-        # z^top psi(1/z) reverses coprime forms, so it stays coprime
-        flipped = RationalMap._from_coprime(
-            *_coords(Poly(fn, phi.d), Poly(fd, phi.d))[0], phi.d
-        )
-        dflip = flipped.derivative_map()
-        m_inf = complex(dflip.num.coeff(0)) / complex(dflip.den.coeff(0))
+        # den has degree below alpha, so in the chart w = 1/z psi is
+        # w -> w^alpha den(1/w) / w^alpha num(1/w), whose derivative at 0
+        # is den_(alpha-1) / num_alpha: one exact division
+        m_inf = complex(den.coeff(alpha - 1) / num.coeff(alpha))
         out.extend([(INF_POINT, m_inf)] * inf_mult_count)
     return out
 
@@ -818,7 +805,7 @@ def write_pgm(path, image, metadata=None) -> None:
         f.write(img.tobytes())
 
 
-def write_csv(grid: DensityGrid, path, sidecar: bool = True) -> None:
+def write_csv(grid: DensityGrid, path) -> None:
     """Row-major CSV of cell masses plus a JSON metadata sidecar."""
     # one format string per row: a whole-grid tolist() would hold every
     # cell as a Python float at once
@@ -826,13 +813,12 @@ def write_csv(grid: DensityGrid, path, sidecar: bool = True) -> None:
     with open(path, "w") as f:
         for row in grid.mass:
             f.write(line % tuple(row.tolist()))
-    if sidecar:
-        meta = {
-            "schema": 1,
-            "window": list(grid.window),
-            "resolution": list(grid.resolution),
-            "window_fraction": grid.window_fraction,
-        }
-        with open(str(path) + ".json", "w") as f:
-            json.dump(meta, f, sort_keys=True, indent=1)
-            f.write("\n")
+    meta = {
+        "schema": 1,
+        "window": list(grid.window),
+        "resolution": list(grid.resolution),
+        "window_fraction": grid.window_fraction,
+    }
+    with open(str(path) + ".json", "w") as f:
+        json.dump(meta, f, sort_keys=True, indent=1)
+        f.write("\n")

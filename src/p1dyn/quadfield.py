@@ -220,7 +220,12 @@ class QuadFieldElement:
         return cls._of(u, v, 1, d)
 
     def __complex__(self) -> complex:
-        return complex(float(self.a), float(self.b) * math.sqrt(self._d))
+        # int / int rounds correctly, as float(Fraction) does
+        u, v, den = self._u, self._v, self._den
+        if self._d == 3:
+            return complex((2 * u + v) / (2 * den),
+                           v / (2 * den) * math.sqrt(3))
+        return complex(u / den, v / den * math.sqrt(self._d))
 
     # -- comparison / hashing ----------------------------------------------------
 
@@ -301,7 +306,9 @@ def pair_divmod(x, y, t: int) -> tuple:
     """Euclidean division x = q*y + r of basis pairs, N(r) < N(y).
 
     q rounds each basis coordinate of x*conj(y)/N(y) to the nearest
-    integer, ties toward +infinity.
+    integer, ties toward +infinity.  N(r) < N(y) because each lattice of
+    integers has covering radius below 1 in the norm: the rounding error
+    is at most 1/4 for d=0, 1/2 for d=1 and 3/4 for d=3 (hexagonal).
     """
     n = pair_norm(y, t)
     p0, p1 = pair_mul(x, pair_conj(y, t), t)
@@ -362,54 +369,15 @@ def pair_divexact(x, y, t: int) -> tuple:
     return (u // n, v // n)
 
 
-def round_to_integers(x: QuadFieldElement) -> QuadFieldElement:
-    """Nearest element of the ring of integers.
-
-    The covering radius of each integer lattice is < 1 in the norm, which
-    is what makes Euclidean division (pair_divmod) terminate: d=0 gives
-    error <= 1/4, d=1 gives <= 1/2, d=3 (hexagonal lattice) gives <= 3/4.
-    """
-    return QuadFieldElement.from_basis_pair(
-        _round_ratio(x._u, x._den), _round_ratio(x._v, x._den), x.d
-    )
-
-
-def _integral_pairs(x: QuadFieldElement, y: QuadFieldElement, what: str):
+def integral_gcd(x: QuadFieldElement, y: QuadFieldElement) -> QuadFieldElement:
+    """Greatest common divisor in the ring of integers, unit-normalized."""
     if x.d != y.d:
         raise FieldMismatchError(f"field tags differ: d={x.d} vs d={y.d}")
     if not (x.is_integral() and y.is_integral()):
-        raise DomainError(f"{what} requires algebraic integers")
-    return x.basis_pair(), y.basis_pair()
-
-
-def divmod_integral(x: QuadFieldElement, y: QuadFieldElement):
-    """Euclidean division x = q*y + r in the ring of integers, norm(r) < norm(y)."""
-    px, py = _integral_pairs(x, y, "divmod_integral")
-    if y.is_zero():
-        raise ZeroDivisionError("division by zero")
-    q, r = pair_divmod(px, py, omega_flag(x.d))
-    return (
-        QuadFieldElement.from_basis_pair(*q, x.d),
-        QuadFieldElement.from_basis_pair(*r, x.d),
-    )
-
-
-def normalize_unit(x: QuadFieldElement) -> QuadFieldElement:
-    """The canonical associate of x (zero stays zero).
-
-    Exactly one unit multiple of a nonzero x has complex argument in
-    [0, pi/2) for d=1, in [0, pi/3) for d=3, or is positive for d=0.
-    """
-    u, v = pair_normalize((x._u, x._v), omega_flag(x.d))
-    return QuadFieldElement._of(u, v, x._den, x.d)
-
-
-def integral_gcd(x: QuadFieldElement, y: QuadFieldElement) -> QuadFieldElement:
-    """Greatest common divisor in the ring of integers, unit-normalized."""
-    px, py = _integral_pairs(x, y, "integral_gcd")
+        raise DomainError("integral_gcd requires algebraic integers")
     if x.is_zero() and y.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
-    u, v = pair_gcd(px, py, omega_flag(x.d))
+    u, v = pair_gcd(x.basis_pair(), y.basis_pair(), omega_flag(x.d))
     return QuadFieldElement.from_basis_pair(u, v, x.d)
 
 

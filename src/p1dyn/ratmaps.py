@@ -178,13 +178,8 @@ class Poly:
                         self._den, self._d)
 
     def __call__(self, z):
-        """Horner evaluation; accepts field elements or complex."""
-        if isinstance(z, QuadFieldElement):
-            return self.eval_pair(z, 1, max(self.degree, 0))
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
+        """Value at the field element z."""
+        return self.eval_pair(z, 1, max(self.degree, 0))
 
     def eval_pair(self, x0, x1, deg: int):
         """Evaluate the degree-`deg` homogenization at the pair (x0, x1).
@@ -533,9 +528,6 @@ class RationalMap:
             self._den.eval_pair(x0, x1, self._deg),
         )
 
-    def eval_affine(self, z: QuadFieldElement) -> ProjPoint:
-        return self(ProjPoint.affine(z))
-
     def compose(self, inner: "RationalMap") -> "RationalMap":
         """self after inner, by homogeneous substitution.
 
@@ -581,11 +573,6 @@ class RationalMap:
         if out.degree != self._deg * inner._deg and self._deg and inner._deg:
             raise DomainError("degree collapsed under composition")
         return out
-
-    def iterate(self, p: ProjPoint, n: int) -> ProjPoint:
-        for _ in range(n):
-            p = self(p)
-        return p
 
     def commutes_with(self, other: "RationalMap") -> bool:
         return self.compose(other) == other.compose(self)
@@ -637,15 +624,6 @@ class RationalMap:
         # a gcd over Q stays a gcd over any extension field
         return RationalMap._from_coprime(
             *_coords(self._num.embed(d), self._den.embed(d))[0], d
-        )
-
-    def scalar_multiple(self, c) -> "RationalMap":
-        """The map c * self (post-composition with multiplication by c)."""
-        s = _coerce_coeff(c, self._d)
-        if s.is_zero():
-            raise DomainError("scaling a map by zero")
-        return RationalMap._from_coprime(
-            *_coords(s * self._num, self._den)[0], self._d
         )
 
     def __str__(self) -> str:
@@ -766,15 +744,6 @@ def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
             y[k] = pair_divexact((u, v), mat[k][k], t)
         sols.append(y)
     return QuadFieldElement._of(*det, sign * den**n, d), den, sols
-
-
-def homogeneous_resultant(c0: Sequence, c1: Sequence, deg: int):
-    """Resultant of two degree-`deg` binary forms given by coefficient lists.
-
-    Lists are lowest-first, length deg+1.  Nonzero exactly when the forms
-    share no projective root.
-    """
-    return _bareiss(c0, c1, deg)[0]
 
 
 def log_one_norm(norms: Sequence) -> float:

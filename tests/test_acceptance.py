@@ -236,7 +236,7 @@ def test_c10_metric_functional_equation(capfd):
 
             # scaling one starting lift by 5 shifts g by log5 * sum d^-k;
             # the gap to the limit must shrink geometrically at rate 1/d
-            scaled = lift.scaled(5.0)
+            scaled = Lift(5.0 * lift.f0, 5.0 * lift.f1, lift.degree)
             z0 = 0.37 + 0.29j
             limit = math.log(5.0) / (d - 1)
             gaps = []

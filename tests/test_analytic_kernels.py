@@ -323,5 +323,5 @@ def test_csv_bytes_match_oracle(tmp_path):
     grids.append(DensityGrid(WINDOW, (1, 1), np.array([[1.0]])))
     for i, grid in enumerate(grids):
         path = tmp_path / f"g{i}.csv"
-        write_csv(grid, path, sidecar=False)
+        write_csv(grid, path)
         assert path.read_bytes() == oracle_csv(grid)

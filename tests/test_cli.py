@@ -221,6 +221,14 @@ class TestTableCheck:
         rc, _, err = run(["table-check", "--lambda", "1,2"], capsys)
         assert rc == 2
 
+    def test_unsupported_lambda_field_is_usage_error(self, capsys):
+        # the same exit code as a map file's unsupported d
+        rc, out, err = run(["table-check", "--lambda", "1,2,5"], capsys)
+        assert rc == 2 and out == ""
+        assert err == (
+            "error: --lambda '1,2,5': field d must be 0, 1 or 3, got 5\n"
+        )
+
     def test_half_integer_lambda_is_domain_error(self, capsys):
         rc, _, err = run(["table-check", "--lambda", "1/2,1/2,3"], capsys)
         assert rc == 1
@@ -540,6 +548,32 @@ class TestErrorPaths:
         )
         assert rc == 2
         assert "position" in err
+
+    @pytest.mark.parametrize(
+        "field", ['[]', '"Q"', '{"d": true}', '{"d": 1.0}', '{"d": "1"}',
+                  '{"d": 2}'],
+    )
+    def test_bad_field_is_one_error_line(self, tmp_path, capsys, field):
+        # true and 1.0 compare equal to 1 but are no field tag
+        path = tmp_path / "badfield.json"
+        path.write_text(
+            '{"field": %s, "num": ["0", "0", "1"], "den": ["1"]}' % field
+        )
+        rc, out, err = run(
+            ["compose", "--map", str(path), "--catalog", "pow_2"], capsys
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("coeffs", ['[true]', '[1.5]', '[]', '"1"'])
+    def test_map_file_error_names_path_once(self, tmp_path, capsys, coeffs):
+        path = tmp_path / "badcoef.json"
+        path.write_text('{"num": %s, "den": ["1"]}' % coeffs)
+        rc, _, err = run(
+            ["height", "--map", str(path), "--point", "1,1"], capsys
+        )
+        assert rc == 2
+        assert err.count(str(path)) == 1
 
     def test_unparseable_point(self, capsys):
         rc, _, err = run(

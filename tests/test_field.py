@@ -6,14 +6,27 @@ from hypothesis import given, settings, strategies as st
 from p1dyn.errors import DomainError, FieldMismatchError, MapSpecError
 from p1dyn.quadfield import (
     QuadFieldElement as QF,
-    divmod_integral,
+    cleared_pairs,
     format_element,
     integral_gcd,
-    normalize_unit,
+    omega_flag,
+    pair_divmod,
+    pair_normalize,
     parse_element,
-    round_to_integers,
     sqrt_in_field,
 )
+
+
+def divmod_elements(x, y):
+    """pair_divmod on two algebraic integers, as field elements."""
+    q, r = pair_divmod(x.basis_pair(), y.basis_pair(), omega_flag(x.d))
+    return QF.from_basis_pair(*q, x.d), QF.from_basis_pair(*r, x.d)
+
+
+def normalize_element(x):
+    """pair_normalize on den*x, divided by den again."""
+    (p,), den = cleared_pairs([x])
+    return QF.from_basis_pair(*pair_normalize(p, omega_flag(x.d)), x.d) / den
 
 
 def gauss(a, b):
@@ -114,14 +127,15 @@ class TestIntegrality:
 
 class TestEuclidean:
     def test_rounding_hexagonal(self):
-        # Nearest lattice point in Z[omega] measured in the norm
+        # the quotient of den*x by den rounds x to Z[omega]; the covering
+        # radius of the hexagonal lattice is below 1 in the norm
         x = eis(Fraction(2, 5), Fraction(1, 5))
-        r = round_to_integers(x)
-        assert r.is_integral()
-        assert (x - r).norm() < 1
+        (p,), den = cleared_pairs([x])
+        q, _ = pair_divmod(p, (den, 0), omega_flag(3))
+        assert (x - QF.from_basis_pair(*q, 3)).norm() < 1
 
     def test_divmod_example(self):
-        q, r = divmod_integral(gauss(7, 1), gauss(2, 1))
+        q, r = divmod_elements(gauss(7, 1), gauss(2, 1))
         assert q * gauss(2, 1) + r == gauss(7, 1)
         assert r.norm() < gauss(2, 1).norm()
 
@@ -146,12 +160,12 @@ class TestEuclidean:
             integral_gcd(gauss(Fraction(1, 2), 0), gauss(1, 0))
 
     def test_normalize_unit_examples(self):
-        assert normalize_unit(gauss(0, 1)) == gauss(1, 0)
-        assert normalize_unit(gauss(-2, 0)) == gauss(2, 0)
+        assert normalize_element(gauss(0, 1)) == gauss(1, 0)
+        assert normalize_element(gauss(-2, 0)) == gauss(2, 0)
         # sqrt(-3) rotates by -60 degrees to (3+sqrt(-3))/2
-        assert normalize_unit(eis(0, 1)) == eis(Fraction(3, 2), Fraction(1, 2))
+        assert normalize_element(eis(0, 1)) == eis(Fraction(3, 2), Fraction(1, 2))
         rho = eis(Fraction(1, 2), Fraction(1, 2))
-        assert normalize_unit(rho) == eis(1, 0)
+        assert normalize_element(rho) == eis(1, 0)
 
 
 class TestSqrt:
@@ -245,7 +259,7 @@ class TestProperties:
     def test_euclidean_division(self, d, data):
         x = data.draw(_elements(d))
         y = data.draw(_elements(d).filter(lambda e: not e.is_zero()))
-        q, r = divmod_integral(x, y)
+        q, r = divmod_elements(x, y)
         assert q.is_integral()
         assert x == q * y + r
         assert r.norm() < y.norm()
@@ -256,9 +270,9 @@ class TestProperties:
         x = data.draw(_elements(d).filter(lambda e: not e.is_zero()))
         y = data.draw(_elements(d))
         g = integral_gcd(x, y)
-        assert divmod_integral(x, g)[1].is_zero()
+        assert divmod_elements(x, g)[1].is_zero()
         if not y.is_zero():
-            assert divmod_integral(y, g)[1].is_zero()
+            assert divmod_elements(y, g)[1].is_zero()
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([0, 1, 3]), data=st.data())
@@ -267,13 +281,13 @@ class TestProperties:
         x = data.draw(_elements(d).filter(lambda e: not e.is_zero()))
         y = data.draw(_elements(d).filter(lambda e: not e.is_zero()))
         lhs = integral_gcd(g0 * x, g0 * y)
-        rhs = normalize_unit(g0 * integral_gcd(x, y))
+        rhs = normalize_element(g0 * integral_gcd(x, y))
         assert lhs == rhs
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.sampled_from([0, 1, 3]), data=st.data())
     def test_normalized_associate_unique(self, d, data):
         x = data.draw(_elements(d).filter(lambda e: not e.is_zero()))
-        n = normalize_unit(x)
-        assert normalize_unit(n) == n
+        n = normalize_element(x)
+        assert normalize_element(n) == n
         assert n.norm() == x.norm()

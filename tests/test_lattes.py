@@ -42,7 +42,8 @@ class TestDoubling:
     def test_doubling_agrees_with_group_law(self):
         # P = (2, sqrt(10)) on y^2 = x^3 + x: x(2P) = 9/40
         dbl = lattes_double(curve_E1())
-        assert dbl.eval_affine(QF(2, 0, 1)).value() == QF(Fraction(9, 40), 0, 1)
+        x2 = dbl(ProjPoint.affine(QF(2, 0, 1))).value()
+        assert x2 == QF(Fraction(9, 40), 0, 1)
 
 
 class TestTripling:
@@ -50,7 +51,7 @@ class TestTripling:
         # chord-and-tangent on y^2 = x^3 + x from P = (2, sqrt(10)):
         # x(2P) = 9/40, then x(2P + P) = 242/5041, worked out by hand
         tri = lattes_triple(curve_E1())
-        assert tri.eval_affine(QF(2, 0, 1)).value() == QF(
+        assert tri(ProjPoint.affine(QF(2, 0, 1))).value() == QF(
             Fraction(242, 5041), 0, 1
         )
 
@@ -180,7 +181,7 @@ class TestCompositionIdentities:
 
     def test_eps_is_omega_times_tripling(self):
         tri = lattes_triple(curve_E2())
-        assert catalog("phi_eps") == tri.scalar_multiple(OMEGA)
+        assert catalog("phi_eps") == RationalMap(OMEGA * tri.num, tri.den)
 
     def test_degree_five_products(self):
         f = catalog("phi_1+2i")
