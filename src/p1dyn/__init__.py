@@ -46,7 +46,6 @@ from .quadfield import (
     format_element,
     integral_gcd,
     parse_element,
-    sqrt_in_field,
 )
 from .ratmaps import (
     Poly,

@@ -88,6 +88,8 @@ def _parse_lambda(text: str) -> QuadFieldElement:
         raise MapSpecError(
             f"--lambda {text!r} needs two rationals and an integer d"
         ) from None
+    if b and d == 0:
+        raise MapSpecError(f"--lambda {text!r}: b must be 0 for d=0")
     return QuadFieldElement(a, b, _field_tag(d, f"--lambda {text!r}"))
 
 

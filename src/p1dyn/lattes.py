@@ -2,10 +2,11 @@
 
 A curve y^2 = G(x) with complex multiplication pushes each multiplication
 map lambda down to a rational map on x-coordinates.  This module holds
-the two standard curves (square and hexagonal lattice), explicit degree-2
-through degree-9 quotient maps, doubling and tripling built from division
-polynomials, and the parity-table oracle that predicts how the four
-2-torsion images ramify.
+the two standard curves (square and hexagonal lattice), doubling and
+tripling built from division polynomials, a catalog of quotient maps of
+degree 2 to 9 derived from a few base maps by conjugation and units, and
+the parity-table oracle that predicts how the four 2-torsion images
+ramify.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, MapSpecError
-from .quadfield import QuadFieldElement, format_element, sqrt_in_field
+from .quadfield import QuadFieldElement, cleared_pairs, format_element
 from .ratmaps import Poly, ProjPoint, RationalMap, distinct_preimages, poly_gcd
 
 
@@ -116,71 +117,76 @@ def lattes_triple(curve: EllipticCurveCM) -> RationalMap:
     return out
 
 
-def _roots_in_field(f: Poly) -> list:
-    """All roots of a monic polynomial of degree <= 3, inside its field.
+# Durand-Kerner sweeps of the double-precision root guess of a cubic
+_GUESS_SWEEPS = 100
 
-    Raises when a root requires an extension; callers surface that as a
-    request for explicit splitting data.
+
+def _root_guesses(G: Poly) -> tuple:
+    """(guesses, s): the roots of the monic cubic G in double precision,
+    as exact elements, and an s with roots of modulus at most about 2^s.
+
+    The Durand-Kerner sweeps run on G(2^s y)/2^(3s), whose roots have
+    modulus about 1, so coefficients of any size fit a double.
     """
-    d = f.d
-    if f.degree <= 0:
-        return []
-    f = f.monic()
-    if f.degree == 1:
-        return [-f.coeff(0)]
-    if f.degree == 2:
-        b, c = f.coeff(1), f.coeff(0)
-        disc = b * b - 4 * c
-        s = sqrt_in_field(disc)
-        if s is None:
-            raise DomainError(
-                "quadratic factor does not split over the coefficient field"
-            )
-        half = QuadFieldElement(Fraction(1, 2), 0, d)
-        return [(-b + s) * half, (-b - s) * half]
-    # cubic: strip a zero root or scan small integral divisors of the
-    # constant term, then recurse on the quotient
-    zero = QuadFieldElement.zero(d)
-    if f.coeff(0).is_zero():
-        rest = Poly(list(f.coeffs)[1:], d)
-        return [zero] + _roots_in_field(rest)
-    root = _linear_root_scan(f)
-    if root is None:
-        raise DomainError(
-            "cubic does not visibly split over the coefficient field; "
-            "supply torsion data for this curve"
-        )
-    lin = Poly([-root, QuadFieldElement.one(d)], d)
-    return [root] + _roots_in_field(f // lin)
+    d = G.d
+    norms = [G.coeff(k).norm() for k in range(3)]
+    s = max((n.numerator.bit_length() - n.denominator.bit_length())
+            // (6 - 2 * k) for k, n in enumerate(norms) if n)
+    scale = Fraction(2) ** s
+    c0, c1, c2 = (complex(G.coeff(k) / scale ** (3 - k)) for k in range(3))
+    ys = [(0.4 + 0.9j) ** k for k in range(3)]
+    for _ in range(_GUESS_SWEEPS):
+        for k, y in enumerate(ys):
+            ys[k] = y - (((y + c2) * y + c1) * y + c0) / (
+                (y - ys[k - 1]) * (y - ys[k - 2]))
+    return [QuadFieldElement(
+        Fraction(y.real) * scale,
+        Fraction(y.imag / math.sqrt(d) if d else 0) * scale, d,
+    ) for y in ys], s
 
 
-def _linear_root_scan(f: Poly):
-    d = f.d
-    c0 = f.coeff(0)
-    if not c0.is_integral():
-        return None
-    bound = int(c0.norm())
-    if bound > 400:
-        return None
-    L = math.isqrt(bound) + 1
-    for u in range(-L, L + 1):
-        for v in range(-L, L + 1):
-            if d == 0 and v != 0:
-                continue
-            r = QuadFieldElement.from_basis_pair(u, v, d)
-            if r.is_zero() or r.norm() > bound:
-                continue
-            if f(r).is_zero():
-                return r
-    return None
+def _snap(x: QuadFieldElement, D: int) -> QuadFieldElement:
+    """A point of (1/D)O_K nearest x in each basis coordinate."""
+    u, v = x.basis_pair()
+    return QuadFieldElement.from_basis_pair(round(D * u), round(D * v),
+                                            x.d) / D
 
 
 def two_torsion_targets(curve: EllipticCurveCM) -> list:
-    """Images of the 2-torsion: infinity plus the roots of G, sorted."""
-    roots = _roots_in_field(curve.G)
-    roots.sort(key=lambda r: (r.a, r.b))
+    """Images of the 2-torsion: infinity plus the roots of G, sorted.
+
+    For D the common denominator of G, D*e is a root of the monic
+    integral cubic D^3 G(x/D), so every root e lies on (1/D)O_K.  Each
+    double-precision guess is polished by exact Newton steps, each
+    rounded back onto that lattice, and anything short of three distinct
+    exact roots raises DomainError.
+    """
+    G = curve.G
+    dG = G.derivative()
+    _, D = cleared_pairs(G.coeffs)
+    guesses, s = _root_guesses(G)
+    roots = set()
+    for e in guesses:
+        e = _snap(e, D)
+        # near a pair of close roots Newton halves its distance per step
+        # until it resolves the pair, at most about log2(2^s*D) steps
+        for _ in range(abs(s) + D.bit_length() + 64):
+            value, slope = G(e), dG(e)
+            if value.is_zero() or slope.is_zero():
+                break
+            step = _snap(e - value / slope, D)
+            if step == e:
+                break
+            e = step
+        if G(e).is_zero():
+            roots.add(e)
+    if len(roots) != 3:
+        raise DomainError(
+            f"G = {G} does not split over its coefficient field: "
+            f"{len(roots)} of 3 roots found on (1/{D})O_K"
+        )
     return [ProjPoint.infinity(curve.d)] + [
-        ProjPoint.affine(r) for r in roots
+        ProjPoint.affine(r) for r in sorted(roots, key=lambda r: (r.a, r.b))
     ]
 
 
@@ -253,86 +259,56 @@ def _eis(a, b) -> QuadFieldElement:
 
 
 def _build_catalog() -> dict:
+    """The catalog from its base maps and two exact symmetries.
+
+    Conjugating every coefficient of phi_lambda gives phi_conj(lambda),
+    and a unit u acts on x-coordinates as multiplication by u^-2 (x -> -x
+    on E1, x -> omega*x on E2), so phi_(u*lambda) = u^-2 * phi_lambda.
+    Each derived entry takes both its map and its multiplier from these
+    rules, so a map cannot carry the label of another.
+    """
     entries = {}
 
-    def add(name, num, den, lam=None, curve_name=None):
-        entries[name] = CatalogEntry(name, RationalMap(num, den), lam, curve_name)
+    def add(name, phi, lam=None, curve_name=None):
+        entries[name] = CatalogEntry(name, phi, lam, curve_name)
 
-    z1 = Poly([0, 1], 1)
-    one1 = Poly([1], 1)
-    # conjugate degree-2 pair over the square lattice: c (z^2+1)/z with
-    # c = 1/(1+i)^2 and its negative
-    c = (_gauss(1, 1) ** 2).inverse()
-    s = Poly([1, 0, 1], 1)
-    add("phi_1+i", c * s, z1, _gauss(1, 1), "E1")
-    add("phi_1-i", -c * s, z1, _gauss(1, -1), "E1")
+    def derive(name, base, unit, conjugate=False):
+        phi, lam = entries[base].map, entries[base].lam
+        num, den = phi.num, phi.den
+        if conjugate:
+            num, den = (Poly([c.conj() for c in p.coeffs], p.d)
+                        for p in (num, den))
+            lam = lam.conj()
+        add(name, RationalMap(unit ** -2 * num, den), unit * lam,
+            entries[base].curve_name)
 
-    # degree-5 family: a*z*(z^2+t)^2 / (5z^2+u)^2
-    t_plus = Poly([_gauss(1, 2), 0, 1], 1)
-    t_minus = Poly([_gauss(1, -2), 0, 1], 1)
-    u_plus = Poly([_gauss(1, 2), 0, 5], 1)
-    u_minus = Poly([_gauss(1, -2), 0, 5], 1)
-    add(
-        "phi_1+2i",
-        _gauss(-3, -4) * (z1 * t_plus * t_plus),
-        u_minus * u_minus,
-        _gauss(1, 2),
-        "E1",
-    )
-    add(
-        "phi_1-2i",
-        _gauss(3, 4) * (z1 * t_plus * t_plus),
-        u_minus * u_minus,
-        _gauss(1, -2),
-        "E1",
-    )
-    add(
-        "phi_2+i",
-        _gauss(3, -4) * (z1 * t_minus * t_minus),
-        u_plus * u_plus,
-        _gauss(2, 1),
-        "E1",
-    )
-    add(
-        "phi_2-i",
-        _gauss(-3, 4) * (z1 * t_minus * t_minus),
-        u_plus * u_plus,
-        _gauss(2, -1),
-        "E1",
-    )
+    # degree 2 over the square lattice: (z^2+1)/((1+i)^2 z)
+    one_i = _gauss(1, 1)
+    add("phi_1+i", RationalMap(one_i ** -2 * Poly([1, 0, 1], 1),
+                               Poly([0, 1], 1)), one_i, "E1")
+    # degree 5: conj(t)^2 z (z^2+t)^2 / (5z^2+conj(t))^2 with t = 1+2i
+    t = _gauss(1, 2)
+    num = t.conj() ** 2 * (Poly([0, 1], 1) * Poly([t, 0, 1], 1) ** 2)
+    add("phi_1+2i", RationalMap(num, Poly([t.conj(), 0, 5], 1) ** 2), t, "E1")
+    # degree 3 over the hexagonal lattice: -(z^3+4)/(3z^2)
+    add("phi_sqrt-3", RationalMap(Poly([-4, 0, 0, -1], 3), Poly([0, 0, 3], 3)),
+        _eis(0, 1), "E2")
+    for name, curve, field in (("E1", curve_E1(), _gauss),
+                               ("E2", curve_E2(), _eis)):
+        add(f"phi_2@{name}", lattes_double(curve), field(2, 0), name)
+        add(f"phi_3@{name}", lattes_triple(curve), field(3, 0), name)
 
-    e1 = curve_E1()
-    e2 = curve_E2()
-    dbl1 = lattes_double(e1)
-    dbl2 = lattes_double(e2)
-    tri1 = lattes_triple(e1)
-    tri2 = lattes_triple(e2)
-    entries["phi_2@E1"] = CatalogEntry("phi_2@E1", dbl1, _gauss(2, 0), "E1")
-    entries["phi_3@E1"] = CatalogEntry("phi_3@E1", tri1, _gauss(3, 0), "E1")
-    entries["phi_2@E2"] = CatalogEntry("phi_2@E2", dbl2, _eis(2, 0), "E2")
-    entries["phi_3@E2"] = CatalogEntry("phi_3@E2", tri2, _eis(3, 0), "E2")
-
-    # hexagonal-lattice degree-3 pair and their degree-9 composition;
-    # omega is the primitive cube root of unity acting on x-coordinates
-    omega = _eis(Fraction(-1, 2), Fraction(1, 2))
-    cub = Poly([4, 0, 0, 1], 3)  # z^3 + 4
-    den3 = Poly([0, 0, 3], 3)
-    add("phi_sqrt-3", -1 * cub, den3, _eis(0, 1), "E2")
-    add("phi_sqrt-3*rho", -omega * cub, den3, _eis(0, 1) * omega, "E2")
-    m_poly = Poly([64, 0, 0, 48, 0, 0, -96, 0, 0, 1], 3)
-    add(
-        "phi_eps",
-        omega * m_poly,
-        Poly([0, 0, 9], 3) * cub * cub,
-        _eis(-3, 0) * omega,
-        "E2",
-    )
+    i = _gauss(0, 1)
+    omega = _eis(Fraction(-1, 2), Fraction(1, 2))  # primitive cube root of 1
+    derive("phi_1-i", "phi_1+i", _gauss(1, 0), conjugate=True)
+    derive("phi_1-2i", "phi_1+2i", _gauss(1, 0), conjugate=True)
+    derive("phi_2+i", "phi_1+2i", i, conjugate=True)  # i(1-2i)
+    derive("phi_2-i", "phi_1+2i", -i)  # -i(1+2i)
+    derive("phi_sqrt-3*rho", "phi_sqrt-3", omega)
+    derive("phi_eps", "phi_3@E2", -omega)  # -3*omega
 
     for k in (2, 3, 4):
-        zeros = [0] * k + [1]
-        entries[f"pow_{k}"] = CatalogEntry(
-            f"pow_{k}", RationalMap(Poly(zeros, 0), Poly([1], 0))
-        )
+        add(f"pow_{k}", RationalMap(Poly([0] * k + [1], 0), Poly([1], 0)))
     return entries
 
 

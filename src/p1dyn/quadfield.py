@@ -381,48 +381,6 @@ def integral_gcd(x: QuadFieldElement, y: QuadFieldElement) -> QuadFieldElement:
     return QuadFieldElement.from_basis_pair(u, v, x.d)
 
 
-def sqrt_in_field(x: QuadFieldElement):
-    """An exact square root of x inside its own field, or None.
-
-    Used to split quadratics over the supported fields when locating
-    two-torsion abscissas.
-    """
-
-    def _rat_sqrt(f: Fraction):
-        if f < 0:
-            return None
-        pn, pd = f.numerator, f.denominator
-        rn, rd = math.isqrt(pn), math.isqrt(pd)
-        if rn * rn == pn and rd * rd == pd:
-            return Fraction(rn, rd)
-        return None
-
-    if x.is_zero():
-        return QuadFieldElement.zero(x.d)
-    if x.b == 0:
-        r = _rat_sqrt(x.a)
-        if r is not None:
-            return QuadFieldElement(r, 0, x.d)
-        if x.d != 0 and x.a < 0:
-            r = _rat_sqrt(-x.a / x.d)
-            if r is not None:
-                return QuadFieldElement(0, r, x.d)
-        return None
-    # Solve (a + b w)^2 = x: a^2 - d b^2 = x.a and 2ab = x.b.
-    disc = _rat_sqrt(x.a * x.a + x.d * x.b * x.b)
-    if disc is None:
-        return None
-    for s in (1, -1):
-        asq = (x.a + s * disc) / 2
-        a = _rat_sqrt(asq)
-        if a is not None and a != 0:
-            b = x.b / (2 * a)
-            cand = QuadFieldElement(a, b, x.d)
-            if cand * cand == x:
-                return cand
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Vectors of elements over one common denominator.
 # ---------------------------------------------------------------------------

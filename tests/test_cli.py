@@ -229,6 +229,16 @@ class TestTableCheck:
             "error: --lambda '1,2,5': field d must be 0, 1 or 3, got 5\n"
         )
 
+    def test_sqrt_part_over_rationals_is_usage_error(self, capsys):
+        rc, out, err = run(["table-check", "--lambda", "1,1,0"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: --lambda '1,1,0': b must be 0 for d=0\n"
+
+    def test_gaussian_catalog_multiplier_picks_its_own_map(self, capsys):
+        payload = run_json(["table-check", "--lambda", "1,-2,1"], capsys)
+        assert payload["map"] == "phi_1-2i"
+        assert payload["match"] is True
+
     def test_half_integer_lambda_is_domain_error(self, capsys):
         rc, _, err = run(["table-check", "--lambda", "1/2,1/2,3"], capsys)
         assert rc == 1

@@ -13,7 +13,6 @@ from p1dyn.quadfield import (
     pair_divmod,
     pair_normalize,
     parse_element,
-    sqrt_in_field,
 )
 
 
@@ -166,21 +165,6 @@ class TestEuclidean:
         assert normalize_element(eis(0, 1)) == eis(Fraction(3, 2), Fraction(1, 2))
         rho = eis(Fraction(1, 2), Fraction(1, 2))
         assert normalize_element(rho) == eis(1, 0)
-
-
-class TestSqrt:
-    def test_rational_square(self):
-        assert sqrt_in_field(QF(Fraction(9, 4))) == QF(Fraction(3, 2))
-
-    def test_negative_rational_over_d3(self):
-        assert sqrt_in_field(eis(-3, 0)) == eis(0, 1)
-
-    def test_gaussian(self):
-        r = sqrt_in_field(gauss(0, 2))
-        assert r is not None and r * r == gauss(0, 2)
-
-    def test_no_root(self):
-        assert sqrt_in_field(QF(2)) is None
 
 
 class TestGrammar:

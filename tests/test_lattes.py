@@ -150,6 +150,20 @@ class TestCatalog:
             -OMEGA * Poly([4, 0, 0, 1], 3), Poly([0, 0, 3], 3)
         )
 
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if catalog_entry(n).lam is not None]
+    )
+    def test_label_is_the_multiplier(self, name):
+        # infinity is the image of the curve's origin, where phi_lambda has
+        # multiplier lambda^2 (Milnor, "On Lattes maps"): den_(a-1)/num_a
+        # for phi = num/den of degree a
+        entry = catalog_entry(name)
+        a = entry.map.degree
+        assert entry.map.den.coeff(a - 1) / entry.map.num.coeff(a) == (
+            entry.lam ** 2
+        )
+        assert map_for_multiplier(entry.lam) is entry
+
     def test_power_maps(self):
         assert catalog("pow_2") == RationalMap(Poly([0, 0, 1], 0), Poly([1], 0))
         assert catalog("pow_3").degree == 3
@@ -222,9 +236,42 @@ class TestTwoTorsion:
         for x in finite:
             assert (x ** 3 + 1).is_zero()
 
-    def test_unsplittable_curve_errors(self):
-        curve = EllipticCurveCM(Poly([-2, 0, 0, 1], 1), 1)
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize(
+        "coeffs,expect",
+        [
+            # x^3 - 1/8: roots 1/2 and (-1 +- sqrt(-3))/4
+            ([Fraction(-1, 8), 0, 0, 1],
+             [QF(Fraction(-1, 4), Fraction(-1, 4), 3),
+              QF(Fraction(-1, 4), Fraction(1, 4), 3),
+              QF(Fraction(1, 2), 0, 3)]),
+            # x^3 - 1000: roots 10 and -5 +- 5*sqrt(-3)
+            ([-1000, 0, 0, 1], [QF(-5, -5, 3), QF(-5, 5, 3), QF(10, 0, 3)]),
+        ],
+    )
+    def test_hexagonal_curves_beyond_small_roots(self, coeffs, expect):
+        targets = two_torsion_targets(EllipticCurveCM(Poly(coeffs, 3), 3))
+        assert targets[0].is_infinity()
+        assert [t.value() for t in targets[1:]] == expect
+
+    def test_huge_coefficients_split(self):
+        # x^3 + a^2 x = x (x - a*i) (x + a*i)
+        a = 10**30 + 7
+        curve = EllipticCurveCM(Poly([0, a * a, 0, 1], 1), 1)
+        finite = [t.value() for t in two_torsion_targets(curve)[1:]]
+        assert finite == [QF(0, -a, 1), QF(0, 0, 1), QF(0, a, 1)]
+
+    def test_close_roots_beside_a_huge_one_split(self):
+        # roots 0, 1 and 10^100: a double guess cannot tell 0 from 1
+        big = 10**100
+        curve = EllipticCurveCM(Poly([0, big, -(big + 1), 1], 1), 1)
+        finite = [t.value() for t in two_torsion_targets(curve)[1:]]
+        assert finite == [QF(0, 0, 1), QF(1, 0, 1), QF(big, 0, 1)]
+
+    @pytest.mark.parametrize("coeffs", [[-2, 0, 0, 1], [0, -2, 0, 1]])
+    def test_unsplittable_curve_errors(self, coeffs):
+        # x^3 - 2 has no root in Q(i), and x^3 - 2x only the root 0
+        curve = EllipticCurveCM(Poly(coeffs, 1), 1)
+        with pytest.raises(DomainError, match="does not split"):
             two_torsion_targets(curve)
 
 
@@ -315,6 +362,15 @@ class TestMultiplierLookup:
         assert map_for_multiplier(QF(2, 0, 1)).name == "phi_2@E1"
         assert map_for_multiplier(QF(0, 1, 3)).name == "phi_sqrt-3"
         assert map_for_multiplier(QF(1, -2, 1)).name == "phi_1-2i"
+
+    def test_conjugate_multiplier_has_conjugate_map(self):
+        f = catalog("phi_1+2i")
+        conj = RationalMap(
+            *(Poly([c.conj() for c in p.coeffs], 1) for p in (f.num, f.den))
+        )
+        assert map_for_multiplier(QF(1, -2, 1)).map == conj
+        # and the unit i twists it: phi_(i*lambda) = -phi_lambda on E1
+        assert catalog("phi_2+i") == RationalMap(-1 * conj.num, conj.den)
 
     def test_unknown_multiplier(self):
         with pytest.raises(DomainError) as err:

@@ -557,13 +557,7 @@ class TestCompare:
 def _inf_case(name, n):
     """One curve-attached catalog map at period n, with its known defect."""
     marks = []
-    if name in ("phi_1-2i", "phi_2-i"):
-        # phi_1-2i is -phi_1+2i, the map of i(1+2i) = -(2-i), and phi_2-i
-        # the map of -(1-2i): the two lambda labels are swapped
-        marks.append(pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="catalog lambda labels swapped"))
-    elif catalog(name).degree ** n == 81:
+    if catalog(name).degree ** n == 81:
         # degree 81 is the cap case that test_cap_cases_right_or_refused
         # allows to be refused; the finite roots miss their cycles
         marks.append(pytest.mark.xfail(
