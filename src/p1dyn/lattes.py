@@ -205,26 +205,39 @@ def ramification_profile(
 def predict_profile(lam: QuadFieldElement) -> RamificationProfile:
     """Parity-table prediction of the four counts for a multiplier.
 
-    The table is indexed by the parities of lambda = a + b*sqrt(-d); it
-    only covers multipliers with integer coordinates, and reports the
-    parity signature when asked outside that range.
+    The table is indexed by the parities of lambda = a + b*sqrt(-d) with
+    integer a, b.  A unit u changes the map only by an automorphism of
+    the curve (phi_(u*lambda) = u^-2 * phi_lambda), which permutes the
+    2-torsion images and keeps the counts, so an Eisenstein multiplier
+    with half-integer coordinates is read through the associate
+    omega^k * lambda whose coordinates are integers.  Multipliers with no
+    such associate are refused, as is a norm below 2.
     """
-    a, b, d = lam.a, lam.b, lam.d
-    n_frac = lam.norm()
-    if a.denominator != 1 or b.denominator != 1 or n_frac.denominator != 1:
+    units = [QuadFieldElement.one(lam.d)]
+    if lam.d == 3:
+        omega = _eis(Fraction(-1, 2), Fraction(1, 2))
+        units += [omega, omega * omega]
+    for u in units:
+        cand = u * lam
+        if cand.a.denominator == 1 and cand.b.denominator == 1:
+            break
+    else:
         u, v = lam.basis_pair()
         raise DomainError(
             "no parity row covers coordinates "
-            f"a={a}, b={b} (basis pair {u}, {v})"
+            f"a={lam.a}, b={lam.b} (basis pair {u}, {v})"
         )
-    n = int(n_frac)
+    a, b, d = cand.a, cand.b, cand.d
+    n = int(lam.norm())
     if n < 2:
         raise DomainError("multiplier norm below 2 has trivial dynamics")
     a_i, b_i = int(a), int(b)
     if (a_i + b_i * d) % 2 == 1:
         r = (n + 1) // 2
         counts = (r, r, r, r)
-    elif a_i % 2 == 0 and b_i % 2 == 0:
+    elif a_i % 2 == 0 and b_i % 2 == 0 or d == 3:
+        # lambda lies in 2 O_K; for d = 3 so does every a + b sqrt(-3)
+        # with a = b mod 2, such as 2 omega = -1 + sqrt(-3)
         if n == 4:
             counts = (4, 2, 2, 2)
         else:

@@ -305,93 +305,161 @@ def measure_from_green(field: GreenField) -> DensityGrid:
 
 # ---------------------------------------------------------------- roots
 
-def _poly_val(C, z):
-    # C: (N, w) constant-first rows; z: (N, m); Horner down the columns,
-    # no product written over a factor (see Lift.eval)
-    acc = np.broadcast_to(C[:, -1][:, None], z.shape).copy()
-    tmp = np.empty_like(acc)
-    for k in range(C.shape[1] - 2, -1, -1):
-        np.multiply(acc, z, out=tmp)
-        np.add(tmp, C[:, k][:, None], out=acc)
-    return acc
+def _newton_starts(C, tilt):
+    """Starting roots (deg, N) of the columns of C (deg+1, N), whose
+    constant and leading coefficients are nonzero.
+
+    The roots of a column go on the circles of its Newton polygon, the
+    upper convex hull of the points (k, log|a_k|): a hull edge from k to
+    m carries m - k roots at radius (|a_k|/|a_m|)^(1/(m-k)), equally
+    spaced and turned by the column's tilt (the start of MPSolve; Bini
+    and Robol, J. Comput. Appl. Math. 272, 2014).  Vertex k is on the
+    hull iff no slope to its right exceeds a slope to its left, read off
+    a (deg+1, deg+1, N) table of slopes.  Run under np.errstate: a zero
+    coefficient has log -inf, so the slopes into it are -inf and those
+    out of it +inf (or nan), and it never sets a maximum to its right,
+    a minimum to its left, or a hull vertex.
+    """
+    w = C.shape[0]
+    k = np.arange(w)
+    L = np.log(np.abs(C))
+    gap = k[None, :] - k[:, None]
+    later = gap > 0
+    slope = (L[None, :, :] - L[:, None, :]) * (
+        1.0 / np.where(later, gap, 1))[:, :, None]
+    slope[~later] = -np.inf
+    right = slope.max(axis=1)
+    slope[~later] = np.inf
+    left = slope.min(axis=0)
+    hull = (right < left) & np.isfinite(L)
+    # root slot t sits on the edge from the last vertex <= t to the first
+    # vertex > t
+    lo = np.maximum.accumulate(np.where(hull, k[:, None], 0), axis=0)[:-1]
+    hi = np.minimum.accumulate(
+        np.where(hull, k[:, None], w)[::-1], axis=0)[::-1][1:]
+    count = hi - lo
+    radius = np.exp((np.take_along_axis(L, lo, 0)
+                     - np.take_along_axis(L, hi, 0)) / count)
+    angle = TWO_PI * ((k[:-1, None] - lo) / count + lo / w) + tilt
+    return radius * np.exp(1j * angle)
 
 
-def _aberth_batch(C, rng, tol, max_iter):
-    """Simultaneous root iteration on a batch of same-degree polynomials.
+def _horner(C, A, z):
+    """p(z), p'(z) and sum_k |a_k||z|^k in one pass, for coefficient
+    columns C (deg+1, N), their moduli A and roots z (deg, N).  No
+    complex product is written over one of its factors (see Lift.eval),
+    so a one-column block rounds like a wide one."""
+    az = np.abs(z)
+    p = np.broadcast_to(C[-1], z.shape).copy()
+    dp = np.zeros_like(z)
+    bound = np.broadcast_to(A[-1], z.shape).copy()
+    tmp = np.empty_like(z)
+    for k in range(C.shape[0] - 2, -1, -1):
+        np.multiply(dp, z, out=tmp)
+        np.add(tmp, p, out=dp)
+        np.multiply(p, z, out=tmp)
+        np.add(tmp, C[k], out=p)
+        bound *= az
+        bound += A[k]
+    return p, dp, bound
 
-    C is (N, deg+1), constant term first, leading column nonzero.
-    Returns (roots (N, deg), converged (N,), residuals (N, deg)).
-    The convergence test is scale-free: |p(z)| against the coefficient
-    one-norm times max(1, |z|)^deg.  A row that passes it is never
-    updated again, so the sweeps work on compacted arrays of the rows
-    still active; a finished row's roots and residuals are written back
-    in the sweep it finishes.
+
+def _aberth_sweeps(C, z, tol, max_iter):
+    """Aberth sweeps on the columns C (deg+1, N) from the starts z
+    (deg, N).  Returns (roots, errors, converged).  A column that passes
+    still takes that sweep's correction, which near simple roots takes
+    an error e to O(e^3), and is then written back and dropped from the
+    sweeps."""
+    deg, N = z.shape
+    A = np.abs(C)
+    roots = np.empty_like(z)
+    err = np.empty(z.shape)
+    converged = np.zeros(N, dtype=bool)
+    cols = np.arange(N)
+    for sweep in range(max_iter + 1):
+        p, dp, bound = _horner(C, A, z)
+        e = np.abs(p) / bound
+        done = np.all(e <= tol, axis=0)
+        if sweep == max_iter:
+            roots[:, cols] = z
+            err[:, cols] = e
+            converged[cols] = done
+            break
+        # diff[j, i] = z_i - z_j.  The diagonal, set to inf through a
+        # strided view, turns into 0 under the reciprocal, and a sum over
+        # the outermost axis adds in one order whatever the block width
+        diff = z[None, :, :] - z[:, None, :]
+        diff.reshape(deg * deg, -1)[:: deg + 1] = np.inf
+        np.divide(1.0, diff, out=diff)
+        s = diff.sum(axis=0)
+        z = z - p / (dp - p * s)
+        if np.any(done):
+            roots[:, cols[done]] = z[:, done]
+            err[:, cols[done]] = e[:, done]
+            converged[cols[done]] = True
+            if np.all(done):
+                break
+            keep = ~done
+            cols, z, C, A = cols[keep], z[:, keep], C[:, keep], A[:, keep]
+    return roots, err, converged
+
+
+def _aberth_batch(C, tilt, tol, max_iter):
+    """Simultaneous (Aberth) root iteration on a batch of polynomials.
+
+    C is (N, deg+1), constant term first, leading column nonzero; tilt
+    (N,) turns each row's starting circles.  Returns (roots (N, deg),
+    converged (N,), errors (N, deg)).
+
+    A row whose k lowest coefficients vanish has k roots exactly 0; the
+    others are the roots of the row shifted down by k.  Those start on
+    the circles of the row's Newton polygon (see _newton_starts) and stop
+    by componentwise backward error (Bini and Robol): a row is done once
+    every root has |p(z)| <= tol * sum_k |a_k||z|^k, computed in the
+    Horner pass that gives p and p'.  The errors returned are those
+    ratios, and the roots one Aberth correction past them.  A row not
+    done after max_iter sweeps is returned as it stands, flagged, with
+    the errors of the roots returned.  Roots are stored root-major,
+    (deg, N), and each row's bits depend on its own coefficients and
+    tilt only, not on the other rows of the batch.
     """
     C = np.asarray(C, dtype=complex)
     N, w = C.shape
     deg = w - 1
-    monic = C / C[:, -1][:, None]
-    dC = monic[:, 1:] * np.arange(1, deg + 1)
-
-    # Fujiwara bound: 2 * max_k |a_{deg-k}|^(1/k) encloses every root
-    mags = np.abs(monic[:, deg - 1 :: -1])
-    exps = 1.0 / np.arange(1, deg + 1)
-    radius = 2.0 * np.max(mags ** exps[None, :], axis=1) + 0.25
-    angles = TWO_PI * (np.arange(deg) + 0.376) / deg
-    tilt = (
-        rng.uniform(0.0, TWO_PI / deg, size=N)
-        if rng is not None
-        else np.full(N, 0.19)
-    )
-    z = radius[:, None] * np.exp(1j * (angles[None, :] + tilt[:, None]))
-
-    scale = np.sum(np.abs(monic), axis=1)[:, None]
-    roots = np.empty_like(z)
-    resid = np.empty(z.shape)
-    converged = np.zeros(N, dtype=bool)
-    rows = np.arange(N)
-    idx = np.arange(deg)
-    for sweep in range(max_iter + 1):
-        val = _poly_val(monic, z)
-        res = np.abs(val)
-        bound = tol * scale * np.maximum(1.0, np.abs(z)) ** deg
-        done = np.all(res <= bound, axis=1)
-        last = sweep == max_iter or np.all(done)
-        if last or np.any(done):
-            out = done | last
-            roots[rows[out]] = z[out]
-            resid[rows[out]] = res[out]
-            converged[rows[out]] = done[out]
-            if last:
-                break
-            keep = ~done
-            rows, z, val = rows[keep], z[keep], val[keep]
-            monic, dC, scale = monic[keep], dC[keep], scale[keep]
-        vald = _poly_val(dC, z)
-        vald[vald == 0] = 1e-300
-        newton = val / vald
-        diff = z[:, :, None] - z[:, None, :]
-        diff[:, idx, idx] = 1.0
-        diff[diff == 0] = 1e-300
-        np.divide(1.0, diff, out=diff)
-        s = np.sum(diff, axis=2) - diff[:, idx, idx]
-        denom = 1.0 - newton * s
-        denom[np.abs(denom) < 1e-30] = 1e-30
-        z = z - newton / denom
-    return roots, converged, resid
+    roots = np.zeros((deg, N), dtype=complex)
+    err = np.zeros((deg, N))
+    converged = np.ones(N, dtype=bool)
+    low = np.argmax(C != 0, axis=1)
+    # a row that fails, through a coincidence or an overflow, does so
+    # into nan or inf, which never passes the test and leaves it flagged
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in np.flatnonzero(np.bincount(low)[:deg]):
+            rows = low == k
+            Ck = np.ascontiguousarray(C[rows, k:].T)
+            r, e, ok = _aberth_sweeps(Ck, _newton_starts(Ck, tilt[rows]),
+                                      tol, max_iter)
+            roots[k:, rows] = r
+            err[k:, rows] = e
+            converged[rows] = ok
+    return roots.T, converged, err.T
 
 
-# poly_roots: residual target and sweep cap
-_ROOT_TOL = 1e-10
+# poly_roots: backward-error target, sweep cap, and the fixed tilt of
+# its starting circles
+_ROOT_TOL = 1e-13
 _ROOT_SWEEPS = 300
+_ROOT_TILT = 0.19
 
 
 def poly_roots(coeffs) -> list:
-    """All complex roots by simultaneous (Aberth-style) iteration.
+    """All complex roots by simultaneous (Aberth) iteration.
 
-    coeffs is constant term first.  Residuals are checked against
-    _ROOT_TOL * ||p||_1 * max(1,|root|)^deg; failure to reach that after
-    _ROOT_SWEEPS sweeps raises with the residual list attached.
+    coeffs is constant term first.  Roots at 0 are split off exactly;
+    the others start on the circles of the Newton polygon of log|c_k|
+    and stop once each has componentwise backward error
+    |p(z)| / sum_k |c_k||z|^k at most _ROOT_TOL (see _aberth_batch).
+    Failure to reach that after _ROOT_SWEEPS sweeps raises with those
+    errors attached as residuals.  Sorted by real then imaginary part.
     """
     c = [complex(x) for x in coeffs]
     if len(c) < 2:
@@ -403,13 +471,13 @@ def poly_roots(coeffs) -> list:
         r = -c[0] / c[1]
         # x + 0.0 turns -0.0 into 0.0 and leaves every other x alone
         return [complex(r.real + 0.0, r.imag + 0.0)]
-    roots, ok, resid = _aberth_batch(
-        np.array([c]), rng=None, tol=_ROOT_TOL, max_iter=_ROOT_SWEEPS
+    roots, ok, err = _aberth_batch(
+        np.array([c]), np.array([_ROOT_TILT]), _ROOT_TOL, _ROOT_SWEEPS
     )
     if not ok[0]:
         raise ConvergenceError(
             f"root iteration stalled after {_ROOT_SWEEPS} sweeps",
-            residuals=[float(r) for r in resid[0]],
+            residuals=[float(r) for r in err[0]],
         )
     out = [complex(r) for r in roots[0]]
     out.sort(key=lambda r: (r.real, r.imag))
@@ -435,9 +503,11 @@ class ComplexSampleSet:
         return len(self.points) + self.n_infinite
 
 
-_BATCH = 1 << 16
-# _solve_generation: the relaxed residual target of a preimage tree, and
-# its sweep cap; rows that miss it are counted, not raised
+# _solve_generation: rows solved at a time, so the temporaries of an
+# Aberth sweep on a degree-4 map stay in cache; the relaxed backward-error
+# target of a preimage tree, and its sweep cap; rows that miss the target
+# are counted, not raised
+_ROOT_BLOCK = 4096
 _PREIMAGE_TOL = 1e-8
 _PREIMAGE_SWEEPS = 120
 
@@ -447,15 +517,18 @@ def _solve_generation(f0, f1, deg, a0, a1, rng):
 
     Solves a1*F0 - a0*F1 = 0 per point, flipping to the w = 1/z chart
     for points far from the origin so the root finder stays conditioned.
+    The tilts of the starting circles are drawn once for the generation,
+    so the blocks of _ROOT_BLOCK rows do not change a bit of the result.
     Returns projective pairs of the next generation and the count of
-    rows that missed the (relaxed) residual target.
+    rows that missed the (relaxed) backward-error target.
     """
     n = len(a0)
+    tilt = rng.uniform(0.0, TWO_PI / deg, size=n)
     out0 = np.empty(n * deg, dtype=complex)
     out1 = np.empty(n * deg, dtype=complex)
     missed = 0
-    for lo in range(0, n, _BATCH):
-        hi = min(lo + _BATCH, n)
+    for lo in range(0, n, _ROOT_BLOCK):
+        hi = min(lo + _ROOT_BLOCK, n)
         b0, b1 = a0[lo:hi], a1[lo:hi]
         C = b1[:, None] * f0[None, :] - b0[:, None] * f1[None, :]
         # chart per row: far points solve in w = 1/z, and a collapsing
@@ -475,7 +548,7 @@ def _solve_generation(f0, f1, deg, a0, a1, rng):
             # nudge the coefficient rather than losing the whole row
             C[~lead_ok, -1] = 1e-280
         roots, converged, _ = _aberth_batch(
-            C, rng=rng, tol=_PREIMAGE_TOL, max_iter=_PREIMAGE_SWEEPS
+            C, tilt[lo:hi], _PREIMAGE_TOL, _PREIMAGE_SWEEPS
         )
         missed += int(np.sum(~converged))
         r0 = np.where(flip[:, None], np.ones_like(roots), roots)
@@ -681,25 +754,61 @@ def compare_l1(a: DensityGrid, b: DensityGrid) -> float:
 _CYCLE_TOL = 1e-3
 
 
-def _unit_pair(w0: complex, w1: complex) -> tuple:
-    """(w0 : w1) rescaled so its largest real or imaginary part is 1."""
-    s = max(abs(w0.real), abs(w0.imag), abs(w1.real), abs(w1.imag))
-    if not 0.0 < s < math.inf:
-        return complex("nan"), complex("nan")
-    return w0 / s, w1 / s
+def _pair_scale(w0: complex, w1: complex) -> float:
+    """Largest real or imaginary part of the pair (w0, w1)."""
+    return max(abs(w0.real), abs(w0.imag), abs(w1.real), abs(w1.imag))
 
 
-def _cycle_residual(lift: Lift, z: complex, n: int) -> float:
-    """Chordal distance from z to its n-th image under the lift, iterated
-    in double precision on pairs renormalised after each step, so orbits
-    through infinity stay finite; nan when the pair degenerates."""
-    p0, p1 = _unit_pair(z, 1.0)
+def _jet(f0, f1, w0: complex, w1: complex) -> tuple:
+    """(F, dF/dw0, dF/dw1) at (w0, w1) for both forms of the lift whose
+    coefficient lists f0, f1 multiply w0^k w1^(d-k), k = 0..d."""
+    d = len(f0) - 1
+    p0 = [1.0 + 0j]
+    p1 = [1.0 + 0j]
+    for _ in range(d):
+        p0.append(p0[-1] * w0)
+        p1.append(p1[-1] * w1)
+    return [
+        (sum(f[k] * p0[k] * p1[d - k] for k in range(d + 1)),
+         sum(k * f[k] * p0[k - 1] * p1[d - k] for k in range(1, d + 1)),
+         sum((d - k) * f[k] * p0[k] * p1[d - k - 1] for k in range(d)))
+        for f in (f0, f1)
+    ]
+
+
+def _cycle(f0, f1, z: complex, n: int) -> tuple:
+    """Chordal distance from z to its n-th image, and the multiplier of
+    phi^n at z, from the lift F of phi with coefficient lists f0, f1.
+
+    The orbit of p = (z, 1) is rescaled after each step, so it stays
+    finite through infinity, and J is the product of the Jacobians of
+    the rescaled steps: the Jacobian at p of a lift of phi^n of degree
+    D = d^n.  The orbit returns as c p.  Then p is an eigenvector of J
+    with eigenvalue D c (Euler's identity), and the other eigenvalue is c
+    times the multiplier, which is therefore det J / (D c^2).  Both are
+    nan when a pair degenerates.
+    """
+    s = _pair_scale(z, 1.0)
+    p0, p1 = z / s, 1.0 / s
     w0, w1 = p0, p1
+    j00, j01, j10, j11 = 1.0, 0.0, 0.0, 1.0
     for _ in range(n):
-        w0, w1 = _unit_pair(*lift.eval(w0, w1))
-    return float(abs(p0 * w1 - p1 * w0) / (
-        math.hypot(abs(p0), abs(p1)) * math.hypot(abs(w0), abs(w1))
-    ))
+        (v0, a, b), (v1, c, d) = _jet(f0, f1, w0, w1)
+        s = _pair_scale(v0, v1)
+        if not 0.0 < s < math.inf:
+            return math.nan, complex("nan")
+        w0, w1 = v0 / s, v1 / s
+        j00, j01, j10, j11 = (
+            (a * j00 + b * j10) / s, (a * j01 + b * j11) / s,
+            (c * j00 + d * j10) / s, (c * j01 + d * j11) / s,
+        )
+    norm = abs(p0) ** 2 + abs(p1) ** 2
+    resid = abs(p0 * w1 - p1 * w0) / math.sqrt(
+        norm * (abs(w0) ** 2 + abs(w1) ** 2))
+    c = (w0 * p0.conjugate() + w1 * p1.conjugate()) / norm
+    det = j00 * j11 - j01 * j10
+    # a constant map has J = 0 and D = 0, and multiplier 0
+    return resid, det / ((len(f0) - 1) ** n * c * c) if det else 0j
 
 
 def periodic_points(phi: RationalMap, n: int) -> list:
@@ -708,9 +817,15 @@ def periodic_points(phi: RationalMap, n: int) -> list:
     Returns (point, multiplier) pairs sorted by real then imaginary
     part; the point at infinity, when periodic, appears last as
     complex(inf, 0).  A point is repelling iff |multiplier| > 1.
-    Raises DomainError when phi^n is the identity, and ConvergenceError
-    when a finite root found is not within _CYCLE_TOL (chordal) of its
-    n-th image under phi.
+
+    The finite points are the roots of num - z den for phi^n = num/den,
+    found by poly_roots.  Each finite multiplier comes from the chain
+    rule on the lift of phi along the point's orbit, det J / (d^n c^2)
+    (see _cycle), which holds in every chart; the one at infinity is
+    den_(alpha-1) / num_alpha, one exact division.  Raises DomainError
+    when phi^n is the identity, and ConvergenceError when a finite root
+    found is not within _CYCLE_TOL (chordal) of its n-th image under
+    phi.
     """
     if n < 1:
         raise DomainError("period must be at least 1")
@@ -730,25 +845,16 @@ def periodic_points(phi: RationalMap, n: int) -> list:
     coeffs = [complex(fixed.coeff(k)) for k in range(fixed.degree + 1)]
     inf_mult_count = (alpha + 1) - fixed.degree
     roots = poly_roots(coeffs) if fixed.degree >= 1 else []
-    lift = Lift.from_map(phi)
-    resid = [_cycle_residual(lift, r, n) for r in roots]
+    f0, f1 = phi.complex_pair()
+    cycles = [_cycle(f0, f1, r, n) for r in roots]
+    resid = [e for e, _ in cycles]
     if not all(e <= _CYCLE_TOL for e in resid):
         raise ConvergenceError(
             f"period-{n} roots miss their cycles by up to chordal "
             f"distance {max(resid):.3g}",
             partial=roots, residuals=resid,
         )
-    dpsi = psi.derivative_map()
-    dn = [complex(dpsi.num.coeff(k)) for k in range(dpsi.num.degree + 1)]
-    dd = [complex(dpsi.den.coeff(k)) for k in range(dpsi.den.degree + 1)]
-
-    def _at(cs, z):
-        acc = 0j
-        for ck in reversed(cs):
-            acc = acc * z + ck
-        return acc
-
-    out = [(r, _at(dn, r) / _at(dd, r)) for r in roots]
+    out = [(r, m) for r, (_, m) in zip(roots, cycles)]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     if inf_mult_count > 0:
         # den has degree below alpha, so in the chart w = 1/z psi is

@@ -1,11 +1,15 @@
-"""Bit-for-bit checks of the analytic kernels against their plain forms.
+"""Checks of the analytic kernels against their plain forms.
 
 The oracles below are the straightforward kernels that the blocked
-Green iteration, the active-row Aberth sweep and the row-formatted CSV
-writer replaced: a fresh array for every operation, every row evaluated
-on every sweep, one value formatted at a time.  Each optimised kernel
-must return the same bits, compared through tobytes() so that a one-ulp
-change or a flipped zero sign shows.
+Green iteration, the Aberth kernel and the row-formatted CSV writer
+replaced: a fresh array for every operation, every row evaluated on
+every sweep, one value formatted at a time.  The Green iteration and the
+CSV writer must return the same bits, compared through tobytes() so
+that a one-ulp change or a flipped zero sign shows.  The Aberth kernel
+starts elsewhere and stops by another test than its oracle, so its
+roots are matched one to one against the oracle's, within the distance
+that the two backward errors allow; its own bits must not depend on the
+block size.
 """
 
 import numpy as np
@@ -81,7 +85,9 @@ def oracle_poly_val(C, z):
     return acc
 
 
-def oracle_aberth(C, rng, tol, max_iter):
+def oracle_aberth(C, tilt, tol, max_iter):
+    # the kernel before Newton-polygon starts: every root on one Fujiwara
+    # circle, every row stopped by a normwise residual test
     C = np.asarray(C, dtype=complex)
     N, w = C.shape
     deg = w - 1
@@ -91,11 +97,6 @@ def oracle_aberth(C, rng, tol, max_iter):
     exps = 1.0 / np.arange(1, deg + 1)
     radius = 2.0 * np.max(mags ** exps[None, :], axis=1) + 0.25
     angles = TWO_PI * (np.arange(deg) + 0.376) / deg
-    tilt = (
-        rng.uniform(0.0, TWO_PI / deg, size=N)
-        if rng is not None
-        else np.full(N, 0.19)
-    )
     z = radius[:, None] * np.exp(1j * (angles[None, :] + tilt[:, None]))
     scale = np.sum(np.abs(monic), axis=1)[:, None]
     active = np.ones(N, dtype=bool)
@@ -251,44 +252,146 @@ def _batch(seed, n_rows, deg):
     return C
 
 
-def _converged_counts(C, seed, tol):
-    # rows converged after 0, 1, ..., 79 sweeps
-    counts = []
-    for k in range(80):
-        _, ok, _ = oracle_aberth(C, np.random.default_rng(seed), tol, k)
-        counts.append(int(np.sum(ok)))
-    return counts
+def _tilts(seed, n_rows, deg):
+    return np.random.default_rng(seed).uniform(0.0, TWO_PI / deg, n_rows)
+
+
+def backward_errors(C, roots):
+    # |p(z)| / sum_k |a_k| |z|^k by plain Horner, row by row
+    C = np.asarray(C, dtype=complex)
+    return np.abs(oracle_poly_val(C, roots)) / oracle_poly_val(
+        np.abs(C), np.abs(roots))
+
+
+def greedy_match(got, want):
+    # one to one, closest pair first
+    dist = np.abs(got[:, None] - want[None, :])
+    perm = np.empty(len(got), dtype=int)
+    for _ in range(len(got)):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        perm[i] = j
+        dist[i, :] = np.inf
+        dist[:, j] = np.inf
+    return want[perm]
+
+
+def assert_roots_match(C, got, want):
+    """Each row's roots pair off one to one with the oracle's, each pair
+    no farther apart than 4 (|p(g)| + |p(w)| + rounding) / |p'(g)|: the
+    first-order distance their residuals allow."""
+    C = np.asarray(C, dtype=complex)
+    deg = C.shape[1] - 1
+    dC = C[:, 1:] * np.arange(1, deg + 1)
+    for row in range(C.shape[0]):
+        c, g = C[row : row + 1], got[row][None, :]
+        w = greedy_match(got[row], want[row])[None, :]
+        rounding = 4 * deg * 2.2e-16 * oracle_poly_val(np.abs(c), np.abs(g))
+        allowed = 4.0 * (np.abs(oracle_poly_val(c, g))
+                         + np.abs(oracle_poly_val(c, w)) + rounding
+                         ) / np.abs(oracle_poly_val(dC[row : row + 1], g))
+        assert np.all(np.abs(g - w) <= allowed), row
+
+
+def oracle_hull_radii(coeffs):
+    # upper convex hull of (k, log|a_k|) by Andrew's monotone chain, then
+    # one radius per root slot
+    pts = [(k, np.log(abs(c))) for k, c in enumerate(coeffs) if c != 0]
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    radii = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        radii += [np.exp((y1 - y2) / (x2 - x1))] * (x2 - x1)
+    return radii
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 1e-3, 1e4, 1e-2, 1],
+    [1e20, 0, 0, 1e-6, 3, 0, 1],
+    [2.5, 0, 1],
+    [1, 1, 1, 1, 1, 1],
+    [1e-30, 1e30, 1e-30],
+])
+def test_starts_sit_on_the_newton_polygon(coeffs):
+    C = np.array(coeffs, dtype=complex)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = measures._newton_starts(C, np.array([0.3]))[:, 0]
+    want = np.array(oracle_hull_radii(coeffs))
+    assert np.allclose(np.abs(z), want, rtol=1e-12)
+    # the roots of one circle are equally spaced
+    for r in set(want.tolist()):
+        on = z[np.isclose(np.abs(z), r, rtol=1e-12)]
+        gaps = np.diff(np.sort(np.angle(on / on[0]) % TWO_PI))
+        assert np.allclose(gaps, TWO_PI / len(on))
 
 
 @pytest.mark.parametrize("deg", [2, 4, 5, 9])
 def test_aberth_rows_finish_on_different_sweeps(deg):
     C = _batch(deg, 40, deg)
-    counts = _converged_counts(C, 5, 1e-10)
+    tilt = _tilts(5, 40, deg)
+    counts = [int(np.sum(_aberth_batch(C, tilt, 1e-10, k)[1]))
+              for k in range(40)]
     # the batch really does thin out over several sweeps
     assert len(set(counts)) >= 4
-    for max_iter in (300, 3, 0):
-        got = _aberth_batch(C, np.random.default_rng(5), 1e-10, max_iter)
-        want = oracle_aberth(C, np.random.default_rng(5), 1e-10, max_iter)
-        for g, w in zip(got, want):
-            assert same_bits(g, w)
+    roots, ok, err = _aberth_batch(C, tilt, 1e-10, 300)
+    want, want_ok, _ = oracle_aberth(C, tilt, 1e-10, 300)
+    assert np.all(ok) and np.all(want_ok)
+    # the errors are those of the iterate that passed; the roots returned,
+    # one correction further, pass too
+    assert np.all(err <= 1e-10)
+    assert np.all(backward_errors(C, roots) <= 1e-10)
+    assert_roots_match(C, roots, want)
 
 
 def test_aberth_hits_max_iter():
     C = _batch(21, 30, 6)
-    got = _aberth_batch(C, np.random.default_rng(2), 1e-14, 6)
-    want = oracle_aberth(C, np.random.default_rng(2), 1e-14, 6)
-    assert not np.all(want[1]) and np.any(want[1])
-    for g, w in zip(got, want):
-        assert same_bits(g, w)
+    roots, ok, err = _aberth_batch(C, _tilts(2, 30, 6), 1e-14, 6)
+    assert not np.all(ok) and np.any(ok)
+    assert np.array_equal(ok, np.all(err <= 1e-14, axis=1))
+    # a flagged row is returned as it stands, with its own errors
+    np.testing.assert_allclose(err[~ok], backward_errors(C[~ok], roots[~ok]),
+                               rtol=1e-12, atol=1e-300)
 
 
 def test_aberth_single_row_and_no_rng():
-    C = _batch(3, 1, 7)
-    for make_rng in (lambda: None, lambda: np.random.default_rng(9)):
-        got = _aberth_batch(C, make_rng(), 1e-10, 300)
-        want = oracle_aberth(C, make_rng(), 1e-10, 300)
-        for g, w in zip(got, want):
-            assert same_bits(g, w)
+    # a row's bits depend on its coefficients and tilt alone: solved on
+    # its own, with poly_roots's fixed tilt or a drawn one, it matches
+    # the same row inside a batch
+    C = _batch(3, 12, 7)
+    for tilt in (np.full(12, measures._ROOT_TILT), _tilts(9, 12, 7)):
+        batch = _aberth_batch(C, tilt, 1e-10, 300)
+        for row in (0, 1, 7):
+            alone = _aberth_batch(C[row : row + 1], tilt[row : row + 1],
+                                  1e-10, 300)
+            for a, b in zip(alone, batch):
+                assert same_bits(a[0], b[row])
+        want = oracle_aberth(C, tilt, 1e-10, 300)[0]
+        assert_roots_match(C, batch[0], want)
+
+
+def test_zero_roots_are_split_off_exactly():
+    C = np.array([[0, 0, 1, 2j, -1], [-0.0, 1, 1, 1, 1],
+                  [-0.0 - 0.0j, -0.0, -0.0, -0.0, 5], [1, 2, 3, 4, 5]],
+                 dtype=complex)
+    tilt = _tilts(4, 4, 4)
+    roots, ok, err = _aberth_batch(C, tilt, 1e-13, 300)
+    assert np.all(ok)
+    for row, k in enumerate((2, 1, 4, 0)):
+        zeros = roots[row][:k]
+        assert np.all(zeros == 0) and not np.any(err[row][:k])
+        # -0.0 == 0.0, so only the sign bits show an unsigned zero
+        assert not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag))
+        if k < 4:
+            # the others are the roots of the row shifted down by k
+            alone = _aberth_batch(C[row : row + 1, k:], tilt[row : row + 1],
+                                  1e-13, 300)[0][0]
+            assert same_bits(roots[row][k:], alone)
 
 
 def test_poly_roots_convergence_error_residuals(monkeypatch):
@@ -296,10 +399,24 @@ def test_poly_roots_convergence_error_residuals(monkeypatch):
     coeffs = [1.0, -3.0, 0.5j, 2.0, 0.0, 1.0, -1.0]
     with pytest.raises(ConvergenceError) as err:
         poly_roots(coeffs)
-    _, ok, resid = oracle_aberth(np.array([coeffs], dtype=complex), None,
+    C = np.array([coeffs], dtype=complex)
+    roots, ok, _ = _aberth_batch(C, np.array([measures._ROOT_TILT]),
                                  measures._ROOT_TOL, 2)
     assert not ok[0]
-    assert err.value.residuals == [float(r) for r in resid[0]]
+    resid = err.value.residuals
+    assert max(resid) > measures._ROOT_TOL
+    np.testing.assert_allclose(resid, backward_errors(C, roots)[0],
+                               rtol=1e-12)
+
+
+def chordal_match(a0, a1, b0, b1):
+    # nearest b point of every a point, in the chordal metric
+    na = np.sqrt(np.abs(a0) ** 2 + np.abs(a1) ** 2)
+    nb = np.sqrt(np.abs(b0) ** 2 + np.abs(b1) ** 2)
+    dist = np.abs(a0[:, None] * b1[None, :] - a1[:, None] * b0[None, :]) / (
+        na[:, None] * nb[None, :])
+    nearest = np.argmin(dist, axis=1)
+    return nearest, dist[np.arange(len(a0)), nearest]
 
 
 def test_preimage_tree_matches_oracle_kernel(monkeypatch):
@@ -307,8 +424,27 @@ def test_preimage_tree_matches_oracle_kernel(monkeypatch):
     got = preimage_sample(phi, 0.3 + 0.2j, 5, seed=4)
     monkeypatch.setattr(measures, "_aberth_batch", oracle_aberth)
     want = preimage_sample(phi, 0.3 + 0.2j, 5, seed=4)
-    assert same_bits(got.points, want.points)
     assert got.n_infinite == want.n_infinite
+    ones = np.ones(len(got.points))
+    nearest, dist = chordal_match(got.points, ones, want.points, ones)
+    # one to one, and each point where the oracle kernel put it
+    assert len(set(nearest.tolist())) == len(got.points)
+    assert np.all(dist <= 1e-6)
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("phi_2@E1", 4), ("phi_3@E1", 3), ("pow_2", 7), ("phi_1+2i", 3),
+])
+def test_preimage_tree_block_edges(monkeypatch, name, depth):
+    # blocks of 1 and 7 rows, and a last block shorter than the others,
+    # give the same bits as the default blocks
+    phi = catalog(name)
+    want = preimage_sample(phi, 0.3 + 0.2j, depth, seed=6)
+    for block in (1, 7):
+        monkeypatch.setattr(measures, "_ROOT_BLOCK", block)
+        got = preimage_sample(phi, 0.3 + 0.2j, depth, seed=6)
+        assert same_bits(got.points, want.points), block
+        assert got.n_infinite == want.n_infinite
 
 
 # ----------------------------------------------------------------- csv

@@ -190,6 +190,14 @@ class TestRamify:
         assert payload["match"] is True
         assert sum(payload["counts"]) >= payload["degree"]
 
+    @pytest.mark.parametrize("name", [
+        name for name in catalog_names()
+        if p1dyn.catalog_entry(name).lam is not None
+    ])
+    def test_every_curve_map_matches_its_prediction(self, name, capsys):
+        payload = run_json(["ramify", "--catalog", name], capsys)
+        assert payload["match"] is True
+
     def test_map_file_with_curve(self, tmp_path, capsys):
         path = map_spec_file(tmp_path, catalog("phi_2@E1"))
         a = run_json(["ramify", "--map", path, "--curve", "E1"], capsys)
@@ -239,8 +247,16 @@ class TestTableCheck:
         assert payload["map"] == "phi_1-2i"
         assert payload["match"] is True
 
+    def test_half_integer_eisenstein_multiplier(self, capsys):
+        # -3 omega: the table reads the parities of its associate -3
+        payload = run_json(["table-check", "--lambda", "3/2,-3/2,3"], capsys)
+        assert payload["map"] == "phi_eps"
+        assert payload["predicted"] == [5, 5, 5, 5]
+        assert payload["match"] is True
+
     def test_half_integer_lambda_is_domain_error(self, capsys):
-        rc, _, err = run(["table-check", "--lambda", "1/2,1/2,3"], capsys)
+        # (1 + i)/2 is no algebraic integer, so no associate has a row
+        rc, _, err = run(["table-check", "--lambda", "1/2,1/2,1"], capsys)
         assert rc == 1
         assert "parity" in err
 

@@ -334,8 +334,26 @@ class TestPredictions:
         assert predict_profile(QF(1, 1, 1)).counts == (1, 2, 1, 2)
         assert predict_profile(QF(1, 3, 1)).counts == (5, 6, 5, 6)
 
-    def test_half_coordinates_rejected(self):
-        lam = QF(-3, 0, 3) * OMEGA
+    def test_half_coordinates_read_from_a_unit_associate(self):
+        # -3*omega (phi_eps) and sqrt(-3)*omega (phi_sqrt-3*rho) have
+        # half-integer coordinates; their associates -3 and sqrt(-3) do not
+        assert predict_profile(QF(-3, 0, 3) * OMEGA).counts == (5, 5, 5, 5)
+        assert predict_profile(QF(0, 1, 3) * OMEGA).counts == (2, 2, 2, 2)
+        # u * phi_lambda = phi_(lambda / u) for a cube root of unity u, so
+        # every associate predicts the computed counts of phi_lambda;
+        # 2 omega = -1 + sqrt(-3) takes the even row, like 2
+        for name in ("phi_2@E2", "phi_3@E2", "phi_sqrt-3"):
+            entry = catalog_entry(name)
+            computed = ramification_profile(entry.map, curve_E2())
+            for u in (OMEGA, OMEGA * OMEGA, -OMEGA, QF(-1, 0, 3)):
+                assert predict_profile(u * entry.lam).as_multiset() == (
+                    computed.as_multiset()), (name, u)
+
+    @pytest.mark.parametrize("lam", [
+        QF(Fraction(1, 2), Fraction(1, 2), 1), QF(Fraction(3, 2), 0, 3),
+        QF(Fraction(1, 3), 1, 3),
+    ])
+    def test_non_integral_multiplier_rejected(self, lam):
         with pytest.raises(DomainError) as err:
             predict_profile(lam)
         assert "basis pair" in str(err.value)

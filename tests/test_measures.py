@@ -24,7 +24,6 @@ from p1dyn.measures import (
     GreenField,
     INF_POINT,
     Lift,
-    _CYCLE_TOL,
     _abs_g_on,
     _header_comments,
     _grid_centers,
@@ -314,6 +313,16 @@ class TestPolyRoots:
         assert math.copysign(1.0, r.real) == 1.0
         assert math.copysign(1.0, r.imag) == 1.0
 
+    @pytest.mark.parametrize(
+        "coeffs", [[0, 0, 1], [-0.0, 1, 1], [-0.0 - 0.0j, -0.0, 1, 1j]]
+    )
+    def test_split_roots_at_zero_are_unsigned(self, coeffs):
+        zeros = [r for r in poly_roots(coeffs) if r == 0]
+        assert len(zeros) == next(k for k, c in enumerate(coeffs) if c)
+        for r in zeros:
+            assert math.copysign(1.0, r.real) == 1.0
+            assert math.copysign(1.0, r.imag) == 1.0
+
     def test_repeated_root(self):
         r = poly_roots([1, 2, 1])  # (z+1)^2
         assert all(abs(z + 1) <= 1e-4 for z in r)
@@ -554,21 +563,26 @@ class TestCompare:
             DensityGrid(WIN, (2, 2), np.array([[0.5, 0.6], [-0.1, 0.0]]))
 
 
-def _inf_case(name, n):
-    """One curve-attached catalog map at period n, with its known defect."""
-    marks = []
-    if catalog(name).degree ** n == 81:
-        # degree 81 is the cap case that test_cap_cases_right_or_refused
-        # allows to be refused; the finite roots miss their cycles
-        marks.append(pytest.mark.xfail(
-            strict=True, raises=ConvergenceError,
-            reason="degree-81 cycle roots refused"))
-    return pytest.param(name, n, marks=marks)
-
-
 # every curve-attached catalog map at periods 1 and 2 (degree^2 <= 81)
-_INF_CASES = [_inf_case(name, n) for name in catalog_names()
+_INF_CASES = [(name, n) for name in catalog_names()
               if catalog_entry(name).lam is not None for n in (1, 2)]
+
+
+
+def _largest_period(name):
+    n = 1
+    while catalog(name).degree ** (n + 1) <= 200:
+        n += 1
+    return n
+
+
+# every curve-attached map at its largest period under the degree^n <= 200
+# cap, and the two degree-2 maps at n = 6 as well: the ten cases that the
+# old start refused are among them
+_CAP_CASES = sorted(
+    {(name, _largest_period(name)) for name in catalog_names()
+     if catalog_entry(name).lam is not None}
+    | {("phi_1+i", 6), ("phi_1-i", 6)})
 
 
 class TestPeriodicPoints:
@@ -629,31 +643,56 @@ class TestPeriodicPoints:
         phi = RationalMap.from_strings(["1", "2"], ["1"], 0)
         assert periodic_points(phi, 1)[-1] == (INF_POINT, 0.5 + 0j)
 
-    @pytest.mark.parametrize(
-        "name,n",
-        [("phi_sqrt-3", 4), ("phi_1+i", 6), ("phi_2@E1", 3), ("phi_3@E1", 2)],
-    )
-    def test_cap_cases_right_or_refused(self, name, n):
-        # degree^n = 64 or 81, at the cap: each call either passes the
-        # Lattes multiplier identity |mult| = |lambda|^n (Milnor, "On Lattes
-        # maps") off the postcritical set, or raises ConvergenceError, and
-        # does so in well under the time a caller would wait
+    @pytest.mark.parametrize("name,n", _CAP_CASES)
+    def test_cap_cases_right(self, name, n):
+        # degree^n = 64, 81, 125 or 128, at the cap: every point is found,
+        # and off the postcritical set each multiplier has modulus
+        # |lambda|^n (Milnor, "On Lattes maps"), well within the time a
+        # caller waits
         entry = catalog_entry(name)
         phi = entry.map
         t0 = time.perf_counter()
-        try:
-            pts = periodic_points(phi, n)
-        except ConvergenceError as exc:
-            assert max(exc.residuals) > _CYCLE_TOL
-        else:
-            post = [complex(t) for t in two_torsion_targets(
-                curve_for_name(name)) if not t.is_infinity()]
-            want = abs(complex(entry.lam)) ** n
-            assert len(pts) == phi.degree**n + 1
-            for z, mult in pts:
-                if z != INF_POINT and all(abs(z - q) > 1e-6 for q in post):
-                    assert abs(abs(mult) - want) <= 1e-6 * want
-        assert time.perf_counter() - t0 < 20.0
+        pts = periodic_points(phi, n)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(pts) == phi.degree**n + 1
+        post = [complex(t) for t in two_torsion_targets(
+            curve_for_name(name)) if not t.is_infinity()]
+        want = abs(complex(entry.lam)) ** n
+        for z, mult in pts:
+            if z != INF_POINT and all(abs(z - q) > 1e-6 for q in post):
+                assert abs(abs(mult) - want) <= 1e-6 * want
+
+    @pytest.mark.parametrize("name,other,n", [
+        ("phi_1+i", "phi_1-i", 4), ("phi_2@E1", "phi_1+i", 3),
+        ("phi_3@E1", "phi_1+2i", 2), ("phi_sqrt-3", "phi_2@E2", 3),
+        ("phi_eps", "phi_sqrt-3*rho", 2), ("pow_2", "pow_3", 5),
+    ])
+    def test_commuting_map_keeps_the_periodic_set(self, name, other, n):
+        # psi o phi = phi o psi, so psi carries each point of period
+        # dividing n under phi to another one
+        phi, psi = catalog(name), catalog(other)
+        assert phi.commutes_with(psi)
+        pts = [z for z, _ in periodic_points(phi, n)]
+        lift = Lift.from_map(psi)
+        pairs = [(1.0 + 0j, 0j) if z == INF_POINT else (z, 1.0 + 0j)
+                 for z in pts]
+
+        def chordal(p, q):
+            return abs(p[0] * q[1] - p[1] * q[0]) / (
+                math.hypot(abs(p[0]), abs(p[1]))
+                * math.hypot(abs(q[0]), abs(q[1])))
+
+        for p in pairs:
+            image = tuple(complex(w) for w in lift.eval(*p))
+            assert min(chordal(image, q) for q in pairs) <= 1e-8
+
+    def test_root_at_zero_is_exact(self):
+        # z^9 - z has the root 0, split off before the iteration
+        pts = periodic_points(catalog("pow_3"), 2)
+        (zero,) = [(z, m) for z, m in pts if abs(z) < 0.5]
+        assert zero == (0j, 0j)
+        assert not any(math.copysign(1.0, x) < 0
+                       for x in (zero[0].real, zero[0].imag))
 
 
 class TestRaster:
