@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from functools import lru_cache
 
 from .errors import DomainError, IterationBudgetError
 from .lattes import EllipticCurveCM, lattes_double
@@ -38,7 +39,7 @@ from .quadfield import (
 from .ratmaps import (
     ProjPoint,
     RationalMap,
-    _eval_form,
+    _eval_forms,
     cofactor_certificate,
     log_one_norm,
 )
@@ -79,6 +80,14 @@ def _trial_factor(n: int) -> tuple:
         exps[n] = 1
         n = 1
     return exps, n
+
+
+@lru_cache(maxsize=16)
+def _ln2(prec: int) -> Decimal:
+    """log 2 to `prec` digits.  Decimal.ln rounds correctly, so the cached
+    value has the digits a fresh one would."""
+    with localcontext(Context(prec=prec)):
+        return Decimal(2).ln()
 
 
 @dataclass(frozen=True)
@@ -169,8 +178,11 @@ class _HeightEngine:
             math.log2(4.0 * self.alpha) + (self.c_up + self.c_low) / _LN2
         )
         self._amp_bits = max(2, math.ceil(log2_amp))
-        self._bp0 = [c.basis_pair() for c in c0]
-        self._bp1 = [c.basis_pair() for c in c1]
+        # the nonzero terms (k, basis pair) of both forms, for _eval_forms
+        self._forms = [
+            [(k, c.basis_pair()) for k, c in enumerate(cs) if c]
+            for cs in (c0, c1)
+        ]
         self._t = omega_flag(self.d)
 
     def _arch_steps_needed(self, tol: float) -> int:
@@ -200,16 +212,16 @@ class _HeightEngine:
         w0, w1 = x0.basis_pair(), x1.basis_pair()
         shift = 0
         for _ in range(n_arch):
-            f0 = _eval_form(self._bp0, w0, w1, t)
-            f1 = _eval_form(self._bp1, w0, w1, t)
+            f0, f1 = _eval_forms(self._forms, alpha, w0, w1, t)
             e = max(0, max(c.bit_length() for c in f0 + f1) - bits)
             w0 = (f0[0] >> e, f0[1] >> e)
             w1 = (f1[0] >> e, f1[1] >> e)
             shift = shift * alpha + e
         top = max(pair_norm(w0, t), pair_norm(w1, t))
+        prec = 30 + len(str(shift))
         # a fresh context, so a caller's decimal settings cannot leak in
-        with localcontext(Context(prec=30 + len(str(shift)))):
-            log_top = shift * Decimal(2).ln() + Decimal(top).ln() / 2
+        with localcontext(Context(prec=prec)):
+            log_top = shift * _ln2(prec) + Decimal(top).ln() / 2
             value = float(log_top / alpha**n_arch)
         tail = self.c_bound / (alpha - 1) * (1 / alpha**n_arch)
         return value, tail
@@ -228,8 +240,7 @@ class _HeightEngine:
         scale = 1.0
         for _ in range(n_fin):
             scale /= self.alpha
-            f0 = _eval_form(self._bp0, v0, v1, t, mod)
-            f1 = _eval_form(self._bp1, v0, v1, t, mod)
+            f0, f1 = _eval_forms(self._forms, self.alpha, v0, v1, t, mod)
             # N(g) divides this integer, and g divides N(g)
             h = math.gcd(pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R)
             if h > 1:

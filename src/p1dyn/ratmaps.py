@@ -188,11 +188,15 @@ class Poly:
         """
         if self.degree > deg:
             raise DomainError("declared degree below actual degree")
-        d, pad = self._d, [0] * (deg + 1 - len(self._u))
+        d = self._d
         (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
-        coeffs = list(zip(self._u + pad, self._v + pad))
-        u, v = _eval_form(coeffs, p0, p1, omega_flag(d))
+        [(u, v)] = _eval_forms([self._terms()], deg, p0, p1, omega_flag(d))
         return QuadFieldElement._of(u, v, self._den * e**deg, d)
+
+    def _terms(self) -> list:
+        """The nonzero terms (k, basis pair) of den * self, for _eval_forms."""
+        return [(k, c) for k, c in enumerate(zip(self._u, self._v))
+                if c[0] or c[1]]
 
     def embed(self, d: int) -> "Poly":
         # QuadFieldElement.embed's checks; a rational's basis pair (a, 0)
@@ -231,18 +235,50 @@ class Poly:
         return f"Poly({self})"
 
 
-def _eval_form(coeffs: list, x0, x1, t: int, mod: int = 0) -> tuple:
-    """sum_k c_k x0^k x1^(deg-k) on basis pairs, reduced mod `mod` if set."""
-    acc = coeffs[-1]
-    p1 = x1
-    for c in reversed(coeffs[:-1]):
-        s, u = pair_mul(acc, x0, t), pair_mul(c, p1, t)
-        acc = (s[0] + u[0], s[1] + u[1])
-        p1 = pair_mul(p1, x1, t)
-        if mod:
-            acc = (acc[0] % mod, acc[1] % mod)
-            p1 = (p1[0] % mod, p1[1] % mod)
-    return acc
+def _eval_forms(forms: list, deg: int, x0, x1, t: int, mod: int = 0) -> list:
+    """sum_k c_k x0^k x1^(deg-k) on basis pairs, for each form in forms.
+
+    A form is the list of its nonzero terms (k, c), c a basis pair.  The
+    powers of x0 and x1 are built once for all forms, each reduced mod
+    `mod` if set.  Each monomial x0^k x1^(deg-k) that a form needs is one
+    product of two of them, or at k = 0 and k = deg a power itself.  A
+    rational coefficient (c[1] = 0) costs two int products, any other a
+    pair product.  Each sum is reduced mod `mod` once, at the end.
+    """
+    ks = {k for form in forms for k, _ in form}
+    if not ks:
+        return [(0, 0)] * len(forms)
+    pows = []
+    for x, n in ((x0, max(ks)), (x1, deg - min(ks))):
+        a, b = u, v = (x[0] % mod, x[1] % mod) if mod else x
+        out = [(1, 0), (u, v)]
+        for _ in range(n - 1):
+            m = v * b
+            u, v = u * a - m, u * b + v * a + t * m
+            if mod:
+                u, v = u % mod, v % mod
+            out.append((u, v))
+        pows.append(out)
+    p0, p1 = pows
+    monos = {
+        k: p1[deg] if k == 0 else p0[deg] if k == deg
+        else pair_mul(p0[k], p1[deg - k], t)
+        for k in ks
+    }
+    sums = []
+    for form in forms:
+        su = sv = 0
+        for k, (cu, cv) in form:
+            mu, mv = monos[k]
+            if cv:
+                m = cv * mv
+                su += cu * mu - m
+                sv += cu * mv + cv * mu + t * m
+            else:
+                su += cu * mu
+                sv += cu * mv
+        sums.append((su % mod, sv % mod) if mod else (su, sv))
+    return sums
 
 
 def _convolve(x: list, y: list) -> list:
@@ -523,10 +559,13 @@ class RationalMap:
 
     def eval_pair(self, x0, x1):
         """Homogeneous evaluation at a coordinate pair."""
-        return (
-            self._num.eval_pair(x0, x1, self._deg),
-            self._den.eval_pair(x0, x1, self._deg),
-        )
+        d, num, den = self._d, self._num, self._den
+        (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
+        scale = e**self._deg
+        f0, f1 = _eval_forms([num._terms(), den._terms()], self._deg, p0, p1,
+                             omega_flag(d))
+        return (QuadFieldElement._of(*f0, num._den * scale, d),
+                QuadFieldElement._of(*f1, den._den * scale, d))
 
     def compose(self, inner: "RationalMap") -> "RationalMap":
         """self after inner, by homogeneous substitution.
@@ -576,24 +615,6 @@ class RationalMap:
 
     def commutes_with(self, other: "RationalMap") -> bool:
         return self.compose(other) == other.compose(self)
-
-    def derivative_map(self) -> "RationalMap":
-        """The map z -> phi'(z), the Wronskian W over den^2 in lowest terms.
-
-        num and den are coprime, so at a root of den of multiplicity e
-        W vanishes to order exactly e-1: gcd(W, den^2) = gcd(den, den'),
-        a gcd of the small polynomials rather than of the large ones.
-        """
-        w = critical_points_poly(self)
-        if w.is_zero():
-            return RationalMap(Poly([0], self._d), Poly([1], self._d))
-        den = self._den
-        g = poly_gcd(den, den.derivative())
-        if g.degree >= 1:
-            w, den = w // g, den // g
-        return RationalMap._from_coprime(
-            *_coords(w, den * self._den)[0], self._d
-        )
 
     def integral_model(self) -> tuple:
         """Coefficient lists of an integral content-free model.

@@ -2,23 +2,28 @@
 
 The exact core runs on integral basis pairs: a field element and every
 Poly coefficient are held as one over a least common denominator, so the
-ring operations, Horner evaluation of forms (Poly.eval_pair, a map's
-image of a point), integral_gcd, pair_normalize, pair_divmod,
-ProjPoint.reduced_pair, cleared_pairs, integral_model and every Poly
-operation run on ints; compose and embed skip poly_gcd, and the
-resultant and the Bezout certificate share one fraction-free
-elimination.  The oracles below are the Fraction versions: elements with
-Fraction coordinates on the basis (1, sqrt(-d)) and Horner's rule on
-them, Euclid through exact field division with nearest rounding (ties
-toward +infinity), a search of the unit group for the canonical
-associate, coefficient-wise sums, negation, derivative, monic scaling and
-embedding of field elements, the schoolbook product of field elements,
-long division of polynomials over the field, its Euclidean remainder
-sequence, Yun's square-free split, the full gcd constructor
-RationalMap(num, den), and Gaussian elimination over the field for the
-Sylvester determinant and the cofactor systems.  The height
-engine's archimedean Green sum runs on integer pairs shifted by powers of
-two; its oracle is the same sum in mpmath, one logarithm per step.
+ring operations, the evaluation of forms, integral_gcd, pair_normalize,
+pair_divmod, ProjPoint.reduced_pair, cleared_pairs, integral_model and
+every Poly operation run on ints; compose and embed skip poly_gcd, and
+the resultant and the Bezout certificate share one fraction-free
+elimination.  Forms are evaluated by one sparse evaluator, _eval_forms,
+for Poly.eval_pair, a map's image of a point and both height loops: it
+builds the powers of x0 and x1 once for all forms, skips zero
+coefficients and takes two int products for a rational one.  Its oracle
+is Horner's rule on basis pairs, one form at a time, three pair products
+per coefficient, with and without a modulus.  The other oracles below
+are the Fraction versions: elements with Fraction coordinates on the
+basis (1, sqrt(-d)) and Horner's rule on them, Euclid through exact
+field division with nearest rounding (ties toward +infinity), a search
+of the unit group for the canonical associate, coefficient-wise sums,
+negation, derivative, monic scaling and embedding of field elements, the
+schoolbook product of field elements, long division of polynomials over
+the field, its Euclidean remainder sequence, Yun's square-free split,
+the full gcd constructor RationalMap(num, den), and Gaussian elimination
+over the field for the Sylvester determinant and the cofactor systems.
+The height engine's archimedean Green sum runs on integer pairs shifted
+by powers of two; its oracle is the same sum in mpmath, one logarithm
+per step.
 """
 
 import decimal
@@ -31,7 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1dyn.errors import DomainError, FieldMismatchError
-from p1dyn.heights import _engine, canonical_height
+from p1dyn.heights import _engine, _ln2, canonical_height
 from p1dyn.lattes import (
     catalog,
     catalog_entry,
@@ -45,6 +50,7 @@ from p1dyn.quadfield import (
     integral_gcd,
     omega_flag,
     pair_divmod,
+    pair_mul,
     pair_normalize,
 )
 from p1dyn.ratmaps import (
@@ -52,6 +58,7 @@ from p1dyn.ratmaps import (
     ProjPoint,
     RationalMap,
     _bareiss,
+    _eval_forms,
     cofactor_certificate,
     log_one_norm,
     poly_from_strings,
@@ -138,6 +145,22 @@ def oracle_eval_pair(f: Poly, x0: FracQF, x1: FracQF, deg: int) -> FracQF:
     for k in range(deg - 1, -1, -1):
         acc = acc * x0 + c[k] * p1
         p1 = p1 * x1
+    return acc
+
+
+def oracle_eval_form(coeffs: list, x0, x1, t: int, mod: int = 0) -> tuple:
+    """Horner on basis pairs, one form at a time: sum_k c_k x0^k
+    x1^(deg-k) for the deg+1 pairs c_k, with three pair products per
+    coefficient and everything reduced mod `mod`, if set, at every step."""
+    acc = coeffs[-1]
+    p1 = x1
+    for c in reversed(coeffs[:-1]):
+        s, u = pair_mul(acc, x0, t), pair_mul(c, p1, t)
+        acc = (s[0] + u[0], s[1] + u[1])
+        p1 = pair_mul(p1, x1, t)
+        if mod:
+            acc = (acc[0] % mod, acc[1] % mod)
+            p1 = (p1[0] % mod, p1[1] % mod)
     return acc
 
 
@@ -766,6 +789,58 @@ class TestRingOperationsBuildNoFractions:
         assert len(made) == 2
 
 
+@st.composite
+def form_pairs(draw, d, deg):
+    """deg+1 basis pairs: all zero, with a zero top coefficient, or free;
+    each zero, rational (v = 0) or, for d != 0, general."""
+    shape = draw(st.sampled_from(["zero", "top zero", "free"]))
+    if shape == "zero":
+        return [(0, 0)] * (deg + 1)
+    kinds = ["zero", "rational"] + (["general"] if d else [])
+    out = []
+    for _ in range(deg + 1):
+        kind = draw(st.sampled_from(kinds))
+        u = draw(COORDS) if kind != "zero" else 0
+        out.append((u, draw(COORDS) if kind == "general" else 0))
+    if shape == "top zero":
+        out[-1] = (0, 0)
+    return out
+
+
+class TestSharedPowerEvaluator:
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_form_horner(self, d, data):
+        t, deg = omega_flag(d), data.draw(st.integers(1, 9))
+        forms = [data.draw(form_pairs(d, deg))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        x0, x1 = ((data.draw(COORDS), data.draw(COORDS) if d else 0)
+                  for _ in range(2))
+        mod = data.draw(st.sampled_from(
+            [0, 1, 2, 97, 2**64 + 13, 3**900, 10**200 + 7]))
+        terms = [[(k, c) for k, c in enumerate(f) if c != (0, 0)]
+                 for f in forms]
+        got = _eval_forms(terms, deg, x0, x1, t, mod)
+        want = [oracle_eval_form(f, x0, x1, t, mod) for f in forms]
+        if mod:
+            assert all(0 <= c < mod for pair in got for c in pair)
+            want = [(u % mod, v % mod) for u, v in want]
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_map_pair_matches_one_form_at_a_time(self, d, data):
+        # num and den share one set of powers; their supports differ, a
+        # polynomial map's den being a constant
+        phi = data.draw(maps_of(d))
+        x0, _ = both(d, data)
+        x1, _ = both(d, data)
+        deg = phi.degree
+        assert phi.eval_pair(x0, x1) == (phi.num.eval_pair(x0, x1, deg),
+                                         phi.den.eval_pair(x0, x1, deg))
+
+
 # --------------------------------------------------------------------------
 # gcd, unit normalization, division, reduced pairs
 # --------------------------------------------------------------------------
@@ -1389,6 +1464,21 @@ class TestArchOracle:
             ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
             ctx.traps[decimal.Inexact] = True
             assert canonical_height(phi, P, 1e-9) == want
+
+    def test_cached_log_two_has_fresh_digits(self):
+        # more precisions than the cache holds, in an order that both
+        # hits and evicts, under a caller context that would round wrongly
+        precs = [30 + k for k in range(0, 40, 2)] + [31, 30, 69, 200, 30]
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
+            got = [_ln2(p) for p in precs]
+        for p, value in zip(precs, got):
+            with decimal.localcontext(decimal.Context(prec=p)):
+                assert value == decimal.Decimal(2).ln()
+            assert len(value.as_tuple().digits) == p
+            with mpmath.workdps(p + 10):
+                assert abs(mpmath.mpf(str(value)) - mpmath.log(2)) <= (
+                    mpmath.mpf(10) ** (1 - p))
 
     def test_tail_is_the_geometric_bound(self):
         eng = _engine(catalog("phi_3@E2"))

@@ -3,7 +3,8 @@
 The engine reads each step's content gcd(F0, F1) from one tracker that
 works modulo a power of the resultant's least integer.  These tests
 compare it with the contents of the exact orbit, evaluated by Horner's
-rule on Fraction elements, run it on a map whose resultant has only
+rule on Fraction elements, on hand-made maps and on degree-5 and
+degree-9 catalog models, run it on a map whose resultant has only
 31-digit prime factors, and check that the package imports without sympy
 or mpmath, and that the exact subcommands run without numpy.
 """
@@ -25,7 +26,8 @@ from p1dyn.heights import (
     height_constants,
     naive_height_by_places,
 )
-from p1dyn.quadfield import integral_gcd, parse_element
+from p1dyn.lattes import catalog
+from p1dyn.quadfield import format_element, integral_gcd, parse_element
 from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
 from test_cli_golden import GOLDEN
 from test_exact_kernels import FracQF, oracle_eval_pair
@@ -77,6 +79,26 @@ FINITE_CASES = [
     (["0", "5", "25"], ["1", "0", "5"], 1, [("5-52*w", "4")]),
     (["0", "3", "9"], ["1", "0", "3"], 3, [("43-16*w", "3")]),
     (["0", "13", "169"], ["1", "0", "13"], 3, [("3-26*w", "24")]),
+]
+
+
+def catalog_case(name, points):
+    """A FINITE_CASES row for the catalog map `name`, by its strings."""
+    phi = catalog(name)
+    num, den = (
+        [format_element(c) for c in p.coeffs] for p in (phi.num, phi.den)
+    )
+    return pytest.param(num, den, phi.d, points, id=name)
+
+
+# catalog integral models: phi_3@E2 (degree 9, rational coefficients over
+# Q(omega)) keeps the modulus m_R^(n+1) of a 106-bit m_R, phi_eps is the
+# same map times a unit, so its coefficients are general, and phi_1+2i
+# is a degree-5 model over Q(i)
+FINITE_CASES += [
+    catalog_case("phi_3@E2", [("2+w", "1")]),
+    catalog_case("phi_eps", [("2", "1")]),
+    catalog_case("phi_1+2i", [("1", "1"), ("2+w", "1")]),
 ]
 
 

@@ -152,34 +152,6 @@ class TestRationalMap:
             p = sq(p)
         assert p == ProjPoint.affine(QF(256))
 
-    def test_derivative_map(self):
-        f = rmap([1], [0, 1])  # 1/z
-        df = f.derivative_map()
-        assert df == rmap([-1], [0, 0, 1])
-        const = rmap([5], [1])
-        assert const.derivative_map().num.is_zero()
-
-    @pytest.mark.parametrize(
-        "num, den, d",
-        [
-            ([1], [0, 0, 1], 0),  # 1/z^2
-            ([1, 1], [0, 0, -1, 1], 0),  # (z+1)/(z^2 (z-1))
-            ([0, 0, 0, 1], [1], 0),  # polynomial: den' = 0
-            ([3, 0, 1], [0, 0, 0, 1, -2, 1], 0),  # pole orders 3 and 2
-            # (z - i)^2 (z + 1) and (z - sqrt(-3))^2
-            ([QF(1, 1, 1), 0, 1],
-             [QF(-1, 0, 1), QF(-1, -2, 1), QF(1, -2, 1), QF(1, 0, 1)], 1),
-            ([1, QF(0, 1, 3)], [QF(-3, 0, 3), QF(0, -2, 3), QF(1, 0, 3)], 3),
-        ],
-    )
-    def test_derivative_map_reduces_by_full_gcd(self, num, den, d):
-        # the shortcut gcd(den, den') must give the map that the full
-        # gcd(W, den^2) gives, in the same canonical scale
-        f = rmap(num, den, d)
-        df = f.derivative_map()
-        assert df == RationalMap(critical_points_poly(f), f.den * f.den)
-        assert poly_gcd(df.num, df.den).degree == 0
-
     def test_integral_model(self):
         f = rmap(
             [QF(0, 0, 1), QF(0, 0, 1), QF(Fraction(1, 2), Fraction(1, 2), 1)],

@@ -4,8 +4,8 @@
 
 Run it in two checkouts and compare the files byte for byte (`cmp`).  The
 digest holds, with floats by `repr` so a one-ulp change shows:
-  - for every catalog map: canonical num/den, integral_model,
-    height_constants and derivative_map;
+  - for every catalog map: canonical num/den, integral_model and
+    height_constants;
   - compose and commutes_with on every same-field catalog pair with
     degree product <= 81;
   - periodic_points on the `exact` benchmark workload's cases below the
@@ -67,7 +67,6 @@ def _catalog(cat, names) -> dict:
             "integral_model": [[str(c) for c in cs]
                                for cs in phi.integral_model()],
             "height_constants": {k: repr(v) for k, v in consts.items()},
-            "derivative_map": _map(phi.derivative_map()),
         }
     return out
 
