@@ -21,7 +21,6 @@ from .heights import (
     canonical_height,
     height_constants,
     naive_height,
-    naive_height_by_places,
     neron_tate,
 )
 from .lattes import (

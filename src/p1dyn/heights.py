@@ -114,32 +114,6 @@ def naive_height(P: ProjPoint) -> HeightValue:
     return HeightValue(0.5 * _log_int(int(max(a.norm(), b.norm()))), 0, 0.0)
 
 
-def naive_height_by_places(P: ProjPoint) -> HeightValue:
-    """Oracle route over the rationals: explicit sum of local terms.
-
-    No gcd pre-reduction: the finite places are read off the prime
-    factorization, so this cross-checks the reduce-first shortcut.
-    Raises DomainError when the coordinate gcd does not factor by trial
-    division.
-    """
-    if P.d != 0:
-        raise DomainError("place-by-place oracle is for rational points")
-    x, y = P.x0, P.x1
-    if not (x.is_integral() and y.is_integral()):
-        raise DomainError("oracle expects integral coordinates")
-    xi, yi = int(x.a), int(y.a)
-    total = _log_int(max(abs(xi), abs(yi)))
-    exps, rest = _trial_factor(math.gcd(xi, yi))
-    if rest != 1:
-        raise DomainError(
-            f"coordinate gcd keeps the cofactor {rest} after trial division"
-        )
-    for p, e in exps.items():
-        # min of the two valuations is the valuation of the integer gcd
-        total -= e * math.log(p)
-    return HeightValue(max(total, 0.0), 0, 0.0)
-
-
 class _HeightEngine:
     """Per-map state for canonical height evaluation."""
 
@@ -185,21 +159,13 @@ class _HeightEngine:
         ]
         self._t = omega_flag(self.d)
 
-    def _arch_steps_needed(self, tol: float) -> int:
-        if self.c_bound == 0.0:
-            return 1
-        n = 1
-        bound = self.c_bound / (self.alpha - 1)
-        while bound / self.alpha**n > tol and n <= _ARCH_CAP:
-            n += 1
-        return n
-
-    def _fin_steps_needed(self, tol: float) -> int:
-        if self.n_R == 1:
-            return 0
-        n = 0
-        bound = 0.5 * self.log_nR / (self.alpha - 1)
-        while bound / self.alpha**n > tol and n <= _FIN_CAP:
+    def _steps_needed(self, first: int, cap: int, c: float,
+                      tol: float) -> int:
+        """Steps n from `first` until the tail c/((alpha-1) alpha^n) is at
+        most tol; cap + 1 when the cap comes first."""
+        n = first
+        bound = c / (self.alpha - 1)
+        while bound / self.alpha**n > tol and n <= cap:
             n += 1
         return n
 
@@ -227,8 +193,6 @@ class _HeightEngine:
         return value, tail
 
     def _fin_value(self, x0, x1, n_fin):
-        if n_fin == 0:
-            return 0.0, 0.0
         t, n_R = self._t, self.n_R
         # every content divides R and so m_R: dividing one out leaves the
         # pair known modulo one factor m_R less, so after k < n_fin steps
@@ -252,6 +216,7 @@ class _HeightEngine:
                 f1 = pair_divexact(f1, g, t)
             v0, v1 = f0, f1
             mod //= self.m_R
+        # zero steps leave the whole finite sum, at most this at scale 1
         tail = 0.5 * self.log_nR / (self.alpha - 1) * scale
         return total, tail
 
@@ -262,8 +227,8 @@ class _HeightEngine:
         slack = 2e-12
         certifiable = target_error > 4 * slack
         tol = (target_error - slack) / 2 if certifiable else slack
-        n_arch = self._arch_steps_needed(tol)
-        n_fin = self._fin_steps_needed(tol)
+        n_arch = self._steps_needed(1, _ARCH_CAP, self.c_bound, tol)
+        n_fin = self._steps_needed(0, _FIN_CAP, 0.5 * self.log_nR, tol)
         over_budget = (
             not certifiable or n_arch > _ARCH_CAP or n_fin > _FIN_CAP
         )

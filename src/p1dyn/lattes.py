@@ -36,6 +36,9 @@ class EllipticCurveCM:
             raise DomainError("G must be squarefree (smooth curve)")
         if self.d not in (1, 3):
             raise DomainError("supported CM discriminant tags are 1 and 3")
+        if self.d != self.G.d:
+            raise DomainError(
+                f"CM tag d={self.d} is not the field d={self.G.d} of G")
 
 
 def curve_E1() -> EllipticCurveCM:
@@ -205,53 +208,27 @@ def ramification_profile(
 def predict_profile(lam: QuadFieldElement) -> RamificationProfile:
     """Parity-table prediction of the four counts for a multiplier.
 
-    The table is indexed by the parities of lambda = a + b*sqrt(-d) with
-    integer a, b.  A unit u changes the map only by an automorphism of
-    the curve (phi_(u*lambda) = u^-2 * phi_lambda), which permutes the
-    2-torsion images and keeps the counts, so an Eisenstein multiplier
-    with half-integer coordinates is read through the associate
-    omega^k * lambda whose coordinates are integers.  Multipliers with no
-    such associate are refused, as is a norm below 2.
+    phi_lambda acts on the 2-torsion E[2] = O_K/2O_K through lambda mod
+    2O_K, so the table is indexed by the parities of lambda's basis pair
+    (u, v), lambda = u + v*w.  With h = N(lambda)//2: an odd norm gives
+    (h+1)^4, lambda in 2O_K gives (h+2, h, h, h), and the rest, only over
+    Z[i] since 2 is inert in Z[omega], gives (h, h+1, h, h+1).  A
+    non-integral multiplier and a norm below 2 are refused.
     """
-    units = [QuadFieldElement.one(lam.d)]
-    if lam.d == 3:
-        omega = _eis(Fraction(-1, 2), Fraction(1, 2))
-        units += [omega, omega * omega]
-    for u in units:
-        cand = u * lam
-        if cand.a.denominator == 1 and cand.b.denominator == 1:
-            break
-    else:
-        u, v = lam.basis_pair()
+    u, v = lam.basis_pair()
+    if not lam.is_integral():
         raise DomainError(
-            "no parity row covers coordinates "
-            f"a={lam.a}, b={lam.b} (basis pair {u}, {v})"
-        )
-    a, b, d = cand.a, cand.b, cand.d
+            f"no parity row covers the non-integral basis pair {u}, {v}")
     n = int(lam.norm())
     if n < 2:
         raise DomainError("multiplier norm below 2 has trivial dynamics")
-    a_i, b_i = int(a), int(b)
-    if (a_i + b_i * d) % 2 == 1:
-        r = (n + 1) // 2
-        counts = (r, r, r, r)
-    elif a_i % 2 == 0 and b_i % 2 == 0 or d == 3:
-        # lambda lies in 2 O_K; for d = 3 so does every a + b sqrt(-3)
-        # with a = b mod 2, such as 2 omega = -1 + sqrt(-3)
-        if n == 4:
-            counts = (4, 2, 2, 2)
-        else:
-            counts = (n // 2 + 2, n // 2, n // 2, n // 2)
-    elif a_i % 2 == 1 and (b_i * d) % 2 == 1:
-        if n == 2:
-            counts = (1, 2, 1, 2)
-        else:
-            counts = (n // 2, n // 2 + 1, n // 2, n // 2 + 1)
+    h = n // 2
+    if n % 2:
+        counts = (h + 1,) * 4
+    elif u % 2 == 0 and v % 2 == 0:
+        counts = (h + 2, h, h, h)
     else:
-        raise DomainError(
-            f"no parity row matches a mod 2 = {a_i % 2}, "
-            f"b*d mod 2 = {(b_i * d) % 2}"
-        )
+        counts = (h, h + 1, h, h + 1)
     return RamificationProfile(counts, n)
 
 

@@ -587,12 +587,9 @@ def preimage_sample(
     lift = Lift.from_map(phi)
     f0, f1 = lift.f0, lift.f1
     rng = np.random.default_rng(seed)
-    if abs(z) > 1.0:
-        a0 = np.array([z / abs(z)])
-        a1 = np.array([1.0 / abs(z)], dtype=complex)
-    else:
-        a0 = np.array([z])
-        a1 = np.array([1.0 + 0j])
+    scale = max(abs(z), 1.0)
+    a0 = np.array([z / scale])
+    a1 = np.array([1.0 / scale], dtype=complex)
     total_missed = 0
     for level in range(depth):
         a0, a1, missed = _solve_generation(f0, f1, deg, a0, a1, rng)
@@ -883,8 +880,6 @@ def julia_raster(source, window=None, resolution=None, n: int = 24):
     v = grid.mass
     pos = v[v > 0]
     peak = float(np.quantile(pos, 0.98))
-    if peak <= 0.0:
-        peak = float(pos.max())
     img = 255.0 * (1.0 - np.minimum(v / peak, 1.0))
     return np.asarray(np.rint(img), dtype=np.uint8)
 

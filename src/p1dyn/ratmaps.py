@@ -700,13 +700,6 @@ def preimage_multiplicities(phi: RationalMap, target: ProjPoint) -> list:
     return sorted(mults, reverse=True)
 
 
-def critical_points_poly(phi: RationalMap) -> Poly:
-    """Wronskian num'*den - num*den'; finite critical points are its roots."""
-    return (
-        phi.num.derivative() * phi.den - phi.num * phi.den.derivative()
-    )
-
-
 def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
     """Resultant R of two forms, with the solutions of their cofactor system.
 

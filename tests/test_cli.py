@@ -114,6 +114,18 @@ class TestHeight:
             assert r["error_bound"] <= 1e-7
         assert payload["bad_primes"] == [2]
 
+    def test_loose_tol_bound_keeps_the_finite_tail(self, capsys):
+        # at --tol 5 the archimedean loop takes one step and the finite
+        # loop none; the value is 0.4056 from the 1e-11 one, and the
+        # finite tail must cover it
+        loose = run_json(["height", "--catalog", "phi_1+i", "--point", "3,1",
+                          "--tol", "5"], capsys)["results"][0]
+        tight = run_json(["height", "--catalog", "phi_1+i", "--point", "3,1",
+                          "--tol", "1e-11"], capsys)["results"][0]
+        gap = abs(loose["value"] - tight["value"])
+        assert gap > 0.4056
+        assert loose["error_bound"] >= gap
+
     def test_map_file_matches_catalog(self, tmp_path, capsys):
         path = map_spec_file(tmp_path, catalog("phi_1+i"))
         a = run_json(["height", "--map", path, "--point", "3,2"], capsys)
@@ -248,14 +260,14 @@ class TestTableCheck:
         assert payload["match"] is True
 
     def test_half_integer_eisenstein_multiplier(self, capsys):
-        # -3 omega: the table reads the parities of its associate -3
+        # -3 omega: the table reads its basis pair (3, -3) mod 2, odd norm 9
         payload = run_json(["table-check", "--lambda", "3/2,-3/2,3"], capsys)
         assert payload["map"] == "phi_eps"
         assert payload["predicted"] == [5, 5, 5, 5]
         assert payload["match"] is True
 
     def test_half_integer_lambda_is_domain_error(self, capsys):
-        # (1 + i)/2 is no algebraic integer, so no associate has a row
+        # (1 + i)/2 is no algebraic integer, so no parity row covers it
         rc, _, err = run(["table-check", "--lambda", "1/2,1/2,1"], capsys)
         assert rc == 1
         assert "parity" in err

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1dyn.errors import DomainError, FieldMismatchError
-from p1dyn.heights import _engine, _ln2, canonical_height
+from p1dyn.heights import _ARCH_CAP, _engine, _ln2, canonical_height
 from p1dyn.lattes import (
     catalog,
     catalog_entry,
@@ -1372,7 +1372,7 @@ ARCH_TOLS = (1e-6, 1e-9, 1e-11)
 
 def _arch_steps(eng, target: float) -> int:
     # the step count height() picks for a certifiable target error
-    return eng._arch_steps_needed((target - 2e-12) / 2)
+    return eng._steps_needed(1, _ARCH_CAP, eng.c_bound, (target - 2e-12) / 2)
 
 
 def _check_arch(phi: RationalMap, points: list) -> None:

@@ -20,17 +20,13 @@ import pytest
 import p1dyn
 from p1dyn import cli
 from p1dyn.errors import DomainError
-from p1dyn.heights import (
-    _engine,
-    canonical_height,
-    height_constants,
-    naive_height_by_places,
-)
+from p1dyn.heights import _engine, canonical_height, height_constants
 from p1dyn.lattes import catalog
 from p1dyn.quadfield import format_element, integral_gcd, parse_element
 from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
 from test_cli_golden import GOLDEN
 from test_exact_kernels import FracQF, oracle_eval_pair
+from test_heights import naive_height_by_places
 
 
 def point(x, y, d):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,20 @@ import pytest
 from p1dyn.errors import DomainError, IterationBudgetError
 from p1dyn.heights import (
     HeightValue,
+    _log_int,
+    _trial_factor,
     canonical_height,
     height_constants,
     naive_height,
-    naive_height_by_places,
     neron_tate,
 )
-from p1dyn.lattes import catalog, curve_E1, curve_E2, lattes_double
+from p1dyn.lattes import (
+    catalog,
+    catalog_names,
+    curve_E1,
+    curve_E2,
+    lattes_double,
+)
 from p1dyn.quadfield import QuadFieldElement as QF, integral_gcd
 from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
 
@@ -42,6 +50,32 @@ def tate_limit_raw(phi, P, steps):
         x0, x1 = y0 / g, y1 / g
         out.append(0.5 * math.log(int(max(x0.norm(), x1.norm()))) / alpha**n)
     return out
+
+
+def naive_height_by_places(P: ProjPoint) -> HeightValue:
+    """Oracle route over the rationals: explicit sum of local terms.
+
+    No gcd pre-reduction: the finite places are read off the prime
+    factorization, so this cross-checks the reduce-first shortcut.
+    Raises DomainError when the coordinate gcd does not factor by trial
+    division.
+    """
+    if P.d != 0:
+        raise DomainError("place-by-place oracle is for rational points")
+    x, y = P.x0, P.x1
+    if not (x.is_integral() and y.is_integral()):
+        raise DomainError("oracle expects integral coordinates")
+    xi, yi = int(x.a), int(y.a)
+    total = _log_int(max(abs(xi), abs(yi)))
+    exps, rest = _trial_factor(math.gcd(xi, yi))
+    if rest != 1:
+        raise DomainError(
+            f"coordinate gcd keeps the cofactor {rest} after trial division"
+        )
+    for p, e in exps.items():
+        # min of the two valuations is the valuation of the integer gcd
+        total -= e * math.log(p)
+    return HeightValue(max(total, 0.0), 0, 0.0)
 
 
 class TestNaive:
@@ -253,6 +287,31 @@ class TestCanonicalGeneric:
         assert hv.error_bound <= 1e-6
         hv2 = canonical_height(dbl, pt(5, 3, 1), 1e-10)
         assert abs(hv.value - hv2.value) <= 1e-6 + hv2.error_bound
+
+
+def seeded_points(name: str, count: int = 6) -> list:
+    """count points (x0 : x1) of the map's field with small coordinates."""
+    d = catalog(name).d
+    rng = random.Random(f"bound:{name}")
+    return [pt(QF(rng.randint(-15, 15), rng.randint(-15, 15) if d else 0, d),
+               rng.randint(1, 15), d) for _ in range(count)]
+
+
+class TestBoundAtLooseTargets:
+    # a loose target stops the finite loop after zero steps, where the
+    # whole finite sum is left to the tail
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_error_bound_covers_the_error(self, name):
+        phi = catalog(name)
+        points = seeded_points(name)
+        if name == "phi_3@E2":
+            points.append(pt(QF(-11, 13, 3), 11, 3))
+        for P in points:
+            ref = canonical_height(phi, P, 1e-11).value
+            for target in (3.0, 10.0, 40.0):
+                hv = canonical_height(phi, P, target)
+                assert abs(hv.value - ref) <= hv.error_bound + 1e-11, (
+                    str(P), target, hv, ref)
 
 
 class TestNeronTate:

@@ -26,6 +26,36 @@ OMEGA = QF(Fraction(-1, 2), Fraction(1, 2), 3)  # primitive cube root of 1
 RHO6 = QF(Fraction(1, 2), Fraction(1, 2), 3)  # primitive sixth root
 
 
+def parity_table_by_associate(lam: QF) -> tuple:
+    """Oracle for predict_profile: the table on the coordinates a, b of
+    lambda = a + b*sqrt(-d), an Eisenstein multiplier with half-integer
+    coordinates read through its associate omega^k * lambda with integer
+    ones.  Returns the counts, and raises DomainError where no row
+    applies."""
+    units = [QF.one(lam.d)]
+    if lam.d == 3:
+        units += [OMEGA, OMEGA * OMEGA]
+    for u in units:
+        cand = u * lam
+        if cand.a.denominator == 1 and cand.b.denominator == 1:
+            break
+    else:
+        raise DomainError("no associate with integer coordinates")
+    n = int(lam.norm())
+    if n < 2:
+        raise DomainError("norm below 2")
+    a, b, d = int(cand.a), int(cand.b), cand.d
+    if (a + b * d) % 2 == 1:
+        return ((n + 1) // 2,) * 4
+    if a % 2 == 0 and b % 2 == 0 or d == 3:
+        # lambda lies in 2 O_K; for d = 3 so does every a + b sqrt(-3)
+        # with a = b mod 2, such as 2 omega = -1 + sqrt(-3)
+        return (4, 2, 2, 2) if n == 4 else (n // 2 + 2,) + (n // 2,) * 3
+    if a % 2 == 1 and (b * d) % 2 == 1:
+        return (1, 2, 1, 2) if n == 2 else (n // 2, n // 2 + 1) * 2
+    raise DomainError("no parity row")
+
+
 class TestDoubling:
     def test_square_lattice_formula(self):
         expect = RationalMap(Poly([1, 0, -2, 0, 1], 1), Poly([0, 4, 0, 4], 1))
@@ -90,6 +120,11 @@ class TestCurveValidation:
     def test_quadratic_rejected(self):
         with pytest.raises(DomainError):
             EllipticCurveCM(Poly([1, 0, 1], 1), 1)
+
+    def test_tag_outside_the_field_of_G_rejected(self):
+        # y^2 = x^3 + x over Q(i) tagged as a hexagonal-lattice curve
+        with pytest.raises(DomainError, match="CM tag"):
+            EllipticCurveCM(Poly([0, 1, 0, 1], 1), 3)
 
 
 class TestCatalog:
@@ -361,6 +396,21 @@ class TestPredictions:
     def test_norm_too_small(self):
         with pytest.raises(DomainError):
             predict_profile(QF(1, 0, 1))
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_matches_the_associate_oracle(self, d):
+        # every lambda = a + b sqrt(-d) with a, b in (1/2)Z, |a|, |b| <= 20
+        halves = [Fraction(k, 2) for k in range(-40, 41)]
+        for a in halves:
+            for b in halves if d else [0]:
+                lam = QF(a, b, d)
+                try:
+                    want = parity_table_by_associate(lam)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        predict_profile(lam)
+                    continue
+                assert predict_profile(lam).counts == want, lam
 
     def test_prediction_matches_computation(self):
         cases = [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p1dyn import measures
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import (
     catalog,
@@ -374,6 +375,29 @@ class TestPreimageSampling:
         h_after = sample_histogram(map_samples(dbl, s), (-3, 3, -3, 3), 32)
         assert compare_l1(h_before, h_after) <= 0.05
 
+    def test_missed_solves_raise(self, monkeypatch):
+        # with no Aberth sweep every row misses the target: 31 rows of the
+        # depth-5 tree, more than the 16 that are forgiven
+        monkeypatch.setattr(measures, "_PREIMAGE_SWEEPS", 0)
+        with pytest.raises(ConvergenceError, match="31 of 32"):
+            preimage_sample(catalog("pow_2"), 2.0, 5, seed=1)
+
+    def test_degree_drop_in_both_charts(self):
+        # (z^2+3z+1)/(z^2+5z+1) sends 0 and infinity to 1: the row of the
+        # seed 1 is -2z, with no leading coefficient in either chart, and
+        # keeps both preimages only through the nudged coefficient
+        phi = RationalMap.from_strings(["1", "3", "1"], ["1", "5", "1"], 0)
+        one = preimage_sample(phi, 1.0, 1, seed=1)
+        assert one.points.tolist() == [0j] and one.n_infinite == 1
+        # 0 pulls back to the roots of z^2+3z+1, infinity to those of
+        # z^2+5z+1
+        two = preimage_sample(phi, 1.0, 2, seed=1)
+        assert two.n_infinite == 0
+        want = [(-3 - 5**0.5) / 2, (-3 + 5**0.5) / 2,
+                (-5 - 21**0.5) / 2, (-5 + 21**0.5) / 2]
+        got = sorted(two.points, key=lambda z: z.real)
+        assert np.allclose(got, sorted(want), rtol=0, atol=1e-9)
+
     def test_two_constructions_agree(self):
         f = green_field(SQUARE, WIN, 256, 20)
         m = coarsen(measure_from_green(f), 8)
@@ -685,6 +709,15 @@ class TestPeriodicPoints:
         for p in pairs:
             image = tuple(complex(w) for w in lift.eval(*p))
             assert min(chordal(image, q) for q in pairs) <= 1e-8
+
+    def test_roots_off_their_cycles_raise(self, monkeypatch):
+        # with no tolerance the rounding of the float orbit alone fails the
+        # check; the roots and their residuals come with the error
+        monkeypatch.setattr(measures, "_CYCLE_TOL", 0.0)
+        with pytest.raises(ConvergenceError, match="miss their cycles") as err:
+            periodic_points(catalog("phi_1+i"), 2)
+        assert len(err.value.partial) == len(err.value.residuals) == 4
+        assert max(err.value.residuals) > 0.0
 
     def test_root_at_zero_is_exact(self):
         # z^9 - z has the root 0, split off before the iteration

@@ -11,7 +11,6 @@ from p1dyn.ratmaps import (
     RationalMap,
     _bareiss,
     cofactor_certificate,
-    critical_points_poly,
     distinct_preimages,
     poly_from_strings,
     poly_gcd,
@@ -25,6 +24,13 @@ def P(*coeffs, d=0):
 
 def rmap(num, den, d=0):
     return RationalMap(Poly(num, d), Poly(den, d))
+
+
+def critical_points_poly(phi: RationalMap) -> Poly:
+    """Wronskian num'*den - num*den'; finite critical points are its roots."""
+    return (
+        phi.num.derivative() * phi.den - phi.num * phi.den.derivative()
+    )
 
 
 class TestPoly:
