@@ -11,13 +11,20 @@ of renormalized sup-norms.  The archimedean part iterates the integral
 model exactly on integral basis pairs, shifted right by powers of two to a
 size padded against worst-case round-off amplification, and takes one
 logarithm at the end.  The finite part runs one tracker on integral basis
-pairs modulo a power of m_R, the least positive integer in the ideal of
-the resultant R of the lifted map: the content of a coprime pair divides
-R, so a gcd against R reads it without factoring anything, and each
-step costs at most one factor m_R of precision, so the needed modulus is
-known in advance.  Both tails carry explicit geometric bounds derived
-from the coefficient one-norms (upper) and an exact Bezout certificate
-(lower).
+pairs modulo an integer M: the content of a coprime pair divides the
+resultant R of the lifted map, so a gcd against n_R = N(R) reads it
+without factoring anything, and reading it needs only n_R | M.  Dividing
+out a content g leaves the pair known modulo (M/g), inside (M/m_g) for
+m_g the least positive integer in (g), so M shrinks by m_g and stays
+where the orbit spends it.  M starts at n_R m_R^2 (m_R the least
+positive integer in (R)); a step that would start with n_R not dividing
+M restarts the orbit from a start larger by the m_g spent so far and one
+more m_R, which clears that step.  The start never exceeds
+m_R^(n_fin+1), where n_R | M holds at every step as m_g | m_R, so the
+restarts are finitely many.  Every content is read exactly, so the sum
+does not depend on where M starts.  Both tails carry explicit geometric
+bounds derived from the coefficient one-norms (upper) and an exact
+Bezout certificate (lower).
 """
 
 from __future__ import annotations
@@ -193,32 +200,48 @@ class _HeightEngine:
         return value, tail
 
     def _fin_value(self, x0, x1, n_fin):
-        t, n_R = self._t, self.n_R
-        # every content divides R and so m_R: dividing one out leaves the
-        # pair known modulo one factor m_R less, so after k < n_fin steps
-        # it is kept modulo m_R^(n_fin+1-k), at least m_R^2, a multiple of
-        # n_R, which is all that reading the next content needs
-        mod = self.m_R ** (n_fin + 1)
-        v0, v1 = x0.basis_pair(), x1.basis_pair()
-        total = 0.0
-        scale = 1.0
-        for _ in range(n_fin):
-            scale /= self.alpha
-            f0, f1 = _eval_forms(self._forms, self.alpha, v0, v1, t, mod)
-            # N(g) divides this integer, and g divides N(g)
-            h = math.gcd(pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R)
-            if h > 1:
-                g = pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
-                g = pair_gcd(g, (f1[0] % h, f1[1] % h), t)
-                n_g = pair_norm(g, t)
-                total += 0.5 * _log_int(n_g) * scale
-                f0 = pair_divexact(f0, g, t)
-                f1 = pair_divexact(f1, g, t)
-            v0, v1 = f0, f1
-            mod //= self.m_R
-        # zero steps leave the whole finite sum, at most this at scale 1
-        tail = 0.5 * self.log_nR / (self.alpha - 1) * scale
-        return total, tail
+        t, n_R, m_R = self._t, self.n_R, self.m_R
+        # the pair is known modulo mod; reading a content needs n_R | mod,
+        # and dividing out a content g leaves the pair known modulo
+        # (mod/g), inside (mod/m_g) as g | m_g.  A step that finds n_R
+        # not dividing mod restarts the orbit from start * spent * m_R,
+        # where that step has mod = start * m_R again.  Every m_g divides
+        # m_R, so from m_R^(n_fin+1) the modulus stays a multiple of m_R^2,
+        # and so of n_R, for all n_fin steps: that start never restarts
+        cap = m_R ** (n_fin + 1)
+        start = min(n_R * m_R * m_R, cap)
+        while True:
+            mod = start
+            spent = 1
+            v0, v1 = x0.basis_pair(), x1.basis_pair()
+            total = 0.0
+            scale = 1.0
+            for _ in range(n_fin):
+                if mod % n_R:
+                    break
+                scale /= self.alpha
+                f0, f1 = _eval_forms(self._forms, self.alpha, v0, v1, t, mod)
+                # N(g) divides this integer, and g divides N(g)
+                h = math.gcd(
+                    pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R
+                )
+                if h > 1:
+                    g = pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
+                    g = pair_gcd(g, (f1[0] % h, f1[1] % h), t)
+                    n_g = pair_norm(g, t)
+                    total += 0.5 * _log_int(n_g) * scale
+                    f0 = pair_divexact(f0, g, t)
+                    f1 = pair_divexact(f1, g, t)
+                    m_g = n_g // math.gcd(*g)
+                    mod //= m_g
+                    spent *= m_g
+                v0, v1 = f0, f1
+            else:
+                # zero steps leave the whole finite sum, at most this at
+                # scale 1
+                tail = 0.5 * self.log_nR / (self.alpha - 1) * scale
+                return total, tail
+            start = min(start * spent * m_R, cap)
 
     def height(self, P: ProjPoint, target_error: float) -> HeightValue:
         x0, x1 = P.reduced_pair()

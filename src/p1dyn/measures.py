@@ -868,7 +868,10 @@ def julia_raster(source, window=None, resolution=None, n: int = 24):
     """Grayscale image of the canonical measure; dense cells are dark.
 
     source is a GreenField or a map/lift (then window and resolution are
-    required).  Returns a uint8 array, deterministic for fixed inputs.
+    required).  Cell masses are scaled by the window's share of the
+    measure before the 0.98-quantile sets full darkness, so a window that
+    holds almost none of it stays light.  Returns a uint8 array,
+    deterministic for fixed inputs.
     """
     if isinstance(source, GreenField):
         field = source
@@ -880,7 +883,7 @@ def julia_raster(source, window=None, resolution=None, n: int = 24):
     v = grid.mass
     pos = v[v > 0]
     peak = float(np.quantile(pos, 0.98))
-    img = 255.0 * (1.0 - np.minimum(v / peak, 1.0))
+    img = 255.0 * (1.0 - np.minimum(v * grid.window_fraction / peak, 1.0))
     return np.asarray(np.rint(img), dtype=np.uint8)
 
 

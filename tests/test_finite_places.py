@@ -1,10 +1,14 @@
 """The finite-place part of the height engine.
 
 The engine reads each step's content gcd(F0, F1) from one tracker that
-works modulo a power of the resultant's least integer.  These tests
+works modulo an integer that starts at n_R m_R^2 and shrinks by the
+least integer of each content it divides out, restarting from a larger
+start when the resultant's norm n_R no longer divides it.  These tests
 compare it with the contents of the exact orbit, evaluated by Horner's
 rule on Fraction elements, on hand-made maps and on degree-5 and
-degree-9 catalog models, run it on a map whose resultant has only
+degree-9 catalog models, and, equal in hex, with the fixed-modulus
+tracker (modulo m_R^(n+1) for n steps) that it replaced; they count the
+evaluations of a restart, run it on a map whose resultant has only
 31-digit prime factors, and check that the package imports without sympy
 or mpmath, and that the exact subcommands run without numpy.
 """
@@ -12,18 +16,32 @@ or mpmath, and that the exact subcommands run without numpy.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import p1dyn
-from p1dyn import cli
+from p1dyn import cli, heights
 from p1dyn.errors import DomainError
-from p1dyn.heights import _engine, canonical_height, height_constants
+from p1dyn.heights import (
+    _engine,
+    _log_int,
+    canonical_height,
+    height_constants,
+)
 from p1dyn.lattes import catalog
-from p1dyn.quadfield import format_element, integral_gcd, parse_element
-from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
+from p1dyn.quadfield import (
+    format_element,
+    integral_gcd,
+    pair_divexact,
+    pair_gcd,
+    pair_norm,
+    parse_element,
+)
+from p1dyn.quadfield import QuadFieldElement as QF
+from p1dyn.ratmaps import Poly, ProjPoint, RationalMap, _eval_forms
 from test_cli_golden import GOLDEN
 from test_exact_kernels import FracQF, oracle_eval_pair
 from test_heights import naive_height_by_places
@@ -110,6 +128,103 @@ class TestContentTracker:
                 got, _ = eng._fin_value(*P.reduced_pair(), steps)
                 assert expect > 0
                 assert abs(got - expect) <= 1e-12 * max(1.0, expect)
+
+
+def oracle_fin_value(eng, x0, x1, n_fin):
+    """The finite loop at the fixed modulus m_R^(n_fin+1), one factor m_R
+    spent per step, which never needs a restart."""
+    t, n_R = eng._t, eng.n_R
+    mod = eng.m_R ** (n_fin + 1)
+    v0, v1 = x0.basis_pair(), x1.basis_pair()
+    total = 0.0
+    scale = 1.0
+    for _ in range(n_fin):
+        scale /= eng.alpha
+        f0, f1 = _eval_forms(eng._forms, eng.alpha, v0, v1, t, mod)
+        h = math.gcd(pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R)
+        if h > 1:
+            g = pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
+            g = pair_gcd(g, (f1[0] % h, f1[1] % h), t)
+            total += 0.5 * _log_int(pair_norm(g, t)) * scale
+            f0 = pair_divexact(f0, g, t)
+            f1 = pair_divexact(f1, g, t)
+        v0, v1 = f0, f1
+        mod //= eng.m_R
+    tail = 0.5 * eng.log_nR / (eng.alpha - 1) * scale
+    return total, tail
+
+
+def sample_points(phi, rows_points, count=6):
+    """A row's own points and `count` seeded ones with small coordinates."""
+    d = phi.d
+    rng = random.Random(f"fin:{phi}")
+    points = [point(x, y, d) for x, y in rows_points]
+    for _ in range(count):
+        x = QF(rng.randint(-40, 40), rng.randint(-40, 40) if d else 0, d)
+        points.append(ProjPoint(x, QF(rng.randint(1, 40), 0, d), d))
+    return points
+
+
+# the (p^2 z^2 + p z) / (p z^2 + 1) rows, whose contents come from deep
+# digits of the point, and catalog models with large m_R
+ORACLE_CASES = [
+    pytest.param(*row, id=f"p={row[0][1]},d={row[2]}")
+    for row in FINITE_CASES if not hasattr(row, "id") and row[0][0] == "0"
+] + [
+    catalog_case(name, [])
+    for name in ("phi_3@E2", "phi_eps", "phi_3@E1", "phi_sqrt-3")
+]
+
+
+def count_evaluations(monkeypatch):
+    calls = []
+    evaluate = heights._eval_forms
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(heights, "_eval_forms", counted)
+    return calls
+
+
+class TestSpentModulus:
+    @pytest.mark.parametrize("num,den,d,points", ORACLE_CASES)
+    def test_matches_fixed_modulus_oracle(self, num, den, d, points):
+        phi = RationalMap.from_strings(num, den, d)
+        eng = _engine(phi)
+        for P in sample_points(phi, points):
+            pair = P.reduced_pair()
+            for n_fin in (1, 4, 12, 30):
+                got = eng._fin_value(*pair, n_fin)
+                expect = oracle_fin_value(eng, *pair, n_fin)
+                assert [v.hex() for v in got] == [v.hex() for v in expect], (
+                    str(P), n_fin)
+
+    def test_short_modulus_restarts(self, monkeypatch):
+        # the contents of steps 1 to 3 spend so much of the start n_R m_R^2
+        # that n_R no longer divides what is left before step 4, so the
+        # orbit restarts, here at the cap m_R^5, and runs all four steps
+        phi = RationalMap.from_strings(["0", "5", "25"], ["1", "0", "5"], 0)
+        eng = _engine(phi)
+        pair = point("-19", "5", 0).reduced_pair()
+        calls = count_evaluations(monkeypatch)
+        got = eng._fin_value(*pair, 4)
+        assert len(calls) == 7
+        assert calls[0][-1] == eng.n_R * eng.m_R**2
+        assert calls[3][-1] == eng.m_R**5
+        assert got == oracle_fin_value(eng, *pair, 4)
+
+    @pytest.mark.parametrize("num,den,d,points", FINITE_CASES)
+    def test_one_step_never_restarts(self, num, den, d, points, monkeypatch):
+        phi = RationalMap.from_strings(num, den, d)
+        eng = _engine(phi)
+        calls = count_evaluations(monkeypatch)
+        for P in sample_points(phi, points):
+            del calls[:]
+            eng._fin_value(*P.reduced_pair(), 1)
+            # one evaluation, at the fixed modulus m_R^2
+            assert [c[-1] for c in calls] == [eng.m_R**2]
 
 
 # four 31-digit primes; (C z^2 + B z + A) / (D z) has resultant A C D^2

@@ -314,6 +314,36 @@ class TestBoundAtLooseTargets:
                     str(P), target, hv, ref)
 
 
+# Chebyshev maps: T_d(y + 1/y) = y^d + y^-d, and T_2 and T_3 are both
+# T_6 when composed either way round
+CHEBYSHEV = [
+    RationalMap.from_strings(["-2", "0", "1"], ["1"], 0),
+    RationalMap.from_strings(["0", "-3", "0", "1"], ["1"], 0),
+]
+
+
+class TestChebyshev:
+    def test_t2_and_t3_commute(self):
+        t2, t3 = CHEBYSHEV
+        assert t2.commutes_with(t3)
+
+    # the orbit of y + 1/y under T_d is y^n + y^-n, n = d^k, whose height
+    # is 2 n h(y) up to a bounded term, so the canonical height is 2 h(y)
+    @pytest.mark.parametrize("y", [Fraction(3), Fraction(5, 2),
+                                   Fraction(7, 3), Fraction(12, 5)])
+    def test_height_is_twice_the_height_of_y(self, y):
+        x = y + 1 / y
+        P = pt(x.numerator, x.denominator)
+        expect = 2 * math.log(max(y.numerator, y.denominator))
+        hv = [canonical_height(t, P, 1e-11) for t in CHEBYSHEV]
+        for h in hv:
+            assert h.error_bound <= 1e-11
+            assert abs(h.value - expect) <= h.error_bound, (str(y), h)
+        assert abs(hv[0].value - hv[1].value) <= (
+            hv[0].error_bound + hv[1].error_bound
+        )
+
+
 class TestNeronTate:
     def test_two_torsion_vanishes(self):
         assert neron_tate(curve_E1(), 0).value == 0.0

@@ -640,6 +640,21 @@ class TestPeriodicPoints:
         with pytest.raises(DomainError):
             periodic_points(lattes_double(curve_E1()), 4)
 
+    def test_chebyshev_multipliers(self):
+        # T_2 = z^2 - 2 is conjugate to z^2 on [-2, 2] through
+        # z = y + 1/y, so T_2^3 = T_8 has multiplier T_8'(2 cos t) =
+        # 8 sin 8t / sin t = +-8 at each fixed point 2 cos t inside
+        # (-2, 2), 8^2 = 64 at z = 2 and 0 at infinity
+        t2 = RationalMap.from_strings(["-2", "0", "1"], ["1"], 0)
+        pp = periodic_points(t2, 3)
+        assert len(pp) == 9
+        assert pp[-1] == (INF_POINT, 0j)
+        *inner, (top, m_top) = pp[:-1]
+        assert abs(top - 2) <= 1e-10 and abs(m_top - 64) <= 1e-10
+        for z, m in inner:
+            assert abs(z.imag) <= 1e-10 and -2 < z.real < 2
+            assert abs(abs(m.real) - 8) <= 1e-10 and abs(m.imag) <= 1e-10
+
     def test_identity_iterate_refused(self):
         # every point is periodic when phi^n is the identity
         inv = RationalMap.from_strings(["1"], ["0", "1"], 0)
@@ -746,6 +761,15 @@ class TestRaster:
         f = green_field(SQUARE, WIN, 64, 16)
         img = julia_raster(f)
         assert img.shape == (64, 64)
+
+    def test_window_without_julia_set_stays_light(self):
+        # (20, 21)^2 holds a share of about 1e-10 of the measure of z^2;
+        # normalised to mass 1 its round-off would fill the raster
+        img = julia_raster(catalog("pow_2"), (20, 21, 20, 21), 64, n=24)
+        assert (img == 255).all()
+        # the whole Julia set in view keeps its dark cells
+        img = julia_raster(catalog("pow_2"), (-2, 2, -2, 2), 64, n=24)
+        assert int((img < 128).sum()) == 124
 
     def test_degree_one_rejected_upstream(self):
         from p1dyn.ratmaps import Poly, RationalMap
