@@ -6,25 +6,30 @@ archimedean Green value plus finite-place corrections:
     h_hat(P) = g_inf(v0) - sum_k (1/alpha^(k+1)) * (1/2) log N(g_k)
 
 where v0 is an integral coprime representative, g_k is the coordinate
-content extracted at step k of the exact orbit, and g_inf is the limit
-of renormalized sup-norms.  The archimedean part iterates the integral
-model exactly on integral basis pairs, shifted right by powers of two to a
-size padded against worst-case round-off amplification, and takes one
-logarithm at the end.  The finite part runs one tracker on integral basis
-pairs modulo an integer M: the content of a coprime pair divides the
-resultant R of the lifted map, so a gcd against n_R = N(R) reads it
-without factoring anything, and reading it needs only n_R | M.  Dividing
-out a content g leaves the pair known modulo (M/g), inside (M/m_g) for
-m_g the least positive integer in (g), so M shrinks by m_g and stays
-where the orbit spends it.  M starts at n_R m_R^2 (m_R the least
-positive integer in (R)); a step that would start with n_R not dividing
-M restarts the orbit from a start larger by the m_g spent so far and one
-more m_R, which clears that step.  The start never exceeds
-m_R^(n_fin+1), where n_R | M holds at every step as m_g | m_R, so the
-restarts are finitely many.  Every content is read exactly, so the sum
+content extracted at step k of the exact orbit, and g_inf is the limit of
+renormalized sup-norms.  The archimedean part iterates the integral model
+exactly on integral basis pairs, shifted right by powers of two, and takes
+one logarithm at the end, divided by alpha^n.  A shift at step k of n
+loses a relative 2^(4 - bits) at most, and each later step amplifies that
+at most A = alpha e^(c_up + c_low) times, so step k keeps
+bits_k = max(64, 64 + (n - k) amp - drop) bits, with amp = ceil(log2(4A))
+and drop = min(40, floor(n log2 alpha)).  The last pair's relative error
+then stays below 2^(-59.58 + drop), the value's error below 2^-59.5, and
+the working size falls from 64 + n amp bits to 64 along the orbit.
+The finite part runs one tracker on integral basis pairs modulo an integer
+M: the content of a coprime pair divides the resultant R of the lifted
+map, so a gcd against n_R = N(R) reads it without factoring anything, and
+reading it needs only n_R | M.  Dividing out a content g leaves the pair
+known modulo (M/g), inside (M/m_g) for m_g the least positive integer in
+(g), so M shrinks by m_g and stays where the orbit spends it.  M starts at
+n_R m_R^2 (m_R the least positive integer in (R)); a step that would start
+with n_R not dividing M restarts the orbit from a start larger by the m_g
+spent so far and one more m_R, which clears that step.  The start never
+exceeds m_R^(n_fin+1), where n_R | M holds at every step as m_g | m_R, so
+the restarts are finitely many.  Every content is read exactly, so the sum
 does not depend on where M starts.  Both tails carry explicit geometric
-bounds derived from the coefficient one-norms (upper) and an exact
-Bezout certificate (lower).
+bounds derived from the coefficient one-norms (upper) and an exact Bezout
+certificate (lower).
 """
 
 from __future__ import annotations
@@ -146,15 +151,15 @@ class _HeightEngine:
         self.c_up = max(0.0, log_s_up)
         self.c_low = max(0.0, log_s_cof - 0.5 * self.log_nR)
         self.c_bound = max(self.c_up, self.c_low)
-        # bits per step that _arch_value pads its pairs by: a relative
-        # error in w grows by at most alpha * e^{c_up} under F and by
-        # e^{c_low} in the next renormalization, and the 4 leaves 2 bits
-        # per step for the truncation itself.  F and its coefficients are
-        # exact; each right shift moves a basis coordinate by less than one
-        # unit, so an element by less than 2 units (|i| = |omega| = 1),
-        # against a largest element of at least (sqrt(3)/2) 2^(bits-1).
-        # After n steps the relative error stays below 2^(4 - bits) times
-        # (e^{c_up + c_low} alpha)^n, that is below 2^(-60 - 2n)
+        # bits per remaining step that _arch_value pads its pairs by: a
+        # relative error in w grows by at most alpha * e^{c_up} under F and
+        # by e^{c_low} in the next renormalization, so by at most
+        # A = alpha * e^{c_up + c_low} <= 2^(amp - 2) per step, and the 4
+        # leaves 2 bits per step for the truncation itself.  F and its
+        # coefficients are exact; each right shift to `bits` moves a basis
+        # coordinate by less than one unit, so an element by less than 2
+        # units (|i| = |omega| = 1), against a largest element of at least
+        # (sqrt(3)/2) 2^(bits-1): a relative error below 2^(4 - bits)
         log2_amp = (
             math.log2(4.0 * self.alpha) + (self.c_up + self.c_low) / _LN2
         )
@@ -179,14 +184,27 @@ class _HeightEngine:
     def _arch_value(self, x0, x1, n_arch):
         # F^n(v) = 2^shift * (w0, w1) up to the truncation of each shift,
         # and the Green sum telescopes to log ||F^n(v)|| / alpha^n for any
-        # representatives, so only the final pair needs a logarithm
-        bits = 64 + n_arch * self._amp_bits
+        # representatives, so only the final pair needs a logarithm, and
+        # divided by alpha^n it needs a relative error of only about
+        # 2^-60 alpha^n.  Step k of n cuts its pair to bits_k = max(64,
+        # 64 + (n-k) amp - drop) bits, a relative error below
+        # 2^(4 - bits_k) that reaches the last pair amplified at most
+        # A^(n-k) <= 2^((n-k)(amp-2)) times: below 2^(-60 + drop - 2(n-k)).
+        # The n steps stay below (4/3) 2^(-60 + drop) < 2^-59.58 alpha^n,
+        # as 2^drop <= alpha^n, and the cap of 40 on drop keeps that
+        # relative error below 2^-19, where log(1 + delta) is within
+        # 1.00001 delta: the value moves by less than 2^-59.5
         t, alpha = self._t, self.alpha
+        alpha_n = alpha**n_arch
+        # floor(n log2 alpha), exactly
+        drop = min(40, alpha_n.bit_length() - 1)
+        top_bits = 64 + n_arch * self._amp_bits - drop
         w0, w1 = x0.basis_pair(), x1.basis_pair()
         shift = 0
-        for _ in range(n_arch):
+        for k in range(1, n_arch + 1):
+            bits = max(64, top_bits - k * self._amp_bits)
             f0, f1 = _eval_forms(self._forms, alpha, w0, w1, t)
-            e = max(0, max(c.bit_length() for c in f0 + f1) - bits)
+            e = max(0, max(map(int.bit_length, f0 + f1)) - bits)
             w0 = (f0[0] >> e, f0[1] >> e)
             w1 = (f1[0] >> e, f1[1] >> e)
             shift = shift * alpha + e
@@ -195,8 +213,8 @@ class _HeightEngine:
         # a fresh context, so a caller's decimal settings cannot leak in
         with localcontext(Context(prec=prec)):
             log_top = shift * _ln2(prec) + Decimal(top).ln() / 2
-            value = float(log_top / alpha**n_arch)
-        tail = self.c_bound / (alpha - 1) * (1 / alpha**n_arch)
+            value = float(log_top / alpha_n)
+        tail = self.c_bound / (alpha - 1) * (1 / alpha_n)
         return value, tail
 
     def _fin_value(self, x0, x1, n_fin):

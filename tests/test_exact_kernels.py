@@ -22,8 +22,9 @@ the field, its Euclidean remainder sequence, Yun's square-free split,
 the full gcd constructor RationalMap(num, den), and Gaussian elimination
 over the field for the Sylvester determinant and the cofactor systems.
 The height engine's archimedean Green sum runs on integer pairs shifted
-by powers of two; its oracle is the same sum in mpmath, one logarithm
-per step.
+by powers of two, at a size that falls along the orbit; its oracle is the
+same sum in mpmath, one logarithm per step, and, run past the engine's
+step count at a higher precision, the orbit limit that the sum approaches.
 """
 
 import decimal
@@ -36,6 +37,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1dyn.errors import DomainError, FieldMismatchError
+from p1dyn import heights
 from p1dyn.heights import _ARCH_CAP, _engine, _ln2, canonical_height
 from p1dyn.lattes import (
     catalog,
@@ -431,12 +433,23 @@ def oracle_certificate(c0: list, c1: list, deg: int) -> tuple:
     return R, sols
 
 
-def oracle_arch_value(eng, x0: QF, x1: QF, n_arch: int) -> tuple:
+def oracle_arch_value(eng, x0: QF, x1: QF, n_arch: int,
+                      bits: int = 0) -> tuple:
     """The height engine's archimedean Green sum and tail in mpmath: the
-    coefficients and the point lifted to complex numbers at 64 +
-    n_arch * _amp_bits bits, divided by their sup-norm at every step, with
-    one logarithm per step."""
-    bits = 64 + n_arch * eng._amp_bits
+    coefficients and the point lifted to complex numbers at `bits` bits
+    (64 + n_arch * _amp_bits if not given), divided by their sup-norm at
+    every step, with one logarithm per step, so nothing is truncated."""
+    bits = bits or 64 + n_arch * eng._amp_bits
+
+    def sup_norm(w0, w1):
+        # the sum telescopes for any divisors, so the sup-norm rounded to
+        # 64 bits serves, and divides a long pair cheaply; its logarithm
+        # to 128 bits errs by at most 2^-127 |log m|, far below a double
+        with mpmath.workprec(64):
+            m = max(abs(w0), abs(w1))
+        with mpmath.workprec(128):
+            return m, mpmath.log(m)
+
     with mpmath.workprec(bits):
         sq = mpmath.sqrt(eng.d) if eng.d else None
 
@@ -453,8 +466,8 @@ def oracle_arch_value(eng, x0: QF, x1: QF, n_arch: int) -> tuple:
         total = mpmath.mpf(0)
         scale = mpmath.mpf(1)
         for _ in range(n_arch):
-            m = max(abs(w0), abs(w1))
-            total += mpmath.log(m) * scale
+            m, log_m = sup_norm(w0, w1)
+            total += log_m * scale
             w0, w1 = w0 / m, w1 / m
             acc0, acc1, p1 = g0[-1], g1[-1], w1
             for k in range(eng.alpha - 1, -1, -1):
@@ -463,8 +476,7 @@ def oracle_arch_value(eng, x0: QF, x1: QF, n_arch: int) -> tuple:
                 p1 = p1 * w1
             w0, w1 = acc0, acc1
             scale /= eng.alpha
-        m = max(abs(w0), abs(w1))
-        total += mpmath.log(m) * scale
+        total += sup_norm(w0, w1)[1] * scale
         tail = eng.c_bound / (eng.alpha - 1) * float(scale)
         return float(total), tail
 
@@ -1375,11 +1387,12 @@ def _arch_steps(eng, target: float) -> int:
     return eng._steps_needed(1, _ARCH_CAP, eng.c_bound, (target - 2e-12) / 2)
 
 
-def _check_arch(phi: RationalMap, points: list) -> None:
+def _check_arch(phi: RationalMap, points: list, steps=()) -> None:
+    # at `steps`, or else at the step counts of ARCH_TOLS
     eng = _engine(phi)
     for P in points:
         x0, x1 = P.reduced_pair()
-        for n in sorted({_arch_steps(eng, tol) for tol in ARCH_TOLS}):
+        for n in steps or sorted({_arch_steps(eng, t) for t in ARCH_TOLS}):
             got, want = eng._arch_value(x0, x1, n), oracle_arch_value(
                 eng, x0, x1, n
             )
@@ -1390,6 +1403,22 @@ def _check_arch(phi: RationalMap, points: list) -> None:
             assert got[0] == want[0] or (
                 got[0] == 0.0 and abs(want[0]) < 2.0**-64
             ), (str(P), n, got, want)
+
+
+def _check_limit(phi: RationalMap, points: list, tol: float = 1e-11):
+    """_arch_value at the step count of tol against the orbit limit: the
+    mpmath loop run until its own tail is below 1e-13, at
+    max(2000, 64 + (n + 10) * _amp_bits) bits for the engine's n."""
+    eng = _engine(phi)
+    n = _arch_steps(eng, tol)
+    far = eng._steps_needed(n, n + 10, eng.c_bound, 1e-13)
+    bits = max(2000, 64 + (n + 10) * eng._amp_bits)
+    for P in points:
+        x0, x1 = P.reduced_pair()
+        got, tail = eng._arch_value(x0, x1, n)
+        limit, far_tail = oracle_arch_value(eng, x0, x1, far, bits)
+        assert far <= n + 10 and far_tail <= 1e-13, (far, n)
+        assert abs(got - limit) <= tail + 1e-11, (str(P), n, got, limit)
 
 
 def _sample_points(d: int, seed: str) -> list:
@@ -1420,6 +1449,40 @@ def _special_points(name: str) -> tuple:
     return pts + torsion, torsion
 
 
+def _composite() -> RationalMap:
+    """phi_1+2i o phi_1+2i, of degree 25."""
+    return catalog("phi_1+2i").compose(catalog("phi_1+2i"))
+
+
+def _composite_points() -> list:
+    d = catalog("phi_1+2i").d
+    return [
+        ProjPoint(QF(3, 1, d), QF(1, 0, d), d),
+        ProjPoint(QF(Fraction(7, 2), -5, d), QF(2, 9, d), d),
+        ProjPoint.affine(QF(0, 1, d)),
+    ]
+
+
+def _big_map() -> RationalMap:
+    """(10^200 z^2 + 1)/z, whose 1332 bits per step give the archimedean
+    loop its largest drop."""
+    return RationalMap.from_strings(["1", "0", str(10**200)], ["0", "1"], 0)
+
+
+BIG_POINTS = [ProjPoint(a, b) for a, b in ((3, 1), (7, 2), (1, 1), (-5, 3))]
+
+
+def _arch_case(name: str) -> tuple:
+    """A catalog map at its _sample_points, the degree-25 composite
+    "phi_1+2i^2" at its three points, or the "big" map at BIG_POINTS."""
+    if name == "phi_1+2i^2":
+        return _composite(), _composite_points()
+    if name == "big":
+        return _big_map(), BIG_POINTS
+    phi = catalog(name)
+    return phi, _sample_points(phi.d, name)
+
+
 class TestArchOracle:
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_matches_mpmath_loop(self, name):
@@ -1448,13 +1511,44 @@ class TestArchOracle:
                 assert h.value <= h.error_bound
 
     def test_degree_25_composite(self):
-        phi = catalog("phi_1+2i").compose(catalog("phi_1+2i"))
-        d = phi.d
-        _check_arch(phi, [
-            ProjPoint(QF(3, 1, d), QF(1, 0, d), d),
-            ProjPoint(QF(Fraction(7, 2), -5, d), QF(2, 9, d), d),
-            ProjPoint.affine(QF(0, 1, d)),
-        ])
+        _check_arch(_composite(), _composite_points())
+
+    @pytest.mark.parametrize("name", catalog_names() + ["phi_1+2i^2", "big"])
+    def test_matches_orbit_limit(self, name):
+        _check_limit(*_arch_case(name))
+
+    # floor(n log2 alpha) > 40 at each of these, so the drop is capped
+    @pytest.mark.parametrize("name, n", [
+        ("phi_3@E2", 40), ("phi_1+2i^2", 12), ("phi_1+i", 60), ("big", 60),
+    ])
+    def test_capped_drop_matches_mpmath_loop(self, name, n):
+        phi, points = _arch_case(name)
+        assert (phi.degree**n).bit_length() - 1 > 40
+        _check_arch(phi, points, steps=(n,))
+
+    @pytest.mark.parametrize("name, n, uncut", [
+        ("big", 60, 7), ("phi_1+i", 30, 6),
+    ])
+    def test_bits_follow_the_schedule(self, monkeypatch, name, n, uncut):
+        # the pair entering step k + 1 was cut to bits_k once it outgrew
+        # them: from step 7 on for the big map, from step 6 for phi_1+i
+        phi, points = _arch_case(name)
+        eng = _engine(phi)
+        sizes = []
+
+        def recording(forms, deg, x0, x1, t, mod=0):
+            sizes.append(max(map(int.bit_length, x0 + x1)))
+            return _eval_forms(forms, deg, x0, x1, t, mod)
+
+        monkeypatch.setattr(heights, "_eval_forms", recording)
+        x0, x1 = points[0].reduced_pair()
+        eng._arch_value(x0, x1, n)
+        drop = min(40, (phi.degree**n).bit_length() - 1)
+        want = [max(64, 64 + (n - k) * eng._amp_bits - drop)
+                for k in range(1, n)]
+        assert len(sizes) == n
+        assert all(s < w for s, w in zip(sizes[1:uncut], want))
+        assert sizes[uncut:] == want[uncut - 1:]
 
     def test_caller_decimal_context_does_not_leak(self):
         phi = catalog("phi_1+i")
