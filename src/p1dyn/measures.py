@@ -116,9 +116,14 @@ class Lift:
 
         Horner in w0, carrying the powers of w1.  On arrays the two
         accumulators, the power and one scratch array are allocated once
-        and reused.  Scalars keep numpy's scalar arithmetic, whose complex
-        product rounds differently from the array loop's (which can fuse
-        a multiply-add).
+        and reused, and a coefficient that is exactly zero costs only
+        acc * w0.  The term skipped, 0 * w1^(deg-k), could only have set
+        the sign of a zero: a component that is exactly zero may flip
+        sign, but no magnitude and no Green value moves (inf or nan
+        inputs may give other non-finite values, which GreenField
+        refuses).  Scalars keep every term and numpy's scalar arithmetic,
+        whose complex product rounds differently from the array loop's
+        (which can fuse a multiply-add).
         """
         if np.ndim(w0) == 0:
             w0, w1 = np.complex128(w0), np.complex128(w1)
@@ -133,19 +138,22 @@ class Lift:
         # no complex product is written over one of its factors: on a
         # one-element array numpy then takes a loop that rounds like the
         # scalar arithmetic above, not like the array loop
-        acc0 = self.f0[-1] * np.ones_like(w0)
-        acc1 = self.f1[-1] * np.ones_like(w0)
+        accs = [f[-1] * np.ones_like(w0) for f in (self.f0, self.f1)]
         p1 = np.array(w1, dtype=complex)
-        tmp = np.empty_like(acc0)
+        tmp = np.empty_like(p1)
         for k in range(self.degree - 1, -1, -1):
-            for acc, f in ((acc0, self.f0), (acc1, self.f1)):
+            for i, f in enumerate((self.f0, self.f1)):
+                acc = accs[i]
                 np.multiply(acc, w0, out=tmp)
-                np.multiply(f[k], p1, out=acc)
-                acc += tmp
+                if f[k]:
+                    np.multiply(f[k], p1, out=acc)
+                    acc += tmp
+                else:
+                    accs[i], tmp = tmp, acc
             if k:
                 np.multiply(p1, w1, out=tmp)
                 p1, tmp = tmp, p1
-        return acc0, acc1
+        return accs[0], accs[1]
 
 
 def _as_lift(obj) -> Lift:
@@ -207,6 +215,11 @@ def _green_core(lift: Lift, w0, w1, n: int, metric0: str, out=None):
     are updated in place; numpy scalars, from a 0-d point, keep their
     scalar arithmetic.  The loop stops once scale underflows to 0.0:
     every later step would add log(m) * 0.0 and leave g as it is.
+
+    Both coordinates are divided by m as w * (1/m): numpy divides a
+    complex number by a real one by Smith's rule, whose ratio is then 0
+    and whose scale is 1/m, so the product has the quotient's bits, and
+    one real division serves both coordinates.
     """
     if metric0 not in ("sup", "fs"):
         raise DomainError("metric0 must be 'sup' or 'fs'")
@@ -215,8 +228,9 @@ def _green_core(lift: Lift, w0, w1, n: int, metric0: str, out=None):
         raise DomainError("Green functions need a map of degree at least 2")
     m = np.maximum(np.abs(w0), np.abs(w1))
     g = np.log(m, out=out)
-    w0 /= m
-    w1 /= m
+    inv = 1.0 / m
+    w0 *= inv
+    w1 *= inv
     scale = 1.0
     for _ in range(n):
         scale /= lift.degree
@@ -225,8 +239,9 @@ def _green_core(lift: Lift, w0, w1, n: int, metric0: str, out=None):
         w0, w1 = lift.eval(w0, w1)
         m = np.maximum(np.abs(w0), np.abs(w1))
         g += np.log(m) * scale
-        w0 /= m
-        w1 /= m
+        inv = 1.0 / m
+        w0 *= inv
+        w1 *= inv
     if metric0 == "fs":
         g += 0.5 * scale * np.log(np.abs(w0) ** 2 + np.abs(w1) ** 2)
     return g
@@ -366,41 +381,59 @@ def _horner(C, A, z):
 
 def _aberth_sweeps(C, z, tol, max_iter):
     """Aberth sweeps on the columns C (deg+1, N) from the starts z
-    (deg, N).  Returns (roots, errors, converged).  A column that passes
-    still takes that sweep's correction, which near simple roots takes
-    an error e to O(e^3), and is then written back and dropped from the
-    sweeps."""
+    (deg, N).  Returns (roots, errors, converged).
+
+    A column that passes still takes that sweep's correction, which near
+    simple roots takes an error e to O(e^3), and is then written back.
+    It stays in the sweeps, masked out, until at least half of the
+    columns swept are done; only then are the live ones compacted, so a
+    batch whose columns finish one by one is not copied on every sweep.
+    Columns never mix, so a masked one changes no bit of the others.
+
+    s_i = sum_{j != i} 1/(z_i - z_j) takes one division per pair j < i:
+    numpy's complex division is odd in its divisor, so 1/(z_j - z_i) is
+    the exact negation.  Both go into a table (deg, deg, columns) whose
+    diagonal stays 0, and a sum over its outermost axis adds in the
+    order j = 0..deg-1 whatever the width.
+    """
     deg, N = z.shape
     A = np.abs(C)
     roots = np.empty_like(z)
     err = np.empty(z.shape)
     converged = np.zeros(N, dtype=bool)
     cols = np.arange(N)
+    live = np.ones(N, dtype=bool)
+    lo, hi = np.triu_indices(deg, 1)
+    upper = lo * deg + hi
+    lower = hi * deg + lo
+    table = np.zeros((deg * deg, N), dtype=complex)
     for sweep in range(max_iter + 1):
         p, dp, bound = _horner(C, A, z)
         e = np.abs(p) / bound
-        done = np.all(e <= tol, axis=0)
         if sweep == max_iter:
-            roots[:, cols] = z
-            err[:, cols] = e
-            converged[cols] = done
+            roots[:, cols[live]] = z[:, live]
+            err[:, cols[live]] = e[:, live]
+            converged[cols[live]] = np.all(e[:, live] <= tol, axis=0)
             break
-        # diff[j, i] = z_i - z_j.  The diagonal, set to inf through a
-        # strided view, turns into 0 under the reciprocal, and a sum over
-        # the outermost axis adds in one order whatever the block width
-        diff = z[None, :, :] - z[:, None, :]
-        diff.reshape(deg * deg, -1)[:: deg + 1] = np.inf
-        np.divide(1.0, diff, out=diff)
-        s = diff.sum(axis=0)
+        done = np.all(e <= tol, axis=0) & live
+        recip = z[hi] - z[lo]
+        np.divide(1.0, recip, out=recip)
+        table[upper] = recip
+        table[lower] = np.negative(recip, out=recip)
+        s = table.reshape(deg, deg, -1).sum(axis=0)
         z = z - p / (dp - p * s)
         if np.any(done):
             roots[:, cols[done]] = z[:, done]
             err[:, cols[done]] = e[:, done]
             converged[cols[done]] = True
-            if np.all(done):
+            live &= ~done
+            n_live = np.count_nonzero(live)
+            if n_live == 0:
                 break
-            keep = ~done
-            cols, z, C, A = cols[keep], z[:, keep], C[:, keep], A[:, keep]
+            if 2 * n_live <= live.size:
+                cols, z, C, A = cols[live], z[:, live], C[:, live], A[:, live]
+                live = np.ones(n_live, dtype=bool)
+                table = np.zeros((deg * deg, n_live), dtype=complex)
     return roots, err, converged
 
 
@@ -421,7 +454,10 @@ def _aberth_batch(C, tilt, tol, max_iter):
     done after max_iter sweeps is returned as it stands, flagged, with
     the errors of the roots returned.  Roots are stored root-major,
     (deg, N), and each row's bits depend on its own coefficients and
-    tilt only, not on the other rows of the batch.
+    tilt only, not on the other rows of the batch or the sweeps on which
+    they finish: _aberth_sweeps masks and compacts columns, never mixes
+    them.  A shifted row of degree 1 has no pairs, so its Aberth
+    correction is the Newton step.
     """
     C = np.asarray(C, dtype=complex)
     N, w = C.shape

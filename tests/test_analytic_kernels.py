@@ -214,6 +214,21 @@ def test_green_field_block_edges(monkeypatch, block, res, metric0):
 
 
 @pytest.mark.parametrize("metric0", ["sup", "fs"])
+def test_green_field_with_zero_components_matches_oracle(metric0):
+    # at odd resolution on (-1, 1)^2 the middle row and column of cell
+    # centers are exactly 0 on one axis, and the centre cell is 0: the
+    # zero terms that Lift.eval skips may flip the sign of a zero
+    # component, never a Green value
+    window = (-1.0, 1.0, -1.0, 1.0)
+    centers, _, _ = _grid_centers(window, 15, 15)
+    assert np.all(centers[7].imag == 0) and np.all(centers[:, 7].real == 0)
+    for name, lift in LIFTS:
+        got = green_field(lift, window, 15, 9, metric0).values
+        want = oracle_green_field(lift, window, 15, 15, 9, metric0)
+        assert same_bits(got, want), name
+
+
+@pytest.mark.parametrize("metric0", ["sup", "fs"])
 @pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
 def test_scalar_green_matches_oracle(name, lift, metric0):
     rng = np.random.default_rng(13)
@@ -376,13 +391,17 @@ def test_aberth_single_row_and_no_rng():
 
 
 def test_zero_roots_are_split_off_exactly():
+    # the last row leaves z - 1, a remainder of degree 1, whose pair
+    # table is empty
     C = np.array([[0, 0, 1, 2j, -1], [-0.0, 1, 1, 1, 1],
-                  [-0.0 - 0.0j, -0.0, -0.0, -0.0, 5], [1, 2, 3, 4, 5]],
+                  [-0.0 - 0.0j, -0.0, -0.0, -0.0, 5], [1, 2, 3, 4, 5],
+                  [0, 0, 0, -1, 1]],
                  dtype=complex)
-    tilt = _tilts(4, 4, 4)
+    tilt = _tilts(4, 5, 4)
     roots, ok, err = _aberth_batch(C, tilt, 1e-13, 300)
     assert np.all(ok)
-    for row, k in enumerate((2, 1, 4, 0)):
+    assert abs(roots[4][3] - 1) <= 1e-15
+    for row, k in enumerate((2, 1, 4, 0, 3)):
         zeros = roots[row][:k]
         assert np.all(zeros == 0) and not np.any(err[row][:k])
         # -0.0 == 0.0, so only the sign bits show an unsigned zero
@@ -392,6 +411,34 @@ def test_zero_roots_are_split_off_exactly():
             alone = _aberth_batch(C[row : row + 1, k:], tilt[row : row + 1],
                                   1e-13, 300)[0][0]
             assert same_bits(roots[row][k:], alone)
+    # the same split of z^2 - z, whose fixed points are 0, 1 and infinity
+    pts = [z for z, _ in measures.periodic_points(catalog("pow_2"), 1)]
+    assert pts == [0j, 1 + 0j, measures.INF_POINT]
+
+
+def test_lazy_compaction_keeps_each_column_its_own_bits():
+    # rows with a cluster of width 10^-t at 0.5 finish later as t grows:
+    # the batch finishes over several sweeps, and on most of them fewer
+    # than half of its rows are done, so finished columns stay in the
+    # sweeps, masked, beside the live ones
+    deg, n = 4, 24
+    rng = np.random.default_rng(1)
+    C = rng.normal(size=(n, deg + 1)) + 1j * rng.normal(size=(n, deg + 1))
+    for row in range(n // 4, n):
+        spread = 10.0 ** -(1 + 5 * row / n)
+        C[row] = np.poly(0.5 + spread * rng.normal(size=deg))[::-1]
+    tilt = _tilts(1, n, deg)
+    counts = {int(np.sum(_aberth_batch(C, tilt, 1e-12, k)[1]))
+              for k in range(40)} - {0}
+    assert len(counts) >= 4
+    assert 2 * sum(2 * c < n for c in counts) > len(counts)
+    batch = _aberth_batch(C, tilt, 1e-12, 300)
+    assert np.all(batch[1])
+    for row in range(n):
+        alone = _aberth_batch(C[row : row + 1], tilt[row : row + 1],
+                              1e-12, 300)
+        for a, b in zip(alone, batch):
+            assert same_bits(a[0], b[row]), row
 
 
 def test_poly_roots_convergence_error_residuals(monkeypatch):
@@ -434,6 +481,7 @@ def test_preimage_tree_matches_oracle_kernel(monkeypatch):
 
 @pytest.mark.parametrize("name,depth", [
     ("phi_2@E1", 4), ("phi_3@E1", 3), ("pow_2", 7), ("phi_1+2i", 3),
+    ("phi_eps", 3),
 ])
 def test_preimage_tree_block_edges(monkeypatch, name, depth):
     # blocks of 1 and 7 rows, and a last block shorter than the others,

@@ -743,6 +743,41 @@ class TestPeriodicPoints:
                        for x in (zero[0].real, zero[0].imag))
 
 
+def _arcsine_mass(a, b):
+    """mu([a, b]) of the arcsine law on [-2, 2], the measure of T_2."""
+    a, b = (min(max(t, -2.0), 2.0) for t in (a, b))
+    return (math.asin(b / 2) - math.asin(a / 2)) / math.pi
+
+
+class TestChebyshevArcsine:
+    # T_2 = z^2 - 2 has Julia set [-2, 2] and the arcsine law as its
+    # measure: a measure on a segment, which the Lattes and circle checks
+    # never reach.  The values are deterministic; each bound is the value
+    # measured when the check was written, with the margin stated.
+    T2 = RationalMap.from_strings(["-2", "0", "1"], ["1"], 0)
+
+    def test_measure_from_green_columns(self):
+        window = (-2.5, 2.5, -0.5, 0.5)
+        field = green_field(self.T2, window, (200, 40), 30)
+        cols = measure_from_green(field).mass.sum(axis=0)
+        edges = np.linspace(-2.5, 2.5, 201)
+        want = [_arcsine_mass(a, b) for a, b in zip(edges, edges[1:])]
+        # measured 0.0311 (half L1, as compare_l1); margin 1/8
+        assert 0.5 * np.sum(np.abs(cols - want)) <= 0.035
+
+    def test_preimage_tree_histogram(self):
+        tree = preimage_sample(self.T2, 0.3 + 0.1j, 14, seed=1)
+        assert tree.n_infinite == 0 and tree.size == 2**14
+        hist, edges = np.histogram(tree.points.real, bins=200,
+                                   range=(-2.0, 2.0))
+        want = [_arcsine_mass(a, b) for a, b in zip(edges, edges[1:])]
+        # measured 0.0018 (half L1 over the 200 bins); margin 1/3
+        assert 0.5 * np.sum(np.abs(hist / tree.size - want)) <= 0.0024
+        # the Julia set is real; the clusters near +-2 resolve only to
+        # about sqrt(backward error): measured 6.2e-6, margin 1/3
+        assert np.max(np.abs(tree.points.imag)) <= 8.2e-6
+
+
 class TestRaster:
     def test_dark_ring(self):
         img = julia_raster(catalog("pow_2"), WIN, 96, n=20)
