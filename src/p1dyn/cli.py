@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import (
@@ -327,19 +328,32 @@ def _grid_files(args, grid, extra: dict) -> dict:
     if args.format == "csv" and not args.out:
         raise MapSpecError("--format csv needs --out PATH")
     if args.out:
-        if args.format == "csv":
-            measures.write_csv(grid, args.out)
-            out["written"] = [args.out, args.out + ".json"]
-        else:
-            with open(args.out, "w") as f:
-                json.dump(
-                    {"schema": 1, **out, "mass": grid.mass.tolist()},
-                    f,
-                    sort_keys=True,
-                )
-                f.write("\n")
-            out["written"] = [args.out]
+        with _writing(args.out):
+            if args.format == "csv":
+                measures.write_csv(grid, args.out)
+                out["written"] = [args.out, args.out + ".json"]
+            else:
+                with open(args.out, "w") as f:
+                    json.dump(
+                        {"schema": 1, **out, "mass": grid.mass.tolist()},
+                        f,
+                        sort_keys=True,
+                    )
+                    f.write("\n")
+                out["written"] = [args.out]
     return out
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError while writing path, or a sidecar of it, into one
+    usage error that names the file once."""
+    try:
+        yield
+    except OSError as exc:
+        raise MapSpecError(
+            f"cannot write {exc.filename or path}: {exc.strerror or exc}"
+        ) from None
 
 
 def _cmd_measure(args) -> dict:
@@ -420,7 +434,8 @@ def _cmd_julia(args) -> dict:
         "window": ",".join("%g" % w for w in args.window),
         "iters": args.iters,
     }
-    measures.write_pgm(args.out, img, meta)
+    with _writing(args.out):
+        measures.write_pgm(args.out, img, meta)
     return {
         "command": "julia",
         "map": label,

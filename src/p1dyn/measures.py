@@ -195,8 +195,17 @@ class DensityGrid:
     window_fraction: float = 1.0
 
     def __post_init__(self):
+        nx, ny = self.resolution
+        if np.shape(self.mass) != (ny, nx):
+            raise DomainError(f"density grid of shape {np.shape(self.mass)} "
+                              f"does not match resolution {nx}x{ny}")
+        if not np.all(np.isfinite(self.mass)):
+            raise DomainError("density grid has non-finite cells")
         if np.any(self.mass < 0):
             raise DomainError("density grid has negative cells")
+        if not 0.0 <= self.window_fraction <= 1.0:
+            raise DomainError(f"window_fraction {self.window_fraction} "
+                              "is not in [0, 1]")
         total = float(self.mass.sum())
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"density grid mass {total} is not 1")
@@ -945,14 +954,109 @@ def write_pgm(path, image, metadata=None) -> None:
         f.write(img.tobytes())
 
 
+# cells of the grid that write_csv formats at a time (64 rows of 512),
+# so the kernel's temporaries stay near 1 MB
+_CSV_BLOCK = 32768
+
+# 10**k correctly rounded (int to float and int / int both round
+# correctly), at index k + 87 for the k = 12 - e of exponents |e| < 100
+_CSV_POW10 = np.array([float(10**k) if k >= 0 else 1 / 10**-k
+                       for k in range(-87, 112)])
+
+# little-endian ASCII words: "ab" for 0 <= 10a + b < 100, "abcd",
+# "a.bc", "ab" followed by "e+" or "e-"
+_CSV_PAIR = np.array([(48 + k // 10) | (48 + k % 10) << 8
+                      for k in range(100)], "<u4")
+_CSV_QUAD = (_CSV_PAIR[:, None] | _CSV_PAIR << 16).ravel()
+_CSV_HEAD = ((48 + np.arange(10, dtype="<u4"))[:, None] | 46 << 8
+             | _CSV_PAIR << 16).ravel()
+_CSV_TAIL = (_CSV_PAIR | np.array([101 | 43 << 8, 101 | 45 << 8],
+                                  "<u4")[:, None] << 16).ravel()
+
+
+def _csv_significands(block):
+    """(e, n, fast) for a 2-D float array: where fast, "%.12e" prints the
+    cell as the digits of the integer n (a float) and the exponent e;
+    elsewhere n is 0.  See write_csv for why the digits are those."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.floor(np.log10(block))
+        ok = np.abs(e) < 100
+        e[~ok] = 0.0
+        e = e.astype(np.intp)
+        y = block * _CSV_POW10[99 - e]
+        n = np.rint(y)
+        fast = ok & (y >= 1e12) & (n < 1e13)
+        fast &= 0.5 - np.abs(y - n) > 5e-16 * y
+    fast |= (block == 0.0) & ~np.signbit(block)
+    n[~fast] = 0.0
+    return e, n, fast
+
+
+def _csv_text(block) -> str:
+    """The CSV lines of a 2-D float array, as "%.12e" prints each cell."""
+    rows, cols = block.shape
+    e, n, fast = _csv_significands(block)
+    # one record of five 4-byte words a cell: "d.dd", "dddd", "dddd",
+    # "dde+" or "dde-", then the exponent digits and the separator.  n <
+    # 1e13 is an integer, so each floor of a quotient by a power of ten
+    # is exact: the quotient's rounding cannot reach the next integer
+    rec = np.empty((rows, cols, 5), "<u4")
+    q = np.floor(n / 1e10)
+    n -= q * 1e10
+    rec[..., 0] = _CSV_HEAD[q.astype(np.intp)]
+    np.floor(n / 1e6, out=q)
+    n -= q * 1e6
+    rec[..., 1] = _CSV_QUAD[q.astype(np.intp)]
+    np.floor(n / 100, out=q)
+    n -= q * 100
+    rec[..., 2] = _CSV_QUAD[q.astype(np.intp)]
+    rec[..., 3] = _CSV_TAIL[n.astype(np.intp) + 100 * (e < 0)]
+    rec[..., 4] = _CSV_PAIR[np.abs(e)]
+    rec[:, :-1, 4] |= ord(",") << 16
+    rec[:, -1, 4] |= ord("\n") << 16
+    slow = np.flatnonzero(~fast)
+    long_rows = set()
+    if slow.size:
+        texts = ["%.12e" % v for v in block.ravel()[slow].tolist()]
+        fits = np.array([len(t) == 18 for t in texts])
+        cells = rec.view(np.uint8).reshape(rows * cols, 20)
+        cells[slow[fits], :18] = np.frombuffer(
+            "".join([t for t in texts if len(t) == 18]).encode(), np.uint8
+        ).reshape(-1, 18)
+        long_rows = set((slow[~fits] // cols).tolist())
+    # each record less its last byte, which is zero
+    text = np.ndarray((rows * cols,), "V19", rec, strides=(20,))
+    text = text.tobytes().decode("ascii")
+    if not long_rows:
+        return text
+    line = ",".join(["%.12e"] * cols) + "\n"
+    width = 19 * cols
+    return "".join(line % tuple(block[r].tolist()) if r in long_rows
+                   else text[r * width:(r + 1) * width] for r in range(rows))
+
+
 def write_csv(grid: DensityGrid, path) -> None:
-    """Row-major CSV of cell masses plus a JSON metadata sidecar."""
-    # one format string per row: a whole-grid tolist() would hold every
-    # cell as a Python float at once
-    line = ",".join(["%.12e"] * grid.mass.shape[1]) + "\n"
+    """Row-major CSV of cell masses plus a JSON metadata sidecar.
+
+    Each cell is written byte for byte as "%.12e" writes it, by a numpy
+    kernel, one block of rows at a time.  A cell 0 < v < 1e100 prints as
+    d.dddddddddddde+XX, 18 bytes.  With e = floor(log10 v) and P = 10^k,
+    k = 12 - e, correctly rounded, y = v P carries two roundings, so
+    |y - v 10^k| < 2.3e-16 y.  Where y >= 1e12, n = rint(y) < 1e13 and y
+    lies more than 5e-16 y from a half-integer, no half-integer separates
+    y from v 10^k: n is the correctly rounded 13-digit significand of the
+    exact binary value, which is what "%.12e" prints.  No exact log10 is
+    needed: with e one too small, n >= 1e13; with e one too large, y <
+    1e12 unless v rounds up to 10^e, and then n = 1e12 is right.  +0.0
+    is n = 0, e = 0.  Every other cell (near-halves, -0.0, NaN, infinities,
+    negatives, exponents of three digits) is formatted by "%.12e" itself,
+    and a row holding a text that is not 18 bytes long by the row format.
+    """
+    mass = grid.mass
+    step = max(1, _CSV_BLOCK // mass.shape[1])
     with open(path, "w") as f:
-        for row in grid.mass:
-            f.write(line % tuple(row.tolist()))
+        for lo in range(0, mass.shape[0], step):
+            f.write(_csv_text(mass[lo:lo + step]))
     meta = {
         "schema": 1,
         "window": list(grid.window),

@@ -12,8 +12,12 @@ that the two backward errors allow; its own bits must not depend on the
 block size.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from p1dyn import measures
 from p1dyn.errors import ConvergenceError
@@ -131,6 +135,10 @@ def oracle_csv(grid):
         out.append(",".join(format(v, ".12e") for v in row))
         out.append("\n")
     return "".join(out).encode()
+
+
+def oracle_text(mass):
+    return oracle_csv(SimpleNamespace(mass=mass)).decode()
 
 
 # ------------------------------------------------------------- helpers
@@ -498,6 +506,34 @@ def test_preimage_tree_block_edges(monkeypatch, name, depth):
 # ----------------------------------------------------------------- csv
 
 
+def loose_grid(mass):
+    """What write_csv reads of a DensityGrid, with no check on the mass,
+    so the kernel meets values that no grid holds."""
+    return SimpleNamespace(window=WINDOW, resolution=mass.shape[::-1],
+                           mass=mass, window_fraction=1.0)
+
+
+def near_ties(count, seed):
+    """The doubles nearest to decimals of 14 significant digits ending in
+    5, half-way between two of 13 digits, and both their neighbours."""
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(10**12, 10**13, count) * 10 + 5
+    exps = rng.integers(-40, 30, count)
+    ties = np.array([float(f"{d}e{x}") for d, x in zip(digits, exps)])
+    return np.concatenate([np.nextafter(ties, 0.0), ties,
+                           np.nextafter(ties, np.inf)])
+
+
+def special_values():
+    powers = np.array([float(f"1e-{k}") for k in range(31)])
+    return np.concatenate([
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, 2.0),
+        near_ties(300, 7),
+        [1e-300, 5e-324, 0.0, -0.0, 1.0, 0.5, 1e-99, 1e-100, 9.9e99, 1e100,
+         2.2e-308, np.nextafter(1e-99, 0.0)],
+    ])
+
+
 def test_csv_bytes_match_oracle(tmp_path):
     field = green_field(Lift.from_map(catalog("phi_2@E1")), WINDOW,
                         (45, 37), 12)
@@ -509,3 +545,103 @@ def test_csv_bytes_match_oracle(tmp_path):
         path = tmp_path / f"g{i}.csv"
         write_csv(grid, path)
         assert path.read_bytes() == oracle_csv(grid)
+
+
+@pytest.mark.parametrize("cols", [1, 7, 512])
+def test_csv_special_values_match_oracle(tmp_path, cols):
+    vals = special_values()
+    vals = np.resize(vals, (len(vals) + cols - 1) // cols * cols)
+    path = tmp_path / "special.csv"
+    mass = vals.reshape(-1, cols)
+    write_csv(loose_grid(mass), path)
+    assert path.read_bytes() == oracle_csv(loose_grid(mass))
+
+
+def test_csv_non_grid_values_match_oracle():
+    vals = np.array([-0.0, -1.5, np.nan, np.inf, -np.inf, 1e300, -1e-300,
+                     1e100, -2.5e-7, 1e308, np.nextafter(1e100, 0.0)])
+    for block in (vals[:, None], vals[None, :], vals.reshape(1, -1)[:, ::-1]):
+        assert measures._csv_text(block) == oracle_text(block)
+
+
+def test_csv_three_digit_exponent_row_among_regular_rows(tmp_path):
+    mass = np.full((6, 5), 1 / 29)
+    mass[3, 2] = 1e-300
+    mass[3, 4] = 0.0
+    mass[3, 4] = 1.0 - mass.sum()
+    grid = DensityGrid(WINDOW, (5, 6), mass)
+    path = tmp_path / "g.csv"
+    write_csv(grid, path)
+    text = path.read_bytes()
+    assert text == oracle_csv(grid)
+    assert b"1.000000000000e-300" in text.splitlines()[3]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (130, 1), (63, 512), (64, 512),
+                                   (65, 512), (130, 512)])
+@pytest.mark.parametrize("block", [None, 64])
+def test_csv_block_edges(monkeypatch, tmp_path, shape, block):
+    # the rows of every block, with slow cells on either side of an edge
+    if block:
+        monkeypatch.setattr(measures, "_CSV_BLOCK", block * shape[1])
+    rng = np.random.default_rng(shape[0] * shape[1])
+    mass = rng.random(shape) ** 8
+    ties = near_ties(2, 3)
+    for r in {0, 62, 63, 64, shape[0] - 1}:
+        if r < shape[0]:
+            mass[r, -1] = ties[r % len(ties)]
+            mass[r, 0] = (0.0, -0.0)[r % 2]
+    if shape[0] > 64:
+        mass[64, shape[1] // 2] = 1e-300
+    path = tmp_path / "g.csv"
+    write_csv(loose_grid(mass), path)
+    assert path.read_bytes() == oracle_csv(loose_grid(mass))
+
+
+def test_csv_pow2_measure_matches_oracle(tmp_path):
+    # the unit circle of z^2 on (-2, 2)^2: most cells are exact zeros
+    field = green_field(catalog("pow_2"), (-2.0, 2.0, -2.0, 2.0), 128, 24)
+    grid = measure_from_green(field)
+    assert np.count_nonzero(grid.mass == 0.0) > grid.mass.size // 2
+    path = tmp_path / "pow2.csv"
+    write_csv(grid, path)
+    assert path.read_bytes() == oracle_csv(grid)
+
+
+_EDGES = st.sampled_from([float(f"1e{k}") for k in range(-110, 110)])
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+    _EDGES,
+    _EDGES.map(lambda p: float(np.nextafter(p, 0.0))),
+    _EDGES.map(lambda p: float(np.nextafter(p, np.inf))),
+    st.integers(10**12, 10**13 - 1).map(lambda d: (d * 10 + 5) * 1e-17),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               max_side=9), elements=_CELLS))
+def test_csv_text_matches_format(block):
+    assert measures._csv_text(block) == oracle_text(block)
+
+
+def test_csv_fast_path_covers_the_grid():
+    # fewer than 1 % of a measure's cells may reach "%.12e": the kernel
+    # that formats every cell itself is the one this guards against
+    field = green_field(catalog("phi_2@E1"), WINDOW, 512, 24)
+    mass = measure_from_green(field).mass
+    _, _, fast = measures._csv_significands(mass)
+    assert np.count_nonzero(~fast) < 0.01 * mass.size
+
+
+@pytest.mark.parametrize("shift", [-1.0, -1e-3, 1e-3, 1.0])
+def test_csv_digits_do_not_rest_on_log10(monkeypatch, shift):
+    # an exponent one off, from a log10 that rounds across an integer,
+    # may only send cells to "%.12e"
+    block = np.concatenate([special_values(),
+                            np.random.default_rng(5).random(500)])
+    block = block[:, None]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    assert measures._csv_text(block) == oracle_text(block)

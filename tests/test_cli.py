@@ -638,6 +638,40 @@ class TestErrorPaths:
         assert rc == 0
 
 
+_OUT_COMMANDS = {
+    "csv": ["measure", "--catalog", "pow_2", "--res", "32",
+            "--format", "csv"],
+    "json": ["measure", "--catalog", "pow_2", "--res", "32"],
+    "histogram": ["density-compare", "--catalog", "phi_2@E1", "--depth",
+                  "3", "--res", "32", "--format", "csv"],
+    "pgm": ["julia", "--catalog", "pow_2", "--res", "32", "--iters", "8"],
+}
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is one usage error line."""
+
+    @pytest.mark.parametrize("kind", sorted(_OUT_COMMANDS))
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_one_error_line(self, tmp_path, capsys, kind, where):
+        path = tmp_path / "missing" / "x.out"
+        if where == "directory":
+            path = tmp_path
+        rc, out, err = run(_OUT_COMMANDS[kind] + ["--out", str(path)],
+                           capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and err.count(str(path)) == 1
+
+    def test_sidecar_is_named(self, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        (tmp_path / "grid.csv.json").mkdir()
+        rc, out, err = run(_OUT_COMMANDS["csv"] + ["--out", str(path)],
+                           capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: cannot write {path}.json: Is a directory\n"
+
+
 class TestDashValues:
     """A value starting with '-' may follow its option after a space."""
 

@@ -585,6 +585,23 @@ class TestCompare:
             DensityGrid(WIN, (4, 4), np.full((4, 4), 1.0))
         with pytest.raises(DomainError):
             DensityGrid(WIN, (2, 2), np.array([[0.5, 0.6], [-0.1, 0.0]]))
+        # abs(nan - 1.0) > 1e-9 is False: the total alone lets NaN through
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityGrid(WIN, (2, 2), np.array([[np.nan, 0.5], [0.5, 0.0]]))
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityGrid(WIN, (2, 1), np.array([[np.inf, -np.inf]]))
+        quarter = np.full((2, 2), 0.25)
+        for frac in (float("nan"), -1.0, 2.0, np.nextafter(1.0, 2.0)):
+            with pytest.raises(DomainError, match="window_fraction"):
+                DensityGrid(WIN, (2, 2), quarter, window_fraction=frac)
+        for frac in (0.0, 1.0):
+            DensityGrid(WIN, (2, 2), quarter.copy(), window_fraction=frac)
+        # compare_l1 would broadcast a (4,) grid against a (2, 2) one
+        for res, mass in (((4, 1), quarter), ((2, 2), np.full(4, 0.25)),
+                          ((1, 2), np.full((1, 2), 0.5))):
+            with pytest.raises(DomainError, match="shape"):
+                DensityGrid(WIN, res, mass)
+        DensityGrid(WIN, (1, 2), np.full((2, 1), 0.5))
 
 
 # every curve-attached catalog map at periods 1 and 2 (degree^2 <= 81)
