@@ -11,12 +11,15 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .lattes import EllipticCurveCM
+from .lattes import (
+    EllipticCurveCM, catalog_entry, catalog_names, curve_for_name,
+)
 from .ratmaps import Poly, RationalMap
 
 TWO_PI = 2.0 * math.pi
@@ -612,9 +615,16 @@ def preimage_sample(
     """depth-th full preimage generation of a point under phi.
 
     Every level replaces each point by all deg solutions of
-    phi(z) = point, so the result carries deg^depth points (infinity
-    counted separately).  Reproducible for a given seed, which only
-    perturbs root-finder starting configurations.
+    phi(z) = point, so the result carries deg^depth points; a point of
+    modulus 1e14 or more, or not finite, is counted at infinity.  A map
+    equal to a catalog map with a curve and a multiplier lam, for which
+    phi(wp(u)) = wp(lam u), takes its leaves in closed form from the
+    period lattice (see _lattice_leaves): seed is recorded but has no
+    effect there, and a finite seed_point short of overflow has no leaf
+    at infinity.  Every other map solves the tree level by level (see
+    _preimage_tree), reproducibly for a given seed, which only perturbs
+    root-finder starting configurations.  The points come in no
+    promised order.
     """
     deg = phi.degree
     if deg < 2:
@@ -628,7 +638,23 @@ def preimage_sample(
         raise DomainError("seed_point must be finite")
     if depth == 0:
         return ComplexSampleSet(np.array([z]), 0, seed, 0)
+    entry = next((e for e in map(catalog_entry, catalog_names())
+                  if e.lam is not None and e.curve_name and e.map == phi),
+                 None)
+    if entry is None:
+        return _preimage_tree(phi, z, depth, seed)
+    x = _lattice_leaves(entry, z, depth)
+    infinite = ~(np.abs(x) < 1e14)
+    return ComplexSampleSet(x[~infinite], int(np.count_nonzero(infinite)),
+                            seed, depth)
 
+
+def _preimage_tree(phi: RationalMap, z: complex, depth: int,
+                   seed: int) -> ComplexSampleSet:
+    """preimage_sample by root solves, level by level, for checked
+    arguments and depth >= 1: the rows of a generation are the
+    preimages of its points in order, deg per point."""
+    deg = phi.degree
     lift = Lift.from_map(phi)
     f0, f1 = lift.f0, lift.f1
     rng = np.random.default_rng(seed)
@@ -707,13 +733,11 @@ def _agm(a: complex, b: complex) -> complex:
     raise ConvergenceError(f"AGM not converged after {_AGM_STEPS} steps")
 
 
-def _lattice_mass(roots) -> float:
-    """integral of 1/|G| over the plane, for G monic with these roots.
-
-    It is half the covolume of the period lattice of dx/y on y^2 = G,
-    whose basis pi/AGM(a, b), pi*i/AGM(a, c) comes from the optimal
-    complex AGM (Cremona and Thongjunthug, J. Number Theory 133, 2013).
-    """
+def _periods(roots) -> tuple:
+    """A basis pi/AGM(a, b), pi*i/AGM(a, c) of the period lattice of
+    dx/y on y^2 = 4G(x), for G monic with these roots, from the optimal
+    complex AGM (Cremona and Thongjunthug, J. Number Theory 133, 2013):
+    the Weierstrass function of this lattice has wp'^2 = 4G(wp)."""
     e1, e2, e3 = roots
     a, b, c = (cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2),
                cmath.sqrt(e2 - e3))
@@ -721,9 +745,187 @@ def _lattice_mass(roots) -> float:
         b = -b
     if abs(a - c) > abs(a + c):
         c = -c
-    w1 = math.pi / _agm(a, b)
-    w2 = 1j * math.pi / _agm(a, c)
+    return math.pi / _agm(a, b), 1j * math.pi / _agm(a, c)
+
+
+def _lattice_mass(roots) -> float:
+    """integral of 1/|G| over the plane, for G monic with these roots.
+
+    It is half the covolume of the period lattice of dx/y on y^2 = G,
+    twice that of the basis of _periods.
+    """
+    w1, w2 = _periods(roots)
     return 2.0 * abs((w1.conjugate() * w2).imag)
+
+
+# leaves of a Lattes tree evaluated at a time, so the temporaries of the
+# q-series stay in cache; the Newton steps of the elliptic logarithm, and
+# the residual it must reach, in ulps of max(1, |z|)
+_LEAF_BLOCK = 8192
+_LOG_STEPS = 40
+_LOG_ULPS = 8
+
+
+class _Torus:
+    """wp of a curve's period lattice, by its q-series.
+
+    The basis w1, w2 of _periods is reduced so that tau = w2/w1 has
+    |Re tau| <= 1/2 and |tau| >= 1, so |q| = |exp(2 pi i tau)| is at
+    most exp(-pi sqrt 3).  For v = u/w1 with |Im v| <= Im tau/2, sigma =
+    sin(pi v)^2, c_n = q^n + q^-n and b_n = (c_n - 2)/4,
+        (w1/pi)^2 wp(u)
+            = 1/sigma + K + sum_n (c_n sigma - 2b_n)/(sigma + b_n)^2,
+    K = 8 sum_n n q^n/(1 - q^n) - 1/3: Silverman's series (Advanced
+    Topics, Thm. I.6.2) with the terms of n and -n paired.  Pair n is
+    under 8 |q|^(n - 1/2)/(1 - |q|^(1/2))^2 < 10 |q|^(n - 1/2), so the
+    sums stop at the least N with |q|^(N + 1/2) <= 2^-53.
+    """
+
+    def __init__(self, curve: EllipticCurveCM):
+        w1, w2 = _periods(poly_roots(
+            [complex(curve.G.coeff(k)) for k in range(4)]))
+        if (w2 / w1).imag < 0:
+            w2 = -w2
+        while True:
+            w2 -= round((w2 / w1).real) * w1
+            if abs(w2) >= abs(w1):
+                break
+            w1, w2 = w2, -w1
+        self.tau = w2 / w1
+        self.scale = (math.pi / w1) ** 2
+        q = cmath.exp(1j * TWO_PI * self.tau)
+        n = np.arange(1, math.ceil(
+            53 * math.log(2) / -math.log(abs(q)) - 0.5) + 1)
+        qn = q ** n
+        self.c = qn + 1.0 / qn
+        self.b = (self.c - 2.0) / 4.0
+        self.K = complex(8.0 * np.sum(n * qn / (1.0 - qn)) - 1.0 / 3.0)
+
+    def coords(self, v):
+        """(x, y) with v = x + y tau mod Z + tau Z, both in [-1/2, 1/2]."""
+        y = v.imag / self.tau.imag
+        x = v.real - y * self.tau.real
+        return x - np.rint(x), y - np.rint(y)
+
+    def series(self, sig, out):
+        """(w1/pi)^2 wp into out, from sigma = sin(pi v)^2."""
+        np.divide(1.0, sig, out=out)
+        out += self.K
+        t, num = np.empty_like(sig), np.empty_like(sig)
+        for c, b in zip(self.c, self.b):
+            np.add(sig, b, out=t)
+            np.multiply(t, t, out=t)
+            np.multiply(sig, c, out=num)
+            num -= 2.0 * b
+            num /= t
+            out += num
+        return out
+
+    def log(self, z: complex) -> tuple:
+        """Coordinates (x, y) of a u with wp(u) = z.
+
+        Newton steps on the series, for Z = (w1/pi)^2 z, from a 7 x 7
+        grid, the half periods (where wp' = 0, so a root of G is met
+        exactly) and the root of the leading terms 1/sigma + K = Z, all
+        at once.  For |Z| > 1 they are Newton's steps on 1/wp - 1/Z, as
+        1/wp is a square near the pole.  Raises ConvergenceError unless
+        some start reaches |wp(u) - z| <= _LOG_ULPS ulps of max(1, |z|).
+        """
+        Z = z / self.scale
+        g = (np.arange(7) - 3) / 7.0
+        tau = self.tau
+        with np.errstate(all="ignore"):
+            v = np.concatenate([(g[:, None] + g * tau).ravel(), [
+                0.5, tau / 2, (1 + tau) / 2,
+                np.arcsin(np.sqrt(1.0 / complex(Z - self.K))) / math.pi]])
+            v[~np.isfinite(v)] = 0.5
+            tol = _LOG_ULPS * 2.0**-52 * max(1.0, abs(z)) / abs(self.scale)
+            for _ in range(_LOG_STEPS):
+                s, co = np.sin(math.pi * v), np.cos(math.pi * v)
+                sig = s * s
+                t = sig[:, None] + self.b
+                f = 1.0 / sig + self.K + np.sum(
+                    (self.c * sig[:, None] - 2.0 * self.b) / t**2, axis=1)
+                df = TWO_PI * s * co * (np.sum(
+                    (self.c * self.b + 4.0 * self.b - self.c * sig[:, None])
+                    / t**3, axis=1) - 1.0 / sig**2)
+                res = np.nan_to_num(np.abs(f - Z), nan=np.inf)
+                k = int(np.argmin(res))
+                if res[k] <= tol:
+                    return self.coords(v[k])
+                step = (Z - f) / df * (f / Z if abs(Z) > 1 else 1.0)
+                step[~np.isfinite(step)] = 0.0
+                x, y = self.coords(v + step)
+                v = x + y * tau
+        raise ConvergenceError(
+            f"no elliptic logarithm of {z} within {_LOG_ULPS} ulps after "
+            f"{_LOG_STEPS} Newton steps",
+            residuals=[float(res[k] * abs(self.scale))])
+
+
+def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
+    """The depth-th preimages of z under a curve's catalog map, in
+    closed form.
+
+    With phi(wp(u)) = wp(lam u) and z = wp(u0), they are the
+    wp((u0 + w)/lam^n) for w in L/lam^n L (Milnor, "On Lattes maps",
+    arXiv math/0402147).  On the reduced basis (w1, w2) of _Torus, lam
+    is an integer matrix M of determinant N = |lam|^2, so in the
+    coordinates (x, y) of v = u/w1 = x + y tau the leaves are the group
+    H = A Z^2 / N^n mod Z^2, A = adj(M^n), translated by A u0 / N^n.
+    With g = gcd(A21, A22) = A21 a + A22 b (the Hermite normal form of A,
+    in exact integers), H is the points (i/g + j X/N^n, j g/N^n) for
+    i < g, j < N^n/g and X = A11 a + A12 b.  So sin(pi v) = sin(pi x_i)
+    cos(pi B_j) + cos(pi x_i) sin(pi B_j), with x_i real and B_j
+    complex: a sum of two outer products of 1-D tables.  Each table
+    entry is an exact rational rounded once, reduced to [-1/2, 1/2]
+    (the real part of B_j to [-1/2g, 1/2g], which permutes the row), so
+    leaves near the pole keep their relative accuracy.  The leaves come
+    row j by row j.
+    """
+    torus = _Torus(curve_for_name(entry.name))
+    x, y = torus.log(z)
+    lam, tau = complex(entry.lam), torus.tau
+    # lam * 1 and lam * tau on the basis (1, tau)
+    raw = [[(c - c.imag / tau.imag * tau).real, c.imag / tau.imag]
+           for c in (lam, lam * tau)]
+    mat = [[round(r) for r in col] for col in raw]
+    if max(abs(r - k) for a, b in zip(raw, mat) for r, k in zip(a, b)) > 1e-6:
+        raise ConvergenceError(f"{entry.name}: lam does not map the "
+                               "period lattice into itself")
+    (p, r), (q, s) = mat  # M = [[p, q], [r, s]]
+    a11, a12, a21, a22 = 1, 0, 0, 1
+    for _ in range(depth):  # adj(M^n) = adj(M)^n
+        a11, a12, a21, a22 = (a11 * s - a12 * r, a12 * p - a11 * q,
+                              a21 * s - a22 * r, a22 * p - a21 * q)
+    nn = a11 * a22 - a12 * a21
+    g, a, b = a22, 0, 1  # extended Euclid: g = a21 a + a22 b
+    h, c, d = a21, 1, 0
+    while h:
+        k = g // h
+        g, a, b, h, c, d = h, c, d, g - k * h, a - k * c, b - k * d
+    if g < 0:
+        g, a, b = -g, -a, -b
+    rows = nn // g
+    x0, y0 = (a11 * x + a12 * y) / nn, (a21 * x + a22 * y) / nn
+    i = np.arange(g)
+    xi = x0 + (i - g * np.rint(i / g + x0)) / g
+    j = np.arange(rows, dtype=np.int64)
+    jx = j * ((a11 * a + a12 * b) % nn) % nn
+    bj = ((jx - rows * np.rint(jx / rows)) / nn
+          + (y0 + (j - rows * np.rint(j / rows + y0)) / rows) * tau)
+    sx, cx = np.sin(math.pi * xi), np.cos(math.pi * xi)
+    sb, cb = np.sin(math.pi * bj), np.cos(math.pi * bj)
+    out = np.empty((rows, g), dtype=complex)
+    step = max(1, _LEAF_BLOCK // g)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            sig = cb[lo:hi, None] * sx + sb[lo:hi, None] * cx
+            np.multiply(sig, sig, out=sig)
+            torus.series(sig, out[lo:hi])
+        out *= torus.scale
+    return out.ravel()
 
 
 def lattes_density(
@@ -1036,7 +1238,9 @@ def _csv_text(block) -> str:
 
 
 def write_csv(grid: DensityGrid, path) -> None:
-    """Row-major CSV of cell masses plus a JSON metadata sidecar.
+    """Row-major CSV of cell masses plus a JSON metadata sidecar; when
+    the sidecar cannot be written, the CSV is removed and the error
+    raised.
 
     Each cell is written byte for byte as "%.12e" writes it, by a numpy
     kernel, one block of rows at a time.  A cell 0 < v < 1e100 prints as
@@ -1063,6 +1267,11 @@ def write_csv(grid: DensityGrid, path) -> None:
         "resolution": list(grid.resolution),
         "window_fraction": grid.window_fraction,
     }
-    with open(str(path) + ".json", "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=1)
-        f.write("\n")
+    try:
+        with open(str(path) + ".json", "w") as f:
+            json.dump(meta, f, sort_keys=True, indent=1)
+            f.write("\n")
+    except OSError:
+        # no CSV without its sidecar
+        os.remove(path)
+        raise

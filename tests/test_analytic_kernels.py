@@ -9,7 +9,9 @@ that a one-ulp change or a flipped zero sign shows.  The Aberth kernel
 starts elsewhere and stops by another test than its oracle, so its
 roots are matched one to one against the oracle's, within the distance
 that the two backward errors allow; its own bits must not depend on the
-block size.
+block size.  The trees are built by _preimage_tree: on the curve maps
+below, preimage_sample takes its leaves from the period lattice and
+never reaches the Aberth kernel.
 """
 
 from types import SimpleNamespace
@@ -27,11 +29,11 @@ from p1dyn.measures import (
     Lift,
     _aberth_batch,
     _grid_centers,
+    _preimage_tree,
     green,
     green_field,
     measure_from_green,
     poly_roots,
-    preimage_sample,
     write_csv,
 )
 
@@ -475,10 +477,11 @@ def chordal_match(a0, a1, b0, b1):
 
 
 def test_preimage_tree_matches_oracle_kernel(monkeypatch):
+    # the tree itself: preimage_sample takes the lattice path on this map
     phi = catalog("phi_2@E1")
-    got = preimage_sample(phi, 0.3 + 0.2j, 5, seed=4)
+    got = _preimage_tree(phi, 0.3 + 0.2j, 5, 4)
     monkeypatch.setattr(measures, "_aberth_batch", oracle_aberth)
-    want = preimage_sample(phi, 0.3 + 0.2j, 5, seed=4)
+    want = _preimage_tree(phi, 0.3 + 0.2j, 5, 4)
     assert got.n_infinite == want.n_infinite
     ones = np.ones(len(got.points))
     nearest, dist = chordal_match(got.points, ones, want.points, ones)
@@ -495,10 +498,20 @@ def test_preimage_tree_block_edges(monkeypatch, name, depth):
     # blocks of 1 and 7 rows, and a last block shorter than the others,
     # give the same bits as the default blocks
     phi = catalog(name)
-    want = preimage_sample(phi, 0.3 + 0.2j, depth, seed=6)
+    want = _preimage_tree(phi, 0.3 + 0.2j, depth, 6)
+    # and they are preimages: phi^depth takes each back to the seed, in
+    # the chordal metric (measured: 2.6e-14 at most)
+    lift = Lift.from_map(phi)
+    w0, w1 = want.points, np.ones_like(want.points)
+    for _ in range(depth):
+        w0, w1 = lift.eval(w0, w1)
+        m = np.maximum(np.abs(w0), np.abs(w1))
+        w0, w1 = w0 / m, w1 / m
+    _, dist = chordal_match(w0, w1, np.array([0.3 + 0.2j]), np.ones(1))
+    assert np.all(dist <= 1e-12)
     for block in (1, 7):
         monkeypatch.setattr(measures, "_ROOT_BLOCK", block)
-        got = preimage_sample(phi, 0.3 + 0.2j, depth, seed=6)
+        got = _preimage_tree(phi, 0.3 + 0.2j, depth, 6)
         assert same_bits(got.points, want.points), block
         assert got.n_infinite == want.n_infinite
 

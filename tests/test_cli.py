@@ -670,6 +670,8 @@ class TestUnwritableOut:
                            capsys)
         assert rc == 2 and out == ""
         assert err == f"error: cannot write {path}.json: Is a directory\n"
+        # no CSV is left without its sidecar
+        assert not path.exists()
 
 
 class TestDashValues:

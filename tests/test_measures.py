@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import time
 
@@ -29,6 +30,8 @@ from p1dyn.measures import (
     _header_comments,
     _grid_centers,
     _lattice_mass,
+    _preimage_tree,
+    _Torus,
     compare_l1,
     green,
     green_field,
@@ -360,20 +363,24 @@ class TestPreimageSampling:
         assert np.array_equal(a.points, b.points)
 
     def test_lattes_matches_closed_form(self):
+        # the lattice path and the Aberth tree side by side
         dbl = lattes_double(curve_E1())
-        s = preimage_sample(dbl, 2.0, 9, seed=3)
-        assert s.size == 4**9
         win = (-3.0, 3.0, -3.0, 3.0)
-        hist = sample_histogram(s, win, 64)
         dens = lattes_density(curve_E1(), win, 64)
-        assert compare_l1(hist, dens) <= 0.15
+        for s in (preimage_sample(dbl, 2.0, 9, seed=3),
+                  _preimage_tree(dbl, 2.0, 9, 3)):
+            assert s.size == 4**9
+            hist = sample_histogram(s, win, 64)
+            assert compare_l1(hist, dens) <= 0.15
 
     def test_pushforward_invariance(self):
         dbl = lattes_double(curve_E1())
-        s = preimage_sample(dbl, 2.0, 8, seed=3)
-        h_before = sample_histogram(s, (-3, 3, -3, 3), 32)
-        h_after = sample_histogram(map_samples(dbl, s), (-3, 3, -3, 3), 32)
-        assert compare_l1(h_before, h_after) <= 0.05
+        for s in (preimage_sample(dbl, 2.0, 8, seed=3),
+                  _preimage_tree(dbl, 2.0, 8, 3)):
+            h_before = sample_histogram(s, (-3, 3, -3, 3), 32)
+            h_after = sample_histogram(map_samples(dbl, s), (-3, 3, -3, 3),
+                                       32)
+            assert compare_l1(h_before, h_after) <= 0.05
 
     def test_missed_solves_raise(self, monkeypatch):
         # with no Aberth sweep every row misses the target: 31 rows of the
@@ -404,6 +411,282 @@ class TestPreimageSampling:
         s = preimage_sample(catalog("pow_2"), 2.0, 16, seed=5)
         h = sample_histogram(s, WIN, 32)
         assert compare_l1(m, h) <= 0.1
+
+
+# ------------------------------------------------ Lattes leaves, one by one
+
+# the thirteen catalog maps attached to a curve, phi(wp(u)) = wp(lam u)
+CURVE_MAPS = [n for n in catalog_names() if catalog_entry(n).lam is not None]
+
+
+def tree_levels(monkeypatch, phi, z0, depth, seed):
+    """_preimage_tree's result and each generation it solved, as points:
+    the children of point p of one generation are points deg*p to
+    deg*p + deg - 1 of the next."""
+    levels = []
+    solve = measures._solve_generation
+
+    def spy(*args):
+        a0, a1, missed = solve(*args)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            levels.append(a0 / a1)
+        return a0, a1, missed
+
+    monkeypatch.setattr(measures, "_solve_generation", spy)
+    return _preimage_tree(phi, complex(z0), depth, seed), levels
+
+
+def tree_error_bounds(phi, z0, levels, chunk=1 << 16):
+    """A first-order bound on each tree leaf's distance to an exact leaf.
+
+    The tree accepts a root z of p = F0 - w F1 once |p(z)| <= tau B(z),
+    with B = sum |a_k||z|^k and tau = _PREIMAGE_TOL, and its parent w is
+    itself off by the parent's bound, which moves p by that much times
+    |F1(z)|.  With r the sum, z lies within the smaller of r/|p'(z)| and
+    sqrt(2r/|p''(z)|) of a root: the second holds near a double root,
+    where p' vanishes, so the bound loosens near critical values, and
+    read at the computed root it is at least half the distance.  It is
+    evaluated generation by generation at the tree's own points, chunk
+    parents at a time.
+    """
+    f0, f1 = (np.array(c) for c in phi.complex_pair())
+    deg = phi.degree
+    parents, bound = np.array([complex(z0)]), np.zeros(1)
+    for level in levels:
+        out = np.empty(level.shape)
+        for lo in range(0, parents.size, chunk):
+            w = parents[lo:lo + chunk].repeat(deg)
+            up = bound[lo:lo + chunk].repeat(deg)
+            z = level[lo * deg:lo * deg + w.size]
+            p = dp = ddp = f = np.zeros_like(z)
+            size = np.zeros(z.shape)
+            for k in range(deg, -1, -1):
+                a = f0[k] - w * f1[k]
+                ddp = ddp * z + 2 * dp
+                dp = dp * z + p
+                p = p * z + a
+                size = size * np.abs(z) + np.abs(a)
+                f = f * z + f1[k]
+            r = measures._PREIMAGE_TOL * size + up * np.abs(f)
+            # fmin: a root exactly 0 with r = 0 and p'' = 0 reads 0/0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[lo * deg:lo * deg + w.size] = np.fmin(
+                    r / np.abs(dp), np.sqrt(2 * r / np.abs(ddp)))
+        parents, bound = level, out
+    return bound
+
+
+def match_leaves(tree, lattice, tol):
+    """For each tree leaf, the index of a lattice leaf within its tol, one
+    to one; -1 where none is left.
+
+    Both sets are sorted by real part, and each tree leaf's candidates
+    are the lattice leaves in the window of its tol.  A pair that is the
+    only candidate of both its leaves is taken as it is; the rest, the
+    clusters at critical values, are taken greedily, nearest first.
+    """
+    ot, ol = np.argsort(tree.real), np.argsort(lattice.real)
+    t, lat, tol = tree[ot], lattice[ol], tol[ot]
+    lo = np.searchsorted(lat.real, t.real - tol)
+    count = np.searchsorted(lat.real, t.real + tol, "right") - lo
+    ti = np.repeat(np.arange(t.size), count)
+    li = np.arange(ti.size) + np.repeat(lo - np.cumsum(count) + count, count)
+    d = np.abs(t[ti] - lat[li])
+    keep = d <= tol[ti]
+    ti, li, d = ti[keep], li[keep], d[keep]
+    alone = ((np.bincount(ti, minlength=t.size) == 1)[ti]
+             & (np.bincount(li, minlength=lat.size) == 1)[li])
+    partner = np.full(t.size, -1)
+    partner[ti[alone]] = li[alone]
+    taken = np.zeros(lat.size, dtype=bool)
+    taken[li[alone]] = True
+    rest = np.flatnonzero(~alone)
+    for k in rest[np.argsort(d[rest], kind="stable")]:
+        if partner[ti[k]] < 0 and not taken[li[k]]:
+            partner[ti[k]] = li[k]
+            taken[li[k]] = True
+    out = np.full(t.size, -1)
+    out[ot] = np.where(partner >= 0, ol[partner], -1)
+    return out
+
+
+def assert_leaves_match(monkeypatch, name, z0, depth, seed=1):
+    """The lattice path against the Aberth tree, leaf by leaf.
+
+    Each tree leaf must have its own lattice leaf within twice its
+    error bound (see tree_error_bounds), plus 16 ulps of max(1, |z|) for
+    the lattice leaf's rounding, measured at 5 at most against wp at 50
+    digits.  Returns the largest distance over its allowance.
+    """
+    phi = catalog(name)
+    got = preimage_sample(phi, z0, depth, seed=seed)
+    tree, levels = tree_levels(monkeypatch, phi, z0, depth, seed)
+    assert (got.size, got.n_infinite) == (tree.size, tree.n_infinite)
+    finite = np.abs(levels[-1]) < 1e14
+    tol = (2 * tree_error_bounds(phi, z0, levels)[finite]
+           + 2.0**-48 * np.maximum(1.0, np.abs(tree.points)))
+    del levels
+    partner = match_leaves(tree.points, got.points, tol)
+    assert np.all(partner >= 0), f"{np.sum(partner < 0)} tree leaves unmatched"
+    return float(np.max(np.abs(tree.points - got.points[partner]) / tol))
+
+
+def wp(torus, v):
+    """wp(w1 v) on a torus, for complex v anywhere."""
+    x, y = torus.coords(np.asarray(v, dtype=complex))
+    s = np.sin(math.pi * (x + y * torus.tau))
+    return torus.series(s * s, np.empty_like(s)) * torus.scale
+
+
+class TestLatticeLeaves:
+    """The closed-form leaves of the curve maps against the Aberth tree,
+    which keeps every other map."""
+
+    @pytest.mark.parametrize("name,z0,depth", [
+        ("phi_2@E1", 1.7 + 0.9j, 9),
+        ("phi_2@E1", -0.3 + 0.05j, 7),
+        ("phi_2@E2", 1.7 + 0.9j, 9),
+        ("phi_2@E2", 0.2 - 2.4j, 7),
+        ("phi_1+i", 0.3 - 0.2j, 14),
+        ("phi_1-i", 2.0, 11),
+        ("phi_sqrt-3", 2 + 1j, 8),
+        ("phi_sqrt-3*rho", -0.7 + 0.4j, 7),
+        ("phi_1+2i", 0.7 + 0.1j, 5),
+        ("phi_2-i", 0.2 + 0.3j, 5),
+        ("phi_3@E2", 0.1 + 2j, 5),
+        ("phi_eps", 1.3 - 0.6j, 4),
+    ])
+    def test_leaves_match_tree(self, monkeypatch, name, z0, depth):
+        # measured at most 1.5e-4 of the allowance away from the seeds of G
+        assert assert_leaves_match(monkeypatch, name, z0, depth) <= 1e-2
+
+    def test_cap(self, monkeypatch):
+        # depth * log2(deg) = 22: 4,194,304 leaves, about 11 s in all
+        assert assert_leaves_match(monkeypatch, "phi_2@E1", 0.4 + 1.3j,
+                                   11) <= 1e-2
+
+    @pytest.mark.parametrize("name,root", [
+        ("phi_2@E1", 0), ("phi_2@E1", 1j), ("phi_2@E1", -1j),
+        ("phi_2@E2", -1), ("phi_2@E2", cmath.exp(1j * math.pi / 3)),
+        ("phi_2@E2", cmath.exp(-1j * math.pi / 3)),
+        ("phi_1+i", 0), ("phi_sqrt-3", -1), ("phi_3@E1", 1j),
+    ])
+    def test_seed_at_root_of_g(self, monkeypatch, name, root):
+        # wp'(u0) = 0 and the tree's clusters resolve only to about the
+        # root of its backward error: measured 0.16 of the allowance
+        depth = {2: 7, 3: 5, 4: 6, 9: 3}[catalog(name).degree]
+        assert assert_leaves_match(monkeypatch, name, root, depth) <= 0.5
+
+    @pytest.mark.parametrize("name,z0,depth", [
+        ("phi_2@E1", 1e6, 6), ("phi_2@E1", 1e-6, 6), ("phi_2@E2", -1e6j, 6),
+        ("phi_2@E2", 1e-6j, 6), ("phi_1+2i", 1e6 + 1e6j, 4),
+        # 0 is fixed here, so the tree splits off exact roots 0, and the
+        # lattice leaf there is off by its rounding alone
+        ("phi_2@E2", 0, 5), ("phi_1-2i", 0, 4),
+    ])
+    def test_special_seeds(self, monkeypatch, name, z0, depth):
+        # measured 0.15 of the allowance at most
+        assert assert_leaves_match(monkeypatch, name, z0, depth) <= 0.5
+
+    def test_leaf_at_infinity(self, monkeypatch):
+        # from 1e12 the largest depth-4 leaf is about 4^4 * 1e12, which
+        # both paths count at infinity
+        assert_leaves_match(monkeypatch, "phi_2@E1", 1e12, 4)
+        assert preimage_sample(catalog("phi_2@E1"), 1e12, 4).n_infinite == 1
+
+    def test_leaves_against_mpmath(self):
+        # one Newton step on phi^n(z) = z0 at 50 digits moves each of 60
+        # leaves by at most 16 ulps of max(1, |z|) (measured: 4.7)
+        rng = np.random.default_rng(2)
+        with mpmath.workdps(50):
+            for name, z0, depth in [("phi_2@E1", 1.7 + 0.9j, 9),
+                                    ("phi_2@E2", 0.2 - 2.4j, 9),
+                                    ("phi_1+2i", 0.7 + 0.1j, 6)]:
+                phi = catalog(name)
+                num, den = ([mpmath.mpc(complex(c)) for c in p.coeffs]
+                            for p in (phi.num, phi.den))
+                dnum, dden = ([k * c for k, c in enumerate(p)][:0:-1]
+                              for p in (num, den))
+                leaves = preimage_sample(phi, z0, depth).points
+                for z in rng.choice(leaves, 60, replace=False):
+                    w, dw = mpmath.mpc(z), mpmath.mpc(1)
+                    for _ in range(depth):
+                        n, d = (mpmath.polyval(p[::-1], w) for p in (num, den))
+                        dn, dd = (mpmath.polyval(p, w) for p in (dnum, dden))
+                        dw *= (dn * d - n * dd) / d**2
+                        w = n / d
+                    step = abs((w - z0) / dw)
+                    assert step <= 16 * 2.0**-52 * max(1.0, abs(z)), (name, z)
+
+    @pytest.mark.parametrize("name", CURVE_MAPS)
+    def test_functional_equation(self, name):
+        # phi(wp(u)) = wp(lam u) with lam as the catalog embeds it, and
+        # wp'^2 = 4G(wp) by a five-point difference
+        entry = catalog_entry(name)
+        curve = curve_for_name(name)
+        torus = _Torus(curve)
+        v = np.array([0.31 + 0.12j, -0.27 + 0.4 * torus.tau, 0.05 + 0.2j])
+        x = wp(torus, v)
+        f0, f1 = (np.array(c) for c in entry.map.complex_pair())
+        image = np.polyval(f0[::-1], x) / np.polyval(f1[::-1], x)
+        want = wp(torus, complex(entry.lam) * v)
+        assert np.all(np.abs(image - want) <= 1e-13 * np.maximum(1, abs(want)))
+        h = 2e-4
+        w1 = math.pi / np.sqrt(torus.scale)
+        d = (-wp(torus, v + 2 * h) + 8 * wp(torus, v + h)
+             - 8 * wp(torus, v - h) + wp(torus, v - 2 * h)) / (12 * h * w1)
+        g = np.polyval([complex(curve.G.coeff(k)) for k in range(3, -1, -1)],
+                       x)
+        assert np.all(np.abs(d * d - 4 * g) <= 1e-9 * np.abs(4 * g))
+
+    def test_map_file_copy_takes_lattice(self, monkeypatch, tmp_path):
+        from p1dyn import cli
+
+        phi = catalog("phi_2@E1")
+        spec = tmp_path / "dbl.json"
+        spec.write_text(json.dumps({
+            "num": [str(c) for c in phi.num.coeffs],
+            "den": [str(c) for c in phi.den.coeffs], "field": {"d": 1}}))
+        copy = cli._map_from_file(str(spec))
+        assert copy is not phi and copy == phi
+        want = preimage_sample(phi, 0.3 + 0.2j, 5)
+
+        def no_tree(*args):
+            raise AssertionError("the tree ran")
+
+        monkeypatch.setattr(measures, "_preimage_tree", no_tree)
+        got = preimage_sample(copy, 0.3 + 0.2j, 5)
+        assert got.points.tobytes() == want.points.tobytes()
+
+    def test_other_maps_keep_tree(self, monkeypatch):
+        phi = catalog("phi_2@E1")
+        # conjugate by z -> 2z: z -> phi(2z)/2 is another Lattes map,
+        # attached to no catalog entry
+        double = RationalMap.from_strings(["0", "2"], ["1"], 1)
+        half = RationalMap.from_strings(["0", "1/2"], ["1"], 1)
+        conj = half.compose(phi.compose(double))
+        assert conj != phi and conj.degree == 4
+
+        def no_lattice(*args):
+            raise AssertionError("the lattice path ran")
+
+        monkeypatch.setattr(measures, "_lattice_leaves", no_lattice)
+        for psi in (conj, catalog("pow_2")):
+            got = preimage_sample(psi, 0.3 + 0.2j, 4, seed=2)
+            want = _preimage_tree(psi, 0.3 + 0.2j, 4, 2)
+            assert got.points.tobytes() == want.points.tobytes()
+
+    def test_same_bytes_across_runs_and_seeds(self):
+        phi = catalog("phi_sqrt-3")
+        runs = [preimage_sample(phi, 0.6 - 1.1j, 6, seed=s) for s in (0, 0, 7)]
+        assert len({r.points.tobytes() for r in runs}) == 1
+        assert [r.seed for r in runs] == [0, 0, 7]
+
+    def test_log_budget_raises(self, monkeypatch):
+        # no residual is small enough: the steps run out
+        monkeypatch.setattr(measures, "_LOG_ULPS", -1)
+        with pytest.raises(ConvergenceError, match="elliptic logarithm"):
+            preimage_sample(catalog("phi_2@E1"), 0.3 + 0.2j, 2)
 
 
 def oracle_plane_mass(gc, roots, radius=8.0, base=64, levels=6):
