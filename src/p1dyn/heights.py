@@ -14,8 +14,12 @@ loses a relative 2^(4 - bits) at most, and each later step amplifies that
 at most A = alpha e^(c_up + c_low) times, so step k keeps
 bits_k = max(64, 64 + (n - k) amp - drop) bits, with amp = ceil(log2(4A))
 and drop = min(40, floor(n log2 alpha)).  The last pair's relative error
-then stays below 2^(-59.58 + drop), the value's error below 2^-59.5, and
-the working size falls from 64 + n amp bits to 64 along the orbit.
+then stays below 2^(-59.58 + drop), which moves the value by less than
+2^-59.5, and the working size falls from 64 + n amp bits to 64 along the
+orbit.  From alpha^n >= 2^13 on, the last pair's log is a double's,
+which adds less than 2^-59.98: the value's error stays below 2^-58.7.
+Both loops run one plan of the forms (ratmaps._FormPlan), in x0^r and
+x1^r for r the order of the rotation that a Lattes map commutes with.
 The finite part runs one tracker on integral basis pairs modulo an integer
 M: the content of a coprime pair divides the resultant R of the lifted
 map, so a gcd against n_R = N(R) reads it without factoring anything, and
@@ -51,7 +55,7 @@ from .quadfield import (
 from .ratmaps import (
     ProjPoint,
     RationalMap,
-    _eval_forms,
+    _FormPlan,
     cofactor_certificate,
     log_one_norm,
 )
@@ -164,12 +168,13 @@ class _HeightEngine:
             math.log2(4.0 * self.alpha) + (self.c_up + self.c_low) / _LN2
         )
         self._amp_bits = max(2, math.ceil(log2_amp))
-        # the nonzero terms (k, basis pair) of both forms, for _eval_forms
-        self._forms = [
-            [(k, c.basis_pair()) for k, c in enumerate(cs) if c]
-            for cs in (c0, c1)
-        ]
         self._t = omega_flag(self.d)
+        # both forms' evaluation plan, from their nonzero terms
+        self._plan = _FormPlan(
+            [[(k, c.basis_pair()) for k, c in enumerate(cs) if c]
+             for cs in (c0, c1)],
+            self.alpha, self._t,
+        )
 
     def _steps_needed(self, first: int, cap: int, c: float,
                       tol: float) -> int:
@@ -193,8 +198,12 @@ class _HeightEngine:
         # The n steps stay below (4/3) 2^(-60 + drop) < 2^-59.58 alpha^n,
         # as 2^drop <= alpha^n, and the cap of 40 on drop keeps that
         # relative error below 2^-19, where log(1 + delta) is within
-        # 1.00001 delta: the value moves by less than 2^-59.5
-        t, alpha = self._t, self.alpha
+        # 1.00001 delta: the value moves by less than 2^-59.5.  The last
+        # pair's coordinates are below 2^64, so top < 3 * 2^128, and a
+        # double's log of it errs by one ulp of a value below 128 and the
+        # int's rounding, 2^-46 + 2^-53; halved and divided by alpha^n >=
+        # 2^13 that is below 2^-59.98, and the value's error below 2^-58.7
+        t, alpha, plan = self._t, self.alpha, self._plan
         alpha_n = alpha**n_arch
         # floor(n log2 alpha), exactly
         drop = min(40, alpha_n.bit_length() - 1)
@@ -203,7 +212,7 @@ class _HeightEngine:
         shift = 0
         for k in range(1, n_arch + 1):
             bits = max(64, top_bits - k * self._amp_bits)
-            f0, f1 = _eval_forms(self._forms, alpha, w0, w1, t)
+            f0, f1 = plan(w0, w1)
             e = max(0, max(map(int.bit_length, f0 + f1)) - bits)
             w0 = (f0[0] >> e, f0[1] >> e)
             w1 = (f1[0] >> e, f1[1] >> e)
@@ -212,13 +221,14 @@ class _HeightEngine:
         prec = 30 + len(str(shift))
         # a fresh context, so a caller's decimal settings cannot leak in
         with localcontext(Context(prec=prec)):
-            log_top = shift * _ln2(prec) + Decimal(top).ln() / 2
+            ln = Decimal(math.log(top)) if alpha_n >> 13 else Decimal(top).ln()
+            log_top = shift * _ln2(prec) + ln / 2
             value = float(log_top / alpha_n)
         tail = self.c_bound / (alpha - 1) * (1 / alpha_n)
         return value, tail
 
     def _fin_value(self, x0, x1, n_fin):
-        t, n_R, m_R = self._t, self.n_R, self.m_R
+        t, n_R, m_R, plan = self._t, self.n_R, self.m_R, self._plan
         # the pair is known modulo mod; reading a content needs n_R | mod,
         # and dividing out a content g leaves the pair known modulo
         # (mod/g), inside (mod/m_g) as g | m_g.  A step that finds n_R
@@ -238,7 +248,7 @@ class _HeightEngine:
                 if mod % n_R:
                     break
                 scale /= self.alpha
-                f0, f1 = _eval_forms(self._forms, self.alpha, v0, v1, t, mod)
+                f0, f1 = plan(v0, v1, mod)
                 # N(g) divides this integer, and g divides N(g)
                 h = math.gcd(
                     pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R

@@ -55,12 +55,12 @@ class Poly:
     QuadFieldElements only when asked for.
     """
 
-    __slots__ = ("_u", "_v", "_den", "_d")
+    __slots__ = ("_u", "_v", "_den", "_d", "_plan")
 
     def __init__(self, coeffs: Iterable, d: int = 0):
         pairs, den = cleared_pairs([_coerce_coeff(x, d) for x in coeffs])
         self._u, self._v = _trim([p[0] for p in pairs], [p[1] for p in pairs])
-        self._den, self._d = den, d
+        self._den, self._d, self._plan = den, d, None
 
     @classmethod
     def _of(cls, u: list, v: list, den: int, d: int) -> "Poly":
@@ -69,7 +69,7 @@ class Poly:
         g = math.gcd(den, *u, *v)
         out = object.__new__(cls)
         out._u, out._v = [a // g for a in u], [b // g for b in v]
-        out._den, out._d = den // g, d
+        out._den, out._d, out._plan = den // g, d, None
         return out
 
     @property
@@ -190,11 +190,13 @@ class Poly:
             raise DomainError("declared degree below actual degree")
         d = self._d
         (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
-        [(u, v)] = _eval_forms([self._terms()], deg, p0, p1, omega_flag(d))
+        if self._plan is None or self._plan.deg != deg:
+            self._plan = _FormPlan([self._terms()], deg, omega_flag(d))
+        [(u, v)] = self._plan(p0, p1)
         return QuadFieldElement._of(u, v, self._den * e**deg, d)
 
     def _terms(self) -> list:
-        """The nonzero terms (k, basis pair) of den * self, for _eval_forms."""
+        """The nonzero terms (k, basis pair) of den * self, for _FormPlan."""
         return [(k, c) for k, c in enumerate(zip(self._u, self._v))
                 if c[0] or c[1]]
 
@@ -235,50 +237,75 @@ class Poly:
         return f"Poly({self})"
 
 
-def _eval_forms(forms: list, deg: int, x0, x1, t: int, mod: int = 0) -> list:
-    """sum_k c_k x0^k x1^(deg-k) on basis pairs, for each form in forms.
+def _pair_powers(x, n: int, t: int, mod: int) -> list:
+    """[x^0, x^1, ..., x^n] on basis pairs, reduced mod `mod` if set."""
+    a, b = u, v = (x[0] % mod, x[1] % mod) if mod else x
+    out = [(1, 0), (u, v)]
+    for _ in range(n - 1):
+        m = v * b
+        u, v = u * a - m, u * b + v * a + t * m
+        if mod:
+            u, v = u % mod, v % mod
+        out.append((u, v))
+    return out
 
-    A form is the list of its nonzero terms (k, c), c a basis pair.  The
-    powers of x0 and x1 are built once for all forms, each reduced mod
-    `mod` if set.  Each monomial x0^k x1^(deg-k) that a form needs is one
-    product of two of them, or at k = 0 and k = deg a power itself.  A
-    rational coefficient (c[1] = 0) costs two int products, any other a
-    pair product.  Each sum is reduced mod `mod` once, at the end.
+
+class _FormPlan:
+    """sum_k c_k x0^k x1^(deg-k) on basis pairs for forms given by their
+    nonzero terms (k, c), c a basis pair, planned once.
+
+    The stride r is the gcd of the exponent gaps within each form (1 if
+    none has two terms), so a form is x0^s x1^s' G(X, Y), X = x0^r,
+    Y = x1^r, s and s' < r: r is 2 for a Lattes map of E1 and 3 for one
+    of E2, which commutes with z -> -z or z -> omega z.  A call builds the
+    powers of x0 and x1 up to r and of X and Y up to the largest degree
+    of a G (reduced mod `mod` if set), each monomial X^a Y^b that a G
+    needs once, a G with two int products per rational coefficient
+    (c[1] = 0) and a pair product per other, and reduces each G times its
+    prefactor mod `mod` once, at the end.
     """
-    ks = {k for form in forms for k, _ in form}
-    if not ks:
-        return [(0, 0)] * len(forms)
-    pows = []
-    for x, n in ((x0, max(ks)), (x1, deg - min(ks))):
-        a, b = u, v = (x[0] % mod, x[1] % mod) if mod else x
-        out = [(1, 0), (u, v)]
-        for _ in range(n - 1):
-            m = v * b
-            u, v = u * a - m, u * b + v * a + t * m
-            if mod:
-                u, v = u % mod, v % mod
-            out.append((u, v))
-        pows.append(out)
-    p0, p1 = pows
-    monos = {
-        k: p1[deg] if k == 0 else p0[deg] if k == deg
-        else pair_mul(p0[k], p1[deg - k], t)
-        for k in ks
-    }
-    sums = []
-    for form in forms:
-        su = sv = 0
-        for k, (cu, cv) in form:
-            mu, mv = monos[k]
-            if cv:
-                m = cv * mv
-                su += cu * mu - m
-                sv += cu * mv + cv * mu + t * m
-            else:
-                su += cu * mu
-                sv += cu * mv
-        sums.append((su % mod, sv % mod) if mod else (su, sv))
-    return sums
+
+    __slots__ = ("deg", "_t", "_r", "_na", "_nb", "_monos", "_forms")
+
+    def __init__(self, forms: list, deg: int, t: int):
+        r = math.gcd(*(k - f[0][0] for f in forms for k, _ in f)) or 1
+        monos, self._forms = {}, []
+        for form in forms:
+            k0 = form[0][0] if form else 0
+            s, s1 = k0 % r, (deg - k0) % r
+            self._forms.append((s, s1, [
+                (monos.setdefault(((k - s) // r, (deg - k - s1) // r),
+                                  len(monos)), cu, cv)
+                for k, (cu, cv) in form
+            ]))
+        self.deg, self._t, self._r, self._monos = deg, t, r, list(monos)
+        self._na, self._nb = map(max, zip((0, 0), *monos))
+
+    def __call__(self, x0, x1, mod: int = 0) -> list:
+        t, r = self._t, self._r
+        p0, p1 = _pair_powers(x0, r, t, mod), _pair_powers(x1, r, t, mod)
+        X = _pair_powers(p0[r], self._na, t, mod)
+        Y = _pair_powers(p1[r], self._nb, t, mod)
+        monos = [X[a] if not b else Y[b] if not a
+                 else pair_mul(X[a], Y[b], t) for a, b in self._monos]
+        sums = []
+        for s, s1, terms in self._forms:
+            su = sv = 0
+            for i, cu, cv in terms:
+                mu, mv = monos[i]
+                if cv:
+                    m = cv * mv
+                    su += cu * mu - m
+                    sv += cu * mv + cv * mu + t * m
+                else:
+                    su += cu * mu
+                    sv += cu * mv
+            if s:
+                su, sv = pair_mul((su, sv), p0[s], t)
+            if s1:
+                su, sv = pair_mul((su, sv), p1[s1], t)
+            sums.append((su % mod, sv % mod) if mod else (su, sv))
+        return sums
 
 
 def _convolve(x: list, y: list) -> list:
@@ -485,7 +512,7 @@ class ProjPoint:
 class RationalMap:
     """Endomorphism of the projective line, num(z)/den(z)."""
 
-    __slots__ = ("_num", "_den", "_d", "_deg")
+    __slots__ = ("_num", "_den", "_d", "_deg", "_plan")
 
     def __init__(self, num: Poly, den: Poly):
         if num.d != den.d:
@@ -518,6 +545,7 @@ class RationalMap:
         self._num = Poly._of(*_times_conj(num, lead, omega_flag(d)), d)
         self._den = Poly._of(*_times_conj(den, lead, omega_flag(d)), d)
         self._deg = max(self._num.degree, self._den.degree)
+        self._plan = None
 
     @classmethod
     def from_strings(
@@ -562,8 +590,10 @@ class RationalMap:
         d, num, den = self._d, self._num, self._den
         (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
         scale = e**self._deg
-        f0, f1 = _eval_forms([num._terms(), den._terms()], self._deg, p0, p1,
-                             omega_flag(d))
+        if self._plan is None:
+            self._plan = _FormPlan([num._terms(), den._terms()], self._deg,
+                                   omega_flag(d))
+        f0, f1 = self._plan(p0, p1)
         return (QuadFieldElement._of(*f0, num._den * scale, d),
                 QuadFieldElement._of(*f1, den._den * scale, d))
 

@@ -6,12 +6,20 @@ ring operations, the evaluation of forms, integral_gcd, pair_normalize,
 pair_divmod, ProjPoint.reduced_pair, cleared_pairs, integral_model and
 every Poly operation run on ints; compose and embed skip poly_gcd, and
 the resultant and the Bezout certificate share one fraction-free
-elimination.  Forms are evaluated by one sparse evaluator, _eval_forms,
-for Poly.eval_pair, a map's image of a point and both height loops: it
-builds the powers of x0 and x1 once for all forms, skips zero
-coefficients and takes two int products for a rational one.  Its oracle
-is Horner's rule on basis pairs, one form at a time, three pair products
-per coefficient, with and without a modulus.  The other oracles below
+elimination.  Forms are evaluated by one plan, _FormPlan, for
+Poly.eval_pair, a map's image of a point and both height loops: its
+stride r is the gcd of the exponent gaps within each form, the order of
+the rotation z -> zeta z that a Lattes map commutes with (2 on E1, 3 on
+E2), and it evaluates each form as x0^s x1^s' G(x0^r, x1^r) from powers
+of x0^r and x1^r, skips zero coefficients and takes two int products for
+a rational one.  Its oracles are the shared-power evaluator it replaced,
+oracle_eval_forms, on forms of stride 1-4, mixed residues, single terms,
+zero forms and the height engines of the catalog, and Horner's rule on
+basis pairs, one form at a time, three pair products per coefficient,
+with and without a modulus.  The archimedean loop takes the last pair's
+log in double precision from alpha^n = 2^13 on, checked against the
+Decimal logarithm bit for bit and against the mpmath sum within the
+restated 2^-58.7.  The other oracles below
 are the Fraction versions: elements with Fraction coordinates on the
 basis (1, sqrt(-d)) and Horner's rule on them, Euclid through exact
 field division with nearest rounding (ties toward +infinity), a search
@@ -53,14 +61,15 @@ from p1dyn.quadfield import (
     omega_flag,
     pair_divmod,
     pair_mul,
+    pair_norm,
     pair_normalize,
 )
 from p1dyn.ratmaps import (
     Poly,
     ProjPoint,
     RationalMap,
+    _FormPlan,
     _bareiss,
-    _eval_forms,
     cofactor_certificate,
     log_one_norm,
     poly_from_strings,
@@ -164,6 +173,56 @@ def oracle_eval_form(coeffs: list, x0, x1, t: int, mod: int = 0) -> tuple:
             acc = (acc[0] % mod, acc[1] % mod)
             p1 = (p1[0] % mod, p1[1] % mod)
     return acc
+
+
+def oracle_eval_forms(forms: list, deg: int, x0, x1, t: int,
+                      mod: int = 0) -> list:
+    """The shared-power evaluator that _FormPlan replaced: sum_k c_k x0^k
+    x1^(deg-k) on basis pairs for each form, a form being the list of its
+    nonzero terms (k, c).  It builds every power of x0 up to the largest k
+    and of x1 up to deg minus the smallest, each reduced mod `mod` if set,
+    takes each monomial that a form needs once, as one product of two of
+    them, and reduces each sum mod `mod` once, at the end."""
+    ks = {k for form in forms for k, _ in form}
+    if not ks:
+        return [(0, 0)] * len(forms)
+    pows = []
+    for x, n in ((x0, max(ks)), (x1, deg - min(ks))):
+        a, b = u, v = (x[0] % mod, x[1] % mod) if mod else x
+        out = [(1, 0), (u, v)]
+        for _ in range(n - 1):
+            m = v * b
+            u, v = u * a - m, u * b + v * a + t * m
+            if mod:
+                u, v = u % mod, v % mod
+            out.append((u, v))
+        pows.append(out)
+    p0, p1 = pows
+    monos = {
+        k: p1[deg] if k == 0 else p0[deg] if k == deg
+        else pair_mul(p0[k], p1[deg - k], t)
+        for k in ks
+    }
+    sums = []
+    for form in forms:
+        su = sv = 0
+        for k, (cu, cv) in form:
+            mu, mv = monos[k]
+            if cv:
+                m = cv * mv
+                su += cu * mu - m
+                sv += cu * mv + cv * mu + t * m
+            else:
+                su += cu * mu
+                sv += cu * mv
+        sums.append((su % mod, sv % mod) if mod else (su, sv))
+    return sums
+
+
+def engine_forms(eng) -> list:
+    """The nonzero terms (k, basis pair) of a height engine's two forms."""
+    return [[(k, c.basis_pair()) for k, c in enumerate(cs) if c]
+            for cs in (eng.c0, eng.c1)]
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -435,10 +494,17 @@ def oracle_certificate(c0: list, c1: list, deg: int) -> tuple:
 
 def oracle_arch_value(eng, x0: QF, x1: QF, n_arch: int,
                       bits: int = 0) -> tuple:
-    """The height engine's archimedean Green sum and tail in mpmath: the
-    coefficients and the point lifted to complex numbers at `bits` bits
-    (64 + n_arch * _amp_bits if not given), divided by their sup-norm at
-    every step, with one logarithm per step, so nothing is truncated."""
+    """oracle_arch_sum rounded to a double, and the tail."""
+    total, tail = oracle_arch_sum(eng, x0, x1, n_arch, bits)
+    return float(total), tail
+
+
+def oracle_arch_sum(eng, x0: QF, x1: QF, n_arch: int, bits: int = 0) -> tuple:
+    """The height engine's archimedean Green sum, as an mpf, and tail in
+    mpmath: the coefficients and the point lifted to complex numbers at
+    `bits` bits (64 + n_arch * _amp_bits if not given), divided by their
+    sup-norm at every step, with one logarithm per step, so nothing is
+    truncated."""
     bits = bits or 64 + n_arch * eng._amp_bits
 
     def sup_norm(w0, w1):
@@ -478,7 +544,33 @@ def oracle_arch_value(eng, x0: QF, x1: QF, n_arch: int,
             scale /= eng.alpha
         total += sup_norm(w0, w1)[1] * scale
         tail = eng.c_bound / (eng.alpha - 1) * float(scale)
-        return float(total), tail
+        return total, tail
+
+
+def orbit_values(eng, x0: QF, x1: QF, n_arch: int) -> tuple:
+    """The archimedean value by the engine's schedule, unrounded, from the
+    old evaluator: the pair cut to max(64, 64 + (n-k) amp - drop) bits after
+    step k, and the last pair's log both by Decimal.ln and by math.log."""
+    alpha, t = eng.alpha, eng._t
+    alpha_n = alpha**n_arch
+    drop = min(40, alpha_n.bit_length() - 1)
+    forms = engine_forms(eng)
+    w0, w1 = x0.basis_pair(), x1.basis_pair()
+    shift = 0
+    for k in range(1, n_arch + 1):
+        bits = max(64, 64 + (n_arch - k) * eng._amp_bits - drop)
+        f0, f1 = oracle_eval_forms(forms, alpha, w0, w1, t)
+        e = max(0, max(map(int.bit_length, f0 + f1)) - bits)
+        w0, w1 = ((f[0] >> e, f[1] >> e) for f in (f0, f1))
+        shift = shift * alpha + e
+    top = max(pair_norm(w0, t), pair_norm(w1, t))
+    prec = 30 + len(str(shift))
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        return tuple(
+            (shift * _ln2(prec) + ln / 2) / alpha_n
+            for ln in (decimal.Decimal(top).ln(),
+                       decimal.Decimal(math.log(top)))
+        )
 
 
 # --------------------------------------------------------------------------
@@ -819,6 +911,9 @@ def form_pairs(draw, d, deg):
     return out
 
 
+MODULI = [0, 1, 2, 97, 2**64 + 13, 3**900, 10**200 + 7]
+
+
 class TestSharedPowerEvaluator:
     @pytest.mark.parametrize("d", [0, 1, 3])
     @settings(max_examples=150, deadline=None)
@@ -829,11 +924,10 @@ class TestSharedPowerEvaluator:
                  for _ in range(data.draw(st.integers(1, 3)))]
         x0, x1 = ((data.draw(COORDS), data.draw(COORDS) if d else 0)
                   for _ in range(2))
-        mod = data.draw(st.sampled_from(
-            [0, 1, 2, 97, 2**64 + 13, 3**900, 10**200 + 7]))
+        mod = data.draw(st.sampled_from(MODULI))
         terms = [[(k, c) for k, c in enumerate(f) if c != (0, 0)]
                  for f in forms]
-        got = _eval_forms(terms, deg, x0, x1, t, mod)
+        got = _FormPlan(terms, deg, t)(x0, x1, mod)
         want = [oracle_eval_form(f, x0, x1, t, mod) for f in forms]
         if mod:
             assert all(0 <= c < mod for pair in got for c in pair)
@@ -851,6 +945,90 @@ class TestSharedPowerEvaluator:
         deg = phi.degree
         assert phi.eval_pair(x0, x1) == (phi.num.eval_pair(x0, x1, deg),
                                          phi.den.eval_pair(x0, x1, deg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_cached_plan_follows_the_degree(self, d, data):
+        # a Poly keeps the plan of the last degree it was evaluated at
+        f = data.draw(kernel_polys(d))
+        x0, X0 = both(d, data)
+        x1, X1 = both(d, data)
+        low = max(f.degree, 0)
+        for deg in (low + 2, low, low + 1, low + 2):
+            assert_same(f.eval_pair(x0, x1, deg),
+                        oracle_eval_pair(f, X0, X1, deg))
+
+
+@st.composite
+def strided_forms(draw, d, deg):
+    """1-3 term lists of degree-deg forms for _FormPlan, each zero, one
+    term, the exponents of a shared stride 1-4 from the form's own offset,
+    those of a stride 1-4 of its own, or free (mixed residues); each
+    coefficient rational (v = 0) or, for d != 0, general."""
+    shared = draw(st.integers(1, 4))
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["zero", "one", "shared", "own", "free"]))
+        stride = draw(st.integers(1, 4)) if shape == "own" else shared
+        start = draw(st.integers(0, min(stride - 1, deg)))
+        pool = range(start, deg + 1, stride)
+        if shape == "zero":
+            ks = []
+        elif shape == "one":
+            ks = [draw(st.integers(0, deg))]
+        else:
+            ks = sorted(set(draw(st.lists(
+                st.sampled_from(pool if shape != "free" else range(deg + 1)),
+                min_size=1, max_size=deg + 1))))
+        kinds = ["rational"] + (["general"] if d else [])
+        form = []
+        for k in ks:
+            u = draw(COORDS.filter(bool))
+            general = draw(st.sampled_from(kinds)) == "general"
+            form.append((k, (u, draw(COORDS) if general else 0)))
+        forms.append(form)
+    return forms
+
+
+class TestFormPlan:
+    """_FormPlan against the evaluator it replaced, oracle_eval_forms."""
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_old_evaluator(self, d, data):
+        t, deg = omega_flag(d), data.draw(st.integers(0, 12))
+        forms = data.draw(strided_forms(d, deg))
+        x0, x1 = ((data.draw(COORDS), data.draw(COORDS) if d else 0)
+                  for _ in range(2))
+        mod = data.draw(st.sampled_from(MODULI))
+        got = _FormPlan(forms, deg, t)(x0, x1, mod)
+        assert got == oracle_eval_forms(forms, deg, x0, x1, t, mod)
+
+    @pytest.mark.parametrize("name", catalog_names() + ["big"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_engines_match_old_evaluator(self, name, data):
+        eng = _engine(_big_map() if name == "big" else catalog(name))
+        d, t = eng.d, eng._t
+        x0, x1 = ((data.draw(COORDS), data.draw(COORDS) if d else 0)
+                  for _ in range(2))
+        mod = data.draw(st.sampled_from(
+            [0, eng.m_R**2, eng.n_R * eng.m_R**2, eng.m_R**5, 97]))
+        want = oracle_eval_forms(engine_forms(eng), eng.alpha, x0, x1, t, mod)
+        assert eng._plan(x0, x1, mod) == want
+
+    @pytest.mark.parametrize("name", catalog_names() + ["big"])
+    def test_stride_is_the_rotation(self, name):
+        # a Lattes map commutes with z -> -z on E1 and z -> omega z on
+        # E2, so its forms step by 2 and 3; z^n/1 has one term per form,
+        # and the big map steps by 2
+        phi = _big_map() if name == "big" else catalog(name)
+        curve = "big" if name == "big" else catalog_entry(name).curve_name
+        stride = {"E1": 2, "E2": 3, "big": 2}.get(curve, 1)
+        assert _engine(phi)._plan._r == stride
+        assert _FormPlan([phi.num._terms(), phi.den._terms()], phi.degree,
+                         omega_flag(phi.d))._r == stride
 
 
 # --------------------------------------------------------------------------
@@ -1536,11 +1714,13 @@ class TestArchOracle:
         eng = _engine(phi)
         sizes = []
 
-        def recording(forms, deg, x0, x1, t, mod=0):
-            sizes.append(max(map(int.bit_length, x0 + x1)))
-            return _eval_forms(forms, deg, x0, x1, t, mod)
+        plan = eng._plan
 
-        monkeypatch.setattr(heights, "_eval_forms", recording)
+        def recording(x0, x1, mod=0):
+            sizes.append(max(map(int.bit_length, x0 + x1)))
+            return plan(x0, x1, mod)
+
+        monkeypatch.setattr(eng, "_plan", recording)
         x0, x1 = points[0].reduced_pair()
         eng._arch_value(x0, x1, n)
         drop = min(40, (phi.degree**n).bit_length() - 1)
@@ -1549,6 +1729,40 @@ class TestArchOracle:
         assert len(sizes) == n
         assert all(s < w for s, w in zip(sizes[1:uncut], want))
         assert sizes[uncut:] == want[uncut - 1:]
+
+    @pytest.mark.parametrize("name", catalog_names() + ["big"])
+    def test_double_log_of_the_last_pair(self, monkeypatch, name):
+        # from alpha^n = 2^13 on the last pair's log is a double's: the
+        # value keeps the Decimal path's bits, and its error against the
+        # mpmath sum stays within the restated 2^-58.7
+        phi, points = _arch_case(name)
+        eng = _engine(phi)
+        low = 1
+        while eng.alpha ** (low + 1) < 1 << 13:
+            low += 1
+        # the first Decimal an _arch_value call makes is its last pair's
+        # log: Decimal(top), an int, or Decimal(math.log(top)), a float
+        made = []
+
+        def recording(x):
+            made.append(type(x))
+            return decimal.Decimal(x)
+
+        monkeypatch.setattr(heights, "Decimal", recording)
+        for n in (low, low + 1):
+            for P in points:
+                x0, x1 = P.reduced_pair()
+                by_ln, by_log = orbit_values(eng, x0, x1, n)
+                double = eng.alpha**n >= 1 << 13
+                taken = by_log if double else by_ln
+                del made[:]
+                got, _ = eng._arch_value(x0, x1, n)
+                assert made[0] is (float if double else int)
+                assert got == float(taken) == float(by_ln), (str(P), n)
+                want, _ = oracle_arch_sum(eng, x0, x1, n)
+                with mpmath.workprec(256):
+                    err = abs(mpmath.mpf(str(taken)) - want)
+                assert err <= 2**-58.7, (str(P), n, float(err))
 
     def test_caller_decimal_context_does_not_leak(self):
         phi = catalog("phi_1+i")

@@ -23,7 +23,7 @@ import sys
 import pytest
 
 import p1dyn
-from p1dyn import cli, heights
+from p1dyn import cli
 from p1dyn.errors import DomainError
 from p1dyn.heights import (
     _engine,
@@ -41,9 +41,14 @@ from p1dyn.quadfield import (
     parse_element,
 )
 from p1dyn.quadfield import QuadFieldElement as QF
-from p1dyn.ratmaps import Poly, ProjPoint, RationalMap, _eval_forms
+from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
 from test_cli_golden import GOLDEN
-from test_exact_kernels import FracQF, oracle_eval_pair
+from test_exact_kernels import (
+    FracQF,
+    engine_forms,
+    oracle_eval_forms,
+    oracle_eval_pair,
+)
 from test_heights import naive_height_by_places
 
 
@@ -134,13 +139,14 @@ def oracle_fin_value(eng, x0, x1, n_fin):
     """The finite loop at the fixed modulus m_R^(n_fin+1), one factor m_R
     spent per step, which never needs a restart."""
     t, n_R = eng._t, eng.n_R
+    forms = engine_forms(eng)
     mod = eng.m_R ** (n_fin + 1)
     v0, v1 = x0.basis_pair(), x1.basis_pair()
     total = 0.0
     scale = 1.0
     for _ in range(n_fin):
         scale /= eng.alpha
-        f0, f1 = _eval_forms(eng._forms, eng.alpha, v0, v1, t, mod)
+        f0, f1 = oracle_eval_forms(forms, eng.alpha, v0, v1, t, mod)
         h = math.gcd(pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R)
         if h > 1:
             g = pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
@@ -176,15 +182,17 @@ ORACLE_CASES = [
 ]
 
 
-def count_evaluations(monkeypatch):
+def count_evaluations(monkeypatch, eng):
+    """Record the arguments (pair, pair, modulus) of every call to the
+    engine's evaluation plan."""
     calls = []
-    evaluate = heights._eval_forms
+    evaluate = eng._plan
 
     def counted(*args):
         calls.append(args)
         return evaluate(*args)
 
-    monkeypatch.setattr(heights, "_eval_forms", counted)
+    monkeypatch.setattr(eng, "_plan", counted)
     return calls
 
 
@@ -208,7 +216,7 @@ class TestSpentModulus:
         phi = RationalMap.from_strings(["0", "5", "25"], ["1", "0", "5"], 0)
         eng = _engine(phi)
         pair = point("-19", "5", 0).reduced_pair()
-        calls = count_evaluations(monkeypatch)
+        calls = count_evaluations(monkeypatch, eng)
         got = eng._fin_value(*pair, 4)
         assert len(calls) == 7
         assert calls[0][-1] == eng.n_R * eng.m_R**2
@@ -219,7 +227,7 @@ class TestSpentModulus:
     def test_one_step_never_restarts(self, num, den, d, points, monkeypatch):
         phi = RationalMap.from_strings(num, den, d)
         eng = _engine(phi)
-        calls = count_evaluations(monkeypatch)
+        calls = count_evaluations(monkeypatch, eng)
         for P in sample_points(phi, points):
             del calls[:]
             eng._fin_value(*P.reduced_pair(), 1)
