@@ -1,0 +1,106 @@
+"""Straight-line kernels for ratmaps._FormPlan, one per form shape.
+
+A shape is (t, deg, forms): t as in quadfield.pair_mul, and each form as
+the tuple of its terms (k, general), general when the coefficient of
+x0^k x1^(deg-k) is not rational.  The factory writes Python source
+without loops or coefficient literals,
+
+    def make(k0, k1, ...):
+        def kernel(x0, x1, mod=0): ...
+        return kernel
+
+and compiles it once per shape, as dataclasses builds __init__; a plan
+binds its own coefficients by calling make, so no coefficient is ever
+turned into digits.  The source is compiled under a filename that names
+the shape, <_FormPlan t=.. r=.. deg=.. hash>, and stays in linecache
+while the factory is cached, so profiles tell the kernels apart and a
+traceback shows the generated line.  The module is imported by the first
+plan, so a process that evaluates no form never compiles it.
+"""
+
+import linecache
+import math
+import weakref
+from functools import lru_cache
+
+
+def _forget(name: str, entry: tuple) -> None:
+    # a later factory of the same shape may have registered the name anew
+    if linecache.cache.get(name) is entry:
+        del linecache.cache[name]
+
+
+@lru_cache(maxsize=128)
+def kernel_factory(shape: tuple) -> tuple:
+    """(r, make) for a shape: r the stride of _FormPlan, make as above.
+
+    A form is x0^s x1^s' G(x0^r, x1^r) with s, s' < r.  The kernel builds
+    each power of x0 and x1 that the forms need by squares, in steps of r
+    above r, reduced mod `mod` if set, and each monomial once; it takes two
+    int products per rational coefficient and a pair product per other,
+    and reduces each G times its prefactor mod `mod` once, at the end.
+    """
+    t, deg, forms = shape
+    r = math.gcd(*(k - f[0][0] for f in forms for k, _ in f)) or 1
+    body = ["a0, b0 = x0", "a1, b1 = x1", "if mod: a0, b0, a1, b1 = "
+            "a0 % mod, b0 % mod, a1 % mod, b1 % mod"]
+    pows = {(0, 1): ("a0", "b0"), (1, 1): ("a1", "b1")}
+    prods, args, outs = {}, [], []
+    tq = "q" if t == 1 else f"{t} * q"
+
+    def mul(x, y):
+        # x y on basis pairs, computed once, into fresh names; None is 1.
+        # (a + b w)(c + e w) = (ac - be, ae + bc + t be) as w^2 = t w - 1
+        if not (x and y):
+            return x or y
+        if (x, y) not in prods:
+            (a, b), (c, e), n = x, y, len(body)
+            cross = f"2 * {a} * {b}" if x == y else f"{a} * {e} + {b} * {c}"
+            if t:
+                body.append(f"q = {b} * {e}")
+                body.append(f"u{n}, v{n} = {a} * {c} - q, {cross} + {tq}")
+            elif x == y:
+                body.append(f"u{n}, v{n} = ({a} + {b}) * ({a} - {b}), {cross}")
+            else:
+                body.append(f"u{n}, v{n} = {a} * {c} - {b} * {e}, {cross}")
+            prods[x, y] = f"u{n}", f"v{n}"
+        return prods[x, y]
+
+    def power(i, k):
+        # x_i^k, or None for k = 0
+        if k and (i, k) not in pows:
+            step = r if k > r else 1
+            h = k // 2 if k // step % 2 == 0 else k - step
+            u, v = pows[i, k] = mul(power(i, h), power(i, k - h))
+            body.append(f"if mod: {u}, {v} = {u} % mod, {v} % mod")
+        return pows.get((i, k))
+
+    for form in forms:
+        s = (form[0][0] if form else 0) % r
+        s1, u, v = (deg - s) % r, f"s{len(outs)}", f"w{len(outs)}"
+        body.append(f"{u} = {v} = 0")
+        for k, general in form:
+            m = mul(power(0, k - s), power(1, deg - k - s1))
+            cu, cv = f"k{len(args)}", f"k{len(args) + 1}" if general else "0"
+            args += [cu, cv][:1 + general]
+            tu, tv = (mul((cu, cv), m) if general or not m
+                      else (f"{cu} * {m[0]}", f"{cu} * {m[1]}"))
+            body.append(f"{u}, {v} = {u} + {tu}, {v} + {tv}")
+        outs.append(mul(mul((u, v), power(0, s)), power(1, s1)))
+    reduced = ", ".join(f"({u} % mod, {v} % mod)" for u, v in outs)
+    body += [f"if mod: return [{reduced}]",
+             "return [{}]".format(", ".join(f"({u}, {v})" for u, v in outs))]
+    src = "".join([f"def make({', '.join(args)}):\n",
+                   "    def kernel(x0, x1, mod=0):\n",
+                   *(f"        {line}\n" for line in body),
+                   "    return kernel\n"])
+    # ints and bools only, so the hash does not depend on PYTHONHASHSEED
+    name = f"<_FormPlan t={t} r={r} deg={deg} {hash(shape) & 0xFFFFFFFF:08x}>"
+    scope = {}
+    exec(compile(src, name, "exec"), scope)
+    # popped, so that make is freed as soon as the cache drops it
+    make = scope.pop("make")
+    entry = linecache.cache[name] = (
+        len(src), None, src.splitlines(True), name)
+    weakref.finalize(make, _forget, name, entry)
+    return r, make

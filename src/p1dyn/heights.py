@@ -19,7 +19,10 @@ then stays below 2^(-59.58 + drop), which moves the value by less than
 orbit.  From alpha^n >= 2^13 on, the last pair's log is a double's,
 which adds less than 2^-59.98: the value's error stays below 2^-58.7.
 Both loops run one plan of the forms (ratmaps._FormPlan), in x0^r and
-x1^r for r the order of the rotation that a Lattes map commutes with.
+x1^r for r the order of the rotation that a Lattes map commutes with: a
+straight-line kernel without loops, compiled once per shape of the forms
+and shared by every engine of that shape, with the engine's coefficients
+bound in its closure.
 The finite part runs one tracker on integral basis pairs modulo an integer
 M: the content of a coprime pair divides the resultant R of the lifted
 map, so a gcd against n_R = N(R) reads it without factoring anything, and

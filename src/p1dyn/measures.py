@@ -220,7 +220,7 @@ class DensityGrid:
 _GREEN_BLOCK = 8192
 
 
-def _green_core(lift: Lift, w0, w1, n: int, metric0: str, out=None):
+def _green_core(lift: Lift, w0, w1, n: int, out=None):
     """n-th Green value of each pair (w0, w1), both consumed.
 
     On arrays (one block of a grid) w0, w1 and the values, kept in out,
@@ -233,8 +233,6 @@ def _green_core(lift: Lift, w0, w1, n: int, metric0: str, out=None):
     and whose scale is 1/m, so the product has the quotient's bits, and
     one real division serves both coordinates.
     """
-    if metric0 not in ("sup", "fs"):
-        raise DomainError("metric0 must be 'sup' or 'fs'")
     if lift.degree < 2:
         # 1/deg^n never shrinks: the sum grows without limit
         raise DomainError("Green functions need a map of degree at least 2")
@@ -254,20 +252,16 @@ def _green_core(lift: Lift, w0, w1, n: int, metric0: str, out=None):
         inv = 1.0 / m
         w0 *= inv
         w1 *= inv
-    if metric0 == "fs":
-        g += 0.5 * scale * np.log(np.abs(w0) ** 2 + np.abs(w1) ** 2)
     return g
 
 
-def green(lift, z, n: int, metric0: str = "sup") -> float:
+def green(lift, z, n: int) -> float:
     """n-th renormalized Green value at the point (z, 1).
 
     Successive n differ by at most C/deg^n, so the returned value is
-    within C/(deg^n (deg-1)) of the limit.  metric0 picks the norm read
-    off at the last step: plain sup or the rotation-invariant quadratic
-    mean; the choice moves the value by at most (log 2)/(2 deg^n).
-    Counts past about 1075/log2(deg) cost no more: deg^-n has underflowed
-    and the value no longer changes.
+    within C/(deg^n (deg-1)) of the limit.  Counts past about
+    1075/log2(deg) cost no more: deg^-n has underflowed and the value no
+    longer changes.
     """
     if n < 1:
         raise DomainError("need at least one iteration")
@@ -275,13 +269,10 @@ def green(lift, z, n: int, metric0: str = "sup") -> float:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("point must be finite")
     lift = _as_lift(lift)
-    return float(_green_core(
-        lift, np.asarray(z), np.asarray(1.0 + 0j), n, metric0))
+    return float(_green_core(lift, np.asarray(z), np.asarray(1.0 + 0j), n))
 
 
-def green_field(
-    lift, window, resolution, n: int, metric0: str = "sup"
-) -> GreenField:
+def green_field(lift, window, resolution, n: int) -> GreenField:
     """green() evaluated on the cell centers of a window grid."""
     if n < 1:
         raise DomainError("need at least one iteration")
@@ -295,7 +286,7 @@ def green_field(
     for lo in range(0, flat.size, _GREEN_BLOCK):
         hi = min(lo + _GREEN_BLOCK, flat.size)
         _green_core(lift, flat[lo:hi].copy(), np.ones(hi - lo, complex),
-                    n, metric0, out[lo:hi])
+                    n, out[lo:hi])
     return GreenField(window, (nx, ny), vals, n)
 
 

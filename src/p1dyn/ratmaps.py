@@ -237,19 +237,6 @@ class Poly:
         return f"Poly({self})"
 
 
-def _pair_powers(x, n: int, t: int, mod: int) -> list:
-    """[x^0, x^1, ..., x^n] on basis pairs, reduced mod `mod` if set."""
-    a, b = u, v = (x[0] % mod, x[1] % mod) if mod else x
-    out = [(1, 0), (u, v)]
-    for _ in range(n - 1):
-        m = v * b
-        u, v = u * a - m, u * b + v * a + t * m
-        if mod:
-            u, v = u % mod, v % mod
-        out.append((u, v))
-    return out
-
-
 class _FormPlan:
     """sum_k c_k x0^k x1^(deg-k) on basis pairs for forms given by their
     nonzero terms (k, c), c a basis pair, planned once.
@@ -257,55 +244,24 @@ class _FormPlan:
     The stride r is the gcd of the exponent gaps within each form (1 if
     none has two terms), so a form is x0^s x1^s' G(X, Y), X = x0^r,
     Y = x1^r, s and s' < r: r is 2 for a Lattes map of E1 and 3 for one
-    of E2, which commutes with z -> -z or z -> omega z.  A call builds the
-    powers of x0 and x1 up to r and of X and Y up to the largest degree
-    of a G (reduced mod `mod` if set), each monomial X^a Y^b that a G
-    needs once, a G with two int products per rational coefficient
-    (c[1] = 0) and a pair product per other, and reduces each G times its
-    prefactor mod `mod` once, at the end.
+    of E2, which commutes with z -> -z or z -> omega z.  A call runs the
+    straight-line kernel of the forms' shape (formkernel.kernel_factory:
+    deg, each form's exponents, which coefficients are rational) with the
+    plan's coefficients bound in its closure.
     """
 
-    __slots__ = ("deg", "_t", "_r", "_na", "_nb", "_monos", "_forms")
+    __slots__ = ("deg", "_r", "_kernel")
 
     def __init__(self, forms: list, deg: int, t: int):
-        r = math.gcd(*(k - f[0][0] for f in forms for k, _ in f)) or 1
-        monos, self._forms = {}, []
-        for form in forms:
-            k0 = form[0][0] if form else 0
-            s, s1 = k0 % r, (deg - k0) % r
-            self._forms.append((s, s1, [
-                (monos.setdefault(((k - s) // r, (deg - k - s1) // r),
-                                  len(monos)), cu, cv)
-                for k, (cu, cv) in form
-            ]))
-        self.deg, self._t, self._r, self._monos = deg, t, r, list(monos)
-        self._na, self._nb = map(max, zip((0, 0), *monos))
+        from .formkernel import kernel_factory
+
+        self._r, make = kernel_factory((t, deg, tuple(
+            tuple((k, bool(c[1])) for k, c in form) for form in forms)))
+        self.deg, self._kernel = deg, make(*(
+            x for form in forms for _, c in form for x in c[:1 + bool(c[1])]))
 
     def __call__(self, x0, x1, mod: int = 0) -> list:
-        t, r = self._t, self._r
-        p0, p1 = _pair_powers(x0, r, t, mod), _pair_powers(x1, r, t, mod)
-        X = _pair_powers(p0[r], self._na, t, mod)
-        Y = _pair_powers(p1[r], self._nb, t, mod)
-        monos = [X[a] if not b else Y[b] if not a
-                 else pair_mul(X[a], Y[b], t) for a, b in self._monos]
-        sums = []
-        for s, s1, terms in self._forms:
-            su = sv = 0
-            for i, cu, cv in terms:
-                mu, mv = monos[i]
-                if cv:
-                    m = cv * mv
-                    su += cu * mu - m
-                    sv += cu * mv + cv * mu + t * m
-                else:
-                    su += cu * mu
-                    sv += cu * mv
-            if s:
-                su, sv = pair_mul((su, sv), p0[s], t)
-            if s1:
-                su, sv = pair_mul((su, sv), p1[s1], t)
-            sums.append((su % mod, sv % mod) if mod else (su, sv))
-        return sums
+        return self._kernel(x0, x1, mod)
 
 
 def _convolve(x: list, y: list) -> list:

@@ -53,7 +53,7 @@ def oracle_eval(lift, w0, w1):
     return acc0, acc1
 
 
-def oracle_green_core(lift, w0, w1, n, metric0):
+def oracle_green_core(lift, w0, w1, n):
     m = np.maximum(np.abs(w0), np.abs(w1))
     g = np.log(m)
     w0 = w0 / m
@@ -66,21 +66,19 @@ def oracle_green_core(lift, w0, w1, n, metric0):
         g = g + np.log(m) * scale
         w0 = w0 / m
         w1 = w1 / m
-    if metric0 == "fs":
-        g = g + 0.5 * scale * np.log(np.abs(w0) ** 2 + np.abs(w1) ** 2)
     return g
 
 
-def oracle_green(lift, z, n, metric0="sup"):
+def oracle_green(lift, z, n):
     val = oracle_green_core(
-        lift, np.asarray(complex(z)), np.asarray(1.0 + 0j), n, metric0
+        lift, np.asarray(complex(z)), np.asarray(1.0 + 0j), n
     )
     return float(val)
 
 
-def oracle_green_field(lift, window, nx, ny, n, metric0="sup"):
+def oracle_green_field(lift, window, nx, ny, n):
     centers, _, _ = _grid_centers(window, nx, ny)
-    vals = oracle_green_core(lift, centers, np.ones_like(centers), n, metric0)
+    vals = oracle_green_core(lift, centers, np.ones_like(centers), n)
     return np.asarray(vals, dtype=float)
 
 
@@ -199,32 +197,29 @@ def test_eval_leaves_inputs_alone():
 # --------------------------------------------------------------- green
 
 
-@pytest.mark.parametrize("metric0", ["sup", "fs"])
 @pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
-def test_green_field_matches_oracle(name, lift, metric0):
+def test_green_field_matches_oracle(name, lift):
     # 97 x 61 = 5917 cells: one block, not a multiple of any block size
-    got = green_field(lift, WINDOW, (97, 61), 12, metric0).values
-    want = oracle_green_field(lift, WINDOW, 97, 61, 12, metric0)
+    got = green_field(lift, WINDOW, (97, 61), 12).values
+    want = oracle_green_field(lift, WINDOW, 97, 61, 12)
     assert same_bits(got, want)
 
 
 @pytest.mark.parametrize(
     "block,res", [(1, (9, 7)), (7, (9, 7)), (1000, (97, 61)), (5916, (97, 61))]
 )
-@pytest.mark.parametrize("metric0", ["sup", "fs"])
-def test_green_field_block_edges(monkeypatch, block, res, metric0):
+def test_green_field_block_edges(monkeypatch, block, res):
     # block 5916 leaves a last block of one cell, block 1 makes them all
     # one cell: numpy's one-element loops must round like its array loops
     monkeypatch.setattr(measures, "_GREEN_BLOCK", block)
     for name in ("phi_3@E1", "pow_2", "phi_1+i"):
         lift = Lift.from_map(catalog(name))
-        got = green_field(lift, WINDOW, res, 9, metric0).values
-        want = oracle_green_field(lift, WINDOW, *res, 9, metric0)
+        got = green_field(lift, WINDOW, res, 9).values
+        want = oracle_green_field(lift, WINDOW, *res, 9)
         assert same_bits(got, want), name
 
 
-@pytest.mark.parametrize("metric0", ["sup", "fs"])
-def test_green_field_with_zero_components_matches_oracle(metric0):
+def test_green_field_with_zero_components_matches_oracle():
     # at odd resolution on (-1, 1)^2 the middle row and column of cell
     # centers are exactly 0 on one axis, and the centre cell is 0: the
     # zero terms that Lift.eval skips may flip the sign of a zero
@@ -233,34 +228,31 @@ def test_green_field_with_zero_components_matches_oracle(metric0):
     centers, _, _ = _grid_centers(window, 15, 15)
     assert np.all(centers[7].imag == 0) and np.all(centers[:, 7].real == 0)
     for name, lift in LIFTS:
-        got = green_field(lift, window, 15, 9, metric0).values
-        want = oracle_green_field(lift, window, 15, 15, 9, metric0)
+        got = green_field(lift, window, 15, 9).values
+        want = oracle_green_field(lift, window, 15, 15, 9)
         assert same_bits(got, want), name
 
 
-@pytest.mark.parametrize("metric0", ["sup", "fs"])
 @pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
-def test_scalar_green_matches_oracle(name, lift, metric0):
+def test_scalar_green_matches_oracle(name, lift):
     rng = np.random.default_rng(13)
     zs = [0j, 1.0 + 0j, 2.5 - 0.5j, 1e-3j, -40.0 + 3.0j]
     zs += list(1.5 * (rng.normal(size=12) + 1j * rng.normal(size=12)))
     for z in zs:
         for n in (1, 7, 30):
-            got = green(lift, z, n, metric0)
-            assert repr(got) == repr(oracle_green(lift, z, n, metric0))
+            got = green(lift, z, n)
+            assert repr(got) == repr(oracle_green(lift, z, n))
 
 
-@pytest.mark.parametrize("metric0", ["sup", "fs"])
-def test_green_past_scale_underflow_matches_oracle(metric0):
+def test_green_past_scale_underflow_matches_oracle():
     # 2^-1075 underflows to 0.0; every later step adds log(m) * 0.0
     lift = Lift.from_map(catalog("pow_2"))
     for z in (0.3 + 0.1j, 1.7 - 0.2j, 0.99j):
-        want = oracle_green(lift, z, 1100, metric0)
-        assert repr(green(lift, z, 1100, metric0)) == repr(want)
-        assert repr(green(lift, z, 10**8, metric0)) == repr(want)
-    got = green_field(lift, WINDOW, (13, 11), 1500, metric0).values
-    assert same_bits(got, oracle_green_field(lift, WINDOW, 13, 11, 1500,
-                                             metric0))
+        want = oracle_green(lift, z, 1100)
+        assert repr(green(lift, z, 1100)) == repr(want)
+        assert repr(green(lift, z, 10**8)) == repr(want)
+    got = green_field(lift, WINDOW, (13, 11), 1500).values
+    assert same_bits(got, oracle_green_field(lift, WINDOW, 13, 11, 1500))
 
 
 # -------------------------------------------------------------- aberth

@@ -12,11 +12,19 @@ stride r is the gcd of the exponent gaps within each form, the order of
 the rotation z -> zeta z that a Lattes map commutes with (2 on E1, 3 on
 E2), and it evaluates each form as x0^s x1^s' G(x0^r, x1^r) from powers
 of x0^r and x1^r, skips zero coefficients and takes two int products for
-a rational one.  Its oracles are the shared-power evaluator it replaced,
-oracle_eval_forms, on forms of stride 1-4, mixed residues, single terms,
-zero forms and the height engines of the catalog, and Horner's rule on
-basis pairs, one form at a time, three pair products per coefficient,
-with and without a modulus.  The archimedean loop takes the last pair's
+a rational one.  A call runs a straight-line kernel that
+formkernel.kernel_factory compiles once per shape of forms, the plan's
+coefficients bound in its closure.  Its oracles are the shared-power
+evaluator the plan replaced, oracle_eval_forms, on forms of stride 1-4,
+mixed residues, single terms, zero forms and the height engines of the
+catalog, and Horner's rule on basis pairs, one form at a time, three
+pair products per coefficient, with and without a modulus; two plans of
+one shape share one compiled factory, one plan holds on calls that
+alternate between no modulus and a modulus, a 5000-digit coefficient
+evaluates under Python's 640-digit int-to-str limit, a traceback from
+inside a kernel names its shape and shows the generated line, and
+linecache keeps no more kernel sources than the factory cache holds.
+The archimedean loop takes the last pair's
 log in double precision from alpha^n = 2^13 on, checked against the
 Decimal logarithm bit for bit and against the mpmath sum within the
 restated 2^-58.7.  The other oracles below
@@ -36,8 +44,11 @@ step count at a higher precision, the orbit limit that the sum approaches.
 """
 
 import decimal
+import linecache
 import math
 import random
+import sys
+import traceback
 from fractions import Fraction
 
 import mpmath
@@ -46,6 +57,7 @@ from hypothesis import given, settings, strategies as st
 
 from p1dyn.errors import DomainError, FieldMismatchError
 from p1dyn import heights
+from p1dyn.formkernel import kernel_factory
 from p1dyn.heights import _ARCH_CAP, _engine, _ln2, canonical_height
 from p1dyn.lattes import (
     catalog,
@@ -1029,6 +1041,88 @@ class TestFormPlan:
         assert _engine(phi)._plan._r == stride
         assert _FormPlan([phi.num._terms(), phi.den._terms()], phi.degree,
                          omega_flag(phi.d))._r == stride
+
+    @staticmethod
+    def _forms(coeffs: list) -> list:
+        # one shape, deg 11 at stride 2 over Z[omega]: both forms under the
+        # prefactor x0, sharing the monomials x1^10 and x0^10
+        it = iter(coeffs)
+        return [[(k, next(it)) for k in (1, 5, 11)],
+                [(k, next(it)) for k in (1, 11)]]
+
+    def test_one_factory_per_shape(self):
+        kernel_factory.cache_clear()
+        forms_a = self._forms([(3, 0), (2, 7), (-4, 0), (5, 1), (6, 0)])
+        forms_b = self._forms([(10**30, 0), (-1, 2), (9, 0), (1, -8), (7, 0)])
+        a, b = _FormPlan(forms_a, 11, 1), _FormPlan(forms_b, 11, 1)
+        info = kernel_factory.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert a._kernel.__code__ is b._kernel.__code__
+        x0, x1 = (17, -5), (-3, 11)
+        for forms, plan in ((forms_a, a), (forms_b, b)):
+            for mod in (0, 97):
+                want = oracle_eval_forms(forms, 11, x0, x1, 1, mod)
+                assert plan(x0, x1, mod) == want
+
+    def test_alternating_moduli(self):
+        plan_forms = self._forms([(3, 0), (2, 7), (-4, 0), (5, 1), (6, 0)])
+        plan = _FormPlan(plan_forms, 11, 1)
+        rng = random.Random(23)
+        for i in range(12):
+            mod = 0 if i % 2 == 0 else rng.choice([2, 97, 2**64 + 13])
+            x0 = (rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
+            x1 = (rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
+            want = oracle_eval_forms(plan_forms, 11, x0, x1, 1, mod)
+            assert plan(x0, x1, mod) == want
+
+    def test_huge_coefficient_under_the_digit_limit(self):
+        # the coefficients live in the kernel's closure, never in its
+        # source, so no int is ever turned into digits
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int digit limit before Python 3.11")
+        big = 7 * 10**4999 + 3
+        forms = self._forms([(big, 0), (2, -big), (-4, 0), (5, 1), (big, 0)])
+        x0, x1 = (12, 5), (-7, 2)
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            got = [_FormPlan(forms, 11, 1)(x0, x1, mod) for mod in (0, 97)]
+            want = [oracle_eval_forms(forms, 11, x0, x1, 1, mod)
+                    for mod in (0, 97)]
+            assert got == want
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_traceback_shows_the_generated_line(self):
+        # a str coordinate fails inside the kernel; the traceback names
+        # the shape and shows the generated line that raised
+        kernel_factory.cache_clear()
+        plan = _FormPlan([[(7, (1, 0))], [(0, (1, 0))]], 7, 0)
+        with pytest.raises(TypeError) as info:
+            plan(("3", 0), (1, 0))
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.filename.startswith("<_FormPlan t=0 r=1 deg=7 ")
+        line = linecache.getline(frame.filename, frame.lineno).strip()
+        assert line and frame.line == line
+        text = "".join(traceback.format_exception(
+            type(info.value), info.value, info.value.__traceback__))
+        assert f'File "{frame.filename}", line {frame.lineno}' in text
+        assert line in text
+
+    def test_source_lives_with_the_factory(self):
+        # linecache keeps a shape's source while its factory is cached, so
+        # it holds at most as many kernel sources as the cache
+        kernel_factory.cache_clear()
+        plan = _FormPlan([[(7, (1, 0))], [(0, (1, 0))]], 7, 0)
+        name = plan._kernel.__code__.co_filename
+        assert linecache.getline(name, 1).startswith("def make(")
+        kernel_factory.cache_clear()
+        assert name not in linecache.cache
+        assert plan((3, 1), (2, 0)) == [(-1992, 2456), (128, 0)]
+        for k in range(kernel_factory.cache_info().maxsize + 5):
+            _FormPlan([[(k, (1, 0))]], 300, 0)
+        kept = [k for k in linecache.cache if k.startswith("<_FormPlan ")]
+        assert len(kept) == kernel_factory.cache_info().maxsize
 
 
 # --------------------------------------------------------------------------

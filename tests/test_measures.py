@@ -180,15 +180,6 @@ class TestGreen:
             expect = math.log(5.0) * (1.0 - 0.5**n)
             assert shift == pytest.approx(expect, abs=1e-13)
 
-    def test_metric_choice_within_tail(self):
-        z = 1.7 + 0.3j
-        lift = Lift.from_map(catalog("phi_1+i"))
-        for n in (8, 12):
-            gap = green(lift, z, n, metric0="fs") - green(lift, z, n)
-            assert 0.0 <= gap <= 0.5 * math.log(2.0) / 2**n
-        with pytest.raises(DomainError):
-            green(lift, z, 5, metric0="euclid")
-
 
 class TestGreenField:
     def test_power_closed_form_grid(self):

@@ -19,10 +19,10 @@ digest holds, with floats by `repr` so a one-ulp change shows:
     composite for the compositions), so the representatives a map's
     __call__ returns are compared, not only their heights;
   - under "analytic", the double-precision kernels: sha256 of the
-    green_field values of every catalog map (both metrics, a grid of three
-    blocks), repr of scalar green values (one past the underflow of 2^-n),
-    sha256 of the depth-6 preimage_sample points, repr of poly_roots on
-    fixed polynomials, and sha256 of write_csv's bytes;
+    green_field values of every catalog map (a grid of three blocks),
+    repr of scalar green values (one past the underflow of 2^-n), sha256
+    of the depth-6 preimage_sample points, repr of poly_roots on fixed
+    polynomials, and sha256 of write_csv's bytes;
   - under "densities", for E1 and E2 on two windows: sha256 of the
     lattes_density cell masses, and repr of the window_fraction of
     lattes_density and of measure_from_green on the curve's doubling map.
@@ -157,21 +157,19 @@ def _analytic(cat, names) -> dict:
     fields, greens, trees = {}, {}, {}
     for name in names:
         lift = m.Lift.from_map(cat(name))
-        for metric in ("sup", "fs"):
-            f = m.green_field(lift, GREEN_WINDOW, (130, 127), 24, metric)
-            fields[f"{name} {metric}"] = _sha(f.values.tobytes())
-            greens[f"{name} {metric}"] = [
-                repr(m.green(lift, z, 24, metric)) for z in GREEN_POINTS
-            ]
+        # " sup", the norm read off at the last step, keeps the keys that
+        # digests of earlier commits have
+        f = m.green_field(lift, GREEN_WINDOW, (130, 127), 24)
+        fields[f"{name} sup"] = _sha(f.values.tobytes())
+        greens[f"{name} sup"] = [
+            repr(m.green(lift, z, 24)) for z in GREEN_POINTS
+        ]
         try:
             s = m.preimage_sample(cat(name), 0.3 + 0.2j, 6, seed=SEED)
             trees[name] = [_sha(s.points.tobytes()), s.n_infinite]
         except (p1dyn.DomainError, p1dyn.ConvergenceError) as exc:
             trees[name] = f"raised {type(exc).__name__}: {exc}"
-    greens["pow_2 n=1100"] = [
-        repr(m.green(cat("pow_2"), 1.7 - 0.2j, 1100, metric))
-        for metric in ("sup", "fs")
-    ]
+    greens["pow_2 n=1100"] = [repr(m.green(cat("pow_2"), 1.7 - 0.2j, 1100))]
     rng = np.random.default_rng(SEED)
     polys = [[complex(curve.G.coeff(k)) for k in range(curve.G.degree + 1)]
              for curve in (p1dyn.curve_E1(), p1dyn.curve_E2())]
