@@ -9,7 +9,10 @@ that a one-ulp change or a flipped zero sign shows.  The Aberth kernel
 starts elsewhere and stops by another test than its oracle, so its
 roots are matched one to one against the oracle's, within the distance
 that the two backward errors allow; its own bits must not depend on the
-block size.  The trees are built by _preimage_tree: on the curve maps
+block size.  Without an oracle, green() and green_field() must agree
+cell by cell to rounding, and green() must obey the finite-n step
+relation g_n(F(w)) = deg * g_(n+1)(w) on every lift.  The trees are
+built by _preimage_tree: on the curve maps
 below, preimage_sample takes its leaves from the period lattice and
 never reaches the Aberth kernel.
 """
@@ -253,6 +256,35 @@ def test_green_past_scale_underflow_matches_oracle():
         assert repr(green(lift, z, 10**8)) == repr(want)
     got = green_field(lift, WINDOW, (13, 11), 1500).values
     assert same_bits(got, oracle_green_field(lift, WINDOW, 13, 11, 1500))
+
+
+@pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
+def test_green_field_cells_match_scalar_green(name, lift):
+    # green() runs the iteration on 0-d values, green_field on blocks of
+    # arrays: numpy computes each apart, so cell by cell they agree to
+    # rounding, not bit for bit
+    centers, _, _ = _grid_centers(WINDOW, 13, 11)
+    got = green_field(lift, WINDOW, (13, 11), 12).values
+    want = np.array([[green(lift, z, 12) for z in row] for row in centers])
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
+def test_green_steps_by_the_degree(name, lift):
+    # the n-th value is log|F^n(z, 1)| / deg^n, so with F(z, 1) = (a, b)
+    # it obeys g_n(a/b) + log|b| = deg * g_(n+1)(z) at every n, not only
+    # in the limit: a scale off by one step shows at n = 1
+    rng = np.random.default_rng(17)
+    zs = [0.5 + 0.25j, -1.3 + 0.7j, 2.0 - 1.1j]
+    zs += list(1.5 * (rng.normal(size=8) + 1j * rng.normal(size=8)))
+    for z in zs:
+        a, b = lift.eval(complex(z), 1.0 + 0j)
+        assert abs(b) > 1e-8 * abs(a)
+        log_b = float(np.log(abs(b)))
+        for n in (1, 6, 20):
+            lhs = green(lift, complex(a / b), n) + log_b
+            rhs = lift.degree * green(lift, z, n + 1)
+            assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(log_b) + abs(rhs))
 
 
 # -------------------------------------------------------------- aberth

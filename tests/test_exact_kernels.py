@@ -22,8 +22,9 @@ pair products per coefficient, with and without a modulus; two plans of
 one shape share one compiled factory, one plan holds on calls that
 alternate between no modulus and a modulus, a 5000-digit coefficient
 evaluates under Python's 640-digit int-to-str limit, a traceback from
-inside a kernel names its shape and shows the generated line, and
-linecache keeps no more kernel sources than the factory cache holds.
+inside a kernel names its shape and shows the generated line,
+linecache keeps no more kernel sources than the factory cache holds, and
+the source of each catalog engine's shape has no loop.
 The archimedean loop takes the last pair's
 log in double precision from alpha^n = 2^13 on, checked against the
 Decimal logarithm bit for bit and against the mpmath sum within the
@@ -47,6 +48,7 @@ import decimal
 import linecache
 import math
 import random
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -1123,6 +1125,31 @@ class TestFormPlan:
             _FormPlan([[(k, (1, 0))]], 300, 0)
         kept = [k for k in linecache.cache if k.startswith("<_FormPlan ")]
         assert len(kept) == kernel_factory.cache_info().maxsize
+
+    @pytest.mark.parametrize("name", catalog_names() + ["big"])
+    def test_catalog_kernel_is_straight_line(self, name):
+        # each catalog engine's shape compiles to loop-free source under a
+        # name with its t, r and degree, and its kernel gives the old
+        # evaluator's values where a coordinate or both are zero
+        eng = _engine(_big_map() if name == "big" else catalog(name))
+        forms = engine_forms(eng)
+        plan = _FormPlan(forms, eng.alpha, eng._t)
+        filename = plan._kernel.__code__.co_filename
+        assert filename.startswith(
+            f"<_FormPlan t={eng._t} r={plan._r} deg={eng.alpha} ")
+        src = "".join(linecache.getlines(filename))
+        assert src.startswith("def make(") and "kernel(x0, x1, mod=0)" in src
+        assert not re.search(r"\b(for|while)\b", src)
+        zero, one = (0, 0), (1, 0)
+        points = [(one, zero), (zero, one), (zero, zero), ((-1, 0), (3, 0))]
+        if eng.d:
+            points.append(((0, 1), (2, -1)))
+        for x0, x1 in points:
+            for mod in (0, 1, 97, eng.m_R**2):
+                want = oracle_eval_forms(forms, eng.alpha, x0, x1, eng._t,
+                                         mod)
+                assert plan(x0, x1, mod) == want
+                assert eng._plan(x0, x1, mod) == want
 
 
 # --------------------------------------------------------------------------
