@@ -212,18 +212,12 @@ def _cmd_nt_height(args) -> dict:
 def _cmd_commute(args) -> dict:
     (la, a), (lb, b) = _load_maps(args, 2)
     commute = a.commutes_with(b)
-    name = None
-    if commute:
-        comp = a.compose(b)
-        for cname in lattes.catalog_names():
-            if lattes.catalog(cname) == comp:
-                name = cname
-                break
+    entry = lattes.entry_for_map(a.compose(b)) if commute else None
     return {
         "command": "commute",
         "maps": [la, lb],
         "commute": commute,
-        "composition_equals": name,
+        "composition_equals": entry.name if entry else None,
     }
 
 

@@ -1,21 +1,23 @@
-"""Straight-line kernels for ratmaps._FormPlan, one per form shape.
+"""Straight-line kernels for exact forms, one per form shape.
 
-A shape is (t, deg, forms): t as in quadfield.pair_mul, and each form as
-the tuple of its terms (k, general), general when the coefficient of
-x0^k x1^(deg-k) is not rational.  The factory writes Python source
-without loops or coefficient literals,
+Every exact form in p1dyn is evaluated by a kernel from form_kernel.  A
+shape is (t, deg, forms), t as in quadfield.pair_mul and each form as the
+tuple of its terms (k, general), general when the coefficient of x0^k
+x1^(deg-k) is not rational.  kernel_factory writes Python source without
+loops or coefficient literals,
 
     def make(k0, k1, ...):
         def kernel(x0, x1, mod=0): ...
         return kernel
 
-and compiles it once per shape, as dataclasses builds __init__; a plan
-binds its own coefficients by calling make, so no coefficient is ever
-turned into digits.  The source is compiled under a filename that names
-the shape, <_FormPlan t=.. r=.. deg=.. hash>, and stays in linecache
-while the factory is cached, so profiles tell the kernels apart and a
-traceback shows the generated line.  The module is imported by the first
-plan, so a process that evaluates no form never compiles it.
+and compiles it once per shape, as dataclasses builds __init__;
+form_kernel binds one int per rational coefficient and two per other by
+calling make, so no coefficient is ever turned into digits.  The source
+is compiled under a filename that names the shape, <form_kernel t=..
+r=.. deg=.. hash>, and stays in linecache while the factory is cached,
+so profiles tell the kernels apart and a traceback shows the generated
+line.  The module is imported by the first kernel, so a process that
+evaluates no form never compiles it.
 """
 
 import linecache
@@ -31,10 +33,13 @@ def _forget(name: str, entry: tuple) -> None:
 
 
 @lru_cache(maxsize=128)
-def kernel_factory(shape: tuple) -> tuple:
-    """(r, make) for a shape: r the stride of _FormPlan, make as above.
+def kernel_factory(shape: tuple):
+    """make for a shape, as above.
 
-    A form is x0^s x1^s' G(x0^r, x1^r) with s, s' < r.  The kernel builds
+    The stride r is the gcd of the exponent gaps within each form (1 if
+    none has two terms), so a form is x0^s x1^s' G(X, Y), X = x0^r,
+    Y = x1^r, s and s' < r: r is 2 for a Lattes map of E1 and 3 for one
+    of E2, which commutes with z -> -z or z -> omega z.  The kernel builds
     each power of x0 and x1 that the forms need by squares, in steps of r
     above r, reduced mod `mod` if set, and each monomial once; it takes two
     int products per rational coefficient and a pair product per other,
@@ -95,7 +100,7 @@ def kernel_factory(shape: tuple) -> tuple:
                    *(f"        {line}\n" for line in body),
                    "    return kernel\n"])
     # ints and bools only, so the hash does not depend on PYTHONHASHSEED
-    name = f"<_FormPlan t={t} r={r} deg={deg} {hash(shape) & 0xFFFFFFFF:08x}>"
+    name = f"<form_kernel t={t} r={r} deg={deg} {hash(shape) & 0xFFFFFFFF:08x}>"
     scope = {}
     exec(compile(src, name, "exec"), scope)
     # popped, so that make is freed as soon as the cache drops it
@@ -103,4 +108,13 @@ def kernel_factory(shape: tuple) -> tuple:
     entry = linecache.cache[name] = (
         len(src), None, src.splitlines(True), name)
     weakref.finalize(make, _forget, name, entry)
-    return r, make
+    return make
+
+
+def form_kernel(forms: list, deg: int, t: int):
+    """kernel(x0, x1, mod=0): sum_k c_k x0^k x1^(deg-k) on basis pairs
+    for each form's nonzero terms (k, c), reduced mod `mod` if set."""
+    make = kernel_factory((t, deg, tuple(
+        tuple((k, bool(c[1])) for k, c in form) for form in forms)))
+    return make(*(x for form in forms for _, c in form
+                  for x in c[:1 + bool(c[1])]))

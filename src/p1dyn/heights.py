@@ -18,11 +18,10 @@ then stays below 2^(-59.58 + drop), which moves the value by less than
 2^-59.5, and the working size falls from 64 + n amp bits to 64 along the
 orbit.  From alpha^n >= 2^13 on, the last pair's log is a double's,
 which adds less than 2^-59.98: the value's error stays below 2^-58.7.
-Both loops run one plan of the forms (ratmaps._FormPlan), in x0^r and
-x1^r for r the order of the rotation that a Lattes map commutes with: a
-straight-line kernel without loops, compiled once per shape of the forms
-and shared by every engine of that shape, with the engine's coefficients
-bound in its closure.
+Both loops run one kernel of the forms (formkernel.form_kernel), in x0^r
+and x1^r for r the order of the rotation that a Lattes map commutes with,
+shared by every engine of one shape of forms.  Engines are cached per
+map, the 128 most recently used ones.
 The finite part runs one tracker on integral basis pairs modulo an integer
 M: the content of a coprime pair divides the resultant R of the lifted
 map, so a gcd against n_R = N(R) reads it without factoring anything, and
@@ -58,7 +57,6 @@ from .quadfield import (
 from .ratmaps import (
     ProjPoint,
     RationalMap,
-    _FormPlan,
     cofactor_certificate,
     log_one_norm,
 )
@@ -172,8 +170,9 @@ class _HeightEngine:
         )
         self._amp_bits = max(2, math.ceil(log2_amp))
         self._t = omega_flag(self.d)
-        # both forms' evaluation plan, from their nonzero terms
-        self._plan = _FormPlan(
+        from .formkernel import form_kernel
+
+        self._plan = form_kernel(
             [[(k, c.basis_pair()) for k, c in enumerate(cs) if c]
              for cs in (c0, c1)],
             self.alpha, self._t,
@@ -310,15 +309,7 @@ class _HeightEngine:
         return result
 
 
-_ENGINES: dict = {}
-
-
-def _engine(phi: RationalMap) -> _HeightEngine:
-    eng = _ENGINES.get(phi)
-    if eng is None:
-        eng = _HeightEngine(phi)
-        _ENGINES[phi] = eng
-    return eng
+_engine = lru_cache(maxsize=128)(_HeightEngine)
 
 
 def _coerce_point(phi: RationalMap, P: ProjPoint) -> ProjPoint:

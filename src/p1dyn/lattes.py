@@ -303,6 +303,8 @@ def _build_catalog() -> dict:
 
 
 _CATALOG = _build_catalog()
+# the catalog's maps are pairwise distinct, so each map names one entry
+_BY_MAP = {entry.map: entry for entry in _CATALOG.values()}
 
 
 def catalog_names() -> list:
@@ -321,6 +323,11 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 def catalog(name: str) -> RationalMap:
     return catalog_entry(name).map
+
+
+def entry_for_map(phi: RationalMap) -> CatalogEntry | None:
+    """The catalog entry whose map equals phi, or None."""
+    return _BY_MAP.get(phi)
 
 
 def map_for_multiplier(lam: QuadFieldElement) -> CatalogEntry:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .lattes import (
-    EllipticCurveCM, catalog_entry, catalog_names, curve_for_name,
+    EllipticCurveCM, curve_for_name, entry_for_map,
 )
 from .ratmaps import Poly, RationalMap
 
@@ -629,10 +629,8 @@ def preimage_sample(
         raise DomainError("seed_point must be finite")
     if depth == 0:
         return ComplexSampleSet(np.array([z]), 0, seed, 0)
-    entry = next((e for e in map(catalog_entry, catalog_names())
-                  if e.lam is not None and e.curve_name and e.map == phi),
-                 None)
-    if entry is None:
+    entry = entry_for_map(phi)
+    if entry is None or entry.lam is None or not entry.curve_name:
         return _preimage_tree(phi, z, depth, seed)
     x = _lattice_leaves(entry, z, depth)
     infinite = ~(np.abs(x) < 1e14)
@@ -1054,13 +1052,14 @@ def periodic_points(phi: RationalMap, n: int) -> list:
     complex(inf, 0).  A point is repelling iff |multiplier| > 1.
 
     The finite points are the roots of num - z den for phi^n = num/den,
-    found by poly_roots.  Each finite multiplier comes from the chain
-    rule on the lift of phi along the point's orbit, det J / (d^n c^2)
-    (see _cycle), which holds in every chart; the one at infinity is
-    den_(alpha-1) / num_alpha, one exact division.  Raises DomainError
-    when phi^n is the identity, and ConvergenceError when a finite root
-    found is not within _CYCLE_TOL (chordal) of its n-th image under
-    phi.
+    found by poly_roots; phi^n is built as phi after phi^(n-1), so each
+    of its n - 1 compositions runs phi's one compiled kernel.  Each
+    finite multiplier comes from the chain rule on the lift of phi along
+    the point's orbit, det J / (d^n c^2) (see _cycle), which holds in
+    every chart; the one at infinity is den_(alpha-1) / num_alpha, one
+    exact division.  Raises DomainError when phi^n is the identity, and
+    ConvergenceError when a finite root found is not within _CYCLE_TOL
+    (chordal) of its n-th image under phi.
     """
     if n < 1:
         raise DomainError("period must be at least 1")
@@ -1068,7 +1067,7 @@ def periodic_points(phi: RationalMap, n: int) -> list:
         raise DomainError("degree^n capped at 200")
     psi = phi
     for _ in range(n - 1):
-        psi = psi.compose(phi)
+        psi = phi.compose(psi)
     alpha = psi.degree
     num, den = psi.num, psi.den
     zpoly = Poly([0, 1], phi.d)

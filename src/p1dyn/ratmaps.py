@@ -55,12 +55,12 @@ class Poly:
     QuadFieldElements only when asked for.
     """
 
-    __slots__ = ("_u", "_v", "_den", "_d", "_plan")
+    __slots__ = ("_u", "_v", "_den", "_d")
 
     def __init__(self, coeffs: Iterable, d: int = 0):
         pairs, den = cleared_pairs([_coerce_coeff(x, d) for x in coeffs])
         self._u, self._v = _trim([p[0] for p in pairs], [p[1] for p in pairs])
-        self._den, self._d, self._plan = den, d, None
+        self._den, self._d = den, d
 
     @classmethod
     def _of(cls, u: list, v: list, den: int, d: int) -> "Poly":
@@ -69,7 +69,7 @@ class Poly:
         g = math.gcd(den, *u, *v)
         out = object.__new__(cls)
         out._u, out._v = [a // g for a in u], [b // g for b in v]
-        out._den, out._d, out._plan = den // g, d, None
+        out._den, out._d = den // g, d
         return out
 
     @property
@@ -188,15 +188,15 @@ class Poly:
         """
         if self.degree > deg:
             raise DomainError("declared degree below actual degree")
+        from .formkernel import form_kernel
+
         d = self._d
         (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
-        if self._plan is None or self._plan.deg != deg:
-            self._plan = _FormPlan([self._terms()], deg, omega_flag(d))
-        [(u, v)] = self._plan(p0, p1)
+        [(u, v)] = form_kernel([self._terms()], deg, omega_flag(d))(p0, p1)
         return QuadFieldElement._of(u, v, self._den * e**deg, d)
 
     def _terms(self) -> list:
-        """The nonzero terms (k, basis pair) of den * self, for _FormPlan."""
+        """The nonzero terms (k, basis pair) of den * self, for kernels."""
         return [(k, c) for k, c in enumerate(zip(self._u, self._v))
                 if c[0] or c[1]]
 
@@ -235,33 +235,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-class _FormPlan:
-    """sum_k c_k x0^k x1^(deg-k) on basis pairs for forms given by their
-    nonzero terms (k, c), c a basis pair, planned once.
-
-    The stride r is the gcd of the exponent gaps within each form (1 if
-    none has two terms), so a form is x0^s x1^s' G(X, Y), X = x0^r,
-    Y = x1^r, s and s' < r: r is 2 for a Lattes map of E1 and 3 for one
-    of E2, which commutes with z -> -z or z -> omega z.  A call runs the
-    straight-line kernel of the forms' shape (formkernel.kernel_factory:
-    deg, each form's exponents, which coefficients are rational) with the
-    plan's coefficients bound in its closure.
-    """
-
-    __slots__ = ("deg", "_r", "_kernel")
-
-    def __init__(self, forms: list, deg: int, t: int):
-        from .formkernel import kernel_factory
-
-        self._r, make = kernel_factory((t, deg, tuple(
-            tuple((k, bool(c[1])) for k, c in form) for form in forms)))
-        self.deg, self._kernel = deg, make(*(
-            x for form in forms for _, c in form for x in c[:1 + bool(c[1])]))
-
-    def __call__(self, x0, x1, mod: int = 0) -> list:
-        return self._kernel(x0, x1, mod)
 
 
 def _convolve(x: list, y: list) -> list:
@@ -468,7 +441,7 @@ class ProjPoint:
 class RationalMap:
     """Endomorphism of the projective line, num(z)/den(z)."""
 
-    __slots__ = ("_num", "_den", "_d", "_deg", "_plan")
+    __slots__ = ("_num", "_den", "_d", "_deg", "_kernel")
 
     def __init__(self, num: Poly, den: Poly):
         if num.d != den.d:
@@ -501,7 +474,7 @@ class RationalMap:
         self._num = Poly._of(*_times_conj(num, lead, omega_flag(d)), d)
         self._den = Poly._of(*_times_conj(den, lead, omega_flag(d)), d)
         self._deg = max(self._num.degree, self._den.degree)
-        self._plan = None
+        self._kernel = None
 
     @classmethod
     def from_strings(
@@ -541,15 +514,22 @@ class RationalMap:
         f0, f1 = self.eval_pair(p.x0, p.x1)
         return ProjPoint(f0, f1, self._d)
 
+    def _form_kernel(self):
+        """The kernel of num and den as forms of degree self.degree."""
+        if self._kernel is None:
+            from .formkernel import form_kernel
+
+            self._kernel = form_kernel(
+                [self._num._terms(), self._den._terms()], self._deg,
+                omega_flag(self._d))
+        return self._kernel
+
     def eval_pair(self, x0, x1):
         """Homogeneous evaluation at a coordinate pair."""
         d, num, den = self._d, self._num, self._den
         (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
         scale = e**self._deg
-        if self._plan is None:
-            self._plan = _FormPlan([num._terms(), den._terms()], self._deg,
-                                   omega_flag(d))
-        f0, f1 = self._plan(p0, p1)
+        f0, f1 = self._form_kernel()(p0, p1)
         return (QuadFieldElement._of(*f0, num._den * scale, d),
                 QuadFieldElement._of(*f1, den._den * scale, d))
 
@@ -559,42 +539,34 @@ class RationalMap:
         The substituted pair needs no gcd: a common root of the composite
         forms would be mapped by inner to a common root of the outer
         forms, which has none (the composite's resultant is a product of
-        powers of the two nonzero resultants).
+        powers of the two nonzero resultants).  It runs self's kernel on
+        the inner pair (p, q), each int vector A packed as A(2^bits),
+        which commutes with sums and products (Kronecker substitution),
+        and reads the composite back as balanced digits.  The bound: with
+        ||(a, b)|| = |a| + |b|, ||xy|| <= 2 ||x|| ||y|| on basis pairs
+        (t <= 1) and so on polynomials under the sum of coefficient norms;
+        sum_k c_k p^k q^(m-k) takes m products per term, so its
+        coefficients have |u|, |v| <= S(c) (2M)^m: S(c) the one-norm of
+        the outer form, scaled by the other form's denominator as the
+        kernel binds each over its own, M the larger one-norm of p and q,
+        and bits = bit_length(bound) + 2.
         """
         if self._d != inner._d:
             raise FieldMismatchError("composition across different fields")
-        d, t = self._d, omega_flag(self._d)
-        m = self._deg
-        # common denominators of the inner and of the outer pair only
-        # scale the composite, which _from_coprime normalizes away
+        m, num, den = self._deg, self._num, self._den
+        # the common denominator of the inner pair only scales the
+        # composite, which _from_coprime normalizes away
         p, q = _coords(inner._num, inner._den)[0]
-        outer = [
-            (A + [0] * (m + 1 - len(A)), B + [0] * (m + 1 - len(B)))
-            for A, B in _coords(self._num, self._den)[0]
-        ]
-        pp = [([1], [0])]
-        qq = [([1], [0])]
-        for _ in range(m):
-            pp.append(_field_convolve(pp[-1], p, t))
-            qq.append(_field_convolve(qq[-1], q, t))
+        big_m = max(_one_norm(x) for x in (p, q))
+        big_s = max(den._den * _one_norm((num._u, num._v)),
+                    num._den * _one_norm((den._u, den._v)))
+        bits = (big_s * (2 * big_m) ** m).bit_length() + 2
+        f0, f1 = self._form_kernel()(
+            *((_pack(a, bits), _pack(b, bits)) for a, b in (p, q)))
         size = m * inner._deg + 1
-        num = ([0] * size, [0] * size)
-        den = ([0] * size, [0] * size)
-        # num = sum_k c_k p^k q^(m-k) over the outer numerator's c_k, and
-        # likewise den
-        for k in range(m + 1):
-            cross = None
-            for (acc_a, acc_b), (c_a, c_b) in zip((num, den), outer):
-                ca, cb = c_a[k], c_b[k]
-                if not (ca or cb):
-                    continue
-                if cross is None:
-                    cross = _field_convolve(pp[k], qq[m - k], t)
-                for j, (u, v) in enumerate(zip(*cross)):
-                    bv = cb * v
-                    acc_a[j] += ca * u - bv
-                    acc_b[j] += ca * v + cb * u + t * bv
-        out = RationalMap._from_coprime(num, den, d)
+        out = RationalMap._from_coprime(
+            *(tuple(_unpack(x * scale, bits, size) for x in f)
+              for f, scale in ((f0, den._den), (f1, num._den))), self._d)
         if out.degree != self._deg * inner._deg and self._deg and inner._deg:
             raise DomainError("degree collapsed under composition")
         return out
@@ -641,6 +613,28 @@ class RationalMap:
 
     def __repr__(self) -> str:
         return f"RationalMap({self})"
+
+
+def _one_norm(x: tuple) -> int:
+    """sum |u| + |v| over an (A, B) basis pair vector."""
+    return sum(map(abs, x[0])) + sum(map(abs, x[1]))
+
+
+def _pack(A: list, bits: int) -> int:
+    """A(2^bits) for the int vector A, lowest coefficient first."""
+    return sum(a << bits * j for j, a in enumerate(A))
+
+
+def _unpack(x: int, bits: int, size: int) -> list:
+    """The `size` lowest digits of x in base 2^bits, each in [-2^(bits-1),
+    2^(bits-1)): A, padded by zeros, for x = A(2^bits) with such digits."""
+    out, half, mask = [], 1 << (bits - 1), (1 << bits) - 1
+    for _ in range(size):
+        # the low bits, sign-extended from bit bits-1
+        c = ((x & mask) ^ half) - half
+        out.append(c)
+        x = (x - c) >> bits
+    return out
 
 
 def _trim(A: list, B: list) -> tuple:

@@ -6,25 +6,31 @@ ring operations, the evaluation of forms, integral_gcd, pair_normalize,
 pair_divmod, ProjPoint.reduced_pair, cleared_pairs, integral_model and
 every Poly operation run on ints; compose and embed skip poly_gcd, and
 the resultant and the Bezout certificate share one fraction-free
-elimination.  Forms are evaluated by one plan, _FormPlan, for
-Poly.eval_pair, a map's image of a point and both height loops: its
-stride r is the gcd of the exponent gaps within each form, the order of
-the rotation z -> zeta z that a Lattes map commutes with (2 on E1, 3 on
-E2), and it evaluates each form as x0^s x1^s' G(x0^r, x1^r) from powers
-of x0^r and x1^r, skips zero coefficients and takes two int products for
-a rational one.  A call runs a straight-line kernel that
-formkernel.kernel_factory compiles once per shape of forms, the plan's
+elimination.  Forms are evaluated by one kernel, formkernel.form_kernel,
+for Poly.eval_pair, a map's image of a point, composition and both
+height loops: its stride r is the gcd of the exponent gaps within each
+form, the order of the rotation z -> zeta z that a Lattes map commutes
+with (2 on E1, 3 on E2), and it evaluates each form as x0^s x1^s'
+G(x0^r, x1^r) from powers of x0^r and x1^r, skips zero coefficients and
+takes two int products for a rational one.  It is straight-line code
+that formkernel.kernel_factory compiles once per shape of forms, the
 coefficients bound in its closure.  Its oracles are the shared-power
-evaluator the plan replaced, oracle_eval_forms, on forms of stride 1-4,
-mixed residues, single terms, zero forms and the height engines of the
+evaluator it replaced, oracle_eval_forms, on forms of stride 1-4, mixed
+residues, single terms, zero forms and the height engines of the
 catalog, and Horner's rule on basis pairs, one form at a time, three
-pair products per coefficient, with and without a modulus; two plans of
-one shape share one compiled factory, one plan holds on calls that
+pair products per coefficient, with and without a modulus; two kernels
+of one shape share one compiled factory, one kernel holds on calls that
 alternate between no modulus and a modulus, a 5000-digit coefficient
 evaluates under Python's 640-digit int-to-str limit, a traceback from
 inside a kernel names its shape and shows the generated line,
 linecache keeps no more kernel sources than the factory cache holds, and
-the source of each catalog engine's shape has no loop.
+the source of each catalog engine's shape has no loop.  Composition runs
+the outer map's kernel on the inner pair packed into integers A(2^bits);
+its oracle is the substitution it replaced, oracle_compose, on all three
+fields, constant maps and 1/0, general and 50-digit coefficients and
+degree products up to 81, and _pack and _unpack round-trip every digit
+of the balanced range.  Height engines are cached per map, at most 128,
+and neither import p1dyn nor p1dyn catalog compiles a kernel.
 The archimedean loop takes the last pair's
 log in double precision from alpha^n = 2^13 on, checked against the
 Decimal logarithm bit for bit and against the mpmath sum within the
@@ -45,10 +51,13 @@ step count at a higher precision, the orbit limit that the sum approaches.
 """
 
 import decimal
+import json
 import linecache
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import traceback
 from fractions import Fraction
@@ -59,7 +68,7 @@ from hypothesis import given, settings, strategies as st
 
 from p1dyn.errors import DomainError, FieldMismatchError
 from p1dyn import heights
-from p1dyn.formkernel import kernel_factory
+from p1dyn.formkernel import form_kernel, kernel_factory
 from p1dyn.heights import _ARCH_CAP, _engine, _ln2, canonical_height
 from p1dyn.lattes import (
     catalog,
@@ -82,8 +91,11 @@ from p1dyn.ratmaps import (
     Poly,
     ProjPoint,
     RationalMap,
-    _FormPlan,
     _bareiss,
+    _coords,
+    _field_convolve,
+    _pack,
+    _unpack,
     cofactor_certificate,
     log_one_norm,
     poly_from_strings,
@@ -191,7 +203,7 @@ def oracle_eval_form(coeffs: list, x0, x1, t: int, mod: int = 0) -> tuple:
 
 def oracle_eval_forms(forms: list, deg: int, x0, x1, t: int,
                       mod: int = 0) -> list:
-    """The shared-power evaluator that _FormPlan replaced: sum_k c_k x0^k
+    """The shared-power evaluator that form_kernel replaced: sum_k c_k x0^k
     x1^(deg-k) on basis pairs for each form, a form being the list of its
     nonzero terms (k, c).  It builds every power of x0 up to the largest k
     and of x1 up to deg minus the smallest, each reduced mod `mod` if set,
@@ -417,7 +429,9 @@ def schoolbook(f: Poly, g: Poly) -> Poly:
     return Poly(out, f.d)
 
 
-def oracle_compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
+def oracle_compose_by_gcd(outer: RationalMap,
+                          inner: RationalMap) -> RationalMap:
+    """Substitution on field elements through the gcd constructor."""
     d, m = outer.d, outer.degree
     num, den = Poly([], d), Poly([], d)
     for k in range(m + 1):
@@ -425,6 +439,46 @@ def oracle_compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
         num = num + outer.num.coeff(k) * cross
         den = den + outer.den.coeff(k) * cross
     return RationalMap(num, den)
+
+
+def oracle_compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
+    """The substitution that the packed kernel replaced: power tables of
+    the inner pair on basis pair vectors, one product p^k q^(m-k) per k
+    that either outer form uses, and each outer coefficient times it
+    added by hand, through the trusted constructor."""
+    if outer.d != inner.d:
+        raise FieldMismatchError("composition across different fields")
+    d, t = outer.d, omega_flag(outer.d)
+    m = outer.degree
+    p, q = _coords(inner.num, inner.den)[0]
+    coeffs = [
+        (A + [0] * (m + 1 - len(A)), B + [0] * (m + 1 - len(B)))
+        for A, B in _coords(outer.num, outer.den)[0]
+    ]
+    pp = [([1], [0])]
+    qq = [([1], [0])]
+    for _ in range(m):
+        pp.append(_field_convolve(pp[-1], p, t))
+        qq.append(_field_convolve(qq[-1], q, t))
+    size = m * inner.degree + 1
+    num = ([0] * size, [0] * size)
+    den = ([0] * size, [0] * size)
+    for k in range(m + 1):
+        cross = None
+        for (acc_a, acc_b), (c_a, c_b) in zip((num, den), coeffs):
+            ca, cb = c_a[k], c_b[k]
+            if not (ca or cb):
+                continue
+            if cross is None:
+                cross = _field_convolve(pp[k], qq[m - k], t)
+            for j, (u, v) in enumerate(zip(*cross)):
+                bv = cb * v
+                acc_a[j] += ca * u - bv
+                acc_b[j] += ca * v + cb * u + t * bv
+    out = RationalMap._from_coprime(num, den, d)
+    if out.degree != outer.degree * inner.degree and m and inner.degree:
+        raise DomainError("degree collapsed under composition")
+    return out
 
 
 def oracle_resultant(c0: list, c1: list, deg: int) -> QF:
@@ -941,7 +995,7 @@ class TestSharedPowerEvaluator:
         mod = data.draw(st.sampled_from(MODULI))
         terms = [[(k, c) for k, c in enumerate(f) if c != (0, 0)]
                  for f in forms]
-        got = _FormPlan(terms, deg, t)(x0, x1, mod)
+        got = form_kernel(terms, deg, t)(x0, x1, mod)
         want = [oracle_eval_form(f, x0, x1, t, mod) for f in forms]
         if mod:
             assert all(0 <= c < mod for pair in got for c in pair)
@@ -962,8 +1016,8 @@ class TestSharedPowerEvaluator:
 
     @settings(max_examples=40, deadline=None)
     @given(d=FIELDS, data=st.data())
-    def test_cached_plan_follows_the_degree(self, d, data):
-        # a Poly keeps the plan of the last degree it was evaluated at
+    def test_kernel_follows_the_degree(self, d, data):
+        # a Poly builds the kernel of the degree it is evaluated at
         f = data.draw(kernel_polys(d))
         x0, X0 = both(d, data)
         x1, X1 = both(d, data)
@@ -975,7 +1029,7 @@ class TestSharedPowerEvaluator:
 
 @st.composite
 def strided_forms(draw, d, deg):
-    """1-3 term lists of degree-deg forms for _FormPlan, each zero, one
+    """1-3 term lists of degree-deg forms for form_kernel, each zero, one
     term, the exponents of a shared stride 1-4 from the form's own offset,
     those of a stride 1-4 of its own, or free (mixed residues); each
     coefficient rational (v = 0) or, for d != 0, general."""
@@ -1004,8 +1058,13 @@ def strided_forms(draw, d, deg):
     return forms
 
 
-class TestFormPlan:
-    """_FormPlan against the evaluator it replaced, oracle_eval_forms."""
+def _stride(kernel) -> int:
+    """The stride r that a kernel's shape name records."""
+    return int(re.search(r" r=(\d+) ", kernel.__code__.co_filename)[1])
+
+
+class TestFormKernel:
+    """form_kernel against the evaluator it replaced, oracle_eval_forms."""
 
     @pytest.mark.parametrize("d", [0, 1, 3])
     @settings(max_examples=200, deadline=None)
@@ -1016,7 +1075,7 @@ class TestFormPlan:
         x0, x1 = ((data.draw(COORDS), data.draw(COORDS) if d else 0)
                   for _ in range(2))
         mod = data.draw(st.sampled_from(MODULI))
-        got = _FormPlan(forms, deg, t)(x0, x1, mod)
+        got = form_kernel(forms, deg, t)(x0, x1, mod)
         assert got == oracle_eval_forms(forms, deg, x0, x1, t, mod)
 
     @pytest.mark.parametrize("name", catalog_names() + ["big"])
@@ -1040,9 +1099,10 @@ class TestFormPlan:
         phi = _big_map() if name == "big" else catalog(name)
         curve = "big" if name == "big" else catalog_entry(name).curve_name
         stride = {"E1": 2, "E2": 3, "big": 2}.get(curve, 1)
-        assert _engine(phi)._plan._r == stride
-        assert _FormPlan([phi.num._terms(), phi.den._terms()], phi.degree,
-                         omega_flag(phi.d))._r == stride
+        assert _stride(_engine(phi)._plan) == stride
+        assert _stride(phi._form_kernel()) == stride
+        assert _stride(form_kernel([phi.num._terms(), phi.den._terms()],
+                                   phi.degree, omega_flag(phi.d))) == stride
 
     @staticmethod
     def _forms(coeffs: list) -> list:
@@ -1056,10 +1116,10 @@ class TestFormPlan:
         kernel_factory.cache_clear()
         forms_a = self._forms([(3, 0), (2, 7), (-4, 0), (5, 1), (6, 0)])
         forms_b = self._forms([(10**30, 0), (-1, 2), (9, 0), (1, -8), (7, 0)])
-        a, b = _FormPlan(forms_a, 11, 1), _FormPlan(forms_b, 11, 1)
+        a, b = form_kernel(forms_a, 11, 1), form_kernel(forms_b, 11, 1)
         info = kernel_factory.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert a._kernel.__code__ is b._kernel.__code__
+        assert a.__code__ is b.__code__
         x0, x1 = (17, -5), (-3, 11)
         for forms, plan in ((forms_a, a), (forms_b, b)):
             for mod in (0, 97):
@@ -1068,7 +1128,7 @@ class TestFormPlan:
 
     def test_alternating_moduli(self):
         plan_forms = self._forms([(3, 0), (2, 7), (-4, 0), (5, 1), (6, 0)])
-        plan = _FormPlan(plan_forms, 11, 1)
+        plan = form_kernel(plan_forms, 11, 1)
         rng = random.Random(23)
         for i in range(12):
             mod = 0 if i % 2 == 0 else rng.choice([2, 97, 2**64 + 13])
@@ -1088,7 +1148,7 @@ class TestFormPlan:
         old = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(640)
-            got = [_FormPlan(forms, 11, 1)(x0, x1, mod) for mod in (0, 97)]
+            got = [form_kernel(forms, 11, 1)(x0, x1, mod) for mod in (0, 97)]
             want = [oracle_eval_forms(forms, 11, x0, x1, 1, mod)
                     for mod in (0, 97)]
             assert got == want
@@ -1099,11 +1159,11 @@ class TestFormPlan:
         # a str coordinate fails inside the kernel; the traceback names
         # the shape and shows the generated line that raised
         kernel_factory.cache_clear()
-        plan = _FormPlan([[(7, (1, 0))], [(0, (1, 0))]], 7, 0)
+        plan = form_kernel([[(7, (1, 0))], [(0, (1, 0))]], 7, 0)
         with pytest.raises(TypeError) as info:
             plan(("3", 0), (1, 0))
         frame = traceback.extract_tb(info.value.__traceback__)[-1]
-        assert frame.filename.startswith("<_FormPlan t=0 r=1 deg=7 ")
+        assert frame.filename.startswith("<form_kernel t=0 r=1 deg=7 ")
         line = linecache.getline(frame.filename, frame.lineno).strip()
         assert line and frame.line == line
         text = "".join(traceback.format_exception(
@@ -1115,15 +1175,15 @@ class TestFormPlan:
         # linecache keeps a shape's source while its factory is cached, so
         # it holds at most as many kernel sources as the cache
         kernel_factory.cache_clear()
-        plan = _FormPlan([[(7, (1, 0))], [(0, (1, 0))]], 7, 0)
-        name = plan._kernel.__code__.co_filename
+        plan = form_kernel([[(7, (1, 0))], [(0, (1, 0))]], 7, 0)
+        name = plan.__code__.co_filename
         assert linecache.getline(name, 1).startswith("def make(")
         kernel_factory.cache_clear()
         assert name not in linecache.cache
         assert plan((3, 1), (2, 0)) == [(-1992, 2456), (128, 0)]
         for k in range(kernel_factory.cache_info().maxsize + 5):
-            _FormPlan([[(k, (1, 0))]], 300, 0)
-        kept = [k for k in linecache.cache if k.startswith("<_FormPlan ")]
+            form_kernel([[(k, (1, 0))]], 300, 0)
+        kept = [k for k in linecache.cache if k.startswith("<form_kernel ")]
         assert len(kept) == kernel_factory.cache_info().maxsize
 
     @pytest.mark.parametrize("name", catalog_names() + ["big"])
@@ -1133,10 +1193,11 @@ class TestFormPlan:
         # evaluator's values where a coordinate or both are zero
         eng = _engine(_big_map() if name == "big" else catalog(name))
         forms = engine_forms(eng)
-        plan = _FormPlan(forms, eng.alpha, eng._t)
-        filename = plan._kernel.__code__.co_filename
-        assert filename.startswith(
-            f"<_FormPlan t={eng._t} r={plan._r} deg={eng.alpha} ")
+        plan = form_kernel(forms, eng.alpha, eng._t)
+        filename = plan.__code__.co_filename
+        assert re.fullmatch(
+            rf"<form_kernel t={eng._t} r=\d+ deg={eng.alpha} [0-9a-f]{{8}}>",
+            filename)
         src = "".join(linecache.getlines(filename))
         assert src.startswith("def make(") and "kernel(x0, x1, mod=0)" in src
         assert not re.search(r"\b(for|while)\b", src)
@@ -1537,7 +1598,7 @@ class TestComposeTrusted:
     def test_catalog_pair_matches_gcd_constructor(self, outer, inner):
         f, g = catalog(outer), catalog(inner)
         comp = f.compose(g)
-        assert comp == oracle_compose(f, g)
+        assert comp == oracle_compose_by_gcd(f, g) == oracle_compose(f, g)
         assert comp.degree == f.degree * g.degree
 
     @pytest.mark.parametrize(
@@ -1549,11 +1610,11 @@ class TestComposeTrusted:
         for c in consts.values():
             for outer, inner in ((phi, c), (c, phi)):
                 comp = outer.compose(inner)
-                assert comp == oracle_compose(outer, inner)
+                assert comp == oracle_compose_by_gcd(outer, inner)
                 assert comp.degree == 0
         for a in consts.values():
             for b in consts.values():
-                assert a.compose(b) == oracle_compose(a, b)
+                assert a.compose(b) == oracle_compose_by_gcd(a, b)
         # phi(infinity) and infinity as the value of a constant map
         assert phi.compose(consts["inf"]) == RationalMap(
             Poly([phi(ProjPoint.infinity(phi.d)).x0], phi.d),
@@ -1571,6 +1632,121 @@ class TestComposeTrusted:
                     phi.num.embed(d), phi.den.embed(d)
                 )
 
+
+# --------------------------------------------------------------------------
+# Composition through the outer map's kernel on packed polynomials
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def compose_maps(draw, d):
+    """A catalog map over d (degree 2-9), a constant c/1 from
+    kernel_coeffs, 0/1 or 1/0, or num/den from kernel_polys up to degree
+    9, so that two of them have a degree product up to 81."""
+    kind = draw(st.sampled_from(["catalog", "const", "zero", "inf", "free"]))
+    names = [n for n in catalog_names() if catalog(n).d == d]
+    if kind == "catalog" and names:
+        return catalog(draw(st.sampled_from(names)))
+    if kind == "const":
+        return RationalMap(Poly([draw(kernel_coeffs(d))], d), Poly([1], d))
+    if kind == "zero":
+        return RationalMap(Poly([], d), Poly([1], d))
+    if kind == "inf":
+        return RationalMap(Poly([1], d), Poly([], d))
+    lengths = (0, 1, 2, 3, 5, 8, 10)
+    num = draw(kernel_polys(d, lengths))
+    den = draw(kernel_polys(d, lengths).filter(bool) if num.is_zero()
+               else kernel_polys(d, lengths))
+    return RationalMap(num, den)
+
+
+# the chains phi^n that periodic_points builds, up to degree 128
+CHAINS = [("pow_2", 7), ("phi_1+i", 6), ("phi_sqrt-3", 4), ("phi_2@E1", 3),
+          ("phi_1+2i", 3), ("phi_3@E1", 2)]
+
+
+class TestComposeKernel:
+    """compose against the substitution it replaced, oracle_compose."""
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_old_substitution(self, d, data):
+        outer = data.draw(compose_maps(d))
+        inner = data.draw(compose_maps(d))
+        comp = outer.compose(inner)
+        assert comp == oracle_compose(outer, inner)
+        assert comp.degree == outer.degree * inner.degree
+
+    @pytest.mark.parametrize("name,n", CHAINS)
+    def test_chain(self, name, n):
+        phi = catalog(name)
+        psi = want = phi
+        for _ in range(n - 1):
+            psi, want = phi.compose(psi), oracle_compose(want, phi)
+        assert psi == want
+        assert psi.degree == phi.degree**n
+
+    def test_field_mismatch(self):
+        with pytest.raises(FieldMismatchError):
+            catalog("phi_1+i").compose(catalog("phi_sqrt-3"))
+
+    @pytest.mark.parametrize("bits", [2, 3, 7, 8, 9, 63, 64, 65, 1000])
+    def test_pack_round_trip(self, bits):
+        # every digit of the range that compose's bound leaves, its ends
+        # and zero among them, at the bottom, middle and top of a vector
+        top = (1 << (bits - 1)) - 1
+        rng = random.Random(bits)
+        for A in ([top], [-top], [0], [], [top, -top, 0, top], [0, 0, -top],
+                  [-top, 0, 0], [rng.randint(-top, top) for _ in range(40)]):
+            x = _pack(A, bits)
+            assert _unpack(x, bits, len(A)) == A
+            assert _unpack(x, bits, len(A) + 3) == A + [0, 0, 0]
+        # and the one digit below the range of the bound
+        assert _unpack(_pack([-top - 1, top], bits), bits, 2) == [-top - 1, top]
+
+
+_FRESH_IMPORT = """
+import contextlib, io, json, sys
+import p1dyn
+loaded = {"import": sorted(m for m in ("numpy", "p1dyn.formkernel")
+                           if m in sys.modules)}
+from p1dyn import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["catalog"])
+loaded["catalog"] = sorted(m for m in ("numpy", "p1dyn.formkernel")
+                           if m in sys.modules)
+print(json.dumps([rc, loaded]))
+"""
+
+
+def test_import_and_catalog_compile_no_kernel():
+    src = os.path.dirname(os.path.dirname(heights.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_IMPORT], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, {"import": [], "catalog": []}]
+
+
+class TestEngineCache:
+    def test_equal_maps_share_one_engine(self):
+        phi = catalog("phi_3@E2")
+        again = RationalMap(phi.num, phi.den)
+        assert again is not phi and again == phi
+        assert _engine(again) is _engine(phi)
+
+    def test_cache_is_bounded(self):
+        maxsize = _engine.cache_info().maxsize
+        assert maxsize == 128
+        maps = [RationalMap(Poly([k, 0, 1], 0), Poly([1], 0))
+                for k in range(maxsize + 5)]
+        engines = [_engine(phi) for phi in maps]
+        assert _engine.cache_info().currsize == maxsize
+        # the most recent ones are still cached, the first is not
+        assert _engine(maps[-1]) is engines[-1]
+        assert _engine(maps[0]) is not engines[0]
 
 # --------------------------------------------------------------------------
 # Resultant and Bezout certificate

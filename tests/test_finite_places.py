@@ -184,7 +184,7 @@ ORACLE_CASES = [
 
 def count_evaluations(monkeypatch, eng):
     """Record the arguments (pair, pair, modulus) of every call to the
-    engine's evaluation plan."""
+    engine's form kernel."""
     calls = []
     evaluate = eng._plan
 

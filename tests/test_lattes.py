@@ -1,4 +1,7 @@
+import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from p1dyn.lattes import (
     curve_E1,
     curve_E2,
     curve_for_name,
+    entry_for_map,
     lattes_double,
     lattes_triple,
     map_for_multiplier,
@@ -444,6 +448,52 @@ class TestMultiplierLookup:
         with pytest.raises(DomainError) as err:
             map_for_multiplier(QF(7, 0, 1))
         assert "known multipliers" in str(err.value)
+
+
+def _scan_for_map(phi: RationalMap):
+    """The first catalog entry, by name, whose map equals phi."""
+    return next((catalog_entry(n) for n in catalog_names()
+                 if catalog(n) == phi), None)
+
+
+def _golden_commute_pairs() -> list:
+    golden = json.loads((Path(__file__).parent / "golden"
+                         / "cli_stdout.json").read_text())
+    return [(shlex.split(case)[2:], json.loads(out)["composition_equals"])
+            for case, out in sorted(golden.items())
+            if case.startswith("commute --catalog ")]
+
+
+class TestMapLookup:
+    def test_catalog_maps_are_pairwise_distinct(self):
+        # so the index from map to entry loses no entry
+        maps = [catalog(n) for n in catalog_names()]
+        assert len(maps) == 16
+        assert all(a != b for i, a in enumerate(maps) for b in maps[i + 1:])
+        assert len(set(maps)) == len(maps)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_every_catalog_map_finds_its_entry(self, name):
+        entry = entry_for_map(catalog(name))
+        assert entry is catalog_entry(name) is _scan_for_map(catalog(name))
+        # an equal map built anew finds it too
+        phi = catalog(name)
+        assert entry_for_map(RationalMap(phi.num, phi.den)) is entry
+
+    def test_golden_commute_composites(self):
+        pairs = _golden_commute_pairs()
+        assert len(pairs) == 4
+        for (a, b), named in pairs:
+            comp = catalog(a).compose(catalog(b))
+            entry = entry_for_map(comp)
+            assert entry is _scan_for_map(comp)
+            assert (entry.name if entry else None) == named
+
+    def test_maps_outside_the_catalog(self):
+        z2_plus_1 = RationalMap(Poly([1, 0, 1], 0), Poly([1], 0))
+        assert entry_for_map(z2_plus_1) is None
+        # pow_2 over Z[i] is not the catalog's pow_2 over Q
+        assert entry_for_map(catalog("pow_2").embed(1)) is None
 
 
 class TestLattesEvaluation:
