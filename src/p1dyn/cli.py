@@ -7,7 +7,9 @@ beyond the floating-point range, 2 usage or map-spec error.  Identical
 arguments and seed give byte-identical output.
 
 Run configs are plain argparse namespaces; OPERATIONS maps each
-subcommand to the library operations it reaches.  Only the handlers of
+subcommand to its handler and the library operations it reaches.  A
+handler only computes its payload: main, the one path from arguments to
+stdout, stamps "command" and "schema" on it.  Only the handlers of
 the analytic subcommands (green, measure, density-compare, periodic,
 julia) import measures, and with it numpy; the exact subcommands never
 load numpy.
@@ -177,7 +179,6 @@ def _cmd_height(args) -> dict:
             }
         )
     out = {
-        "command": "height",
         "map": label,
         "degree": phi.degree,
         "bad_primes": consts["bad_primes"],
@@ -189,7 +190,7 @@ def _cmd_height(args) -> dict:
 
 
 def _cmd_nt_height(args) -> dict:
-    curve = lattes.curve_E1() if args.curve == "E1" else lattes.curve_E2()
+    curve = lattes.CURVES[args.curve]()
     if not args.point:
         raise MapSpecError("nt-height needs at least one --point")
     results = []
@@ -206,7 +207,7 @@ def _cmd_nt_height(args) -> dict:
                 "error_bound": hv.error_bound,
             }
         )
-    return {"command": "nt-height", "curve": args.curve, "results": results}
+    return {"curve": args.curve, "results": results}
 
 
 def _cmd_commute(args) -> dict:
@@ -214,7 +215,6 @@ def _cmd_commute(args) -> dict:
     commute = a.commutes_with(b)
     entry = lattes.entry_for_map(a.compose(b)) if commute else None
     return {
-        "command": "commute",
         "maps": [la, lb],
         "commute": commute,
         "composition_equals": entry.name if entry else None,
@@ -229,7 +229,6 @@ def _cmd_compose(args) -> dict:
     (la, a), (lb, b) = _load_maps(args, 2)
     comp = a.compose(b)
     return {
-        "command": "compose",
         "maps": [la, lb],
         "d": comp.d,
         "degree": comp.degree,
@@ -243,12 +242,11 @@ def _cmd_ramify(args) -> dict:
     if args.catalog:
         curve = lattes.curve_for_name(label)
     elif args.curve:
-        curve = lattes.curve_E1() if args.curve == "E1" else lattes.curve_E2()
+        curve = lattes.CURVES[args.curve]()
     else:
         raise MapSpecError("ramify needs --catalog NAME or --curve E1|E2")
     prof = lattes.ramification_profile(phi, curve)
     out = {
-        "command": "ramify",
         "map": label,
         "degree": prof.degree,
         "counts": list(prof.counts),
@@ -267,7 +265,6 @@ def _cmd_table_check(args) -> dict:
     lam = _parse_lambda(getattr(args, "lambda"))
     pred = lattes.predict_profile(lam)
     out = {
-        "command": "table-check",
         "lambda": format_element(lam),
         "d": lam.d,
         "degree": pred.degree,
@@ -299,15 +296,10 @@ def _cmd_green(args) -> dict:
         z = _parse_complex(text)
         g = measures.green(lift, z, args.iters)
         results.append({"point": _czpair(z), "value": g})
-    return {
-        "command": "green",
-        "map": label,
-        "iterations": args.iters,
-        "results": results,
-    }
+    return {"map": label, "iterations": args.iters, "results": results}
 
 
-def _grid_files(args, grid, extra: dict) -> dict:
+def _grid_files(args, grid) -> dict:
     """Write the grid per --out/--format; return stdout metadata."""
     from . import measures
 
@@ -318,7 +310,6 @@ def _grid_files(args, grid, extra: dict) -> dict:
         "max_cell": float(grid.mass.max()),
         "nonzero_cells": int((grid.mass > 0).sum()),
     }
-    out.update(extra)
     if args.format == "csv" and not args.out:
         raise MapSpecError("--format csv needs --out PATH")
     if args.out:
@@ -358,10 +349,9 @@ def _cmd_measure(args) -> dict:
     field = measures.green_field(lift, args.window, args.res, args.iters)
     grid = measures.measure_from_green(field)
     return {
-        "command": "measure",
         "map": label,
         "iterations": args.iters,
-        **_grid_files(args, grid, {}),
+        **_grid_files(args, grid),
     }
 
 
@@ -380,7 +370,6 @@ def _cmd_density_compare(args) -> dict:
     dens = measures.lattes_density(curve, args.window, args.res)
     l1 = measures.compare_l1(hist, dens)
     return {
-        "command": "density-compare",
         "map": label,
         "depth": args.depth,
         "seed": args.seed,
@@ -388,7 +377,7 @@ def _cmd_density_compare(args) -> dict:
         "samples_at_infinity": samples.n_infinite,
         "l1": l1,
         "density_window_fraction": dens.window_fraction,
-        **_grid_files(args, hist, {}),
+        **_grid_files(args, hist),
     }
 
 
@@ -407,7 +396,6 @@ def _cmd_periodic(args) -> dict:
             }
         )
     return {
-        "command": "periodic",
         "map": label,
         "period": args.depth,
         "count": len(pts),
@@ -421,7 +409,9 @@ def _cmd_julia(args) -> dict:
     label, phi = _load_maps(args, 1)[0]
     if not args.out:
         raise MapSpecError("julia needs --out PATH for the raster")
-    img = measures.julia_raster(phi, args.window, args.res, n=args.iters)
+    field = measures.green_field(measures.Lift.from_map(phi), args.window,
+                                 args.res, args.iters)
+    img = measures.julia_raster(field)
     meta = {
         "command": "julia",
         "map": label,
@@ -431,7 +421,6 @@ def _cmd_julia(args) -> dict:
     with _writing(args.out):
         measures.write_pgm(args.out, img, meta)
     return {
-        "command": "julia",
         "map": label,
         "window": list(args.window),
         "resolution": [img.shape[1], img.shape[0]],
@@ -453,7 +442,7 @@ def _cmd_catalog(args) -> dict:
                 "curve": e.curve_name,
             }
         )
-    return {"command": "catalog", "count": len(entries), "entries": entries}
+    return {"count": len(entries), "entries": entries}
 
 
 # ------------------------------------------------------------- dispatch
@@ -528,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, maps=0, points=False, curve=False):
+    def add(name, help_text, maps=0, points=False):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=OPERATIONS[name][0])
         if maps:
@@ -548,30 +537,23 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="X,Y",
                 help="point (repeatable)",
             )
-        if curve:
-            sp.add_argument(
-                "--curve", choices=("E1", "E2"), help="target curve"
-            )
         return sp
 
     sp = add("height", "canonical height of exact points", maps=1, points=True)
     sp.add_argument("--tol", type=float, default=1e-9, metavar="R")
 
     sp = add("nt-height", "curve height above an x-coordinate", points=True)
-    sp.add_argument(
-        "--curve", choices=("E1", "E2"), default="E1", help="curve (default E1)"
-    )
+    sp.add_argument("--curve", choices=tuple(lattes.CURVES), default="E1",
+                    help="curve (default E1)")
     sp.add_argument("--tol", type=float, default=1e-9, metavar="R")
 
     add("commute", "test whether two maps commute", maps=2)
     add("compose", "compose two maps (first after second)", maps=2)
-    add("ramify", "preimage counts over the 2-torsion images", maps=1,
-        curve=True)
+    sp = add("ramify", "preimage counts over the 2-torsion images", maps=1)
+    sp.add_argument("--curve", choices=tuple(lattes.CURVES),
+                    help="target curve")
 
-    sp = sub.add_parser(
-        "table-check", help="predicted vs computed ramification multiset"
-    )
-    sp.set_defaults(handler=OPERATIONS["table-check"][0])
+    sp = add("table-check", "predicted vs computed ramification multiset")
     sp.add_argument(
         "--lambda", required=True, metavar="a,b,d", help="multiplier a+b*w"
     )
@@ -676,7 +658,7 @@ def main(argv=None) -> int:
         # an array too large for this machine, refused when allocated
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    _emit(payload)
+    _emit({"command": args.command, **payload})
     return 0
 
 

@@ -51,6 +51,10 @@ def curve_E2() -> EllipticCurveCM:
     return EllipticCurveCM(Poly([1, 0, 0, 1], 3), 3)
 
 
+# the curves by the names that catalog entries and --curve options use
+CURVES = {"E1": curve_E1, "E2": curve_E2}
+
+
 @dataclass(frozen=True)
 class RamificationProfile:
     """Distinct-preimage counts over the four 2-torsion images."""
@@ -283,8 +287,8 @@ def _build_catalog() -> dict:
     # degree 3 over the hexagonal lattice: -(z^3+4)/(3z^2)
     add("phi_sqrt-3", RationalMap(Poly([-4, 0, 0, -1], 3), Poly([0, 0, 3], 3)),
         _eis(0, 1), "E2")
-    for name, curve, field in (("E1", curve_E1(), _gauss),
-                               ("E2", curve_E2(), _eis)):
+    for name, field in (("E1", _gauss), ("E2", _eis)):
+        curve = CURVES[name]()
         add(f"phi_2@{name}", lattes_double(curve), field(2, 0), name)
         add(f"phi_3@{name}", lattes_triple(curve), field(3, 0), name)
 
@@ -303,8 +307,10 @@ def _build_catalog() -> dict:
 
 
 _CATALOG = _build_catalog()
-# the catalog's maps are pairwise distinct, so each map names one entry
+# the catalog's maps are pairwise distinct, so each map names one entry,
+# and so are its multipliers (equal only within one field)
 _BY_MAP = {entry.map: entry for entry in _CATALOG.values()}
+_BY_LAM = {e.lam: e for e in _CATALOG.values() if e.lam is not None}
 
 
 def catalog_names() -> list:
@@ -332,14 +338,9 @@ def entry_for_map(phi: RationalMap) -> CatalogEntry | None:
 
 def map_for_multiplier(lam: QuadFieldElement) -> CatalogEntry:
     """Catalog entry whose multiplier equals lam, if one exists."""
-    for entry in _CATALOG.values():
-        if entry.lam is not None and entry.lam == lam:
-            return entry
-    known = sorted(
-        format_element(e.lam) + " (d=%d)" % e.lam.d
-        for e in _CATALOG.values()
-        if e.lam is not None
-    )
+    if lam in _BY_LAM:
+        return _BY_LAM[lam]
+    known = sorted(format_element(x) + " (d=%d)" % x.d for x in _BY_LAM)
     raise DomainError(
         f"no catalog map has multiplier {format_element(lam)} over d={lam.d}; "
         "known multipliers: " + "; ".join(known)
@@ -348,8 +349,6 @@ def map_for_multiplier(lam: QuadFieldElement) -> CatalogEntry:
 
 def curve_for_name(name: str) -> EllipticCurveCM:
     entry = catalog_entry(name)
-    if entry.curve_name == "E1":
-        return curve_E1()
-    if entry.curve_name == "E2":
-        return curve_E2()
+    if entry.curve_name is not None:
+        return CURVES[entry.curve_name]()
     raise DomainError(f"catalog map {name!r} is not attached to a curve")

@@ -1101,21 +1101,15 @@ def periodic_points(phi: RationalMap, n: int) -> list:
 
 # --------------------------------------------------------------- rasters
 
-def julia_raster(source, window=None, resolution=None, n: int = 24):
-    """Grayscale image of the canonical measure; dense cells are dark.
+def julia_raster(field: GreenField):
+    """Grayscale image of the canonical measure of a Green field (see
+    green_field); dense cells are dark.
 
-    source is a GreenField or a map/lift (then window and resolution are
-    required).  Cell masses are scaled by the window's share of the
-    measure before the 0.98-quantile sets full darkness, so a window that
-    holds almost none of it stays light.  Returns a uint8 array,
-    deterministic for fixed inputs.
+    Cell masses are scaled by the window's share of the measure before
+    the 0.98-quantile sets full darkness, so a window that holds almost
+    none of it stays light.  Returns a uint8 array, deterministic for
+    fixed inputs.
     """
-    if isinstance(source, GreenField):
-        field = source
-    else:
-        if window is None or resolution is None:
-            raise DomainError("window and resolution needed with a map")
-        field = green_field(_as_lift(source), window, resolution, n)
     grid = measure_from_green(field)
     v = grid.mass
     pos = v[v > 0]

@@ -510,6 +510,12 @@ class RationalMap:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
+    def __reduce__(self):
+        # rebuilt from its forms, so pickle and deepcopy never meet the
+        # compiled kernel, a closure, in the _kernel slot
+        return (RationalMap._from_coprime,
+                (*_coords(self._num, self._den)[0], self._d))
+
     def __call__(self, p: ProjPoint) -> ProjPoint:
         f0, f1 = self.eval_pair(p.x0, p.x1)
         return ProjPoint(f0, f1, self._d)

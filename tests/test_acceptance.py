@@ -261,7 +261,7 @@ def test_c11_julia_circle_and_raster_agreement(capfd):
                     assert abs(abs(z) - 1.0) <= 1e-8
 
         window = (-2.0, 2.0, -2.0, 2.0)
-        ra = julia_raster(catalog("phi_1+i"), window, 64, n=24)
-        rb = julia_raster(catalog("phi_1-i"), window, 64, n=24)
+        ra = julia_raster(green_field(catalog("phi_1+i"), window, 64, 24))
+        rb = julia_raster(green_field(catalog("phi_1-i"), window, 64, 24))
         gap = np.abs(ra.astype(int) - rb.astype(int)).max()
         assert gap <= 1

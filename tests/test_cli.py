@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import p1dyn
-from p1dyn import cli
+from p1dyn import cli, lattes
+from p1dyn.errors import MapSpecError
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.ratmaps import RationalMap
 
@@ -42,6 +43,24 @@ def map_spec_file(tmp_path, phi, name="map.json"):
     return str(path)
 
 
+# one small run of each subcommand
+_ONE_RUN_EACH = [
+    ["height", "--catalog", "pow_2", "--point", "7,3"],
+    ["nt-height", "--point", "0"],
+    ["commute", "--catalog", "pow_2", "pow_3"],
+    ["compose", "--catalog", "pow_2", "pow_3"],
+    ["ramify", "--catalog", "phi_1+i"],
+    ["table-check", "--lambda", "2,0,3"],
+    ["green", "--catalog", "pow_2", "--point", "2,0"],
+    ["measure", "--catalog", "pow_2", "--res", "32"],
+    ["density-compare", "--catalog", "phi_2@E1", "--depth", "3",
+     "--res", "32"],
+    ["periodic", "--catalog", "pow_2"],
+    ["julia", "--catalog", "pow_2", "--res", "32", "--out", "{out}"],
+    ["catalog"],
+]
+
+
 class TestDispatchCoverage:
     def subcommands(self):
         parser = cli.build_parser()
@@ -52,6 +71,7 @@ class TestDispatchCoverage:
 
     def test_every_subcommand_registered(self):
         assert self.subcommands() == set(cli.OPERATIONS)
+        assert [argv[0] for argv in _ONE_RUN_EACH] == list(cli.OPERATIONS)
 
     def test_each_operation_has_exactly_one_subcommand(self):
         seen = {}
@@ -68,6 +88,24 @@ class TestDispatchCoverage:
                 for part in dotted.split("."):
                     obj = getattr(obj, part)
                 assert callable(obj), dotted
+
+    @pytest.mark.parametrize("argv", _ONE_RUN_EACH)
+    def test_main_stamps_command_and_schema(self, argv, tmp_path, capsys):
+        argv = [a.format(out=tmp_path / "img.pgm") for a in argv]
+        args = cli.build_parser().parse_args(argv)
+        payload = args.handler(args)
+        assert "command" not in payload and "schema" not in payload
+        assert run_json(argv, capsys) == {
+            "schema": 1, "command": argv[0], **json.loads(json.dumps(payload))
+        }
+
+    @pytest.mark.parametrize("name", ["nt-height", "ramify"])
+    def test_curve_choices_come_from_the_curve_table(self, name):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        opt = next(a for a in sub.choices[name]._actions if a.dest == "curve")
+        assert tuple(opt.choices) == tuple(lattes.CURVES) == ("E1", "E2")
 
 
 class TestSpecExamples:
@@ -547,6 +585,15 @@ class TestJulia:
         rc, _, err = run(["julia", "--catalog", "pow_2"], capsys)
         assert rc == 2
 
+    def test_header_comment_lines(self, tmp_path, capsys):
+        out = str(tmp_path / "img.pgm")
+        run_json(["julia", "--catalog", "pow_2", "--res", "32", "--iters",
+                  "8", "--window", "-2,2,-1.5,1.5", "--out", out], capsys)
+        head = open(out, "rb").read().split(b"\n")[:7]
+        assert head == [b"P5", b"# command=julia", b"# iters=8",
+                        b"# map=pow_2", b"# window=-2,2,-1.5,1.5",
+                        b"32 32", b"255"]
+
 
 class TestCatalogCmd:
     def test_lists_all_entries(self, capsys):
@@ -636,6 +683,47 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys):
         rc, _, _ = run(["--help"], capsys)
         assert rc == 0
+
+    @pytest.mark.parametrize("args,message", [
+        (["height", "--catalog", "pow_2", "--point", "1,2,3"],
+         "point '1,2,3' must be two comma-separated coordinates"),
+        (["green", "--catalog", "pow_2", "--point", "1"],
+         "point '1' must be re,im decimals"),
+        (["table-check", "--lambda", "x,0,1"],
+         "--lambda 'x,0,1' needs two rationals and an integer d"),
+        (["nt-height"], "nt-height needs at least one --point"),
+        (["green", "--catalog", "pow_2"],
+         "green needs at least one --point re,im"),
+        (["density-compare", "--map", "{curve_map}"],
+         "density-compare needs a --catalog map attached to a curve"),
+        (["height", "--map", "{missing}", "--point", "1,1"],
+         "cannot read map file {missing}: "),
+        (["height", "--map", "{no_den}", "--point", "1,1"],
+         "{no_den}: map spec needs 'num' and 'den' lists"),
+    ])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, args, message):
+        no_den = tmp_path / "no_den.json"
+        no_den.write_text('{"num": ["1"]}')
+        files = {
+            "curve_map": map_spec_file(tmp_path, catalog("phi_2@E1")),
+            "missing": str(tmp_path / "missing.json"),
+            "no_den": str(no_den),
+        }
+        rc, out, err = run([a.format(**files) for a in args], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: " + message.format(**files))
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("window,message", [
+        ("0,1,2", "must be x0,x1,y0,y1"), ("0,1,a,2", "must be four decimals"),
+    ])
+    def test_bad_window(self, capsys, window, message):
+        with pytest.raises(MapSpecError, match=message):
+            cli._parse_window(window)
+        rc, out, err = run(["measure", "--catalog", "pow_2", "--window",
+                            window], capsys)
+        assert rc == 2 and out == ""
+        assert "argument --window" in err
 
 
 _OUT_COMMANDS = {

@@ -10,6 +10,7 @@ from p1dyn.quadfield import (
     format_element,
     integral_gcd,
     omega_flag,
+    pair_divexact,
     pair_divmod,
     pair_normalize,
     parse_element,
@@ -106,6 +107,15 @@ class TestBasicArithmetic:
         with pytest.raises(DomainError):
             QF(1, 1, 0)
 
+    def test_rational_parts_from_strings(self):
+        assert QF("1/2", "-3", 1) == gauss(Fraction(1, 2), -3)
+
+    def test_refused_parts_and_tags(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            QF(1.5)
+        with pytest.raises(DomainError, match="unsupported field tag d=2"):
+            QF(1, 0, 2)
+
 
 class TestIntegrality:
     def test_half_integers_d3(self):
@@ -154,6 +164,15 @@ class TestEuclidean:
         with pytest.raises(DomainError):
             integral_gcd(QF(0), QF(0))
 
+    def test_gcd_rejects_mixed_fields(self):
+        with pytest.raises(FieldMismatchError):
+            integral_gcd(gauss(1, 0), eis(1, 0))
+
+    def test_divexact_refuses_a_remainder(self):
+        assert pair_divexact((6, 0), (2, 0), 0) == (3, 0)
+        with pytest.raises(DomainError, match="not exact"):
+            pair_divexact((1, 0), (2, 0), 0)
+
     def test_gcd_rejects_non_integral(self):
         with pytest.raises(DomainError):
             integral_gcd(gauss(Fraction(1, 2), 0), gauss(1, 0))
@@ -195,6 +214,16 @@ class TestGrammar:
     def test_parse_empty(self):
         with pytest.raises(MapSpecError):
             parse_element("   ", 1)
+
+    @pytest.mark.parametrize("text,d,error,message", [
+        ("1", 2, DomainError, "unsupported field tag d=2"),
+        ("1+", 0, MapSpecError, "empty term"),
+        ("+", 1, MapSpecError, "empty term"),
+        ("2w", 1, MapSpecError, "malformed term '2w'"),
+    ])
+    def test_parse_refuses(self, text, d, error, message):
+        with pytest.raises(error, match=message):
+            parse_element(text, d)
 
     @pytest.mark.parametrize(
         "x",

@@ -379,3 +379,18 @@ def test_import_does_not_load_sympy(capsys):
     blocked = _fresh_run("blocked")
     assert blocked["loaded"] == []
     assert blocked["runs"] == report["runs"]
+
+
+def test_lazy_names_resolve_in_process(monkeypatch):
+    # other tests import p1dyn.measures directly, which leaves the lazy
+    # names unset until the first attribute lookup takes __getattr__
+    for name in p1dyn._MEASURES_NAMES:
+        monkeypatch.delitem(vars(p1dyn), name, raising=False)
+    from p1dyn import measures
+
+    assert p1dyn.green is measures.green
+    for name in p1dyn._MEASURES_NAMES:
+        assert getattr(p1dyn, name) is getattr(measures, name)
+    assert set(p1dyn._MEASURES_NAMES) <= set(dir(p1dyn))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        p1dyn.no_such_name

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from p1dyn.errors import DomainError, IterationBudgetError
+from p1dyn import heights
 from p1dyn.heights import (
     HeightValue,
     _log_int,
@@ -372,6 +373,27 @@ class TestBudgetsAndErrors:
     def test_degree_one_rejected(self):
         with pytest.raises(DomainError):
             canonical_height(rmap([1, 1], [1]), pt(2, 1), 1e-9)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_log_of_non_positive_integer(self, n):
+        with pytest.raises(DomainError, match="non-positive"):
+            _log_int(n)
+
+    def test_non_integral_resultant_is_refused(self, monkeypatch):
+        # an integral model has an integral resultant; a certificate that
+        # claimed otherwise would stop the engine before it runs
+        monkeypatch.setattr(heights, "cofactor_certificate",
+                            lambda c0, c1, deg: (QF(Fraction(1, 2)), 0.0))
+        with pytest.raises(DomainError, match="non-integral resultant"):
+            heights._HeightEngine(rmap([0, 0, 1], [1]))
+
+    def test_height_below_its_error_budget_is_refused(self, monkeypatch):
+        # a loop that undershot by more than its bound raises, where a
+        # small negative value within the bound is clamped to 0
+        monkeypatch.setattr(heights._HeightEngine, "_arch_value",
+                            lambda self, x0, x1, n: (-1.0, 0.0))
+        with pytest.raises(DomainError, match="negative beyond the error"):
+            canonical_height(rmap([1, 0, 1], [0, 1]), pt(3, 1), 1e-9)
 
     @pytest.mark.parametrize("target", [0.0, -1e-9, math.nan])
     def test_bad_target(self, target):

@@ -7,7 +7,9 @@ import pytest
 
 from p1dyn.errors import DomainError, MapSpecError
 from p1dyn.lattes import (
+    CURVES,
     EllipticCurveCM,
+    RamificationProfile,
     catalog,
     catalog_entry,
     catalog_names,
@@ -22,7 +24,7 @@ from p1dyn.lattes import (
     ramification_profile,
     two_torsion_targets,
 )
-from p1dyn.quadfield import QuadFieldElement as QF
+from p1dyn.quadfield import QuadFieldElement as QF, format_element
 from p1dyn.ratmaps import Poly, ProjPoint, RationalMap, preimage_multiplicities
 
 
@@ -124,6 +126,28 @@ class TestCurveValidation:
     def test_quadratic_rejected(self):
         with pytest.raises(DomainError):
             EllipticCurveCM(Poly([1, 0, 1], 1), 1)
+
+    def test_rational_field_rejected(self):
+        with pytest.raises(DomainError, match="tags are 1 and 3"):
+            EllipticCurveCM(Poly([1, 0, 0, 1], 0), 0)
+
+    @pytest.mark.parametrize("build", [lattes_double, lattes_triple])
+    def test_singular_cubic_past_validation_degenerates(self, build):
+        # y^2 = x^3, built without __post_init__: doubling and tripling
+        # collapse to x/4 and x/9, which the degree checks refuse
+        curve = object.__new__(EllipticCurveCM)
+        object.__setattr__(curve, "G", Poly([0, 0, 0, 1], 1))
+        object.__setattr__(curve, "d", 1)
+        with pytest.raises(DomainError, match="degenerated"):
+            build(curve)
+
+    def test_curve_table(self):
+        assert {n: f() for n, f in CURVES.items()} == {
+            "E1": curve_E1(), "E2": curve_E2()}
+        for name in catalog_names():
+            entry = catalog_entry(name)
+            if entry.curve_name is not None:
+                assert curve_for_name(name) == CURVES[entry.curve_name]()
 
     def test_tag_outside_the_field_of_G_rejected(self):
         # y^2 = x^3 + x over Q(i) tagged as a hexagonal-lattice curve
@@ -315,6 +339,19 @@ class TestTwoTorsion:
 
 
 class TestProfiles:
+    @pytest.mark.parametrize("counts,degree,message", [
+        ((1, 1, 1), 2, "exactly four counts"),
+        ((0, 1, 1, 1), 2, "count 0 outside"),
+        ((1, 1, 1, 1), 4, "sanity bounds"),
+    ])
+    def test_profile_validation(self, counts, degree, message):
+        with pytest.raises(DomainError, match=message):
+            RamificationProfile(counts, degree)
+
+    def test_map_and_curve_fields_must_agree(self):
+        with pytest.raises(DomainError, match="different fields"):
+            ramification_profile(catalog("phi_1+i"), curve_E2())
+
     def test_doubling_profile(self):
         prof = ramification_profile(lattes_double(curve_E1()), curve_E1())
         assert prof.as_multiset() == (4, 2, 2, 2)
@@ -448,6 +485,46 @@ class TestMultiplierLookup:
         with pytest.raises(DomainError) as err:
             map_for_multiplier(QF(7, 0, 1))
         assert "known multipliers" in str(err.value)
+
+    @staticmethod
+    def _scan(lam):
+        """The entry a scan of the catalog finds for lam, or None."""
+        return next((catalog_entry(n) for n in catalog_names()
+                     if catalog_entry(n).lam is not None
+                     and catalog_entry(n).lam == lam), None)
+
+    @pytest.mark.parametrize("name", [
+        n for n in catalog_names() if catalog_entry(n).lam is not None
+    ])
+    def test_index_agrees_with_a_scan(self, name):
+        lam = catalog_entry(name).lam
+        unit = {1: QF(0, 1, 1), 3: RHO6}[lam.d]
+        for k in range({1: 4, 3: 6}[lam.d]):
+            assoc = unit**k * lam
+            entry = self._scan(assoc)
+            if entry is None:
+                with pytest.raises(DomainError, match="known multipliers"):
+                    map_for_multiplier(assoc)
+            else:
+                assert map_for_multiplier(assoc) is entry
+        assert map_for_multiplier(lam) is catalog_entry(name)
+
+    def test_two_in_each_field(self):
+        # equal hashes, yet no field's 2 equals another's
+        twos = [QF(2, 0, d) for d in (0, 1, 3)]
+        assert len({hash(x) for x in twos}) == 1
+        assert twos[0] != twos[1] != twos[2] != twos[0]
+        assert map_for_multiplier(twos[1]).name == "phi_2@E1"
+        assert map_for_multiplier(twos[2]).name == "phi_2@E2"
+        known = sorted(format_element(e.lam) + " (d=%d)" % e.lam.d
+                       for e in map(catalog_entry, catalog_names())
+                       if e.lam is not None)
+        assert len(known) == len(set(known)) == 13
+        with pytest.raises(DomainError) as err:
+            map_for_multiplier(twos[0])
+        assert str(err.value) == (
+            "no catalog map has multiplier 2 over d=0; known multipliers: "
+            + "; ".join(known))
 
 
 def _scan_for_map(phi: RationalMap):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from p1dyn import measures
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import (
+    CatalogEntry,
     catalog,
     catalog_entry,
     catalog_names,
@@ -29,6 +30,7 @@ from p1dyn.measures import (
     _abs_g_on,
     _header_comments,
     _grid_centers,
+    _lattice_leaves,
     _lattice_mass,
     _preimage_tree,
     _Torus,
@@ -45,6 +47,7 @@ from p1dyn.measures import (
     write_csv,
     write_pgm,
 )
+from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import RationalMap
 
 
@@ -1071,7 +1074,7 @@ class TestChebyshevArcsine:
 
 class TestRaster:
     def test_dark_ring(self):
-        img = julia_raster(catalog("pow_2"), WIN, 96, n=20)
+        img = julia_raster(green_field(catalog("pow_2"), WIN, 96, 20))
         assert img.dtype == np.uint8 and img.shape == (96, 96)
         cz, _, _ = _grid_centers(WIN, 96, 96)
         ring = np.abs(np.abs(cz) - 1.0) < 0.03
@@ -1079,8 +1082,8 @@ class TestRaster:
         assert img[0, 0] == 255
 
     def test_deterministic(self):
-        a = julia_raster(catalog("pow_2"), WIN, 64, n=16)
-        b = julia_raster(catalog("pow_2"), WIN, 64, n=16)
+        a = julia_raster(green_field(catalog("pow_2"), WIN, 64, 16))
+        b = julia_raster(green_field(catalog("pow_2"), WIN, 64, 16))
         assert np.array_equal(a, b)
 
     def test_field_input(self):
@@ -1091,10 +1094,12 @@ class TestRaster:
     def test_window_without_julia_set_stays_light(self):
         # (20, 21)^2 holds a share of about 1e-10 of the measure of z^2;
         # normalised to mass 1 its round-off would fill the raster
-        img = julia_raster(catalog("pow_2"), (20, 21, 20, 21), 64, n=24)
+        img = julia_raster(
+            green_field(catalog("pow_2"), (20, 21, 20, 21), 64, 24))
         assert (img == 255).all()
         # the whole Julia set in view keeps its dark cells
-        img = julia_raster(catalog("pow_2"), (-2, 2, -2, 2), 64, n=24)
+        img = julia_raster(
+            green_field(catalog("pow_2"), (-2, 2, -2, 2), 64, 24))
         assert int((img < 128).sum()) == 124
 
     def test_degree_one_rejected_upstream(self):
@@ -1106,7 +1111,7 @@ class TestRaster:
 
 class TestExport:
     def test_pgm_bytes(self, tmp_path):
-        img = julia_raster(catalog("pow_2"), WIN, 64, n=16)
+        img = julia_raster(green_field(catalog("pow_2"), WIN, 64, 16))
         p1 = tmp_path / "a.pgm"
         p2 = tmp_path / "b.pgm"
         meta = {"map": "pow_2", "window": "-2,2,-2,2", "seed": 0}
@@ -1145,6 +1150,56 @@ class TestExport:
         write_csv(d, pa)
         write_csv(d, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def _far_density():
+    # |G| overflows to inf on every cell, so each cell's mass is 0.0
+    with np.errstate(over="ignore"):
+        lattes_density(curve_E1(), (1e150, 2e150, 1e150, 2e150), 8)
+
+
+class TestInputErrors:
+    """Every refused input of the analytic layer raises with its reason."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: green_field(SQUARE, WIN, 1, 8), "at least 2 cells"),
+        (lambda: Lift([1], [2], degree=0), "lift degree must be at least 1"),
+        (lambda: Lift([1, 2, 3, 4], [1], degree=2), "longer than degree"),
+        (lambda: green("pow_2", 2.0, 4), "expected a Lift or a RationalMap"),
+        (lambda: GreenField(WIN, (2, 2), np.full((2, 2), np.nan), 1),
+         "non-finite entries"),
+        (lambda: green_field(SQUARE, WIN, 32, 0), "at least one iteration"),
+        (lambda: preimage_sample(catalog("pow_2"), 2.0, -1),
+         "depth must be nonnegative"),
+        (lambda: preimage_sample(catalog("pow_2"), complex("nan"), 2),
+         "seed_point must be finite"),
+        (lambda: sample_histogram(preimage_sample(catalog("pow_2"), 2.0, 4),
+                                  (10, 11, 10, 11), 8),
+         "no sample points fall inside the window"),
+        (_far_density, "window captures no mass"),
+        (lambda: periodic_points(catalog("pow_2"), 0),
+         "period must be at least 1"),
+        (lambda: write_pgm(None, np.zeros((2, 2, 2))), "2-D grayscale"),
+    ])
+    def test_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_multiplier_outside_the_lattice_endomorphisms(self):
+        # 1/2 maps no period lattice into itself
+        half = QuadFieldElement(1, 0, 1) / 2
+        entry = CatalogEntry("phi_2@E1", catalog("phi_2@E1"), half, "E1")
+        with pytest.raises(ConvergenceError, match="period lattice"):
+            _lattice_leaves(entry, 2.0, 1)
+
+    def test_density_of_a_window_without_roots(self):
+        # no root of G = z^3 + z within a cell of this window, so every
+        # cell keeps its midpoint value
+        win = (2.0, 3.0, 2.0, 3.0)
+        d = lattes_density(curve_E1(), win, 8)
+        cz, dx, dy = _grid_centers(win, 8, 8)
+        mid = dx * dy / np.abs(cz**3 + cz)
+        assert np.allclose(d.mass, mid / mid.sum(), rtol=1e-12, atol=0)
 
 
 class TestKS:

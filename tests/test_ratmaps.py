@@ -1,9 +1,13 @@
+import copy
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
 from p1dyn.errors import DomainError, FieldMismatchError
+from p1dyn.lattes import catalog, catalog_names
 from p1dyn.quadfield import QuadFieldElement as QF
 from p1dyn.ratmaps import (
     Poly,
@@ -200,6 +204,94 @@ class TestRationalMap:
     def test_str(self):
         assert str(rmap([0, 0, 1], [1])) == "z^2"
         assert str(rmap([1, 0, 1], [0, 2])) == "(1/2*z^2 + 1/2) / (z)"
+
+
+def _shared_factor_map():
+    """z/z^2 built past the gcd, as only _from_coprime's callers could."""
+    return RationalMap._from_coprime(([0, 1], [0, 0]), ([0, 0, 1], [0, 0, 0]),
+                                     0)
+
+
+class TestRefusedInputs:
+    def test_coefficient_from_another_field(self):
+        with pytest.raises(FieldMismatchError, match="lives in d=1"):
+            Poly([QF(1, 1, 1)], 0)
+
+    def test_zero_polynomial_has_no_leading_coefficient(self):
+        with pytest.raises(DomainError, match="no leading coefficient"):
+            P(0).leading()
+
+    def test_negative_power(self):
+        with pytest.raises(DomainError, match="negative polynomial power"):
+            P(1, 1) ** -1
+
+    def test_infinity_has_no_complex_value(self):
+        with pytest.raises(DomainError, match="no complex value"):
+            complex(ProjPoint.infinity())
+
+    def test_forms_from_two_fields(self):
+        with pytest.raises(FieldMismatchError, match="field mismatch"):
+            RationalMap(P(1), P(1, d=1))
+
+    def test_degree_collapse_guard(self):
+        # the outer forms z, z^2 share the root 0, where 1/z sends the
+        # leading coefficients: the composite z/1 drops a degree
+        with pytest.raises(DomainError, match="degree collapsed"):
+            _shared_factor_map().compose(rmap([1], [0, 1]))
+
+    def test_fiber_refusals(self):
+        sq = rmap([0, 0, 1], [1])
+        with pytest.raises(FieldMismatchError, match="different field"):
+            preimage_multiplicities(sq, ProjPoint(1, 1, 1))
+        with pytest.raises(DomainError, match="constant maps"):
+            preimage_multiplicities(rmap([2], [1]), ProjPoint(1, 1))
+        # z/z, built past the gcd, is the constant 1 off z = 0, so the
+        # fiber polynomial over 1 is z - z = 0
+        collapsed = RationalMap._from_coprime(([0, 1], [0, 0]),
+                                              ([0, 1], [0, 0]), 0)
+        with pytest.raises(DomainError, match="constant value"):
+            preimage_multiplicities(collapsed, ProjPoint(1, 1))
+
+    def test_certificate_refusals(self):
+        one = QF.one(0)
+        with pytest.raises(DomainError, match="length deg"):
+            cofactor_certificate([one, one], [one], 1)
+        with pytest.raises(DomainError, match="degree >= 1"):
+            cofactor_certificate([one], [one], 0)
+
+
+_HUGE = RationalMap.from_strings(["1", "0", str(10**200)], ["0", "1"], 0)
+
+
+def _seeded_point(d: int, seed: int) -> ProjPoint:
+    rng = random.Random(seed)
+    x0 = QF(rng.randint(-9, 9), rng.randint(-9, 9) if d else 0, d)
+    return ProjPoint(x0, QF(rng.randint(1, 9), 0, d), d)
+
+
+class TestCopies:
+    """An evaluated or composed map pickles and deep-copies to an equal
+    map, with none of its compiled kernel."""
+
+    @pytest.mark.parametrize("name", [*catalog_names(), "huge"])
+    def test_round_trips(self, name):
+        phi = _HUGE if name == "huge" else catalog(name)
+        P = _seeded_point(phi.d, 7)
+        for step in ("evaluated", "composed"):
+            if step == "evaluated":
+                image = phi(P)
+                maps = [phi]
+            else:
+                comp = phi.compose(phi)
+                maps = [phi, comp]
+            assert phi._kernel is not None
+            for f in maps:
+                for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+                    assert g == f and hash(g) == hash(f)
+                    assert g._kernel is None
+                    assert g(P) == f(P)
+            assert phi(P) == image
+        assert comp(P) == phi(phi(P))
 
 
 class TestFibers:
