@@ -20,7 +20,6 @@ from .heights import (
     HeightValue,
     canonical_height,
     height_constants,
-    naive_height,
     neron_tate,
 )
 from .lattes import (

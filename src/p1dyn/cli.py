@@ -64,13 +64,16 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_window(text: str) -> tuple:
+    # argparse prints an ArgumentTypeError's text, not a ValueError's
     parts = text.split(",")
     if len(parts) != 4:
-        raise MapSpecError(f"window {text!r} must be x0,x1,y0,y1")
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} must be x0,x1,y0,y1")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
-        raise MapSpecError(f"window {text!r} must be four decimals") from None
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} must be four decimals") from None
 
 
 def _field_tag(d, where: str) -> int:

@@ -1,4 +1,4 @@
-"""Naive and canonical heights with certified error bounds.
+"""Canonical heights with certified error bounds.
 
 The canonical height of a point under a degree-alpha map splits into an
 archimedean Green value plus finite-place corrections:
@@ -118,17 +118,6 @@ class HeightValue:
             raise DomainError("height value must be nonnegative")
         if self.error_bound < 0:
             raise DomainError("error bound must be nonnegative")
-
-
-def naive_height(P: ProjPoint) -> HeightValue:
-    """Weil height: half the log of the largest coordinate norm.
-
-    Coordinates are first made integral and coprime, after which only the
-    one complex place (or the real place, over the rationals)
-    contributes.
-    """
-    a, b = P.reduced_pair()
-    return HeightValue(0.5 * _log_int(int(max(a.norm(), b.norm()))), 0, 0.0)
 
 
 class _HeightEngine:

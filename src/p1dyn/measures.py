@@ -701,9 +701,11 @@ def sample_histogram(
 
 def _abs_g_on(gc, z):
     acc = np.full(np.shape(z), gc[-1], dtype=complex)
-    for k in range(len(gc) - 2, -1, -1):
-        acc = acc * z + gc[k]
-    return np.abs(acc)
+    # far out |G| overflows to inf, which gives its cell the mass 0.0
+    with np.errstate(over="ignore"):
+        for k in range(len(gc) - 2, -1, -1):
+            acc = acc * z + gc[k]
+        return np.abs(acc)
 
 
 # _agm: steps before it gives up; roots 1e-300 apart need 13

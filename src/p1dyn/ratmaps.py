@@ -151,27 +151,6 @@ class Poly:
             raise DomainError("negative polynomial power")
         return _power(self, n, Poly._of([1], [0], 1, self._d))
 
-    def __divmod__(self, other: "Poly"):
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        s, (qa, qb), (ra, rb) = _pseudo_divmod(
-            (self._u, self._v), (other._u, other._v), omega_flag(self._d)
-        )
-        # s*den_x*self = q*den_y*other + r
-        q = ([a * other._den for a in qa], [b * other._den for b in qb])
-        return (Poly._of(*q, s * self._den, self._d),
-                Poly._of(ra, rb, s * self._den, self._d))
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        x = (self._u, self._v)
-        return Poly._of(*_times_conj(x, x, omega_flag(self._d)), self._d)
-
     def derivative(self) -> "Poly":
         return Poly._of([k * a for k, a in enumerate(self._u)][1:],
                         [k * b for k, b in enumerate(self._v)][1:],
@@ -199,12 +178,6 @@ class Poly:
         """The nonzero terms (k, basis pair) of den * self, for kernels."""
         return [(k, c) for k, c in enumerate(zip(self._u, self._v))
                 if c[0] or c[1]]
-
-    def embed(self, d: int) -> "Poly":
-        # QuadFieldElement.embed's checks; a rational's basis pair (a, 0)
-        # is the same in every ring
-        QuadFieldElement.zero(self._d).embed(d)
-        return Poly._of(self._u, self._v, self._den, d)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -448,15 +421,20 @@ class RationalMap:
             raise FieldMismatchError("numerator and denominator field mismatch")
         if num.is_zero() and den.is_zero():
             raise DomainError("0/0 does not define a map")
+        (x, y), _ = _coords(num, den)
+        t = omega_flag(num.d)
         # gcd(0, f) = f, so a constant map comes out as c/1 or 1/0
-        g = poly_gcd(num, den)
-        if g.degree >= 1:
-            num, den = num // g, den // g
-        self._set_scaled(*_coords(num, den)[0], num.d)
+        g = _gcd_coords(x, y, t)
+        if len(g[0]) > 1:
+            # s*x = p*g and r*y = q*g, both exact: x/y = p*r/(q*s)
+            (s, p, _), (r, q, _) = (_pseudo_divmod(v, g, t) for v in (x, y))
+            x = tuple([a * r for a in v] for v in p)
+            y = tuple([a * s for a in v] for v in q)
+        self._set_scaled(x, y, num.d)
 
     @classmethod
     def _from_coprime(cls, num: tuple, den: tuple, d: int) -> "RationalMap":
-        """The map num/den for coprime polynomials, without poly_gcd.
+        """The map num/den for coprime polynomials, without a gcd.
 
         num and den are (u, v) basis pair vectors as in _field_convolve,
         scaled by one common nonzero factor and not both zero.  Callers
@@ -604,12 +582,6 @@ class RationalMap:
         n = [complex(self._num.coeff(k)) for k in range(self._deg + 1)]
         m = [complex(self._den.coeff(k)) for k in range(self._deg + 1)]
         return n, m
-
-    def embed(self, d: int) -> "RationalMap":
-        # a gcd over Q stays a gcd over any extension field
-        return RationalMap._from_coprime(
-            *_coords(self._num.embed(d), self._den.embed(d))[0], d
-        )
 
     def __str__(self) -> str:
         if self._den.degree <= 0 and not self._den.is_zero():

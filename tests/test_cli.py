@@ -13,7 +13,6 @@ import pytest
 
 import p1dyn
 from p1dyn import cli, lattes
-from p1dyn.errors import MapSpecError
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.ratmaps import RationalMap
 
@@ -427,6 +426,26 @@ class TestConstantMaps:
         assert payload["num"] == [] and payload["den"] == ["1"]
 
 
+def test_map_file_common_factor_cancels(tmp_path, capsys, monkeypatch):
+    # (z^2 + z)/(z^2 - 1) is z/(z - 1); each file is map.json in its own
+    # directory, so the "maps" key reads the same
+    outs = []
+    for name, num, den in (("common", ["0", "1", "1"], ["-1", "0", "1"]),
+                           ("reduced", ["0", "1"], ["-1", "1"])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "map.json").write_text(
+            json.dumps({"num": num, "den": den}))
+        monkeypatch.chdir(tmp_path / name)
+        outs.append([run(["compose", *args], capsys) for args in (
+            ["--map", "map.json", "map.json"],
+            ["--map", "map.json", "--catalog", "pow_2"],
+            ["--catalog", "pow_2", "--map", "map.json"],
+        )])
+    assert outs[0] == outs[1]
+    assert [(rc, err) for rc, _, err in outs[0]] == [(0, "")] * 3
+    assert json.loads(outs[0][0][1])["num"] == ["0", "1"]
+
+
 class TestMeasure:
     def test_subnormal_window_is_one_error_line(self, capsys):
         # cells 2.5e-322 wide square to 0.0 in double precision
@@ -718,12 +737,12 @@ class TestErrorPaths:
         ("0,1,2", "must be x0,x1,y0,y1"), ("0,1,a,2", "must be four decimals"),
     ])
     def test_bad_window(self, capsys, window, message):
-        with pytest.raises(MapSpecError, match=message):
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
             cli._parse_window(window)
         rc, out, err = run(["measure", "--catalog", "pow_2", "--window",
                             window], capsys)
         assert rc == 2 and out == ""
-        assert "argument --window" in err
+        assert "argument --window" in err and message in err
 
 
 _OUT_COMMANDS = {

@@ -4,7 +4,7 @@ The exact core runs on integral basis pairs: a field element and every
 Poly coefficient are held as one over a least common denominator, so the
 ring operations, the evaluation of forms, integral_gcd, pair_normalize,
 pair_divmod, ProjPoint.reduced_pair, cleared_pairs, integral_model and
-every Poly operation run on ints; compose and embed skip poly_gcd, and
+every Poly operation run on ints; compose skips poly_gcd, and
 the resultant and the Bezout certificate share one fraction-free
 elimination.  Forms are evaluated by one kernel, formkernel.form_kernel,
 for Poly.eval_pair, a map's image of a point, composition and both
@@ -39,10 +39,12 @@ are the Fraction versions: elements with Fraction coordinates on the
 basis (1, sqrt(-d)) and Horner's rule on them, Euclid through exact
 field division with nearest rounding (ties toward +infinity), a search
 of the unit group for the canonical associate, coefficient-wise sums,
-negation, derivative, monic scaling and embedding of field elements, the
+negation, derivative and monic scaling of field elements, the
 schoolbook product of field elements, long division of polynomials over
-the field, its Euclidean remainder sequence, Yun's square-free split,
-the full gcd constructor RationalMap(num, den), and Gaussian elimination
+the field for the pseudo-division on basis pair vectors, its Euclidean
+remainder sequence, which also cancels the common factor of a map's
+forms, Yun's square-free split, the full gcd constructor
+RationalMap(num, den), and Gaussian elimination
 over the field for the Sylvester determinant and the cofactor systems.
 The height engine's archimedean Green sum runs on integer pairs shifted
 by powers of two, at a size that falls along the orbit; its oracle is the
@@ -95,6 +97,7 @@ from p1dyn.ratmaps import (
     _coords,
     _field_convolve,
     _pack,
+    _pseudo_divmod,
     _unpack,
     cofactor_certificate,
     log_one_norm,
@@ -362,10 +365,6 @@ def oracle_poly_monic(f: Poly) -> tuple:
     return _trimmed([inv * c for c in f.coeffs])
 
 
-def oracle_poly_embed(f: Poly, d: int) -> tuple:
-    return _trimmed([c.embed(d) for c in f.coeffs])
-
-
 def oracle_poly_divmod(f: Poly, g: Poly) -> tuple:
     """Long division over the field, one Fraction coefficient at a time."""
     rem = list(f.coeffs)
@@ -389,7 +388,17 @@ def oracle_poly_gcd(f: Poly, g: Poly) -> Poly:
     a, b = f, g
     while not b.is_zero():
         a, b = b, oracle_poly_divmod(a, b)[1]
-    return a.monic()
+    return Poly(oracle_poly_monic(a), a.d)
+
+
+def oracle_map_coeffs(num: Poly, den: Poly) -> tuple:
+    """Coefficients of num/den in lowest terms, by long division through
+    the Euclidean gcd, with a monic denominator (numerator for 1/0)."""
+    g = oracle_poly_gcd(num, den)
+    num, den = oracle_poly_divmod(num, g)[0], oracle_poly_divmod(den, g)[0]
+    inv = (den if not den.is_zero() else num).leading().inverse()
+    return (_trimmed([inv * c for c in num.coeffs]),
+            _trimmed([inv * c for c in den.coeffs]))
 
 
 def oracle_yun(h: Poly) -> list:
@@ -1321,25 +1330,83 @@ class TestGcdOracle:
 
 
 # --------------------------------------------------------------------------
-# Poly division, gcd and fiber multiplicities
+# Pseudo-division, gcd, common factors and fiber multiplicities
 # --------------------------------------------------------------------------
+
+
+def pseudo_divmod_polys(f: Poly, g: Poly) -> tuple:
+    """_pseudo_divmod on the basis pair vectors of f and g over their
+    common denominator D, with (s, q, r) read back as Polys: s*D*f =
+    q*D*g + r."""
+    (x, y), den = _coords(f, g)
+    s, q, r = _pseudo_divmod(x, y, omega_flag(f.d))
+    return s, den, *(Poly._of(*v, 1, f.d) for v in (x, y, q, r))
 
 
 class TestPolyDivision:
     @settings(max_examples=80, deadline=None)
     @given(d=FIELDS, data=st.data())
-    def test_divmod_matches_fraction_loop(self, d, data):
+    def test_pseudo_divmod_matches_fraction_loop(self, d, data):
         f = data.draw(kernel_polys(d, lengths=(0, 1, 2, 4, 7, 12)))
         g = data.draw(kernel_polys(d).filter(lambda p: not p.is_zero()))
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.degree < g.degree
-        assert (q, r) == oracle_poly_divmod(f, g)
-        assert f // g == q
+        s, den, x, y, q, r = pseudo_divmod_polys(f, g)
+        assert type(s) is int and s > 0
+        assert s * x == q * y + r
+        assert r.degree < y.degree
+        # f = (q/s) g + r/(s D), the quotient and remainder over the field
+        assert (q * Poly([Fraction(1, s)], d),
+                r * Poly([Fraction(1, s * den)], d)) == oracle_poly_divmod(
+                    f, g)
 
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divmod(Poly([1, 2], 1), Poly([], 1))
+    @settings(max_examples=60, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_common_factor_cancels(self, d, data):
+        # g non-monic and non-integral, a or b possibly zero
+        g = data.draw(kernel_polys(d, lengths=(1, 2, 3, 4)))
+        a = data.draw(kernel_polys(d, lengths=(0, 1, 2, 3, 5)))
+        b = data.draw(kernel_polys(d, lengths=(0, 1, 2, 3, 5)))
+        if a.is_zero() and b.is_zero():
+            return
+        phi = RationalMap(a * g, b * g)
+        assert phi == RationalMap(a, b)
+        assert (phi.num.coeffs, phi.den.coeffs) == oracle_map_coeffs(a, b)
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_common_factor_cancels_on_fixed_forms(self, d):
+        half = QF(Fraction(1, 2), Fraction(-3, 4) if d else 0, d)
+        g = Poly([Fraction(-2, 3), half, 7], d)
+        z, one, zero = Poly([0, 1], d), Poly([1], d), Poly([], d)
+        c = Poly([half], d)
+        # (z^2 + z)/(z^2 - 1) is z/(z - 1)
+        assert RationalMap(poly_from_strings(["0", "1", "1"], d),
+                           poly_from_strings(["-1", "0", "1"], d)) == (
+            RationalMap(z, z - one))
+        for a, b in ((z, z - one), (zero, z), (z, zero), (c, one)):
+            assert RationalMap(a * g, b * g) == RationalMap(a, b)
+        # constant maps come out as c/1 or 1/0
+        assert RationalMap(zero, g) == RationalMap(zero, one)
+        assert RationalMap(g, zero) == RationalMap(one, zero)
+        assert RationalMap(c * g, g) == RationalMap(c, one)
+        assert RationalMap(c * g, g).num == c
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_map_cancels_common_factor(self, name):
+        # the curve maps' forms reach degree 9 with large coefficients;
+        # a map over Q also cancels once embedded in Q(i) and Q(sqrt -3)
+        phi = catalog(name)
+        for d in ((phi.d,) if phi.d else (0, 1, 3)):
+            num, den = (Poly([c.embed(d) for c in f.coeffs], d)
+                        for f in (phi.num, phi.den))
+            half = QF(Fraction(1, 2), Fraction(-3, 4) if d else 0, d)
+            g = Poly([Fraction(-2, 3), half, 7], d)
+            psi = RationalMap(num * g, den * g)
+            assert psi == RationalMap(num, den)
+            assert (psi.num.coeffs, psi.den.coeffs) == (num.coeffs,
+                                                        den.coeffs)
+            assert (psi.num.coeffs, psi.den.coeffs) == oracle_map_coeffs(
+                num, den)
+            if d == phi.d:
+                assert psi == phi
 
     @settings(max_examples=60, deadline=None)
     @given(d=FIELDS, data=st.data())
@@ -1359,8 +1426,9 @@ class TestPolyDivision:
     def test_gcd_zero_and_constants(self):
         f = Poly([QF(Fraction(1, 3), 2, 3), QF(0, Fraction(1, 2), 3)], 3)
         one = Poly([1], 3)
-        assert poly_gcd(f, Poly([], 3)) == f.monic()
-        assert poly_gcd(Poly([], 3), f) == f.monic()
+        monic = Poly(oracle_poly_monic(f), 3)
+        assert poly_gcd(f, Poly([], 3)) == monic
+        assert poly_gcd(Poly([], 3), f) == monic
         assert poly_gcd(f, Poly([QF(5, 7, 3)], 3)) == one
         with pytest.raises(DomainError):
             poly_gcd(Poly([], 3), Poly([], 3))
@@ -1421,7 +1489,7 @@ class TestPolyDivision:
 
 
 # --------------------------------------------------------------------------
-# Poly sums, negation, derivative, monic, embedding; equality and hashing
+# Poly sums, negation, derivative; equality and hashing
 # --------------------------------------------------------------------------
 
 
@@ -1441,18 +1509,6 @@ class TestPolyLinear:
         f = data.draw(polys_of(d))
         assert (-f).coeffs == oracle_poly_neg(f)
         assert f.derivative().coeffs == oracle_poly_derivative(f)
-        assert f.monic().coeffs == oracle_poly_monic(f)
-
-    @settings(max_examples=60, deadline=None)
-    @given(d=st.sampled_from([1, 3]), data=st.data())
-    def test_embed_matches_fraction_loop(self, d, data):
-        f = data.draw(polys_of(0))
-        assert f.embed(d).coeffs == oracle_poly_embed(f, d)
-        assert f.embed(d).d == d and f.embed(0) == f
-        g = data.draw(polys_of(d))
-        assert g.embed(d) == g
-        with pytest.raises(FieldMismatchError):
-            g.embed(4 - d)
 
     @pytest.mark.parametrize("d", [0, 1, 3])
     def test_zero_and_constants(self, d):
@@ -1460,8 +1516,6 @@ class TestPolyLinear:
         for f in (zero, c):
             assert (-f).coeffs == oracle_poly_neg(f)
             assert f.derivative() == zero
-            assert f.monic().coeffs == oracle_poly_monic(f)
-        assert c.monic() == Poly([1], d) and zero.monic() == zero
         assert (c + c).coeffs == (QF(Fraction(-3, 2), 0, d),)
         assert (c - c) == zero and zero.degree == -1 and c.degree == 0
 
@@ -1476,13 +1530,10 @@ class TestPolyLinear:
             (f * Poly([3], d)) * Poly([Fraction(1, 3)], d),
             (f + Poly([1, 2, 3, 4, 5], d)) - Poly([1, 2, 3, 4, 5], d),
             -(-f),
-            divmod(f * Poly([-half, 1], d), Poly([-half, 1], d))[0],
+            RationalMap(f * Poly([-half, 1], d), Poly([-half, 1], d)).num,
             Poly([half], d) + Poly([0, 0, Fraction(-2, 3), 5], d),
             Poly(f.coeffs, d),
         ]
-        if d:
-            routes.append(Poly([half], d) + Poly([0, 0, -2, 15], 0).embed(d)
-                          * Poly([Fraction(1, 3)], d))
         for g in routes:
             assert g == f and hash(g) == hash(f)
             assert g.coeffs == f.coeffs
@@ -1525,11 +1576,12 @@ class TestPolyBuildsNoFieldElements:
         monkeypatch.setattr(QF, "_of", classmethod(counting_of))
         out = []
         for f in polys:
-            out += [f.monic(), f.derivative(), -f, f**3]
+            out += [f.derivative(), -f, f**3]
             for g in polys:
                 out += [f + g, f - g, f * g]
                 if not g.is_zero():
-                    out += [*divmod(f, g), f // g]
+                    # the constructor cancels g on basis pair vectors
+                    out += [RationalMap(f * g, g).num]
         assert built == [] and all(isinstance(p, Poly) for p in out)
         # the counter is live: a coefficient read builds one
         polys[0].leading()
@@ -1621,16 +1673,6 @@ class TestComposeTrusted:
             Poly([phi(ProjPoint.infinity(phi.d)).x1], phi.d),
         )
         assert consts["inf"].compose(phi) == consts["inf"]
-
-    @pytest.mark.parametrize("name", catalog_names())
-    def test_embed(self, name):
-        phi = catalog(name)
-        assert phi.embed(phi.d) == phi
-        if phi.d == 0:
-            for d in (1, 3):
-                assert phi.embed(d) == RationalMap(
-                    phi.num.embed(d), phi.den.embed(d)
-                )
 
 
 # --------------------------------------------------------------------------
@@ -1979,7 +2021,9 @@ class TestArchOracle:
         pts = [ProjPoint.affine(w), ProjPoint.affine(w * w),
                ProjPoint.affine(-w)]
         for name in ("pow_2", "pow_3", "pow_4"):
-            phi = catalog(name).embed(d)
+            phi = RationalMap(*(Poly([c.embed(d) for c in f.coeffs], d)
+                                for f in (catalog(name).num,
+                                          catalog(name).den)))
             _check_arch(phi, pts)
             for P in pts:
                 h = canonical_height(phi, P)

@@ -570,7 +570,10 @@ class TestMapLookup:
         z2_plus_1 = RationalMap(Poly([1, 0, 1], 0), Poly([1], 0))
         assert entry_for_map(z2_plus_1) is None
         # pow_2 over Z[i] is not the catalog's pow_2 over Q
-        assert entry_for_map(catalog("pow_2").embed(1)) is None
+        pow_2 = catalog("pow_2")
+        assert entry_for_map(RationalMap(
+            *(Poly([c.embed(1) for c in f.coeffs], 1)
+              for f in (pow_2.num, pow_2.den)))) is None
 
 
 class TestLattesEvaluation:

@@ -14,6 +14,7 @@ from p1dyn.ratmaps import (
     ProjPoint,
     RationalMap,
     _bareiss,
+    _pseudo_divmod,
     cofactor_certificate,
     distinct_preimages,
     poly_from_strings,
@@ -41,15 +42,20 @@ class TestPoly:
     def test_product(self):
         assert P(1, 1) * P(1, 1) == P(1, 2, 1)
 
-    def test_divmod_exact(self):
-        q, r = divmod(P(-1, 0, 0, 1), P(-1, 1))
-        assert q == P(1, 1, 1)
-        assert r.is_zero()
+    def test_pseudo_divmod_exact(self):
+        # z^3 - 1 = (z^2 + z + 1)(z - 1), on basis pair vectors
+        s, q, r = _pseudo_divmod(([-1, 0, 0, 1], [0] * 4), ([-1, 1], [0, 0]),
+                                 0)
+        assert (s, q, r) == (1, ([1, 1, 1], [0, 0, 0]), ([0], [0]))
 
-    def test_divmod_remainder(self):
-        q, r = divmod(P(1, 0, 1), P(3, 1))
-        assert q * P(3, 1) + r == P(1, 0, 1)
-        assert r.degree < 1
+    def test_pseudo_divmod_remainder(self):
+        # z^2 + 1 = (z - 3)(z + 3) + 10
+        s, q, r = _pseudo_divmod(([1, 0, 1], [0] * 3), ([3, 1], [0, 0]), 0)
+        assert (s, q, r) == (1, ([-3, 1], [0, 0]), ([10], [0]))
+        # a non-monic divisor scales: 16(z^2 + 1) = (8z - 12)(2z + 3) + 52
+        s, q, r = _pseudo_divmod(([1, 0, 1], [0] * 3), ([3, 2], [0, 0]), 0)
+        assert (s, q, r) == (16, ([-12, 8], [0, 0]), ([52], [0]))
+        assert s * P(1, 0, 1) == P(*q[0]) * P(3, 2) + P(*r[0])
 
     def test_gcd(self):
         g = poly_gcd(P(-1, 0, 1), P(1, -2, 1))
