@@ -9,9 +9,11 @@ certified bounds of the height engine; see heights for the exact side.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +91,7 @@ class Lift:
         self.f1 = np.array(f1, dtype=complex)
         self.f0.setflags(write=False)
         self.f1.setflags(write=False)
+        self._coeffs = (tuple(f0), tuple(f1))
 
     def _degenerate(self) -> bool:
         n = self.degree
@@ -117,46 +120,72 @@ class Lift:
     def eval(self, w0, w1):
         """Evaluate both forms; accepts scalars or numpy arrays.
 
-        Horner in w0, carrying the powers of w1.  On arrays the two
-        accumulators, the power and one scratch array are allocated once
-        and reused, and a coefficient that is exactly zero costs only
-        acc * w0.  The term skipped, 0 * w1^(deg-k), could only have set
-        the sign of a zero: a component that is exactly zero may flip
-        sign, but no magnitude and no Green value moves (inf or nan
-        inputs may give other non-finite values, which GreenField
-        refuses).  Scalars keep every term and numpy's scalar arithmetic,
-        whose complex product rounds differently from the array loop's
-        (which can fuse a multiply-add).
+        Horner in w0, carrying the powers of w1.  Scalars (and 0-d
+        arrays) run _forms_scalar in Python complex, term for term as
+        numpy's scalar arithmetic would, and come back as np.complex128.
+        Arrays run _forms_into on arrays allocated here; see there for
+        the terms it skips.
         """
         if np.ndim(w0) == 0:
-            w0, w1 = np.complex128(w0), np.complex128(w1)
-            acc0 = self.f0[-1] * np.ones_like(w0)
-            acc1 = self.f1[-1] * np.ones_like(w0)
-            p1 = w1
-            for k in range(self.degree - 1, -1, -1):
-                acc0 = acc0 * w0 + self.f0[k] * p1
-                acc1 = acc1 * w0 + self.f1[k] * p1
-                p1 = p1 * w1
-            return acc0, acc1
-        # no complex product is written over one of its factors: on a
-        # one-element array numpy then takes a loop that rounds like the
-        # scalar arithmetic above, not like the array loop
-        accs = [f[-1] * np.ones_like(w0) for f in (self.f0, self.f1)]
-        p1 = np.array(w1, dtype=complex)
-        tmp = np.empty_like(p1)
-        for k in range(self.degree - 1, -1, -1):
-            for i, f in enumerate((self.f0, self.f1)):
-                acc = accs[i]
-                np.multiply(acc, w0, out=tmp)
-                if f[k]:
-                    np.multiply(f[k], p1, out=acc)
-                    acc += tmp
-                else:
-                    accs[i], tmp = tmp, acc
-            if k:
-                np.multiply(p1, w1, out=tmp)
-                p1, tmp = tmp, p1
-        return accs[0], accs[1]
+            a0, a1 = _forms_scalar(self._coeffs, complex(w0), complex(w1))
+            return np.complex128(a0), np.complex128(a1)
+        w0 = np.asarray(w0)
+        bufs = [w0, np.asarray(w1, dtype=complex)]
+        bufs += [np.empty(w0.shape, complex) for _ in range(5)]
+        a0, a1, *_ = _forms_into(self, bufs)
+        return a0, a1
+
+
+def _forms_scalar(coeffs, w0: complex, w1: complex):
+    """F(w0, w1) in Python complex.  Each Horner starts from the top
+    coefficient times 1 and keeps every term, as the plain Horner on
+    numpy scalars does, so every product and sum rounds, and every zero
+    takes its sign, as there."""
+    f0, f1 = coeffs
+    a0 = f0[-1] * _ONE
+    a1 = f1[-1] * _ONE
+    p = w1
+    for k in range(len(f0) - 2, -1, -1):
+        a0 = a0 * w0 + f0[k] * p
+        a1 = a1 * w0 + f1[k] * p
+        p = p * w1
+    return a0, a1
+
+
+def _forms_into(lift: "Lift", bufs: list) -> list:
+    """F(w0, w1) on arrays, writing only into preallocated arrays.
+
+    bufs holds seven complex arrays of one shape: w0 and w1, which are
+    read and not written, and five scratch arrays.  Returns the same
+    seven, reordered: the two forms first, then five free arrays (w0
+    and w1 among them).  A coefficient that is exactly zero costs only
+    acc * w0: the term skipped, 0 * w1^(deg-k), could only have set the
+    sign of a zero, so a component that is exactly zero may flip sign,
+    but no magnitude and no Green value moves (inf or nan inputs may
+    give other non-finite values, which GreenField refuses).  No complex
+    product is written over one of its factors: on a one-element array
+    numpy then takes a loop that rounds like the scalar arithmetic, not
+    like the array loop (which can fuse a multiply-add).
+    """
+    w0, w1, a0, a1, tmp, p, q = bufs
+    accs = [a0, a1]
+    for acc, f in zip(accs, (lift.f0, lift.f1)):
+        acc.fill(f[-1] * _ONE)
+    p1 = w1
+    for k in range(lift.degree - 1, -1, -1):
+        for i, f in enumerate((lift.f0, lift.f1)):
+            acc = accs[i]
+            np.multiply(acc, w0, out=tmp)
+            if f[k]:
+                np.multiply(f[k], p1, out=acc)
+                acc += tmp
+            else:
+                accs[i], tmp = tmp, acc
+        if k:
+            nxt = q if p1 is p else p
+            np.multiply(p1, w1, out=nxt)
+            p1 = nxt
+    return [accs[0], accs[1], w0, w1, tmp, p, q]
 
 
 def _as_lift(obj) -> Lift:
@@ -215,44 +244,106 @@ class DensityGrid:
         self.mass.setflags(write=False)
 
 
-# cells of the flattened grid that green_field iterates at a time, so
-# every temporary of a step stays in cache
-_GREEN_BLOCK = 8192
+# cells of the flattened grid that a worker iterates at a time.  A
+# ufunc call on a block releases the GIL for its whole length, so the
+# block must be long enough that the workers' calls overlap rather than
+# queue for the GIL.  On 2 vCPUs (numpy 2.4.6) the two 512^2 fields of
+# 24 steps in perfbench's analytic pass took 180-210 ms at 16384 cells
+# with two workers (265-305 ms with one); at 8192 cells two workers took
+# 260-270 ms, no less than one (250-275 ms): each call then lasts about
+# 10 us, and the threads spend it handing the GIL over
+_GREEN_BLOCK = 16384
+
+_ONE = 1.0 + 0j
 
 
-def _green_core(lift: Lift, w0, w1, n: int, out=None):
-    """n-th Green value of each pair (w0, w1), both consumed.
+def _workers(blocks: int) -> int:
+    """Workers for a grid of this many blocks: one per CPU that the
+    process may run on, and no more than there are blocks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks))
 
-    On arrays (one block of a grid) w0, w1 and the values, kept in out,
-    are updated in place; numpy scalars, from a 0-d point, keep their
-    scalar arithmetic.  The loop stops once scale underflows to 0.0:
-    every later step would add log(m) * 0.0 and leave g as it is.
+
+def _green_block(lift: Lift, z, n: int, bufs: list, inv, m, t, g) -> None:
+    """n-th Green values of the points (z, 1) of one block, into g.
+
+    bufs holds seven complex arrays (see _forms_into), inv a complex
+    array whose imaginary parts are +0.0 (only its real parts are
+    written), and m, t two float arrays, all of the block's length.
+    Every step writes into them with out=, in the plain iteration's
+    order of operations, so the bits are those of a fresh array per
+    operation.
+    The loop stops once scale underflows to 0.0: every later step would
+    add log(m) * 0.0 and leave g as it is.
 
     Both coordinates are divided by m as w * (1/m): numpy divides a
     complex number by a real one by Smith's rule, whose ratio is then 0
     and whose scale is 1/m, so the product has the quotient's bits, and
-    one real division serves both coordinates.
+    one real division serves both coordinates.  numpy would multiply by
+    1/m cast to complex; writing 1/m into inv.real makes that cast once
+    and skips the casting loop's buffers.  These two products are
+    written over w, unlike those of _forms_into: a product by a real
+    rounds alike in every loop.
     """
-    if lift.degree < 2:
-        # 1/deg^n never shrinks: the sum grows without limit
-        raise DomainError("Green functions need a map of degree at least 2")
-    m = np.maximum(np.abs(w0), np.abs(w1))
-    g = np.log(m, out=out)
-    inv = 1.0 / m
-    w0 *= inv
-    w1 *= inv
+    bufs[0][...] = z
+    bufs[1].fill(1.0)
+    np.abs(bufs[0], out=m)
+    np.abs(bufs[1], out=t)
+    np.maximum(m, t, out=m)
+    np.log(m, out=g)
     scale = 1.0
     for _ in range(n):
         scale /= lift.degree
         if scale == 0.0:
             break
-        w0, w1 = lift.eval(w0, w1)
-        m = np.maximum(np.abs(w0), np.abs(w1))
-        g += np.log(m) * scale
+        np.divide(1.0, m, out=inv.real)
+        bufs[0] *= inv
+        bufs[1] *= inv
+        bufs = _forms_into(lift, bufs)
+        np.abs(bufs[0], out=m)
+        np.abs(bufs[1], out=t)
+        np.maximum(m, t, out=m)
+        np.log(m, out=t)
+        t *= scale
+        g += t
+
+
+def _abs_max(w0: complex, w1: complex):
+    a, b = np.abs(w0), np.abs(w1)
+    # np.maximum's rule: a NaN wins
+    return a if a >= b or a != a else b
+
+
+def _green_scalar(lift: Lift, z: complex, n: int) -> float:
+    """_green_block's steps at one point, the forms in Python complex
+    (_forms_scalar).  abs and log stay numpy's, which round differently
+    from Python's abs and math.log."""
+    w0, w1 = z, _ONE
+    m = _abs_max(w0, w1)
+    g = np.log(m)
+    scale = 1.0
+    for _ in range(n):
+        scale /= lift.degree
+        if scale == 0.0:
+            break
         inv = 1.0 / m
-        w0 *= inv
-        w1 *= inv
-    return g
+        w0, w1 = _forms_scalar(lift._coeffs, w0 * inv, w1 * inv)
+        m = _abs_max(w0, w1)
+        g = g + np.log(m) * scale
+    return float(g)
+
+
+def _check_green(lift, n: int) -> Lift:
+    if n < 1:
+        raise DomainError("need at least one iteration")
+    lift = _as_lift(lift)
+    if lift.degree < 2:
+        # 1/deg^n never shrinks: the sum grows without limit
+        raise DomainError("Green functions need a map of degree at least 2")
+    return lift
 
 
 def green(lift, z, n: int) -> float:
@@ -261,32 +352,78 @@ def green(lift, z, n: int) -> float:
     Successive n differ by at most C/deg^n, so the returned value is
     within C/(deg^n (deg-1)) of the limit.  Counts past about
     1075/log2(deg) cost no more: deg^-n has underflowed and the value no
-    longer changes.
+    longer changes.  The iteration runs on Python complex numbers, with
+    numpy's abs and log: the bits of the plain iteration on numpy
+    scalars, and within rounding of green_field's cell at the point.
+    Python's complex products and sums raise no floating-point warning,
+    so a lift that overflows gives inf or nan without one.
     """
-    if n < 1:
-        raise DomainError("need at least one iteration")
+    lift = _check_green(lift, n)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("point must be finite")
-    lift = _as_lift(lift)
-    return float(_green_core(lift, np.asarray(z), np.asarray(1.0 + 0j), n))
+    return _green_scalar(lift, z, n)
 
 
 def green_field(lift, window, resolution, n: int) -> GreenField:
-    """green() evaluated on the cell centers of a window grid."""
-    if n < 1:
-        raise DomainError("need at least one iteration")
-    lift = _as_lift(lift)
+    """green() evaluated on the cell centers of a window grid.
+
+    The flattened grid is cut into blocks of _GREEN_BLOCK cells, which
+    the workers take one at a time: one thread per CPU in the process's
+    affinity mask, no more than there are blocks, and the calling thread
+    is one of them, so a grid of one block starts no thread.  The
+    calling thread allocates each worker's arrays before any starts,
+    and each other worker runs in a copy of its contextvars context, so
+    that np.errstate reaches it.  A block that raises stops the other
+    workers at their next block, and the first exception is re-raised
+    here once every thread has ended.  Every cell takes the same
+    operations whichever worker iterates it, so neither the worker
+    count nor the block size moves a bit.
+    """
+    lift = _check_green(lift, n)
     window = _check_window(window)
     nx, ny = _resolution_pair(resolution)
     centers, _, _ = _grid_centers(window, nx, ny)
     flat = centers.ravel()
     vals = np.empty((ny, nx))
     out = vals.ravel()
-    for lo in range(0, flat.size, _GREEN_BLOCK):
-        hi = min(lo + _GREEN_BLOCK, flat.size)
-        _green_core(lift, flat[lo:hi].copy(), np.ones(hi - lo, complex),
-                    n, out[lo:hi])
+    block = min(_GREEN_BLOCK, flat.size)
+    starts = range(0, flat.size, block)
+    scratch = [
+        ([np.empty(block, complex) for _ in range(7)],
+         np.zeros(block, complex), np.empty(block), np.empty(block))
+        for _ in range(_workers(len(starts)))
+    ]
+    todo = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def work(bufs, inv, m, t):
+        try:
+            while not errors:
+                with lock:
+                    lo = next(todo, None)
+                if lo is None:
+                    return
+                k = min(block, flat.size - lo)
+                _green_block(lift, flat[lo:lo + k], n,
+                             [b[:k] for b in bufs], inv[:k], m[:k], t[:k],
+                             out[lo:lo + k])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run,
+                         args=(work, *sc))
+        for sc in scratch[1:]
+    ]
+    for th in threads:
+        th.start()
+    work(*scratch[0])
+    for th in threads:
+        th.join()
+    if errors:
+        raise errors[0]
     return GreenField(window, (nx, ny), vals, n)
 
 

@@ -261,11 +261,18 @@ def _pseudo_divmod(x: tuple, y: tuple, t: int) -> tuple:
     """(s, q, r) with s*x = q*y + r, deg r < deg y, s a positive integer.
 
     x, y on basis pairs as in _field_convolve, y trimmed, nonzero.  With
-    y scaled by conj(L) for its leading coefficient L, a step that cancels
-    a nonzero top coefficient c maps r to N(L)*r - c*z^k*conj(L)*y and q
-    to N(L)*q + c*z^k, all in the integers; s gains a factor N(L).
+    y scaled by u for its leading coefficient L, so that its leading
+    coefficient n = u*L is a positive integer, a step that cancels a
+    nonzero top coefficient c maps r to n*r - c*z^k*u*y and q to
+    n*q + c*z^k, all in the integers; s gains a factor n.  u is conj(L)
+    and n = N(L), except that a rational L takes u = sign(L), n = |L|.
     """
-    C, E, n = _times_conj(y, y, t)
+    la, lb = y[0][-1], y[1][-1]
+    if lb:
+        C, E, n = _times_conj(y, y, t)
+    else:
+        n = abs(la)
+        C, E = (v if la > 0 else [-a for a in v] for v in y)
     m, s = len(C) - 1, 1
     # the quotient builds up above the remainder, q_k at index k + m
     ra, rb = list(x[0]), list(x[1])
@@ -279,7 +286,12 @@ def _pseudo_divmod(x: tuple, y: tuple, t: int) -> tuple:
                 be = cb * E[j]
                 ra[k + j] -= ca * C[j] - be
                 rb[k + j] -= ca * E[j] + cb * C[j] + t * be
-    return s, _times_conj((ra[m:], rb[m:]), y, t)[:2], (ra[:m], rb[:m])
+    q = (ra[m:], rb[m:])
+    if lb:
+        q = _times_conj(q, y, t)[:2]
+    elif la < 0:
+        q = tuple([-a for a in v] for v in q)
+    return s, q, (ra[:m], rb[:m])
 
 
 def _gcd_coords(x: tuple, y: tuple, t: int) -> tuple:

@@ -5,7 +5,9 @@ Green iteration, the Aberth kernel and the row-formatted CSV writer
 replaced: a fresh array for every operation, every row evaluated on
 every sweep, one value formatted at a time.  The Green iteration and the
 CSV writer must return the same bits, compared through tobytes() so
-that a one-ulp change or a flipped zero sign shows.  The Aberth kernel
+that a one-ulp change or a flipped zero sign shows; so must the field
+for any number of worker threads, and green()'s loop on Python complex
+against the oracle on numpy scalars, compared by repr.  The Aberth kernel
 starts elsewhere and stops by another test than its oracle, so its
 roots are matched one to one against the oracle's, within the distance
 that the two backward errors allow; its own bits must not depend on the
@@ -17,6 +19,8 @@ below, preimage_sample takes its leaves from the period lattice and
 never reaches the Aberth kernel.
 """
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from p1dyn import measures
-from p1dyn.errors import ConvergenceError
+from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.measures import (
     DensityGrid,
@@ -39,6 +43,7 @@ from p1dyn.measures import (
     poly_roots,
     write_csv,
 )
+from p1dyn.ratmaps import RationalMap
 
 TWO_PI = measures.TWO_PI
 
@@ -178,10 +183,14 @@ def test_eval_arrays_match_oracle(name, lift):
 
 @pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
 def test_eval_scalars_match_oracle(name, lift):
+    # Python complex against numpy scalars, signed zeros included
     rng = np.random.default_rng(12)
-    for _ in range(40):
-        w0 = complex(rng.normal(), rng.normal())
-        w1 = complex(rng.normal(), rng.normal())
+    pairs = [(complex(rng.normal(), rng.normal()),
+              complex(rng.normal(), rng.normal())) for _ in range(40)]
+    pairs += [(0j, 1 + 0j), (complex(-0.0, 0.0), complex(0.5, -0.0)),
+              (complex(0.0, -0.0), complex(-0.0, -0.0)),
+              (np.complex128(1e-200j), np.asarray(1e30 + 0j))]
+    for w0, w1 in pairs:
         got = lift.eval(w0, w1)
         want = oracle_eval(lift, w0, w1)
         assert type(got[0]) is type(want[0]) is np.complex128
@@ -239,7 +248,8 @@ def test_green_field_with_zero_components_matches_oracle():
 @pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
 def test_scalar_green_matches_oracle(name, lift):
     rng = np.random.default_rng(13)
-    zs = [0j, 1.0 + 0j, 2.5 - 0.5j, 1e-3j, -40.0 + 3.0j]
+    zs = [0j, 1.0 + 0j, 2.5 - 0.5j, 1e-3j, -40.0 + 3.0j, 1e-200 - 0j,
+          complex(-0.0, 1e-200), 1e150 - 3e149j]
     zs += list(1.5 * (rng.normal(size=12) + 1j * rng.normal(size=12)))
     for z in zs:
         for n in (1, 7, 30):
@@ -247,9 +257,11 @@ def test_scalar_green_matches_oracle(name, lift):
             assert repr(got) == repr(oracle_green(lift, z, n))
 
 
-def test_green_past_scale_underflow_matches_oracle():
-    # 2^-1075 underflows to 0.0; every later step adds log(m) * 0.0
-    lift = Lift.from_map(catalog("pow_2"))
+@pytest.mark.parametrize("name", ["pow_2", "phi_3@E1", "user"])
+def test_green_past_scale_underflow_matches_oracle(name):
+    # deg^-n underflows to 0.0 (n = 1075 for degree 2, 340 for 9, 679
+    # for 3); every later step adds log(m) * 0.0
+    lift = dict(LIFTS)[name]
     for z in (0.3 + 0.1j, 1.7 - 0.2j, 0.99j):
         want = oracle_green(lift, z, 1100)
         assert repr(green(lift, z, 1100)) == repr(want)
@@ -258,11 +270,39 @@ def test_green_past_scale_underflow_matches_oracle():
     assert same_bits(got, oracle_green_field(lift, WINDOW, 13, 11, 1500))
 
 
+@st.composite
+def random_lifts(draw):
+    """A lift of degree 2-4 whose coefficients are often exactly zero."""
+    deg = draw(st.integers(2, 4))
+    parts = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    coeff = st.one_of(st.just(0j), st.builds(complex, parts, parts))
+    f0 = draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
+    f1 = draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
+    try:
+        return Lift(f0, f1, deg)
+    except DomainError:
+        return Lift([0j] * deg + [1.0], [1.0], deg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lift=random_lifts(),
+    logr=st.floats(-200.0, 150.0),
+    turn=st.floats(0.0, 1.0),
+    n=st.one_of(st.integers(1, 40), st.integers(500, 1100)),
+)
+def test_scalar_green_matches_oracle_on_random_lifts(lift, logr, turn, n):
+    # |z| from 1e-200 to 1e150; n past 1075 / log2(deg), where deg^-n
+    # has underflowed, for every degree drawn
+    z = 10.0 ** logr * np.exp(2j * np.pi * turn)
+    assert repr(green(lift, z, n)) == repr(oracle_green(lift, z, n))
+
+
 @pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
 def test_green_field_cells_match_scalar_green(name, lift):
-    # green() runs the iteration on 0-d values, green_field on blocks of
-    # arrays: numpy computes each apart, so cell by cell they agree to
-    # rounding, not bit for bit
+    # green() runs the iteration on Python complex numbers, green_field
+    # on blocks of arrays, whose products may fuse a multiply-add: cell
+    # by cell they agree to rounding, not bit for bit
     centers, _, _ = _grid_centers(WINDOW, 13, 11)
     got = green_field(lift, WINDOW, (13, 11), 12).values
     want = np.array([[green(lift, z, 12) for z in row] for row in centers])
@@ -285,6 +325,132 @@ def test_green_steps_by_the_degree(name, lift):
             lhs = green(lift, complex(a / b), n) + log_b
             rhs = lift.degree * green(lift, z, n + 1)
             assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(log_b) + abs(rhs))
+
+
+# ------------------------------------------------------------- workers
+
+
+def pin_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(measures.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+BLOCK_KERNEL = measures._green_block
+
+
+def every_worker_takes_a_block(monkeypatch, workers):
+    """Hold each thread at its first block until every worker has one,
+    so that the workers' blocks interleave; returns the thread ids that
+    ran each block."""
+    barrier = threading.Barrier(workers, timeout=30)
+    seen = []
+
+    def held(*args):
+        first = threading.get_ident() not in seen
+        seen.append(threading.get_ident())
+        if first:
+            barrier.wait()
+        return BLOCK_KERNEL(*args)
+
+    monkeypatch.setattr(measures, "_green_block", held)
+    return seen
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_green_field_workers_match_oracle(monkeypatch, cpus):
+    # 9 x 7 cells in blocks of 4: 16 blocks, the last of 3 cells
+    pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(measures, "_GREEN_BLOCK", 4)
+    before = threading.active_count()
+    for name in ("phi_3@E1", "pow_2", "user"):
+        lift = dict(LIFTS)[name]
+        seen = every_worker_takes_a_block(monkeypatch, cpus)
+        got = green_field(lift, WINDOW, (9, 7), 9).values
+        assert same_bits(got, oracle_green_field(lift, WINDOW, 9, 7, 9))
+        assert len(seen) == 16 and len(set(seen)) == cpus
+        assert threading.get_ident() in seen
+        assert threading.active_count() == before
+
+
+def test_workers_share_blocks_under_fast_switching(monkeypatch):
+    # more workers than cores, one cell a block and a thread switch every
+    # microsecond: a block taken twice or never leaves a wrong or
+    # uninitialized cell
+    pin_cpus(monkeypatch, 8)
+    monkeypatch.setattr(measures, "_GREEN_BLOCK", 1)
+    lift = dict(LIFTS)["phi_1+i"]
+    want = oracle_green_field(lift, WINDOW, 13, 11, 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = green_field(lift, WINDOW, (13, 11), 6).values
+            assert same_bits(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    pin_cpus(monkeypatch, 3)
+    assert [measures._workers(b) for b in (1, 2, 3, 7)] == [1, 2, 3, 3]
+    monkeypatch.delattr(measures.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(measures.os, "cpu_count", lambda: 5)
+    assert [measures._workers(b) for b in (1, 4, 9)] == [1, 4, 5]
+    monkeypatch.setattr(measures.os, "cpu_count", lambda: None)
+    assert measures._workers(9) == 1
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    pin_cpus(monkeypatch, 4)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    lift = dict(LIFTS)["pow_2"]
+    got = green_field(lift, WINDOW, (128, 128), 5).values
+    assert started == []
+    assert same_bits(got, oracle_green_field(lift, WINDOW, 128, 128, 5))
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    pin_cpus(monkeypatch, 3)
+    monkeypatch.setattr(measures, "_GREEN_BLOCK", 4)
+    seen = every_worker_takes_a_block(monkeypatch, 3)
+    held = measures._green_block
+
+    def failing(*args):
+        held(*args)
+        if threading.get_ident() != threading.main_thread().ident:
+            raise ZeroDivisionError("raised in a worker")
+
+    monkeypatch.setattr(measures, "_green_block", failing)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="raised in a worker"):
+        green_field(dict(LIFTS)["pow_2"], WINDOW, (9, 7), 9)
+    assert len(set(seen)) == 3
+    assert threading.active_count() == before
+
+
+# (10^308 z^2 + 10^308)/z: near |z| = 1 the first form overflows, then
+# 1/m = 0 meets inf in w * (1/m)
+OVERFLOWING = Lift.from_map(RationalMap.from_strings(
+    [str(10**308), "0", str(10**308)], ["0", "1"], 0))
+
+
+@pytest.mark.parametrize("cpus", [2, 5])
+def test_errstate_reaches_every_worker(monkeypatch, cpus):
+    # tier-1 turns a RuntimeWarning into an error, so a worker outside
+    # the caller's np.errstate would raise one here
+    pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(measures, "_GREEN_BLOCK", 4)
+    window = (0.9, 1.1, -0.1, 0.1)
+    every_worker_takes_a_block(monkeypatch, cpus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="non-finite"):
+            green_field(OVERFLOWING, window, (9, 7), 3)
+    every_worker_takes_a_block(monkeypatch, cpus)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            green_field(OVERFLOWING, window, (9, 7), 3)
 
 
 # -------------------------------------------------------------- aberth

@@ -1358,6 +1358,28 @@ class TestPolyDivision:
                 r * Poly([Fraction(1, s * den)], d)) == oracle_poly_divmod(
                     f, g)
 
+    @settings(max_examples=80, deadline=None)
+    @given(d=FIELDS, data=st.data())
+    def test_rational_lead_scales_by_its_absolute_value(self, d, data):
+        # a divisor whose leading coefficient L is rational, its other
+        # coefficients anything: each step scales by |L|, never by
+        # N(L) = L^2, and a quotient coefficient is nonzero exactly
+        # where a step cancelled a top coefficient
+        f = data.draw(kernel_polys(d, lengths=(0, 1, 2, 4, 7, 12)))
+        low = data.draw(st.lists(kernel_coeffs(d), max_size=4))
+        lead = Fraction(data.draw(st.integers(-10**6, 10**6).filter(bool)),
+                        data.draw(st.integers(1, 12)))
+        g = Poly(low + [QF(lead, 0, d)], d)
+        (x, y), _ = _coords(f, g)
+        L, t = y[0][-1], omega_flag(d)
+        assert y[1][-1] == 0
+        s, q, r = _pseudo_divmod(x, y, t)
+        steps = sum(1 for a, b in zip(*q) if a or b)
+        assert s == abs(L) ** steps
+        x, y, q, r = (Poly._of(*v, 1, d) for v in (x, y, q, r))
+        assert s * x == q * y + r
+        assert r.degree < y.degree
+
     @settings(max_examples=60, deadline=None)
     @given(d=FIELDS, data=st.data())
     def test_common_factor_cancels(self, d, data):

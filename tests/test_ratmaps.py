@@ -52,10 +52,15 @@ class TestPoly:
         # z^2 + 1 = (z - 3)(z + 3) + 10
         s, q, r = _pseudo_divmod(([1, 0, 1], [0] * 3), ([3, 1], [0, 0]), 0)
         assert (s, q, r) == (1, ([-3, 1], [0, 0]), ([10], [0]))
-        # a non-monic divisor scales: 16(z^2 + 1) = (8z - 12)(2z + 3) + 52
+        # a non-monic divisor scales by its leading coefficient, not by
+        # its square: 4(z^2 + 1) = (2z - 3)(2z + 3) + 13
         s, q, r = _pseudo_divmod(([1, 0, 1], [0] * 3), ([3, 2], [0, 0]), 0)
-        assert (s, q, r) == (16, ([-12, 8], [0, 0]), ([52], [0]))
+        assert (s, q, r) == (4, ([-3, 2], [0, 0]), ([13], [0]))
         assert s * P(1, 0, 1) == P(*q[0]) * P(3, 2) + P(*r[0])
+        # and by its absolute value: 4(z^2 + 1) = (-2z - 3)(-2z + 3) + 13
+        s, q, r = _pseudo_divmod(([1, 0, 1], [0] * 3), ([3, -2], [0, 0]), 0)
+        assert (s, q, r) == (4, ([-3, -2], [0, 0]), ([13], [0]))
+        assert s * P(1, 0, 1) == P(*q[0]) * P(3, -2) + P(*r[0])
 
     def test_gcd(self):
         g = poly_gcd(P(-1, 0, 1), P(1, -2, 1))
