@@ -3,10 +3,11 @@ fields: exact field arithmetic, rational maps, canonical heights with
 certified error bounds, a catalog of commuting map families attached to
 CM elliptic curves, and the complex-analytic measure machinery.
 
-The exact layers (quadfield, ratmaps, lattes, heights) are pure Python.
-The complex-analytic layer, measures, needs numpy; it and its names
-below are imported on first access (PEP 562), so exact work never loads
-numpy.
+The exact layers (quadfield, ratmaps, lattes, heights) are pure Python,
+and so is periodic, whose closed forms serve the catalog's maps.  The
+complex-analytic layer, measures, needs numpy.  Both modules and their
+names below are imported on first access (PEP 562), so importing p1dyn
+compiles neither, and exact work never loads numpy.
 """
 
 from .errors import (
@@ -56,7 +57,7 @@ from .ratmaps import (
 
 __version__ = "0.1.0"
 
-# public names of the measures module, served by __getattr__
+# public names of the lazily imported modules, served by __getattr__
 _MEASURES_NAMES = (
     "ComplexSampleSet",
     "DensityGrid",
@@ -68,30 +69,34 @@ _MEASURES_NAMES = (
     "julia_raster",
     "lattes_density",
     "measure_from_green",
-    "periodic_points",
     "poly_roots",
     "preimage_sample",
     "sample_histogram",
     "write_csv",
     "write_pgm",
 )
+_PERIODIC_NAMES = ("periodic_points",)
+_LAZY = {"measures": _MEASURES_NAMES, "periodic": _PERIODIC_NAMES}
 
 
 def __getattr__(name):
-    if name != "measures" and name not in _MEASURES_NAMES:
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            break
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # import_module, not `from . import`: the latter probes this
     # module's attributes first and would recurse into __getattr__
     from importlib import import_module
 
-    measures = import_module(".measures", __name__)
+    mod = import_module("." + module, __name__)
     # later lookups become plain attribute hits
-    globals().update({n: getattr(measures, n) for n in _MEASURES_NAMES})
+    globals().update({n: getattr(mod, n) for n in names})
     return globals()[name]
 
 
 def __dir__():
-    return sorted({*globals(), "measures", *_MEASURES_NAMES})
+    return sorted({*globals(), *_LAZY, *_MEASURES_NAMES, *_PERIODIC_NAMES})
 
 
 __all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -10,9 +10,9 @@ Run configs are plain argparse namespaces; OPERATIONS maps each
 subcommand to its handler and the library operations it reaches.  A
 handler only computes its payload: main, the one path from arguments to
 stdout, stamps "command" and "schema" on it.  Only the handlers of
-the analytic subcommands (green, measure, density-compare, periodic,
-julia) import measures, and with it numpy; the exact subcommands never
-load numpy.
+the analytic subcommands (green, measure, density-compare, julia)
+import measures, and with it numpy, and so does periodic on a map
+outside the catalog; the exact subcommands never load numpy.
 """
 
 from __future__ import annotations
@@ -385,12 +385,12 @@ def _cmd_density_compare(args) -> dict:
 
 
 def _cmd_periodic(args) -> dict:
-    from . import measures
+    from . import periodic
 
     label, phi = _load_maps(args, 1)[0]
     pts = []
-    for z, mult in measures.periodic_points(phi, args.depth):
-        finite = z != measures.INF_POINT
+    for z, mult in periodic.periodic_points(phi, args.depth):
+        finite = z != periodic.INF_POINT
         pts.append(
             {
                 "z": _czpair(z) if finite else "inf",
@@ -492,7 +492,7 @@ OPERATIONS = {
     ),
     "periodic": (
         _cmd_periodic,
-        ("measures.periodic_points", "measures.poly_roots"),
+        ("periodic.periodic_points", "measures.poly_roots"),
     ),
     "julia": (_cmd_julia, ("measures.julia_raster", "measures.write_pgm")),
     "catalog": (

@@ -1,5 +1,5 @@
 """Complex-analytic layer: Green's functions, equilibrium measures,
-preimage sampling, periodic points, and raster export.
+preimage sampling, root finding, and raster export.
 
 Everything here runs in double precision.  Tolerances are those of
 numerical potential theory (grids, histograms, root residuals), not the
@@ -22,12 +22,10 @@ from .errors import ConvergenceError, DomainError
 from .lattes import (
     EllipticCurveCM, curve_for_name, entry_for_map,
 )
-from .ratmaps import Poly, RationalMap
-
-TWO_PI = 2.0 * math.pi
-
-# point at infinity marker used in periodic-point listings
-INF_POINT = complex(float("inf"), 0.0)
+from .ratmaps import RationalMap
+from .torus import (
+    TWO_PI, _basis_matrix, _hermite, _periods, _reduced,
+)
 
 
 def _check_window(window):
@@ -253,18 +251,27 @@ class DensityGrid:
 # 260-270 ms, no less than one (250-275 ms): each call then lasts about
 # 10 us, and the threads spend it handing the GIL over
 _GREEN_BLOCK = 16384
+# the block when the process may run on one CPU, and so has one worker;
+# no longer than _GREEN_BLOCK.  Pinned to one CPU the same two fields
+# took 255-263 ms at 8192 cells against 285-302 ms at 16384, whose ten
+# scratch arrays (2.3 MB) overflow a 2 MB L2 cache
+_SOLO_BLOCK = 8192
 
 _ONE = 1.0 + 0j
+
+
+def _cpus() -> int:
+    """CPUs that the process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _workers(blocks: int) -> int:
     """Workers for a grid of this many blocks: one per CPU that the
     process may run on, and no more than there are blocks."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks))
+    return max(1, min(_cpus(), blocks))
 
 
 def _green_block(lift: Lift, z, n: int, bufs: list, inv, m, t, g) -> None:
@@ -356,29 +363,34 @@ def green(lift, z, n: int) -> float:
     numpy's abs and log: the bits of the plain iteration on numpy
     scalars, and within rounding of green_field's cell at the point.
     Python's complex products and sums raise no floating-point warning,
-    so a lift that overflows gives inf or nan without one.
+    so a lift that overflows gives inf or nan without one, and that
+    raises DomainError, as a non-finite cell of green_field does.
     """
     lift = _check_green(lift, n)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("point must be finite")
-    return _green_scalar(lift, z, n)
+    g = _green_scalar(lift, z, n)
+    if not math.isfinite(g):
+        raise DomainError(f"Green value at {z} is not finite: the lift "
+                          "overflows in double precision")
+    return g
 
 
 def green_field(lift, window, resolution, n: int) -> GreenField:
     """green() evaluated on the cell centers of a window grid.
 
-    The flattened grid is cut into blocks of _GREEN_BLOCK cells, which
-    the workers take one at a time: one thread per CPU in the process's
-    affinity mask, no more than there are blocks, and the calling thread
-    is one of them, so a grid of one block starts no thread.  The
-    calling thread allocates each worker's arrays before any starts,
-    and each other worker runs in a copy of its contextvars context, so
-    that np.errstate reaches it.  A block that raises stops the other
-    workers at their next block, and the first exception is re-raised
-    here once every thread has ended.  Every cell takes the same
-    operations whichever worker iterates it, so neither the worker
-    count nor the block size moves a bit.
+    The flattened grid is cut into blocks of _GREEN_BLOCK cells
+    (_SOLO_BLOCK on one CPU), which the workers take one at a time: one
+    thread per CPU in the process's affinity mask, no more than there
+    are blocks, and the calling thread is one of them, so a grid of one
+    block starts no thread.  The calling thread allocates each worker's
+    arrays before any starts, and each other worker runs in a copy of
+    its contextvars context, so that np.errstate reaches it.  A block
+    that raises stops the other workers at their next block, and the
+    first exception is re-raised here once every thread has ended.
+    Every cell takes the same operations whichever worker iterates it,
+    so neither the worker count nor the block size moves a bit.
     """
     lift = _check_green(lift, n)
     window = _check_window(window)
@@ -388,6 +400,8 @@ def green_field(lift, window, resolution, n: int) -> GreenField:
     vals = np.empty((ny, nx))
     out = vals.ravel()
     block = min(_GREEN_BLOCK, flat.size)
+    if _cpus() == 1:
+        block = min(block, _SOLO_BLOCK)
     starts = range(0, flat.size, block)
     scratch = [
         ([np.empty(block, complex) for _ in range(7)],
@@ -829,8 +843,7 @@ def sample_histogram(
         raise DomainError("no sample points fall inside the window")
     ix = np.minimum(((z.real - a) / (b - a) * nx).astype(int), nx - 1)
     iy = np.minimum(((z.imag - c) / (d - c) * ny).astype(int), ny - 1)
-    counts = np.zeros((ny, nx), dtype=float)
-    np.add.at(counts, (iy, ix), 1.0)
+    counts = np.bincount(iy * nx + ix, minlength=nx * ny).reshape(ny, nx)
     return DensityGrid(window, (nx, ny), counts / counts.sum())
 
 
@@ -843,37 +856,6 @@ def _abs_g_on(gc, z):
         for k in range(len(gc) - 2, -1, -1):
             acc = acc * z + gc[k]
         return np.abs(acc)
-
-
-# _agm: steps before it gives up; roots 1e-300 apart need 13
-_AGM_STEPS = 40
-
-
-def _agm(a: complex, b: complex) -> complex:
-    """Optimal arithmetic-geometric mean: each step takes the root of a*b
-    nearer (a + b)/2."""
-    for _ in range(_AGM_STEPS):
-        if abs(a - b) <= 1e-15 * abs(a):
-            return a
-        a, b = (a + b) / 2, cmath.sqrt(a * b)
-        if abs(a - b) > abs(a + b):
-            b = -b
-    raise ConvergenceError(f"AGM not converged after {_AGM_STEPS} steps")
-
-
-def _periods(roots) -> tuple:
-    """A basis pi/AGM(a, b), pi*i/AGM(a, c) of the period lattice of
-    dx/y on y^2 = 4G(x), for G monic with these roots, from the optimal
-    complex AGM (Cremona and Thongjunthug, J. Number Theory 133, 2013):
-    the Weierstrass function of this lattice has wp'^2 = 4G(wp)."""
-    e1, e2, e3 = roots
-    a, b, c = (cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2),
-               cmath.sqrt(e2 - e3))
-    if abs(a - b) > abs(a + b):
-        b = -b
-    if abs(a - c) > abs(a + c):
-        c = -c
-    return math.pi / _agm(a, b), 1j * math.pi / _agm(a, c)
 
 
 def _lattice_mass(roots) -> float:
@@ -910,15 +892,8 @@ class _Torus:
     """
 
     def __init__(self, curve: EllipticCurveCM):
-        w1, w2 = _periods(poly_roots(
-            [complex(curve.G.coeff(k)) for k in range(4)]))
-        if (w2 / w1).imag < 0:
-            w2 = -w2
-        while True:
-            w2 -= round((w2 / w1).real) * w1
-            if abs(w2) >= abs(w1):
-                break
-            w1, w2 = w2, -w1
+        w1, w2 = _reduced(*_periods(poly_roots(
+            [complex(curve.G.coeff(k)) for k in range(4)])))
         self.tau = w2 / w1
         self.scale = (math.pi / w1) ** 2
         q = cmath.exp(1j * TWO_PI * self.tau)
@@ -1001,9 +976,9 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
     is an integer matrix M of determinant N = |lam|^2, so in the
     coordinates (x, y) of v = u/w1 = x + y tau the leaves are the group
     H = A Z^2 / N^n mod Z^2, A = adj(M^n), translated by A u0 / N^n.
-    With g = gcd(A21, A22) = A21 a + A22 b (the Hermite normal form of A,
-    in exact integers), H is the points (i/g + j X/N^n, j g/N^n) for
-    i < g, j < N^n/g and X = A11 a + A12 b.  So sin(pi v) = sin(pi x_i)
+    By the Hermite normal form of A in exact integers (torus._hermite),
+    H is the points (i/g + j X/N^n, j g/N^n) for i < g and j < N^n/g,
+    with g = gcd(A21, A22).  So sin(pi v) = sin(pi x_i)
     cos(pi B_j) + cos(pi x_i) sin(pi B_j), with x_i real and B_j
     complex: a sum of two outer products of 1-D tables.  Each table
     entry is an exact rational rounded once, reduced to [-1/2, 1/2]
@@ -1014,32 +989,18 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
     torus = _Torus(curve_for_name(entry.name))
     x, y = torus.log(z)
     lam, tau = complex(entry.lam), torus.tau
-    # lam * 1 and lam * tau on the basis (1, tau)
-    raw = [[(c - c.imag / tau.imag * tau).real, c.imag / tau.imag]
-           for c in (lam, lam * tau)]
-    mat = [[round(r) for r in col] for col in raw]
-    if max(abs(r - k) for a, b in zip(raw, mat) for r, k in zip(a, b)) > 1e-6:
-        raise ConvergenceError(f"{entry.name}: lam does not map the "
-                               "period lattice into itself")
-    (p, r), (q, s) = mat  # M = [[p, q], [r, s]]
+    p, q, r, s = _basis_matrix(lam, lam * tau, tau, f"{entry.name}: lam")
     a11, a12, a21, a22 = 1, 0, 0, 1
     for _ in range(depth):  # adj(M^n) = adj(M)^n
         a11, a12, a21, a22 = (a11 * s - a12 * r, a12 * p - a11 * q,
                               a21 * s - a22 * r, a22 * p - a21 * q)
-    nn = a11 * a22 - a12 * a21
-    g, a, b = a22, 0, 1  # extended Euclid: g = a21 a + a22 b
-    h, c, d = a21, 1, 0
-    while h:
-        k = g // h
-        g, a, b, h, c, d = h, c, d, g - k * h, a - k * c, b - k * d
-    if g < 0:
-        g, a, b = -g, -a, -b
+    nn, g, X = _hermite(a11, a12, a21, a22)
     rows = nn // g
     x0, y0 = (a11 * x + a12 * y) / nn, (a21 * x + a22 * y) / nn
     i = np.arange(g)
     xi = x0 + (i - g * np.rint(i / g + x0)) / g
     j = np.arange(rows, dtype=np.int64)
-    jx = j * ((a11 * a + a12 * b) % nn) % nn
+    jx = j * X % nn
     bj = ((jx - rows * np.rint(jx / rows)) / nn
           + (y0 + (j - rows * np.rint(j / rows + y0)) / rows) * tau)
     sx, cx = np.sin(math.pi * xi), np.cos(math.pi * xi)
@@ -1116,126 +1077,6 @@ def compare_l1(a: DensityGrid, b: DensityGrid) -> float:
     if a.window != b.window or a.resolution != b.resolution:
         raise DomainError("grids must share window and resolution")
     return 0.5 * float(np.sum(np.abs(a.mass - b.mass)))
-
-
-# ------------------------------------------------------- periodic points
-
-# largest chordal distance from a returned finite periodic point to its
-# n-th image; true cycles of the catalog maps come back within about
-# 1e-6, roots that are not periodic points land near distance 1
-_CYCLE_TOL = 1e-3
-
-
-def _pair_scale(w0: complex, w1: complex) -> float:
-    """Largest real or imaginary part of the pair (w0, w1)."""
-    return max(abs(w0.real), abs(w0.imag), abs(w1.real), abs(w1.imag))
-
-
-def _jet(f0, f1, w0: complex, w1: complex) -> tuple:
-    """(F, dF/dw0, dF/dw1) at (w0, w1) for both forms of the lift whose
-    coefficient lists f0, f1 multiply w0^k w1^(d-k), k = 0..d."""
-    d = len(f0) - 1
-    p0 = [1.0 + 0j]
-    p1 = [1.0 + 0j]
-    for _ in range(d):
-        p0.append(p0[-1] * w0)
-        p1.append(p1[-1] * w1)
-    return [
-        (sum(f[k] * p0[k] * p1[d - k] for k in range(d + 1)),
-         sum(k * f[k] * p0[k - 1] * p1[d - k] for k in range(1, d + 1)),
-         sum((d - k) * f[k] * p0[k] * p1[d - k - 1] for k in range(d)))
-        for f in (f0, f1)
-    ]
-
-
-def _cycle(f0, f1, z: complex, n: int) -> tuple:
-    """Chordal distance from z to its n-th image, and the multiplier of
-    phi^n at z, from the lift F of phi with coefficient lists f0, f1.
-
-    The orbit of p = (z, 1) is rescaled after each step, so it stays
-    finite through infinity, and J is the product of the Jacobians of
-    the rescaled steps: the Jacobian at p of a lift of phi^n of degree
-    D = d^n.  The orbit returns as c p.  Then p is an eigenvector of J
-    with eigenvalue D c (Euler's identity), and the other eigenvalue is c
-    times the multiplier, which is therefore det J / (D c^2).  Both are
-    nan when a pair degenerates.
-    """
-    s = _pair_scale(z, 1.0)
-    p0, p1 = z / s, 1.0 / s
-    w0, w1 = p0, p1
-    j00, j01, j10, j11 = 1.0, 0.0, 0.0, 1.0
-    for _ in range(n):
-        (v0, a, b), (v1, c, d) = _jet(f0, f1, w0, w1)
-        s = _pair_scale(v0, v1)
-        if not 0.0 < s < math.inf:
-            return math.nan, complex("nan")
-        w0, w1 = v0 / s, v1 / s
-        j00, j01, j10, j11 = (
-            (a * j00 + b * j10) / s, (a * j01 + b * j11) / s,
-            (c * j00 + d * j10) / s, (c * j01 + d * j11) / s,
-        )
-    norm = abs(p0) ** 2 + abs(p1) ** 2
-    resid = abs(p0 * w1 - p1 * w0) / math.sqrt(
-        norm * (abs(w0) ** 2 + abs(w1) ** 2))
-    c = (w0 * p0.conjugate() + w1 * p1.conjugate()) / norm
-    det = j00 * j11 - j01 * j10
-    # a constant map has J = 0 and D = 0, and multiplier 0
-    return resid, det / ((len(f0) - 1) ** n * c * c) if det else 0j
-
-
-def periodic_points(phi: RationalMap, n: int) -> list:
-    """Points of period dividing n, with multipliers.
-
-    Returns (point, multiplier) pairs sorted by real then imaginary
-    part; the point at infinity, when periodic, appears last as
-    complex(inf, 0).  A point is repelling iff |multiplier| > 1.
-
-    The finite points are the roots of num - z den for phi^n = num/den,
-    found by poly_roots; phi^n is built as phi after phi^(n-1), so each
-    of its n - 1 compositions runs phi's one compiled kernel.  Each
-    finite multiplier comes from the chain rule on the lift of phi along
-    the point's orbit, det J / (d^n c^2) (see _cycle), which holds in
-    every chart; the one at infinity is den_(alpha-1) / num_alpha, one
-    exact division.  Raises DomainError when phi^n is the identity, and
-    ConvergenceError when a finite root found is not within _CYCLE_TOL
-    (chordal) of its n-th image under phi.
-    """
-    if n < 1:
-        raise DomainError("period must be at least 1")
-    if phi.degree**n > 200:
-        raise DomainError("degree^n capped at 200")
-    psi = phi
-    for _ in range(n - 1):
-        psi = phi.compose(psi)
-    alpha = psi.degree
-    num, den = psi.num, psi.den
-    zpoly = Poly([0, 1], phi.d)
-    fixed = num - zpoly * den
-    if fixed.is_zero():
-        raise DomainError(
-            f"phi^{n} is the identity: every point has period dividing {n}"
-        )
-    coeffs = [complex(fixed.coeff(k)) for k in range(fixed.degree + 1)]
-    inf_mult_count = (alpha + 1) - fixed.degree
-    roots = poly_roots(coeffs) if fixed.degree >= 1 else []
-    f0, f1 = phi.complex_pair()
-    cycles = [_cycle(f0, f1, r, n) for r in roots]
-    resid = [e for e, _ in cycles]
-    if not all(e <= _CYCLE_TOL for e in resid):
-        raise ConvergenceError(
-            f"period-{n} roots miss their cycles by up to chordal "
-            f"distance {max(resid):.3g}",
-            partial=roots, residuals=resid,
-        )
-    out = [(r, m) for r, (_, m) in zip(roots, cycles)]
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    if inf_mult_count > 0:
-        # den has degree below alpha, so in the chart w = 1/z psi is
-        # w -> w^alpha den(1/w) / w^alpha num(1/w), whose derivative at 0
-        # is den_(alpha-1) / num_alpha: one exact division
-        m_inf = complex(den.coeff(alpha - 1) / num.coeff(alpha))
-        out.extend([(INF_POINT, m_inf)] * inf_mult_count)
-    return out
 
 
 # --------------------------------------------------------------- rasters

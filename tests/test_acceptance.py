@@ -37,10 +37,10 @@ from p1dyn.measures import (
     julia_raster,
     lattes_density,
     measure_from_green,
-    periodic_points,
     preimage_sample,
     sample_histogram,
 )
+from p1dyn.periodic import periodic_points
 from test_measures import ks_uniform_statistic
 
 

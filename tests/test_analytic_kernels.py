@@ -28,10 +28,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from p1dyn import measures
+from p1dyn import measures, periodic
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.measures import (
+    ComplexSampleSet,
     DensityGrid,
     Lift,
     _aberth_batch,
@@ -41,6 +42,7 @@ from p1dyn.measures import (
     green_field,
     measure_from_green,
     poly_roots,
+    sample_histogram,
     write_csv,
 )
 from p1dyn.ratmaps import RationalMap
@@ -82,6 +84,18 @@ def oracle_green(lift, z, n):
         lift, np.asarray(complex(z)), np.asarray(1.0 + 0j), n
     )
     return float(val)
+
+
+def oracle_histogram(points, window, nx, ny):
+    """sample_histogram's masses, with the counts added by np.add.at."""
+    a, b, c, d = window
+    z = points[(points.real >= a) & (points.real < b)
+               & (points.imag >= c) & (points.imag < d)]
+    ix = np.minimum(((z.real - a) / (b - a) * nx).astype(int), nx - 1)
+    iy = np.minimum(((z.imag - c) / (d - c) * ny).astype(int), ny - 1)
+    counts = np.zeros((ny, nx), dtype=float)
+    np.add.at(counts, (iy, ix), 1.0)
+    return counts / counts.sum()
 
 
 def oracle_green_field(lift, window, nx, ny, n):
@@ -453,6 +467,55 @@ def test_errstate_reaches_every_worker(monkeypatch, cpus):
             green_field(OVERFLOWING, window, (9, 7), 3)
 
 
+def test_green_refuses_a_non_finite_value():
+    # the first form overflows at z = 1, and the value is nan; every
+    # finite value keeps its bits (test_scalar_green_matches_oracle)
+    with pytest.raises(DomainError, match="not finite"):
+        green(OVERFLOWING, 1.0, 3)
+
+
+def test_one_cpu_takes_shorter_blocks(monkeypatch):
+    # 128 x 96 cells: pinned to one CPU, blocks of _SOLO_BLOCK = 8192 and
+    # the 4096 left; on two CPUs the one block of 12288; the same bits
+    lift = dict(LIFTS)["phi_1+i"]
+    want = oracle_green_field(lift, WINDOW, 128, 96, 6)
+    for cpus, sizes in ((1, [8192, 4096]), (2, [12288])):
+        pin_cpus(monkeypatch, cpus)
+        seen = []
+
+        def recording(lift_, z, *args):
+            seen.append(len(z))
+            return BLOCK_KERNEL(lift_, z, *args)
+
+        monkeypatch.setattr(measures, "_green_block", recording)
+        got = green_field(lift, WINDOW, (128, 96), 6).values
+        assert seen == sizes
+        assert same_bits(got, want)
+
+
+# ----------------------------------------------------------- histogram
+
+
+def test_sample_histogram_matches_add_at_oracle():
+    # random points inside and around the window, points on its right
+    # and top edges (outside: the window is half-open), the last floats
+    # before them (whose cell index rounds up to nx or ny and is clamped),
+    # and its left and bottom edges
+    window = (-1.5, 2.0, -1.0, 1.25)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2.0, 2.5, 5000) + 1j * rng.uniform(-1.5, 1.75, 5000)
+    right, top = 2.0, 1.25
+    below_r, below_t = np.nextafter(right, 0.0), np.nextafter(top, 0.0)
+    edges = [complex(right, 0.3), complex(0.2, top), complex(right, top),
+             complex(below_r, 0.3), complex(0.2, below_t),
+             complex(below_r, below_t), complex(-1.5, -1.0),
+             complex(-1.5, 0.1), complex(0.1, -1.0)]
+    pts = np.concatenate([pts, np.repeat(edges, 3)])
+    for res in ((37, 23), (64, 64), (2, 2)):
+        got = sample_histogram(ComplexSampleSet(pts, 0, 0, 1), window, res)
+        assert same_bits(got.mass, oracle_histogram(pts, window, *res))
+
+
 # -------------------------------------------------------------- aberth
 
 
@@ -612,8 +675,8 @@ def test_zero_roots_are_split_off_exactly():
                                   1e-13, 300)[0][0]
             assert same_bits(roots[row][k:], alone)
     # the same split of z^2 - z, whose fixed points are 0, 1 and infinity
-    pts = [z for z, _ in measures.periodic_points(catalog("pow_2"), 1)]
-    assert pts == [0j, 1 + 0j, measures.INF_POINT]
+    pts = [z for z, _ in periodic._generic_periodic(catalog("pow_2"), 1)]
+    assert pts == [0j, 1 + 0j, periodic.INF_POINT]
 
 
 def test_lazy_compaction_keeps_each_column_its_own_bits():

@@ -853,6 +853,21 @@ class TestBigCoefficients:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestOverflowingLift:
+    """(10^308 z^2 + 10^308)/z: its first form overflows near |z| = 1."""
+
+    def test_green_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"num": [str(10**308), "0", str(10**308)], "den": ["0", "1"]}))
+        rc, out, err = run(["green", "--map", str(path), "--point", "1,0"],
+                           capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nan" not in err.lower()
+
+
 class TestModuleExecution:
     def test_python_dash_m(self):
         # run the package under test, also when only pytest's pythonpath

@@ -5,10 +5,12 @@ it must produce.  The expected text was produced by the Fraction-based
 exact core that the integer basis-pair arithmetic replaced, so this test
 shows that compose, commute, height, nt-height, ramify and periodic
 kept their output byte for byte.  Never regenerate the file from the code
-under test.  The one exception so far: the four periodic lines were
-re-pinned when the root kernel changed, after every moved float was
-compared with a 200-bit mpmath Newton polish of the same root (the
-table is in CHANGES.md).
+under test.  The exceptions: the four periodic lines were re-pinned
+when the root kernel changed, after every moved float was compared with
+a 200-bit mpmath Newton polish of the same root, and the phi_sqrt-3 and
+phi_2@E2 lines again when the catalog maps took their periodic points in
+closed form, after every moved float was compared with a 60-digit mpmath
+Newton polish and the multiplier there (both tables are in CHANGES.md).
 """
 
 import json

@@ -1770,16 +1770,18 @@ class TestComposeKernel:
         assert _unpack(_pack([-top - 1, top], bits), bits, 2) == [-top - 1, top]
 
 
+# import p1dyn, then run `p1dyn catalog`, in a fresh interpreter; prints
+# which of the modules that neither needs were loaded after each
 _FRESH_IMPORT = """
 import contextlib, io, json, sys
+lazy = ("numpy", "p1dyn.formkernel", "p1dyn.measures", "p1dyn.periodic",
+        "p1dyn.torus")
 import p1dyn
-loaded = {"import": sorted(m for m in ("numpy", "p1dyn.formkernel")
-                           if m in sys.modules)}
+loaded = {"import": sorted(m for m in lazy if m in sys.modules)}
 from p1dyn import cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["catalog"])
-loaded["catalog"] = sorted(m for m in ("numpy", "p1dyn.formkernel")
-                           if m in sys.modules)
+loaded["catalog"] = sorted(m for m in lazy if m in sys.modules)
 print(json.dumps([rc, loaded]))
 """
 

@@ -302,7 +302,9 @@ class TestTrialDivision:
             naive_height_by_places(point(str(n), str(n), 0))
 
 
-# one command per exact subcommand; these never need numpy
+# one command per exact subcommand, and periodic on catalog maps (a
+# power map and Lattes maps over both fields, one with omega in its
+# coefficients), whose closed forms need no numpy either
 EXACT_CASES = [
     "height --catalog pow_2 --point 7,3 --point=-10,9 --tol 1e-9",
     "nt-height --curve E1 --point 2,1 --point 1/4 --point 3+w,2",
@@ -311,6 +313,10 @@ EXACT_CASES = [
     "ramify --catalog phi_2@E2",
     "table-check --lambda 1,2,1",
     "catalog",
+    "periodic --catalog pow_3 --depth 2",
+    "periodic --catalog phi_1+i --depth 2",
+    "periodic --catalog phi_2@E2 --depth 2",
+    "periodic --catalog phi_sqrt-3*rho --depth 3",
 ]
 
 # run EXACT_CASES through cli.main in a fresh interpreter (with numpy
@@ -364,7 +370,8 @@ def test_import_does_not_load_sympy(capsys):
         else:
             assert cli.main(case.split()) == 0
             expected[case] = capsys.readouterr().out
-    lazy = ["measures", *p1dyn._MEASURES_NAMES]
+    lazy = ["measures", *p1dyn._MEASURES_NAMES,
+            "periodic", *p1dyn._PERIODIC_NAMES]
 
     report = _fresh_run("open")
     # the exact subcommands load none of the numeric packages
@@ -382,15 +389,19 @@ def test_import_does_not_load_sympy(capsys):
 
 
 def test_lazy_names_resolve_in_process(monkeypatch):
-    # other tests import p1dyn.measures directly, which leaves the lazy
-    # names unset until the first attribute lookup takes __getattr__
-    for name in p1dyn._MEASURES_NAMES:
+    # other tests import p1dyn.measures and p1dyn.periodic directly, which
+    # leaves the lazy names unset until the first attribute lookup takes
+    # __getattr__
+    for name in (*p1dyn._MEASURES_NAMES, *p1dyn._PERIODIC_NAMES):
         monkeypatch.delitem(vars(p1dyn), name, raising=False)
-    from p1dyn import measures
+    from p1dyn import measures, periodic
 
     assert p1dyn.green is measures.green
-    for name in p1dyn._MEASURES_NAMES:
-        assert getattr(p1dyn, name) is getattr(measures, name)
-    assert set(p1dyn._MEASURES_NAMES) <= set(dir(p1dyn))
+    assert p1dyn.periodic_points is periodic.periodic_points
+    for module, names in ((measures, p1dyn._MEASURES_NAMES),
+                          (periodic, p1dyn._PERIODIC_NAMES)):
+        for name in names:
+            assert getattr(p1dyn, name) is getattr(module, name)
+        assert set(names) <= set(dir(p1dyn))
     with pytest.raises(AttributeError, match="no_such_name"):
         p1dyn.no_such_name

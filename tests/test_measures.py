@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p1dyn import measures
+from p1dyn import measures, periodic
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import (
     CatalogEntry,
@@ -25,7 +25,6 @@ from p1dyn.measures import (
     ComplexSampleSet,
     DensityGrid,
     GreenField,
-    INF_POINT,
     Lift,
     _abs_g_on,
     _header_comments,
@@ -40,13 +39,13 @@ from p1dyn.measures import (
     julia_raster,
     lattes_density,
     measure_from_green,
-    periodic_points,
     poly_roots,
     preimage_sample,
     sample_histogram,
     write_csv,
     write_pgm,
 )
+from p1dyn.periodic import INF_POINT, periodic_points
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import RationalMap
 
@@ -1021,10 +1020,12 @@ class TestPeriodicPoints:
 
     def test_roots_off_their_cycles_raise(self, monkeypatch):
         # with no tolerance the rounding of the float orbit alone fails the
-        # check; the roots and their residuals come with the error
-        monkeypatch.setattr(measures, "_CYCLE_TOL", 0.0)
+        # check; the roots and their residuals come with the error.  z^2 + i
+        # is no catalog map, so it takes the root solve
+        monkeypatch.setattr(periodic, "_CYCLE_TOL", 0.0)
+        phi = RationalMap.from_strings(["w", "0", "1"], ["1"], 1)
         with pytest.raises(ConvergenceError, match="miss their cycles") as err:
-            periodic_points(catalog("phi_1+i"), 2)
+            periodic_points(phi, 2)
         assert len(err.value.partial) == len(err.value.residuals) == 4
         assert max(err.value.residuals) > 0.0
 
