@@ -8,7 +8,6 @@ certified bounds of the height engine; see heights for the exact side.
 
 from __future__ import annotations
 
-import cmath
 import contextvars
 import json
 import math
@@ -19,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .lattes import (
-    EllipticCurveCM, curve_for_name, entry_for_map,
-)
+from .lattes import EllipticCurveCM, entry_for_map
 from .ratmaps import RationalMap
 from .torus import (
-    TWO_PI, _basis_matrix, _hermite, _periods, _reduced,
+    TWO_PI, _basis_matrix, _hermite, _periods, curve_lattice,
 )
 
 
@@ -876,94 +873,70 @@ _LOG_STEPS = 40
 _LOG_ULPS = 8
 
 
-class _Torus:
-    """wp of a curve's period lattice, by its q-series.
+def _coords(lat, v):
+    """(x, y) with v = x + y tau mod Z + tau Z, both in [-1/2, 1/2]."""
+    y = v.imag / lat.tau.imag
+    x = v.real - y * lat.tau.real
+    return x - np.rint(x), y - np.rint(y)
 
-    The basis w1, w2 of _periods is reduced so that tau = w2/w1 has
-    |Re tau| <= 1/2 and |tau| >= 1, so |q| = |exp(2 pi i tau)| is at
-    most exp(-pi sqrt 3).  For v = u/w1 with |Im v| <= Im tau/2, sigma =
-    sin(pi v)^2, c_n = q^n + q^-n and b_n = (c_n - 2)/4,
-        (w1/pi)^2 wp(u)
-            = 1/sigma + K + sum_n (c_n sigma - 2b_n)/(sigma + b_n)^2,
-    K = 8 sum_n n q^n/(1 - q^n) - 1/3: Silverman's series (Advanced
-    Topics, Thm. I.6.2) with the terms of n and -n paired.  Pair n is
-    under 8 |q|^(n - 1/2)/(1 - |q|^(1/2))^2 < 10 |q|^(n - 1/2), so the
-    sums stop at the least N with |q|^(N + 1/2) <= 2^-53.
+
+def _series(lat, sig, out):
+    """(w1/pi)^2 wp into out, from sigma = sin(pi v)^2: the q-series of
+    torus.Lattice, vectorised."""
+    np.divide(1.0, sig, out=out)
+    out += lat.K
+    t, num = np.empty_like(sig), np.empty_like(sig)
+    for c, b in zip(lat.c, lat.b):
+        np.add(sig, b, out=t)
+        np.multiply(t, t, out=t)
+        np.multiply(sig, c, out=num)
+        num -= 2.0 * b
+        num /= t
+        out += num
+    return out
+
+
+def _elliptic_log(lat, z: complex) -> tuple:
+    """Coordinates (x, y) of a u with wp(u) = z.
+
+    Newton steps on the series, for Z = (w1/pi)^2 z, from a 7 x 7
+    grid, the half periods (where wp' = 0, so a root of G is met
+    exactly) and the root of the leading terms 1/sigma + K = Z, all
+    at once.  For |Z| > 1 they are Newton's steps on 1/wp - 1/Z, as
+    1/wp is a square near the pole.  Raises ConvergenceError unless
+    some start reaches |wp(u) - z| <= _LOG_ULPS ulps of max(1, |z|).
     """
-
-    def __init__(self, curve: EllipticCurveCM):
-        w1, w2 = _reduced(*_periods(poly_roots(
-            [complex(curve.G.coeff(k)) for k in range(4)])))
-        self.tau = w2 / w1
-        self.scale = (math.pi / w1) ** 2
-        q = cmath.exp(1j * TWO_PI * self.tau)
-        n = np.arange(1, math.ceil(
-            53 * math.log(2) / -math.log(abs(q)) - 0.5) + 1)
-        qn = q ** n
-        self.c = qn + 1.0 / qn
-        self.b = (self.c - 2.0) / 4.0
-        self.K = complex(8.0 * np.sum(n * qn / (1.0 - qn)) - 1.0 / 3.0)
-
-    def coords(self, v):
-        """(x, y) with v = x + y tau mod Z + tau Z, both in [-1/2, 1/2]."""
-        y = v.imag / self.tau.imag
-        x = v.real - y * self.tau.real
-        return x - np.rint(x), y - np.rint(y)
-
-    def series(self, sig, out):
-        """(w1/pi)^2 wp into out, from sigma = sin(pi v)^2."""
-        np.divide(1.0, sig, out=out)
-        out += self.K
-        t, num = np.empty_like(sig), np.empty_like(sig)
-        for c, b in zip(self.c, self.b):
-            np.add(sig, b, out=t)
-            np.multiply(t, t, out=t)
-            np.multiply(sig, c, out=num)
-            num -= 2.0 * b
-            num /= t
-            out += num
-        return out
-
-    def log(self, z: complex) -> tuple:
-        """Coordinates (x, y) of a u with wp(u) = z.
-
-        Newton steps on the series, for Z = (w1/pi)^2 z, from a 7 x 7
-        grid, the half periods (where wp' = 0, so a root of G is met
-        exactly) and the root of the leading terms 1/sigma + K = Z, all
-        at once.  For |Z| > 1 they are Newton's steps on 1/wp - 1/Z, as
-        1/wp is a square near the pole.  Raises ConvergenceError unless
-        some start reaches |wp(u) - z| <= _LOG_ULPS ulps of max(1, |z|).
-        """
-        Z = z / self.scale
-        g = (np.arange(7) - 3) / 7.0
-        tau = self.tau
-        with np.errstate(all="ignore"):
-            v = np.concatenate([(g[:, None] + g * tau).ravel(), [
-                0.5, tau / 2, (1 + tau) / 2,
-                np.arcsin(np.sqrt(1.0 / complex(Z - self.K))) / math.pi]])
-            v[~np.isfinite(v)] = 0.5
-            tol = _LOG_ULPS * 2.0**-52 * max(1.0, abs(z)) / abs(self.scale)
-            for _ in range(_LOG_STEPS):
-                s, co = np.sin(math.pi * v), np.cos(math.pi * v)
-                sig = s * s
-                t = sig[:, None] + self.b
-                f = 1.0 / sig + self.K + np.sum(
-                    (self.c * sig[:, None] - 2.0 * self.b) / t**2, axis=1)
-                df = TWO_PI * s * co * (np.sum(
-                    (self.c * self.b + 4.0 * self.b - self.c * sig[:, None])
-                    / t**3, axis=1) - 1.0 / sig**2)
-                res = np.nan_to_num(np.abs(f - Z), nan=np.inf)
-                k = int(np.argmin(res))
-                if res[k] <= tol:
-                    return self.coords(v[k])
-                step = (Z - f) / df * (f / Z if abs(Z) > 1 else 1.0)
-                step[~np.isfinite(step)] = 0.0
-                x, y = self.coords(v + step)
-                v = x + y * tau
-        raise ConvergenceError(
-            f"no elliptic logarithm of {z} within {_LOG_ULPS} ulps after "
-            f"{_LOG_STEPS} Newton steps",
-            residuals=[float(res[k] * abs(self.scale))])
+    Z = z / lat.scale
+    g = (np.arange(7) - 3) / 7.0
+    tau, K = lat.tau, lat.K
+    c, b = np.array(lat.c), np.array(lat.b)
+    with np.errstate(all="ignore"):
+        v = np.concatenate([(g[:, None] + g * tau).ravel(), [
+            0.5, tau / 2, (1 + tau) / 2,
+            np.arcsin(np.sqrt(1.0 / complex(Z - K))) / math.pi]])
+        v[~np.isfinite(v)] = 0.5
+        tol = _LOG_ULPS * 2.0**-52 * max(1.0, abs(z)) / abs(lat.scale)
+        for _ in range(_LOG_STEPS):
+            s, co = np.sin(math.pi * v), np.cos(math.pi * v)
+            sig = s * s
+            t = sig[:, None] + b
+            f = 1.0 / sig + K + np.sum(
+                (c * sig[:, None] - 2.0 * b) / t**2, axis=1)
+            df = TWO_PI * s * co * (np.sum(
+                (c * b + 4.0 * b - c * sig[:, None]) / t**3, axis=1)
+                - 1.0 / sig**2)
+            res = np.nan_to_num(np.abs(f - Z), nan=np.inf)
+            k = int(np.argmin(res))
+            if res[k] <= tol:
+                return _coords(lat, v[k])
+            step = (Z - f) / df * (f / Z if abs(Z) > 1 else 1.0)
+            step[~np.isfinite(step)] = 0.0
+            x, y = _coords(lat, v + step)
+            v = x + y * tau
+    raise ConvergenceError(
+        f"no elliptic logarithm of {z} within {_LOG_ULPS} ulps after "
+        f"{_LOG_STEPS} Newton steps",
+        residuals=[float(res[k] * abs(lat.scale))])
 
 
 def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
@@ -972,7 +945,8 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
 
     With phi(wp(u)) = wp(lam u) and z = wp(u0), they are the
     wp((u0 + w)/lam^n) for w in L/lam^n L (Milnor, "On Lattes maps",
-    arXiv math/0402147).  On the reduced basis (w1, w2) of _Torus, lam
+    arXiv math/0402147).  On the reduced basis (w1, w2) of the curve's
+    torus.curve_lattice, lam
     is an integer matrix M of determinant N = |lam|^2, so in the
     coordinates (x, y) of v = u/w1 = x + y tau the leaves are the group
     H = A Z^2 / N^n mod Z^2, A = adj(M^n), translated by A u0 / N^n.
@@ -986,9 +960,9 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
     leaves near the pole keep their relative accuracy.  The leaves come
     row j by row j.
     """
-    torus = _Torus(curve_for_name(entry.name))
-    x, y = torus.log(z)
-    lam, tau = complex(entry.lam), torus.tau
+    lat = curve_lattice(entry.curve_name)
+    x, y = _elliptic_log(lat, z)
+    lam, tau = complex(entry.lam), lat.tau
     p, q, r, s = _basis_matrix(lam, lam * tau, tau, f"{entry.name}: lam")
     a11, a12, a21, a22 = 1, 0, 0, 1
     for _ in range(depth):  # adj(M^n) = adj(M)^n
@@ -1012,8 +986,8 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
             hi = min(lo + step, rows)
             sig = cb[lo:hi, None] * sx + sb[lo:hi, None] * cx
             np.multiply(sig, sig, out=sig)
-            torus.series(sig, out[lo:hi])
-        out *= torus.scale
+            _series(lat, sig, out[lo:hi])
+        out *= lat.scale
     return out.ravel()
 
 

@@ -17,17 +17,18 @@ import math
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-from .lattes import CURVES, entry_for_map, two_torsion_targets
+from .lattes import CURVES, entry_for_map
 from .quadfield import cleared_pairs
 from .ratmaps import Poly, RationalMap
-from .torus import TWO_PI, Lattice, _basis_matrix, _hermite
+from .torus import TWO_PI, _basis_matrix, _hermite, curve_lattice
 
 # point at infinity marker used in periodic-point listings
 INF_POINT = complex(float("inf"), 0.0)
 
-# largest chordal distance from a returned finite periodic point to its
-# n-th image; true cycles of the catalog maps come back within about
-# 1e-6, roots that are not periodic points land near distance 1
+# largest chordal distance from a root of _generic_periodic to its n-th
+# image, for maps outside the catalog (the catalog's maps take the closed
+# forms and never reach it); roots that are not periodic points land near
+# distance 1
 _CYCLE_TOL = 1e-3
 
 # fraction bits of the fixed-point arithmetic: a Newton step from a start
@@ -118,18 +119,16 @@ def _unity_root(N: int) -> tuple:
 class _Curve:
     """What the periodic points of every map on one curve share.
 
-    lattice is the curve's Lattice, built from the exact roots of G;
-    conj and unit are the integer matrices of u -> conj(u) and u -> zeta
-    u on its basis, zeta = i on E1 and omega on E2 (zeta^-2 multiplies x
-    by -1 or by omega); half maps the coordinates (2x, 2y) of each
-    nonzero half period to the exact root of G that wp takes there.
+    lattice is the curve's torus.curve_lattice; conj and unit are the
+    integer matrices of u -> conj(u) and u -> zeta u on its basis, zeta
+    = i on E1 and omega on E2 (zeta^-2 multiplies x by -1 or by omega);
+    half maps the coordinates (2x, 2y) of each nonzero half period to
+    the exact root of G that wp takes there.
     """
 
     def __init__(self, name: str):
         curve = CURVES[name]()
-        roots = [complex(t) for t in two_torsion_targets(curve)
-                 if not t.is_infinity()]
-        self.lattice = lat = Lattice(roots)
+        self.lattice = lat = curve_lattice(name)
         self.conj = _basis_matrix(lat.w1.conjugate() / lat.w1,
                                   lat.w2.conjugate() / lat.w1, lat.tau,
                                   "conjugation")
@@ -139,7 +138,7 @@ class _Curve:
         self.half = {}
         for x, y in ((1, 0), (0, 1), (1, 1)):
             w = lat.wp(x / 2, y / 2)
-            self.half[x, y] = min(roots, key=lambda e: abs(e - w))
+            self.half[x, y] = min(lat.roots, key=lambda e: abs(e - w))
 
 
 # one _Curve per curve name

@@ -5,16 +5,20 @@ y^2 = 4G(x): phi_lam(wp(u)) = wp(lam u) (Milnor, "On Lattes maps",
 arXiv math/0402147).  This module holds what they share and what needs
 no numpy: the periods by the complex AGM, a reduced basis, the integer
 matrix of a lattice endomorphism on that basis, the Hermite normal form
-of an integer matrix, and wp at one point by its q-series.  measures
-builds the vectorised lattice leaves on the same integers.
+of an integer matrix, wp at one point by its q-series, and one cached
+Lattice per catalog curve (curve_lattice), from the exact roots of G.
+periodic takes the periodic points from that Lattice, and measures runs
+the same q-series vectorised for the lattice leaves.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 from .errors import ConvergenceError
+from .lattes import CURVES, two_torsion_targets
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,8 +102,8 @@ def _hermite(a11: int, a12: int, a21: int, a22: int) -> tuple:
 
 
 class Lattice:
-    """wp of the period lattice of a curve with roots e1, e2, e3, at one
-    point at a time, by its q-series in Python complex.
+    """wp of the period lattice of a curve with roots e1, e2, e3 (kept
+    as roots), at one point at a time, by its q-series in Python complex.
 
     On the reduced basis (w1, w2), tau = w2/w1, for v = u/w1 with
     |Im v| <= Im tau/2, sigma = sin(pi v)^2, c_n = q^n + q^-n and b_n =
@@ -113,6 +117,7 @@ class Lattice:
     """
 
     def __init__(self, roots):
+        self.roots = roots
         self.w1, self.w2 = _reduced(*_periods(roots))
         self.tau = self.w2 / self.w1
         self.scale = (math.pi / self.w1) ** 2
@@ -134,3 +139,11 @@ class Lattice:
             t = sig + b
             out += (c * sig - 2.0 * b) / (t * t)
         return out * self.scale
+
+
+@lru_cache(maxsize=None)
+def curve_lattice(name: str) -> Lattice:
+    """The Lattice of the catalog curve lattes.CURVES[name], built once
+    from the exact roots of its G (lattes.two_torsion_targets)."""
+    return Lattice([complex(t) for t in two_torsion_targets(CURVES[name]())
+                    if not t.is_infinity()])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p1dyn import measures, periodic
+from p1dyn import measures, periodic, torus
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import (
     CatalogEntry,
@@ -31,8 +31,9 @@ from p1dyn.measures import (
     _grid_centers,
     _lattice_leaves,
     _lattice_mass,
+    _coords,
     _preimage_tree,
-    _Torus,
+    _series,
     compare_l1,
     green,
     green_field,
@@ -48,6 +49,7 @@ from p1dyn.measures import (
 from p1dyn.periodic import INF_POINT, periodic_points
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import RationalMap
+from p1dyn.torus import curve_lattice
 
 
 # helpers that only the tests use, as oracles and fixtures
@@ -524,11 +526,12 @@ def assert_leaves_match(monkeypatch, name, z0, depth, seed=1):
     return float(np.max(np.abs(tree.points - got.points[partner]) / tol))
 
 
-def wp(torus, v):
-    """wp(w1 v) on a torus, for complex v anywhere."""
-    x, y = torus.coords(np.asarray(v, dtype=complex))
-    s = np.sin(math.pi * (x + y * torus.tau))
-    return torus.series(s * s, np.empty_like(s)) * torus.scale
+def wp(lat, v):
+    """wp(w1 v) on a Lattice by the vectorised series, for complex v
+    anywhere."""
+    x, y = _coords(lat, np.asarray(v, dtype=complex))
+    s = np.sin(math.pi * (x + y * lat.tau))
+    return _series(lat, s * s, np.empty_like(s)) * lat.scale
 
 
 class TestLatticeLeaves:
@@ -617,20 +620,50 @@ class TestLatticeLeaves:
         # wp'^2 = 4G(wp) by a five-point difference
         entry = catalog_entry(name)
         curve = curve_for_name(name)
-        torus = _Torus(curve)
-        v = np.array([0.31 + 0.12j, -0.27 + 0.4 * torus.tau, 0.05 + 0.2j])
-        x = wp(torus, v)
+        lat = curve_lattice(entry.curve_name)
+        v = np.array([0.31 + 0.12j, -0.27 + 0.4 * lat.tau, 0.05 + 0.2j])
+        x = wp(lat, v)
         f0, f1 = (np.array(c) for c in entry.map.complex_pair())
         image = np.polyval(f0[::-1], x) / np.polyval(f1[::-1], x)
-        want = wp(torus, complex(entry.lam) * v)
+        want = wp(lat, complex(entry.lam) * v)
         assert np.all(np.abs(image - want) <= 1e-13 * np.maximum(1, abs(want)))
         h = 2e-4
-        w1 = math.pi / np.sqrt(torus.scale)
-        d = (-wp(torus, v + 2 * h) + 8 * wp(torus, v + h)
-             - 8 * wp(torus, v - h) + wp(torus, v - 2 * h)) / (12 * h * w1)
+        w1 = math.pi / np.sqrt(lat.scale)
+        d = (-wp(lat, v + 2 * h) + 8 * wp(lat, v + h)
+             - 8 * wp(lat, v - h) + wp(lat, v - 2 * h)) / (12 * h * w1)
         g = np.polyval([complex(curve.G.coeff(k)) for k in range(3, -1, -1)],
                        x)
         assert np.all(np.abs(d * d - 4 * g) <= 1e-9 * np.abs(4 * g))
+
+    @pytest.mark.parametrize("name", ["E1", "E2"])
+    def test_scalar_series_matches_vector(self, name):
+        # Lattice.wp in Python complex and the numpy series that the
+        # leaves run, on the same cached lattice (measured: 2 ulps)
+        lat = curve_lattice(name)
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(-0.5, 0.5, (400, 2))
+        xy = xy[np.hypot(xy[:, 0], xy[:, 1]) > 1e-3]
+        got = wp(lat, xy[:, 0] + xy[:, 1] * lat.tau)
+        want = np.array([lat.wp(x, y) for x, y in xy])
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert np.max(err) <= 8 * 2.0**-52
+
+    def test_lattice_built_once_per_curve(self, monkeypatch):
+        # after one call per curve no leaf solves a cubic or runs the AGM
+        # again, and the bytes stay the same
+        names = ("phi_2@E1", "phi_sqrt-3")
+        want = [preimage_sample(catalog(n), 0.6 - 1.1j, 5).points.tobytes()
+                for n in names]
+
+        def refuse(*args):
+            raise AssertionError("the lattice was built again")
+
+        monkeypatch.setattr(measures, "poly_roots", refuse)
+        monkeypatch.setattr(torus, "_periods", refuse)
+        got = [preimage_sample(catalog(n), 0.6 - 1.1j, 5).points.tobytes()
+               for n in names]
+        assert got == want
+        assert curve_lattice.cache_info().currsize <= 2
 
     def test_map_file_copy_takes_lattice(self, monkeypatch, tmp_path):
         from p1dyn import cli
