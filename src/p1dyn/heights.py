@@ -23,16 +23,18 @@ and x1^r for r the order of the rotation that a Lattes map commutes with,
 shared by every engine of one shape of forms.  Engines are cached per
 map, the 128 most recently used ones.
 The finite part runs one tracker on integral basis pairs modulo an integer
-M: the content of a coprime pair divides the resultant R of the lifted
-map, so a gcd against n_R = N(R) reads it without factoring anything, and
-reading it needs only n_R | M.  Dividing out a content g leaves the pair
-known modulo (M/g), inside (M/m_g) for m_g the least positive integer in
-(g), so M shrinks by m_g and stays where the orbit spends it.  M starts at
-n_R m_R^2 (m_R the least positive integer in (R)); a step that would start
-with n_R not dividing M restarts the orbit from a start larger by the m_g
-spent so far and one more m_R, which clears that step.  The start never
-exceeds m_R^(n_fin+1), where n_R | M holds at every step as m_g | m_R, so
-the restarts are finitely many.  Every content is read exactly, so the sum
+M: the content g of a coprime pair's image divides the resultant R of the
+lifted map, so it divides m_R, the least positive integer in (R), and it
+divides both norms N(F0) and N(F1).  So g divides h = gcd(N(F0), N(F1),
+m_R) and g = gcd(h, F0, F1), which reads it without factoring anything,
+by Euclid on residues mod h, and reading it needs only m_R | M.  Dividing
+out g leaves the pair known modulo (M/g), inside (M/m_g) for m_g the
+least positive integer in (g), so M shrinks by m_g and stays where the
+orbit spends it.  M starts at m_R^2; a step that would start with m_R not
+dividing M restarts the orbit from a start larger by the m_g spent so far
+and one more m_R, which clears that step.  The start never exceeds
+m_R^(n_fin+1), where m_R | M holds at every step as m_g | m_R, so the
+restarts are finitely many.  Every content is read exactly, so the sum
 does not depend on where M starts.  Both tails carry explicit geometric
 bounds derived from the coefficient one-norms (upper) and an exact Bezout
 certificate (lower).
@@ -51,7 +53,7 @@ from .quadfield import (
     QuadFieldElement,
     omega_flag,
     pair_divexact,
-    pair_gcd,
+    pair_gcd_mod,
     pair_norm,
 )
 from .ratmaps import (
@@ -219,16 +221,20 @@ class _HeightEngine:
         return value, tail
 
     def _fin_value(self, x0, x1, n_fin):
-        t, n_R, m_R, plan = self._t, self.n_R, self.m_R, self._plan
-        # the pair is known modulo mod; reading a content needs n_R | mod,
-        # and dividing out a content g leaves the pair known modulo
-        # (mod/g), inside (mod/m_g) as g | m_g.  A step that finds n_R
-        # not dividing mod restarts the orbit from start * spent * m_R,
-        # where that step has mod = start * m_R again.  Every m_g divides
-        # m_R, so from m_R^(n_fin+1) the modulus stays a multiple of m_R^2,
-        # and so of n_R, for all n_fin steps: that start never restarts
+        t, m_R, plan = self._t, self.m_R, self._plan
+        # the pair is known modulo mod.  The content g of F(v) divides R,
+        # so m_R, and both norms N(F0) and N(F1), so it divides h =
+        # gcd(N(F0), N(F1), m_R), and g = gcd(h, F0, F1).  With m_R | mod,
+        # h comes from the norms of the residues mod m_R, and g from
+        # Euclid on the residues mod h (pair_gcd_mod).  Dividing out g
+        # leaves the pair known modulo (mod/g), inside (mod/m_g) as
+        # g | m_g.  A step that finds m_R not dividing mod restarts the
+        # orbit from start * spent * m_R, where that step has mod =
+        # start * m_R again.  Every m_g divides m_R, so from
+        # m_R^(n_fin+1) the modulus stays a multiple of m_R for all n_fin
+        # steps: that start never restarts
         cap = m_R ** (n_fin + 1)
-        start = min(n_R * m_R * m_R, cap)
+        start = min(m_R * m_R, cap)
         while True:
             mod = start
             spent = 1
@@ -236,17 +242,16 @@ class _HeightEngine:
             total = 0.0
             scale = 1.0
             for _ in range(n_fin):
-                if mod % n_R:
+                if mod % m_R:
                     break
                 scale /= self.alpha
                 f0, f1 = plan(v0, v1, mod)
-                # N(g) divides this integer, and g divides N(g)
                 h = math.gcd(
-                    pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R
+                    pair_norm((f0[0] % m_R, f0[1] % m_R), t),
+                    pair_norm((f1[0] % m_R, f1[1] % m_R), t), m_R,
                 )
                 if h > 1:
-                    g = pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
-                    g = pair_gcd(g, (f1[0] % h, f1[1] % h), t)
+                    g = pair_gcd_mod(h, f0, f1, t)
                     n_g = pair_norm(g, t)
                     total += 0.5 * _log_int(n_g) * scale
                     f0 = pair_divexact(f0, g, t)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, MapSpecError
 from .quadfield import QuadFieldElement, cleared_pairs, format_element
@@ -166,8 +167,14 @@ def two_torsion_targets(curve: EllipticCurveCM) -> list:
     integral cubic D^3 G(x/D), so every root e lies on (1/D)O_K.  Each
     double-precision guess is polished by exact Newton steps, each
     rounded back onto that lattice, and anything short of three distinct
-    exact roots raises DomainError.
+    exact roots raises DomainError.  The points are found once per
+    curve; each call returns a new list of them.
     """
+    return list(_two_torsion_targets(curve))
+
+
+@lru_cache(maxsize=16)
+def _two_torsion_targets(curve: EllipticCurveCM) -> tuple:
     G = curve.G
     dG = G.derivative()
     _, D = cleared_pairs(G.coeffs)
@@ -192,9 +199,9 @@ def two_torsion_targets(curve: EllipticCurveCM) -> list:
             f"G = {G} does not split over its coefficient field: "
             f"{len(roots)} of 3 roots found on (1/{D})O_K"
         )
-    return [ProjPoint.infinity(curve.d)] + [
+    return (ProjPoint.infinity(curve.d), *(
         ProjPoint.affine(r) for r in sorted(roots, key=lambda r: (r.a, r.b))
-    ]
+    ))
 
 
 def ramification_profile(

@@ -96,7 +96,10 @@ class Lift:
         for i in range(n):
             M[i, i : i + n + 1] = a
             M[n + i, i : i + n + 1] = b
-        sign, logdet = np.linalg.slogdet(M)
+        # subnormal coefficients can underflow the LU pivots, which numpy
+        # reports as a division by zero; the result is then degenerate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sign, logdet = np.linalg.slogdet(M)
         if sign == 0 or not np.isfinite(logdet):
             return True
         hadamard = np.sum(np.log(np.maximum(

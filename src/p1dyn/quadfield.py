@@ -5,8 +5,8 @@ the rationals) is held as (u + v*w)/den, ints u, v on the integral basis
 (1, w) of basis_pair over the least positive den, as a Poly coefficient
 is, and its ring operations are the basis pair kernels below.  All three
 rings of integers (Z, Z[i], Z[(1+sqrt(-3))/2]) are norm-Euclidean, so
-gcds are computed by repeated division with remainder and then pinned to
-a canonical associate.
+gcds are computed by repeated division with remainder, on residues modulo
+the gcd of the two norms in Z, and then pinned to a canonical associate.
 
 The string grammar used by the CLI and the map files is handled here:
 rationals are written `p/q`, a generic element `a+b*w` where `w` stands
@@ -318,14 +318,35 @@ def pair_divmod(x, y, t: int) -> tuple:
 
 
 def pair_gcd(x, y, t: int) -> tuple:
-    """Unit-normalized gcd of two basis pairs, not both zero."""
+    """Unit-normalized gcd of two basis pairs, not both zero.
+
+    The gcd divides N(x) = x conj(x) and N(y), so it divides their gcd h
+    in Z, and it is gcd(h, x, y): h = 1 decides coprimality from two
+    norms, and otherwise Euclid runs on the residues mod h
+    (pair_gcd_mod), whose sizes follow h, not x and y.
+    """
     if x[1] == 0 and y[1] == 0:
         # two rational integers: Bezout in Z makes their gcd in Z the gcd
         # in every ring of integers
         return (math.gcd(x[0], y[0]), 0)
-    while y[0] or y[1]:
-        x, y = y, pair_divmod(x, y, t)[1]
-    return pair_normalize(x, t)
+    h = math.gcd(pair_norm(x, t), pair_norm(y, t))
+    if h == 1:
+        return (1, 0)
+    return pair_gcd_mod(h, x, y, t)
+
+
+def pair_gcd_mod(h: int, x, y, t: int) -> tuple:
+    """Unit-normalized gcd(h, x, y) for a positive integer h.
+
+    Euclid from h, on the residues of x and y mod h, which differ from x
+    and y by elements of hO_K and so leave the gcd with h as it is.
+    """
+    a = (h, 0)
+    for z in (x, y):
+        b = (z[0] % h, z[1] % h)
+        while b[0] or b[1]:
+            a, b = b, pair_divmod(a, b, t)[1]
+    return pair_normalize(a, t)
 
 
 def unit_turns(x, t: int) -> int:

@@ -21,11 +21,12 @@ never reaches the Aberth kernel.
 
 import sys
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from p1dyn import measures, periodic
@@ -286,28 +287,53 @@ def test_green_past_scale_underflow_matches_oracle(name):
 
 @st.composite
 def random_lifts(draw):
-    """A lift of degree 2-4 whose coefficients are often exactly zero."""
+    """Coefficients (f0, f1, deg) of a lift of degree 2-4, often exactly
+    zero, and sometimes subnormal."""
     deg = draw(st.integers(2, 4))
     parts = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
     coeff = st.one_of(st.just(0j), st.builds(complex, parts, parts))
     f0 = draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
     f1 = draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
+    return f0, f1, deg
+
+
+def lift_or_power(f0, f1, deg):
+    """Lift(f0, f1, deg), or z^deg when that lift is degenerate."""
     try:
         return Lift(f0, f1, deg)
     except DomainError:
         return Lift([0j] * deg + [1.0], [1.0], deg)
 
 
+# the LU pivots of its Sylvester matrix underflow on the subnormal
+# coefficient, where numpy warns inside slogdet
+SUBNORMAL_LIFT = (
+    [0j, 0j, 0j],
+    [-1.4958688900147847 + 0.6125728199839182j, 0j,
+     -1.1125369292536007e-308 + 0j],
+    2,
+)
+
+
+def test_subnormal_lift_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            Lift(*SUBNORMAL_LIFT)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    lift=random_lifts(),
+    coeffs=random_lifts(),
     logr=st.floats(-200.0, 150.0),
     turn=st.floats(0.0, 1.0),
     n=st.one_of(st.integers(1, 40), st.integers(500, 1100)),
 )
-def test_scalar_green_matches_oracle_on_random_lifts(lift, logr, turn, n):
+@example(coeffs=SUBNORMAL_LIFT, logr=0.5, turn=0.25, n=30)
+def test_scalar_green_matches_oracle_on_random_lifts(coeffs, logr, turn, n):
     # |z| from 1e-200 to 1e150; n past 1075 / log2(deg), where deg^-n
     # has underflowed, for every degree drawn
+    lift = lift_or_power(*coeffs)
     z = 10.0 ** logr * np.exp(2j * np.pi * turn)
     assert repr(green(lift, z, n)) == repr(oracle_green(lift, z, n))
 

@@ -84,10 +84,14 @@ from p1dyn.quadfield import (
     cleared_pairs,
     integral_gcd,
     omega_flag,
+    pair_conj,
     pair_divmod,
+    pair_gcd,
+    pair_gcd_mod,
     pair_mul,
     pair_norm,
     pair_normalize,
+    pair_turn,
 )
 from p1dyn.ratmaps import (
     Poly,
@@ -301,6 +305,14 @@ def oracle_gcd(x: QF, y: QF) -> QF:
     while not y.is_zero():
         x, y = y, oracle_divmod(x, y)[1]
     return oracle_normalize(x)
+
+
+def euclid_pair_gcd(x, y, t: int) -> tuple:
+    """Plain Euclid on two basis pairs, not both zero, normalized: the
+    remainder sequence of x and y themselves, with no norm gcd first."""
+    while y[0] or y[1]:
+        x, y = y, pair_divmod(x, y, t)[1]
+    return pair_normalize(x, t)
 
 
 def oracle_reduced_pair(P: ProjPoint) -> tuple:
@@ -1327,6 +1339,105 @@ class TestGcdOracle:
     def test_catalog_integral_model_matches_oracle(self, name):
         phi = catalog(name)
         assert phi.integral_model() == oracle_integral_model(phi)
+
+
+# split primes (2 + i and its conjugate, 2 + omega and its conjugate),
+# then a ramified and an inert one of each quadratic ring; two rational
+# primes for d = 0
+PRIMES = {
+    0: [(3, 0), (7, 0)],
+    1: [(2, 1), (2, -1), (3, 2), (1, 1), (3, 0)],
+    3: [(2, 1), (3, -1), (3, 1), (1, 1), (2, 0)],
+}
+
+
+def pair_pow(x, k, t):
+    out = (1, 0)
+    for _ in range(k):
+        out = pair_mul(out, x, t)
+    return out
+
+
+def random_pair(rng, d, bits):
+    return (rng.getrandbits(bits) - (1 << (bits - 1)),
+            rng.getrandbits(bits) - (1 << (bits - 1)) if d else 0)
+
+
+class TestNormGcd:
+    """pair_gcd takes h = gcd(N(x), N(y)) first and runs Euclid on the
+    residues mod h; plain Euclid on x and y is its oracle."""
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_zeros_units_and_associates(self, d):
+        t = omega_flag(d)
+        rng = random.Random(f"units:{d}")
+        units = [pair_turn((1, 0), k, t) for k in range(6 if d == 3 else 4)]
+        if d == 0:
+            units = [(1, 0), (-1, 0)]
+        for _ in range(20):
+            x = random_pair(rng, d, 40)
+            if x == (0, 0):
+                continue
+            cases = [(x, (0, 0)), ((0, 0), x)]
+            cases += [(x, pair_mul(u, x, t)) for u in units]
+            cases += [(u, x) for u in units] + [(x, u) for u in units]
+            for a, b in cases:
+                assert pair_gcd(a, b, t) == euclid_pair_gcd(a, b, t)
+            assert pair_gcd(x, (0, 0), t) == pair_normalize(x, t)
+            for u in units:
+                assert pair_gcd(x, pair_mul(u, x, t), t) == pair_normalize(
+                    x, t)
+                assert pair_gcd(u, x, t) == (1, 0)
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_thousand_bit_pairs_sharing_a_prime_power(self, d):
+        t = omega_flag(d)
+        rng = random.Random(f"prime-power:{d}")
+        for p in PRIMES[d]:
+            for k in (1, 5, 40):
+                q = pair_pow(p, k, t)
+                bits = 1000 - q[0].bit_length()
+                x = pair_mul(q, random_pair(rng, d, bits), t)
+                y = pair_mul(q, random_pair(rng, d, bits), t)
+                assert max(map(abs, x + y)).bit_length() >= 990
+                g = pair_gcd(x, y, t)
+                assert g == euclid_pair_gcd(x, y, t)
+                assert pair_divmod(g, q, t)[1] == (0, 0)
+
+    @pytest.mark.parametrize("d,p", [(1, (2, 1)), (1, (3, 2)), (3, (2, 1)),
+                                     (3, (3, 1))])
+    def test_conjugate_primes_share_a_norm_but_no_factor(self, d, p):
+        # a p and b conj(p) for a, b free of the primes above N(p): their
+        # norms share N(p), so Euclid runs modulo h > 1, and still ends
+        # on a unit
+        t = omega_flag(d)
+        q = pair_conj(p, t)
+        n_p = pair_norm(p, t)
+        rng = random.Random(f"conjugates:{d}:{p}")
+        checked = 0
+        while checked < 20:
+            a = random_pair(rng, d, 500)
+            b = random_pair(rng, d, 500)
+            if pair_norm(a, t) % n_p == 0 or pair_norm(b, t) % n_p == 0:
+                continue
+            x, y = pair_mul(a, p, t), pair_mul(b, q, t)
+            assert math.gcd(pair_norm(x, t), pair_norm(y, t)) % n_p == 0
+            assert pair_gcd(x, y, t) == euclid_pair_gcd(x, y, t)
+            if euclid_pair_gcd(a, b, t) == (1, 0):
+                assert pair_gcd(x, y, t) == (1, 0)
+            checked += 1
+        assert pair_gcd(p, q, t) == (1, 0)
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_gcd_mod_matches_euclid(self, d):
+        # gcd(h, x, y) for any positive h, the form the tracker calls
+        t = omega_flag(d)
+        rng = random.Random(f"mod:{d}")
+        for _ in range(200):
+            h = rng.choice([1, 2, 5, 12, 65, rng.randrange(1, 10**12)])
+            x, y = random_pair(rng, d, 60), random_pair(rng, d, 60)
+            expect = euclid_pair_gcd(euclid_pair_gcd((h, 0), x, t), y, t)
+            assert pair_gcd_mod(h, x, y, t) == expect
 
 
 # --------------------------------------------------------------------------

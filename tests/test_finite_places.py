@@ -1,16 +1,20 @@
 """The finite-place part of the height engine.
 
 The engine reads each step's content gcd(F0, F1) from one tracker that
-works modulo an integer that starts at n_R m_R^2 and shrinks by the
-least integer of each content it divides out, restarting from a larger
-start when the resultant's norm n_R no longer divides it.  These tests
-compare it with the contents of the exact orbit, evaluated by Horner's
-rule on Fraction elements, on hand-made maps and on degree-5 and
-degree-9 catalog models, and, equal in hex, with the fixed-modulus
-tracker (modulo m_R^(n+1) for n steps) that it replaced; they count the
-evaluations of a restart, run it on a map whose resultant has only
-31-digit prime factors, and check that the package imports without sympy
-or mpmath, and that the exact subcommands run without numpy.
+works modulo an integer that starts at m_R^2, for m_R the least positive
+integer in the resultant's ideal, and shrinks by the least integer of
+each content it divides out, restarting from a larger start when m_R no
+longer divides it.  These tests compare it with the contents of the
+exact orbit, evaluated by Horner's rule on Fraction elements, on
+hand-made maps and on degree-5 and degree-9 catalog models, and, equal
+in hex, with a fixed-modulus tracker (modulo m_R^(n+1) for n steps) that
+reads each content through the resultant's norm n_R and plain Euclid,
+on every curve map of the catalog; they count the evaluations of a
+restart, follow a split prime whose norm both forms share while no
+prime above it divides both, run the tracker on a map whose resultant
+has only 31-digit prime factors, and check that the package imports
+without sympy or mpmath, and that the exact subcommands run without
+numpy.
 """
 
 import json
@@ -23,7 +27,7 @@ import sys
 import pytest
 
 import p1dyn
-from p1dyn import cli
+from p1dyn import cli, heights
 from p1dyn.errors import DomainError
 from p1dyn.heights import (
     _engine,
@@ -31,12 +35,12 @@ from p1dyn.heights import (
     canonical_height,
     height_constants,
 )
-from p1dyn.lattes import catalog
+from p1dyn.lattes import catalog, catalog_entry, catalog_names
 from p1dyn.quadfield import (
     format_element,
     integral_gcd,
     pair_divexact,
-    pair_gcd,
+    pair_gcd_mod,
     pair_norm,
     parse_element,
 )
@@ -46,6 +50,7 @@ from test_cli_golden import GOLDEN
 from test_exact_kernels import (
     FracQF,
     engine_forms,
+    euclid_pair_gcd,
     oracle_eval_forms,
     oracle_eval_pair,
 )
@@ -134,10 +139,37 @@ class TestContentTracker:
                 assert expect > 0
                 assert abs(got - expect) <= 1e-12 * max(1.0, expect)
 
+    def test_split_prime_in_both_norms_but_not_in_both_forms(
+            self, monkeypatch):
+        # (z^2 + 2z)/(z + 5) over Q(i), m_R = 15, at (-3 : 2-i): F0 =
+        # 3i(2+i) and F1 = (2-i)(7-5i), so 5 divides both norms and m_R,
+        # and h = 5, while no prime above 5 divides both forms: g = 1
+        phi = RationalMap.from_strings(["0", "2", "1"], ["5", "1"], 1)
+        eng = _engine(phi)
+        assert eng.m_R == 15
+        seen = []
+
+        def recorded(h, x, y, t):
+            g = pair_gcd_mod(h, x, y, t)
+            seen.append((h, g))
+            return g
+
+        monkeypatch.setattr(heights, "pair_gcd_mod", recorded)
+        P = point("-3", "2-w", 1)
+        pair = P.reduced_pair()
+        assert eng._fin_value(*pair, 1)[0] == 0.0
+        assert seen == [(5, (1, 0))]
+        for steps in (3, 4):
+            got = eng._fin_value(*pair, steps)
+            assert got == oracle_fin_value(eng, *pair, steps)
+            expect = exact_content_sum(phi, P, steps)
+            assert abs(got[0] - expect) <= 1e-12 * max(1.0, expect)
+
 
 def oracle_fin_value(eng, x0, x1, n_fin):
     """The finite loop at the fixed modulus m_R^(n_fin+1), one factor m_R
-    spent per step, which never needs a restart."""
+    spent per step, which never needs a restart; each content is read
+    through n_R = N(R), which m_R^2 holds, and found by plain Euclid."""
     t, n_R = eng._t, eng.n_R
     forms = engine_forms(eng)
     mod = eng.m_R ** (n_fin + 1)
@@ -149,8 +181,8 @@ def oracle_fin_value(eng, x0, x1, n_fin):
         f0, f1 = oracle_eval_forms(forms, eng.alpha, v0, v1, t, mod)
         h = math.gcd(pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R)
         if h > 1:
-            g = pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
-            g = pair_gcd(g, (f1[0] % h, f1[1] % h), t)
+            g = euclid_pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
+            g = euclid_pair_gcd(g, (f1[0] % h, f1[1] % h), t)
             total += 0.5 * _log_int(pair_norm(g, t)) * scale
             f0 = pair_divexact(f0, g, t)
             f1 = pair_divexact(f1, g, t)
@@ -172,13 +204,13 @@ def sample_points(phi, rows_points, count=6):
 
 
 # the (p^2 z^2 + p z) / (p z^2 + 1) rows, whose contents come from deep
-# digits of the point, and catalog models with large m_R
+# digits of the point, and the 13 curve maps of the catalog
 ORACLE_CASES = [
     pytest.param(*row, id=f"p={row[0][1]},d={row[2]}")
     for row in FINITE_CASES if not hasattr(row, "id") and row[0][0] == "0"
 ] + [
     catalog_case(name, [])
-    for name in ("phi_3@E2", "phi_eps", "phi_3@E1", "phi_sqrt-3")
+    for name in catalog_names() if catalog_entry(name).curve_name
 ]
 
 
@@ -210,17 +242,21 @@ class TestSpentModulus:
                     str(P), n_fin)
 
     def test_short_modulus_restarts(self, monkeypatch):
-        # the contents of steps 1 to 3 spend so much of the start n_R m_R^2
-        # that n_R no longer divides what is left before step 4, so the
-        # orbit restarts, here at the cap m_R^5, and runs all four steps
+        # m_R = 750; the contents of steps 1 and 2 spend 30 and 2 of the
+        # start m_R^2, so m_R no longer divides what is left before step
+        # 3, and the orbit restarts from m_R^2 * 60 * m_R, below the cap
+        # m_R^5, and runs all four steps: 2 + 4 evaluations
         phi = RationalMap.from_strings(["0", "5", "25"], ["1", "0", "5"], 0)
         eng = _engine(phi)
         pair = point("-19", "5", 0).reduced_pair()
         calls = count_evaluations(monkeypatch, eng)
         got = eng._fin_value(*pair, 4)
-        assert len(calls) == 7
-        assert calls[0][-1] == eng.n_R * eng.m_R**2
-        assert calls[3][-1] == eng.m_R**5
+        m_R = eng.m_R
+        assert m_R == 750
+        assert [c[-1] for c in calls] == [
+            m_R**2, m_R**2 // 30,
+            60 * m_R**3, 2 * m_R**3, m_R**3, m_R**3 // 2,
+        ]
         assert got == oracle_fin_value(eng, *pair, 4)
 
     @pytest.mark.parametrize("num,den,d,points", FINITE_CASES)

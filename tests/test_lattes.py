@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from p1dyn import lattes
 from p1dyn.errors import DomainError, MapSpecError
 from p1dyn.lattes import (
     CURVES,
@@ -329,6 +330,26 @@ class TestTwoTorsion:
         curve = EllipticCurveCM(Poly([0, big, -(big + 1), 1], 1), 1)
         finite = [t.value() for t in two_torsion_targets(curve)[1:]]
         assert finite == [QF(0, 0, 1), QF(1, 0, 1), QF(big, 0, 1)]
+
+    def test_found_once_per_curve(self, monkeypatch):
+        # x^3 - 27: a curve no other test builds, so its first call solves
+        curve = EllipticCurveCM(Poly([-27, 0, 0, 1], 3), 3)
+        first = two_torsion_targets(curve)
+        first_values = [t.value() for t in first[1:]]
+        first.clear()
+
+        def no_solve(G):
+            raise AssertionError("root guesses taken again")
+
+        monkeypatch.setattr(lattes, "_root_guesses", no_solve)
+        # an equal curve built anew finds the same cached points
+        again = two_torsion_targets(EllipticCurveCM(Poly([-27, 0, 0, 1], 3),
+                                                    3))
+        other = two_torsion_targets(curve)
+        assert again is not other
+        assert again[0].is_infinity()
+        assert [t.value() for t in again[1:]] == first_values
+        assert again == other
 
     @pytest.mark.parametrize("coeffs", [[-2, 0, 0, 1], [0, -2, 0, 1]])
     def test_unsplittable_curve_errors(self, coeffs):
