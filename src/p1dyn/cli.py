@@ -242,6 +242,11 @@ def _cmd_compose(args) -> dict:
 
 def _cmd_ramify(args) -> dict:
     label, phi = _load_maps(args, 1)[0]
+    if args.catalog and args.curve:
+        raise MapSpecError(
+            "ramify takes --curve only with --map: a catalog map names its "
+            "own curve"
+        )
     if args.catalog:
         curve = lattes.curve_for_name(label)
     elif args.curve:
@@ -367,6 +372,8 @@ def _cmd_density_compare(args) -> dict:
             "density-compare needs a --catalog map attached to a curve"
         )
     curve = lattes.curve_for_name(label)
+    if args.point and len(args.point) > 1:
+        raise MapSpecError("density-compare takes one --point seed")
     seed_z = _parse_complex(args.point[0] if args.point else "2,0")
     samples = measures.preimage_sample(phi, seed_z, args.depth, seed=args.seed)
     hist = measures.sample_histogram(samples, args.window, args.res)

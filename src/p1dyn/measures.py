@@ -50,8 +50,12 @@ def _grid_centers(window, nx, ny):
     dx = (b - a) / nx
     dy = (d - c) / ny
     # the grid first, so one too large for memory is refused before its
-    # axes are built
-    out = np.empty((ny, nx), dtype=complex)
+    # axes are built; numpy refuses a size past its index range with a
+    # ValueError, which is the same refusal
+    try:
+        out = np.empty((ny, nx), dtype=complex)
+    except ValueError as exc:
+        raise MemoryError(f"a {nx} x {ny} grid: {exc}") from None
     out.real = a + dx * (np.arange(nx) + 0.5)
     out.imag = (c + dy * (np.arange(ny) + 0.5))[:, None]
     return out, dx, dy

@@ -25,6 +25,10 @@ from .torus import TWO_PI, _basis_matrix, _hermite, curve_lattice
 # point at infinity marker used in periodic-point listings
 INF_POINT = complex(float("inf"), 0.0)
 
+# largest period taken; a map of degree 2 or more is capped lower, by
+# degree^n <= 200
+_MAX_PERIOD = 200
+
 # largest chordal distance from a root of _generic_periodic to its n-th
 # image, for maps outside the catalog (the catalog's maps take the closed
 # forms and never reach it); roots that are not periodic points land near
@@ -51,11 +55,15 @@ def periodic_points(phi: RationalMap, n: int) -> list:
     makes zero is +0.0, and every multiplier is an exact number rounded
     once (see _power_points and _lattes_points).  Every other map takes
     the root solve of _generic_periodic, which raises ConvergenceError
-    when a root misses its cycle.  Raises DomainError when degree^n
-    exceeds 200 or phi^n is the identity.
+    when a root misses its cycle.  Raises DomainError when n or degree^n
+    exceeds 200, or phi^n is the identity.
     """
     if n < 1:
         raise DomainError("period must be at least 1")
+    # n first: degree^n of a huge n takes unbounded time, and a map of
+    # degree 1 has no power cap, while the root solve composes n times
+    if n > _MAX_PERIOD:
+        raise DomainError(f"period capped at {_MAX_PERIOD}")
     if phi.degree**n > 200:
         raise DomainError("degree^n capped at 200")
     entry = entry_for_map(phi)

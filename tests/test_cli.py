@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import p1dyn
 from p1dyn import cli, lattes
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.ratmaps import RationalMap
+from test_cli_golden import GOLDEN
 
 
 def run(args, capsys):
@@ -260,6 +262,14 @@ class TestRamify:
         assert rc == 2
         assert "curve" in err
 
+    def test_curve_with_catalog_map_is_usage_error(self, capsys):
+        # a catalog map names its own curve, which --curve would not move
+        rc, out, err = run(
+            ["ramify", "--catalog", "phi_1+i", "--curve", "E2"], capsys
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestTableCheck:
     def test_prediction_only_outside_catalog(self, capsys):
@@ -475,6 +485,22 @@ class TestMeasure:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["measure", "julia"])
+    def test_grid_past_the_index_range_is_out_of_memory(
+        self, tmp_path, capsys, command
+    ):
+        # 10^18 cells of 16 bytes: numpy refuses the size itself
+        out_file = tmp_path / "out"
+        rc, out, err = run(
+            [command, "--catalog", "pow_2", "--res", "1000000000",
+             "--out", str(out_file)],
+            capsys,
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: out of memory:")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_csv_requires_out(self, capsys):
         rc, _, err = run(
             ["measure", "--catalog", "pow_2", "--format", "csv"], capsys
@@ -547,6 +573,23 @@ class TestDensityCompare:
         )
         assert rc in (1, 2)
 
+    def test_second_point_is_usage_error(self, capsys):
+        # the histogram grows from one seed point
+        rc, out, err = run(
+            ["density-compare", "--catalog", "phi_2@E1", "--point", "2,0",
+             "--point", "5,5"],
+            capsys,
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def shift_map(tmp_path):
+    """z -> z + 1, of degree 1."""
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps({"num": ["1", "1"], "den": ["1"]}))
+    return str(path)
+
 
 class TestPeriodic:
     def test_fixed_points_of_squaring(self, capsys):
@@ -577,6 +620,29 @@ class TestPeriodic:
         assert rc == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("catalog_map,depth", [
+        ("pow_3", "30000000"),
+        (None, "1000000000"),
+    ])
+    def test_huge_period_is_refused_at_once(self, tmp_path, capsys,
+                                            catalog_map, depth):
+        # refused before degree^n is computed, and before z + 1, which
+        # degree^n does not cap, is composed n times
+        maps = (["--catalog", catalog_map] if catalog_map
+                else ["--map", shift_map(tmp_path)])
+        t0 = time.perf_counter()
+        rc, out, err = run(["periodic", *maps, "--depth", depth], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert (rc, out) == (1, "")
+        assert err == "error: period capped at 200\n"
+
+    def test_degree_one_runs_at_the_period_cap(self, tmp_path, capsys):
+        payload = run_json(
+            ["periodic", "--map", shift_map(tmp_path), "--depth", "200"],
+            capsys,
+        )
+        assert payload["period"] == 200
 
 
 class TestJulia:
@@ -885,3 +951,73 @@ class TestModuleExecution:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == 1
+
+
+SMOKE = Path(__file__).resolve().parents[1] / "tools" / "smoke.py"
+
+# run tools/smoke.py as a script in a fresh interpreter (with numpy
+# blocked when argv[2] is "blocked"), then inspect the package surface;
+# prints one JSON object
+_SMOKE_RUN = """
+import contextlib, io, json, runpy, sys
+if sys.argv[2] == "blocked":
+    sys.modules["numpy"] = None
+out = io.StringIO()
+rc = None
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_path(sys.argv[1], run_name="__main__")
+    except SystemExit as exc:
+        rc = exc.code
+import p1dyn
+report = {"rc": rc, "stdout": out.getvalue(), "dir": dir(p1dyn),
+          "all": p1dyn.__all__}
+if sys.argv[2] == "open":
+    report["unresolved"] = [n for n in p1dyn.__all__
+                            if getattr(p1dyn, n, None) is None]
+    star = {}
+    exec("from p1dyn import *", star)
+    report["star"] = sorted(n for n in star if not n.startswith("__"))
+print(json.dumps(report))
+"""
+
+
+def _smoke_run(mode: str) -> tuple:
+    src = str(Path(p1dyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SMOKE_RUN, str(SMOKE), mode],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), proc.stderr
+
+
+def test_smoke_table_with_and_without_numpy():
+    exact = runpy.run_path(str(SMOKE))["EXACT"]
+    report, err = _smoke_run("open")
+    blocked, blocked_err = _smoke_run("blocked")
+    assert report["rc"] == blocked["rc"] == 0, (err, blocked_err)
+    assert "skipped" not in err
+    assert "numeric rows were skipped" in blocked_err
+    assert blocked_err.count("\n") == 1
+    assert blocked["stdout"] == report["stdout"]
+
+    # one JSON line per exact row, in table order, and the pinned ones
+    # byte for byte
+    lines = report["stdout"].splitlines(keepends=True)
+    assert len(lines) == len(exact)
+    pinned = [(GOLDEN[cmd], line) for (_, cmd), line in zip(exact, lines)
+              if cmd in GOLDEN]
+    assert len(pinned) >= 10
+    for want, got in pinned:
+        assert got == want
+
+    # the lazy names are listed without loading them (numpy was blocked),
+    # and all resolve
+    lazy = ["measures", *p1dyn._MEASURES_NAMES,
+            "periodic", *p1dyn._PERIODIC_NAMES]
+    assert set(lazy) <= set(blocked["dir"])
+    assert set(lazy) <= set(report["all"])
+    assert report["unresolved"] == []
+    assert report["star"] == sorted(report["all"])
