@@ -35,9 +35,19 @@ dividing M restarts the orbit from a start larger by the m_g spent so far
 and one more m_R, which clears that step.  The start never exceeds
 m_R^(n_fin+1), where m_R | M holds at every step as m_g | m_R, so the
 restarts are finitely many.  Every content is read exactly, so the sum
-does not depend on where M starts.  Both tails carry explicit geometric
-bounds derived from the coefficient one-norms (upper) and an exact Bezout
-certificate (lower).
+does not depend on where M starts.
+The finite loop stops early on a proved cycle of trivial contents, when
+rad_R, the product of the distinct primes of m_R, has no prime above 64
+(else it runs every step).  (1) Whether h = 1 depends only on v mod rad_R:
+a prime p divides N(F_i(v)) according to v mod p, and rad_R has exactly
+the primes of m_R.  (2) If h = 1 then g = 1, as g | h, so the next pair is
+F(v), and its residue mod rad_R is F(v mod rad_R) mod rad_R; the tracker
+holds v mod M with rad_R | m_R | M at every step.  (3) So a residue met
+again after steps with only h = 1 repeats forever: every later content is
+1, and every later term of the sum exactly 0.  The value, the tail and
+the step count are those of the full loop, bit for bit.  Both tails carry
+explicit geometric bounds derived from the coefficient one-norms (upper)
+and an exact Bezout certificate (lower).
 """
 
 from __future__ import annotations
@@ -68,6 +78,10 @@ _ARCH_CAP = 300
 _FIN_CAP = 64
 # bad primes are reported by trial division below this bound
 _TRIAL_LIMIT = 1 << 16
+# the product of the primes below 64
+_PRIMORIAL_64 = math.prod(
+    p for p in range(2, 64) if all(p % q for q in range(2, p))
+)
 
 
 def _log_int(n: int) -> float:
@@ -111,6 +125,11 @@ def _ln2(prec: int) -> Decimal:
 
 @dataclass(frozen=True)
 class HeightValue:
+    """A height, its certified error bound, and iterations_used: the larger
+    of the archimedean and finite step counts that the error budget calls
+    for.  A finite loop that stops on a cycle of trivial contents still
+    counts every step it was budgeted."""
+
     value: float
     iterations_used: int
     error_bound: float
@@ -140,6 +159,13 @@ class _HeightEngine:
         self.n_R = int(R.norm())
         # the least positive integer in the ideal (R)
         self.m_R = self.n_R // math.gcd(*R.basis_pair())
+        # rad_R, the product of the distinct primes of m_R, when all of
+        # them are below 64, else 0: _fin_value's residues mod rad_R
+        rad = math.gcd(self.m_R, _PRIMORIAL_64)
+        rest = self.m_R
+        while (g := math.gcd(rest, rad)) > 1:
+            rest //= g
+        self.rad_R = rad if rest == 1 else 0
         self.log_nR = _log_int(self.n_R)
         log_s_up = max(
             log_one_norm([int(c.norm()) for c in cs]) for cs in (c0, c1)
@@ -232,25 +258,42 @@ class _HeightEngine:
         # orbit from start * spent * m_R, where that step has mod =
         # start * m_R again.  Every m_g divides m_R, so from
         # m_R^(n_fin+1) the modulus stays a multiple of m_R for all n_fin
-        # steps: that start never restarts
+        # steps: that start never restarts.
+        # The stop: whether h = 1 depends only on v mod rad_R, the product
+        # of the primes of m_R, as a prime p divides N(F_i(v)) according
+        # to v mod p.  After h = 1, g = 1 and the next pair is F(v), so
+        # its key v mod rad_R is F(key) mod rad_R (rad_R | m_R | mod).  A
+        # key met again since the last h > 1 therefore closes a cycle of
+        # keys with h = 1: every later content is 1 and every later term
+        # 0.  Such a step skips the kernel and keeps v, so each later step
+        # meets the same key, and scale still reaches alpha^-n_fin
         cap = m_R ** (n_fin + 1)
         start = min(m_R * m_R, cap)
+        rad_R = self.rad_R
         while True:
             mod = start
             spent = 1
             v0, v1 = x0.basis_pair(), x1.basis_pair()
             total = 0.0
             scale = 1.0
+            # keys of the steps with h = 1 since the last h > 1
+            trivial = set()
             for _ in range(n_fin):
                 if mod % m_R:
                     break
                 scale /= self.alpha
+                if rad_R:
+                    key = (v0[0] % rad_R, v0[1] % rad_R,
+                           v1[0] % rad_R, v1[1] % rad_R)
+                    if key in trivial:
+                        continue
                 f0, f1 = plan(v0, v1, mod)
                 h = math.gcd(
                     pair_norm((f0[0] % m_R, f0[1] % m_R), t),
                     pair_norm((f1[0] % m_R, f1[1] % m_R), t), m_R,
                 )
                 if h > 1:
+                    trivial.clear()
                     g = pair_gcd_mod(h, f0, f1, t)
                     n_g = pair_norm(g, t)
                     total += 0.5 * _log_int(n_g) * scale
@@ -259,6 +302,8 @@ class _HeightEngine:
                     m_g = n_g // math.gcd(*g)
                     mod //= m_g
                     spent *= m_g
+                elif rad_R:
+                    trivial.add(key)
                 v0, v1 = f0, f1
             else:
                 # zero steps leave the whole finite sum, at most this at

@@ -13,7 +13,11 @@ on every curve map of the catalog; they count the evaluations of a
 restart, follow a split prime whose norm both forms share while no
 prime above it divides both, run the tracker on a map whose resultant
 has only 31-digit prime factors, and check that the lazy names of the
-package resolve.
+package resolve.  The loop stops once the pair's residues modulo rad_R,
+the product of the distinct primes of m_R, repeat over steps with h = 1:
+on every curve map at 30 steps the stop fires on some point, and never
+before the oracle's last content other than 1; it stays off when m_R has
+a prime above 64.
 """
 
 import json
@@ -159,30 +163,46 @@ class TestContentTracker:
             assert got == oracle_fin_value(eng, *pair, steps)
             expect = exact_content_sum(phi, P, steps)
             assert abs(got[0] - expect) <= 1e-12 * max(1.0, expect)
+        # 5 is a prime of rad_R too: a step with h = 5 and g = 1 counts
+        # as h > 1 for the residue-cycle stop and clears its keys
+        assert eng.rad_R == 15
+        got = eng._fin_value(*pair, 30)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in oracle_fin_value(eng, *pair, 30)]
 
 
-def oracle_fin_value(eng, x0, x1, n_fin):
-    """The finite loop at the fixed modulus m_R^(n_fin+1), one factor m_R
-    spent per step, which never needs a restart; each content is read
-    through n_R = N(R), which m_R^2 holds, and found by plain Euclid."""
+def oracle_content_norms(eng, x0, x1, n_fin):
+    """N(g_k) for the n_fin steps of the finite loop at the fixed modulus
+    m_R^(n_fin+1), one factor m_R spent per step, which never needs a
+    restart or a stop; each content is read through n_R = N(R), which
+    m_R^2 holds, and found by plain Euclid."""
     t, n_R = eng._t, eng.n_R
     forms = engine_forms(eng)
     mod = eng.m_R ** (n_fin + 1)
     v0, v1 = x0.basis_pair(), x1.basis_pair()
-    total = 0.0
-    scale = 1.0
+    norms = []
     for _ in range(n_fin):
-        scale /= eng.alpha
         f0, f1 = oracle_eval_forms(forms, eng.alpha, v0, v1, t, mod)
         h = math.gcd(pair_norm(f0, t) % n_R, pair_norm(f1, t) % n_R, n_R)
+        g = (1, 0)
         if h > 1:
             g = euclid_pair_gcd((h, 0), (f0[0] % h, f0[1] % h), t)
             g = euclid_pair_gcd(g, (f1[0] % h, f1[1] % h), t)
-            total += 0.5 * _log_int(pair_norm(g, t)) * scale
             f0 = pair_divexact(f0, g, t)
             f1 = pair_divexact(f1, g, t)
+        norms.append(pair_norm(g, t))
         v0, v1 = f0, f1
         mod //= eng.m_R
+    return norms
+
+
+def oracle_fin_value(eng, x0, x1, n_fin):
+    """The finite sum and tail of oracle_content_norms."""
+    total = 0.0
+    scale = 1.0
+    for n_g in oracle_content_norms(eng, x0, x1, n_fin):
+        scale /= eng.alpha
+        total += 0.5 * _log_int(n_g) * scale
     tail = 0.5 * eng.log_nR / (eng.alpha - 1) * scale
     return total, tail
 
@@ -264,6 +284,67 @@ class TestSpentModulus:
             eng._fin_value(*P.reduced_pair(), 1)
             # one evaluation, at the fixed modulus m_R^2
             assert [c[-1] for c in calls] == [eng.m_R**2]
+
+
+def last_pass_evaluations(calls):
+    """Evaluations of the last pass of one _fin_value call: a restart
+    starts above every modulus the pass before it reached."""
+    mods = [c[-1] for c in calls]
+    starts = [k for k in range(1, len(mods)) if mods[k] > mods[k - 1]]
+    return len(mods) - max(starts, default=0)
+
+
+CURVE_MAPS = [name for name in catalog_names()
+              if catalog_entry(name).curve_name]
+
+
+class TestResidueCycleStop:
+    @pytest.mark.parametrize("name", CURVE_MAPS)
+    def test_stops_but_never_before_the_last_content(self, name,
+                                                      monkeypatch):
+        # a stop skips the steps after its last evaluation: their oracle
+        # contents must all be 1, and the sum must keep every bit
+        n_fin = 30
+        phi = catalog(name)
+        eng = _engine(phi)
+        calls = count_evaluations(monkeypatch, eng)
+        stopped = 0
+        for P in sample_points(phi, []):
+            pair = P.reduced_pair()
+            del calls[:]
+            got = eng._fin_value(*pair, n_fin)
+            assert [v.hex() for v in got] == [
+                v.hex() for v in oracle_fin_value(eng, *pair, n_fin)]
+            evaluated = last_pass_evaluations(calls)
+            norms = oracle_content_norms(eng, *pair, n_fin)
+            assert all(n_g == 1 for n_g in norms[evaluated:]), str(P)
+            stopped += evaluated < n_fin
+        assert stopped > 0
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_rad_is_the_product_of_the_primes_of_m_R(self, name):
+        eng = _engine(catalog(name))
+        exps, rest = heights._trial_factor(eng.m_R)
+        assert rest == 1 and max(exps, default=2) < 64
+        assert eng.rad_R == math.prod(exps)
+
+    def test_a_prime_above_64_turns_the_stop_off(self):
+        # (7 z^2 + 1) / (67 z): m_R = 7 * 67^2, and the stop needs every
+        # prime of m_R
+        phi = RationalMap.from_strings(["1", "0", "7"], ["0", "67"], 0)
+        assert _engine(phi).m_R == 7 * 67**2
+        assert _engine(phi).rad_R == 0
+
+    def test_big_resultant_runs_every_step(self, monkeypatch):
+        # m_R has 31-digit primes: no stop, and these contents are all 1,
+        # so no restart either
+        eng = _engine(big_map())
+        assert eng.rad_R == 0
+        calls = count_evaluations(monkeypatch, eng)
+        pair = point("2", "1", 0).reduced_pair()
+        got = eng._fin_value(*pair, 30)
+        assert len(calls) == 30
+        assert got == oracle_fin_value(eng, *pair, 30)
 
 
 # four 31-digit primes; (C z^2 + B z + A) / (D z) has resultant A C D^2

@@ -50,7 +50,8 @@ EXACT = [
     ("height of phi_2@E2: stride 3, both forms under a prefactor (x0, x1)",
      "height --catalog phi_2@E2 --point=2+w,1"),
     ("height of (25z^2+5z)/(5z^2+1): m_R = 750, the finite loop starts at "
-     "m_R^2 and restarts once, after two steps, from 60 m_R^3",
+     "m_R^2, restarts once, after two steps, from 60 m_R^3, and stops "
+     "seven steps later on a repeated residue mod 30",
      "height --map {tmp}/restart.json --point=-19,5 --tol 1e-11"),
     ("height of (10^200 z^2+1)/z: the archimedean working size falls 1332 "
      "bits a step; stride 2, its one-term form under the prefactor x0 x1",
