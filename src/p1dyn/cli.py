@@ -350,11 +350,15 @@ def _writing(path: str):
 
 
 def _cmd_measure(args) -> dict:
+    import numpy as np
+
     from . import measures
 
     label, phi = _load_maps(args, 1)[0]
     lift = measures.Lift.from_map(phi)
-    field = measures.green_field(lift, args.window, args.res, args.iters)
+    # a far window overflows: measure_from_green refuses it, one line
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        field = measures.green_field(lift, args.window, args.res, args.iters)
     grid = measures.measure_from_green(field)
     return {
         "map": label,
@@ -414,13 +418,17 @@ def _cmd_periodic(args) -> dict:
 
 
 def _cmd_julia(args) -> dict:
+    import numpy as np
+
     from . import measures
 
     label, phi = _load_maps(args, 1)[0]
     if not args.out:
         raise MapSpecError("julia needs --out PATH for the raster")
-    field = measures.green_field(measures.Lift.from_map(phi), args.window,
-                                 args.res, args.iters)
+    lift = measures.Lift.from_map(phi)
+    # a far window overflows: julia_raster refuses it, one line
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        field = measures.green_field(lift, args.window, args.res, args.iters)
     img = measures.julia_raster(field)
     meta = {
         "command": "julia",

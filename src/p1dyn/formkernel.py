@@ -1,6 +1,7 @@
 """Straight-line kernels for exact forms, one per form shape.
 
-Every exact form in p1dyn is evaluated by a kernel from form_kernel.  A
+Every exact form in p1dyn is evaluated by a kernel from form_kernel, the
+fixed-point complex integers of periodic's cycles as basis pairs at t = 0.  A
 shape is (t, deg, forms), t as in quadfield.pair_mul and each form as the
 tuple of its terms (k, general), general when the coefficient of x0^k
 x1^(deg-k) is not rational.  kernel_factory writes Python source without

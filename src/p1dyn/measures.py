@@ -30,7 +30,7 @@ def _check_window(window):
         a, b, c, d = (float(t) for t in window)
     except (TypeError, ValueError):
         raise DomainError("window is (re_min, re_max, im_min, im_max)")
-    if not all(math.isfinite(t) for t in (a, b, c, d)) or a >= b or c >= d:
+    if not (a < b and c < d and all(map(math.isfinite, (b - a, d - c)))):
         raise DomainError("window must be a nonempty finite rectangle")
     return (a, b, c, d)
 
@@ -855,8 +855,8 @@ def sample_histogram(
 
 def _abs_g_on(gc, z):
     acc = np.full(np.shape(z), gc[-1], dtype=complex)
-    # far out |G| overflows to inf, which gives its cell the mass 0.0
-    with np.errstate(over="ignore"):
+    # far out |G| overflows to inf or nan, which gives its cell the mass 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(gc) - 2, -1, -1):
             acc = acc * z + gc[k]
         return np.abs(acc)
@@ -1015,7 +1015,9 @@ def lattes_density(
     roots = poly_roots(gc)
     centers, dx, dy = _grid_centers(window, nx, ny)
     vals = _abs_g_on(gc, centers)
-    mass = np.where(vals > 1e-300, (dx * dy) / np.maximum(vals, 1e-300), 0.0)
+    # mass 0.0 where |G| is tiny or overflows, and dx dy may overflow too
+    mass = np.divide(dx * dy, vals, out=np.zeros_like(vals),
+                     where=(vals > 1e-300) & (vals < math.inf))
     # subsample every cell whose closed rectangle contains a root; a
     # root on a shared edge belongs to all touching cells, which keeps
     # symmetric windows symmetric
@@ -1038,10 +1040,10 @@ def lattes_density(
                 sub_y = y0 + dy / 4.0 * (np.arange(4) + 0.5)
                 sx, sy = np.meshgrid(sub_x, sub_y)
                 sv = _abs_g_on(gc, (sx + 1j * sy).ravel())
-                keep = sv > 1e-300
-                mass[iy, ix] = float(
-                    np.sum((dx / 4.0) * (dy / 4.0) / sv[keep])
-                )
+                sv = sv[sv > 1e-300]
+                mass[iy, ix] = float(np.sum(np.divide(
+                    (dx / 4.0) * (dy / 4.0), sv, out=np.zeros_like(sv),
+                    where=sv < math.inf)))
     window_mass = float(mass.sum())
     if window_mass <= 0.0:
         raise DomainError("window captures no mass")

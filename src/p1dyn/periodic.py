@@ -5,9 +5,10 @@ numpy: the power maps z^k have 0, infinity and roots of unity, and a
 Lattes map phi(wp(u)) = wp(lam u) has the wp(u) with lam^n u = +-u on
 the period lattice (Milnor, "On Lattes maps", arXiv math/0402147).  A
 Newton step in fixed-point integers then makes every component the
-correctly rounded value.  Every other map
-solves num - z den = 0 for phi^n = num/den with measures.poly_roots,
-which loads numpy.
+correctly rounded value; on fixed-point complex integers, the map's
+forms run on its formkernel.form_kernel kernel at t = 0, as every exact
+form does.  Every other map solves num - z den = 0 for phi^n = num/den
+with measures.poly_roots, which loads numpy.
 """
 
 from __future__ import annotations
@@ -154,10 +155,13 @@ _curve = lru_cache(maxsize=None)(_Curve)
 
 
 @lru_cache(maxsize=None)
-def _fixed_point_lift(phi: RationalMap) -> tuple:
-    """Both forms of phi as (re, im) integer pairs, constant term first,
-    on one common scale: exact over Q and Q(i), and over Q(sqrt -3)
-    with sqrt 3 to _BITS fraction bits (math.isqrt)."""
+def _fixed_point_lift(phi: RationalMap):
+    """The form_kernel of both forms of phi, their coefficients as (re,
+    im) integer pairs on one common scale: exact over Q and Q(i), and
+    over Q(sqrt -3) with sqrt 3 to _BITS fraction bits (math.isqrt).
+    Complex integers multiply as the basis pairs of Z[i], so t = 0."""
+    from .formkernel import form_kernel
+
     deg = phi.degree
     pairs, _ = cleared_pairs([p.coeff(k) for p in (phi.num, phi.den)
                               for k in range(deg + 1)])
@@ -165,7 +169,8 @@ def _fixed_point_lift(phi: RationalMap) -> tuple:
         # u + v omega = (2u + v)/2 + i v sqrt(3)/2
         root3 = math.isqrt(3 << 2 * _BITS)
         pairs = [((2 * u + v) << _BITS, v * root3) for u, v in pairs]
-    return tuple(pairs[:deg + 1]), tuple(pairs[deg + 1:])
+    return form_kernel([[(k, c) for k, c in enumerate(pairs[i:i + deg + 1])
+                         if c[0] or c[1]] for i in (0, deg + 1)], deg, 0)
 
 
 def _lattes_points(entry, n: int) -> tuple:
@@ -180,7 +185,7 @@ def _lattes_points(entry, n: int) -> tuple:
     each is exact in K and rounded once.  A 2-torsion point is the exact
     root of G, and a point with zeta u = +-u is 0.  Every other cycle of
     u -> lam u takes its first point from the q-series and one Newton
-    step (_newton_polish), and the others from the fixed-point forms
+    step (_newton_polish), and the others from the map's form kernel
     (_step) along the cycle.  A point's imaginary part is +0.0 when
     conj(u) = +-u, and on E1 its real part is +0.0 when conj(u) = +-i u,
     since wp(i u) = -wp(u).
@@ -210,7 +215,7 @@ def _lattes_points(entry, n: int) -> tuple:
         for x, y in pts:
             x, y = x * (L // nn), y * (L // nn)
             classes.setdefault(min((x, y), (-x % L, -y % L)), eps)
-    forms = _fixed_point_lift(entry.map)
+    kernel = _fixed_point_lift(entry.map)
 
     def same(a, b):
         """a = +-b on R^2/Z^2, for numerators over L."""
@@ -242,9 +247,9 @@ def _lattes_points(entry, n: int) -> tuple:
         if same(act(cv.unit, u0), u0):
             out.append((0j, mult))
             continue
-        # u0's cycle u -> lam u: u0 by Newton, the others by the forms
+        # u0's cycle u -> lam u: u0 by Newton, the others by the kernel
         x, y = (t - L if 2 * t > L else t for t in u0)
-        pair = _newton_polish(forms, lat.wp(x / L, y / L), n, mult - 1.0)
+        pair = _newton_polish(kernel, lat.wp(x / L, y / L), n, mult - 1.0)
         u = u0
         while True:
             out.append((rounded(u, pair), mult))
@@ -253,7 +258,7 @@ def _lattes_points(entry, n: int) -> tuple:
             u = min(u, (-u[0] % L, -u[1] % L))
             if u == u0:
                 break
-            pair = _step(forms, *pair)
+            pair = _step(kernel, *pair)
     return out, m2
 
 
@@ -265,13 +270,13 @@ def _ratio(a, b) -> complex:
     return complex((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)
 
 
-def _newton_polish(forms, z: complex, n: int, slope: complex) -> tuple:
+def _newton_polish(kernel, z: complex, n: int, slope: complex) -> tuple:
     """z after one Newton step on phi^n(z) = z with the given slope, as
     a projective pair of complex integers.
 
     The step runs in the chart w = z, or w = 1/z when |z| > 1, on w as
     an integer over 2^_BITS.  The orbit of (w, 1), or of (1, w), is that
-    of the homogeneous forms on complex integers (_step).  phi^n(w) - w
+    of the form kernel on complex integers (_step).  phi^n(w) - w
     is exact from the last pair, rounded once; w's correction, a few
     ulps, takes a double division, whose error is that times 2^-53.
     """
@@ -280,7 +285,7 @@ def _newton_polish(forms, z: complex, n: int, slope: complex) -> tuple:
     wr, wi = int(w.real * _ONE), int(w.imag * _ONE)
     a, b = ((_ONE, 0), (wr, wi)) if flip else ((wr, wi), (_ONE, 0))
     for _ in range(n):
-        a, b = _step(forms, a, b)
+        a, b = _step(kernel, a, b)
     if flip:
         a, b = b, a
     # (a - w b) / b, with w b exact over 2^_BITS
@@ -293,33 +298,15 @@ def _newton_polish(forms, z: complex, n: int, slope: complex) -> tuple:
     return ((_ONE, 0), w) if flip else (w, (_ONE, 0))
 
 
-def _step(forms, a, b) -> tuple:
-    """(F0(a, b), F1(a, b)) for complex integers a, b, by Horner in a,
-    shifted right so that the largest component keeps _BITS bits: a
-    relative error of 2^-_BITS a step, on a projective pair."""
-    ar, ai = a
-    br, bi = b
-    f0, f1 = forms
-    top = len(f0) - 1
-    pows = [(1, 0)]
-    for _ in range(top):
-        pr, pi = pows[-1]
-        pows.append((pr * br - pi * bi, pr * bi + pi * br))
-    out = []
-    for f in forms:
-        sr, si = f[top]
-        for k in range(top - 1, -1, -1):
-            sr, si = sr * ar - si * ai, sr * ai + si * ar
-            cr, ci = f[k]
-            if cr or ci:
-                pr, pi = pows[top - k]
-                sr += cr * pr - ci * pi
-                si += cr * pi + ci * pr
-        out += (sr, si)
-    shift = max(map(abs, out)).bit_length() - _BITS
-    if shift > 0:
-        out = [t >> shift for t in out]
-    return (out[0], out[1]), (out[2], out[3])
+def _step(kernel, a, b) -> tuple:
+    """(F0(a, b), F1(a, b)) for complex integers a, b by the forms'
+    kernel (_fixed_point_lift), shifted right so that the largest
+    component keeps _BITS bits: a relative error of 2^-_BITS a step, on
+    a projective pair."""
+    (ur, ui), (vr, vi) = kernel(a, b)
+    top = max(abs(ur), abs(ui), abs(vr), abs(vi))
+    shift = max(0, top.bit_length() - _BITS)
+    return (ur >> shift, ui >> shift), (vr >> shift, vi >> shift)
 
 
 # ------------------------------------------------------------ generic route

@@ -680,6 +680,55 @@ class TestJulia:
                         b"32 32", b"255"]
 
 
+# windows whose width overflows to inf, and one whose Green field does
+_FAR_WINDOWS = [
+    ["measure", "--catalog", "phi_1+i", "--window=-1e308,1e308,-1e308,1e308"],
+    ["julia", "--catalog", "phi_1+i", "--window=-1e308,1e308,-1e308,1e308",
+     "--out", "{out}"],
+    ["density-compare", "--catalog", "phi_2@E1", "--depth", "2",
+     "--window=-1e308,1e308,-1e308,1e308"],
+    ["measure", "--catalog", "phi_1+i", "--window=1e308,1.5e308,1e308,1.5e308"],
+    ["julia", "--catalog", "phi_1+i", "--window=1e308,1.5e308,1e308,1.5e308",
+     "--out", "{out}"],
+]
+
+# run each argv of the JSON list argv[1] through main in a fresh
+# interpreter, every warning shown, and print [rc, stdout, stderr] of each
+_FAR_RUN = """
+import contextlib, io, json, sys, warnings
+from p1dyn import cli
+warnings.simplefilter("always")
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    runs.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_far_windows_end_in_one_error_line(tmp_path):
+    # numpy's warnings go to stderr outside pytest's filter, ahead of the
+    # error line, unless the window check or np.errstate stops them
+    src = str(Path(p1dyn.__file__).resolve().parents[1])
+    argvs = [[a.format(out=tmp_path / "img.pgm") for a in argv]
+             for argv in _FAR_WINDOWS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAR_RUN, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [rc for rc, _, _ in runs] == [1] * len(_FAR_WINDOWS)
+    for (_, out, err), argv in zip(runs, _FAR_WINDOWS):
+        assert out == "" and err.count("\n") == 1, (argv, err)
+    assert [err for _, _, err in runs] == (
+        ["error: window must be a nonempty finite rectangle\n"] * 3
+        + ["error: Green field has non-finite entries\n"] * 2)
+
+
 class TestCatalogCmd:
     def test_lists_all_entries(self, capsys):
         payload = run_json(["catalog"], capsys)

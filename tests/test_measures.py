@@ -185,6 +185,82 @@ class TestGreen:
             assert shift == pytest.approx(expect, abs=1e-13)
 
 
+CURVE_MAPS = [n for n in catalog_names() if catalog_entry(n).curve_name]
+
+
+def neron_local(lat, x: float, y: float) -> float:
+    """The Neron local height lambda(u) of u = (x + y tau) w1 on the
+    curve of lat, by its q-product (Silverman, Advanced Topics, Thm.
+    VI.3.4): with y reduced to [0, 1), t = e^(2 pi i (x + y tau)) and
+    q = e^(2 pi i tau),
+        lambda(u) = -B2(y) log|q| / 2 - log|1 - t|
+                    - sum_n log|(1 - q^n t)(1 - q^n / t)|,
+    B2(y) = y^2 - y + 1/6.  |q| < 0.005 on both curves, so 20 terms
+    leave a tail far below 2^-53."""
+    y %= 1.0
+    q = cmath.exp(2j * math.pi * lat.tau)
+    t = cmath.exp(2j * math.pi * (x + y * lat.tau))
+    out = -0.5 * (y * y - y + 1 / 6) * math.log(abs(q)) - math.log(abs(1 - t))
+    for n in range(1, 21):
+        out -= math.log(abs((1 - q**n * t) * (1 - q**n / t)))
+    return out
+
+
+def neron_local_mp(lat, x: float, y: float, dps: int = 50):
+    """neron_local at dps digits, the product summed by Jacobi's theta:
+    with nome p = e^(i pi tau), q = p^2 and v = x + y tau,
+    prod_n (1 - q^n t)(1 - q^n / t)
+        = theta_1(pi v, p) / (2 p^(1/4) sin(pi v) (q; q)_inf)."""
+    with mpmath.workdps(dps):
+        y = mpmath.mpf(y) % 1
+        tau = mpmath.mpc(lat.tau)
+        v = x + y * tau
+        p = mpmath.exp(1j * mpmath.pi * tau)
+        q = p * p
+        t = mpmath.exp(2j * mpmath.pi * v)
+        prod = mpmath.jtheta(1, mpmath.pi * v, p) / (
+            2 * mpmath.exp(1j * mpmath.pi * tau / 4)
+            * mpmath.sin(mpmath.pi * v) * mpmath.qp(q))
+        return (-(y * y - y + mpmath.mpf(1) / 6) * mpmath.log(abs(q)) / 2
+                - mpmath.log(abs(1 - t)) - mpmath.log(abs(prod)))
+
+
+class TestNeronOracle:
+    """The canonical metric of a Lattes map in closed form: for the lift
+    F of a curve map of degree d, leading coefficient a_d = F.f0[-1],
+    and z = wp(u),
+        green(F, z) = 2 lambda(u) + log|a_d|/(d - 1)
+                      + (1/6) log|16 disc G|,
+    disc G = -4 on E1 and -27 on E2 (Silverman, Advanced Topics, Thm.
+    VI.3.4).  Measured over the 13 maps' seeded points below: at most
+    1.9e-15."""
+
+    @pytest.mark.parametrize("curve", ["E1", "E2"])
+    def test_local_height_matches_50_digits(self, curve):
+        lat = curve_lattice(curve)
+        rng = np.random.default_rng(3)
+        for x, y in [(0.25, 0.0), (0.0, 0.5), (-0.5, -0.5),
+                     *rng.uniform(-0.5, 0.5, (5, 2))]:
+            got = neron_local(lat, float(x), float(y))
+            want = neron_local_mp(lat, float(x), float(y))
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(got)), (x, y)
+
+    @pytest.mark.parametrize("name", CURVE_MAPS)
+    def test_green_is_twice_the_local_height(self, name):
+        entry = catalog_entry(name)
+        lift = Lift.from_map(entry.map)
+        lat = curve_lattice(entry.curve_name)
+        disc = {"E1": -4, "E2": -27}[entry.curve_name]
+        d = lift.degree
+        const = (math.log(abs(lift.f0[-1])) / (d - 1)
+                 + math.log(abs(16 * disc)) / 6)
+        rng = np.random.default_rng(20)
+        for z in rng.uniform(-5, 5, 20) + 1j * rng.uniform(-5, 5, 20):
+            x, y = measures._elliptic_log(lat, complex(z))
+            lam = neron_local(lat, float(x), float(y))
+            assert abs(green(lift, z, 200) - 2 * lam - const) <= 1e-14, z
+
+
 class TestGreenField:
     def test_power_closed_form_grid(self):
         f = green_field(SQUARE, WIN, 32, 16)
@@ -1210,6 +1286,16 @@ class TestInputErrors:
                                   (10, 11, 10, 11), 8),
          "no sample points fall inside the window"),
         (_far_density, "window captures no mass"),
+        # |G| times z overflows to nan, and the cell area dx dy to inf
+        (lambda: lattes_density(curve_E1(), (1e300, 1.5e300, -1e300, 1e300),
+                                8),
+         "window captures no mass"),
+        # the same in the subsampled cells at the root 0 of G
+        (lambda: lattes_density(curve_E1(), (0, 1e160, 0, 1e160), 8),
+         "window captures no mass"),
+        # b - a overflows to inf, so every cell centre is inf or nan
+        (lambda: green_field(SQUARE, (-1e308, 1e308, 0, 1), 8, 8),
+         "nonempty finite rectangle"),
         (lambda: periodic_points(catalog("pow_2"), 0),
          "period must be at least 1"),
         (lambda: write_pgm(None, np.zeros((2, 2, 2))), "2-D grayscale"),

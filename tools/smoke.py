@@ -91,16 +91,21 @@ EXACT = [
      "table-check --lambda 2,0,3"),
     ("catalog: all 16 entries",
      "catalog"),
-    ("periodic points of pow_3 in closed form: roots of unity",
+    ("periodic points of pow_3 in closed form: roots of unity, powers of "
+     "one root in fixed point, which take no form kernel",
      "periodic --catalog pow_3 --depth 2"),
-    ("periodic points of phi_1+i in closed form, on E1's period lattice",
+    ("periodic points of phi_1+i in closed form, on E1's period lattice; "
+     "each cycle runs on the map's form kernel at t = 0",
      "periodic --catalog phi_1+i --depth 2"),
-    ("periodic points of phi_2@E2 in closed form, on E2's period lattice",
+    ("periodic points of phi_2@E2 in closed form, on E2's period lattice; "
+     "each cycle runs on the map's form kernel at t = 0, sqrt 3 in fixed "
+     "point",
      "periodic --catalog phi_2@E2 --depth 2"),
     ("periodic points of phi_sqrt-3*rho in closed form, omega in its "
-     "coefficients",
+     "coefficients; each cycle runs on the map's form kernel at t = 0",
      "periodic --catalog phi_sqrt-3*rho --depth 3"),
-    ("periodic points of phi_sqrt-3 in closed form at period 4",
+    ("periodic points of phi_sqrt-3 in closed form at period 4; each cycle "
+     "runs on the map's form kernel at t = 0",
      "periodic --catalog phi_sqrt-3 --depth 4"),
 ]
 
