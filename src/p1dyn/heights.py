@@ -53,12 +53,11 @@ and an exact Bezout certificate (lower).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 
 from .errors import DomainError, IterationBudgetError
-from .lattes import EllipticCurveCM, lattes_double
+from .lattes import EllipticCurveCM, _Frozen, lattes_double
 from .quadfield import (
     QuadFieldElement,
     omega_flag,
@@ -123,18 +122,17 @@ def _ln2(prec: int) -> Decimal:
         return Decimal(2).ln()
 
 
-@dataclass(frozen=True)
-class HeightValue:
+class HeightValue(_Frozen):
     """A height, its certified error bound, and iterations_used: the larger
     of the archimedean and finite step counts that the error budget calls
     for.  A finite loop that stops on a cycle of trivial contents still
     counts every step it was budgeted."""
 
-    value: float
-    iterations_used: int
-    error_bound: float
+    __slots__ = ("value", "iterations_used", "error_bound")
 
-    def __post_init__(self):
+    def __init__(self, value: float, iterations_used: int,
+                 error_bound: float):
+        super().__init__(value, iterations_used, error_bound)
         if self.value < 0:
             raise DomainError("height value must be nonnegative")
         if self.error_bound < 0:
@@ -252,11 +250,16 @@ class _HeightEngine:
         # so m_R, and both norms N(F0) and N(F1), so it divides h =
         # gcd(N(F0), N(F1), m_R), and g = gcd(h, F0, F1).  With m_R | mod,
         # h comes from the norms of the residues mod m_R, and g from
-        # Euclid on the residues mod h (pair_gcd_mod).  Dividing out g
-        # leaves the pair known modulo (mod/g), inside (mod/m_g) as
-        # g | m_g.  A step that finds m_R not dividing mod restarts the
-        # orbit from start * spent * m_R, where that step has mod =
-        # start * m_R again.  Every m_g divides m_R, so from
+        # Euclid on the residues mod h (pair_gcd_mod).  Its rational part
+        # c = gcd(m_R, F0, F1) comes first, from one integer gcd: g = c g'
+        # for g' the content of F/c, which divides m_R/c, so the same
+        # reading with m_R/c in place of m_R gives h' and g', and Euclid
+        # runs only when h' > 1.  c g' is the canonical associate when g'
+        # is, so g, F/g and N(g) are the integers that Euclid on h would
+        # give.  Dividing out g leaves the pair known modulo (mod/g),
+        # inside (mod/m_g) as g | m_g.  A step that finds m_R not dividing
+        # mod restarts the orbit from start * spent * m_R, where that step
+        # has mod = start * m_R again.  Every m_g divides m_R, so from
         # m_R^(n_fin+1) the modulus stays a multiple of m_R for all n_fin
         # steps: that start never restarts.
         # The stop: whether h = 1 depends only on v mod rad_R, the product
@@ -266,7 +269,9 @@ class _HeightEngine:
         # key met again since the last h > 1 therefore closes a cycle of
         # keys with h = 1: every later content is 1 and every later term
         # 0.  Such a step skips the kernel and keeps v, so each later step
-        # meets the same key, and scale still reaches alpha^-n_fin
+        # meets the same key, and scale still reaches alpha^-n_fin.
+        # h > 1 holds exactly when c > 1 or h' > 1: c > 1 divides h, and
+        # c = 1 leaves h' = h
         cap = m_R ** (n_fin + 1)
         start = min(m_R * m_R, cap)
         rad_R = self.rad_R
@@ -288,18 +293,27 @@ class _HeightEngine:
                     if key in trivial:
                         continue
                 f0, f1 = plan(v0, v1, mod)
+                c = math.gcd(m_R, *f0, *f1)
+                m = m_R // c
+                if c > 1:
+                    f0 = (f0[0] // c, f0[1] // c)
+                    f1 = (f1[0] // c, f1[1] // c)
                 h = math.gcd(
-                    pair_norm((f0[0] % m_R, f0[1] % m_R), t),
-                    pair_norm((f1[0] % m_R, f1[1] % m_R), t), m_R,
+                    pair_norm((f0[0] % m, f0[1] % m), t),
+                    pair_norm((f1[0] % m, f1[1] % m), t), m,
                 )
-                if h > 1:
+                if c > 1 or h > 1:
                     trivial.clear()
-                    g = pair_gcd_mod(h, f0, f1, t)
-                    n_g = pair_norm(g, t)
+                    # n_g = c^2 N(g') and m_g = c N(g')/gcd(g')
+                    n_g, m_g = c * c, c
+                    if h > 1:
+                        g = pair_gcd_mod(h, f0, f1, t)
+                        f0 = pair_divexact(f0, g, t)
+                        f1 = pair_divexact(f1, g, t)
+                        n = pair_norm(g, t)
+                        n_g *= n
+                        m_g *= n // math.gcd(*g)
                     total += 0.5 * _log_int(n_g) * scale
-                    f0 = pair_divexact(f0, g, t)
-                    f1 = pair_divexact(f1, g, t)
-                    m_g = n_g // math.gcd(*g)
                     mod //= m_g
                     spent *= m_g
                 elif rad_R:

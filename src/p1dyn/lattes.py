@@ -12,7 +12,6 @@ ramify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,14 +20,59 @@ from .quadfield import QuadFieldElement, cleared_pairs, format_element
 from .ratmaps import Poly, ProjPoint, RationalMap, distinct_preimages, poly_gcd
 
 
-@dataclass(frozen=True)
-class EllipticCurveCM:
+class _Frozen:
+    """Base of the exact value types: immutable records of their __slots__.
+
+    A subclass names its fields in __slots__ and sets them in its own
+    __init__ through _Frozen.__init__, in slot order.  Equality, hash,
+    repr and __match_args__ follow the fields, as for a frozen dataclass;
+    copy and pickle rebuild through the constructor, since __setattr__
+    refuses every assignment.  dataclasses would import inspect, which a
+    process that only imports p1dyn should not pay for.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class EllipticCurveCM(_Frozen):
     """Short Weierstrass curve y^2 = G(x) with CM by the order of tag d."""
 
-    G: Poly
-    d: int
+    __slots__ = ("G", "d")
 
-    def __post_init__(self):
+    def __init__(self, G: Poly, d: int):
+        super().__init__(G, d)
         if self.G.degree != 3:
             raise DomainError("G must be a cubic")
         if self.G.leading() != QuadFieldElement.one(self.G.d):
@@ -56,14 +100,13 @@ def curve_E2() -> EllipticCurveCM:
 CURVES = {"E1": curve_E1, "E2": curve_E2}
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
+class RamificationProfile(_Frozen):
     """Distinct-preimage counts over the four 2-torsion images."""
 
-    counts: tuple
-    degree: int
+    __slots__ = ("counts", "degree")
 
-    def __post_init__(self):
+    def __init__(self, counts: tuple, degree: int):
+        super().__init__(counts, degree)
         if len(self.counts) != 4:
             raise DomainError("profile needs exactly four counts")
         n = self.degree
@@ -243,12 +286,16 @@ def predict_profile(lam: QuadFieldElement) -> RamificationProfile:
     return RamificationProfile(counts, n)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    map: RationalMap
-    lam: QuadFieldElement | None = None
-    curve_name: str | None = None
+class CatalogEntry(_Frozen):
+    """A catalog map by name, with its multiplier and curve name when it
+    is a Lattes map."""
+
+    __slots__ = ("name", "map", "lam", "curve_name")
+
+    def __init__(self, name: str, map: RationalMap,
+                 lam: QuadFieldElement | None = None,
+                 curve_name: str | None = None):
+        super().__init__(name, map, lam, curve_name)
 
 
 def _gauss(a, b) -> QuadFieldElement:

@@ -10,8 +10,8 @@ is coefficient equality.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from itertools import zip_longest
-from typing import Iterable, Sequence
 
 from .errors import DomainError, FieldMismatchError
 from .quadfield import (

@@ -1881,30 +1881,41 @@ class TestComposeKernel:
         assert _unpack(_pack([-top - 1, top], bits), bits, 2) == [-top - 1, top]
 
 
-# import p1dyn, then run `p1dyn catalog`, in a fresh interpreter; prints
-# which of the modules that neither needs were loaded after each
+# import p1dyn, then run `p1dyn catalog` and one `p1dyn height`, in a
+# fresh interpreter; prints which of the modules that none of them needs
+# each had loaded, counting only modules that the interpreter's own
+# start-up had not loaded before `import p1dyn`
 _FRESH_IMPORT = """
 import contextlib, io, json, sys
-lazy = ("numpy", "p1dyn.formkernel", "p1dyn.measures", "p1dyn.periodic",
-        "p1dyn.torus")
+lazy = ("dataclasses", "inspect", "numpy", "p1dyn.formkernel",
+        "p1dyn.measures", "p1dyn.periodic", "p1dyn.torus")
+before = set(sys.modules)
+def added():
+    return sorted(m for m in lazy if m in sys.modules and m not in before)
 import p1dyn
-loaded = {"import": sorted(m for m in lazy if m in sys.modules)}
+loaded = {"import": added()}
 from p1dyn import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = cli.main(["catalog"])
-loaded["catalog"] = sorted(m for m in lazy if m in sys.modules)
-print(json.dumps([rc, loaded]))
+rcs = []
+for name, argv in (("catalog", ["catalog"]),
+                   ("height", ["height", "--catalog", "pow_2",
+                               "--point", "7,3"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rcs.append(cli.main(argv))
+    loaded[name] = added()
+print(json.dumps([rcs, loaded]))
 """
 
 
-def test_import_and_catalog_compile_no_kernel():
+def test_import_and_exact_commands_load_no_kernel_or_dataclasses():
     src = os.path.dirname(os.path.dirname(heights.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_IMPORT], capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, {"import": [], "catalog": []}]
+    # a height engine compiles its form kernel, and nothing else loads
+    assert json.loads(proc.stdout) == [[0, 0], {
+        "import": [], "catalog": [], "height": ["p1dyn.formkernel"]}]
 
 
 class TestEngineCache:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +9,10 @@ import pytest
 
 from p1dyn import lattes
 from p1dyn.errors import DomainError, MapSpecError
+from p1dyn.heights import HeightValue
 from p1dyn.lattes import (
     CURVES,
+    CatalogEntry,
     EllipticCurveCM,
     RamificationProfile,
     catalog,
@@ -134,7 +138,7 @@ class TestCurveValidation:
 
     @pytest.mark.parametrize("build", [lattes_double, lattes_triple])
     def test_singular_cubic_past_validation_degenerates(self, build):
-        # y^2 = x^3, built without __post_init__: doubling and tripling
+        # y^2 = x^3, built past __init__'s checks: doubling and tripling
         # collapse to x/4 and x/9, which the degree checks refuse
         curve = object.__new__(EllipticCurveCM)
         object.__setattr__(curve, "G", Poly([0, 0, 0, 1], 1))
@@ -610,3 +614,73 @@ class TestLattesEvaluation:
         tri = lattes_triple(curve_E2())
         q = tri(ProjPoint.affine(QF(2, 0, 3)))
         assert q.value() == QF(-1, 0, 3)
+
+
+# (type, fields, valid values, values that validation refuses and the
+# message it raises with, or None for a type without validation)
+VALUE_TYPES = [
+    pytest.param(EllipticCurveCM, ("G", "d"), (Poly([0, 1, 0, 1], 1), 1),
+                 ((Poly([0, 1, 0, 1], 1), 3), "CM tag d=3 is not the field"),
+                 id="EllipticCurveCM"),
+    pytest.param(RamificationProfile, ("counts", "degree"), ((3, 3, 3, 3), 5),
+                 (((1, 2, 3), 4), "exactly four counts"),
+                 id="RamificationProfile"),
+    pytest.param(HeightValue, ("value", "iterations_used", "error_bound"),
+                 (0.5, 3, 1e-9),
+                 ((0.5, 3, -1.0), "error bound must be nonnegative"),
+                 id="HeightValue"),
+    pytest.param(CatalogEntry, ("name", "map", "lam", "curve_name"),
+                 ("phi_1+i", catalog("phi_1+i"), QF(1, 1, 1), "E1"), None,
+                 id="CatalogEntry"),
+]
+
+
+class TestValueTypes:
+    """The frozen value types: construction, validation, equality, hash,
+    repr, immutability, copy and pickle."""
+
+    @pytest.mark.parametrize("cls,fields,values,refused", VALUE_TYPES)
+    def test_contract(self, cls, fields, values, refused):
+        x = cls(*values)
+        assert tuple(getattr(x, f) for f in fields) == values
+        y = cls(**dict(zip(fields, values)))
+        assert x == y and x is not y and hash(x) == hash(y)
+        assert hash(x) == hash(values)
+        assert x != values and x != object()
+        assert cls.__match_args__ == fields
+        assert repr(x) == "%s(%s)" % (cls.__name__, ", ".join(
+            f"{f}={v!r}" for f, v in zip(fields, values)))
+        assert not hasattr(x, "__dict__")
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, f, values[0])
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert x == y
+        for twin in (copy.copy(x), copy.deepcopy(x),
+                     pickle.loads(pickle.dumps(x))):
+            assert type(twin) is cls and twin == x and hash(twin) == hash(x)
+        # built past validation, field by field
+        raw = object.__new__(cls)
+        for f, v in zip(fields, values):
+            object.__setattr__(raw, f, v)
+        assert raw == x
+        if refused is not None:
+            bad, message = refused
+            with pytest.raises(DomainError, match=message):
+                cls(*bad)
+
+    def test_catalog_entry_defaults(self):
+        entry = CatalogEntry("pow_2", catalog("pow_2"))
+        assert entry.lam is None and entry.curve_name is None
+        assert entry == catalog_entry("pow_2")
+
+    def test_equal_curves_share_a_cache_entry(self):
+        lattes._two_torsion_targets.cache_clear()
+        first = two_torsion_targets(EllipticCurveCM(Poly([0, 1, 0, 1], 1), 1))
+        again = two_torsion_targets(EllipticCurveCM(Poly([0, 1, 0, 1], 1), 1))
+        assert first == again
+        info = lattes._two_torsion_targets.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
