@@ -62,60 +62,29 @@ def _grid_centers(window, nx, ny):
 
 
 class Lift:
-    """Homogeneous lift (F0, F1) of a degree-alpha map to C^2.
+    """Homogeneous lift (F0, F1) of an exact map of degree alpha to C^2.
 
-    Rescaling the pair by a constant is the lift ambiguity; Green values
-    shift by an additive constant and every derived measure is unchanged.
-    Coefficient lists are constant-term first, padded to degree + 1.
+    Lift.from_map is the only constructor: it takes the pair (num, den)
+    of the map's canonical scale, whose resultant is exactly nonzero.
+    The map's other lifts c(F0, F1), c != 0, are the lift ambiguity: in
+    the limit their Green values differ by log|c|/(alpha-1), and every
+    derived measure is the same.  Coefficient lists are constant-term
+    first, of length degree + 1.
     """
 
-    def __init__(self, f0, f1, degree: int | None = None):
-        self._set(f0, f1, degree)
-        if self.degree < 1:
-            raise DomainError("lift degree must be at least 1")
-        if self._degenerate():
-            raise DomainError("degenerate lift: resultant vanishes")
-
-    def _set(self, f0, f1, degree) -> None:
-        f0 = [complex(c) for c in f0]
-        f1 = [complex(c) for c in f1]
-        if degree is None:
-            degree = max(len(f0), len(f1)) - 1
-        if len(f0) > degree + 1 or len(f1) > degree + 1:
-            raise DomainError("coefficient list longer than degree + 1")
-        f0 = f0 + [0j] * (degree + 1 - len(f0))
-        f1 = f1 + [0j] * (degree + 1 - len(f1))
-        self.degree = int(degree)
-        self.f0 = np.array(f0, dtype=complex)
-        self.f1 = np.array(f1, dtype=complex)
+    def _set(self, f0, f1, degree: int) -> None:
+        self.degree = degree
+        self._coeffs = (tuple(map(complex, f0)), tuple(map(complex, f1)))
+        self.f0 = np.array(self._coeffs[0], dtype=complex)
+        self.f1 = np.array(self._coeffs[1], dtype=complex)
         self.f0.setflags(write=False)
         self.f1.setflags(write=False)
-        self._coeffs = (tuple(f0), tuple(f1))
-
-    def _degenerate(self) -> bool:
-        n = self.degree
-        M = np.zeros((2 * n, 2 * n), dtype=complex)
-        a = self.f0[::-1]
-        b = self.f1[::-1]
-        for i in range(n):
-            M[i, i : i + n + 1] = a
-            M[n + i, i : i + n + 1] = b
-        # subnormal coefficients can underflow the LU pivots, which numpy
-        # reports as a division by zero; the result is then degenerate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sign, logdet = np.linalg.slogdet(M)
-        if sign == 0 or not np.isfinite(logdet):
-            return True
-        hadamard = np.sum(np.log(np.maximum(
-            np.sqrt(np.sum(np.abs(M) ** 2, axis=1)), 1e-300)))
-        return logdet < hadamard + math.log(1e-12)
 
     @classmethod
     def from_map(cls, phi: RationalMap) -> "Lift":
-        # a RationalMap's resultant is exactly nonzero by construction, so
-        # the float test, which huge coefficients overflow, is skipped; a
-        # constant map c0/c1 gets the degree-0 lift (c0, c1)
-        lift = cls.__new__(cls)
+        """The lift (num, den) of phi; a constant map c0/c1 gets the
+        degree-0 lift (c0, c1)."""
+        lift = cls()
         lift._set(*phi.complex_pair(), phi.degree)
         return lift
 
@@ -262,6 +231,9 @@ _GREEN_BLOCK = 16384
 _SOLO_BLOCK = 8192
 
 _ONE = 1.0 + 0j
+# the largest double whose reciprocal overflows: 1/m is finite for every
+# larger m
+_RECIP_OVERFLOW = 2.0 ** -1024
 
 
 def _cpus() -> int:
@@ -340,9 +312,18 @@ def _green_scalar(lift: Lift, z: complex, n: int) -> float:
         scale /= lift.degree
         if scale == 0.0:
             break
+        if m <= _RECIP_OVERFLOW:
+            # 1/m would overflow, with a warning, and put inf or nan into
+            # every later iterate
+            raise DomainError(f"Green value at {z} is not finite: the lift "
+                              "underflows in double precision")
         inv = 1.0 / m
         w0, w1 = _forms_scalar(lift._coeffs, w0 * inv, w1 * inv)
         m = _abs_max(w0, w1)
+        if m == 0.0:
+            # log(0) would warn
+            raise DomainError(f"Green value at {z} is not finite: the lift "
+                              "vanishes in double precision")
         g = g + np.log(m) * scale
     return float(g)
 
@@ -368,7 +349,10 @@ def green(lift, z, n: int) -> float:
     scalars, and within rounding of green_field's cell at the point.
     Python's complex products and sums raise no floating-point warning,
     so a lift that overflows gives inf or nan without one, and that
-    raises DomainError, as a non-finite cell of green_field does.
+    raises DomainError, as a non-finite cell of green_field does.  So
+    does a lift whose forms both round to zero at some step, or to 2^-1024
+    or less before another: the loop stops there, before numpy's log of
+    zero or its overflowing reciprocal would warn.
     """
     lift = _check_green(lift, n)
     z = complex(z)

@@ -41,7 +41,9 @@ from p1dyn.measures import (
     sample_histogram,
 )
 from p1dyn.periodic import periodic_points
-from test_measures import ks_uniform_statistic
+from test_measures import (
+    curve_families, ks_uniform_statistic, metric_field, scaled_lift,
+)
 
 
 def _line(capfd, text: str) -> None:
@@ -211,11 +213,13 @@ def test_c08_lattes_density_comparison(capfd):
 def test_c09_commuting_green_fields_agree(capfd):
     with criterion(capfd, 9, "commuting maps share the Green field"):
         window = (-2.0, 2.0, -2.0, 2.0)
-        fa = green_field(Lift.from_map(catalog("phi_1+i")), window, 128, 30)
-        fb = green_field(Lift.from_map(catalog("phi_1-i")), window, 128, 30)
-        diff = fa.values - fb.values
-        diff = diff - diff.mean()
-        assert float(diff.std()) <= 1e-3
+        families = curve_families()
+        assert sorted(map(len, families.values())) == [5, 8]
+        for curve, names in families.items():
+            first = metric_field(names[0], window, 128, 200)
+            for name in names[1:]:
+                got = metric_field(name, window, 128, 200)
+                assert np.max(np.abs(got - first)) <= 1e-14, (curve, name)
 
 
 def test_c10_metric_functional_equation(capfd):
@@ -239,7 +243,7 @@ def test_c10_metric_functional_equation(capfd):
 
             # scaling one starting lift by 5 shifts g by log5 * sum d^-k;
             # the gap to the limit must shrink geometrically at rate 1/d
-            scaled = Lift(5.0 * lift.f0, 5.0 * lift.f1, lift.degree)
+            scaled = scaled_lift(lift, 5.0)
             z0 = 0.37 + 0.29j
             limit = math.log(5.0) / (d - 1)
             gaps = []

@@ -708,25 +708,42 @@ print(json.dumps(runs))
 """
 
 
-def test_far_windows_end_in_one_error_line(tmp_path):
-    # numpy's warnings go to stderr outside pytest's filter, ahead of the
-    # error line, unless the window check or np.errstate stops them
+def _far_runs(argvs) -> list:
+    """[rc, stdout, stderr] of each argv, run by _FAR_RUN."""
     src = str(Path(p1dyn.__file__).resolve().parents[1])
-    argvs = [[a.format(out=tmp_path / "img.pgm") for a in argv]
-             for argv in _FAR_WINDOWS]
     proc = subprocess.run(
         [sys.executable, "-c", _FAR_RUN, json.dumps(argvs)],
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_far_windows_end_in_one_error_line(tmp_path):
+    # numpy's warnings go to stderr outside pytest's filter, ahead of the
+    # error line, unless the window check or np.errstate stops them
+    runs = _far_runs([[a.format(out=tmp_path / "img.pgm") for a in argv]
+                      for argv in _FAR_WINDOWS])
     assert [rc for rc, _, _ in runs] == [1] * len(_FAR_WINDOWS)
     for (_, out, err), argv in zip(runs, _FAR_WINDOWS):
         assert out == "" and err.count("\n") == 1, (argv, err)
     assert [err for _, _, err in runs] == (
         ["error: window must be a nonempty finite rectangle\n"] * 3
         + ["error: Green field has non-finite entries\n"] * 2)
+
+
+def test_vanishing_lift_is_one_error_line(tmp_path):
+    # z^2/(10^400 z^2 + 1): the lift's 10^-400 rounds to 0.0, so from the
+    # second step both forms vanish, where numpy's log of zero would warn
+    path = tmp_path / "vanish.json"
+    path.write_text(json.dumps(
+        {"num": ["0", "0", "1"], "den": ["1", "0", str(10**400)]}))
+    [(rc, out, err)] = _far_runs(
+        [["green", "--map", str(path), "--point", "0.5,0"]])
+    assert (rc, out) == (1, "")
+    assert err == ("error: Green value at (0.5+0j) is not finite: the lift "
+                   "vanishes in double precision\n")
 
 
 class TestCatalogCmd:

@@ -37,6 +37,10 @@ MAP_FILES = {
     "restart.json": {"num": ["0", "5", "25"], "den": ["1", "0", "5"]},
     # (10^200 z^2 + 1)/z
     "bigarch.json": {"num": ["1", "0", str(10**200)], "den": ["0", "1"]},
+    # (3-2i + 15z + 5i/2 z^2 - 7z^3)/(10 - 4i z + z^3) over Q(i)
+    "user.json": {"field": {"d": 1},
+                  "num": ["3/10-1/5*w", "3/2", "1/4*w", "-7/10"],
+                  "den": ["1", "-2/5*w", "0", "1/10"]},
 }
 
 EXACT = [
@@ -112,6 +116,10 @@ EXACT = [
 NUMERIC = [
     ("green of pow_2 at a real point",
      "green --catalog pow_2 --point 0.5,0"),
+    ("green of a cubic over Q(i) from a map file, the one way into the "
+     "numeric layer for a map outside the catalog; its lift keeps a zero "
+     "coefficient",
+     "green --map {tmp}/user.json --point 0.5,0.25 --point=-1.5,2"),
     ("periodic points of 2z^2, no catalog map, by the root solve: the row "
      "2z - 1, once the root 0 is split off, takes the Aberth sweeps",
      "periodic --map {tmp}/twozsq.json --depth 1"),
