@@ -6,13 +6,13 @@ Every subcommand prints a single JSON object (sorted keys, top-level
 beyond the floating-point range, 2 usage or map-spec error.  Identical
 arguments and seed give byte-identical output.
 
-Run configs are plain argparse namespaces; OPERATIONS maps each
-subcommand to its handler and the library operations it reaches.  A
-handler only computes its payload: main, the one path from arguments to
-stdout, stamps "command" and "schema" on it.  Only the handlers of
-the analytic subcommands (green, measure, density-compare, julia)
-import measures, and with it numpy, and so does periodic on a map
-outside the catalog; the exact subcommands never load numpy.
+Run configs are plain argparse namespaces; build_parser registers each
+subcommand once, with its handler.  A handler only computes its
+payload: main, the one path from arguments to stdout, stamps "command"
+and "schema" on it.  Only the handlers of the analytic subcommands
+(green, measure, density-compare, julia) import measures, and with it
+numpy, and so does periodic on a map outside the catalog; the exact
+subcommands never load numpy.
 """
 
 from __future__ import annotations
@@ -465,58 +465,6 @@ def _cmd_catalog(args) -> dict:
 
 # ------------------------------------------------------------- dispatch
 
-# subcommand -> (handler, library operations it reaches); the reaches
-# lists back the coverage test that each operation has exactly one home
-OPERATIONS = {
-    "height": (
-        _cmd_height,
-        (
-            "heights.canonical_height",
-            "heights.height_constants",
-            "quadfield.parse_element",
-        ),
-    ),
-    "nt-height": (_cmd_nt_height, ("heights.neron_tate",)),
-    "commute": (_cmd_commute, ("ratmaps.RationalMap.commutes_with",)),
-    "compose": (_cmd_compose, ("ratmaps.RationalMap.compose",)),
-    "ramify": (
-        _cmd_ramify,
-        ("lattes.ramification_profile", "lattes.two_torsion_targets"),
-    ),
-    "table-check": (
-        _cmd_table_check,
-        ("lattes.predict_profile", "lattes.map_for_multiplier"),
-    ),
-    "green": (_cmd_green, ("measures.green", "measures.Lift.from_map")),
-    "measure": (
-        _cmd_measure,
-        (
-            "measures.green_field",
-            "measures.measure_from_green",
-            "measures.write_csv",
-        ),
-    ),
-    "density-compare": (
-        _cmd_density_compare,
-        (
-            "measures.preimage_sample",
-            "measures.sample_histogram",
-            "measures.lattes_density",
-            "measures.compare_l1",
-        ),
-    ),
-    "periodic": (
-        _cmd_periodic,
-        ("periodic.periodic_points", "measures.poly_roots"),
-    ),
-    "julia": (_cmd_julia, ("measures.julia_raster", "measures.write_pgm")),
-    "catalog": (
-        _cmd_catalog,
-        ("lattes.catalog_names", "lattes.catalog_entry"),
-    ),
-}
-
-
 def _window_arg(sp, default):
     sp.add_argument(
         "--window",
@@ -535,9 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, maps=0, points=False):
+    def add(name, handler, help_text, maps=0, points=False):
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(handler=OPERATIONS[name][0])
+        sp.set_defaults(handler=handler)
         if maps:
             sp.add_argument(
                 "--catalog",
@@ -557,41 +505,45 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return sp
 
-    sp = add("height", "canonical height of exact points", maps=1, points=True)
+    sp = add("height", _cmd_height, "canonical height of exact points",
+             maps=1, points=True)
     sp.add_argument("--tol", type=float, default=1e-9, metavar="R")
 
-    sp = add("nt-height", "curve height above an x-coordinate", points=True)
+    sp = add("nt-height", _cmd_nt_height,
+             "curve height above an x-coordinate", points=True)
     sp.add_argument("--curve", choices=tuple(lattes.CURVES), default="E1",
                     help="curve (default E1)")
     sp.add_argument("--tol", type=float, default=1e-9, metavar="R")
 
-    add("commute", "test whether two maps commute", maps=2)
-    add("compose", "compose two maps (first after second)", maps=2)
-    sp = add("ramify", "preimage counts over the 2-torsion images", maps=1)
+    add("commute", _cmd_commute, "test whether two maps commute", maps=2)
+    add("compose", _cmd_compose, "compose two maps (first after second)",
+        maps=2)
+    sp = add("ramify", _cmd_ramify,
+             "preimage counts over the 2-torsion images", maps=1)
     sp.add_argument("--curve", choices=tuple(lattes.CURVES),
                     help="target curve")
 
-    sp = add("table-check", "predicted vs computed ramification multiset")
+    sp = add("table-check", _cmd_table_check,
+             "predicted vs computed ramification multiset")
     sp.add_argument(
         "--lambda", required=True, metavar="a,b,d", help="multiplier a+b*w"
     )
 
-    sp = add("green", "Green value at complex points", maps=1, points=True)
+    sp = add("green", _cmd_green, "Green value at complex points",
+             maps=1, points=True)
     sp.add_argument("--iters", type=int, default=30, metavar="N")
 
-    sp = add("measure", "equilibrium measure on a window grid", maps=1)
+    sp = add("measure", _cmd_measure, "equilibrium measure on a window grid",
+             maps=1)
     _window_arg(sp, (-2.0, 2.0, -2.0, 2.0))
     sp.add_argument("--res", type=int, default=64, metavar="N")
     sp.add_argument("--iters", type=int, default=24, metavar="N")
     sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sp = add(
-        "density-compare",
-        "preimage histogram vs closed-form curve density",
-        maps=1,
-        points=True,
-    )
+    sp = add("density-compare", _cmd_density_compare,
+             "preimage histogram vs closed-form curve density",
+             maps=1, points=True)
     _window_arg(sp, (-3.0, 3.0, -3.0, 3.0))
     sp.add_argument("--depth", type=int, default=9, metavar="N")
     sp.add_argument("--res", type=int, default=64, metavar="N")
@@ -599,18 +551,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sp = add("periodic", "periodic points and multipliers", maps=1)
+    sp = add("periodic", _cmd_periodic, "periodic points and multipliers",
+             maps=1)
     sp.add_argument(
         "--depth", type=int, default=1, metavar="N", help="period bound"
     )
 
-    sp = add("julia", "grayscale raster of the canonical measure", maps=1)
+    sp = add("julia", _cmd_julia,
+             "grayscale raster of the canonical measure", maps=1)
     _window_arg(sp, (-2.0, 2.0, -2.0, 2.0))
     sp.add_argument("--res", type=int, default=256, metavar="N")
     sp.add_argument("--iters", type=int, default=24, metavar="N")
     sp.add_argument("--out", metavar="PATH")
 
-    add("catalog", "list the built-in maps")
+    add("catalog", _cmd_catalog, "list the built-in maps")
     return parser
 
 

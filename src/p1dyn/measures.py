@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .lattes import EllipticCurveCM, entry_for_map
+from .lattes import CURVES, EllipticCurveCM, entry_for_map
 from .ratmaps import RationalMap
-from .torus import (
-    TWO_PI, _basis_matrix, _hermite, _periods, curve_lattice,
-)
+from .torus import TWO_PI, _basis_matrix, _hermite, curve_lattice
 
 
 def _check_window(window):
@@ -846,16 +844,6 @@ def _abs_g_on(gc, z):
         return np.abs(acc)
 
 
-def _lattice_mass(roots) -> float:
-    """integral of 1/|G| over the plane, for G monic with these roots.
-
-    It is half the covolume of the period lattice of dx/y on y^2 = G,
-    twice that of the basis of _periods.
-    """
-    w1, w2 = _periods(roots)
-    return 2.0 * abs((w1.conjugate() * w2).imag)
-
-
 # leaves of a Lattes tree evaluated at a time, so the temporaries of the
 # q-series stay in cache; the Newton steps of the elliptic logarithm, and
 # the residual it must reach, in ulps of max(1, |z|)
@@ -951,7 +939,7 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
     leaves near the pole keep their relative accuracy.  The leaves come
     row j by row j.
     """
-    lat = curve_lattice(entry.curve_name)
+    lat = curve_lattice(CURVES[entry.curve_name]())
     x, y = _elliptic_log(lat, z)
     lam, tau = complex(entry.lam), lat.tau
     p, q, r, s = _basis_matrix(lam, lam * tau, tau, f"{entry.name}: lam")
@@ -989,14 +977,15 @@ def lattes_density(
 
     Cell values are midpoint evaluations except cells containing a root
     of G, which get a 4x4 subsample.  window_fraction is the window's
-    gridded mass over the exact plane mass, half the covolume of the
-    period lattice of dx/y (see _lattice_mass), capped at 1.
+    gridded mass over the exact plane mass, capped at 1.  The roots and
+    the mass come from the curve's torus.curve_lattice, so G must split
+    over the curve's field (DomainError otherwise).
     """
     window = _check_window(window)
     nx, ny = _resolution_pair(resolution)
+    lat = curve_lattice(curve)
     gc = [complex(c) for c in
           (curve.G.coeff(k) for k in range(curve.G.degree + 1))]
-    roots = poly_roots(gc)
     centers, dx, dy = _grid_centers(window, nx, ny)
     vals = _abs_g_on(gc, centers)
     # mass 0.0 where |G| is tiny or overflows, and dx dy may overflow too
@@ -1013,7 +1002,7 @@ def lattes_density(
         i1 = min(count - 1, math.floor((val + eps - lo) / step))
         return range(int(i0), int(i1) + 1)
 
-    for r in roots:
+    for r in lat.roots:
         if not (a - dx <= r.real <= b + dx and c - dy <= r.imag <= d + dy):
             continue
         for iy in _cells(r.imag, c, dy, ny):
@@ -1035,7 +1024,7 @@ def lattes_density(
         window,
         (nx, ny),
         mass / window_mass,
-        window_fraction=min(1.0, window_mass / _lattice_mass(roots)),
+        window_fraction=min(1.0, window_mass / lat.mass),
     )
 
 

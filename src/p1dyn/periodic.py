@@ -137,7 +137,7 @@ class _Curve:
 
     def __init__(self, name: str):
         curve = CURVES[name]()
-        self.lattice = lat = curve_lattice(name)
+        self.lattice = lat = curve_lattice(curve)
         self.conj = _basis_matrix(lat.w1.conjugate() / lat.w1,
                                   lat.w2.conjugate() / lat.w1, lat.tau,
                                   "conjugation")

@@ -6,9 +6,11 @@ arXiv math/0402147).  This module holds what they share and what needs
 no numpy: the periods by the complex AGM, a reduced basis, the integer
 matrix of a lattice endomorphism on that basis, the Hermite normal form
 of an integer matrix, wp at one point by its q-series, and one cached
-Lattice per catalog curve (curve_lattice), from the exact roots of G.
-periodic takes the periodic points from that Lattice, and measures runs
-the same q-series vectorised for the lattice leaves.
+Lattice per curve (curve_lattice), from the exact roots of G, with the
+plane mass of 1/|G|.  A curve's roots, periods and mass come only from
+that Lattice: periodic takes the periodic points from it, measures runs
+the same q-series vectorised for the lattice leaves, and lattes_density
+reads the roots and the mass.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from functools import lru_cache
 
 from .errors import ConvergenceError
-from .lattes import CURVES, two_torsion_targets
+from .lattes import EllipticCurveCM, two_torsion_targets
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,11 +116,17 @@ class Lattice:
     Topics, Thm. I.6.2) with the terms of n and -n paired.  Pair n is
     under 8 |q|^(n - 1/2)/(1 - |q|^(1/2))^2 < 10 |q|^(n - 1/2), so the
     sum stops at the least N with |q|^(N + 1/2) <= 2^-53.
+
+    mass is the integral of 1/|G| over the plane, half the covolume of
+    the period lattice of dx/y on y^2 = G: twice that of the basis of
+    _periods, as y^2 = 4G halves the periods.
     """
 
     def __init__(self, roots):
         self.roots = roots
-        self.w1, self.w2 = _reduced(*_periods(roots))
+        w1, w2 = _periods(roots)
+        self.mass = 2.0 * abs((w1.conjugate() * w2).imag)
+        self.w1, self.w2 = _reduced(w1, w2)
         self.tau = self.w2 / self.w1
         self.scale = (math.pi / self.w1) ** 2
         q = cmath.exp(1j * TWO_PI * self.tau)
@@ -141,9 +149,10 @@ class Lattice:
         return out * self.scale
 
 
-@lru_cache(maxsize=None)
-def curve_lattice(name: str) -> Lattice:
-    """The Lattice of the catalog curve lattes.CURVES[name], built once
-    from the exact roots of its G (lattes.two_torsion_targets)."""
-    return Lattice([complex(t) for t in two_torsion_targets(CURVES[name]())
+@lru_cache(maxsize=16)
+def curve_lattice(curve: EllipticCurveCM) -> Lattice:
+    """The Lattice of a curve, built once per curve value from the exact
+    roots of its G (lattes.two_torsion_targets, which raises DomainError
+    unless G splits over the curve's field)."""
+    return Lattice([complex(t) for t in two_torsion_targets(curve)
                     if not t.is_infinity()])

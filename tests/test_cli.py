@@ -67,28 +67,11 @@ class TestDispatchCoverage:
         parser = cli.build_parser()
         for action in parser._actions:
             if isinstance(action, argparse._SubParsersAction):
-                return set(action.choices)
+                return list(action.choices)
         raise AssertionError("no subparsers found")
 
     def test_every_subcommand_registered(self):
-        assert self.subcommands() == set(cli.OPERATIONS)
-        assert [argv[0] for argv in _ONE_RUN_EACH] == list(cli.OPERATIONS)
-
-    def test_each_operation_has_exactly_one_subcommand(self):
-        seen = {}
-        for name, (_, reaches) in cli.OPERATIONS.items():
-            for op in reaches:
-                assert op not in seen, f"{op} under {name} and {seen[op]}"
-                seen[op] = name
-        assert len(seen) >= 12
-
-    def test_operations_resolve(self):
-        for _, reaches in cli.OPERATIONS.values():
-            for dotted in reaches:
-                obj = p1dyn
-                for part in dotted.split("."):
-                    obj = getattr(obj, part)
-                assert callable(obj), dotted
+        assert self.subcommands() == [argv[0] for argv in _ONE_RUN_EACH]
 
     @pytest.mark.parametrize("argv", _ONE_RUN_EACH)
     def test_main_stamps_command_and_schema(self, argv, tmp_path, capsys):

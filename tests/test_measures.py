@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from p1dyn import measures, periodic, torus
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import (
+    CURVES,
     CatalogEntry,
+    EllipticCurveCM,
     catalog,
     catalog_entry,
     catalog_names,
@@ -31,7 +33,6 @@ from p1dyn.measures import (
     _header_comments,
     _grid_centers,
     _lattice_leaves,
-    _lattice_mass,
     _coords,
     _preimage_tree,
     _series,
@@ -50,7 +51,7 @@ from p1dyn.measures import (
 from p1dyn.periodic import INF_POINT, periodic_points
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import Poly, RationalMap
-from p1dyn.torus import curve_lattice
+from p1dyn.torus import Lattice, curve_lattice
 
 
 # helpers that only the tests use, as oracles and fixtures
@@ -290,7 +291,7 @@ class TestNeronOracle:
 
     @pytest.mark.parametrize("curve", ["E1", "E2"])
     def test_local_height_matches_50_digits(self, curve):
-        lat = curve_lattice(curve)
+        lat = curve_lattice(CURVES[curve]())
         rng = np.random.default_rng(3)
         for x, y in [(0.25, 0.0), (0.0, 0.5), (-0.5, -0.5),
                      *rng.uniform(-0.5, 0.5, (5, 2))]:
@@ -302,7 +303,7 @@ class TestNeronOracle:
     def test_green_is_twice_the_local_height(self, name):
         entry = catalog_entry(name)
         lift = Lift.from_map(entry.map)
-        lat = curve_lattice(entry.curve_name)
+        lat = curve_lattice(curve_for_name(name))
         disc = {"E1": -4, "E2": -27}[entry.curve_name]
         d = lift.degree
         const = (math.log(abs(lift.f0[-1])) / (d - 1)
@@ -749,7 +750,7 @@ class TestLatticeLeaves:
         # wp'^2 = 4G(wp) by a five-point difference
         entry = catalog_entry(name)
         curve = curve_for_name(name)
-        lat = curve_lattice(entry.curve_name)
+        lat = curve_lattice(curve)
         v = np.array([0.31 + 0.12j, -0.27 + 0.4 * lat.tau, 0.05 + 0.2j])
         x = wp(lat, v)
         f0, f1 = (np.array(c) for c in entry.map.complex_pair())
@@ -768,7 +769,7 @@ class TestLatticeLeaves:
     def test_scalar_series_matches_vector(self, name):
         # Lattice.wp in Python complex and the numpy series that the
         # leaves run, on the same cached lattice (measured: 2 ulps)
-        lat = curve_lattice(name)
+        lat = curve_lattice(CURVES[name]())
         rng = np.random.default_rng(5)
         xy = rng.uniform(-0.5, 0.5, (400, 2))
         xy = xy[np.hypot(xy[:, 0], xy[:, 1]) > 1e-3]
@@ -778,20 +779,27 @@ class TestLatticeLeaves:
         assert np.max(err) <= 8 * 2.0**-52
 
     def test_lattice_built_once_per_curve(self, monkeypatch):
-        # after one call per curve no leaf solves a cubic or runs the AGM
-        # again, and the bytes stay the same
+        # after one call per curve no leaf or density solves a cubic or
+        # runs the AGM again, and the bytes stay the same
         names = ("phi_2@E1", "phi_sqrt-3")
-        want = [preimage_sample(catalog(n), 0.6 - 1.1j, 5).points.tobytes()
-                for n in names]
+
+        def run():
+            leaves = [preimage_sample(catalog(n), 0.6 - 1.1j, 5)
+                      for n in names]
+            dens = [lattes_density(c, WIN, 64) for c in (curve_E1(),
+                                                         curve_E2())]
+            return ([x.points.tobytes() for x in leaves]
+                    + [(d.mass.tobytes(), repr(d.window_fraction))
+                       for d in dens])
+
+        want = run()
 
         def refuse(*args):
             raise AssertionError("the lattice was built again")
 
         monkeypatch.setattr(measures, "poly_roots", refuse)
         monkeypatch.setattr(torus, "_periods", refuse)
-        got = [preimage_sample(catalog(n), 0.6 - 1.1j, 5).points.tobytes()
-               for n in names]
-        assert got == want
+        assert run() == want
         assert curve_lattice.cache_info().currsize <= 2
 
     def test_map_file_copy_takes_lattice(self, monkeypatch, tmp_path):
@@ -894,7 +902,7 @@ def separated(roots):
 
 
 class TestLatticeMass:
-    """_lattice_mass is the integral of 1/|G|, half the covolume of the
+    """Lattice.mass is the integral of 1/|G|, half the covolume of the
     period lattice of dx/y on y^2 = G."""
 
     def test_closed_forms(self):
@@ -904,13 +912,18 @@ class TestLatticeMass:
             2.0 ** (8.0 / 3.0) * math.pi**2)
         for curve, exact in ((curve_E1(), e1), (curve_E2(), e2)):
             _, roots = curve_roots(curve)
-            assert _lattice_mass(roots) == pytest.approx(exact, rel=1e-13)
+            assert Lattice(roots).mass == pytest.approx(exact, rel=1e-13)
+
+    def test_curve_masses_keep_their_bits(self):
+        # every window_fraction of lattes_density divides by these bits
+        assert repr(curve_lattice(curve_E1()).mass) == "13.750371636040741"
+        assert repr(curve_lattice(curve_E2()).mass) == "10.216231435665113"
 
     def test_root_order_is_irrelevant(self):
         roots = [0.3 + 1.1j, -1.7 - 0.2j, 2.2 - 0.9j]
-        ref = _lattice_mass(roots)
+        ref = Lattice(roots).mass
         for perm in ((1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)):
-            assert _lattice_mass([roots[i] for i in perm]) == pytest.approx(
+            assert Lattice([roots[i] for i in perm]).mass == pytest.approx(
                 ref, rel=1e-13)
 
     @settings(max_examples=200, deadline=None)
@@ -918,10 +931,10 @@ class TestLatticeMass:
         separated), shift=CUBIC_ROOT, scale=CUBIC_ROOT.filter(
         lambda s: 0.1 <= abs(s)))
     def test_translation_and_scaling(self, roots, shift, scale):
-        ref = _lattice_mass(roots)
-        moved = _lattice_mass([r + shift for r in roots])
+        ref = Lattice(roots).mass
+        moved = Lattice([r + shift for r in roots]).mass
         assert moved == pytest.approx(ref, rel=1e-12)
-        scaled = _lattice_mass([r * scale for r in roots])
+        scaled = Lattice([r * scale for r in roots]).mass
         assert scaled == pytest.approx(ref / abs(scale), rel=1e-12)
 
     def test_periods_by_direct_integration(self):
@@ -944,7 +957,7 @@ class TestLatticeMass:
                 e1, e2, e3 = (mpmath.mpc(r) for r in roots)
                 w1, w2 = period(e1, e2, e3), period(e1, e3, e2)
                 exact = abs(mpmath.im(mpmath.conj(w1) * w2)) / 2
-                assert _lattice_mass(roots) == pytest.approx(
+                assert Lattice(roots).mass == pytest.approx(
                     float(exact), rel=1e-13)
 
     def test_coarse_quadrature_agrees(self):
@@ -955,14 +968,14 @@ class TestLatticeMass:
             if separated(roots):
                 cases.append((list(np.poly(roots)[::-1]), roots))
         for gc, roots in cases:
-            exact = _lattice_mass(roots)
+            exact = Lattice(roots).mass
             assert oracle_plane_mass(gc, roots) == pytest.approx(
                 exact, rel=1e-2)
 
     def test_double_root_raises(self):
         # b = sqrt(e1 - e2) = 0, and AGM(a, 0) halves a forever
         with pytest.raises(ConvergenceError, match="AGM"):
-            _lattice_mass([1.0 + 0j, 1.0 + 0j, -1.0 + 0j])
+            Lattice([1.0 + 0j, 1.0 + 0j, -1.0 + 0j])
 
 
 class TestLattesDensity:
@@ -990,6 +1003,12 @@ class TestLattesDensity:
         assert float(gap.max()) <= 1e-3
         d = lattes_density(curve_E2(), WIN, 96)
         assert d.mass.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_curve_that_does_not_split_raises(self):
+        # y^2 = x^3 - 2x: the roots +-sqrt(2) are not in Q(i)
+        curve = EllipticCurveCM(Poly([0, -2, 0, 1], 1), 1)
+        with pytest.raises(DomainError, match="does not split"):
+            lattes_density(curve, WIN, 16)
 
     def test_singular_cells_finite(self):
         # roots of G sit inside the window; their cells must stay finite
