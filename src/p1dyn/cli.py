@@ -50,6 +50,8 @@ def _parse_exact_point(text: str, d: int) -> ProjPoint:
         )
     x = parse_element(parts[0], d)
     y = parse_element(parts[1], d)
+    if x.is_zero() and y.is_zero():
+        raise MapSpecError(f"point {text!r} is (0 : 0), no projective point")
     return ProjPoint(x, y, d)
 
 
@@ -215,8 +217,10 @@ def _cmd_nt_height(args) -> dict:
 
 def _cmd_commute(args) -> dict:
     (la, a), (lb, b) = _load_maps(args, 2)
-    commute = a.commutes_with(b)
-    entry = lattes.entry_for_map(a.compose(b)) if commute else None
+    # a.commutes_with(b) would compose a after b a second time
+    ab = a.compose(b)
+    commute = ab == b.compose(a)
+    entry = lattes.entry_for_map(ab) if commute else None
     return {
         "maps": [la, lb],
         "commute": commute,
@@ -355,10 +359,9 @@ def _cmd_measure(args) -> dict:
     from . import measures
 
     label, phi = _load_maps(args, 1)[0]
-    lift = measures.Lift.from_map(phi)
     # a far window overflows: measure_from_green refuses it, one line
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        field = measures.green_field(lift, args.window, args.res, args.iters)
+        field = measures.green_field(phi, args.window, args.res, args.iters)
     grid = measures.measure_from_green(field)
     return {
         "map": label,
@@ -425,10 +428,9 @@ def _cmd_julia(args) -> dict:
     label, phi = _load_maps(args, 1)[0]
     if not args.out:
         raise MapSpecError("julia needs --out PATH for the raster")
-    lift = measures.Lift.from_map(phi)
     # a far window overflows: julia_raster refuses it, one line
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        field = measures.green_field(lift, args.window, args.res, args.iters)
+        field = measures.green_field(phi, args.window, args.res, args.iters)
     img = measures.julia_raster(field)
     meta = {
         "command": "julia",

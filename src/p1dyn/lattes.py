@@ -101,7 +101,7 @@ CURVES = {"E1": curve_E1, "E2": curve_E2}
 
 
 class RamificationProfile(_Frozen):
-    """Distinct-preimage counts over the four 2-torsion images."""
+    """Distinct-preimage counts in [1, degree] over the 2-torsion images."""
 
     __slots__ = ("counts", "degree")
 
@@ -113,8 +113,6 @@ class RamificationProfile(_Frozen):
         for r in self.counts:
             if not (1 <= r <= n):
                 raise DomainError(f"count {r} outside [1, {n}]")
-            if not (n <= 2 * r and 2 * r <= n + 5):
-                raise DomainError(f"count {r} fails the sanity bounds for degree {n}")
 
     def as_multiset(self) -> tuple:
         return tuple(sorted(self.counts, reverse=True))

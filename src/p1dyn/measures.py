@@ -66,43 +66,27 @@ class Lift:
     of the map's canonical scale, whose resultant is exactly nonzero.
     The map's other lifts c(F0, F1), c != 0, are the lift ambiguity: in
     the limit their Green values differ by log|c|/(alpha-1), and every
-    derived measure is the same.  Coefficient lists are constant-term
-    first, of length degree + 1.
+    derived measure is the same.  The coefficients are held once, as
+    two tuples of complex, constant term first, of length degree + 1.
     """
 
-    def _set(self, f0, f1, degree: int) -> None:
-        self.degree = degree
+    def _set(self, f0, f1) -> None:
+        self.degree = len(f0) - 1
         self._coeffs = (tuple(map(complex, f0)), tuple(map(complex, f1)))
-        self.f0 = np.array(self._coeffs[0], dtype=complex)
-        self.f1 = np.array(self._coeffs[1], dtype=complex)
-        self.f0.setflags(write=False)
-        self.f1.setflags(write=False)
 
     @classmethod
     def from_map(cls, phi: RationalMap) -> "Lift":
         """The lift (num, den) of phi; a constant map c0/c1 gets the
         degree-0 lift (c0, c1)."""
         lift = cls()
-        lift._set(*phi.complex_pair(), phi.degree)
+        lift._set(*phi.complex_pair())
         return lift
 
     def eval(self, w0, w1):
-        """Evaluate both forms; accepts scalars or numpy arrays.
-
-        Horner in w0, carrying the powers of w1.  Scalars (and 0-d
-        arrays) run _forms_scalar in Python complex, term for term as
-        numpy's scalar arithmetic would, and come back as np.complex128.
-        Arrays run _forms_into on arrays allocated here; see there for
-        the terms it skips.
-        """
-        if np.ndim(w0) == 0:
-            a0, a1 = _forms_scalar(self._coeffs, complex(w0), complex(w1))
-            return np.complex128(a0), np.complex128(a1)
-        w0 = np.asarray(w0)
-        bufs = [w0, np.asarray(w1, dtype=complex)]
-        bufs += [np.empty(w0.shape, complex) for _ in range(5)]
-        a0, a1, *_ = _forms_into(self, bufs)
-        return a0, a1
+        """Both forms at one point (w0, w1), by _forms_scalar's Horner,
+        as np.complex128."""
+        a0, a1 = _forms_scalar(self._coeffs, complex(w0), complex(w1))
+        return np.complex128(a0), np.complex128(a1)
 
 
 def _forms_scalar(coeffs, w0: complex, w1: complex):
@@ -138,11 +122,11 @@ def _forms_into(lift: "Lift", bufs: list) -> list:
     """
     w0, w1, a0, a1, tmp, p, q = bufs
     accs = [a0, a1]
-    for acc, f in zip(accs, (lift.f0, lift.f1)):
+    for acc, f in zip(accs, lift._coeffs):
         acc.fill(f[-1] * _ONE)
     p1 = w1
     for k in range(lift.degree - 1, -1, -1):
-        for i, f in enumerate((lift.f0, lift.f1)):
+        for i, f in enumerate(lift._coeffs):
             acc = accs[i]
             np.multiply(acc, w0, out=tmp)
             if f[k]:
@@ -502,7 +486,7 @@ def _newton_starts(C, tilt):
 def _horner(C, A, z):
     """p(z), p'(z) and sum_k |a_k||z|^k in one pass, for coefficient
     columns C (deg+1, N), their moduli A and roots z (deg, N).  No
-    complex product is written over one of its factors (see Lift.eval),
+    complex product is written over one of its factors (see _forms_into),
     so a one-column block rounds like a wide one."""
     az = np.abs(z)
     p = np.broadcast_to(C[-1], z.shape).copy()
@@ -781,8 +765,7 @@ def _preimage_tree(phi: RationalMap, z: complex, depth: int,
     arguments and depth >= 1: the rows of a generation are the
     preimages of its points in order, deg per point."""
     deg = phi.degree
-    lift = Lift.from_map(phi)
-    f0, f1 = lift.f0, lift.f1
+    f0, f1 = (np.array(f, dtype=complex) for f in phi.complex_pair())
     rng = np.random.default_rng(seed)
     scale = max(abs(z), 1.0)
     a0 = np.array([z / scale])

@@ -37,6 +37,7 @@ from p1dyn.measures import (
     DensityGrid,
     Lift,
     _aberth_batch,
+    _forms_into,
     _grid_centers,
     _preimage_tree,
     green,
@@ -55,12 +56,13 @@ TWO_PI = measures.TWO_PI
 
 
 def oracle_eval(lift, w0, w1):
-    acc0 = lift.f0[-1] * np.ones_like(w0)
-    acc1 = lift.f1[-1] * np.ones_like(w0)
+    f0, f1 = (np.array(f) for f in lift._coeffs)
+    acc0 = f0[-1] * np.ones_like(w0)
+    acc1 = f1[-1] * np.ones_like(w0)
     p1 = w1
     for k in range(lift.degree - 1, -1, -1):
-        acc0 = acc0 * w0 + lift.f0[k] * p1
-        acc1 = acc1 * w0 + lift.f1[k] * p1
+        acc0 = acc0 * w0 + f0[k] * p1
+        acc1 = acc1 * w0 + f1[k] * p1
         p1 = p1 * w1
     return acc0, acc1
 
@@ -188,14 +190,22 @@ WINDOW = (-1.7, 1.9, -1.3, 1.45)
 # ---------------------------------------------------------------- eval
 
 
+def forms_into(lift, w0, w1):
+    """_forms_into on fresh scratch arrays: the two forms."""
+    bufs = [w0, w1] + [np.empty(w0.shape, complex) for _ in range(5)]
+    return _forms_into(lift, bufs)[:2]
+
+
 @pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
 def test_eval_arrays_match_oracle(name, lift):
+    # the block Horner of green_field, on a wide block and on one- and
+    # two-element slices
     rng = np.random.default_rng(11)
     w0 = rng.normal(size=301) + 1j * rng.normal(size=301)
     w1 = rng.normal(size=301) + 1j * rng.normal(size=301)
     for lo, hi in ((0, 301), (5, 6), (7, 9)):
         a0, a1 = w0[lo:hi].copy(), w1[lo:hi].copy()
-        got = lift.eval(a0, a1)
+        got = forms_into(lift, a0, a1)
         want = oracle_eval(lift, a0, a1)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
@@ -221,7 +231,8 @@ def test_eval_leaves_inputs_alone():
     w0 = np.array([0.5 + 0.25j, -1.0 + 2.0j])
     w1 = np.array([1.0 + 0j, 0.5 - 0.5j])
     c0, c1 = w0.copy(), w1.copy()
-    lift.eval(w0, w1)
+    for lo, hi in ((0, 2), (1, 2)):
+        forms_into(lift, w0[lo:hi], w1[lo:hi])
     assert same_bits(w0, c0) and same_bits(w1, c1)
 
 
@@ -791,7 +802,7 @@ def test_preimage_tree_block_edges(monkeypatch, name, depth):
     lift = Lift.from_map(phi)
     w0, w1 = want.points, np.ones_like(want.points)
     for _ in range(depth):
-        w0, w1 = lift.eval(w0, w1)
+        w0, w1 = oracle_eval(lift, w0, w1)
         m = np.maximum(np.abs(w0), np.abs(w1))
         w0, w1 = w0 / m, w1 / m
     _, dist = chordal_match(w0, w1, np.array([0.3 + 0.2j]), np.ones(1))

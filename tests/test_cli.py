@@ -1,10 +1,12 @@
 """Command-line behavior: dispatch, exit codes, determinism, file output."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 import time
@@ -194,6 +196,24 @@ class TestNtHeight:
         assert payload["results"][0]["value"] > 0.01
 
 
+class TestCommute:
+    @pytest.mark.parametrize(
+        "case", sorted(c for c in GOLDEN if c.startswith("commute "))
+    )
+    def test_composes_each_way_once(self, case, capsys, monkeypatch):
+        calls = []
+        compose = RationalMap.compose
+
+        def counted(a, b):
+            calls.append((a, b))
+            return compose(a, b)
+
+        monkeypatch.setattr(RationalMap, "compose", counted)
+        rc, out, _ = run(shlex.split(case), capsys)
+        assert (rc, out) == (0, GOLDEN[case])
+        assert len(calls) == 2
+
+
 class TestCompose:
     def test_power_maps_compose(self, capsys):
         payload = run_json(["compose", "--catalog", "pow_2", "pow_2"], capsys)
@@ -238,6 +258,17 @@ class TestRamify:
         b = run_json(["ramify", "--catalog", "phi_2@E1"], capsys)
         assert a["multiset"] == b["multiset"]
         assert "predicted" not in a
+
+    def test_power_map_file_with_curve(self, tmp_path, capsys):
+        # z^4 over Q(i) is no Lattes map; its counts are still counts
+        path = tmp_path / "quartic.json"
+        path.write_text('{"field": {"d": 1}, "num": ["0", "0", "0", "0", '
+                        '"1"], "den": ["1"]}')
+        payload = run_json(["ramify", "--map", str(path), "--curve", "E1"],
+                           capsys)
+        assert payload["degree"] == 4
+        assert payload["counts"] == [1, 4, 1, 4]
+        assert payload["multiset"] == [4, 4, 1, 1]
 
     def test_no_curve_is_usage_error(self, tmp_path, capsys):
         path = map_spec_file(tmp_path, catalog("pow_2"))
@@ -794,6 +825,17 @@ class TestErrorPaths:
         assert rc == 2
         assert err.count(str(path)) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["height", "--catalog", "pow_2", "--point", "0,0"],
+        ["nt-height", "--point", "0,0"],
+        ["nt-height", "--point", "0/3,0*w"],
+    ])
+    def test_zero_zero_point_is_usage_error(self, argv, capsys):
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "(0 : 0)" in err
+
     def test_unparseable_point(self, capsys):
         rc, _, err = run(
             ["height", "--catalog", "pow_2", "--point", "2+q,1"], capsys
@@ -1061,6 +1103,9 @@ def test_smoke_table_with_and_without_numpy():
     assert len(pinned) >= 10
     for want, got in pinned:
         assert got == want
+    # and the whole table as tools/smoke.md5 pins it for every Python
+    md5 = hashlib.md5(report["stdout"].encode()).hexdigest()
+    assert (SMOKE.parent / "smoke.md5").read_text() == f"{md5}  -\n"
 
     # the lazy names are listed without loading them (numpy was blocked),
     # and all resolve

@@ -367,11 +367,23 @@ class TestProfiles:
     @pytest.mark.parametrize("counts,degree,message", [
         ((1, 1, 1), 2, "exactly four counts"),
         ((0, 1, 1, 1), 2, "count 0 outside"),
-        ((1, 1, 1, 1), 4, "sanity bounds"),
+        ((1, 1, 1, 5), 4, "count 5 outside"),
     ])
     def test_profile_validation(self, counts, degree, message):
         with pytest.raises(DomainError, match=message):
             RamificationProfile(counts, degree)
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_power_map_profile(self, degree):
+        # z^n over Q(i) is no Lattes map: over infinity and 0 it has one
+        # preimage each, so its counts fall outside n <= 2r <= n + 5
+        phi = RationalMap.from_strings(["0"] * degree + ["1"], ["1"], 1)
+        curve = curve_E1()
+        want = tuple(len(preimage_multiplicities(phi, t))
+                     for t in two_torsion_targets(curve))
+        prof = ramification_profile(phi, curve)
+        assert prof.counts == want and prof.degree == degree
+        assert prof.counts == (1, degree, 1, degree)
 
     def test_map_and_curve_fields_must_agree(self):
         with pytest.raises(DomainError, match="different fields"):

@@ -6,11 +6,14 @@ The EXACT rows run through p1dyn.cli.main with numpy blocked.  Each must
 exit 0, and afterwards none of numpy, mpmath or sympy may be imported.
 Each row's stdout is written to stdout in table order, with the
 temporary directory spelled `{tmp}`, so the output of two Pythons can be
-compared byte for byte:
+compared byte for byte.  tools/smoke.md5 holds the md5 of that output,
+so on each Python
 
-    for v in 3.10 3.11 3.12 3.13; do
-        PYTHONPATH=src python$v tools/smoke.py | md5sum
-    done
+    set -o pipefail
+    PYTHONPATH=src python3 tools/smoke.py | md5sum -c tools/smoke.md5
+
+checks both the exit status and the bytes.  A change that moves a row's
+bytes, or adds a row, updates tools/smoke.md5.
 
 Then numpy is unblocked and the NUMERIC rows run, if numpy is importable;
 if not, one stderr line says they were skipped.  Their stdout is dropped,
@@ -41,6 +44,9 @@ MAP_FILES = {
     "user.json": {"field": {"d": 1},
                   "num": ["3/10-1/5*w", "3/2", "1/4*w", "-7/10"],
                   "den": ["1", "-2/5*w", "0", "1/10"]},
+    # z^4 over Q(i), no Lattes map
+    "quartic.json": {"field": {"d": 1}, "num": ["0", "0", "0", "0", "1"],
+                     "den": ["1"]},
 }
 
 EXACT = [
@@ -83,6 +89,9 @@ EXACT = [
      "ramify --catalog phi_2@E2"),
     ("ramify phi_eps: degree 9 over E2, multiplier -3 omega",
      "ramify --catalog phi_eps"),
+    ("ramify z^4 over E1: no Lattes map, so the counts (1, 4, 1, 4) lie "
+     "outside the Lattes bound n <= 2r <= n + 5",
+     "ramify --map {tmp}/quartic.json --curve E1"),
     ("table-check 1+2i finds phi_1+2i",
      "table-check --lambda 1,2,1"),
     ("table-check 1-2i finds phi_1-2i, a conjugated entry",
