@@ -322,8 +322,6 @@ def _grid_files(args, grid) -> dict:
         "max_cell": float(grid.mass.max()),
         "nonzero_cells": int((grid.mass > 0).sum()),
     }
-    if args.format == "csv" and not args.out:
-        raise MapSpecError("--format csv needs --out PATH")
     if args.out:
         with _writing(args.out):
             if args.format == "csv":
@@ -354,14 +352,10 @@ def _writing(path: str):
 
 
 def _cmd_measure(args) -> dict:
-    import numpy as np
-
     from . import measures
 
     label, phi = _load_maps(args, 1)[0]
-    # a far window overflows: measure_from_green refuses it, one line
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        field = measures.green_field(phi, args.window, args.res, args.iters)
+    field = measures.green_field(phi, args.window, args.res, args.iters)
     grid = measures.measure_from_green(field)
     return {
         "map": label,
@@ -421,16 +415,12 @@ def _cmd_periodic(args) -> dict:
 
 
 def _cmd_julia(args) -> dict:
-    import numpy as np
-
     from . import measures
 
     label, phi = _load_maps(args, 1)[0]
     if not args.out:
         raise MapSpecError("julia needs --out PATH for the raster")
-    # a far window overflows: julia_raster refuses it, one line
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        field = measures.green_field(phi, args.window, args.res, args.iters)
+    field = measures.green_field(phi, args.window, args.res, args.iters)
     img = measures.julia_raster(field)
     meta = {
         "command": "julia",
@@ -616,6 +606,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        # before the handler computes the grid that it could not print
+        if getattr(args, "format", None) == "csv" and not args.out:
+            raise MapSpecError("--format csv needs --out PATH")
         payload = args.handler(args)
     except MapSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

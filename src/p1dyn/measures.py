@@ -8,7 +8,6 @@ certified bounds of the height engine; see heights for the exact side.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
@@ -355,10 +354,11 @@ def green_field(lift, window, resolution, n: int) -> GreenField:
     thread per CPU in the process's affinity mask, no more than there
     are blocks, and the calling thread is one of them, so a grid of one
     block starts no thread.  The calling thread allocates each worker's
-    arrays before any starts, and each other worker runs in a copy of
-    its contextvars context, so that np.errstate reaches it.  A block
-    that raises stops the other workers at their next block, and the
-    first exception is re-raised here once every thread has ended.
+    arrays before any starts.  Workers ignore floating-point errors,
+    whatever the caller's np.errstate: an overflow, 0 * inf or log 0
+    ends as a non-finite cell, which GreenField refuses.  A block that
+    raises stops the other workers at their next block, and the first
+    exception is re-raised here once every thread has ended.
     Every cell takes the same operations whichever worker iterates it,
     so neither the worker count nor the block size moves a bit.
     """
@@ -384,23 +384,20 @@ def green_field(lift, window, resolution, n: int) -> GreenField:
 
     def work(bufs, inv, m, t):
         try:
-            while not errors:
-                with lock:
-                    lo = next(todo, None)
-                if lo is None:
-                    return
-                k = min(block, flat.size - lo)
-                _green_block(lift, flat[lo:lo + k], n,
-                             [b[:k] for b in bufs], inv[:k], m[:k], t[:k],
-                             out[lo:lo + k])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                while not errors:
+                    with lock:
+                        lo = next(todo, None)
+                    if lo is None:
+                        return
+                    k = min(block, flat.size - lo)
+                    _green_block(lift, flat[lo:lo + k], n,
+                                 [b[:k] for b in bufs], inv[:k], m[:k],
+                                 t[:k], out[lo:lo + k])
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run,
-                         args=(work, *sc))
-        for sc in scratch[1:]
-    ]
+    threads = [threading.Thread(target=work, args=sc) for sc in scratch[1:]]
     for th in threads:
         th.start()
     work(*scratch[0])

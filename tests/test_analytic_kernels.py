@@ -357,6 +357,31 @@ def test_scalar_green_matches_oracle_on_random_lifts(phi, logr, turn, n):
         assert repr(got) == repr(want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    phi=random_maps(),
+    logr=st.floats(-200.0, 150.0),
+    turn=st.floats(0.0, 1.0),
+    n=st.one_of(st.integers(1, 40), st.integers(500, 1100)),
+)
+def test_green_field_matches_oracle_on_random_lifts(phi, logr, turn, n):
+    # the field twin of the scalar test: a 3 x 2 window around z, with
+    # no np.errstate here, so a worker that warned would fail the test
+    lift = lift_or_power(phi)
+    z = 10.0 ** logr * np.exp(2j * np.pi * turn)
+    h = 0.25 * abs(z)
+    window = (z.real - h, z.real + h, z.imag - h, z.imag + h)
+    with np.errstate(all="ignore"):
+        want = oracle_green_field(lift, window, 3, 2, n)
+    try:
+        got = green_field(lift, window, (3, 2), n)
+    except DomainError as exc:
+        assert "non-finite" in str(exc)
+        assert not np.all(np.isfinite(want))
+    else:
+        assert same_bits(got.values, want)
+
+
 @pytest.mark.parametrize("name,lift", LIFTS, ids=LIFT_IDS)
 def test_green_field_cells_match_scalar_green(name, lift):
     # green() runs the iteration on Python complex numbers, green_field
@@ -495,21 +520,21 @@ OVERFLOWING = Lift.from_map(RationalMap.from_strings(
     [str(10**308), "0", str(10**308)], ["0", "1"], 0))
 
 
-@pytest.mark.parametrize("cpus", [2, 5])
-def test_errstate_reaches_every_worker(monkeypatch, cpus):
-    # tier-1 turns a RuntimeWarning into an error, so a worker outside
-    # the caller's np.errstate would raise one here
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_workers_keep_floating_point_errors_to_themselves(monkeypatch, cpus):
+    # every worker, the calling thread included, ignores the overflow
+    # whatever the caller's np.errstate, and GreenField refuses the
+    # non-finite cells; tier-1 turns a RuntimeWarning into an error, so
+    # a worker that warned would raise one here
     pin_cpus(monkeypatch, cpus)
     monkeypatch.setattr(measures, "_GREEN_BLOCK", 4)
     window = (0.9, 1.1, -0.1, 0.1)
-    every_worker_takes_a_block(monkeypatch, cpus)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DomainError, match="non-finite"):
-            green_field(OVERFLOWING, window, (9, 7), 3)
-    every_worker_takes_a_block(monkeypatch, cpus)
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            green_field(OVERFLOWING, window, (9, 7), 3)
+    for state in ({}, {"all": "raise"}, {"all": "ignore"}):
+        seen = every_worker_takes_a_block(monkeypatch, cpus)
+        with np.errstate(**state):
+            with pytest.raises(DomainError, match="non-finite"):
+                green_field(OVERFLOWING, window, (9, 7), 3)
+        assert len(set(seen)) == cpus
 
 
 def test_green_refuses_a_non_finite_value():

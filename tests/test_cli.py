@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import p1dyn
-from p1dyn import cli, lattes
+from p1dyn import cli, lattes, measures
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.ratmaps import RationalMap
 from test_cli_golden import GOLDEN
@@ -515,11 +515,21 @@ class TestMeasure:
         assert err.count("\n") == 1
         assert not out_file.exists()
 
-    def test_csv_requires_out(self, capsys):
-        rc, _, err = run(
-            ["measure", "--catalog", "pow_2", "--format", "csv"], capsys
-        )
-        assert rc == 2
+    def test_csv_requires_out(self, capsys, monkeypatch):
+        # refused before any grid is computed: neither kernel may run
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a grid that cannot be printed")
+
+        monkeypatch.setattr(measures, "green_field", refuse)
+        monkeypatch.setattr(measures, "preimage_sample", refuse)
+        for argv in (
+            ["measure", "--catalog", "phi_2@E1", "--res", "1024"],
+            ["density-compare", "--catalog", "phi_1+i", "--depth", "20",
+             "--res", "512"],
+        ):
+            rc, out, err = run(argv + ["--format", "csv"], capsys)
+            assert (rc, out) == (2, "")
+            assert err == "error: --format csv needs --out PATH\n"
 
     def test_csv_output_deterministic(self, tmp_path, capsys):
         out = str(tmp_path / "grid.csv")
@@ -736,7 +746,8 @@ def _far_runs(argvs) -> list:
 
 def test_far_windows_end_in_one_error_line(tmp_path):
     # numpy's warnings go to stderr outside pytest's filter, ahead of the
-    # error line, unless the window check or np.errstate stops them
+    # error line, unless the window check or green_field's workers,
+    # which ignore floating-point errors, stop them
     runs = _far_runs([[a.format(out=tmp_path / "img.pgm") for a in argv]
                       for argv in _FAR_WINDOWS])
     assert [rc for rc, _, _ in runs] == [1] * len(_FAR_WINDOWS)
