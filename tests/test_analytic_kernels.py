@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from p1dyn import measures, periodic
@@ -74,9 +74,15 @@ def oracle_green_core(lift, w0, w1, n):
     w1 = w1 / m
     scale = 1.0
     for _ in range(n):
+        scale /= lift.degree
+        if scale == 0.0:
+            # deg^-k has underflowed: each later term is log(m) * 0.0,
+            # which leaves g as it is, unless the forms have underflowed
+            # to zero and the term is 0 * -inf = nan.  green and
+            # green_field stop here, and so does the oracle
+            break
         w0, w1 = oracle_eval(lift, w0, w1)
         m = np.maximum(np.abs(w0), np.abs(w1))
-        scale /= lift.degree
         g = g + np.log(m) * scale
         w0 = w0 / m
         w1 = w1 / m
@@ -332,6 +338,14 @@ def lift_or_power(phi):
     return Lift.from_map(phi)
 
 
+# z^2 / (z^4 + 2z + 2^-1026), whose constant term is subnormal: from
+# (1, 1) the normalized forms reach (0, 2^-1026), where 1/m overflows,
+# at step 540, two steps after 4^-k has underflowed
+LATE_UNDERFLOW = RationalMap(Poly([0, 0, 1]),
+                             Poly([Fraction(1, 2**1026), 2, 0, 0, 1]))
+
+
+@example(phi=LATE_UNDERFLOW, logr=0.0, turn=0.0, n=1100)
 @settings(max_examples=60, deadline=None)
 @given(
     phi=random_maps(),
@@ -342,9 +356,10 @@ def lift_or_power(phi):
 def test_scalar_green_matches_oracle_on_random_lifts(phi, logr, turn, n):
     # |z| from 1e-200 to 1e150; n past 1075 / log2(deg), where deg^-n
     # has underflowed, for every degree drawn.  green refuses exactly
-    # where the plain iteration's value is not finite: a subnormal
-    # coefficient can take both forms to zero or to where 1/m overflows
-    # (the plain iteration also divides by the last m, which may warn)
+    # where the plain iteration's value, up to that step, is not
+    # finite: a subnormal coefficient can take both forms to zero or to
+    # where 1/m overflows (the plain iteration also divides by the last
+    # m, which may warn)
     lift = lift_or_power(phi)
     z = 10.0 ** logr * np.exp(2j * np.pi * turn)
     with np.errstate(all="ignore"):
@@ -357,6 +372,7 @@ def test_scalar_green_matches_oracle_on_random_lifts(phi, logr, turn, n):
         assert repr(got) == repr(want)
 
 
+@example(phi=LATE_UNDERFLOW, logr=0.0, turn=0.0, n=1100)
 @settings(max_examples=60, deadline=None)
 @given(
     phi=random_maps(),
