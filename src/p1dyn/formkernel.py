@@ -8,10 +8,14 @@ x1^(deg-k) is not rational.  kernel_factory writes Python source without
 loops or coefficient literals,
 
     def make(k0, k1, ...):
-        def kernel(x0, x1, mod=0): ...
+        def kernel(a0, b0, a1, b1, mod=0): ...
         return kernel
 
-and compiles it once per shape, as dataclasses builds __init__;
+and compiles it once per shape, as dataclasses builds __init__.  A kernel
+takes and returns flat ints: x0 = (a0, b0) and x1 = (a1, b1) as basis
+pairs, and one (u, v) per form, (u0, v0, u1, v1) for a map's two forms,
+so a caller that loops on it unpacks and passes ints without building a
+pair per step;
 form_kernel binds one int per rational coefficient and two per other by
 calling make, so no coefficient is ever turned into digits.  The source
 is compiled under a filename that names the shape, <form_kernel t=..
@@ -44,11 +48,12 @@ def kernel_factory(shape: tuple):
     each power of x0 and x1 that the forms need by squares, in steps of r
     above r, reduced mod `mod` if set, and each monomial once; it takes two
     int products per rational coefficient and a pair product per other,
-    and reduces each G times its prefactor mod `mod` once, at the end.
+    starts each sum at its first term, and reduces each G times its
+    prefactor mod `mod` once, at the end.
     """
     t, deg, forms = shape
     r = math.gcd(*(k - f[0][0] for f in forms for k, _ in f)) or 1
-    body = ["a0, b0 = x0", "a1, b1 = x1", "if mod: a0, b0, a1, b1 = "
+    body = ["if mod: a0, b0, a1, b1 = "
             "a0 % mod, b0 % mod, a1 % mod, b1 % mod"]
     pows = {(0, 1): ("a0", "b0"), (1, 1): ("a1", "b1")}
     prods, args, outs = {}, [], []
@@ -84,20 +89,22 @@ def kernel_factory(shape: tuple):
     for form in forms:
         s = (form[0][0] if form else 0) % r
         s1, u, v = (deg - s) % r, f"s{len(outs)}", f"w{len(outs)}"
-        body.append(f"{u} = {v} = 0")
-        for k, general in form:
+        if not form:
+            body.append(f"{u} = {v} = 0")
+        for i, (k, general) in enumerate(form):
             m = mul(power(0, k - s), power(1, deg - k - s1))
             cu, cv = f"k{len(args)}", f"k{len(args) + 1}" if general else "0"
             args += [cu, cv][:1 + general]
             tu, tv = (mul((cu, cv), m) if general or not m
                       else (f"{cu} * {m[0]}", f"{cu} * {m[1]}"))
-            body.append(f"{u}, {v} = {u} + {tu}, {v} + {tv}")
+            body.append(f"{u}, {v} = {u} + {tu}, {v} + {tv}" if i
+                        else f"{u}, {v} = {tu}, {tv}")
         outs.append(mul(mul((u, v), power(0, s)), power(1, s1)))
-    reduced = ", ".join(f"({u} % mod, {v} % mod)" for u, v in outs)
-    body += [f"if mod: return [{reduced}]",
-             "return [{}]".format(", ".join(f"({u}, {v})" for u, v in outs))]
+    reduced = ", ".join(f"{u} % mod, {v} % mod" for u, v in outs)
+    body += [f"if mod: return {reduced},",
+             "return {},".format(", ".join(f"{u}, {v}" for u, v in outs))]
     src = "".join([f"def make({', '.join(args)}):\n",
-                   "    def kernel(x0, x1, mod=0):\n",
+                   "    def kernel(a0, b0, a1, b1, mod=0):\n",
                    *(f"        {line}\n" for line in body),
                    "    return kernel\n"])
     # ints and bools only, so the hash does not depend on PYTHONHASHSEED
@@ -113,8 +120,10 @@ def kernel_factory(shape: tuple):
 
 
 def form_kernel(forms: list, deg: int, t: int):
-    """kernel(x0, x1, mod=0): sum_k c_k x0^k x1^(deg-k) on basis pairs
-    for each form's nonzero terms (k, c), reduced mod `mod` if set."""
+    """kernel(a0, b0, a1, b1, mod=0): sum_k c_k x0^k x1^(deg-k) for
+    x0 = (a0, b0) and x1 = (a1, b1) on basis pairs, for each form's
+    nonzero terms (k, c), reduced mod `mod` if set, as the flat tuple
+    (u0, v0, u1, v1, ...) of the forms' basis pairs."""
     make = kernel_factory((t, deg, tuple(
         tuple((k, bool(c[1])) for k, c in form) for form in forms)))
     return make(*(x for form in forms for _, c in form

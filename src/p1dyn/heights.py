@@ -44,10 +44,12 @@ the primes of m_R.  (2) If h = 1 then g = 1, as g | h, so the next pair is
 F(v), and its residue mod rad_R is F(v mod rad_R) mod rad_R; the tracker
 holds v mod M with rad_R | m_R | M at every step.  (3) So a residue met
 again after steps with only h = 1 repeats forever: every later content is
-1, and every later term of the sum exactly 0.  The value, the tail and
-the step count are those of the full loop, bit for bit.  Both tails carry
-explicit geometric bounds derived from the coefficient one-norms (upper)
-and an exact Bezout certificate (lower).
+1, and every later term of the sum exactly 0, so the loop returns there,
+after the divisions of the step scale that the remaining steps would
+make.  The value, the tail and the step count are those of the full
+loop, bit for bit.  Both tails carry explicit geometric bounds derived
+from the coefficient one-norms (upper) and an exact Bezout certificate
+(lower).
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ from .ratmaps import (
 _LN2 = math.log(2)
 _ARCH_CAP = 300
 _FIN_CAP = 64
+# target errors whose step counts an engine keeps
+_STEPS_MEMO = 16
 # bad primes are reported by trial division below this bound
 _TRIAL_LIMIT = 1 << 16
 # the product of the primes below 64
@@ -185,6 +189,8 @@ class _HeightEngine:
         )
         self._amp_bits = max(2, math.ceil(log2_amp))
         self._t = omega_flag(self.d)
+        # (n_arch, n_fin) per target error, as height computes them
+        self._steps = {}
         from .formkernel import form_kernel
 
         self._plan = form_kernel(
@@ -220,21 +226,25 @@ class _HeightEngine:
         # double's log of it errs by one ulp of a value below 128 and the
         # int's rounding, 2^-46 + 2^-53; halved and divided by alpha^n >=
         # 2^13 that is below 2^-59.98, and the value's error below 2^-58.7
-        t, alpha, plan = self._t, self.alpha, self._plan
+        t, alpha, plan, amp = self._t, self.alpha, self._plan, self._amp_bits
         alpha_n = alpha**n_arch
-        # floor(n log2 alpha), exactly
+        # floor(n log2 alpha), exactly; bits runs down to bits_k at step k
         drop = min(40, alpha_n.bit_length() - 1)
-        top_bits = 64 + n_arch * self._amp_bits - drop
-        w0, w1 = x0.basis_pair(), x1.basis_pair()
+        bits = 64 + n_arch * amp - drop
+        (a0, b0), (a1, b1) = x0.basis_pair(), x1.basis_pair()
         shift = 0
-        for k in range(1, n_arch + 1):
-            bits = max(64, top_bits - k * self._amp_bits)
-            f0, f1 = plan(w0, w1)
-            e = max(0, max(map(int.bit_length, f0 + f1)) - bits)
-            w0 = (f0[0] >> e, f0[1] >> e)
-            w1 = (f1[0] >> e, f1[1] >> e)
-            shift = shift * alpha + e
-        top = max(pair_norm(w0, t), pair_norm(w1, t))
+        for _ in range(n_arch):
+            bits -= amp
+            if bits < 64:
+                bits = 64
+            a0, b0, a1, b1 = plan(a0, b0, a1, b1)
+            shift *= alpha
+            e = max(a0.bit_length(), b0.bit_length(), a1.bit_length(),
+                    b1.bit_length()) - bits
+            if e > 0:
+                a0, b0, a1, b1 = a0 >> e, b0 >> e, a1 >> e, b1 >> e
+                shift += e
+        top = max(pair_norm((a0, b0), t), pair_norm((a1, b1), t))
         prec = 30 + len(str(shift))
         # a fresh context, so a caller's decimal settings cannot leak in
         with localcontext(Context(prec=prec)):
@@ -268,48 +278,51 @@ class _HeightEngine:
         # its key v mod rad_R is F(key) mod rad_R (rad_R | m_R | mod).  A
         # key met again since the last h > 1 therefore closes a cycle of
         # keys with h = 1: every later content is 1 and every later term
-        # 0.  Such a step skips the kernel and keeps v, so each later step
-        # meets the same key, and scale still reaches alpha^-n_fin.
+        # 0.  So the loop returns there, after the divisions of scale that
+        # the remaining steps would make, and scale reaches alpha^-n_fin
+        # as in a loop that runs them.
         # h > 1 holds exactly when c > 1 or h' > 1: c > 1 divides h, and
         # c = 1 leaves h' = h
         cap = m_R ** (n_fin + 1)
         start = min(m_R * m_R, cap)
-        rad_R = self.rad_R
+        rad_R, alpha = self.rad_R, self.alpha
+        # zero steps leave the whole finite sum, at most this at scale 1
+        lead = 0.5 * self.log_nR / (alpha - 1)
         while True:
             mod = start
             spent = 1
-            v0, v1 = x0.basis_pair(), x1.basis_pair()
+            (a0, b0), (a1, b1) = x0.basis_pair(), x1.basis_pair()
             total = 0.0
             scale = 1.0
             # keys of the steps with h = 1 since the last h > 1
             trivial = set()
-            for _ in range(n_fin):
+            for k in range(n_fin):
                 if mod % m_R:
                     break
-                scale /= self.alpha
+                scale /= alpha
                 if rad_R:
-                    key = (v0[0] % rad_R, v0[1] % rad_R,
-                           v1[0] % rad_R, v1[1] % rad_R)
+                    key = (a0 % rad_R, b0 % rad_R, a1 % rad_R, b1 % rad_R)
                     if key in trivial:
-                        continue
-                f0, f1 = plan(v0, v1, mod)
-                c = math.gcd(m_R, *f0, *f1)
+                        for _ in range(k + 1, n_fin):
+                            scale /= alpha
+                        return total, lead * scale
+                a0, b0, a1, b1 = plan(a0, b0, a1, b1, mod)
+                c = math.gcd(m_R, a0, b0, a1, b1)
                 m = m_R // c
                 if c > 1:
-                    f0 = (f0[0] // c, f0[1] // c)
-                    f1 = (f1[0] // c, f1[1] // c)
-                h = math.gcd(
-                    pair_norm((f0[0] % m, f0[1] % m), t),
-                    pair_norm((f1[0] % m, f1[1] % m), t), m,
-                )
+                    a0, b0, a1, b1 = a0 // c, b0 // c, a1 // c, b1 // c
+                u, v, x, y = a0 % m, b0 % m, a1 % m, b1 % m
+                h = math.gcd(u * u + t * u * v + v * v,
+                             x * x + t * x * y + y * y, m)
                 if c > 1 or h > 1:
                     trivial.clear()
                     # n_g = c^2 N(g') and m_g = c N(g')/gcd(g')
                     n_g, m_g = c * c, c
                     if h > 1:
+                        f0, f1 = (a0, b0), (a1, b1)
                         g = pair_gcd_mod(h, f0, f1, t)
-                        f0 = pair_divexact(f0, g, t)
-                        f1 = pair_divexact(f1, g, t)
+                        a0, b0 = pair_divexact(f0, g, t)
+                        a1, b1 = pair_divexact(f1, g, t)
                         n = pair_norm(g, t)
                         n_g *= n
                         m_g *= n // math.gcd(*g)
@@ -318,12 +331,8 @@ class _HeightEngine:
                     spent *= m_g
                 elif rad_R:
                     trivial.add(key)
-                v0, v1 = f0, f1
             else:
-                # zero steps leave the whole finite sum, at most this at
-                # scale 1
-                tail = 0.5 * self.log_nR / (self.alpha - 1) * scale
-                return total, tail
+                return total, lead * scale
             start = min(start * spent * m_R, cap)
 
     def height(self, P: ProjPoint, target_error: float) -> HeightValue:
@@ -333,8 +342,14 @@ class _HeightEngine:
         slack = 2e-12
         certifiable = target_error > 4 * slack
         tol = (target_error - slack) / 2 if certifiable else slack
-        n_arch = self._steps_needed(1, _ARCH_CAP, self.c_bound, tol)
-        n_fin = self._steps_needed(0, _FIN_CAP, 0.5 * self.log_nR, tol)
+        steps = self._steps.get(target_error)
+        if steps is None:
+            if len(self._steps) >= _STEPS_MEMO:
+                self._steps.clear()
+            steps = self._steps[target_error] = (
+                self._steps_needed(1, _ARCH_CAP, self.c_bound, tol),
+                self._steps_needed(0, _FIN_CAP, 0.5 * self.log_nR, tol))
+        n_arch, n_fin = steps
         over_budget = (
             not certifiable or n_arch > _ARCH_CAP or n_fin > _FIN_CAP
         )

@@ -303,7 +303,7 @@ def _step(kernel, a, b) -> tuple:
     kernel (_fixed_point_lift), shifted right so that the largest
     component keeps _BITS bits: a relative error of 2^-_BITS a step, on
     a projective pair."""
-    (ur, ui), (vr, vi) = kernel(a, b)
+    ur, ui, vr, vi = kernel(*a, *b)
     top = max(abs(ur), abs(ui), abs(vr), abs(vi))
     shift = max(0, top.bit_length() - _BITS)
     return (ur >> shift, ui >> shift), (vr >> shift, vi >> shift)

@@ -171,7 +171,7 @@ class Poly:
 
         d = self._d
         (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
-        [(u, v)] = form_kernel([self._terms()], deg, omega_flag(d))(p0, p1)
+        u, v = form_kernel([self._terms()], deg, omega_flag(d))(*p0, *p1)
         return QuadFieldElement._of(u, v, self._den * e**deg, d)
 
     def _terms(self) -> list:
@@ -525,9 +525,9 @@ class RationalMap:
         d, num, den = self._d, self._num, self._den
         (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
         scale = e**self._deg
-        f0, f1 = self._form_kernel()(p0, p1)
-        return (QuadFieldElement._of(*f0, num._den * scale, d),
-                QuadFieldElement._of(*f1, den._den * scale, d))
+        u0, v0, u1, v1 = self._form_kernel()(*p0, *p1)
+        return (QuadFieldElement._of(u0, v0, num._den * scale, d),
+                QuadFieldElement._of(u1, v1, den._den * scale, d))
 
     def compose(self, inner: "RationalMap") -> "RationalMap":
         """self after inner, by homogeneous substitution.
@@ -557,12 +557,11 @@ class RationalMap:
         big_s = max(den._den * _one_norm((num._u, num._v)),
                     num._den * _one_norm((den._u, den._v)))
         bits = (big_s * (2 * big_m) ** m).bit_length() + 2
-        f0, f1 = self._form_kernel()(
-            *((_pack(a, bits), _pack(b, bits)) for a, b in (p, q)))
+        f = self._form_kernel()(*(_pack(a, bits) for a in (*p, *q)))
         size = m * inner._deg + 1
         out = RationalMap._from_coprime(
-            *(tuple(_unpack(x * scale, bits, size) for x in f)
-              for f, scale in ((f0, den._den), (f1, num._den))), self._d)
+            *(tuple(_unpack(x * scale, bits, size) for x in f[i:i + 2])
+              for i, scale in ((0, den._den), (2, num._den))), self._d)
         if out.degree != self._deg * inner._deg and self._deg and inner._deg:
             raise DomainError("degree collapsed under composition")
         return out
@@ -703,17 +702,32 @@ def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
             mat[k], mat[piv] = mat[piv], mat[k]
             sign = -sign
         top = mat[k]
-        # every division of this step is by det: pair_divexact inlined,
-        # with the conjugate and norm of det taken once
-        det_conj, det_norm = pair_conj(det, t), pair_norm(det, t)
+        # row[c] <- (row[c] top[k] - row[k] top[c]) / det, with pair_mul
+        # and pair_divexact inlined and the conjugate and norm of det taken
+        # once; a product with a zero factor is skipped, and so is an entry
+        # that stays zero, as the banded matrix has many
+        (s0, s1), (dc0, dc1) = top[k], pair_conj(det, t)
+        det_norm = pair_norm(det, t)
         for row in mat[k + 1:]:
+            r0, r1 = row[k]
             for c in range(k + 1, n + 2):
-                u, v = pair_mul(row[c], top[k], t)
-                x, y = pair_mul(row[k], top[c], t)
-                u, v = pair_mul((u - x, v - y), det_conj, t)
-                if u % det_norm or v % det_norm:
-                    raise DomainError("basis pair division is not exact")
-                row[c] = (u // det_norm, v // det_norm)
+                x0, x1 = row[c]
+                y0, y1 = top[c]
+                u = v = 0
+                if x0 or x1:
+                    m = x1 * s1
+                    u, v = x0 * s0 - m, x0 * s1 + x1 * s0 + t * m
+                if (r0 or r1) and (y0 or y1):
+                    m = r1 * y1
+                    u, v = u - (r0 * y0 - m), v - (r0 * y1 + r1 * y0 + t * m)
+                if u or v:
+                    m = v * dc1
+                    u, v = u * dc0 - m, u * dc1 + v * dc0 + t * m
+                    if u % det_norm or v % det_norm:
+                        raise DomainError("basis pair division is not exact")
+                    row[c] = (u // det_norm, v // det_norm)
+                elif x0 or x1:
+                    row[c] = zero
         det = top[k]
     # row k now reads mat[k][k] y_k + sum_(c > k) mat[k][c] y_c = det * b_k
     # for y = det * M^-1 e, an integral vector

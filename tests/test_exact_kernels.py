@@ -12,7 +12,9 @@ height loops: its stride r is the gcd of the exponent gaps within each
 form, the order of the rotation z -> zeta z that a Lattes map commutes
 with (2 on E1, 3 on E2), and it evaluates each form as x0^s x1^s'
 G(x0^r, x1^r) from powers of x0^r and x1^r, skips zero coefficients and
-takes two int products for a rational one.  It is straight-line code
+takes two int products for a rational one; it takes and returns flat
+ints, kernel(a0, b0, a1, b1, mod) -> (u0, v0, u1, v1), so its oracles'
+pairs are compared flattened (flat).  It is straight-line code
 that formkernel.kernel_factory compiles once per shape of forms, the
 coefficients bound in its closure.  Its oracles are the shared-power
 evaluator it replaced, oracle_eval_forms, on forms of stride 1-4, mixed
@@ -45,11 +47,17 @@ the field for the pseudo-division on basis pair vectors, its Euclidean
 remainder sequence, which also cancels the common factor of a map's
 forms, Yun's square-free split, the full gcd constructor
 RationalMap(num, den), and Gaussian elimination
-over the field for the Sylvester determinant and the cofactor systems.
+over the field for the Sylvester determinant and the cofactor systems;
+the elimination skips products with a zero entry, and on sparse forms,
+leading and trailing zeros and vanishing resultants included, it must
+return the (R, D, sols) of the dense elimination it replaced,
+oracle_bareiss_dense, exactly.
 The height engine's archimedean Green sum runs on integer pairs shifted
 by powers of two, at a size that falls along the orbit; its oracle is the
 same sum in mpmath, one logarithm per step, and, run past the engine's
 step count at a higher precision, the orbit limit that the sum approaches.
+Every step that shifts leaves its pair at exactly the size the heights
+docstring certifies, on every catalog map and (10^200 z^2 + 1)/z.
 """
 
 import decimal
@@ -85,6 +93,7 @@ from p1dyn.quadfield import (
     integral_gcd,
     omega_flag,
     pair_conj,
+    pair_divexact,
     pair_divmod,
     pair_gcd,
     pair_gcd_mod,
@@ -250,6 +259,12 @@ def oracle_eval_forms(forms: list, deg: int, x0, x1, t: int,
                 sv += cu * mv
         sums.append((su % mod, sv % mod) if mod else (su, sv))
     return sums
+
+
+def flat(pairs) -> tuple:
+    """The flat tuple (u0, v0, u1, v1, ...) of basis pairs, as a form
+    kernel returns them."""
+    return tuple(c for pair in pairs for c in pair)
 
 
 def engine_forms(eng) -> list:
@@ -1016,12 +1031,12 @@ class TestSharedPowerEvaluator:
         mod = data.draw(st.sampled_from(MODULI))
         terms = [[(k, c) for k, c in enumerate(f) if c != (0, 0)]
                  for f in forms]
-        got = form_kernel(terms, deg, t)(x0, x1, mod)
+        got = form_kernel(terms, deg, t)(*x0, *x1, mod)
         want = [oracle_eval_form(f, x0, x1, t, mod) for f in forms]
         if mod:
-            assert all(0 <= c < mod for pair in got for c in pair)
+            assert all(0 <= c < mod for c in got)
             want = [(u % mod, v % mod) for u, v in want]
-        assert got == want
+        assert got == flat(want)
 
     @settings(max_examples=60, deadline=None)
     @given(d=FIELDS, data=st.data())
@@ -1096,8 +1111,8 @@ class TestFormKernel:
         x0, x1 = ((data.draw(COORDS), data.draw(COORDS) if d else 0)
                   for _ in range(2))
         mod = data.draw(st.sampled_from(MODULI))
-        got = form_kernel(forms, deg, t)(x0, x1, mod)
-        assert got == oracle_eval_forms(forms, deg, x0, x1, t, mod)
+        got = form_kernel(forms, deg, t)(*x0, *x1, mod)
+        assert got == flat(oracle_eval_forms(forms, deg, x0, x1, t, mod))
 
     @pytest.mark.parametrize("name", catalog_names() + ["big"])
     @settings(max_examples=25, deadline=None)
@@ -1110,7 +1125,7 @@ class TestFormKernel:
         mod = data.draw(st.sampled_from(
             [0, eng.m_R**2, eng.n_R * eng.m_R**2, eng.m_R**5, 97]))
         want = oracle_eval_forms(engine_forms(eng), eng.alpha, x0, x1, t, mod)
-        assert eng._plan(x0, x1, mod) == want
+        assert eng._plan(*x0, *x1, mod) == flat(want)
 
     @pytest.mark.parametrize("name", catalog_names() + ["big"])
     def test_stride_is_the_rotation(self, name):
@@ -1145,7 +1160,7 @@ class TestFormKernel:
         for forms, plan in ((forms_a, a), (forms_b, b)):
             for mod in (0, 97):
                 want = oracle_eval_forms(forms, 11, x0, x1, 1, mod)
-                assert plan(x0, x1, mod) == want
+                assert plan(*x0, *x1, mod) == flat(want)
 
     def test_alternating_moduli(self):
         plan_forms = self._forms([(3, 0), (2, 7), (-4, 0), (5, 1), (6, 0)])
@@ -1156,7 +1171,7 @@ class TestFormKernel:
             x0 = (rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
             x1 = (rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
             want = oracle_eval_forms(plan_forms, 11, x0, x1, 1, mod)
-            assert plan(x0, x1, mod) == want
+            assert plan(*x0, *x1, mod) == flat(want)
 
     def test_huge_coefficient_under_the_digit_limit(self):
         # the coefficients live in the kernel's closure, never in its
@@ -1169,8 +1184,9 @@ class TestFormKernel:
         old = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(640)
-            got = [form_kernel(forms, 11, 1)(x0, x1, mod) for mod in (0, 97)]
-            want = [oracle_eval_forms(forms, 11, x0, x1, 1, mod)
+            got = [form_kernel(forms, 11, 1)(*x0, *x1, mod)
+                   for mod in (0, 97)]
+            want = [flat(oracle_eval_forms(forms, 11, x0, x1, 1, mod))
                     for mod in (0, 97)]
             assert got == want
         finally:
@@ -1182,7 +1198,7 @@ class TestFormKernel:
         kernel_factory.cache_clear()
         plan = form_kernel([[(7, (1, 0))], [(0, (1, 0))]], 7, 0)
         with pytest.raises(TypeError) as info:
-            plan(("3", 0), (1, 0))
+            plan("3", 0, 1, 0)
         frame = traceback.extract_tb(info.value.__traceback__)[-1]
         assert frame.filename.startswith("<form_kernel t=0 r=1 deg=7 ")
         line = linecache.getline(frame.filename, frame.lineno).strip()
@@ -1201,7 +1217,7 @@ class TestFormKernel:
         assert linecache.getline(name, 1).startswith("def make(")
         kernel_factory.cache_clear()
         assert name not in linecache.cache
-        assert plan((3, 1), (2, 0)) == [(-1992, 2456), (128, 0)]
+        assert plan(3, 1, 2, 0) == (-1992, 2456, 128, 0)
         for k in range(kernel_factory.cache_info().maxsize + 5):
             form_kernel([[(k, (1, 0))]], 300, 0)
         kept = [k for k in linecache.cache if k.startswith("<form_kernel ")]
@@ -1220,7 +1236,8 @@ class TestFormKernel:
             rf"<form_kernel t={eng._t} r=\d+ deg={eng.alpha} [0-9a-f]{{8}}>",
             filename)
         src = "".join(linecache.getlines(filename))
-        assert src.startswith("def make(") and "kernel(x0, x1, mod=0)" in src
+        assert src.startswith("def make(")
+        assert "kernel(a0, b0, a1, b1, mod=0)" in src
         assert not re.search(r"\b(for|while)\b", src)
         zero, one = (0, 0), (1, 0)
         points = [(one, zero), (zero, one), (zero, zero), ((-1, 0), (3, 0))]
@@ -1228,10 +1245,10 @@ class TestFormKernel:
             points.append(((0, 1), (2, -1)))
         for x0, x1 in points:
             for mod in (0, 1, 97, eng.m_R**2):
-                want = oracle_eval_forms(forms, eng.alpha, x0, x1, eng._t,
-                                         mod)
-                assert plan(x0, x1, mod) == want
-                assert eng._plan(x0, x1, mod) == want
+                want = flat(oracle_eval_forms(forms, eng.alpha, x0, x1,
+                                              eng._t, mod))
+                assert plan(*x0, *x1, mod) == want
+                assert eng._plan(*x0, *x1, mod) == want
 
 
 # --------------------------------------------------------------------------
@@ -1964,6 +1981,71 @@ def _check_certificate(c0: list, c1: list, deg: int) -> None:
     assert cofactor_certificate(c0, c1, deg) == (R, log_s)
 
 
+def oracle_bareiss_dense(c0: list, c1: list, deg: int) -> tuple:
+    """_bareiss as it ran before it skipped products with a zero entry:
+    every pair product of the elimination taken through pair_mul.  Its
+    (R, D, sols) are the reference the sparse elimination must match."""
+    d, n, zero = c0[0].d, 2 * deg, (0, 0)
+    t = omega_flag(d)
+    pairs, den = cleared_pairs(list(c0) + list(c1))
+    p0, p1 = pairs[: deg + 1], pairs[deg + 1:]
+    mat = [
+        [p0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        + [p1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        + [(int(k == n - 1), 0), (int(k == 0), 0)]
+        for k in range(n)
+    ]
+    sign, det = (-1) ** deg, (1, 0)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if mat[r][k] != zero), None)
+        if piv is None:
+            return QF.zero(d), den, None
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        top = mat[k]
+        for row in mat[k + 1:]:
+            for c in range(k + 1, n + 2):
+                u, v = pair_mul(row[c], top[k], t)
+                x, y = pair_mul(row[k], top[c], t)
+                row[c] = pair_divexact((u - x, v - y), det, t)
+        det = top[k]
+    sols = []
+    for col in (n, n + 1):
+        y = [zero] * n
+        for k in range(n - 1, -1, -1):
+            u, v = pair_mul(mat[k][col], det, t)
+            for c in range(k + 1, n):
+                x, w = pair_mul(mat[k][c], y[c], t)
+                u, v = u - x, v - w
+            y[k] = pair_divexact((u, v), mat[k][k], t)
+        sols.append(y)
+    return QF._of(*det, sign * den**n, d), den, sols
+
+
+@st.composite
+def sparse_forms_of(draw, d, deg):
+    """deg + 1 coefficients of a binary form, each zero with probability
+    1/2 at least, integral or with denominators; one time in four each,
+    a run of its first or last coefficients is zero too, a form that a
+    power of x or of z divides."""
+    integral = draw(st.booleans())
+    nonzero = forms_of(d, 1, integral=integral).filter(
+        lambda c: not c[0].is_zero())
+    coeffs = [QF.zero(d) if draw(st.booleans()) else draw(nonzero)[0]
+              for _ in range(deg + 1)]
+
+    def run(most):
+        if most and draw(st.sampled_from([True, False, False, False])):
+            return draw(st.sampled_from(range(1, most + 1)))
+        return 0
+
+    lead = run(deg + 1)
+    trail = run(deg + 1 - lead)
+    zero = QF.zero(d)
+    return [zero] * lead + coeffs[lead:deg + 1 - trail] + [zero] * trail
+
+
 class TestResultantKernel:
     @settings(max_examples=40, deadline=None)
     @given(d=FIELDS, deg=DEGREES, data=st.data())
@@ -2013,6 +2095,45 @@ class TestResultantKernel:
     def test_catalog_integral_models(self, name):
         phi = catalog(name)
         _check_certificate(*phi.integral_model(), phi.degree)
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(deg=st.sampled_from([1, 2, 3, 5, 7]), data=st.data())
+    def test_sparse_forms_match_dense_elimination(self, d, deg, data):
+        # the elimination skips products with a zero entry and entries
+        # that stay zero; R, D and both solution vectors are the dense
+        # elimination's, exactly, and R is the Sylvester determinant's
+        c0 = data.draw(sparse_forms_of(d, deg))
+        c1 = data.draw(sparse_forms_of(d, deg))
+        got = _bareiss(c0, c1, deg)
+        assert got == oracle_bareiss_dense(c0, c1, deg)
+        R = oracle_resultant(c0, c1, deg)
+        assert got[0] == R
+        assert (got[2] is None) == R.is_zero()
+        if not R.is_zero():
+            _check_certificate(c0, c1, deg)
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @pytest.mark.parametrize("c0, c1, vanishes", [
+        # x^3 and z^3: a monomial each, resultant a unit
+        ([0, 0, 0, 1], [1, 0, 0, 0], False),
+        # a common root at infinity and at 0: leading or trailing zeros
+        # in both forms
+        ([2, 3, 5, 0], [7, 0, 1, 0], True),
+        ([0, 3, 0, 5], [0, 0, 1, 4], True),
+        # one form zero
+        ([0, 0, 0, 0], [1, 2, 0, 3], True),
+        # sparse, coprime, leading and trailing zeros in turn
+        ([0, 2, 0, 1], [3, 0, 1, 0], False),
+    ])
+    def test_sparse_edge_forms(self, d, c0, c1, vanishes):
+        c0, c1 = ([QF(c, 0, d) for c in cs] for cs in (c0, c1))
+        got = _bareiss(c0, c1, 3)
+        assert got == oracle_bareiss_dense(c0, c1, 3)
+        assert got[0] == oracle_resultant(c0, c1, 3)
+        assert got[0].is_zero() == vanishes == (got[2] is None)
+        if not vanishes:
+            _check_certificate(c0, c1, 3)
 
 
 class TestLogOneNorm:
@@ -2203,9 +2324,9 @@ class TestArchOracle:
 
         plan = eng._plan
 
-        def recording(x0, x1, mod=0):
-            sizes.append(max(map(int.bit_length, x0 + x1)))
-            return plan(x0, x1, mod)
+        def recording(a0, b0, a1, b1, mod=0):
+            sizes.append(max(map(int.bit_length, (a0, b0, a1, b1))))
+            return plan(a0, b0, a1, b1, mod)
 
         monkeypatch.setattr(eng, "_plan", recording)
         x0, x1 = points[0].reduced_pair()
@@ -2216,6 +2337,50 @@ class TestArchOracle:
         assert len(sizes) == n
         assert all(s < w for s, w in zip(sizes[1:uncut], want))
         assert sizes[uncut:] == want[uncut - 1:]
+
+    @pytest.mark.parametrize("name", catalog_names() + ["big"])
+    def test_every_shift_keeps_the_certified_bits(self, monkeypatch, name):
+        # the schedule the heights docstring certifies: step k of n that
+        # shifts leaves its pair at exactly bits_k = max(64, 64 + (n - k)
+        # amp - drop) bits, and a step that does not shift passes its
+        # pair on whole.  The kernel sees each step's pair before and
+        # after it; the last step's pair reaches pair_norm
+        phi, points = _arch_case(name)
+        eng = _engine(phi)
+        plan, norm = eng._plan, heights.pair_norm
+        steps, last = [], []
+
+        def size(*xs):
+            return max(x.bit_length() for x in xs)
+
+        def recording(a0, b0, a1, b1, mod=0):
+            out = plan(a0, b0, a1, b1, mod)
+            steps.append((size(a0, b0, a1, b1), size(*out)))
+            return out
+
+        def last_pair(x, t):
+            last.append(size(*x))
+            return norm(x, t)
+
+        monkeypatch.setattr(eng, "_plan", recording)
+        monkeypatch.setattr(heights, "pair_norm", last_pair)
+        shifted = 0
+        for n in sorted({1, 7, 30,
+                         eng._steps_needed(1, _ARCH_CAP, eng.c_bound, 1e-9)}):
+            drop = min(40, (phi.degree**n).bit_length() - 1)
+            for P in points:
+                del steps[:], last[:]
+                eng._arch_value(*P.reduced_pair(), n)
+                assert len(steps) == n and len(last) == 2
+                kept = [s for s, _ in steps[1:]] + [max(last)]
+                for k, ((_, made), s) in enumerate(zip(steps, kept), 1):
+                    bits = max(64, 64 + (n - k) * eng._amp_bits - drop)
+                    if made > bits:
+                        assert s == bits, (str(P), n, k)
+                        shifted += 1
+                    else:
+                        assert s == made, (str(P), n, k)
+        assert shifted > 0
 
     @pytest.mark.parametrize("name", catalog_names() + ["big"])
     def test_double_log_of_the_last_pair(self, monkeypatch, name):

@@ -17,7 +17,9 @@ package resolve.  The loop stops once the pair's residues modulo rad_R,
 the product of the distinct primes of m_R, repeat over steps with h = 1:
 on every curve map at 30 steps the stop fires on some point, and never
 before the oracle's last content other than 1; it stays off when m_R has
-a prime above 64.
+a prime above 64.  The loop returns at the stop, and its (total, tail)
+is that of the full loop it replaced, full_fin_value, which runs through
+the idle steps after it, bit for bit.
 """
 
 import json
@@ -30,6 +32,7 @@ import p1dyn
 from p1dyn import cli, heights
 from p1dyn.errors import DomainError
 from p1dyn.heights import (
+    _FIN_CAP,
     _engine,
     _log_int,
     canonical_height,
@@ -230,8 +233,8 @@ ORACLE_CASES = [
 
 
 def count_evaluations(monkeypatch, eng):
-    """Record the arguments (pair, pair, modulus) of every call to the
-    engine's form kernel."""
+    """Record the arguments (a0, b0, a1, b1, modulus) of every call to
+    the engine's form kernel."""
     calls = []
     evaluate = eng._plan
 
@@ -345,6 +348,92 @@ class TestResidueCycleStop:
         got = eng._fin_value(*pair, 30)
         assert len(calls) == 30
         assert got == oracle_fin_value(eng, *pair, 30)
+
+
+def full_fin_value(eng, x0, x1, n_fin):
+    """_fin_value as it ran before it returned at a proved cycle: every
+    step runs, and a step whose key repeats is idle (it divides scale and
+    keeps the pair).  Returns ((total, tail), the number of idle steps)."""
+    t, m_R, rad_R = eng._t, eng.m_R, eng.rad_R
+    cap = m_R ** (n_fin + 1)
+    start = min(m_R * m_R, cap)
+    while True:
+        mod = start
+        spent = 1
+        v0, v1 = x0.basis_pair(), x1.basis_pair()
+        total = 0.0
+        scale = 1.0
+        trivial = set()
+        idle = 0
+        for _ in range(n_fin):
+            if mod % m_R:
+                break
+            scale /= eng.alpha
+            if rad_R:
+                key = (v0[0] % rad_R, v0[1] % rad_R,
+                       v1[0] % rad_R, v1[1] % rad_R)
+                if key in trivial:
+                    idle += 1
+                    continue
+            f = eng._plan(*v0, *v1, mod)
+            f0, f1 = f[:2], f[2:]
+            c = math.gcd(m_R, *f0, *f1)
+            m = m_R // c
+            if c > 1:
+                f0 = (f0[0] // c, f0[1] // c)
+                f1 = (f1[0] // c, f1[1] // c)
+            h = math.gcd(
+                pair_norm((f0[0] % m, f0[1] % m), t),
+                pair_norm((f1[0] % m, f1[1] % m), t), m,
+            )
+            if c > 1 or h > 1:
+                trivial.clear()
+                n_g, m_g = c * c, c
+                if h > 1:
+                    g = pair_gcd_mod(h, f0, f1, t)
+                    f0 = pair_divexact(f0, g, t)
+                    f1 = pair_divexact(f1, g, t)
+                    n = pair_norm(g, t)
+                    n_g *= n
+                    m_g *= n // math.gcd(*g)
+                total += 0.5 * _log_int(n_g) * scale
+                mod //= m_g
+                spent *= m_g
+            elif rad_R:
+                trivial.add(key)
+            v0, v1 = f0, f1
+        else:
+            tail = 0.5 * eng.log_nR / (eng.alpha - 1) * scale
+            return (total, tail), idle
+        start = min(start * spent * m_R, cap)
+
+
+class TestCycleExit:
+    @pytest.mark.parametrize("name", catalog_names() + ["restart", "big"])
+    def test_matches_the_full_loop(self, name):
+        # the return at a proved cycle keeps (total, tail) bit for bit,
+        # against the loop that runs through the idle steps: on the
+        # catalog, on the map of tools/smoke.py whose orbits restart, and
+        # on the 31-digit-prime map, where rad_R = 0 leaves no idle step
+        if name == "restart":
+            phi = RationalMap.from_strings(["0", "5", "25"], ["1", "0", "5"],
+                                           0)
+            rows_points = [("-19", "5")]
+        elif name == "big":
+            phi, rows_points = big_map(), [("2", "1")]
+        else:
+            phi, rows_points = catalog(name), []
+        eng = _engine(phi)
+        idle = 0
+        for P in sample_points(phi, rows_points):
+            pair = P.reduced_pair()
+            for n_fin in (0, 1, _FIN_CAP):
+                want, skipped = full_fin_value(eng, *pair, n_fin)
+                got = eng._fin_value(*pair, n_fin)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (
+                    str(P), n_fin)
+                idle += skipped
+        assert (idle > 0) == (eng.rad_R > 0) == (name != "big")
 
 
 # four 31-digit primes; (C z^2 + B z + A) / (D z) has resultant A C D^2

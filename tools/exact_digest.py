@@ -29,7 +29,13 @@ digest holds, with floats by `repr` so a one-ulp change shows:
 
 Without numpy the digest leaves out "analytic" and "densities", says so
 on stderr, and holds the five exact keys, which are the same bytes on
-every Python.
+every Python.  `--exact` blocks numpy as tools/smoke.py does and prints
+those five keys alone, whatever is installed; their md5 is pinned in
+tools/exact_digest.md5:
+
+    PYTHONPATH=src python3 tools/exact_digest.py --exact | md5sum -c tools/exact_digest.md5
+
+A change that moves an exact bit fails that check and re-pins the md5.
 """
 
 import hashlib
@@ -213,6 +219,12 @@ def _densities(cat) -> dict:
 
 
 def main() -> None:
+    exact = sys.argv[1:] == ["--exact"]
+    if sys.argv[1:] and not exact:
+        sys.exit("usage: exact_digest.py [--exact]")
+    if exact:
+        # a blocked module sits in sys.modules as None
+        sys.modules["numpy"] = None
     cat, names = p1dyn.catalog, p1dyn.catalog_names()
     digest = {
         "catalog": _catalog(cat, names),
@@ -221,12 +233,12 @@ def main() -> None:
         "heights": _heights(cat),
         "images": _images(cat),
     }
-    if importlib.util.find_spec("numpy") is None:
-        print("exact_digest: numpy is not importable; left out: analytic, "
-              "densities", file=sys.stderr)
-    else:
+    if not exact and importlib.util.find_spec("numpy") is not None:
         digest["analytic"] = _analytic(cat, names)
         digest["densities"] = _densities(cat)
+    elif not exact:
+        print("exact_digest: numpy is not importable; left out: analytic, "
+              "densities", file=sys.stderr)
     json.dump(digest, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
