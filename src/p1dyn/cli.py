@@ -302,11 +302,10 @@ def _cmd_green(args) -> dict:
     label, phi = _load_maps(args, 1)[0]
     if not args.point:
         raise MapSpecError("green needs at least one --point re,im")
-    lift = measures.Lift.from_map(phi)
     results = []
     for text in args.point:
         z = _parse_complex(text)
-        g = measures.green(lift, z, args.iters)
+        g = measures.green(phi, z, args.iters)
         results.append({"point": _czpair(z), "value": g})
     return {"map": label, "iterations": args.iters, "results": results}
 

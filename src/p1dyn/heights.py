@@ -380,16 +380,6 @@ class _HeightEngine:
 _engine = lru_cache(maxsize=128)(_HeightEngine)
 
 
-def _coerce_point(phi: RationalMap, P: ProjPoint) -> ProjPoint:
-    if P.d == phi.d:
-        return P
-    if P.d == 0:
-        return ProjPoint(P.x0.embed(phi.d), P.x1.embed(phi.d), phi.d)
-    raise DomainError(
-        f"point over d={P.d} cannot feed a map over d={phi.d}"
-    )
-
-
 def canonical_height(
     phi: RationalMap, P: ProjPoint, target_error: float = 1e-9
 ) -> HeightValue:
@@ -399,10 +389,20 @@ def canonical_height(
     derived from coefficient norms and the resultant; it is at most
     target_error unless the iteration caps are hit, which raises with
     the partial value attached.
+
+    P lies over phi's field or over Q.  A rational P feeds the engine as
+    it is: its reduced pair, (u0, 0) and (u1, 0) on the integral basis,
+    is the same ints in Z, Z[i] and Z[omega], since pair_gcd of two
+    rational pairs is math.gcd in every ring, and the unit that turns
+    (u, 0) to (|u|, 0) is +-1 for t = 0 and t = 1 alike.
     """
     if not target_error > 0:
         raise DomainError("target_error must be positive")
-    return _engine(phi).height(_coerce_point(phi, P), target_error)
+    if P.d not in (0, phi.d):
+        raise DomainError(
+            f"point over d={P.d} cannot feed a map over d={phi.d}"
+        )
+    return _engine(phi).height(P, target_error)
 
 
 def height_constants(phi: RationalMap) -> dict:

@@ -85,21 +85,6 @@ class QuadFieldElement:
     def one(cls, d=0):
         return cls(1, 0, d)
 
-    def embed(self, d: int) -> "QuadFieldElement":
-        """Lift this element into the field tagged d.
-
-        Only the canonical embedding of Q into a quadratic field is
-        available; moving between two distinct quadratic fields is an error.
-        """
-        if d == self._d:
-            return self
-        if self._d == 0:
-            # a rational's basis pair (u, 0) is the same in every ring
-            return QuadFieldElement._of(self._u, 0, self._den, d)
-        raise FieldMismatchError(
-            f"cannot embed an element of d={self._d} into d={d}"
-        )
-
     # -- coercion -------------------------------------------------------------
 
     def _coerce(self, other):

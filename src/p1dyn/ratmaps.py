@@ -332,12 +332,13 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 class ProjPoint:
     """Point of the projective line over a quadratic field.
 
-    Stored as a coordinate pair (x0 : x1), x1 = 0 meaning infinity.
-    Equality is cross-multiplication, so representatives never need to
-    be scaled by hand.
+    Stored as the coordinate pair (x0 : x1) it was given, x1 = 0 meaning
+    infinity.  Equality and hashing compare the canonical pair of
+    reduced_pair, computed once per point, so representatives never need
+    to be scaled by hand.
     """
 
-    __slots__ = ("_x0", "_x1", "_d")
+    __slots__ = ("_x0", "_x1", "_d", "_pair")
 
     def __init__(self, x0, x1, d: int | None = None):
         if d is None:
@@ -350,6 +351,7 @@ class ProjPoint:
         self._x0 = _coerce_coeff(x0, d)
         self._x1 = _coerce_coeff(x1, d)
         self._d = d
+        self._pair = None
         if self._x0.is_zero() and self._x1.is_zero():
             raise DomainError("(0 : 0) is not a projective point")
 
@@ -387,26 +389,29 @@ class ProjPoint:
         """Integral coprime representative, gcd-normalized.
 
         Clears denominators with one rational integer, removes the
-        integral gcd, and fixes the unit so the pair is canonical.
+        integral gcd, and turns by the unit that makes x1 (x0 at
+        infinity) its canonical associate.  Computed on first use and
+        kept: the ring of integers is a PID, so this pair is the same
+        for every representative of the point.
         """
-        d, t = self._d, omega_flag(self._d)
-        (a, b), _ = cleared_pairs((self._x0, self._x1))
-        g = pair_gcd(a, b, t)
-        if g != (1, 0):
-            a, b = pair_divexact(a, g, t), pair_divexact(b, g, t)
-        # fix residual unit on the pair via the first nonzero coordinate
-        k = unit_turns(b if any(b) else a, t)
-        return (
-            QuadFieldElement.from_basis_pair(*pair_turn(a, k, t), d),
-            QuadFieldElement.from_basis_pair(*pair_turn(b, k, t), d),
-        )
+        if self._pair is None:
+            d, t = self._d, omega_flag(self._d)
+            (a, b), _ = cleared_pairs((self._x0, self._x1))
+            g = pair_gcd(a, b, t)
+            if g != (1, 0):
+                a, b = pair_divexact(a, g, t), pair_divexact(b, g, t)
+            k = unit_turns(b if any(b) else a, t)
+            self._pair = (
+                QuadFieldElement.from_basis_pair(*pair_turn(a, k, t), d),
+                QuadFieldElement.from_basis_pair(*pair_turn(b, k, t), d),
+            )
+        return self._pair
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        if self._d != other._d:
-            return False
-        return (self._x0 * other._x1 - other._x0 * self._x1).is_zero()
+        return (self._d == other._d
+                and self.reduced_pair() == other.reduced_pair())
 
     def __hash__(self) -> int:
         return hash(self.reduced_pair() + (self._d,))

@@ -982,13 +982,13 @@ class TestRingOperationsBuildNoFractions:
                     if y:
                         out += [x / y, y**-2]
             out += [-x, x.conj(), x**3, x + 1, 2 - x, x * r, r - x, x == r,
-                    x.is_integral(), x.is_zero(), x.embed(x.d)]
+                    x.is_integral(), x.is_zero()]
             if x:
                 out += [x.inverse(), r / x]
         for d in (0, 1, 3):
             out.append(cleared_pairs([x for x in xs if x.d == d]))
         out += [phi(P), phi.eval_pair(P.x0, P.x1), phi.num(P.x0),
-                xs[-1].embed(1), xs[1].basis_pair()]
+                xs[1].basis_pair()]
         assert made == [] and len(out) > 100
         # the counter is live: Fraction arithmetic and a coordinate read
         half + third
@@ -1545,7 +1545,7 @@ class TestPolyDivision:
         # a map over Q also cancels once embedded in Q(i) and Q(sqrt -3)
         phi = catalog(name)
         for d in ((phi.d,) if phi.d else (0, 1, 3)):
-            num, den = (Poly([c.embed(d) for c in f.coeffs], d)
+            num, den = (Poly([QF(c.a, c.b, d) for c in f.coeffs], d)
                         for f in (phi.num, phi.den))
             half = QF(Fraction(1, 2), Fraction(-3, 4) if d else 0, d)
             g = Poly([Fraction(-2, 3), half, 7], d)
@@ -2288,7 +2288,7 @@ class TestArchOracle:
         pts = [ProjPoint.affine(w), ProjPoint.affine(w * w),
                ProjPoint.affine(-w)]
         for name in ("pow_2", "pow_3", "pow_4"):
-            phi = RationalMap(*(Poly([c.embed(d) for c in f.coeffs], d)
+            phi = RationalMap(*(Poly([QF(c.a, c.b, d) for c in f.coeffs], d)
                                 for f in (catalog(name).num,
                                           catalog(name).den)))
             _check_arch(phi, pts)

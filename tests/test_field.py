@@ -97,12 +97,6 @@ class TestBasicArithmetic:
             assert hash(QF(3, 1, d)) == hash(QF(3, 1, d))
             assert QF(3, 1, d) not in {QF(3, 0, d), 3}
 
-    def test_embed(self):
-        x = QF(Fraction(2, 3))
-        assert x.embed(1) == QF(Fraction(2, 3), 0, 1)
-        with pytest.raises(FieldMismatchError):
-            gauss(1, 1).embed(3)
-
     def test_d0_rejects_sqrt_part(self):
         with pytest.raises(DomainError):
             QF(1, 1, 0)

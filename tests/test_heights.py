@@ -294,6 +294,33 @@ class TestCanonicalGeneric:
         a = canonical_height(dbl, pt(2, 1), 1e-9).value
         b = canonical_height(dbl, pt(2, 1, 1), 1e-9).value
         assert a == b
+        # a rational point feeds every map over Q(i) and Q(sqrt -3) as it
+        # is, with the bits of the same point written over the map's field
+        for name in catalog_names():
+            phi = catalog(name)
+            if not phi.d:
+                continue
+            rng = random.Random(f"embed:{name}")
+            pairs = [(Fraction(rng.randint(-60, 60), rng.randint(1, 9)),
+                      Fraction(rng.randint(-60, 60), rng.randint(1, 9)))
+                     for _ in range(6)] + [(1, 0), (0, 1), (-6, 4)]
+            for x0, x1 in pairs:
+                if not (x0 or x1):
+                    continue
+                P = pt(x0, x1)
+                E = pt(x0, x1, phi.d)
+                for tol in (1e-11, 1e-3):
+                    a = canonical_height(phi, P, tol)
+                    b = canonical_height(phi, E, tol)
+                    assert (a.value.hex(), a.error_bound.hex(),
+                            a.iterations_used) == (b.value.hex(),
+                                                   b.error_bound.hex(),
+                                                   b.iterations_used)
+            other = 4 - phi.d
+            with pytest.raises(DomainError, match=(
+                    f"point over d={other} cannot feed a map over "
+                    f"d={phi.d}")):
+                canonical_height(phi, pt(QF(1, 1, other), 2, other))
 
     def test_error_bound_honored(self):
         dbl = lattes_double(curve_E1())
@@ -309,6 +336,77 @@ def seeded_points(name: str, count: int = 6) -> list:
     rng = random.Random(f"bound:{name}")
     return [pt(QF(rng.randint(-15, 15), rng.randint(-15, 15) if d else 0, d),
                rng.randint(1, 15), d) for _ in range(count)]
+
+
+def mobius(rng, d):
+    """M(z) = (az + b)/(cz + e) in PGL_2(O_K), entries u + v*w with |u|,
+    |v| <= 3 (v = 0 over Q), and its inverse (ez - b)/(-cz + a)."""
+    def entry():
+        return QF.from_basis_pair(rng.randint(-3, 3),
+                                  rng.randint(-3, 3) if d else 0, d)
+
+    while True:
+        a, b, c, e = (entry() for _ in range(4))
+        if a * e - b * c:
+            return (RationalMap(Poly([b, a], d), Poly([e, c], d)),
+                    RationalMap(Poly([-b, e], d), Poly([a, -c], d)))
+
+
+def small_point(rng, d):
+    """(u + v*w : n) with |u|, |v| <= 9 (v = 0 over Q) and 1 <= n <= 9."""
+    return pt(QF.from_basis_pair(rng.randint(-9, 9),
+                                 rng.randint(-9, 9) if d else 0, d),
+              rng.randint(1, 9), d)
+
+
+def conjugate(phi, M, M_inv):
+    """M^-1 o phi o M by exact composition."""
+    return M_inv.compose(phi.compose(M))
+
+
+# commuting catalog pairs over each field; conjugating both by one M
+# gives commuting pairs outside the catalog
+CONJUGATED_PAIRS = [
+    ("phi_1+i", "phi_1-i"), ("phi_2@E1", "phi_3@E1"),
+    ("phi_1+2i", "phi_2-i"), ("phi_2@E2", "phi_sqrt-3"),
+    ("phi_eps", "phi_sqrt-3*rho"), ("pow_2", "pow_3"),
+]
+
+
+class TestMobiusConjugates:
+    """Canonical heights are functorial (Call and Silverman, Compositio
+    Math. 89, 1993): psi = M^-1 phi M has h_psi(x) = h_phi(Mx) exactly,
+    so the height engine on psi's large coefficients, which no closed
+    form covers, is judged against phi's."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_height_is_functorial(self, name):
+        phi = catalog(name)
+        d = phi.d
+        rng = random.Random(f"mobius:{name}")
+        M, M_inv = mobius(rng, d)
+        psi = conjugate(phi, M, M_inv)
+        assert psi.degree == phi.degree and conjugate(psi, M_inv, M) == phi
+        for _ in range(2):
+            x = small_point(rng, d)
+            hx = canonical_height(psi, x)
+            hm = canonical_height(phi, M(x))
+            assert abs(hx.value - hm.value) <= (
+                hx.error_bound + hm.error_bound), (name, str(x))
+
+    @pytest.mark.parametrize("a, b", CONJUGATED_PAIRS)
+    def test_conjugated_commuting_maps_share_heights(self, a, b):
+        # the paper's shared heights (c05), on a pair the catalog lacks
+        d = catalog(a).d
+        rng = random.Random(f"mobius:{a}:{b}")
+        M, M_inv = mobius(rng, d)
+        psi, psi2 = (conjugate(catalog(n), M, M_inv) for n in (a, b))
+        assert psi.commutes_with(psi2)
+        for _ in range(2):
+            x = small_point(rng, d)
+            h1, h2 = canonical_height(psi, x), canonical_height(psi2, x)
+            assert abs(h1.value - h2.value) <= (
+                h1.error_bound + h2.error_bound), (a, b, str(x))
 
 
 class TestBoundAtLooseTargets:

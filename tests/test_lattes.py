@@ -609,7 +609,7 @@ class TestMapLookup:
         # pow_2 over Z[i] is not the catalog's pow_2 over Q
         pow_2 = catalog("pow_2")
         assert entry_for_map(RationalMap(
-            *(Poly([c.embed(1) for c in f.coeffs], 1)
+            *(Poly([QF(c.a, c.b, 1) for c in f.coeffs], 1)
               for f in (pow_2.num, pow_2.den)))) is None
 
 

@@ -197,6 +197,41 @@ class TestGreen:
             with pytest.raises(DomainError, match=reason):
                 green(phi, z, 30)
 
+    def test_tiny_lift_is_right_or_refused(self):
+        # z^3/(z + 2^-1060) takes z in the unit disc towards 0, and a
+        # double loses z^3 before it loses z: from z = 2^-512 the iterate
+        # (z^2, 1) reads (0, 1), so the next m = |z^2 + 2^-1060| reads
+        # 2^-1060 instead of 2^-1024, which moves the value at 0.5 by
+        # 1.4e-4.  Scaling the iterate past 1/m's overflow would return
+        # that value; green refuses it.  Outside the disc the orbit runs
+        # to infinity, and the value is right
+        tiny = RationalMap(Poly([0, 0, 0, 1], 0),
+                           Poly([Fraction(1, 2**1060), 1], 0))
+
+        def orbit(z, n):
+            with mpmath.workdps(60):
+                eps = mpmath.mpf(2) ** -1060
+                w0, w1 = mpmath.mpc(z), mpmath.mpc(1)
+                m = max(abs(w0), abs(w1))
+                g, s = mpmath.log(m), mpmath.mpf(1)
+                for _ in range(n):
+                    s /= 3
+                    w0, w1 = w0 / m, w1 / m
+                    w0, w1 = w0**3, w0 * w1**2 + eps * w1**3
+                    m = max(abs(w0), abs(w1))
+                    g += s * mpmath.log(m)
+                return float(g)
+
+        returned = 0
+        for z in (0.5, 0.9, 0.3 + 0.2j, 0.0, 1.5, -2 + 1j, 1e3j):
+            try:
+                g = green(tiny, z, 30)
+            except DomainError:
+                continue
+            returned += 1
+            assert abs(g - orbit(z, 30)) <= 1e-13, z
+        assert returned == 3
+
     def test_functional_equation_catalog(self):
         # max over pseudo-random points of |g(F(z))/deg - g(z)|
         for name, bound in [("phi_1+i", 1e-4), ("phi_sqrt-3", 1e-4),

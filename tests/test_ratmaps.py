@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from p1dyn import ratmaps
 from p1dyn.errors import DomainError, FieldMismatchError
+from p1dyn.heights import canonical_height, height_constants
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.quadfield import QuadFieldElement as QF
 from p1dyn.ratmaps import (
@@ -124,6 +126,74 @@ class TestProjPoint:
     def test_hash_consistent(self):
         assert hash(ProjPoint(6, 4)) == hash(ProjPoint(3, 2))
         assert len({ProjPoint(6, 4), ProjPoint(3, 2), ProjPoint(1, 1)}) == 2
+
+    @pytest.mark.parametrize("name, d", [("pow_2", 0), ("phi_1+i", 1),
+                                         ("phi_1+i", 0), ("phi_sqrt-3", 3)])
+    def test_one_reduction_per_point(self, monkeypatch, name, d):
+        # a point is reduced on first use and never again, however often
+        # it is compared, hashed or measured; the map's engine is built
+        # first, as its integral model takes gcds of its own
+        phi = catalog(name)
+        height_constants(phi)
+        calls = []
+        gcd = ratmaps.pair_gcd
+        monkeypatch.setattr(ratmaps, "pair_gcd",
+                            lambda *a: calls.append(a) or gcd(*a))
+        half = QF(Fraction(1, 2), Fraction(3, 2) if d else 0, d)
+        P = ProjPoint(half * 6, QF(-4, 2 if d else 0, d), d)
+        Q = ProjPoint(P.x0 * half, P.x1 * half, d)
+        assert P.reduced_pair() is P.reduced_pair()
+        assert len(calls) == 1
+        assert P == Q and hash(P) == hash(Q) and len({P, Q}) == 1
+        assert len(calls) == 2
+        for tol in (1e-9, 1e-9, 1e-4):
+            canonical_height(phi, P, tol)
+            canonical_height(phi, Q, tol)
+        assert P != ProjPoint.infinity(d) and Q in {P}
+        assert len(calls) == 3
+        assert (P.x0, P.x1) == (half * 6, QF(-4, 2 if d else 0, d))
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_scaled_representatives_agree(self, d):
+        # == and hash agree on every representative: the same point
+        # scaled by a unit and an element with a denominator, and
+        # different points by the cross-multiplication oracle
+        rng = random.Random(f"scaled:{d}")
+        unit = {0: QF(-1), 1: QF(0, 1, 1),
+                3: QF(Fraction(1, 2), Fraction(1, 2), 3)}[d]
+
+        def elem(size, den=3):
+            return QF(Fraction(rng.randint(-size, size), rng.randint(1, den)),
+                      Fraction(rng.randint(-size, size), rng.randint(1, den))
+                      if d else 0, d)
+
+        def point():
+            while True:
+                x0, x1 = elem(1, 2), elem(1, 2)
+                if x0 or x1:
+                    return ProjPoint(x0, x1, d)
+
+        equal = 0
+        for _ in range(300):
+            P, R = point(), point()
+            c = QF(0, 0, d)
+            while not c:
+                c = elem(10**20)
+            c = c * unit ** rng.randrange(6)
+            Q = ProjPoint(c * P.x0, c * P.x1, d)
+            assert P == Q and hash(P) == hash(Q)
+            assert P.reduced_pair() == Q.reduced_pair()
+            same = (P.x0 * R.x1 - R.x0 * P.x1).is_zero()
+            assert (P == R) == same == (R == Q)
+            if same:
+                equal += 1
+                assert hash(P) == hash(R)
+            x0, x1 = P.reduced_pair()
+            assert x0.is_integral() and x1.is_integral()
+            if d == 0:
+                # the same pair over another field is another point
+                assert P != ProjPoint(QF(P.x0.a, 0, 1), QF(P.x1.a, 0, 1), 1)
+        assert equal >= 5
 
 
 class TestRationalMap:
