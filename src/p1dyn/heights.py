@@ -16,8 +16,11 @@ bits_k = max(64, 64 + (n - k) amp - drop) bits, with amp = ceil(log2(4A))
 and drop = min(40, floor(n log2 alpha)).  The last pair's relative error
 then stays below 2^(-59.58 + drop), which moves the value by less than
 2^-59.5, and the working size falls from 64 + n amp bits to 64 along the
-orbit.  From alpha^n >= 2^13 on, the last pair's log is a double's,
-which adds less than 2^-59.98: the value's error stays below 2^-58.7.
+orbit.  The last pair's log is a double's, of its norm from alpha^n >=
+2^13 on and below that of the norm squared 40 times in 128 bits, which
+adds less than 2^-59.98; the shift's log 2 and the division by alpha^n
+are one correctly rounded division of integers, within 2^-72 before it
+rounds.  So the value's error stays below 2^-58.7.
 Both loops run one kernel of the forms (formkernel.form_kernel), in x0^r
 and x1^r for r the order of the rotation that a Lattes map commutes with,
 shared by every engine of one shape of forms.  Engines are cached per
@@ -55,7 +58,6 @@ from the coefficient one-norms (upper) and an exact Bezout certificate
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 
 from .errors import DomainError, IterationBudgetError
@@ -119,11 +121,59 @@ def _trial_factor(n: int) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _ln2(prec: int) -> Decimal:
-    """log 2 to `prec` digits.  Decimal.ln rounds correctly, so the cached
-    value has the digits a fresh one would."""
-    with localcontext(Context(prec=prec)):
-        return Decimal(2).ln()
+def _ln2_fixed(p: int) -> int:
+    """log 2 * 2^p within one unit, from log 2 = 2 atanh(1/3) =
+    sum 2/((2k+1) 3^(2k+1)).  Each term is the floor of its value at
+    g = bitlen(p) + 3 guard bits, a nested floor of exact quotients, so
+    the sum of the p/3 or so terms and its tail falls short by less than
+    2^(g-2) and the rounded shift lands within one unit."""
+    g = p.bit_length() + 3
+    x = (1 << (p + g)) // 3
+    total = 0
+    k = 1
+    while x:
+        total += x // k
+        x //= 9
+        k += 2
+    return (total + (1 << (g - 2))) >> (g - 1)
+
+
+def _log_ratio(top: int, shift: int, alpha_n: int) -> tuple:
+    """(num, den), ints whose quotient is (shift log 2 + log(top)/2) /
+    alpha_n within 2^-59.9, for 1 <= top < 3 * 2^128.
+
+    From alpha_n = 2^13 on, j = 0; below, top is squared j = 40 times,
+    each square cut to its top 128 bits and the s bits cut counted, so
+    that log(top) = (log(top_j) + s log 2) / 2^j, where the cuts leave a
+    relative error below 2^(j - 126) in top_j: less than 2^-127 in the
+    value.  A double's log of top_j (below 2^130) errs by one ulp of a
+    value below 128 and the int's rounding, 2^-46 + 2^-53, and the value
+    takes it divided by 2^(j+1) alpha_n: below 2^-59.98 from 2^13 on, and
+    below 2^-32 of an ulp of any value with top >= 2 (at least
+    log(2) / (2 alpha_n)) below 2^13, so the double is the one an exact
+    log would round to, but for a tie that close (top = 1 has log 0).
+    With S = 2^(j+1) shift + s and P >= 72 + bitlen(S), num = S L +
+    floor(log(top_j) 2^P) for L within one unit of log(2) 2^P, so S L is
+    within 2^(P-72) of S log(2) 2^P, and den = 2^(j+1) alpha_n 2^P:
+    num / den rounds once, correctly.
+    """
+    j = 0 if alpha_n >> 13 else 40
+    s = 0
+    for _ in range(j):
+        top *= top
+        e = top.bit_length() - 128
+        if e > 0:
+            top >>= e
+            s += s + e
+        else:
+            s += s
+    S = (shift << (j + 1)) + s
+    # at least 72 + bitlen(S), a multiple of 64: few sizes reach the cache
+    P = (S.bit_length() + 135) >> 6 << 6
+    # a double log of an int >= 1 is 0 or at least 2^-1, so log(top_j)
+    # 2^P is an int, and d a power of two that divides 2^P
+    n, d = math.log(top).as_integer_ratio()
+    return S * _ln2_fixed(P) + (n << P) // d, alpha_n << (j + 1 + P)
 
 
 class HeightValue(_Frozen):
@@ -222,10 +272,9 @@ class _HeightEngine:
         # as 2^drop <= alpha^n, and the cap of 40 on drop keeps that
         # relative error below 2^-19, where log(1 + delta) is within
         # 1.00001 delta: the value moves by less than 2^-59.5.  The last
-        # pair's coordinates are below 2^64, so top < 3 * 2^128, and a
-        # double's log of it errs by one ulp of a value below 128 and the
-        # int's rounding, 2^-46 + 2^-53; halved and divided by alpha^n >=
-        # 2^13 that is below 2^-59.98, and the value's error below 2^-58.7
+        # pair's coordinates are below 2^64, so top < 3 * 2^128, and
+        # _log_ratio's division errs by less than 2^-59.9 before it
+        # rounds: the value's error stays below 2^-58.7
         t, alpha, plan, amp = self._t, self.alpha, self._plan, self._amp_bits
         alpha_n = alpha**n_arch
         # floor(n log2 alpha), exactly; bits runs down to bits_k at step k
@@ -245,12 +294,8 @@ class _HeightEngine:
                 a0, b0, a1, b1 = a0 >> e, b0 >> e, a1 >> e, b1 >> e
                 shift += e
         top = max(pair_norm((a0, b0), t), pair_norm((a1, b1), t))
-        prec = 30 + len(str(shift))
-        # a fresh context, so a caller's decimal settings cannot leak in
-        with localcontext(Context(prec=prec)):
-            ln = Decimal(math.log(top)) if alpha_n >> 13 else Decimal(top).ln()
-            log_top = shift * _ln2(prec) + ln / 2
-            value = float(log_top / alpha_n)
+        num, den = _log_ratio(top, shift, alpha_n)
+        value = num / den
         tail = self.c_bound / (alpha - 1) * (1 / alpha_n)
         return value, tail
 

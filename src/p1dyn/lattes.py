@@ -118,8 +118,10 @@ class RamificationProfile(_Frozen):
         return tuple(sorted(self.counts, reverse=True))
 
 
+@lru_cache(maxsize=16)
 def lattes_double(curve: EllipticCurveCM) -> RationalMap:
-    """x-coordinate doubling: ((G')^2 - 8zG) / (4G), degree 4."""
+    """x-coordinate doubling: ((G')^2 - 8zG) / (4G), degree 4.  Cached
+    per curve, so repeated calls return one map."""
     G = curve.G
     dG = G.derivative()
     z = Poly([0, 1], curve.d)
@@ -131,11 +133,12 @@ def lattes_double(curve: EllipticCurveCM) -> RationalMap:
     return out
 
 
+@lru_cache(maxsize=16)
 def lattes_triple(curve: EllipticCurveCM) -> RationalMap:
     """x-coordinate tripling via division polynomials, degree 9.
 
     Requires the depressed form x^3 + Ax + B.  psi_3 and psi_2*psi_4 are
-    classical polynomials in x alone.
+    classical polynomials in x alone.  Cached per curve, as lattes_double.
     """
     G = curve.G
     if not G.coeff(2).is_zero():

@@ -72,6 +72,11 @@ class Lift:
     def _set(self, f0, f1) -> None:
         self.degree = len(f0) - 1
         self._coeffs = (tuple(map(complex, f0)), tuple(map(complex, f1)))
+        # each form's highest nonzero coefficient, where its Horner starts
+        self._tops = tuple(
+            max((k for k, c in enumerate(f) if c), default=self.degree)
+            for f in self._coeffs
+        )
 
     @classmethod
     def from_map(cls, phi: RationalMap) -> "Lift":
@@ -84,23 +89,33 @@ class Lift:
     def eval(self, w0, w1):
         """Both forms at one point (w0, w1), by _forms_scalar's Horner,
         as np.complex128."""
-        a0, a1 = _forms_scalar(self._coeffs, complex(w0), complex(w1))
+        a0, a1 = _forms_scalar(self._coeffs, self._tops, complex(w0),
+                               complex(w1))
         return np.complex128(a0), np.complex128(a1)
 
 
-def _forms_scalar(coeffs, w0: complex, w1: complex):
-    """F(w0, w1) in Python complex.  Each Horner starts from the top
-    coefficient times 1 and keeps every term, as the plain Horner on
-    numpy scalars does, so every product and sum rounds, and every zero
-    takes its sign, as there."""
+def _forms_scalar(coeffs, tops, w0: complex, w1: complex):
+    """F(w0, w1) in Python complex.  Each Horner starts at its form's top
+    nonzero coefficient t, as f[t] * w1^(deg - t), and from there keeps
+    every term, as the plain Horner on numpy scalars does, so every
+    product and sum rounds as there.  The steps skipped above t are
+    0 * w0 + 0, which can only set the sign of a zero: a component that
+    is exactly zero may flip sign, and no magnitude moves."""
     f0, f1 = coeffs
-    a0 = f0[-1] * _ONE
-    a1 = f1[-1] * _ONE
-    p = w1
-    for k in range(len(f0) - 2, -1, -1):
-        a0 = a0 * w0 + f0[k] * p
-        a1 = a1 * w0 + f1[k] * p
-        p = p * w1
+    t0, t1 = tops
+    a0 = a1 = None
+    # p = w1^(deg - k) at step k: 1, then w1 and the plain Horner's chain
+    p = _ONE
+    for k in range(len(f0) - 1, -1, -1):
+        if k < t0:
+            a0 = a0 * w0 + f0[k] * p
+        elif k == t0:
+            a0 = f0[k] * p
+        if k < t1:
+            a1 = a1 * w0 + f1[k] * p
+        elif k == t1:
+            a1 = f1[k] * p
+        p = w1 if p is _ONE else p * w1
     return a0, a1
 
 
@@ -110,23 +125,33 @@ def _forms_into(lift: "Lift", bufs: list) -> list:
     bufs holds seven complex arrays of one shape: w0 and w1, which are
     read and not written, and five scratch arrays.  Returns the same
     seven, reordered: the two forms first, then five free arrays (w0
-    and w1 among them).  A coefficient that is exactly zero costs only
-    acc * w0: the term skipped, 0 * w1^(deg-k), could only have set the
-    sign of a zero, so a component that is exactly zero may flip sign,
-    but no magnitude and no Green value moves (inf or nan inputs may
-    give other non-finite values, which GreenField refuses).  No complex
-    product is written over one of its factors: on a one-element array
-    numpy then takes a loop that rounds like the scalar arithmetic, not
-    like the array loop (which can fuse a multiply-add).
+    and w1 among them).  Each form's Horner starts at its top nonzero
+    coefficient t, as f[t] * w1^(deg - t), and below it a coefficient
+    that is exactly zero costs only acc * w0.  Both skip terms that are
+    0 * w0 + 0 or 0 * w1^(deg-k), which could only have set the sign of
+    a zero, so a component that is exactly zero may flip sign, but no
+    magnitude and no Green value moves (inf or nan inputs may give other
+    non-finite values, which GreenField refuses).  No complex product is
+    written over one of its factors: on a one-element array numpy then
+    takes a loop that rounds like the scalar arithmetic, not like the
+    array loop (which can fuse a multiply-add).
     """
     w0, w1, a0, a1, tmp, p, q = bufs
     accs = [a0, a1]
-    for acc, f in zip(accs, lift._coeffs):
-        acc.fill(f[-1] * _ONE)
+    deg = lift.degree
+    forms = list(zip(lift._coeffs, lift._tops))
+    for acc, (f, t) in zip(accs, forms):
+        if t == deg:
+            acc.fill(f[-1] * _ONE)
     p1 = w1
-    for k in range(lift.degree - 1, -1, -1):
-        for i, f in enumerate(lift._coeffs):
+    for k in range(deg - 1, -1, -1):
+        for i, (f, t) in enumerate(forms):
+            if k > t:
+                continue
             acc = accs[i]
+            if k == t:
+                np.multiply(f[k], p1, out=acc)
+                continue
             np.multiply(acc, w0, out=tmp)
             if f[k]:
                 np.multiply(f[k], p1, out=acc)
@@ -285,6 +310,7 @@ def _green_scalar(lift: Lift, z: complex, n: int) -> float:
     """_green_block's steps at one point, the forms in Python complex
     (_forms_scalar).  abs and log stay numpy's, which round differently
     from Python's abs and math.log."""
+    coeffs, tops = lift._coeffs, lift._tops
     w0, w1 = z, _ONE
     m = _abs_max(w0, w1)
     g = np.log(m)
@@ -299,7 +325,7 @@ def _green_scalar(lift: Lift, z: complex, n: int) -> float:
             raise DomainError(f"Green value at {z} is not finite: the lift "
                               "underflows in double precision")
         inv = 1.0 / m
-        w0, w1 = _forms_scalar(lift._coeffs, w0 * inv, w1 * inv)
+        w0, w1 = _forms_scalar(coeffs, tops, w0 * inv, w1 * inv)
         m = _abs_max(w0, w1)
         if m == 0.0:
             # log(0) would warn

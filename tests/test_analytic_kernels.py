@@ -13,12 +13,20 @@ roots are matched one to one against the oracle's, within the distance
 that the two backward errors allow; its own bits must not depend on the
 block size.  Without an oracle, green() and green_field() must agree
 cell by cell to rounding, and green() must obey the finite-n step
-relation g_n(F(w)) = deg * g_(n+1)(w) on every lift.  The trees are
+relation g_n(F(w)) = deg * g_(n+1)(w) on every lift.  Both Horners
+start each form at its top nonzero coefficient; against the full Horner
+(full_forms_into, full_forms_scalar) they must keep every |F| and every
+Green value bit for bit, on the catalog lifts, on Mobius conjugates
+M^-1 phi M, whose forms are dense, and on random sparse lifts, and the
+conjugates' Green values must differ from phi's at Mz by log|cz + e|
+plus a constant.  The trees are
 built by _preimage_tree: on the curve maps
 below, preimage_sample takes its leaves from the period lattice and
 never reaches the Aberth kernel.
 """
 
+import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -49,6 +57,7 @@ from p1dyn.measures import (
 )
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import Poly, RationalMap
+from test_heights import conjugate, mobius
 
 TWO_PI = measures.TWO_PI
 
@@ -56,15 +65,60 @@ TWO_PI = measures.TWO_PI
 
 
 def oracle_eval(lift, w0, w1):
-    f0, f1 = (np.array(f) for f in lift._coeffs)
-    acc0 = f0[-1] * np.ones_like(w0)
-    acc1 = f1[-1] * np.ones_like(w0)
+    # each form's Horner from its top nonzero coefficient t, as
+    # f[t] * w1^(deg - t), on fresh arrays or numpy scalars
+    deg = lift.degree
+    accs = []
+    for f in lift._coeffs:
+        f = np.array(f)
+        top = max((k for k in range(deg + 1) if f[k]), default=deg)
+        acc = f[-1] * np.ones_like(w0) if top == deg else None
+        p1 = w1
+        for k in range(deg - 1, -1, -1):
+            if k == top:
+                acc = f[k] * p1
+            elif k < top:
+                acc = acc * w0 + f[k] * p1
+            p1 = p1 * w1
+        accs.append(acc)
+    return tuple(accs)
+
+
+def full_forms_scalar(coeffs, w0: complex, w1: complex):
+    """_forms_scalar's Horner run from the top coefficient, zero or not:
+    the reference whose |F| the start at the top nonzero one keeps."""
+    f0, f1 = coeffs
+    a0 = f0[-1] * (1.0 + 0j)
+    a1 = f1[-1] * (1.0 + 0j)
+    p = w1
+    for k in range(len(f0) - 2, -1, -1):
+        a0 = a0 * w0 + f0[k] * p
+        a1 = a1 * w0 + f1[k] * p
+        p = p * w1
+    return a0, a1
+
+
+def full_forms_into(lift, bufs):
+    """_forms_into from the top coefficient, zero or not, as full_forms_scalar."""
+    w0, w1, a0, a1, tmp, p, q = bufs
+    accs = [a0, a1]
+    for acc, f in zip(accs, lift._coeffs):
+        acc.fill(f[-1] * (1.0 + 0j))
     p1 = w1
     for k in range(lift.degree - 1, -1, -1):
-        acc0 = acc0 * w0 + f0[k] * p1
-        acc1 = acc1 * w0 + f1[k] * p1
-        p1 = p1 * w1
-    return acc0, acc1
+        for i, f in enumerate(lift._coeffs):
+            acc = accs[i]
+            np.multiply(acc, w0, out=tmp)
+            if f[k]:
+                np.multiply(f[k], p1, out=acc)
+                acc += tmp
+            else:
+                accs[i], tmp = tmp, acc
+        if k:
+            nxt = q if p1 is p else p
+            np.multiply(p1, w1, out=nxt)
+            p1 = nxt
+    return [accs[0], accs[1], w0, w1, tmp, p, q]
 
 
 def oracle_green_core(lift, w0, w1, n):
@@ -191,6 +245,26 @@ LIFTS = [(name, Lift.from_map(catalog(name))) for name in catalog_names()]
 LIFTS.append(("user", Lift.from_map(USER_MAP)))
 LIFT_IDS = [name for name, _ in LIFTS]
 WINDOW = (-1.7, 1.9, -1.3, 1.45)
+# Mobius conjugates M^-1 phi M of six catalog maps, three each: their
+# forms are dense where the catalog's are sparse
+CONJUGATED = ["pow_3", "phi_1+i", "phi_2@E1", "phi_2@E2", "phi_sqrt-3",
+              "phi_1+2i"]
+
+
+def conjugates(name):
+    """(M, psi) three times: psi = M^-1 phi M for the catalog map phi."""
+    phi = catalog(name)
+    rng = random.Random(f"green:{name}")
+    out = []
+    for _ in range(3):
+        M, M_inv = mobius(rng, phi.d)
+        out.append((M, conjugate(phi, M, M_inv)))
+    return out
+
+
+DENSE = [(f"{name}~{k}", Lift.from_map(psi))
+         for name in CONJUGATED
+         for k, (_, psi) in enumerate(conjugates(name))]
 
 
 # ---------------------------------------------------------------- eval
@@ -240,6 +314,147 @@ def test_eval_leaves_inputs_alone():
     for lo, hi in ((0, 2), (1, 2)):
         forms_into(lift, w0[lo:hi], w1[lo:hi])
     assert same_bits(w0, c0) and same_bits(w1, c1)
+
+
+# ------------------------------------------- Horner from the top term
+
+
+def assert_same_forms(got, want):
+    # the components equal as numbers, so |F| bit for bit, wherever the
+    # full Horner is finite, and non-finite in the same places
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        finite = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), finite)
+        assert np.array_equal(g[finite], w[finite])
+        assert same_bits(np.abs(g)[finite], np.abs(w)[finite])
+
+
+def full_horner_outcomes(fn, *args):
+    """fn(*args) as it is and with the full Horner patched in: a value
+    or the exception type, each."""
+    out = []
+    for full in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if full:
+                mp.setattr(measures, "_forms_into", full_forms_into)
+                mp.setattr(measures, "_forms_scalar",
+                           lambda coeffs, tops, w0, w1:
+                           full_forms_scalar(coeffs, w0, w1))
+            try:
+                out.append(fn(*args))
+            except DomainError as exc:
+                out.append(type(exc))
+    return out
+
+
+def assert_green_as_full_horner(lift, points, n):
+    for z in points:
+        got, want = full_horner_outcomes(green, lift, z, n)
+        assert type(got) is type(want) and repr(got) == repr(want), z
+    got, want = full_horner_outcomes(green_field, lift, WINDOW, (23, 11), n)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert same_bits(got.values, want.values)
+
+
+def sample_points(seed, size):
+    # normal points at scales 1e-5 to 1e5, some of them with zero or
+    # negative zero components
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-5, 5, size)
+    w = (rng.normal(size=size) + 1j * rng.normal(size=size)) * scale
+    w[::7] = w[::7].real
+    w[1::7] = complex(-0.0, 0.0)
+    w[2::7] = 1j * w[2::7].imag
+    return w
+
+
+def check_top_start(lift, seed):
+    w0, w1 = sample_points(seed, 301), sample_points(seed + 1, 301)
+    for lo, hi in ((0, 301), (5, 6), (7, 9)):
+        a0, a1 = w0[lo:hi].copy(), w1[lo:hi].copy()
+        bufs = [a0, a1] + [np.empty(a0.shape, complex) for _ in range(5)]
+        # coefficients near 1e300 overflow, as green_field's workers allow
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = forms_into(lift, a0, a1)
+            want = full_forms_into(lift, bufs)[:2]
+        assert_same_forms(got, want)
+    for a, b in zip(w0[:60].tolist(), w1[:60].tolist()):
+        got = lift.eval(a, b)
+        assert_same_forms(got, full_forms_scalar(lift._coeffs, a, b))
+
+
+@pytest.mark.parametrize("name,lift", LIFTS + DENSE,
+                         ids=LIFT_IDS + [name for name, _ in DENSE])
+def test_top_start_keeps_the_full_horner(name, lift):
+    # the catalog's forms start below the top, pow_k's denominators at
+    # their constant term; the conjugates' forms are dense
+    check_top_start(lift, 21)
+    assert_green_as_full_horner(lift, [0.5, -1.25 + 0.75j, 3j, 1e-3], 30)
+
+
+# coefficients of every size, exact zeros included, so that forms start
+# anywhere and lone terms occur
+SPARSE_COEFFS = st.one_of(
+    st.just(0j),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
+                       allow_nan=False, allow_infinity=False),
+    st.builds(lambda c, e: c * 10.0**e,
+              st.complex_numbers(min_magnitude=1, max_magnitude=9,
+                                 allow_nan=False, allow_infinity=False),
+              st.sampled_from([-300, -299, 299, 300])),
+)
+
+
+@st.composite
+def sparse_lifts(draw):
+    """A lift of degree 1 to 6 whose forms have random supports: a zero
+    top, a lone term or no term at all in either form."""
+    deg = draw(st.integers(1, 6))
+    forms = []
+    for _ in range(2):
+        support = draw(st.sets(st.integers(0, deg), max_size=deg + 1))
+        forms.append([draw(SPARSE_COEFFS.filter(bool)) if k in support
+                      else 0j for k in range(deg + 1)])
+    lift = Lift()
+    lift._set(*forms)
+    return lift
+
+
+@settings(max_examples=80, deadline=None)
+@given(lift=sparse_lifts(), seed=st.integers(0, 2**32 - 1))
+def test_top_start_keeps_the_full_horner_on_random_lifts(lift, seed):
+    check_top_start(lift, seed)
+    if lift.degree >= 2:
+        assert_green_as_full_horner(lift, [0.5, -1.25 + 0.75j, 3j], 12)
+
+
+@pytest.mark.parametrize("name", CONJUGATED)
+def test_green_of_a_conjugate(name):
+    # psi = M^-1 phi M for M(z) = (az + b)/(cz + e): psi's lift is a
+    # multiple of M^-1 F M on C^2, for the matrices of M and M^-1 and F
+    # phi's lift, and the Green function of a lift takes log|lambda| from
+    # a scalar lambda, so g_psi(z) - g_phi(Mz) - log|cz + e| does not
+    # depend on z.  Dense forms on the left, the catalog's on the right
+    phi = catalog(name)
+    rng = random.Random(f"green-points:{name}")
+    window = (-1.3, 1.1, -0.9, 1.2)
+    cells = _grid_centers(window, 4, 2)[0].ravel().tolist()
+    for M, psi in conjugates(name):
+        (b, a), (e, c) = M.complex_pair()
+
+        def pulled(z):
+            return green(phi, (a * z + b) / (c * z + e), 60) + math.log(
+                abs(c * z + e))
+
+        points = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                  for _ in range(8)]
+        diffs = [green(psi, z, 60) - pulled(z) for z in points]
+        field = green_field(psi, window, (4, 2), 60).values.ravel()
+        diffs += [g - pulled(z) for g, z in zip(field.tolist(), cells)]
+        assert max(diffs) - min(diffs) <= 1e-12, (str(M), diffs)
 
 
 # --------------------------------------------------------------- green

@@ -34,9 +34,16 @@ degree products up to 81, and _pack and _unpack round-trip every digit
 of the balanced range.  Height engines are cached per map, at most 128,
 and neither import p1dyn nor p1dyn catalog compiles a kernel.
 The archimedean loop takes the last pair's
-log in double precision from alpha^n = 2^13 on, checked against the
-Decimal logarithm bit for bit and against the mpmath sum within the
-restated 2^-58.7.  The other oracles below
+log in double precision, of the norm itself from alpha^n = 2^13 on and
+of its 40th square below, and the shift's log 2 and the division by
+alpha^n as one division of ints (_log_ratio); its oracle is the Decimal
+epilogue it replaced, decimal_epilogue, which takes an exact log below
+2^13.  The two give the same double on every catalog map and on a
+seeded sweep of 20,000 and more last pairs, shifts and alpha^n, and
+the quotient before it rounds is within the restated 2^-58.7 of the
+mpmath sum; the integer log 2 is within one unit of mpmath's, and
+neither import p1dyn nor an exact subcommand runs an import of decimal
+from p1dyn.  The other oracles below
 are the Fraction versions: elements with Fraction coordinates on the
 basis (1, sqrt(-d)) and Horner's rule on them, Euclid through exact
 field division with nearest rounding (ties toward +infinity), a search
@@ -71,6 +78,7 @@ import subprocess
 import sys
 import traceback
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -79,7 +87,13 @@ from hypothesis import given, settings, strategies as st
 from p1dyn.errors import DomainError, FieldMismatchError
 from p1dyn import heights
 from p1dyn.formkernel import form_kernel, kernel_factory
-from p1dyn.heights import _ARCH_CAP, _engine, _ln2, canonical_height
+from p1dyn.heights import (
+    _ARCH_CAP,
+    _engine,
+    _ln2_fixed,
+    _log_ratio,
+    canonical_height,
+)
 from p1dyn.lattes import (
     catalog,
     catalog_entry,
@@ -671,10 +685,31 @@ def orbit_values(eng, x0: QF, x1: QF, n_arch: int) -> tuple:
     prec = 30 + len(str(shift))
     with decimal.localcontext(decimal.Context(prec=prec)):
         return tuple(
-            (shift * _ln2(prec) + ln / 2) / alpha_n
+            (shift * decimal_ln2(prec) + ln / 2) / alpha_n
             for ln in (decimal.Decimal(top).ln(),
                        decimal.Decimal(math.log(top)))
         )
+
+
+@lru_cache(maxsize=16)
+def decimal_ln2(prec: int) -> decimal.Decimal:
+    """log 2 to `prec` digits, correctly rounded by Decimal.ln."""
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        return decimal.Decimal(2).ln()
+
+
+def decimal_epilogue(top: int, shift: int, alpha_n: int) -> float:
+    """The archimedean value from the last pair's norm top and its shift,
+    as the engine took it before _log_ratio: in Decimal, at 30 digits
+    more than shift has, the log of top exact below alpha^n = 2^13 and a
+    double's from there on."""
+    prec = 30 + len(str(shift))
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        if alpha_n >> 13:
+            ln = decimal.Decimal(math.log(top))
+        else:
+            ln = decimal.Decimal(top).ln()
+        return float((shift * decimal_ln2(prec) + ln / 2) / alpha_n)
 
 
 # --------------------------------------------------------------------------
@@ -1903,12 +1938,21 @@ class TestComposeKernel:
 # each had loaded, counting only modules that the interpreter's own
 # start-up had not loaded before `import p1dyn`
 _FRESH_IMPORT = """
-import contextlib, io, json, sys
+import builtins, contextlib, io, json, sys
 lazy = ("dataclasses", "inspect", "numpy", "p1dyn.formkernel",
         "p1dyn.measures", "p1dyn.periodic", "p1dyn.torus")
 before = set(sys.modules)
 def added():
     return sorted(m for m in lazy if m in sys.modules and m not in before)
+# the modules that run an import statement of decimal: fractions does,
+# whenever it is first imported, so decimal itself is loaded anyway
+importers = set()
+real_import = builtins.__import__
+def spy(name, globals=None, *args, **kwargs):
+    if name.split(".")[0] == "decimal":
+        importers.add((globals or {}).get("__name__") or "")
+    return real_import(name, globals, *args, **kwargs)
+builtins.__import__ = spy
 import p1dyn
 loaded = {"import": added()}
 from p1dyn import cli
@@ -1919,6 +1963,7 @@ for name, argv in (("catalog", ["catalog"]),
     with contextlib.redirect_stdout(io.StringIO()):
         rcs.append(cli.main(argv))
     loaded[name] = added()
+loaded["decimal"] = sorted(m for m in importers if m.startswith("p1dyn"))
 print(json.dumps([rcs, loaded]))
 """
 
@@ -1930,9 +1975,11 @@ def test_import_and_exact_commands_load_no_kernel_or_dataclasses():
         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    # a height engine compiles its form kernel, and nothing else loads
+    # a height engine compiles its form kernel, and nothing else loads;
+    # no module of p1dyn imports decimal
     assert json.loads(proc.stdout) == [[0, 0], {
-        "import": [], "catalog": [], "height": ["p1dyn.formkernel"]}]
+        "import": [], "catalog": [], "height": ["p1dyn.formkernel"],
+        "decimal": []}]
 
 
 class TestEngineCache:
@@ -2384,37 +2431,61 @@ class TestArchOracle:
 
     @pytest.mark.parametrize("name", catalog_names() + ["big"])
     def test_double_log_of_the_last_pair(self, monkeypatch, name):
-        # from alpha^n = 2^13 on the last pair's log is a double's: the
-        # value keeps the Decimal path's bits, and its error against the
-        # mpmath sum stays within the restated 2^-58.7
+        # on both sides of alpha^n = 2^13 the value is the Decimal path's
+        # double (an exact log below, a double's from there on), and
+        # _log_ratio's quotient, before it rounds, is within the restated
+        # 2^-58.7 of the mpmath sum
         phi, points = _arch_case(name)
         eng = _engine(phi)
         low = 1
         while eng.alpha ** (low + 1) < 1 << 13:
             low += 1
-        # the first Decimal an _arch_value call makes is its last pair's
-        # log: Decimal(top), an int, or Decimal(math.log(top)), a float
-        made = []
+        ratios = []
 
-        def recording(x):
-            made.append(type(x))
-            return decimal.Decimal(x)
+        def recording(*args):
+            ratios.append(_log_ratio(*args))
+            return ratios[-1]
 
-        monkeypatch.setattr(heights, "Decimal", recording)
+        monkeypatch.setattr(heights, "_log_ratio", recording)
         for n in (low, low + 1):
             for P in points:
                 x0, x1 = P.reduced_pair()
                 by_ln, by_log = orbit_values(eng, x0, x1, n)
-                double = eng.alpha**n >= 1 << 13
-                taken = by_log if double else by_ln
-                del made[:]
+                taken = by_log if eng.alpha**n >= 1 << 13 else by_ln
+                del ratios[:]
                 got, _ = eng._arch_value(x0, x1, n)
-                assert made[0] is (float if double else int)
                 assert got == float(taken) == float(by_ln), (str(P), n)
+                (num, den), = ratios
                 want, _ = oracle_arch_sum(eng, x0, x1, n)
                 with mpmath.workprec(256):
-                    err = abs(mpmath.mpf(str(taken)) - want)
+                    err = abs(mpmath.mpf(num) / den - want)
                 assert err <= 2**-58.7, (str(P), n, float(err))
+
+    def test_log_ratio_matches_the_decimal_epilogue(self):
+        # a seeded sweep of last pairs: top < 3 * 2^128 of every size,
+        # shifts of 0-3 and up to 2^80, and alpha^n from 2 to 5^13, every
+        # power of two below 2^13 among them and crossing it, since
+        # _log_ratio squares top below 2^13 and the epilogue took an
+        # exact log there
+        rng = random.Random("log-ratio")
+        powers = sorted({a**n for a in range(2, 17) for n in range(1, 31)
+                         if a**n <= 5**13})
+        assert {1 << k for k in range(1, 14)} <= set(powers)
+        cases = [(top, shift, 1 << k)
+                 for k in range(1, 14)
+                 for top in (1, 2, 3, (1 << 128) - 1, (3 << 128) - 1)
+                 for shift in (0, 1, 2**80)]
+        for _ in range(20_000):
+            top = rng.randrange(1, 3 << rng.randint(0, 128))
+            shift = (rng.randint(0, 3) if rng.random() < 0.5
+                     else rng.randrange(1 << rng.randint(0, 80)))
+            cases.append((top, shift, rng.choice(powers)))
+        missed = []
+        for top, shift, alpha_n in cases:
+            num, den = _log_ratio(top, shift, alpha_n)
+            if num / den != decimal_epilogue(top, shift, alpha_n):
+                missed.append((top, shift, alpha_n))
+        assert len(cases) > 20_000 and not missed, missed[:5]
 
     def test_caller_decimal_context_does_not_leak(self):
         phi = catalog("phi_1+i")
@@ -2425,20 +2496,17 @@ class TestArchOracle:
             ctx.traps[decimal.Inexact] = True
             assert canonical_height(phi, P, 1e-9) == want
 
-    def test_cached_log_two_has_fresh_digits(self):
-        # more precisions than the cache holds, in an order that both
-        # hits and evicts, under a caller context that would round wrongly
-        precs = [30 + k for k in range(0, 40, 2)] + [31, 30, 69, 200, 30]
-        with decimal.localcontext() as ctx:
-            ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
-            got = [_ln2(p) for p in precs]
-        for p, value in zip(precs, got):
-            with decimal.localcontext(decimal.Context(prec=p)):
-                assert value == decimal.Decimal(2).ln()
-            assert len(value.as_tuple().digits) == p
-            with mpmath.workdps(p + 10):
-                assert abs(mpmath.mpf(str(value)) - mpmath.log(2)) <= (
-                    mpmath.mpf(10) ** (1 - p))
+    def test_log_two_is_within_one_unit(self):
+        # more sizes than the cache holds, in an order that both hits
+        # and evicts, and sizes that are no multiple of 64
+        sizes = [64 * k for k in range(1, 21)] + [128, 64, 1280, 3, 73, 64]
+        _ln2_fixed.cache_clear()
+        for p in sizes:
+            got = _ln2_fixed(p)
+            with mpmath.workprec(p + 64):
+                assert abs(got - mpmath.ldexp(mpmath.log(2), p)) <= 1, p
+        info = _ln2_fixed.cache_info()
+        assert info.hits == 2 and info.misses == len(sizes) - 2
 
     def test_tail_is_the_geometric_bound(self):
         eng = _engine(catalog("phi_3@E2"))

@@ -119,6 +119,16 @@ class TestTripling:
             lattes_triple(curve)
 
 
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_multiplication_maps_are_cached_per_curve(name):
+    # an equal curve built afresh finds the map of the first call, which
+    # is the catalog's: neron_tate builds no map after the first call
+    for build, k in ((lattes_double, 2), (lattes_triple, 3)):
+        first = build(CURVES[name]())
+        assert build(CURVES[name]()) is first
+        assert first == catalog(f"phi_{k}@{name}")
+
+
 class TestCurveValidation:
     def test_singular_curve_rejected(self):
         with pytest.raises(DomainError):

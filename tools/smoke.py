@@ -66,6 +66,10 @@ EXACT = [
     ("height of (10^200 z^2+1)/z: the archimedean working size falls 1332 "
      "bits a step; stride 2, its one-term form under the prefactor x0 x1",
      "height --map {tmp}/bigarch.json --point 3,1"),
+    ("height of (10^200 z^2+1)/z at tolerance 0.5: n = 11, so alpha^n = "
+     "2^11 and the last pair's norm is squared before its log, under a "
+     "shift of hundreds of bits",
+     "height --map {tmp}/bigarch.json --point 3,1 --tol 0.5"),
     ("nt-height on E2 at an affine x",
      "nt-height --curve E2 --point=3"),
     ("nt-height on E1 at a pair, an affine rational and a Gaussian pair",
