@@ -53,6 +53,11 @@ make.  The value, the tail and the step count are those of the full
 loop, bit for bit.  Both tails carry explicit geometric bounds derived
 from the coefficient one-norms (upper) and an exact Bezout certificate
 (lower).
+The engine is built from integral basis pairs alone: the map's integral
+model (RationalMap.integral_model), and its resultant R and certificate
+from one fraction-free elimination of them (ratmaps.cofactor_certificate).
+n_R, m_R and the one-norms are pair norms, so no field element and no
+Fraction is made.
 """
 
 from __future__ import annotations
@@ -62,13 +67,7 @@ from functools import lru_cache
 
 from .errors import DomainError, IterationBudgetError
 from .lattes import EllipticCurveCM, _Frozen, lattes_double
-from .quadfield import (
-    QuadFieldElement,
-    omega_flag,
-    pair_divexact,
-    pair_gcd_mod,
-    pair_norm,
-)
+from .quadfield import omega_flag, pair_divexact, pair_gcd_mod, pair_norm
 from .ratmaps import (
     ProjPoint,
     RationalMap,
@@ -79,8 +78,6 @@ from .ratmaps import (
 _LN2 = math.log(2)
 _ARCH_CAP = 300
 _FIN_CAP = 64
-# target errors whose step counts an engine keeps
-_STEPS_MEMO = 16
 # bad primes are reported by trial division below this bound
 _TRIAL_LIMIT = 1 << 16
 # the product of the primes below 64
@@ -202,15 +199,12 @@ class _HeightEngine:
         self.phi = phi
         self.alpha = phi.degree
         self.d = phi.d
+        t = self._t = omega_flag(self.d)
         c0, c1 = phi.integral_model()
-        self.c0 = c0
-        self.c1 = c1
-        R, log_s_cof = cofactor_certificate(c0, c1, self.alpha)
-        if not R.is_integral():
-            raise DomainError("integral model produced a non-integral resultant")
-        self.n_R = int(R.norm())
+        R, log_s_cof = cofactor_certificate(c0, c1, self.alpha, t)
+        self.n_R = pair_norm(R, t)
         # the least positive integer in the ideal (R)
-        self.m_R = self.n_R // math.gcd(*R.basis_pair())
+        self.m_R = self.n_R // math.gcd(*R)
         # rad_R, the product of the distinct primes of m_R, when all of
         # them are below 64, else 0: _fin_value's residues mod rad_R
         rad = math.gcd(self.m_R, _PRIMORIAL_64)
@@ -220,7 +214,7 @@ class _HeightEngine:
         self.rad_R = rad if rest == 1 else 0
         self.log_nR = _log_int(self.n_R)
         log_s_up = max(
-            log_one_norm([int(c.norm()) for c in cs]) for cs in (c0, c1)
+            log_one_norm([pair_norm(c, t) for c in cs]) for cs in (c0, c1)
         )
         self.c_up = max(0.0, log_s_up)
         self.c_low = max(0.0, log_s_cof - 0.5 * self.log_nR)
@@ -238,23 +232,27 @@ class _HeightEngine:
             math.log2(4.0 * self.alpha) + (self.c_up + self.c_low) / _LN2
         )
         self._amp_bits = max(2, math.ceil(log2_amp))
-        self._t = omega_flag(self.d)
-        # (n_arch, n_fin) per target error, as height computes them
-        self._steps = {}
         from .formkernel import form_kernel
 
         self._plan = form_kernel(
-            [[(k, c.basis_pair()) for k, c in enumerate(cs) if c]
+            [[(k, c) for k, c in enumerate(cs) if c != (0, 0)]
              for cs in (c0, c1)],
-            self.alpha, self._t,
+            self.alpha, t,
         )
 
     def _steps_needed(self, first: int, cap: int, c: float,
                       tol: float) -> int:
         """Steps n from `first` until the tail c/((alpha-1) alpha^n) is at
-        most tol; cap + 1 when the cap comes first."""
+        most tol; cap + 1 when the cap comes first.
+
+        The walk starts one below floor(log_alpha(bound/tol)), which the
+        least such n is at least, so the count is the plain walk's from
+        `first`."""
         n = first
         bound = c / (self.alpha - 1)
+        if bound > tol:
+            start = math.floor(math.log(bound / tol, self.alpha)) - 1
+            n = max(first, min(start, cap + 1))
         while bound / self.alpha**n > tol and n <= cap:
             n += 1
         return n
@@ -387,14 +385,8 @@ class _HeightEngine:
         slack = 2e-12
         certifiable = target_error > 4 * slack
         tol = (target_error - slack) / 2 if certifiable else slack
-        steps = self._steps.get(target_error)
-        if steps is None:
-            if len(self._steps) >= _STEPS_MEMO:
-                self._steps.clear()
-            steps = self._steps[target_error] = (
-                self._steps_needed(1, _ARCH_CAP, self.c_bound, tol),
-                self._steps_needed(0, _FIN_CAP, 0.5 * self.log_nR, tol))
-        n_arch, n_fin = steps
+        n_arch = self._steps_needed(1, _ARCH_CAP, self.c_bound, tol)
+        n_fin = self._steps_needed(0, _FIN_CAP, 0.5 * self.log_nR, tol)
         over_budget = (
             not certifiable or n_arch > _ARCH_CAP or n_fin > _FIN_CAP
         )
@@ -472,10 +464,5 @@ def neron_tate(
     curve: EllipticCurveCM, x, target_error: float = 1e-9
 ) -> HeightValue:
     """Height of the curve point above x, via the doubling quotient map."""
-    if isinstance(x, ProjPoint):
-        point = x
-    elif isinstance(x, QuadFieldElement):
-        point = ProjPoint.affine(x)
-    else:
-        point = ProjPoint.affine(QuadFieldElement(x, 0, curve.d))
+    point = x if isinstance(x, ProjPoint) else ProjPoint.affine(x, curve.d)
     return canonical_height(lattes_double(curve), point, target_error)

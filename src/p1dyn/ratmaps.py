@@ -575,22 +575,22 @@ class RationalMap:
         return self.compose(other) == other.compose(self)
 
     def integral_model(self) -> tuple:
-        """Coefficient lists of an integral content-free model.
+        """Basis pair lists of an integral content-free model.
 
-        Both polynomials are scaled by one rational so every coefficient
-        is an algebraic integer and the joint gcd of all coefficients is
-        a unit.  Lists are padded to length degree+1 (homogeneous form).
+        Both forms are scaled by one rational so every coefficient is an
+        algebraic integer, and divided by the gcd of all of them, so that
+        their joint gcd is a unit.  Lists are padded to length degree+1
+        (homogeneous form).
         """
-        d, t, n = self._d, omega_flag(self._d), self._deg + 1
-        pairs, _ = cleared_pairs(
-            [p.coeff(k) for p in (self._num, self._den) for k in range(n)]
-        )
+        t, n = omega_flag(self._d), self._deg + 1
+        pairs = [(a, b) for A, B in _coords(self._num, self._den)[0]
+                 for a, b in zip(A + [0] * (n - len(A)),
+                                 B + [0] * (n - len(B)))]
         g = (0, 0)
         for x in pairs:
             if x != (0, 0) and pair_norm(g, t) != 1:
                 g = pair_gcd(g, x, t)
-        out = [QuadFieldElement.from_basis_pair(*pair_divexact(x, g, t), d)
-               for x in pairs]
+        out = [pair_divexact(x, g, t) for x in pairs]
         return out[:n], out[n:]
 
     def complex_pair(self) -> tuple:
@@ -674,27 +674,25 @@ def preimage_multiplicities(phi: RationalMap, target: ProjPoint) -> list:
     return sorted(mults, reverse=True)
 
 
-def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
+def _bareiss(c0: Sequence, c1: Sequence, deg: int, t: int) -> tuple:
     """Resultant R of two forms, with the solutions of their cofactor system.
 
-    Column i < deg of the cofactor matrix holds c0 shifted down by i and
-    column deg + i holds c1 shifted by i; it is the Sylvester matrix
-    transposed with its columns and each block of rows reversed, so R =
-    (-1)^deg det.  One integer D clears all denominators, and M = D * (the
-    cofactor matrix), with the unit columns e_(2deg-1) and e_0 appended, is
-    eliminated fraction-free on integral basis pairs (Bareiss, Math. Comp.
-    22, 1968), each division exact or DomainError.  Returns (R, D, sols),
-    sols the two integral vectors +-det(M) * M^-1 e, or None when R = 0.
+    c0 and c1 are deg + 1 integral basis pair tuples each, with t =
+    omega_flag(d).  Column i < deg of the cofactor matrix M holds c0
+    shifted down by i and column deg + i holds c1 shifted by i; it is the
+    Sylvester matrix transposed with its columns and each block of rows
+    reversed, so R = (-1)^deg det M.  M, with the unit columns e_(2deg-1)
+    and e_0 appended, is eliminated fraction-free (Bareiss, Math. Comp.
+    22, 1968), each division exact or DomainError.  Returns (R, sols), R
+    a basis pair and sols the two integral vectors +-det(M) * M^-1 e, or
+    None when R = 0.
     """
     if len(c0) != deg + 1 or len(c1) != deg + 1:
         raise DomainError("coefficient lists must have length deg+1")
-    d, n, zero = c0[0].d, 2 * deg, (0, 0)
-    t = omega_flag(d)
-    pairs, den = cleared_pairs(list(c0) + list(c1))
-    p0, p1 = pairs[: deg + 1], pairs[deg + 1:]
+    n, zero = 2 * deg, (0, 0)
     mat = [
-        [p0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
-        + [p1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        [c0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        + [c1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
         + [(int(k == n - 1), 0), (int(k == 0), 0)]
         for k in range(n)
     ]
@@ -702,7 +700,7 @@ def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
     for k in range(n):
         piv = next((r for r in range(k, n) if mat[r][k] != zero), None)
         if piv is None:
-            return QuadFieldElement.zero(d), den, None
+            return zero, None
         if piv != k:
             mat[k], mat[piv] = mat[piv], mat[k]
             sign = -sign
@@ -746,7 +744,7 @@ def _bareiss(c0: Sequence, c1: Sequence, deg: int) -> tuple:
                 u, v = u - x, v - w
             y[k] = pair_divexact((u, v), mat[k][k], t)
         sols.append(y)
-    return QuadFieldElement._of(*det, sign * den**n, d), den, sols
+    return (sign * det[0], sign * det[1]), sols
 
 
 def log_one_norm(norms: Sequence) -> float:
@@ -763,20 +761,19 @@ def log_one_norm(norms: Sequence) -> float:
     )
 
 
-def cofactor_certificate(c0: Sequence, c1: Sequence, deg: int) -> tuple:
+def cofactor_certificate(c0: Sequence, c1: Sequence, deg: int,
+                         t: int) -> tuple:
     """Resultant R plus a bound certificate for the fiber of the pair.
 
-    Solves A0*F0 + A1*F1 = R*x^(2deg-1) and the mirror equation ending in
-    R*z^(2deg-1); returns (R, log S) where S is the larger coefficient
-    one-norm of a solving pair.  On the unit polydisc this certifies
-    max(|F0|, |F1|) >= |R| / S.
+    c0 and c1 are integral basis pairs as _bareiss takes them.  Solves
+    A0*F0 + A1*F1 = R*x^(2deg-1) and the mirror equation ending in
+    R*z^(2deg-1); returns (R, log S), R a basis pair and S the larger
+    coefficient one-norm of a solving pair.  On the unit polydisc this
+    certifies max(|F0|, |F1|) >= |R| / S.
     """
     if deg < 1:
         raise DomainError("a certificate needs forms of degree >= 1")
-    R, den, sols = _bareiss(c0, c1, deg)
+    R, sols = _bareiss(c0, c1, deg, t)
     if sols is None:
         raise DomainError("forms share a root; resultant vanishes")
-    t = omega_flag(R.d)
-    # the cleared matrix's solutions are R's times den^(2deg-1), up to sign
-    log_s = max(log_one_norm([pair_norm(x, t) for x in y]) for y in sols)
-    return R, log_s - (2 * deg - 1) * math.log(den)
+    return R, max(log_one_norm([pair_norm(x, t) for x in y]) for y in sols)

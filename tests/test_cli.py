@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import runpy
 import shlex
 import subprocess
@@ -19,6 +20,7 @@ from p1dyn import cli, lattes, measures
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.ratmaps import RationalMap
 from test_cli_golden import GOLDEN
+from test_heights import CONJUGATED_PAIRS, conjugate, mobius
 
 
 def run(args, capsys):
@@ -769,6 +771,30 @@ def test_vanishing_lift_is_one_error_line(tmp_path):
     assert (rc, out) == (1, "")
     assert err == ("error: Green value at (0.5+0j) is not finite: the lift "
                    "vanishes in double precision\n")
+
+
+@pytest.mark.parametrize("a, b", [p for p in CONJUGATED_PAIRS
+                                  if lattes.catalog_entry(p[0]).curve_name])
+def test_conjugated_maps_from_files(tmp_path, capsys, a, b):
+    # psi = M^-1 phi M and its partner psi' = M^-1 phi' M for a commuting
+    # catalog pair, as --map files: no route of theirs takes a closed
+    # form.  Every run exits 0 or 1, and 1 with exactly one error line
+    d = catalog(a).d
+    M, M_inv = mobius(random.Random(f"cli:{a}:{b}"), d)
+    psi, partner = (map_spec_file(tmp_path, conjugate(catalog(n), M, M_inv),
+                                  f"{n}.json") for n in (a, b))
+    for argv in (["height", "--map", psi, "--point", "2,1"],
+                 ["green", "--map", psi, "--point", "0.5,0.25"],
+                 ["periodic", "--map", psi, "--depth", "1"],
+                 ["commute", "--map", psi, partner]):
+        rc, out, err = run(argv, capsys)
+        assert rc in (0, 1), (argv, err)
+        if rc:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert out == ""
+        else:
+            assert json.loads(out)["schema"] == 1 and err == ""
+    assert json.loads(out)["commute"] is True
 
 
 class TestCatalogCmd:

@@ -54,11 +54,11 @@ the field for the pseudo-division on basis pair vectors, its Euclidean
 remainder sequence, which also cancels the common factor of a map's
 forms, Yun's square-free split, the full gcd constructor
 RationalMap(num, den), and Gaussian elimination
-over the field for the Sylvester determinant and the cofactor systems;
-the elimination skips products with a zero entry, and on sparse forms,
-leading and trailing zeros and vanishing resultants included, it must
-return the (R, D, sols) of the dense elimination it replaced,
-oracle_bareiss_dense, exactly.
+over the field for the Sylvester determinant and the cofactor systems,
+which the elimination runs on integral forms as basis pairs; it skips
+products with a zero entry, and on sparse forms, leading and trailing
+zeros and vanishing resultants included, it must return the (R, sols) of
+the dense elimination it replaced, oracle_bareiss_dense, exactly.
 The height engine's archimedean Green sum runs on integer pairs shifted
 by powers of two, at a size that falls along the orbit; its oracle is the
 same sum in mpmath, one logarithm per step, and, run past the engine's
@@ -283,8 +283,14 @@ def flat(pairs) -> tuple:
 
 def engine_forms(eng) -> list:
     """The nonzero terms (k, basis pair) of a height engine's two forms."""
-    return [[(k, c.basis_pair()) for k, c in enumerate(cs) if c]
-            for cs in (eng.c0, eng.c1)]
+    return [[(k, c) for k, c in enumerate(cs) if c != (0, 0)]
+            for cs in eng.phi.integral_model()]
+
+
+def model_elements(phi: RationalMap) -> list:
+    """phi's integral model as two lists of field elements."""
+    return [[QF.from_basis_pair(u, v, phi.d) for u, v in cs]
+            for cs in phi.integral_model()]
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -375,7 +381,7 @@ def oracle_integral_model(phi: RationalMap) -> tuple:
     for x in nz[1:]:
         g = oracle_gcd(g, x)
     g = oracle_normalize(g)
-    return [x / g for x in c0], [x / g for x in c1]
+    return tuple([(x / g).basis_pair() for x in cs] for cs in (c0, c1))
 
 
 def _trimmed(coeffs: list) -> tuple:
@@ -644,8 +650,7 @@ def oracle_arch_sum(eng, x0: QF, x1: QF, n_arch: int, bits: int = 0) -> tuple:
             im = mpmath.mpf(x.b.numerator) / x.b.denominator * sq
             return mpmath.mpc(re, im)
 
-        g0 = [lift(c) for c in eng.c0]
-        g1 = [lift(c) for c in eng.c1]
+        g0, g1 = ([lift(c) for c in cs] for cs in model_elements(eng.phi))
         w0, w1 = lift(x0), lift(x1)
         total = mpmath.mpf(0)
         scale = mpmath.mpf(1)
@@ -2011,34 +2016,35 @@ def _same_up_to_sign(xs: list, ys: list) -> bool:
     return xs == ys or xs == [-y for y in ys]
 
 
+def pairs_of(cs: list) -> list:
+    """The basis pairs of integral field elements, as _bareiss takes them."""
+    return [c.basis_pair() for c in cs]
+
+
 def _check_certificate(c0: list, c1: list, deg: int) -> None:
-    """The kernel's R and solutions against the oracle's, and log S."""
+    """The kernel's R and solutions against the oracle's, and log S, on
+    integral forms given as field elements."""
     d = c0[0].d
+    t = omega_flag(d)
     R, sols = oracle_certificate(c0, c1, deg)
-    R_k, den, pairs = _bareiss(c0, c1, deg)
-    assert R_k == R
-    # the cleared matrix scales every solution by den^(2deg-1)
-    scale = den ** (2 * deg - 1)
+    R_k, pairs = _bareiss(pairs_of(c0), pairs_of(c1), deg, t)
+    assert QF.from_basis_pair(*R_k, d) == R
     for sol, ys in zip(sols, pairs):
-        mine = [QF.from_basis_pair(u, v, d) / scale for u, v in ys]
+        mine = [QF.from_basis_pair(u, v, d) for u, v in ys]
         assert _same_up_to_sign(mine, sol)
-    log_s = max(
-        log_one_norm([int(x.norm() * scale**2) for x in sol]) for sol in sols
-    ) - (2 * deg - 1) * math.log(den)
-    assert cofactor_certificate(c0, c1, deg) == (R, log_s)
+    log_s = max(log_one_norm([int(x.norm()) for x in sol]) for sol in sols)
+    assert cofactor_certificate(pairs_of(c0), pairs_of(c1), deg, t) == (
+        R_k, log_s)
 
 
-def oracle_bareiss_dense(c0: list, c1: list, deg: int) -> tuple:
+def oracle_bareiss_dense(c0: list, c1: list, deg: int, t: int) -> tuple:
     """_bareiss as it ran before it skipped products with a zero entry:
     every pair product of the elimination taken through pair_mul.  Its
-    (R, D, sols) are the reference the sparse elimination must match."""
-    d, n, zero = c0[0].d, 2 * deg, (0, 0)
-    t = omega_flag(d)
-    pairs, den = cleared_pairs(list(c0) + list(c1))
-    p0, p1 = pairs[: deg + 1], pairs[deg + 1:]
+    (R, sols) are the reference the sparse elimination must match."""
+    n, zero = 2 * deg, (0, 0)
     mat = [
-        [p0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
-        + [p1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        [c0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        + [c1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
         + [(int(k == n - 1), 0), (int(k == 0), 0)]
         for k in range(n)
     ]
@@ -2046,7 +2052,7 @@ def oracle_bareiss_dense(c0: list, c1: list, deg: int) -> tuple:
     for k in range(n):
         piv = next((r for r in range(k, n) if mat[r][k] != zero), None)
         if piv is None:
-            return QF.zero(d), den, None
+            return zero, None
         if piv != k:
             mat[k], mat[piv] = mat[piv], mat[k]
             sign = -sign
@@ -2067,18 +2073,16 @@ def oracle_bareiss_dense(c0: list, c1: list, deg: int) -> tuple:
                 u, v = u - x, v - w
             y[k] = pair_divexact((u, v), mat[k][k], t)
         sols.append(y)
-    return QF._of(*det, sign * den**n, d), den, sols
+    return (sign * det[0], sign * det[1]), sols
 
 
 @st.composite
 def sparse_forms_of(draw, d, deg):
-    """deg + 1 coefficients of a binary form, each zero with probability
-    1/2 at least, integral or with denominators; one time in four each,
-    a run of its first or last coefficients is zero too, a form that a
-    power of x or of z divides."""
-    integral = draw(st.booleans())
-    nonzero = forms_of(d, 1, integral=integral).filter(
-        lambda c: not c[0].is_zero())
+    """deg + 1 integral coefficients of a binary form, each zero with
+    probability 1/2 at least; one time in four each, a run of its first
+    or last coefficients is zero too, a form that a power of x or of z
+    divides."""
+    nonzero = forms_of(d, 1).filter(lambda c: not c[0].is_zero())
     coeffs = [QF.zero(d) if draw(st.booleans()) else draw(nonzero)[0]
               for _ in range(deg + 1)]
 
@@ -2093,25 +2097,20 @@ def sparse_forms_of(draw, d, deg):
     return [zero] * lead + coeffs[lead:deg + 1 - trail] + [zero] * trail
 
 
+def resultant(c0: list, c1: list, deg: int) -> QF:
+    """_bareiss's R of integral forms given as field elements, as one."""
+    d = c0[0].d
+    R = _bareiss(pairs_of(c0), pairs_of(c1), deg, omega_flag(d))[0]
+    return QF.from_basis_pair(*R, d)
+
+
 class TestResultantKernel:
     @settings(max_examples=40, deadline=None)
     @given(d=FIELDS, deg=DEGREES, data=st.data())
     def test_resultant_matches_sylvester_oracle(self, d, deg, data):
         c0 = data.draw(forms_of(d, deg + 1))
         c1 = data.draw(forms_of(d, deg + 1))
-        assert _bareiss(c0, c1, deg)[0] == oracle_resultant(
-            c0, c1, deg
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(d=FIELDS, deg=DEGREES, data=st.data())
-    def test_fraction_inputs(self, d, deg, data):
-        c0 = data.draw(forms_of(d, deg + 1, integral=False))
-        c1 = data.draw(forms_of(d, deg + 1, integral=False))
-        R = oracle_resultant(c0, c1, deg)
-        assert _bareiss(c0, c1, deg)[0] == R
-        if not R.is_zero():
-            _check_certificate(c0, c1, deg)
+        assert resultant(c0, c1, deg) == oracle_resultant(c0, c1, deg)
 
     @settings(max_examples=40, deadline=None)
     @given(d=FIELDS, deg=DEGREES, data=st.data())
@@ -2120,7 +2119,8 @@ class TestResultantKernel:
         c1 = data.draw(forms_of(d, deg + 1))
         if oracle_resultant(c0, c1, deg).is_zero():
             with pytest.raises(DomainError):
-                cofactor_certificate(c0, c1, deg)
+                cofactor_certificate(pairs_of(c0), pairs_of(c1), deg,
+                                     omega_flag(d))
         else:
             _check_certificate(c0, c1, deg)
 
@@ -2134,29 +2134,31 @@ class TestResultantKernel:
         c0 = times_linear([a, b], data.draw(forms_of(d, deg)))
         c1 = times_linear([a, b], data.draw(forms_of(d, deg)))
         assert oracle_resultant(c0, c1, deg).is_zero()
-        assert _bareiss(c0, c1, deg)[0].is_zero()
+        assert resultant(c0, c1, deg).is_zero()
         with pytest.raises(DomainError):
-            cofactor_certificate(c0, c1, deg)
+            cofactor_certificate(pairs_of(c0), pairs_of(c1), deg,
+                                 omega_flag(d))
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_integral_models(self, name):
         phi = catalog(name)
-        _check_certificate(*phi.integral_model(), phi.degree)
+        _check_certificate(*model_elements(phi), phi.degree)
 
     @pytest.mark.parametrize("d", [0, 1, 3])
     @settings(max_examples=100, deadline=None)
     @given(deg=st.sampled_from([1, 2, 3, 5, 7]), data=st.data())
     def test_sparse_forms_match_dense_elimination(self, d, deg, data):
         # the elimination skips products with a zero entry and entries
-        # that stay zero; R, D and both solution vectors are the dense
+        # that stay zero; R and both solution vectors are the dense
         # elimination's, exactly, and R is the Sylvester determinant's
         c0 = data.draw(sparse_forms_of(d, deg))
         c1 = data.draw(sparse_forms_of(d, deg))
-        got = _bareiss(c0, c1, deg)
-        assert got == oracle_bareiss_dense(c0, c1, deg)
+        t = omega_flag(d)
+        got = _bareiss(pairs_of(c0), pairs_of(c1), deg, t)
+        assert got == oracle_bareiss_dense(pairs_of(c0), pairs_of(c1), deg, t)
         R = oracle_resultant(c0, c1, deg)
-        assert got[0] == R
-        assert (got[2] is None) == R.is_zero()
+        assert QF.from_basis_pair(*got[0], d) == R
+        assert (got[1] is None) == R.is_zero()
         if not R.is_zero():
             _check_certificate(c0, c1, deg)
 
@@ -2174,11 +2176,13 @@ class TestResultantKernel:
         ([0, 2, 0, 1], [3, 0, 1, 0], False),
     ])
     def test_sparse_edge_forms(self, d, c0, c1, vanishes):
+        t = omega_flag(d)
+        p0, p1 = ([(c, 0) for c in cs] for cs in (c0, c1))
+        got = _bareiss(p0, p1, 3, t)
+        assert got == oracle_bareiss_dense(p0, p1, 3, t)
         c0, c1 = ([QF(c, 0, d) for c in cs] for cs in (c0, c1))
-        got = _bareiss(c0, c1, 3)
-        assert got == oracle_bareiss_dense(c0, c1, 3)
-        assert got[0] == oracle_resultant(c0, c1, 3)
-        assert got[0].is_zero() == vanishes == (got[2] is None)
+        assert QF.from_basis_pair(*got[0], d) == oracle_resultant(c0, c1, 3)
+        assert (got[0] == (0, 0)) == vanishes == (got[1] is None)
         if not vanishes:
             _check_certificate(c0, c1, 3)
 

@@ -56,7 +56,7 @@ from test_exact_kernels import (
     oracle_eval_forms,
     oracle_eval_pair,
 )
-from test_heights import naive_height_by_places
+from test_heights import model_polys, naive_height_by_places
 
 
 def point(x, y, d):
@@ -66,7 +66,7 @@ def point(x, y, d):
 def exact_content_sum(phi, P, steps):
     """(1/2) sum_k log N(g_k) / alpha^(k+1) along the exact orbit."""
     eng = _engine(phi)
-    f0, f1 = Poly(eng.c0, phi.d), Poly(eng.c1, phi.d)
+    f0, f1 = model_polys(phi)
     x0, x1 = P.reduced_pair()
     total = 0.0
     scale = 1.0

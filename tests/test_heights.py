@@ -1,6 +1,9 @@
 import math
 import random
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,12 @@ def pt(x, y, d=0):
                      QF(y, 0, d) if not isinstance(y, QF) else y, d)
 
 
+def model_polys(phi) -> list:
+    """The two forms of phi's integral model, as Polys."""
+    return [Poly([QF.from_basis_pair(u, v, phi.d) for u, v in cs], phi.d)
+            for cs in phi.integral_model()]
+
+
 def tate_limit_raw(phi, P, steps):
     """Exact gcd-reduced orbit heights h(phi^n P) / alpha^n, n = 1..steps.
 
@@ -41,7 +50,7 @@ def tate_limit_raw(phi, P, steps):
     lies in phi's field.  Coordinate sizes grow like alpha^n.
     """
     alpha = phi.degree
-    f0, f1 = (Poly(c, phi.d) for c in phi.integral_model())
+    f0, f1 = model_polys(phi)
     x0, x1 = P.reduced_pair()
     out = []
     for n in range(1, steps + 1):
@@ -456,6 +465,96 @@ class TestChebyshev:
         )
 
 
+SMOKE_MAPS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "tools" / "smoke.py")
+)["MAP_FILES"]
+
+
+def smoke_map(name: str) -> RationalMap:
+    """A --map file of tools/smoke.py, as the CLI reads it."""
+    spec = SMOKE_MAPS[name]
+    return RationalMap.from_strings(spec["num"], spec["den"],
+                                    spec.get("field", {}).get("d", 0))
+
+
+ENGINE_MAPS = [catalog(name) for name in catalog_names()] + [
+    smoke_map(name) for name in SMOKE_MAPS]
+
+
+def plain_steps(first, cap, c, alpha, tol):
+    """The step count as a plain walk from `first`."""
+    n = first
+    bound = c / (alpha - 1)
+    while bound / alpha**n > tol and n <= cap:
+        n += 1
+    return n
+
+
+class TestStepCounts:
+    # targets on both sides of the certifiable floor 8e-12, and the tol
+    # that height() derives from each, as it derives it
+    TARGETS = [10.0 ** (-k / 4) for k in range(4, 53)]
+
+    @pytest.mark.parametrize("phi", [catalog(name) for name in catalog_names()]
+                             + [smoke_map("restart.json"),
+                                smoke_map("bigarch.json")],
+                             ids=catalog_names() + ["restart", "bigarch"])
+    def test_jump_start_keeps_the_plain_count(self, phi):
+        eng = heights._HeightEngine(phi)
+        for target in self.TARGETS:
+            certifiable = target > 8e-12
+            tol = (target - 2e-12) / 2 if certifiable else 2e-12
+            for first, cap, c in ((1, heights._ARCH_CAP, eng.c_bound),
+                                  (0, heights._FIN_CAP, 0.5 * eng.log_nR)):
+                assert eng._steps_needed(first, cap, c, tol) == plain_steps(
+                    first, cap, c, eng.alpha, tol), (target, first)
+
+    def test_a_start_past_the_cap_stays_at_cap_plus_one(self):
+        eng = heights._HeightEngine(smoke_map("bigarch.json"))
+        assert eng._steps_needed(1, 3, eng.c_bound, 1e-12) == 4
+        assert plain_steps(1, 3, eng.c_bound, eng.alpha, 1e-12) == 4
+
+
+def count_constructions(fn) -> dict:
+    """Run fn and count the QuadFieldElements and Fractions it builds, by
+    the Python frames of their constructors."""
+    codes = {
+        QF.__init__.__code__: "QuadFieldElement",
+        QF._of.__func__.__code__: "QuadFieldElement",
+        Fraction.__new__.__code__: "Fraction",
+    }
+    # Python 3.12 on builds reduced results without __new__
+    direct = getattr(Fraction, "_from_coprime_ints", None)
+    if direct is not None:
+        codes[direct.__func__.__code__] = "Fraction"
+    counts = {"QuadFieldElement": 0, "Fraction": 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+class TestEngineOnIntegers:
+    def test_counter_sees_both_kinds(self):
+        counts = count_constructions(
+            lambda: (QF(1, 2, 1) * QF(3, 0, 1)).norm() + Fraction(1, 3))
+        assert counts["QuadFieldElement"] >= 2 and counts["Fraction"] >= 2
+
+    def test_building_an_engine_makes_no_element_and_no_fraction(self):
+        # the integral model, resultant, certificate and norms are basis
+        # pairs and ints, for every catalog map and smoke --map map
+        for phi in ENGINE_MAPS:
+            counts = count_constructions(lambda: heights._HeightEngine(phi))
+            assert counts == {"QuadFieldElement": 0, "Fraction": 0}, str(phi)
+
+
 class TestNeronTate:
     def test_two_torsion_vanishes(self):
         assert neron_tate(curve_E1(), 0).value == 0.0
@@ -470,6 +569,21 @@ class TestNeronTate:
         # x = 1/4 gives a non-torsion point on y^2 = x^3 + x
         hv = neron_tate(curve_E1(), Fraction(1, 4), 1e-8)
         assert hv.value > 0.01
+
+    @pytest.mark.parametrize("curve", [curve_E1(), curve_E2()])
+    @pytest.mark.parametrize("x", [2, Fraction(1, 4), Fraction(-7, 3)])
+    def test_every_form_of_x_is_one_point(self, curve, x):
+        # an int, a Fraction, an element of the curve's field and a
+        # ProjPoint are the same affine x
+        x = Fraction(x)
+        d = curve.d
+        forms = [x, QF(x, 0, d),
+                 ProjPoint(x.numerator, x.denominator, d)]
+        if x.denominator == 1:
+            forms.append(x.numerator)
+        want = neron_tate(curve, forms[-1], 1e-10)
+        for form in forms:
+            assert neron_tate(curve, form, 1e-10) == want, form
 
 
 class TestBudgetsAndErrors:
@@ -489,14 +603,6 @@ class TestBudgetsAndErrors:
     def test_log_of_non_positive_integer(self, n):
         with pytest.raises(DomainError, match="non-positive"):
             _log_int(n)
-
-    def test_non_integral_resultant_is_refused(self, monkeypatch):
-        # an integral model has an integral resultant; a certificate that
-        # claimed otherwise would stop the engine before it runs
-        monkeypatch.setattr(heights, "cofactor_certificate",
-                            lambda c0, c1, deg: (QF(Fraction(1, 2)), 0.0))
-        with pytest.raises(DomainError, match="non-integral resultant"):
-            heights._HeightEngine(rmap([0, 0, 1], [1]))
 
     def test_height_below_its_error_budget_is_refused(self, monkeypatch):
         # a loop that undershot by more than its bound raises, where a

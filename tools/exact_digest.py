@@ -73,8 +73,9 @@ def _catalog(cat, names) -> dict:
         consts = p1dyn.height_constants(phi)
         out[name] = {
             "map": _map(phi),
-            "integral_model": [[str(c) for c in cs]
-                               for cs in phi.integral_model()],
+            "integral_model": [
+                [str(p1dyn.QuadFieldElement.from_basis_pair(*c, phi.d))
+                 for c in cs] for cs in phi.integral_model()],
             "height_constants": {k: repr(v) for k, v in consts.items()},
         }
     return out

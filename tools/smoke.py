@@ -47,6 +47,9 @@ MAP_FILES = {
     # z^4 over Q(i), no Lattes map
     "quartic.json": {"field": {"d": 1}, "num": ["0", "0", "0", "0", "1"],
                      "den": ["1"]},
+    # ((1+i)/2 z^2)/(z + (1+i)/2) over Q(i)
+    "content.json": {"field": {"d": 1}, "num": ["0", "0", "1/2+1/2*w"],
+                     "den": ["1/2+1/2*w", "1"]},
 }
 
 EXACT = [
@@ -70,6 +73,10 @@ EXACT = [
      "2^11 and the last pair's norm is squared before its log, under a "
      "shift of hundreds of bits",
      "height --map {tmp}/bigarch.json --point 3,1 --tol 0.5"),
+    ("height of ((1+i)/2 z^2)/(z + (1+i)/2) over Q(i): its integral model "
+     "z^2 and (1-i) z + 1 divides the cleared forms by their content 1 + i, "
+     "which is no rational integer",
+     "height --map {tmp}/content.json --point=2+w,3"),
     ("nt-height on E2 at an affine x",
      "nt-height --curve E2 --point=3"),
     ("nt-height on E1 at a pair, an affine rational and a Gaussian pair",
