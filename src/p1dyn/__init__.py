@@ -4,14 +4,16 @@ certified error bounds, a catalog of commuting map families attached to
 CM elliptic curves, and the complex-analytic measure machinery.
 
 The exact layers (quadfield, ratmaps, lattes, heights) are pure Python,
-and so is periodic, whose closed forms serve the catalog's maps.  The
-complex-analytic layer, measures, needs numpy.  Both modules and their
-names below are imported on first access (PEP 562), so importing p1dyn
-compiles neither, and exact work never loads numpy.  The exact value
+and so are periodic, whose closed forms serve the catalog's maps, and
+greenpoint, the Green value at one point.  The complex-analytic layer,
+measures, needs numpy.  heights, measures, periodic and greenpoint, and
+their names below, are imported on first access (PEP 562), so importing
+p1dyn compiles none of them, and exact work and p1dyn.green never load
+numpy.  quadfield builds its rationals on ints, and the exact value
 types are slotted classes, not dataclasses, so importing p1dyn loads
-neither dataclasses nor inspect: in a fresh Python 3.11 interpreter on
-two shared vCPUs it takes about 33 ms without a bytecode cache and 8 ms
-with one.
+neither fractions (nor decimal and numbers) nor dataclasses and
+inspect: in a fresh Python 3.11 interpreter on two shared vCPUs it
+takes about 20 ms without a bytecode cache and 5 ms with one.
 """
 
 from .errors import (
@@ -20,12 +22,6 @@ from .errors import (
     FieldMismatchError,
     IterationBudgetError,
     MapSpecError,
-)
-from .heights import (
-    HeightValue,
-    canonical_height,
-    height_constants,
-    neron_tate,
 )
 from .lattes import (
     CatalogEntry,
@@ -62,6 +58,12 @@ from .ratmaps import (
 __version__ = "0.1.0"
 
 # public names of the lazily imported modules, served by __getattr__
+_HEIGHTS_NAMES = (
+    "HeightValue",
+    "canonical_height",
+    "height_constants",
+    "neron_tate",
+)
 _MEASURES_NAMES = (
     "ComplexSampleSet",
     "DensityGrid",
@@ -80,7 +82,14 @@ _MEASURES_NAMES = (
     "write_pgm",
 )
 _PERIODIC_NAMES = ("periodic_points",)
-_LAZY = {"measures": _MEASURES_NAMES, "periodic": _PERIODIC_NAMES}
+# green comes from greenpoint, which measures re-exports: first match wins,
+# so p1dyn.green loads no numpy
+_LAZY = {
+    "greenpoint": ("green",),
+    "heights": _HEIGHTS_NAMES,
+    "measures": _MEASURES_NAMES,
+    "periodic": _PERIODIC_NAMES,
+}
 
 
 def __getattr__(name):
@@ -100,7 +109,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY, *_MEASURES_NAMES, *_PERIODIC_NAMES})
+    return sorted({*globals(), *_LAZY, *(n for ns in _LAZY.values() for n in ns)})
 
 
 __all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -9,10 +9,11 @@ arguments and seed give byte-identical output.
 Run configs are plain argparse namespaces; build_parser registers each
 subcommand once, with its handler.  A handler only computes its
 payload: main, the one path from arguments to stdout, stamps "command"
-and "schema" on it.  Only the handlers of the analytic subcommands
-(green, measure, density-compare, julia) import measures, and with it
-numpy, and so does periodic on a map outside the catalog; the exact
-subcommands never load numpy.
+and "schema" on it.  Each handler imports what only it runs: height
+and nt-height import heights; measure, density-compare and julia
+import measures, and with it numpy, and so does periodic on a map
+outside the catalog.  green runs on greenpoint's Python floats, so it
+and the exact subcommands never load numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from .errors import (
     ConvergenceError,
@@ -33,9 +33,9 @@ from .quadfield import (
     QuadFieldElement,
     format_element,
     parse_element,
+    parse_rational,
 )
 from .ratmaps import ProjPoint, RationalMap
-from . import heights
 from . import lattes
 
 
@@ -90,15 +90,16 @@ def _parse_lambda(text: str) -> QuadFieldElement:
     if len(parts) != 3:
         raise MapSpecError(f"--lambda {text!r} must be a,b,d")
     try:
-        a, b = Fraction(parts[0]), Fraction(parts[1])
+        a, b = parse_rational(parts[0]), parse_rational(parts[1])
         d = int(parts[2])
     except (ValueError, ZeroDivisionError):
         raise MapSpecError(
             f"--lambda {text!r} needs two rationals and an integer d"
         ) from None
-    if b and d == 0:
+    if b[0] and d == 0:
         raise MapSpecError(f"--lambda {text!r}: b must be 0 for d=0")
-    return QuadFieldElement(a, b, _field_tag(d, f"--lambda {text!r}"))
+    return QuadFieldElement._from_ratios(
+        a, b, _field_tag(d, f"--lambda {text!r}"))
 
 
 def _map_from_file(path: str) -> RationalMap:
@@ -167,6 +168,8 @@ def _czpair(z: complex) -> list:
 
 
 def _cmd_height(args) -> dict:
+    from . import heights
+
     label, phi = _load_maps(args, 1)[0]
     if not args.point:
         raise MapSpecError("height needs at least one --point X,Y")
@@ -195,6 +198,8 @@ def _cmd_height(args) -> dict:
 
 
 def _cmd_nt_height(args) -> dict:
+    from . import heights
+
     curve = lattes.CURVES[args.curve]()
     if not args.point:
         raise MapSpecError("nt-height needs at least one --point")
@@ -297,7 +302,7 @@ def _cmd_table_check(args) -> dict:
 
 
 def _cmd_green(args) -> dict:
-    from . import measures
+    from .greenpoint import green
 
     label, phi = _load_maps(args, 1)[0]
     if not args.point:
@@ -305,7 +310,7 @@ def _cmd_green(args) -> dict:
     results = []
     for text in args.point:
         z = _parse_complex(text)
-        g = measures.green(phi, z, args.iters)
+        g = green(phi, z, args.iters)
         results.append({"point": _czpair(z), "value": g})
     return {"map": label, "iterations": args.iters, "results": results}
 

@@ -12,11 +12,16 @@ ramify.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, MapSpecError
-from .quadfield import QuadFieldElement, cleared_pairs, format_element
+from .quadfield import (
+    QuadFieldElement,
+    cleared_pairs,
+    format_element,
+    omega_flag,
+    pair_norm,
+)
 from .ratmaps import Poly, ProjPoint, RationalMap, distinct_preimages, poly_gcd
 
 
@@ -173,35 +178,56 @@ def lattes_triple(curve: EllipticCurveCM) -> RationalMap:
 _GUESS_SWEEPS = 100
 
 
+def _dyadic(x: float, s: int) -> tuple:
+    """x * 2^s exactly, as (num, den)."""
+    num, den = x.as_integer_ratio()
+    return (num << s, den) if s >= 0 else (num, den << -s)
+
+
 def _root_guesses(G: Poly) -> tuple:
-    """(guesses, s): the roots of the monic cubic G in double precision,
-    as exact elements, and an s with roots of modulus at most about 2^s.
+    """(guesses, s): the roots of the monic cubic G over Q(i) or
+    Q(sqrt(-3)) in double precision, as exact elements, and an s with
+    roots of modulus at most about 2^s.
 
     The Durand-Kerner sweeps run on G(2^s y)/2^(3s), whose roots have
     modulus about 1, so coefficients of any size fit a double.
     """
     d = G.d
-    norms = [G.coeff(k).norm() for k in range(3)]
-    s = max((n.numerator.bit_length() - n.denominator.bit_length())
-            // (6 - 2 * k) for k, n in enumerate(norms) if n)
-    scale = Fraction(2) ** s
-    c0, c1, c2 = (complex(G.coeff(k) / scale ** (3 - k)) for k in range(3))
+    pairs, den = cleared_pairs(G.coeffs)
+
+    def norm_bits(k):
+        # bit lengths of N(coefficient k) in lowest terms, num minus den
+        n, m = pair_norm(pairs[k], omega_flag(d)), den * den
+        g = math.gcd(n, m)
+        return (n // g).bit_length() - (m // g).bit_length()
+
+    s = max(norm_bits(k) // (6 - 2 * k) for k in range(3) if any(pairs[k]))
+    c0, c1, c2 = (
+        complex(G.coeff(k) / (1 << s * (3 - k)) if s >= 0
+                else G.coeff(k) * (1 << -s * (3 - k)))
+        for k in range(3))
     ys = [(0.4 + 0.9j) ** k for k in range(3)]
     for _ in range(_GUESS_SWEEPS):
         for k, y in enumerate(ys):
             ys[k] = y - (((y + c2) * y + c1) * y + c0) / (
                 (y - ys[k - 1]) * (y - ys[k - 2]))
-    return [QuadFieldElement(
-        Fraction(y.real) * scale,
-        Fraction(y.imag / math.sqrt(d) if d else 0) * scale, d,
+    return [QuadFieldElement._from_ratios(
+        _dyadic(y.real, s), _dyadic(y.imag / math.sqrt(d), s), d,
     ) for y in ys], s
+
+
+def _round_half_even(n: int, m: int) -> int:
+    """n/m for m > 0 rounded to the nearest integer, ties to even, as
+    round() rounds a Fraction."""
+    q, r = divmod(n, m)
+    return q + (2 * r > m or (2 * r == m and q & 1))
 
 
 def _snap(x: QuadFieldElement, D: int) -> QuadFieldElement:
     """A point of (1/D)O_K nearest x in each basis coordinate."""
-    u, v = x.basis_pair()
-    return QuadFieldElement.from_basis_pair(round(D * u), round(D * v),
-                                            x.d) / D
+    [(u, v)], den = cleared_pairs([x])
+    return QuadFieldElement.from_basis_pair(
+        _round_half_even(D * u, den), _round_half_even(D * v, den), x.d) / D
 
 
 def two_torsion_targets(curve: EllipticCurveCM) -> list:
@@ -243,9 +269,16 @@ def _two_torsion_targets(curve: EllipticCurveCM) -> tuple:
             f"G = {G} does not split over its coefficient field: "
             f"{len(roots)} of 3 roots found on (1/{D})O_K"
         )
-    return (ProjPoint.infinity(curve.d), *(
-        ProjPoint.affine(r) for r in sorted(roots, key=lambda r: (r.a, r.b))
-    ))
+    # sorted by (a, b): for the roots (u + v w)/den over their common den,
+    # the key (2u + t v, v) is 2 den (a, b) over Z[omega] (t = 1) and
+    # den (2a, b) over Z[i]
+    roots = list(roots)
+    pairs, _ = cleared_pairs(roots)
+    t = omega_flag(curve.d)
+    order = sorted(range(3), key=lambda k: (
+        2 * pairs[k][0] + t * pairs[k][1], pairs[k][1]))
+    return (ProjPoint.infinity(curve.d),
+            *(ProjPoint.affine(roots[k]) for k in order))
 
 
 def ramification_profile(
@@ -274,7 +307,7 @@ def predict_profile(lam: QuadFieldElement) -> RamificationProfile:
     if not lam.is_integral():
         raise DomainError(
             f"no parity row covers the non-integral basis pair {u}, {v}")
-    n = int(lam.norm())
+    n = pair_norm((u, v), omega_flag(lam.d))
     if n < 2:
         raise DomainError("multiplier norm below 2 has trivial dynamics")
     h = n // 2
@@ -348,7 +381,8 @@ def _build_catalog() -> dict:
         add(f"phi_3@{name}", lattes_triple(curve), field(3, 0), name)
 
     i = _gauss(0, 1)
-    omega = _eis(Fraction(-1, 2), Fraction(1, 2))  # primitive cube root of 1
+    # primitive cube root of 1, (-1 + sqrt(-3))/2 = omega - 1
+    omega = QuadFieldElement.from_basis_pair(-1, 1, 3)
     derive("phi_1-i", "phi_1+i", _gauss(1, 0), conjugate=True)
     derive("phi_1-2i", "phi_1+2i", _gauss(1, 0), conjugate=True)
     derive("phi_2+i", "phi_1+2i", i, conjugate=True)  # i(1-2i)

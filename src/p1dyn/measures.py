@@ -4,6 +4,8 @@ preimage sampling, root finding, and raster export.
 Everything here runs in double precision.  Tolerances are those of
 numerical potential theory (grids, histograms, root residuals), not the
 certified bounds of the height engine; see heights for the exact side.
+The Green value at one point, green, and the scalar Horner of the forms
+live in greenpoint, which needs no numpy; this module re-exports green.
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .greenpoint import (  # green is re-exported
+    _ONE,
+    _forms_scalar,
+    check_green,
+    forms_and_tops,
+    green,
+    map_forms,
+)
 from .lattes import CURVES, EllipticCurveCM, entry_for_map
 from .ratmaps import RationalMap
 from .torus import TWO_PI, _basis_matrix, _hermite, curve_lattice
@@ -70,20 +80,20 @@ class Lift:
     """
 
     def _set(self, f0, f1) -> None:
-        self.degree = len(f0) - 1
-        self._coeffs = (tuple(map(complex, f0)), tuple(map(complex, f1)))
-        # each form's highest nonzero coefficient, where its Horner starts
-        self._tops = tuple(
-            max((k for k, c in enumerate(f) if c), default=self.degree)
-            for f in self._coeffs
-        )
+        self._hold(forms_and_tops(f0, f1))
+
+    def _hold(self, forms) -> None:
+        # the coefficient tuples, and each form's highest nonzero
+        # coefficient, where its Horner starts
+        self._coeffs, self._tops = forms
+        self.degree = len(self._coeffs[0]) - 1
 
     @classmethod
     def from_map(cls, phi: RationalMap) -> "Lift":
-        """The lift (num, den) of phi; a constant map c0/c1 gets the
-        degree-0 lift (c0, c1)."""
+        """The lift (num, den) of phi (greenpoint.map_forms, cached per
+        map); a constant map c0/c1 gets the degree-0 lift (c0, c1)."""
         lift = cls()
-        lift._set(*phi.complex_pair())
+        lift._hold(map_forms(phi))
         return lift
 
     def eval(self, w0, w1):
@@ -92,31 +102,6 @@ class Lift:
         a0, a1 = _forms_scalar(self._coeffs, self._tops, complex(w0),
                                complex(w1))
         return np.complex128(a0), np.complex128(a1)
-
-
-def _forms_scalar(coeffs, tops, w0: complex, w1: complex):
-    """F(w0, w1) in Python complex.  Each Horner starts at its form's top
-    nonzero coefficient t, as f[t] * w1^(deg - t), and from there keeps
-    every term, as the plain Horner on numpy scalars does, so every
-    product and sum rounds as there.  The steps skipped above t are
-    0 * w0 + 0, which can only set the sign of a zero: a component that
-    is exactly zero may flip sign, and no magnitude moves."""
-    f0, f1 = coeffs
-    t0, t1 = tops
-    a0 = a1 = None
-    # p = w1^(deg - k) at step k: 1, then w1 and the plain Horner's chain
-    p = _ONE
-    for k in range(len(f0) - 1, -1, -1):
-        if k < t0:
-            a0 = a0 * w0 + f0[k] * p
-        elif k == t0:
-            a0 = f0[k] * p
-        if k < t1:
-            a1 = a1 * w0 + f1[k] * p
-        elif k == t1:
-            a1 = f1[k] * p
-        p = w1 if p is _ONE else p * w1
-    return a0, a1
 
 
 def _forms_into(lift: "Lift", bufs: list) -> list:
@@ -163,14 +148,6 @@ def _forms_into(lift: "Lift", bufs: list) -> list:
             np.multiply(p1, w1, out=nxt)
             p1 = nxt
     return [accs[0], accs[1], w0, w1, tmp, p, q]
-
-
-def _as_lift(obj) -> Lift:
-    if isinstance(obj, Lift):
-        return obj
-    if isinstance(obj, RationalMap):
-        return Lift.from_map(obj)
-    raise DomainError("expected a Lift or a RationalMap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,11 +213,6 @@ _GREEN_BLOCK = 16384
 # scratch arrays (2.3 MB) overflow a 2 MB L2 cache
 _SOLO_BLOCK = 8192
 
-_ONE = 1.0 + 0j
-# the largest double whose reciprocal overflows: 1/m is finite for every
-# larger m
-_RECIP_OVERFLOW = 2.0 ** -1024
-
 
 def _cpus() -> int:
     """CPUs that the process may run on."""
@@ -300,76 +272,10 @@ def _green_block(lift: Lift, z, n: int, bufs: list, inv, m, t, g) -> None:
         g += t
 
 
-def _abs_max(w0: complex, w1: complex):
-    a, b = np.abs(w0), np.abs(w1)
-    # np.maximum's rule: a NaN wins
-    return a if a >= b or a != a else b
-
-
-def _green_scalar(lift: Lift, z: complex, n: int) -> float:
-    """_green_block's steps at one point, the forms in Python complex
-    (_forms_scalar).  abs and log stay numpy's, which round differently
-    from Python's abs and math.log."""
-    coeffs, tops = lift._coeffs, lift._tops
-    w0, w1 = z, _ONE
-    m = _abs_max(w0, w1)
-    g = np.log(m)
-    scale = 1.0
-    for _ in range(n):
-        scale /= lift.degree
-        if scale == 0.0:
-            break
-        if m <= _RECIP_OVERFLOW:
-            # 1/m would overflow, with a warning, and put inf or nan into
-            # every later iterate
-            raise DomainError(f"Green value at {z} is not finite: the lift "
-                              "underflows in double precision")
-        inv = 1.0 / m
-        w0, w1 = _forms_scalar(coeffs, tops, w0 * inv, w1 * inv)
-        m = _abs_max(w0, w1)
-        if m == 0.0:
-            # log(0) would warn
-            raise DomainError(f"Green value at {z} is not finite: the lift "
-                              "vanishes in double precision")
-        g = g + np.log(m) * scale
-    return float(g)
-
-
 def _check_green(lift, n: int) -> Lift:
-    if n < 1:
-        raise DomainError("need at least one iteration")
-    lift = _as_lift(lift)
-    if lift.degree < 2:
-        # 1/deg^n never shrinks: the sum grows without limit
-        raise DomainError("Green functions need a map of degree at least 2")
-    return lift
-
-
-def green(lift, z, n: int) -> float:
-    """n-th renormalized Green value at the point (z, 1).
-
-    Successive n differ by at most C/deg^n, so the returned value is
-    within C/(deg^n (deg-1)) of the limit.  Counts past about
-    1075/log2(deg) cost no more: deg^-n has underflowed and the value no
-    longer changes.  The iteration runs on Python complex numbers, with
-    numpy's abs and log: the bits of the plain iteration on numpy
-    scalars, and within rounding of green_field's cell at the point.
-    Python's complex products and sums raise no floating-point warning,
-    so a lift that overflows gives inf or nan without one, and that
-    raises DomainError, as a non-finite cell of green_field does.  So
-    does a lift whose forms both round to zero at some step, or to 2^-1024
-    or less before another: the loop stops there, before numpy's log of
-    zero or its overflowing reciprocal would warn.
-    """
-    lift = _check_green(lift, n)
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("point must be finite")
-    g = _green_scalar(lift, z, n)
-    if not math.isfinite(g):
-        raise DomainError(f"Green value at {z} is not finite: the lift "
-                          "overflows in double precision")
-    return g
+    """lift as a Lift, once green's checks pass."""
+    check_green(lift, n)
+    return lift if isinstance(lift, Lift) else Lift.from_map(lift)
 
 
 def green_field(lift, window, resolution, n: int) -> GreenField:

@@ -15,18 +15,35 @@ for sqrt(-d) of the ambient field, e.g. `-1/2+1/2*w`, `3`, `2*w`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 
 from .errors import DomainError, FieldMismatchError, MapSpecError
 
 SUPPORTED_D = (0, 1, 3)
 
+# the grammar of Fraction(str) on this Python, which parse_rational
+# follows: 3.11 added underscores between digits, 3.12 spaces around "/"
+_UNDERSCORES = sys.version_info >= (3, 11)
+_SPACED_SLASH = sys.version_info >= (3, 12)
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
-def _as_rational(value):
-    if isinstance(value, (int, Fraction)):
-        return value
+
+def _fraction_type():
+    """fractions.Fraction if that module is loaded, else None: no value
+    can be a Fraction before it is, so type tests need not load it."""
+    module = sys.modules.get("fractions")
+    return None if module is None else module.Fraction
+
+
+def _ratio(value) -> tuple:
+    """(num, den), den > 0, of an int, a Fraction or a rational literal."""
+    if isinstance(value, int):
+        return value, 1
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
+    fraction = _fraction_type()
+    if fraction is not None and isinstance(value, fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -36,20 +53,28 @@ class QuadFieldElement:
     __slots__ = ("_u", "_v", "_den", "_d")
 
     def __init__(self, a, b=0, d=0):
+        self._set(_ratio(a), _ratio(b), d)
+
+    def _set(self, a, b, d) -> None:
+        """Hold a + b*sqrt(-d) for a, b given as (num, den), den > 0."""
         if d not in SUPPORTED_D:
             raise DomainError(f"unsupported field tag d={d}; supported: {SUPPORTED_D}")
-        a = _as_rational(a)
-        b = _as_rational(b)
-        if d == 0 and b != 0:
+        if d == 0 and b[0]:
             raise DomainError("rational field (d=0) cannot hold a sqrt part")
+        u, v, den = a[0] * b[1], b[0] * a[1], a[1] * b[1]
         if d == 3:
             # sqrt(-3) = 2*omega - 1
-            a, b = a - b, 2 * b
-        # reduced a and b make den the least denominator
-        den = math.lcm(a.denominator, b.denominator)
-        self._u = a.numerator * (den // a.denominator)
-        self._v = b.numerator * (den // b.denominator)
-        self._den, self._d = den, d
+            u, v = u - v, 2 * v
+        # den > 0, so g > 0, and dividing it out leaves the least den
+        g = math.gcd(u, v, den)
+        self._u, self._v, self._den, self._d = u // g, v // g, den // g, d
+
+    @classmethod
+    def _from_ratios(cls, a: tuple, b: tuple, d: int) -> "QuadFieldElement":
+        """The element a + b*sqrt(-d) for a, b given as (num, den), den > 0."""
+        out = object.__new__(cls)
+        out._set(a, b, d)
+        return out
 
     @classmethod
     def _of(cls, u: int, v: int, den: int, d: int) -> "QuadFieldElement":
@@ -61,15 +86,23 @@ class QuadFieldElement:
         out._u, out._v, out._den, out._d = u // g, v // g, den // g, d
         return out
 
-    @property
-    def a(self) -> Fraction:
+    def _ab(self) -> tuple:
+        """(a, b) as unreduced (num, den) int pairs, den > 0."""
         if self._d == 3:
-            return Fraction(2 * self._u + self._v, 2 * self._den)
-        return Fraction(self._u, self._den)
+            return (2 * self._u + self._v, 2 * self._den), (self._v, 2 * self._den)
+        return (self._u, self._den), (self._v, self._den)
 
     @property
-    def b(self) -> Fraction:
-        return Fraction(self._v, 2 * self._den if self._d == 3 else self._den)
+    def a(self):
+        from fractions import Fraction
+
+        return Fraction(*self._ab()[0])
+
+    @property
+    def b(self):
+        from fractions import Fraction
+
+        return Fraction(*self._ab()[1])
 
     @property
     def d(self) -> int:
@@ -94,7 +127,10 @@ class QuadFieldElement:
                     f"field tags differ: d={self._d} vs d={other._d}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return QuadFieldElement._of(other, 0, 1, self._d)
+        fraction = _fraction_type()
+        if fraction is not None and isinstance(other, fraction):
             return QuadFieldElement._of(
                 other.numerator, 0, other.denominator, self._d
             )
@@ -171,8 +207,11 @@ class QuadFieldElement:
         u, v = pair_conj((self._u, self._v), omega_flag(self._d))
         return QuadFieldElement._of(u, v, self._den, self._d)
 
-    def norm(self) -> Fraction:
-        """Field norm a^2 + d*b^2 (the square of the complex modulus)."""
+    def norm(self):
+        """Field norm a^2 + d*b^2 (the square of the complex modulus), a
+        Fraction."""
+        from fractions import Fraction
+
         n = pair_norm((self._u, self._v), omega_flag(self._d))
         return Fraction(n, self._den * self._den)
 
@@ -196,6 +235,8 @@ class QuadFieldElement:
         """
         if self._den == 1:
             return self._u, self._v
+        from fractions import Fraction
+
         return Fraction(self._u, self._den), Fraction(self._v, self._den)
 
     @classmethod
@@ -225,9 +266,21 @@ class QuadFieldElement:
 
     def __hash__(self):
         # a rational's hash when v = 0, since the element equals it then
+        u, den = self._u, self._den
         if self._v:
-            return hash((self._u, self._v, self._den, self._d))
-        return hash(self._u if self._den == 1 else Fraction(self._u, self._den))
+            return hash((u, self._v, den, self._d))
+        if den == 1:
+            return hash(u)
+        # hash(Fraction(u, den)), by Python's rule for rational hashes:
+        # |u|/den mod P, inf where den has no inverse mod P, with u's sign;
+        # hash() reads -1 as -2, as it does for a Fraction
+        try:
+            inv = pow(den, -1, _HASH_MODULUS)
+        except ValueError:
+            h = _HASH_INF
+        else:
+            h = hash(hash(abs(u)) * inv)
+        return -h if u < 0 else h
 
     def __bool__(self):
         return not self.is_zero()
@@ -405,12 +458,67 @@ def cleared_pairs(elements) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _digits(text: str, signed: bool = False) -> int:
+    """The int of a run of decimal digits, with single underscores
+    between digits where this Python's Fraction takes them, and with an
+    optional sign when signed; ValueError otherwise."""
+    body = text[1:] if signed and text[:1] in ("+", "-") else text
+    parts = body.split("_") if _UNDERSCORES else (body,)
+    if not all(part.isdecimal() for part in parts):
+        raise ValueError(f"invalid rational literal {text!r}")
+    return int(text)
+
+
+def parse_rational(text: str) -> tuple:
+    """(num, den) in lowest terms, den > 0, of the rational that
+    fractions.Fraction(text) reads, computed on ints: an optional sign,
+    then digits and an optional /digits, or a decimal with an optional
+    exponent, with whitespace around.  ValueError or ZeroDivisionError
+    where Fraction(text) raises it."""
+    s = text.strip()
+    negative = s[:1] == "-"
+    if s[:1] in ("+", "-"):
+        s = s[1:]
+    head, slash, tail = s.partition("/")
+    if slash:
+        if _SPACED_SLASH:
+            head, tail = head.rstrip(), tail.lstrip()
+        num, den = _digits(head), _digits(tail)
+        if not den:
+            raise ZeroDivisionError(f"rational {text!r} has denominator 0")
+    else:
+        mantissa, e, exp = s.replace("E", "e").partition("e")
+        whole, _, frac = mantissa.partition(".")
+        # a digit first, or a point and a digit
+        if not (whole or frac[:1].isdecimal()):
+            raise ValueError(f"invalid rational literal {text!r}")
+        num, den = (_digits(whole) if whole else 0), 1
+        if frac:
+            den = 10 ** len(frac.replace("_", ""))
+            num = num * den + _digits(frac)
+        if e:
+            k = _digits(exp, signed=True)
+            if k >= 0:
+                num *= 10**k
+            else:
+                den *= 10**-k
+    g = math.gcd(num, den)
+    return (-num if negative else num) // g, den // g
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """str() of the Fraction num/den, den > 0."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def parse_element(text: str, d: int) -> QuadFieldElement:
     """Parse `a+b*w` / `p/q` / `b*w` into an element of the field tagged d.
 
     Whitespace is ignored.  `w` denotes sqrt(-d) and is rejected for d=0.
-    Errors carry the position of the offending character in the original
-    string.
+    Each rational reads as parse_rational reads it.  Errors carry the
+    position of the offending character in the original string.
     """
     if d not in SUPPORTED_D:
         raise DomainError(f"unsupported field tag d={d}")
@@ -436,8 +544,8 @@ def parse_element(text: str, d: int) -> QuadFieldElement:
             start = i
     terms.append((start, s[start:]))
 
-    a_total = Fraction(0)
-    b_total = Fraction(0)
+    # a and b as (num, den), indexed by is_w
+    totals = [(0, 1), (0, 1)]
     for off, term in terms:
         if not term or term in "+-":
             raise MapSpecError("empty term", position=_pos(off))
@@ -448,13 +556,13 @@ def parse_element(text: str, d: int) -> QuadFieldElement:
             body = body[1:]
         is_w = False
         if body == "w":
-            coef = Fraction(1)
+            coef = (1, 1)
             is_w = True
         elif body.endswith("*w"):
             coef_text = body[:-2]
             is_w = True
             try:
-                coef = Fraction(coef_text)
+                coef = parse_rational(coef_text)
             except (ValueError, ZeroDivisionError):
                 raise MapSpecError(
                     f"bad rational {coef_text!r}", position=_pos(off)
@@ -465,35 +573,35 @@ def parse_element(text: str, d: int) -> QuadFieldElement:
                     f"malformed term {term!r}", position=_pos(off)
                 )
             try:
-                coef = Fraction(body)
+                coef = parse_rational(body)
             except (ValueError, ZeroDivisionError):
                 raise MapSpecError(
                     f"bad rational {body!r}", position=_pos(off)
                 ) from None
-        if is_w:
-            if d == 0:
-                raise MapSpecError(
-                    "w is not allowed over the rationals (d=0)",
-                    position=_pos(off),
-                )
-            b_total += sign * coef
-        else:
-            a_total += sign * coef
-    return QuadFieldElement(a_total, b_total, d)
+        if is_w and d == 0:
+            raise MapSpecError(
+                "w is not allowed over the rationals (d=0)",
+                position=_pos(off),
+            )
+        n, m = totals[is_w]
+        totals[is_w] = (n * coef[1] + sign * coef[0] * m, m * coef[1])
+    return QuadFieldElement._from_ratios(totals[0], totals[1], d)
 
 
 def format_element(x: QuadFieldElement) -> str:
     """Canonical string form accepted back by parse_element."""
-    if x.b == 0:
-        return str(x.a)
-    if x.b == 1:
+    (an, ad), (bn, bd) = x._ab()
+    a = _ratio_str(an, ad)
+    if not bn:
+        return a
+    if bn == bd:
         w = "w"
-    elif x.b == -1:
+    elif bn == -bd:
         w = "-w"
     else:
-        w = f"{x.b}*w"
-    if x.a == 0:
+        w = f"{_ratio_str(bn, bd)}*w"
+    if not an:
         return w
-    if x.b > 0:
-        return f"{x.a}+{w}"
-    return f"{x.a}{w}"
+    if bn > 0:
+        return f"{a}+{w}"
+    return f"{a}{w}"

@@ -7,7 +7,10 @@ every sweep, one value formatted at a time.  The Green iteration and the
 CSV writer must return the same bits, compared through tobytes() so
 that a one-ulp change or a flipped zero sign shows; so must the field
 for any number of worker threads, and green()'s loop on Python complex
-against the oracle on numpy scalars, compared by repr.  The Aberth kernel
+against the oracle on numpy scalars, compared by repr, with green's abs
+(numpy's complex abs, replicated) and log (math.log) in the oracle.
+That abs must match np.abs bit for bit, and green must give the same
+values and refusals in a process without numpy.  The Aberth kernel
 starts elsewhere and stops by another test than its oracle, so its
 roots are matched one to one against the oracle's, within the distance
 that the two backward errors allow; its own bits must not depend on the
@@ -25,6 +28,7 @@ below, preimage_sample takes its leaves from the period lattice and
 never reaches the Aberth kernel.
 """
 
+import json
 import math
 import random
 import sys
@@ -37,8 +41,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from p1dyn import measures, periodic
+from p1dyn import greenpoint, measures, periodic
 from p1dyn.errors import ConvergenceError, DomainError
+from p1dyn.greenpoint import cabs
 from p1dyn.lattes import catalog, catalog_entry, catalog_names
 from p1dyn.measures import (
     ComplexSampleSet,
@@ -122,9 +127,9 @@ def full_forms_into(lift, bufs):
     return [accs[0], accs[1], w0, w1, tmp, p, q]
 
 
-def oracle_green_core(lift, w0, w1, n):
-    m = np.maximum(np.abs(w0), np.abs(w1))
-    g = np.log(m)
+def oracle_green_core(lift, w0, w1, n, absf=np.abs, logf=np.log):
+    m = np.maximum(absf(w0), absf(w1))
+    g = logf(m)
     w0 = w0 / m
     w1 = w1 / m
     scale = 1.0
@@ -137,16 +142,28 @@ def oracle_green_core(lift, w0, w1, n):
             # green_field stop here, and so does the oracle
             break
         w0, w1 = oracle_eval(lift, w0, w1)
-        m = np.maximum(np.abs(w0), np.abs(w1))
-        g = g + np.log(m) * scale
+        m = np.maximum(absf(w0), absf(w1))
+        g = g + logf(m) * scale
         w0 = w0 / m
         w1 = w1 / m
     return g
 
 
+def scalar_abs(w):
+    # green's abs, numpy's complex abs replicated on Python floats
+    return cabs(complex(w))
+
+
+def scalar_log(m):
+    # green's log, math.log, with numpy's -inf at 0, where green refuses
+    return math.log(m) if m else -math.inf
+
+
 def oracle_green(lift, z, n):
+    """The plain iteration on numpy scalars, with green's abs and log."""
     val = oracle_green_core(
-        lift, np.asarray(complex(z)), np.asarray(1.0 + 0j), n
+        lift, np.asarray(complex(z)), np.asarray(1.0 + 0j), n,
+        absf=scalar_abs, logf=scalar_log,
     )
     return float(val)
 
@@ -339,9 +356,10 @@ def full_horner_outcomes(fn, *args):
         with pytest.MonkeyPatch.context() as mp:
             if full:
                 mp.setattr(measures, "_forms_into", full_forms_into)
-                mp.setattr(measures, "_forms_scalar",
-                           lambda coeffs, tops, w0, w1:
-                           full_forms_scalar(coeffs, w0, w1))
+                for module in (measures, greenpoint):
+                    mp.setattr(module, "_forms_scalar",
+                               lambda coeffs, tops, w0, w1:
+                               full_forms_scalar(coeffs, w0, w1))
             try:
                 out.append(fn(*args))
             except DomainError as exc:
@@ -641,6 +659,119 @@ def test_green_steps_by_the_degree(name, lift):
             lhs = green(lift, complex(a / b), n) + log_b
             rhs = lift.degree * green(lift, z, n + 1)
             assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(log_b) + abs(rhs))
+
+
+# ------------------------------------------------------ numpy-free green
+
+
+def cabs_samples(seed, size):
+    """Complex doubles whose parts run over every scale: normal values
+    from 1e-300 to 1e300 each, part ratios near 2^+-1000, zeros of both
+    signs, subnormals, the largest doubles, and inf and nan parts."""
+    rng = np.random.default_rng(seed)
+    re = rng.normal(size=size) * 10.0 ** rng.uniform(-300, 300, size)
+    im = rng.normal(size=size) * 10.0 ** rng.uniform(-300, 300, size)
+    ratios = slice(0, None, 5)
+    re[ratios] = rng.normal(size=size)[ratios]
+    im[ratios] = re[ratios] * 2.0 ** rng.uniform(-1000, 1000, size)[ratios]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1.0,
+               1.7976931348623157e308, -1.7976931348623157e308, 2.0**-1000,
+               2.0**1000, np.inf, -np.inf, np.nan]
+    k = size // 10
+    re[:k] = rng.choice(special, k)
+    im[:k] = rng.choice(special, k)
+    im[k:2 * k] = rng.choice(special, k)
+    out = np.empty(size, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def assert_same_abs(got, want):
+    # bit for bit, and nan where numpy gives nan (whatever its payload)
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert same_bits(got[~nan], want[~nan])
+
+
+def test_cabs_is_numpys_complex_abs():
+    # numpy's SIMD loops for complex abs (X86_V3 and up) compute this
+    # formula; its baseline loop, taken when they are switched off, is
+    # hypot-like and differs in a few values.  green's bits depend on
+    # neither, since green calls no numpy
+    w = cabs_samples(31, 60_000)
+    got = np.array([cabs(z) for z in w.tolist()])
+    assert_same_abs(got, np.abs(w))
+    # numpy's scalar path, which green's numpy loop took, rounds alike
+    some = w[::50]
+    assert_same_abs(got[::50], [np.abs(z) for z in some])
+
+
+def test_every_green_is_the_numpy_free_one():
+    import p1dyn
+
+    assert measures.green is greenpoint.green is p1dyn.green
+
+
+# green's values and refusals: the list `out` of repr or "DomainError:
+# message" per case, from the same code with and without numpy
+_GREEN_CASES = """
+from p1dyn.errors import DomainError
+from p1dyn.greenpoint import green
+from p1dyn.lattes import catalog
+from p1dyn.quadfield import QuadFieldElement
+from p1dyn.ratmaps import Poly, RationalMap
+tiny = RationalMap(Poly([0, 0, 0, 1], 0),
+                   Poly([QuadFieldElement(1, 0, 0) / 2**1060, 1], 0))
+cases = [(catalog(name), z, n)
+         for name in ("pow_2", "phi_1+i", "phi_3@E1", "phi_sqrt-3")
+         for z in (0.5, -1.25 + 0.75j, 3j, 1e-3, 1e150 - 3e149j)
+         for n in (1, 30, 1100)]
+cases += [(tiny, z, 30) for z in (0.5, 0.9, 0.3 + 0.2j, 0.0, 1.5, -2 + 1j)]
+cases += [
+    (RationalMap.from_strings(["0", "0", "1"], ["1", "0", str(10**400)], 0),
+     0.5, 30),
+    (RationalMap.from_strings([str(10**308), "0", str(10**308)], ["0", "1"],
+                              0), 1.0, 3),
+    (RationalMap.from_strings(["0", "2"], ["1"], 0), 0.5, 1000),
+    (catalog("pow_2"), 2.0, 0),
+    ("pow_2", 2.0, 4),
+    (catalog("pow_2"), complex("nan"), 4),
+]
+out = []
+for phi, z, n in cases:
+    try:
+        out.append(repr(green(phi, z, n)))
+    except DomainError as exc:
+        out.append(f"DomainError: {exc}")
+"""
+
+
+def test_green_runs_and_refuses_without_numpy():
+    # the values and refusals of green in a process with numpy blocked
+    # are those of this process, where measures is loaded
+    import os
+    import subprocess
+
+    script = ('import json, sys\nsys.modules["numpy"] = None\n'
+              + _GREEN_CASES
+              + 'print(json.dumps([out, sys.modules["numpy"] is None]))\n')
+    src = os.path.dirname(os.path.dirname(measures.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out, blocked = json.loads(proc.stdout)
+    assert blocked
+    here = {}
+    exec(_GREEN_CASES, here)
+    assert out == here["out"]
+    refusals = [v for v in out if v.startswith("DomainError")]
+    assert len(refusals) == 10, refusals
+    for reason in ("underflows", "vanishes", "overflows",
+                   "degree at least 2", "at least one iteration",
+                   "expected a Lift or a RationalMap", "must be finite"):
+        assert any(reason in v for v in refusals), reason
 
 
 # ------------------------------------------------------------- workers

@@ -1943,48 +1943,44 @@ class TestComposeKernel:
 # each had loaded, counting only modules that the interpreter's own
 # start-up had not loaded before `import p1dyn`
 _FRESH_IMPORT = """
-import builtins, contextlib, io, json, sys
-lazy = ("dataclasses", "inspect", "numpy", "p1dyn.formkernel",
+import contextlib, io, json, sys
+lazy = ("dataclasses", "decimal", "fractions", "inspect", "numbers", "numpy",
+        "p1dyn.formkernel", "p1dyn.greenpoint", "p1dyn.heights",
         "p1dyn.measures", "p1dyn.periodic", "p1dyn.torus")
 before = set(sys.modules)
 def added():
     return sorted(m for m in lazy if m in sys.modules and m not in before)
-# the modules that run an import statement of decimal: fractions does,
-# whenever it is first imported, so decimal itself is loaded anyway
-importers = set()
-real_import = builtins.__import__
-def spy(name, globals=None, *args, **kwargs):
-    if name.split(".")[0] == "decimal":
-        importers.add((globals or {}).get("__name__") or "")
-    return real_import(name, globals, *args, **kwargs)
-builtins.__import__ = spy
 import p1dyn
 loaded = {"import": added()}
 from p1dyn import cli
 rcs = []
 for name, argv in (("catalog", ["catalog"]),
+                   ("green", ["green", "--catalog", "pow_2",
+                              "--point", "0.5,0"]),
                    ("height", ["height", "--catalog", "pow_2",
                                "--point", "7,3"])):
     with contextlib.redirect_stdout(io.StringIO()):
         rcs.append(cli.main(argv))
     loaded[name] = added()
-loaded["decimal"] = sorted(m for m in importers if m.startswith("p1dyn"))
 print(json.dumps([rcs, loaded]))
 """
 
 
-def test_import_and_exact_commands_load_no_kernel_or_dataclasses():
+def test_import_and_each_command_load_only_what_they_run():
     src = os.path.dirname(os.path.dirname(heights.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_IMPORT], capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    # a height engine compiles its form kernel, and nothing else loads;
-    # no module of p1dyn imports decimal
-    assert json.loads(proc.stdout) == [[0, 0], {
-        "import": [], "catalog": [], "height": ["p1dyn.formkernel"],
-        "decimal": []}]
+    # import p1dyn and catalog load no rational type, no height engine
+    # and no kernel; green adds its numpy-free module alone; a height
+    # loads the height engine, which compiles its form kernel.  Each
+    # list holds what loaded since the import, so green's stays in
+    # height's
+    assert json.loads(proc.stdout) == [[0, 0, 0], {
+        "import": [], "catalog": [], "green": ["p1dyn.greenpoint"],
+        "height": ["p1dyn.formkernel", "p1dyn.greenpoint", "p1dyn.heights"]}]
 
 
 class TestEngineCache:

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from p1dyn.errors import DomainError, FieldMismatchError, MapSpecError
 from p1dyn.quadfield import (
@@ -14,7 +15,9 @@ from p1dyn.quadfield import (
     pair_divmod,
     pair_normalize,
     parse_element,
+    parse_rational,
 )
+from p1dyn import cli
 
 
 def divmod_elements(x, y):
@@ -298,3 +301,162 @@ class TestProperties:
         n = normalize_element(x)
         assert normalize_element(n) == n
         assert n.norm() == x.norm()
+
+
+# ---------------------------------------------------------------------------
+# Rationals without Fraction: quadfield parses and builds them on ints, and
+# its public rational values stay Fractions
+# ---------------------------------------------------------------------------
+
+_P = sys.hash_info.modulus
+_digits = st.text("0123456789", min_size=1, max_size=5)
+# literals in Fraction's grammar and near it: signs, spaces, underscores,
+# decimals and exponents, a non-ASCII digit, a superscript (no decimal
+# digit), and stray characters
+_literals = st.one_of(
+    st.builds(
+        lambda lead, sign, num, tail, trail: lead + sign + num + tail + trail,
+        st.sampled_from(["", " ", "\t", "\u00a0"]),
+        st.sampled_from(["", "+", "-", "--", "+-"]),
+        st.one_of(_digits, st.builds("{}_{}".format, _digits, _digits),
+                  st.just(""), st.just("\u0663")),
+        st.one_of(
+            st.just(""),
+            st.builds("/{}".format, _digits),
+            st.builds("{}/{}".format, st.sampled_from(["", " ", "  "]),
+                      st.one_of(_digits, st.just(""), st.just("1_0"),
+                                st.just(" 7"), st.just("0"))),
+            st.builds("{}{}".format,
+                      st.sampled_from(["", ".", "."]).flatmap(
+                          lambda p: st.builds((p + "{}").format, st.one_of(
+                              _digits, st.just(""), st.just("2_5"),
+                              st.just("d")))),
+                      st.sampled_from(["", "e", "E", "e-", "E+", "e1_0",
+                                       "e+3", "e-2", "e"]).flatmap(
+                          lambda e: st.builds((e + "{}").format, st.one_of(
+                              st.just(""), st.text("0123", max_size=2))))),
+        ),
+        st.sampled_from(["", " ", "\x1c", "x", "\u00b2"]),
+    ),
+    st.text("0123456789+-/._eEdw \u0663", max_size=8),
+)
+
+
+# unsigned terms of parse_element, with no w: valid rationals and near
+# misses, with spaces that parse_element drops; exponents stay below
+# 1000, so that format_element can print every value
+_terms = st.one_of(
+    st.builds("{}{}{}".format, _digits,
+              st.sampled_from(["", "/", ".", "e", "E", "_", " / "]),
+              st.text("0123456789", max_size=3)),
+    st.text("0123456789/._ \u0663", min_size=1, max_size=6),
+).filter(str.strip)
+
+
+def fraction_reads(text):
+    """(num, den) of Fraction(text), or the type of its exception."""
+    try:
+        f = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return f.numerator, f.denominator
+
+
+def int_parser_reads(text):
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestRationalsWithoutFraction:
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(-10**30, 10**30),
+           q=st.one_of(st.integers(2, 10**6), st.integers(2, 2**400),
+                       st.integers(1, 10**6).map(lambda k: k * _P)),
+           d=st.sampled_from([0, 1, 3]))
+    @example(p=-(_P + 3), q=3, d=0)  # |p|/q = 1 mod P: hash -1, read -2
+    @example(p=-(_P + 3), q=3, d=3)
+    @example(p=-1, q=_P, d=1)  # no inverse mod P: -inf's hash
+    @example(p=5, q=2 * _P, d=0)
+    @example(p=0, q=7, d=1)
+    def test_hash_is_the_fractions_hash(self, p, q, d):
+        r = Fraction(p, q)
+        for x in (QF(r, 0, d), QF(f"{p}/{q}", 0, d), QF(p, 0, d) / q):
+            assert x == r
+            assert hash(x) == hash(r)
+
+    def test_special_hashes_are_hit(self):
+        assert hash(QF(Fraction(-(_P + 3), 3))) == -2
+        assert hash(QF(Fraction(1, _P), 0, 1)) == sys.hash_info.inf
+        assert hash(QF(Fraction(-1, 2 * _P), 0, 3)) == -sys.hash_info.inf
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_public_rational_values_stay_fractions(self, d):
+        x = QF(Fraction(3, 4), Fraction(-5, 6) if d else 0, d)
+        for value in (x.a, x.b, x.norm(), *x.basis_pair()):
+            assert type(value) is Fraction
+        assert x.a == Fraction(3, 4)
+        assert x.b == (Fraction(-5, 6) if d else 0)
+        # an integral element's basis pair stays a pair of ints
+        y = QF.from_basis_pair(2, 3 if d else 0, d)
+        assert all(type(c) is int for c in y.basis_pair())
+        assert type(y.a) is type(y.b) is type(y.norm()) is Fraction
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_literals)
+    @example(text="1_000/3")
+    @example(text="1 / 2")
+    @example(text=" -.5e-3 ")
+    @example(text="\u0663/\u0664")
+    @example(text="1/0")
+    @example(text="1/")
+    @example(text="1.d")
+    @example(text="5.")
+    def test_int_parser_reads_as_fraction(self, text):
+        assert int_parser_reads(text) == fraction_reads(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_terms, b=_terms, d=st.sampled_from([1, 3]),
+           sign=st.sampled_from(["+", "-"]))
+    def test_parse_element_reads_as_before(self, a, b, d, sign):
+        # the element parse_element read with Fraction: each term's
+        # rational as Fraction reads it, whitespace dropped first
+        ra, rb = ("".join(t.split()) for t in (a, b))
+        ra, rb = fraction_reads(ra), fraction_reads(rb)
+        text = f"{a}{sign}{b}*w"
+        if isinstance(ra, type) or isinstance(rb, type):
+            with pytest.raises(MapSpecError, match="bad rational"):
+                parse_element(text, d)
+            return
+        want = QF(Fraction(*ra), (1 if sign == "+" else -1) * Fraction(*rb), d)
+        got = parse_element(text, d)
+        assert got == want and hash(got) == hash(want)
+        assert format_element(got) == format_element(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_literals, b=_literals, d=st.sampled_from(["0", "1", "3"]))
+    def test_lambda_reads_as_before(self, a, b, d):
+        text = f"{a},{b},{d}"
+        ra, rb = fraction_reads(a), fraction_reads(b)
+        if isinstance(ra, type) or isinstance(rb, type):
+            with pytest.raises(MapSpecError, match="needs two rationals"):
+                cli._parse_lambda(text)
+        elif rb[0] and d == "0":
+            with pytest.raises(MapSpecError, match="b must be 0"):
+                cli._parse_lambda(text)
+        else:
+            assert cli._parse_lambda(text) == QF(
+                Fraction(*ra), Fraction(*rb), int(d))
+
+    @pytest.mark.parametrize("text", ["1/0", "1/", "0/0", "1/2/3"])
+    def test_bad_rationals_are_map_spec_errors(self, text):
+        with pytest.raises(MapSpecError, match=f"bad rational '{text}'"):
+            parse_element(text, 1)
+        with pytest.raises(MapSpecError, match=f"bad rational '{text}'"):
+            parse_element(f"1+{text}*w", 1)
+
+    def test_bad_lambda_is_a_usage_error(self, capsys):
+        assert cli.main(["table-check", "--lambda", "1/0,1,1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --lambda '1/0,1,1' needs two rationals and an integer d\n")

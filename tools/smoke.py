@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python3 tools/smoke.py
 
-The EXACT rows run through p1dyn.cli.main with numpy blocked.  Each must
-exit 0, and afterwards none of numpy, mpmath or sympy may be imported.
+The EXACT rows, the exact subcommands and green, which runs on Python
+floats, run through p1dyn.cli.main with numpy blocked.  Each must exit
+0, and afterwards none of numpy, mpmath or sympy may be imported.
 Each row's stdout is written to stdout in table order, with the
 temporary directory spelled `{tmp}`, so the output of two Pythons can be
 compared byte for byte.  tools/smoke.md5 holds the md5 of that output,
@@ -131,15 +132,16 @@ EXACT = [
     ("periodic points of phi_sqrt-3 in closed form at period 4; each cycle "
      "runs on the map's form kernel at t = 0",
      "periodic --catalog phi_sqrt-3 --depth 4"),
-]
-
-NUMERIC = [
+    # green runs on Python floats (p1dyn.greenpoint), so with numpy blocked
     ("green of pow_2 at a real point",
      "green --catalog pow_2 --point 0.5,0"),
     ("green of a cubic over Q(i) from a map file, the one way into the "
-     "numeric layer for a map outside the catalog; its lift keeps a zero "
+     "Green value for a map outside the catalog; its lift keeps a zero "
      "coefficient",
      "green --map {tmp}/user.json --point 0.5,0.25 --point=-1.5,2"),
+]
+
+NUMERIC = [
     ("periodic points of 2z^2, no catalog map, by the root solve: the row "
      "2z - 1, once the root 0 is split off, takes the Aberth sweeps",
      "periodic --map {tmp}/twozsq.json --depth 1"),
