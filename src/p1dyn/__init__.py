@@ -5,15 +5,18 @@ CM elliptic curves, and the complex-analytic measure machinery.
 
 The exact layers (quadfield, ratmaps, lattes, heights) are pure Python,
 and so are periodic, whose closed forms serve the catalog's maps, and
-greenpoint, the Green value at one point.  The complex-analytic layer,
-measures, needs numpy.  heights, measures, periodic and greenpoint, and
-their names below, are imported on first access (PEP 562), so importing
-p1dyn compiles none of them, and exact work and p1dyn.green never load
-numpy.  quadfield builds its rationals on ints, and the exact value
-types are slotted classes, not dataclasses, so importing p1dyn loads
-neither fractions (nor decimal and numbers) nor dataclasses and
-inspect: in a fresh Python 3.11 interpreter on two shared vCPUs it
-takes about 20 ms without a bytecode cache and 5 ms with one.
+greenpoint, which holds a map's complex lift (Lift) and its Green value
+at one point (green).  The complex-analytic layer, measures, needs
+numpy.  heights, measures, periodic and greenpoint, and their names
+below, are imported on first access (PEP 562), so importing p1dyn
+compiles none of them, and exact work, p1dyn.Lift and p1dyn.green never
+load numpy.  `from p1dyn import *` binds every name of __all__, the lazy
+ones among them, and so loads every lazy module, numpy included.
+quadfield builds its rationals on ints, and the exact value types are
+slotted classes, not dataclasses, so importing p1dyn loads neither
+fractions (nor decimal and numbers) nor dataclasses and inspect: in a
+fresh Python 3.11 interpreter on two shared vCPUs it takes about 20 ms
+without a bytecode cache and 5 ms with one.
 """
 
 from .errors import (
@@ -57,7 +60,8 @@ from .ratmaps import (
 
 __version__ = "0.1.0"
 
-# public names of the lazily imported modules, served by __getattr__
+# public names of the lazily imported modules, served by __getattr__;
+# each name is listed under its one module
 _HEIGHTS_NAMES = (
     "HeightValue",
     "canonical_height",
@@ -68,9 +72,7 @@ _MEASURES_NAMES = (
     "ComplexSampleSet",
     "DensityGrid",
     "GreenField",
-    "Lift",
     "compare_l1",
-    "green",
     "green_field",
     "julia_raster",
     "lattes_density",
@@ -82,10 +84,8 @@ _MEASURES_NAMES = (
     "write_pgm",
 )
 _PERIODIC_NAMES = ("periodic_points",)
-# green comes from greenpoint, which measures re-exports: first match wins,
-# so p1dyn.green loads no numpy
 _LAZY = {
-    "greenpoint": ("green",),
+    "greenpoint": ("Lift", "green"),
     "heights": _HEIGHTS_NAMES,
     "measures": _MEASURES_NAMES,
     "periodic": _PERIODIC_NAMES,

@@ -1,18 +1,21 @@
-"""Green values at single points, on Python floats: no numpy.
+"""A map's complex lift, and its Green values at single points, on
+Python floats: no numpy.
 
-green(lift, z, n) runs the renormalized iteration of measures'
-green_field at one point, with the forms' Horner on Python complex
-numbers (_forms_scalar), so that `p1dyn green` and the exact
+Lift is the one record of a map's homogeneous lift to C^2, built once
+per map (Lift.from_map, cached), which every numeric path reads: green
+here, and measures' green_field and preimage trees and periodic's
+generic route.  green(lift, z, n) runs the renormalized iteration of
+measures' green_field at one point, with the forms' Horner on Python
+complex numbers (_forms_scalar), so that `p1dyn green` and the exact
 subcommands load neither numpy nor measures.  Its abs is numpy's
 complex abs, replicated bit for bit (cabs), and its logarithm is
-math.log.  measures imports green from here, so measures.green and
+math.log.  measures re-exports Lift and green, so measures.green and
 p1dyn.green are this function.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
 from .errors import DomainError
@@ -25,23 +28,40 @@ _RECIP_OVERFLOW = 2.0 ** -1024
 _INF = math.inf
 
 
-def forms_and_tops(f0, f1) -> tuple:
-    """(coeffs, tops) of the lift (F0, F1): both forms' coefficients as
-    tuples of complex, constant term first, and each form's highest
-    nonzero coefficient, where its Horner starts."""
-    coeffs = (tuple(map(complex, f0)), tuple(map(complex, f1)))
-    deg = len(coeffs[0]) - 1
-    tops = tuple(max((k for k, c in enumerate(f) if c), default=deg)
-                 for f in coeffs)
-    return coeffs, tops
+class Lift:
+    """Homogeneous lift (F0, F1) of an exact map of degree alpha to C^2.
 
+    Lift.from_map is the only constructor: it takes the pair (num, den)
+    of the map's canonical scale, whose resultant is exactly nonzero.
+    The map's other lifts c(F0, F1), c != 0, are the lift ambiguity: in
+    the limit their Green values differ by log|c|/(alpha-1), and every
+    derived measure is the same.  The coefficients are held once, as
+    two tuples of complex, constant term first, of length degree + 1.
+    """
 
-@lru_cache(maxsize=128)
-def map_forms(phi: RationalMap) -> tuple:
-    """forms_and_tops of phi's lift (num, den), the pair of its canonical
-    scale; a constant map c0/c1 gets the degree-0 lift (c0, c1).  Cached
-    for the 128 most recently used maps."""
-    return forms_and_tops(*phi.complex_pair())
+    def _set(self, f0, f1) -> None:
+        self._coeffs = (tuple(map(complex, f0)), tuple(map(complex, f1)))
+        self.degree = len(self._coeffs[0]) - 1
+        # each form's highest nonzero coefficient, where its Horner starts
+        self._tops = tuple(
+            max((k for k, c in enumerate(f) if c), default=self.degree)
+            for f in self._coeffs)
+
+    @classmethod
+    @lru_cache(maxsize=128)
+    def from_map(cls, phi: RationalMap) -> "Lift":
+        """The lift (num, den) of phi; a constant map c0/c1 gets the
+        degree-0 lift (c0, c1).  Cached for the 128 most recently used
+        maps, so equal maps share one Lift."""
+        lift = cls()
+        lift._set(*phi.complex_pair())
+        return lift
+
+    def eval(self, w0, w1) -> tuple:
+        """Both forms at one point (w0, w1), by _forms_scalar's Horner,
+        as Python complex."""
+        return _forms_scalar(self._coeffs, self._tops, complex(w0),
+                             complex(w1))
 
 
 def _forms_scalar(coeffs, tops, w0: complex, w1: complex):
@@ -94,31 +114,27 @@ def _abs_max(w0: complex, w1: complex) -> float:
     return a if a >= b or a != a else b
 
 
-def check_green(lift, n: int) -> tuple:
-    """(coeffs, tops) of a RationalMap's lift or of a measures.Lift, once
-    n and the degree allow a Green value."""
+def check_green(lift, n: int) -> Lift:
+    """lift as a Lift (a RationalMap's cached one), once n and the
+    degree allow a Green value."""
     if n < 1:
         raise DomainError("need at least one iteration")
     if isinstance(lift, RationalMap):
-        coeffs, tops = map_forms(lift)
-    else:
-        # no Lift exists before measures is loaded
-        measures = sys.modules.get(__package__ + ".measures")
-        if measures is None or not isinstance(lift, measures.Lift):
-            raise DomainError("expected a Lift or a RationalMap")
-        coeffs, tops = lift._coeffs, lift._tops
-    if len(coeffs[0]) < 3:
+        lift = Lift.from_map(lift)
+    elif not isinstance(lift, Lift):
+        raise DomainError("expected a Lift or a RationalMap")
+    if lift.degree < 2:
         # 1/deg^n never shrinks: the sum grows without limit
         raise DomainError("Green functions need a map of degree at least 2")
-    return coeffs, tops
+    return lift
 
 
 def green(lift, z, n: int) -> float:
     """n-th renormalized Green value at the point (z, 1).
 
-    lift is a RationalMap, whose lift is cached (map_forms), or a
-    measures.Lift.  Successive n differ by at most C/deg^n, so the
-    returned value is within C/(deg^n (deg-1)) of the limit.  Counts past
+    lift is a Lift, or a RationalMap, whose cached Lift is read.
+    Successive n differ by at most C/deg^n, so the returned value is
+    within C/(deg^n (deg-1)) of the limit.  Counts past
     about 1075/log2(deg) cost no more: deg^-n has underflowed and the
     value no longer changes.  The iteration runs on Python complex
     numbers, with numpy's complex abs (cabs) and math.log: the bits of
@@ -131,11 +147,11 @@ def green(lift, z, n: int) -> float:
     less before another: the loop stops there, before the log of zero
     or an overflowing reciprocal.
     """
-    coeffs, tops = check_green(lift, n)
+    lift = check_green(lift, n)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("point must be finite")
-    degree = len(coeffs[0]) - 1
+    coeffs, tops, degree = lift._coeffs, lift._tops, lift.degree
     w0, w1 = z, _ONE
     m = _abs_max(w0, w1)
     g = math.log(m)

@@ -4,8 +4,9 @@ preimage sampling, root finding, and raster export.
 Everything here runs in double precision.  Tolerances are those of
 numerical potential theory (grids, histograms, root residuals), not the
 certified bounds of the height engine; see heights for the exact side.
-The Green value at one point, green, and the scalar Horner of the forms
-live in greenpoint, which needs no numpy; this module re-exports green.
+A map's complex lift (Lift), the Green value at one point (green) and
+the scalar Horner of the forms live in greenpoint, which needs no
+numpy; this module re-exports Lift and green.
 """
 
 from __future__ import annotations
@@ -19,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .greenpoint import (  # green is re-exported
-    _ONE,
-    _forms_scalar,
-    check_green,
-    forms_and_tops,
-    green,
-    map_forms,
-)
+# Lift and green are re-exported
+from .greenpoint import _ONE, Lift, check_green, green
 from .lattes import CURVES, EllipticCurveCM, entry_for_map
 from .ratmaps import RationalMap
 from .torus import TWO_PI, _basis_matrix, _hermite, curve_lattice
@@ -68,43 +63,7 @@ def _grid_centers(window, nx, ny):
     return out, dx, dy
 
 
-class Lift:
-    """Homogeneous lift (F0, F1) of an exact map of degree alpha to C^2.
-
-    Lift.from_map is the only constructor: it takes the pair (num, den)
-    of the map's canonical scale, whose resultant is exactly nonzero.
-    The map's other lifts c(F0, F1), c != 0, are the lift ambiguity: in
-    the limit their Green values differ by log|c|/(alpha-1), and every
-    derived measure is the same.  The coefficients are held once, as
-    two tuples of complex, constant term first, of length degree + 1.
-    """
-
-    def _set(self, f0, f1) -> None:
-        self._hold(forms_and_tops(f0, f1))
-
-    def _hold(self, forms) -> None:
-        # the coefficient tuples, and each form's highest nonzero
-        # coefficient, where its Horner starts
-        self._coeffs, self._tops = forms
-        self.degree = len(self._coeffs[0]) - 1
-
-    @classmethod
-    def from_map(cls, phi: RationalMap) -> "Lift":
-        """The lift (num, den) of phi (greenpoint.map_forms, cached per
-        map); a constant map c0/c1 gets the degree-0 lift (c0, c1)."""
-        lift = cls()
-        lift._hold(map_forms(phi))
-        return lift
-
-    def eval(self, w0, w1):
-        """Both forms at one point (w0, w1), by _forms_scalar's Horner,
-        as np.complex128."""
-        a0, a1 = _forms_scalar(self._coeffs, self._tops, complex(w0),
-                               complex(w1))
-        return np.complex128(a0), np.complex128(a1)
-
-
-def _forms_into(lift: "Lift", bufs: list) -> list:
+def _forms_into(lift: Lift, bufs: list) -> list:
     """F(w0, w1) on arrays, writing only into preallocated arrays.
 
     bufs holds seven complex arrays of one shape: w0 and w1, which are
@@ -272,12 +231,6 @@ def _green_block(lift: Lift, z, n: int, bufs: list, inv, m, t, g) -> None:
         g += t
 
 
-def _check_green(lift, n: int) -> Lift:
-    """lift as a Lift, once green's checks pass."""
-    check_green(lift, n)
-    return lift if isinstance(lift, Lift) else Lift.from_map(lift)
-
-
 def green_field(lift, window, resolution, n: int) -> GreenField:
     """green() evaluated on the cell centers of a window grid.
 
@@ -294,7 +247,7 @@ def green_field(lift, window, resolution, n: int) -> GreenField:
     Every cell takes the same operations whichever worker iterates it,
     so neither the worker count nor the block size moves a bit.
     """
-    lift = _check_green(lift, n)
+    lift = check_green(lift, n)
     window = _check_window(window)
     nx, ny = _resolution_pair(resolution)
     centers, _, _ = _grid_centers(window, nx, ny)
@@ -694,7 +647,8 @@ def _preimage_tree(phi: RationalMap, z: complex, depth: int,
     arguments and depth >= 1: the rows of a generation are the
     preimages of its points in order, deg per point."""
     deg = phi.degree
-    f0, f1 = (np.array(f, dtype=complex) for f in phi.complex_pair())
+    f0, f1 = (np.array(f, dtype=complex)
+              for f in Lift.from_map(phi)._coeffs)
     rng = np.random.default_rng(seed)
     scale = max(abs(z), 1.0)
     a0 = np.array([z / scale])

@@ -324,7 +324,7 @@ def _generic_periodic(phi: RationalMap, n: int) -> list:
     and ConvergenceError when a finite root found is not within
     _CYCLE_TOL (chordal) of its n-th image under phi.
     """
-    from .measures import poly_roots
+    from .measures import Lift, poly_roots
 
     psi = phi
     for _ in range(n - 1):
@@ -340,7 +340,7 @@ def _generic_periodic(phi: RationalMap, n: int) -> list:
     coeffs = [complex(fixed.coeff(k)) for k in range(fixed.degree + 1)]
     inf_mult_count = (alpha + 1) - fixed.degree
     roots = poly_roots(coeffs) if fixed.degree >= 1 else []
-    f0, f1 = phi.complex_pair()
+    f0, f1 = Lift.from_map(phi)._coeffs
     cycles = [_cycle(f0, f1, r, n) for r in roots]
     resid = [e for e, _ in cycles]
     if not all(e <= _CYCLE_TOL for e in resid):

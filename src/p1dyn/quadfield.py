@@ -507,10 +507,18 @@ def parse_rational(text: str) -> tuple:
 
 
 def _ratio_str(num: int, den: int) -> str:
-    """str() of the Fraction num/den, den > 0."""
+    """str() of the Fraction num/den, den > 0.  Raises DomainError for
+    an int past Python's cap on int-to-string conversion
+    (sys.get_int_max_str_digits, 3.10.7 and later)."""
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise DomainError(
+            "a coefficient is too long to print: it has more digits than "
+            f"Python's limit of {sys.get_int_max_str_digits()} for "
+            "int-to-string conversion") from None
 
 
 def parse_element(text: str, d: int) -> QuadFieldElement:
@@ -589,7 +597,8 @@ def parse_element(text: str, d: int) -> QuadFieldElement:
 
 
 def format_element(x: QuadFieldElement) -> str:
-    """Canonical string form accepted back by parse_element."""
+    """Canonical string form accepted back by parse_element; DomainError
+    for a part too long to print (see _ratio_str)."""
     (an, ad), (bn, bd) = x._ab()
     a = _ratio_str(an, ad)
     if not bn:

@@ -320,7 +320,7 @@ def test_eval_scalars_match_oracle(name, lift):
     for w0, w1 in pairs:
         got = lift.eval(w0, w1)
         want = oracle_eval(lift, w0, w1)
-        assert type(got[0]) is type(want[0]) is np.complex128
+        assert type(got[0]) is type(got[1]) is complex
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
@@ -356,10 +356,9 @@ def full_horner_outcomes(fn, *args):
         with pytest.MonkeyPatch.context() as mp:
             if full:
                 mp.setattr(measures, "_forms_into", full_forms_into)
-                for module in (measures, greenpoint):
-                    mp.setattr(module, "_forms_scalar",
-                               lambda coeffs, tops, w0, w1:
-                               full_forms_scalar(coeffs, w0, w1))
+                mp.setattr(greenpoint, "_forms_scalar",
+                           lambda coeffs, tops, w0, w1:
+                           full_forms_scalar(coeffs, w0, w1))
             try:
                 out.append(fn(*args))
             except DomainError as exc:
@@ -711,6 +710,10 @@ def test_every_green_is_the_numpy_free_one():
     import p1dyn
 
     assert measures.green is greenpoint.green is p1dyn.green
+    assert measures.Lift is greenpoint.Lift is p1dyn.Lift
+    # each lazy name is served by one module
+    names = [n for ns in p1dyn._LAZY.values() for n in ns]
+    assert len(names) == len(set(names))
 
 
 # green's values and refusals: the list `out` of repr or "DomainError:
@@ -728,6 +731,9 @@ cases = [(catalog(name), z, n)
          for z in (0.5, -1.25 + 0.75j, 3j, 1e-3, 1e150 - 3e149j)
          for n in (1, 30, 1100)]
 cases += [(tiny, z, 30) for z in (0.5, 0.9, 0.3 + 0.2j, 0.0, 1.5, -2 + 1j)]
+import p1dyn
+lift = p1dyn.Lift.from_map(catalog("phi_1+i"))
+cases += [(lift, z, n) for z in (0.5, -1.25 + 0.75j) for n in (1, 30)]
 cases += [
     (RationalMap.from_strings(["0", "0", "1"], ["1", "0", str(10**400)], 0),
      0.5, 30),
@@ -744,12 +750,14 @@ for phi, z, n in cases:
         out.append(repr(green(phi, z, n)))
     except DomainError as exc:
         out.append(f"DomainError: {exc}")
+out.append(repr(lift.eval(0.5 - 0.25j, 1.0)))
 """
 
 
 def test_green_runs_and_refuses_without_numpy():
-    # the values and refusals of green in a process with numpy blocked
-    # are those of this process, where measures is loaded
+    # the values and refusals of green, on maps and on a Lift, and the
+    # Lift's forms at a point, in a process with numpy blocked are those
+    # of this process, where measures is loaded
     import os
     import subprocess
 

@@ -1047,6 +1047,20 @@ class TestBigCoefficients:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="no cap on int-to-string conversion")
+def test_coefficient_too_long_to_print_is_one_error_line(tmp_path, capsys):
+    # 10^5000 z^2 composed with itself: the result's coefficients have
+    # more digits than Python converts to a string by default
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"num": ["0", "0", "1e5000"], "den": ["1"]}))
+    rc, out, err = run(["compose", "--map", str(path), str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"limit of {sys.get_int_max_str_digits()}" in err
+
+
 class TestOverflowingLift:
     """(10^308 z^2 + 10^308)/z: its first form overflows near |z| = 1."""
 

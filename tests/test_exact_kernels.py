@@ -1938,11 +1938,10 @@ class TestComposeKernel:
         assert _unpack(_pack([-top - 1, top], bits), bits, 2) == [-top - 1, top]
 
 
-# import p1dyn, then run `p1dyn catalog` and one `p1dyn height`, in a
-# fresh interpreter; prints which of the modules that none of them needs
-# each had loaded, counting only modules that the interpreter's own
-# start-up had not loaded before `import p1dyn`
-_FRESH_IMPORT = """
+# import p1dyn in a fresh interpreter; added() then lists which of the
+# modules in `lazy` have loaded since, counting only modules that the
+# interpreter's own start-up had not loaded before `import p1dyn`
+_SPY = """
 import contextlib, io, json, sys
 lazy = ("dataclasses", "decimal", "fractions", "inspect", "numbers", "numpy",
         "p1dyn.formkernel", "p1dyn.greenpoint", "p1dyn.heights",
@@ -1952,6 +1951,9 @@ def added():
     return sorted(m for m in lazy if m in sys.modules and m not in before)
 import p1dyn
 loaded = {"import": added()}
+"""
+# then run `p1dyn catalog`, `p1dyn green` and one `p1dyn height`
+_FRESH_IMPORT = _SPY + """
 from p1dyn import cli
 rcs = []
 for name, argv in (("catalog", ["catalog"]),
@@ -1966,21 +1968,38 @@ print(json.dumps([rcs, loaded]))
 """
 
 
-def test_import_and_each_command_load_only_what_they_run():
+def spy(script):
+    """What script prints as JSON, run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(heights.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_IMPORT], capture_output=True,
+        [sys.executable, "-c", script], capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_and_each_command_load_only_what_they_run():
     # import p1dyn and catalog load no rational type, no height engine
     # and no kernel; green adds its numpy-free module alone; a height
     # loads the height engine, which compiles its form kernel.  Each
     # list holds what loaded since the import, so green's stays in
     # height's
-    assert json.loads(proc.stdout) == [[0, 0, 0], {
+    assert spy(_FRESH_IMPORT) == [[0, 0, 0], {
         "import": [], "catalog": [], "green": ["p1dyn.greenpoint"],
         "height": ["p1dyn.formkernel", "p1dyn.greenpoint", "p1dyn.heights"]}]
+
+
+def test_lift_loads_only_its_numpy_free_module():
+    # a map's Lift, its forms at a point and a Green value on it
+    script = _SPY + """
+lift = p1dyn.Lift.from_map(p1dyn.catalog("pow_2"))
+lift.eval(3.0, 1.0)
+p1dyn.green(lift, 2.0, 30)
+loaded["Lift"] = added()
+print(json.dumps(loaded))
+"""
+    assert spy(script) == {"import": [], "Lift": ["p1dyn.greenpoint"]}
 
 
 class TestEngineCache:

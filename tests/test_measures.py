@@ -135,6 +135,12 @@ class TestLift:
         assert lift.degree == 2
         assert [len(f) for f in lift._coeffs] == [3, 3]
 
+    def test_equal_maps_share_one_lift(self):
+        phi = catalog("phi_3@E2")
+        again = RationalMap(phi.num, phi.den)
+        assert Lift.from_map(phi) is Lift.from_map(phi)
+        assert again is not phi and Lift.from_map(again) is Lift.from_map(phi)
+
     def test_eval_takes_one_point(self):
         with pytest.raises(TypeError):
             SQUARE.eval(np.array([1.0 + 0j, 2.0 + 0j]), np.ones(2, complex))
