@@ -10,14 +10,17 @@ at one point (green).  The complex-analytic layer, measures, needs
 numpy.  heights, measures, periodic and greenpoint, and their names
 below, are imported on first access (PEP 562), so importing p1dyn
 compiles none of them, and exact work, p1dyn.Lift and p1dyn.green never
-load numpy.  `from p1dyn import *` binds every name of __all__, the lazy
-ones among them, and so loads every lazy module, numpy included.
+load numpy.  __all__ holds the public names, not the submodules, which
+dir(p1dyn) lists too.  `from p1dyn import *` binds every name of __all__,
+the lazy ones among them, and so loads every lazy module, numpy included.
 quadfield builds its rationals on ints, and the exact value types are
 slotted classes, not dataclasses, so importing p1dyn loads neither
 fractions (nor decimal and numbers) nor dataclasses and inspect: in a
 fresh Python 3.11 interpreter on two shared vCPUs it takes about 20 ms
 without a bytecode cache and 5 ms with one.
 """
+
+from types import ModuleType as _ModuleType
 
 from .errors import (
     ConvergenceError,
@@ -112,4 +115,7 @@ def __dir__():
     return sorted({*globals(), *_LAZY, *(n for ns in _LAZY.values() for n in ns)})
 
 
-__all__ = [name for name in __dir__() if not name.startswith("_")]
+# the public names, not the submodules that dir(p1dyn) also lists
+__all__ = [name for name in __dir__() if not name.startswith("_")
+           and name not in _LAZY
+           and not isinstance(globals().get(name), _ModuleType)]

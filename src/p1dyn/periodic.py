@@ -3,12 +3,13 @@
 The catalog's maps take their periodic points in closed form, without
 numpy: the power maps z^k have 0, infinity and roots of unity, and a
 Lattes map phi(wp(u)) = wp(lam u) has the wp(u) with lam^n u = +-u on
-the period lattice (Milnor, "On Lattes maps", arXiv math/0402147).  A
-Newton step in fixed-point integers then makes every component the
-correctly rounded value; on fixed-point complex integers, the map's
-forms run on its formkernel.form_kernel kernel at t = 0, as every exact
-form does.  Every other map solves num - z den = 0 for phi^n = num/den
-with measures.poly_roots, which loads numpy.
+the period lattice (Milnor, "On Lattes maps", arXiv math/0402147).  One
+Newton step on phi^n(z) = z in fixed-point integers (_newton_polish)
+then makes every component the correctly rounded value, for a root of
+unity as for the first point of a Lattes cycle; on fixed-point complex
+integers, the map's forms run on its formkernel.form_kernel kernel at
+t = 0, as every exact form does.  Every other map solves num - z den = 0
+for phi^n = num/den with measures.poly_roots, which loads numpy.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def periodic_points(phi: RationalMap, n: int) -> list:
     if entry is None:
         return _generic_periodic(phi, n)
     if entry.curve_name is None:
-        out, m_inf = _power_points(phi.degree, n)
+        out, m_inf = _power_points(phi, n)
     else:
         out, m_inf = _lattes_points(entry, n)
     out.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -81,20 +82,22 @@ def periodic_points(phi: RationalMap, n: int) -> list:
 
 # ------------------------------------------------------------ closed forms
 
-def _power_points(k: int, n: int) -> tuple:
-    """The finite points of z^k of period dividing n, and the multiplier
-    at infinity: 0 with multiplier 0, and the N-th roots of unity, N =
-    k^n - 1, with multiplier k^n; infinity has multiplier 0.
+def _power_points(phi: RationalMap, n: int) -> tuple:
+    """The finite points of phi = z^k of period dividing n, and the
+    multiplier at infinity: 0 with multiplier 0, and the N-th roots of
+    unity, N = k^n - 1, with multiplier k^n; infinity has multiplier 0.
 
     The roots on the axes are exact.  The others are the powers of
     zeta = exp(2 pi i/N) in fixed point, each rounded once; zeta starts
-    from cmath.exp and takes one Newton step z - z (z^N - 1)/N on z^N = 1
-    (z^(N-1) = 1/z there), with z^N by repeated squaring.  zeta^j takes
-    j products, each truncating 2^-_BITS, so its error is at most j
-    times zeta's plus j 2^-_BITS."""
+    from cmath.exp, of modulus at most 1, and takes the one Newton step
+    on phi^n(z) = z that every closed form takes (_newton_polish), with
+    slope k^n - 1 = N.  zeta^j takes j products, each truncating
+    2^-_BITS, so its error is at most j times zeta's plus j 2^-_BITS."""
+    k = phi.degree
     N = k**n - 1
+    (zr, zi), _ = _newton_polish(_fixed_point_lift(phi),
+                                 cmath.exp(1j * (TWO_PI / N)), n, complex(N))
     mult = complex(k**n)
-    zr, zi = _unity_root(N)
     pr, pi = _ONE, 0
     out = [(0j, 0j)]
     for j in range(N):
@@ -105,24 +108,6 @@ def _power_points(k: int, n: int) -> tuple:
         out.append((z, mult))
         pr, pi = (pr * zr - pi * zi) >> _BITS, (pr * zi + pi * zr) >> _BITS
     return out, 0j
-
-
-def _unity_root(N: int) -> tuple:
-    """exp(2 pi i/N) as a complex integer over 2^_BITS."""
-    z = cmath.exp(1j * (TWO_PI / N))
-    zr, zi = int(z.real * _ONE), int(z.imag * _ONE)
-    pr, pi = _ONE, 0
-    br, bi = zr, zi
-    e = N
-    while True:
-        if e & 1:
-            pr, pi = (pr * br - pi * bi) >> _BITS, (pr * bi + pi * br) >> _BITS
-        e >>= 1
-        if not e:
-            break
-        br, bi = (br * br - bi * bi) >> _BITS, (2 * br * bi) >> _BITS
-    step = z * complex((pr - _ONE) / _ONE, pi / _ONE) / N
-    return zr - int(step.real * _ONE), zi - int(step.imag * _ONE)
 
 
 class _Curve:
@@ -324,7 +309,8 @@ def _generic_periodic(phi: RationalMap, n: int) -> list:
     and ConvergenceError when a finite root found is not within
     _CYCLE_TOL (chordal) of its n-th image under phi.
     """
-    from .measures import Lift, poly_roots
+    from .greenpoint import Lift
+    from .measures import poly_roots
 
     psi = phi
     for _ in range(n - 1):

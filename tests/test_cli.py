@@ -1101,7 +1101,7 @@ SMOKE = Path(__file__).resolve().parents[1] / "tools" / "smoke.py"
 # blocked when argv[2] is "blocked"), then inspect the package surface;
 # prints one JSON object
 _SMOKE_RUN = """
-import contextlib, io, json, runpy, sys
+import contextlib, io, json, runpy, sys, types
 if sys.argv[2] == "blocked":
     sys.modules["numpy"] = None
 out = io.StringIO()
@@ -1120,6 +1120,8 @@ if sys.argv[2] == "open":
     star = {}
     exec("from p1dyn import *", star)
     report["star"] = sorted(n for n in star if not n.startswith("__"))
+    report["modules"] = sorted(n for n in p1dyn.__all__
+                               if isinstance(star[n], types.ModuleType))
 print(json.dumps(report))
 """
 
@@ -1158,11 +1160,12 @@ def test_smoke_table_with_and_without_numpy():
     md5 = hashlib.md5(report["stdout"].encode()).hexdigest()
     assert (SMOKE.parent / "smoke.md5").read_text() == f"{md5}  -\n"
 
-    # the lazy names are listed without loading them (numpy was blocked),
-    # and all resolve
-    lazy = ["measures", *p1dyn._MEASURES_NAMES,
-            "periodic", *p1dyn._PERIODIC_NAMES]
-    assert set(lazy) <= set(blocked["dir"])
+    # the lazy modules and names are listed without loading them (numpy
+    # was blocked), and all resolve; __all__ holds the names, not the
+    # modules, so a star import binds no module object
+    lazy = [*p1dyn._MEASURES_NAMES, *p1dyn._PERIODIC_NAMES]
+    assert {"measures", "periodic", *lazy} <= set(blocked["dir"])
     assert set(lazy) <= set(report["all"])
     assert report["unresolved"] == []
     assert report["star"] == sorted(report["all"])
+    assert report["modules"] == []

@@ -6,6 +6,7 @@ from each returned point, with the multiplier there by the chain rule,
 and the root solve that every other map takes (_generic_periodic).
 """
 
+import cmath
 import math
 import random
 import sys
@@ -121,6 +122,34 @@ def test_closed_form_is_correctly_rounded(monkeypatch, name, n):
             assert abs(ref_mult - _mp(expect_exact)) < tiny
         # repr tells the signs of zeros apart
         assert repr(mult) == repr(expect)
+
+
+POWER_CASES = [(name, n) for name, n in CASES
+               if catalog_entry(name).curve_name is None]
+
+
+@pytest.mark.parametrize("name,n", POWER_CASES)
+def test_root_of_unity_takes_the_one_newton_step(monkeypatch, name, n):
+    # zeta = exp(2 pi i/N) is refined by the Newton step on phi^n(z) = z
+    # that starts every Lattes cycle, once a call, in the chart w = z:
+    # its start has modulus at most 1, so _newton_polish never flips it
+    polish = periodic._newton_polish
+    calls = []
+
+    def spy(kernel, z, m, slope):
+        calls.append((z, m, slope))
+        return polish(kernel, z, m, slope)
+
+    monkeypatch.setattr(periodic, "_newton_polish", spy)
+    phi = catalog(name)
+    N = phi.degree**n - 1
+    for count in (1, 2):
+        periodic_points(phi, n)
+        assert len(calls) == count
+    z, m, slope = calls[-1]
+    assert z == cmath.exp(complex(0.0, 2.0 * math.pi / N))
+    assert abs(z) <= 1.0
+    assert (m, slope) == (n, N)
 
 
 def _chordal(p, q):

@@ -117,7 +117,8 @@ EXACT = [
     ("catalog: all 16 entries",
      "catalog"),
     ("periodic points of pow_3 in closed form: roots of unity, powers of "
-     "one root in fixed point, which take no form kernel",
+     "one root in fixed point, which takes one Newton step on the map's "
+     "form kernel at t = 0",
      "periodic --catalog pow_3 --depth 2"),
     ("periodic points of phi_1+i in closed form, on E1's period lattice; "
      "each cycle runs on the map's form kernel at t = 0",
