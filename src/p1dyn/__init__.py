@@ -16,8 +16,8 @@ the lazy ones among them, and so loads every lazy module, numpy included.
 quadfield builds its rationals on ints, and the exact value types are
 slotted classes, not dataclasses, so importing p1dyn loads neither
 fractions (nor decimal and numbers) nor dataclasses and inspect: in a
-fresh Python 3.11 interpreter on two shared vCPUs it takes about 20 ms
-without a bytecode cache and 5 ms with one.
+fresh Python 3.11 interpreter on two shared vCPUs it takes about 18 ms
+without a bytecode cache and 3 ms with one.
 """
 
 from types import ModuleType as _ModuleType

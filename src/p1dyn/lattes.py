@@ -6,7 +6,7 @@ the two standard curves (square and hexagonal lattice), doubling and
 tripling built from division polynomials, a catalog of quotient maps of
 degree 2 to 9 derived from a few base maps by conjugation and units, and
 the parity-table oracle that predicts how the four 2-torsion images
-ramify.
+ramify.  Each map is built from forms proved coprime, without a gcd.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .quadfield import (
     omega_flag,
     pair_norm,
 )
-from .ratmaps import Poly, ProjPoint, RationalMap, distinct_preimages, poly_gcd
+from .ratmaps import (Poly, ProjPoint, RationalMap, _coords,
+                      distinct_preimages, poly_gcd)
 
 
 class _Frozen:
@@ -105,6 +106,11 @@ def curve_E2() -> EllipticCurveCM:
 CURVES = {"E1": curve_E1, "E2": curve_E2}
 
 
+def _coprime_map(num: Poly, den: Poly) -> RationalMap:
+    """num/den, for forms the caller has proved coprime: no gcd."""
+    return RationalMap._from_coprime(*_coords(num, den)[0], num.d)
+
+
 class RamificationProfile(_Frozen):
     """Distinct-preimage counts in [1, degree] over the 2-torsion images."""
 
@@ -125,17 +131,12 @@ class RamificationProfile(_Frozen):
 
 @lru_cache(maxsize=16)
 def lattes_double(curve: EllipticCurveCM) -> RationalMap:
-    """x-coordinate doubling: ((G')^2 - 8zG) / (4G), degree 4.  Cached
-    per curve, so repeated calls return one map."""
+    """x-coordinate doubling: ((G')^2 - 8zG) / (4G), degree 4, cached per
+    curve.  A common root of the forms would be a double root of G."""
     G = curve.G
     dG = G.derivative()
     z = Poly([0, 1], curve.d)
-    num = dG * dG - 8 * z * G
-    den = 4 * G
-    out = RationalMap(num, den)
-    if out.degree != 4:
-        raise DomainError("doubling map degenerated; curve is singular")
-    return out
+    return _coprime_map(dG * dG - 8 * z * G, 4 * G)
 
 
 @lru_cache(maxsize=16)
@@ -144,6 +145,8 @@ def lattes_triple(curve: EllipticCurveCM) -> RationalMap:
 
     Requires the depressed form x^3 + Ax + B.  psi_3 and psi_2*psi_4 are
     classical polynomials in x alone.  Cached per curve, as lattes_double.
+    Its forms phi_3 and psi_3^2 are coprime on a smooth curve (Silverman,
+    The Arithmetic of Elliptic Curves, Exercise 3.7).
     """
     G = curve.G
     if not G.coeff(2).is_zero():
@@ -153,25 +156,10 @@ def lattes_triple(curve: EllipticCurveCM) -> RationalMap:
     B = G.coeff(0)
     psi3 = Poly([-(A * A), 12 * B, 6 * A, 0, 3], d)
     # psi_2 * psi_4 = 8 G(x) q(x)
-    q = Poly(
-        [
-            -8 * B * B - A * A * A,
-            -4 * A * B,
-            -5 * A * A,
-            20 * B,
-            5 * A,
-            0,
-            1,
-        ],
-        d,
-    )
+    q = Poly([-8 * B * B - A * A * A, -4 * A * B, -5 * A * A, 20 * B, 5 * A,
+              0, 1], d)
     z = Poly([0, 1], d)
-    num = z * psi3 * psi3 - 8 * G * q
-    den = psi3 * psi3
-    out = RationalMap(num, den)
-    if out.degree != 9:
-        raise DomainError("tripling map degenerated")
-    return out
+    return _coprime_map(z * psi3 * psi3 - 8 * G * q, psi3 * psi3)
 
 
 # Durand-Kerner sweeps of the double-precision root guess of a cubic
@@ -347,7 +335,9 @@ def _build_catalog() -> dict:
     and a unit u acts on x-coordinates as multiplication by u^-2 (x -> -x
     on E1, x -> omega*x on E2), so phi_(u*lambda) = u^-2 * phi_lambda.
     Each derived entry takes both its map and its multiplier from these
-    rules, so a map cannot carry the label of another.
+    rules, so a map cannot carry the label of another.  No map takes a
+    gcd: a unit multiple or a conjugate of a coprime pair is coprime, and
+    the comments below say why each base pair is.
     """
     entries = {}
 
@@ -361,20 +351,21 @@ def _build_catalog() -> dict:
             num, den = (Poly([c.conj() for c in p.coeffs], p.d)
                         for p in (num, den))
             lam = lam.conj()
-        add(name, RationalMap(unit ** -2 * num, den), unit * lam,
+        add(name, _coprime_map(unit ** -2 * num, den), unit * lam,
             entries[base].curve_name)
 
-    # degree 2 over the square lattice: (z^2+1)/((1+i)^2 z)
+    # degree 2 over the square lattice: (z^2+1)/((1+i)^2 z), 0^2+1 != 0
     one_i = _gauss(1, 1)
-    add("phi_1+i", RationalMap(one_i ** -2 * Poly([1, 0, 1], 1),
-                               Poly([0, 1], 1)), one_i, "E1")
-    # degree 5: conj(t)^2 z (z^2+t)^2 / (5z^2+conj(t))^2 with t = 1+2i
+    add("phi_1+i", _coprime_map(one_i ** -2 * Poly([1, 0, 1], 1),
+                                Poly([0, 1], 1)), one_i, "E1")
+    # degree 5: conj(t)^2 z (z^2+t)^2 / (5z^2+conj(t))^2 with t = 1+2i,
+    # whose roots 0, z^2 = -t and z^2 = -conj(t)/5 differ in modulus
     t = _gauss(1, 2)
     num = t.conj() ** 2 * (Poly([0, 1], 1) * Poly([t, 0, 1], 1) ** 2)
-    add("phi_1+2i", RationalMap(num, Poly([t.conj(), 0, 5], 1) ** 2), t, "E1")
-    # degree 3 over the hexagonal lattice: -(z^3+4)/(3z^2)
-    add("phi_sqrt-3", RationalMap(Poly([-4, 0, 0, -1], 3), Poly([0, 0, 3], 3)),
-        _eis(0, 1), "E2")
+    add("phi_1+2i", _coprime_map(num, Poly([t.conj(), 0, 5], 1) ** 2), t, "E1")
+    # degree 3 over the hexagonal lattice: -(z^3+4)/(3z^2), 0^3+4 != 0
+    add("phi_sqrt-3", _coprime_map(Poly([-4, 0, 0, -1], 3),
+                                   Poly([0, 0, 3], 3)), _eis(0, 1), "E2")
     for name, field in (("E1", _gauss), ("E2", _eis)):
         curve = CURVES[name]()
         add(f"phi_2@{name}", lattes_double(curve), field(2, 0), name)
@@ -390,8 +381,8 @@ def _build_catalog() -> dict:
     derive("phi_sqrt-3*rho", "phi_sqrt-3", omega)
     derive("phi_eps", "phi_3@E2", -omega)  # -3*omega
 
-    for k in (2, 3, 4):
-        add(f"pow_{k}", RationalMap(Poly([0] * k + [1], 0), Poly([1], 0)))
+    for k in (2, 3, 4):  # z^k/1
+        add(f"pow_{k}", _coprime_map(Poly([0] * k + [1], 0), Poly([1], 0)))
     return entries
 
 

@@ -455,7 +455,10 @@ class RationalMap:
 
         num and den are (u, v) basis pair vectors as in _field_convolve,
         scaled by one common nonzero factor and not both zero.  Callers
-        vouch for coprimality; only the scale is normalized.
+        vouch for coprimality, each saying why: compose, __reduce__ (a
+        map's own reduced forms) and lattes, so the gcd of __init__ runs
+        only on maps from outside the package.  Only the scale is
+        normalized.
         """
         out = object.__new__(cls)
         out._set_scaled(num, den, d)

@@ -1,7 +1,10 @@
 import copy
 import json
+import os
 import pickle
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,16 +149,6 @@ class TestCurveValidation:
         with pytest.raises(DomainError, match="tags are 1 and 3"):
             EllipticCurveCM(Poly([1, 0, 0, 1], 0), 0)
 
-    @pytest.mark.parametrize("build", [lattes_double, lattes_triple])
-    def test_singular_cubic_past_validation_degenerates(self, build):
-        # y^2 = x^3, built past __init__'s checks: doubling and tripling
-        # collapse to x/4 and x/9, which the degree checks refuse
-        curve = object.__new__(EllipticCurveCM)
-        object.__setattr__(curve, "G", Poly([0, 0, 0, 1], 1))
-        object.__setattr__(curve, "d", 1)
-        with pytest.raises(DomainError, match="degenerated"):
-            build(curve)
-
     def test_curve_table(self):
         assert {n: f() for n, f in CURVES.items()} == {
             "E1": curve_E1(), "E2": curve_E2()}
@@ -253,6 +246,65 @@ class TestCatalog:
             curve_for_name("pow_2")
 
 
+# the two catalog curves and the smooth depressed cubics x^3 - 2x over
+# Q(i) and x^3 - 27 over Q(sqrt(-3)), which the 2-torsion tests build too
+SMOOTH_CURVES = {
+    "E1": curve_E1(),
+    "E2": curve_E2(),
+    "x^3-2x": EllipticCurveCM(Poly([0, -2, 0, 1], 1), 1),
+    "x^3-27": EllipticCurveCM(Poly([-27, 0, 0, 1], 3), 3),
+}
+
+# count the calls a fresh `import p1dyn` makes, by code object (Python
+# 3.10 has no co_qualname), and print those of the map gcd
+_IMPORT_CALLS = """
+import collections, json, sys
+calls = collections.Counter()
+
+def profile(frame, event, arg):
+    if event == "call":
+        calls[frame.f_code] += 1
+
+sys.setprofile(profile)
+import p1dyn
+sys.setprofile(None)
+from p1dyn import ratmaps
+print(json.dumps([calls[ratmaps.RationalMap.__init__.__code__],
+                  calls[ratmaps._gcd_coords.__code__]]))
+"""
+
+
+class TestCoprimeConstruction:
+    """lattes builds its maps without a gcd, from forms that each
+    construction proves coprime; the gcd-reduced map of the same forms is
+    the oracle that the proof holds."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_map_is_reduced(self, name):
+        phi = catalog_entry(name).map
+        assert RationalMap(phi.num, phi.den) == phi
+
+    @pytest.mark.parametrize("curve", SMOOTH_CURVES.values(),
+                             ids=SMOOTH_CURVES.keys())
+    @pytest.mark.parametrize("build, degree",
+                             [(lattes_double, 4), (lattes_triple, 9)])
+    def test_multiplication_map_is_reduced(self, curve, build, degree):
+        phi = build(curve)
+        assert phi.degree == degree
+        assert RationalMap(phi.num, phi.den) == phi
+
+    def test_import_takes_only_the_squarefree_gcds(self):
+        # building the catalog calls no RationalMap.__init__; the two gcds
+        # left are EllipticCurveCM's squarefree tests of E1 and E2
+        src = os.path.dirname(os.path.dirname(lattes.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_CALLS], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 2]
+
+
 class TestCompositionIdentities:
     def test_conjugate_pair_composes_to_doubling(self):
         f = catalog("phi_1+i")
@@ -346,7 +398,8 @@ class TestTwoTorsion:
         assert finite == [QF(0, 0, 1), QF(1, 0, 1), QF(big, 0, 1)]
 
     def test_found_once_per_curve(self, monkeypatch):
-        # x^3 - 27: a curve no other test builds, so its first call solves
+        # x^3 - 27: a curve whose 2-torsion no other test asks for, so
+        # its first call solves
         curve = EllipticCurveCM(Poly([-27, 0, 0, 1], 3), 3)
         first = two_torsion_targets(curve)
         first_values = [t.value() for t in first[1:]]
