@@ -4,19 +4,21 @@ certified error bounds, a catalog of commuting map families attached to
 CM elliptic curves, and the complex-analytic measure machinery.
 
 The exact layers (quadfield, ratmaps, lattes, heights) are pure Python,
-and so are periodic, whose closed forms serve the catalog's maps, and
-greenpoint, which holds a map's complex lift (Lift) and its Green value
-at one point (green).  The complex-analytic layer, measures, needs
-numpy.  heights, measures, periodic and greenpoint, and their names
-below, are imported on first access (PEP 562), so importing p1dyn
-compiles none of them, and exact work, p1dyn.Lift and p1dyn.green never
-load numpy.  __all__ holds the public names, not the submodules, which
-dir(p1dyn) lists too.  `from p1dyn import *` binds every name of __all__,
-the lazy ones among them, and so loads every lazy module, numpy included.
+and so are torus, which holds a curve's 2-torsion, the ramification over
+it and its period lattice, periodic, whose closed forms serve the
+catalog's maps, and greenpoint, which holds a map's complex lift (Lift)
+and its Green value at one point (green).  The complex-analytic layer,
+measures, needs numpy.  heights, measures, periodic, greenpoint and
+torus, and their names below, are imported on first access (PEP 562),
+so importing p1dyn compiles none of them, and exact work, p1dyn.Lift and
+p1dyn.green never load numpy.  __all__ holds the public names, not the
+submodules, which dir(p1dyn) lists too.  `from p1dyn import *` binds
+every name of __all__, the lazy ones among them, and so loads every lazy
+module, numpy included.
 quadfield builds its rationals on ints, and the exact value types are
 slotted classes, not dataclasses, so importing p1dyn loads neither
 fractions (nor decimal and numbers) nor dataclasses and inspect: in a
-fresh Python 3.11 interpreter on two shared vCPUs it takes about 18 ms
+fresh Python 3.11 interpreter on two shared vCPUs it takes about 16 ms
 without a bytecode cache and 3 ms with one.
 """
 
@@ -32,7 +34,6 @@ from .errors import (
 from .lattes import (
     CatalogEntry,
     EllipticCurveCM,
-    RamificationProfile,
     catalog,
     catalog_entry,
     catalog_names,
@@ -42,9 +43,6 @@ from .lattes import (
     lattes_double,
     lattes_triple,
     map_for_multiplier,
-    predict_profile,
-    ramification_profile,
-    two_torsion_targets,
 )
 from .quadfield import (
     QuadFieldElement,
@@ -56,9 +54,7 @@ from .ratmaps import (
     Poly,
     ProjPoint,
     RationalMap,
-    distinct_preimages,
     poly_from_strings,
-    preimage_multiplicities,
 )
 
 __version__ = "0.1.0"
@@ -87,11 +83,20 @@ _MEASURES_NAMES = (
     "write_pgm",
 )
 _PERIODIC_NAMES = ("periodic_points",)
+_TORUS_NAMES = (
+    "RamificationProfile",
+    "distinct_preimages",
+    "predict_profile",
+    "preimage_multiplicities",
+    "ramification_profile",
+    "two_torsion_targets",
+)
 _LAZY = {
     "greenpoint": ("Lift", "green"),
     "heights": _HEIGHTS_NAMES,
     "measures": _MEASURES_NAMES,
     "periodic": _PERIODIC_NAMES,
+    "torus": _TORUS_NAMES,
 }
 
 

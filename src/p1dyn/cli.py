@@ -10,10 +10,11 @@ Run configs are plain argparse namespaces; build_parser registers each
 subcommand once, with its handler.  A handler only computes its
 payload: main, the one path from arguments to stdout, stamps "command"
 and "schema" on it.  Each handler imports what only it runs: height
-and nt-height import heights; measure, density-compare and julia
-import measures, and with it numpy, and so does periodic on a map
-outside the catalog.  green runs on greenpoint's Python floats, so it
-and the exact subcommands never load numpy.
+and nt-height import heights; ramify and table-check import torus;
+measure, density-compare and julia import measures, and with it numpy,
+and so does periodic on a map outside the catalog.  green runs on
+greenpoint's Python floats, so it and the exact subcommands never load
+numpy.
 """
 
 from __future__ import annotations
@@ -250,6 +251,8 @@ def _cmd_compose(args) -> dict:
 
 
 def _cmd_ramify(args) -> dict:
+    from . import torus
+
     label, phi = _load_maps(args, 1)[0]
     if args.catalog and args.curve:
         raise MapSpecError(
@@ -262,7 +265,7 @@ def _cmd_ramify(args) -> dict:
         curve = lattes.CURVES[args.curve]()
     else:
         raise MapSpecError("ramify needs --catalog NAME or --curve E1|E2")
-    prof = lattes.ramification_profile(phi, curve)
+    prof = torus.ramification_profile(phi, curve)
     out = {
         "map": label,
         "degree": prof.degree,
@@ -272,15 +275,17 @@ def _cmd_ramify(args) -> dict:
     if args.catalog:
         entry = lattes.catalog_entry(label)
         if entry.lam is not None:
-            pred = lattes.predict_profile(entry.lam)
+            pred = torus.predict_profile(entry.lam)
             out["predicted"] = list(pred.as_multiset())
             out["match"] = pred.as_multiset() == prof.as_multiset()
     return out
 
 
 def _cmd_table_check(args) -> dict:
+    from . import torus
+
     lam = _parse_lambda(getattr(args, "lambda"))
-    pred = lattes.predict_profile(lam)
+    pred = torus.predict_profile(lam)
     out = {
         "lambda": format_element(lam),
         "d": lam.d,
@@ -294,7 +299,7 @@ def _cmd_table_check(args) -> dict:
     except DomainError:
         return out
     curve = lattes.curve_for_name(entry.name)
-    prof = lattes.ramification_profile(entry.map, curve)
+    prof = torus.ramification_profile(entry.map, curve)
     out["map"] = entry.name
     out["computed"] = list(prof.as_multiset())
     out["match"] = prof.as_multiset() == pred.as_multiset()

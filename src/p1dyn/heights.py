@@ -55,7 +55,7 @@ from the coefficient one-norms (upper) and an exact Bezout certificate
 (lower).
 The engine is built from integral basis pairs alone: the map's integral
 model (RationalMap.integral_model), and its resultant R and certificate
-from one fraction-free elimination of them (ratmaps.cofactor_certificate).
+from one fraction-free elimination of them (cofactor_certificate).
 n_R, m_R and the one-norms are pair norms, so no field element and no
 Fraction is made.
 """
@@ -63,19 +63,24 @@ Fraction is made.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import DomainError, IterationBudgetError
 from .lattes import EllipticCurveCM, _Frozen, lattes_double
-from .quadfield import omega_flag, pair_divexact, pair_gcd_mod, pair_norm
-from .ratmaps import (
-    ProjPoint,
-    RationalMap,
-    cofactor_certificate,
-    log_one_norm,
+from .quadfield import (
+    omega_flag,
+    pair_conj,
+    pair_divexact,
+    pair_gcd_mod,
+    pair_mul,
+    pair_norm,
 )
+from .ratmaps import ProjPoint, RationalMap
 
 _LN2 = math.log(2)
+# integers from here up round to infinity as floats
+_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
 _ARCH_CAP = 300
 _FIN_CAP = 64
 # bad primes are reported by trial division below this bound
@@ -171,6 +176,111 @@ def _log_ratio(top: int, shift: int, alpha_n: int) -> tuple:
     # 2^P is an int, and d a power of two that divides 2^P
     n, d = math.log(top).as_integer_ratio()
     return S * _ln2_fixed(P) + (n << P) // d, alpha_n << (j + 1 + P)
+
+
+def _bareiss(c0: Sequence, c1: Sequence, deg: int, t: int) -> tuple:
+    """Resultant R of two forms, with the solutions of their cofactor system.
+
+    c0 and c1 are deg + 1 integral basis pair tuples each, with t =
+    omega_flag(d).  Column i < deg of the cofactor matrix M holds c0
+    shifted down by i and column deg + i holds c1 shifted by i; it is the
+    Sylvester matrix transposed with its columns and each block of rows
+    reversed, so R = (-1)^deg det M.  M, with the unit columns e_(2deg-1)
+    and e_0 appended, is eliminated fraction-free (Bareiss, Math. Comp.
+    22, 1968), each division exact or DomainError.  Returns (R, sols), R
+    a basis pair and sols the two integral vectors +-det(M) * M^-1 e, or
+    None when R = 0.
+    """
+    if len(c0) != deg + 1 or len(c1) != deg + 1:
+        raise DomainError("coefficient lists must have length deg+1")
+    n, zero = 2 * deg, (0, 0)
+    mat = [
+        [c0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        + [c1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
+        + [(int(k == n - 1), 0), (int(k == 0), 0)]
+        for k in range(n)
+    ]
+    sign, det = (-1) ** deg, (1, 0)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if mat[r][k] != zero), None)
+        if piv is None:
+            return zero, None
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        top = mat[k]
+        # row[c] <- (row[c] top[k] - row[k] top[c]) / det, with pair_mul
+        # and pair_divexact inlined and the conjugate and norm of det taken
+        # once; a product with a zero factor is skipped, and so is an entry
+        # that stays zero, as the banded matrix has many
+        (s0, s1), (dc0, dc1) = top[k], pair_conj(det, t)
+        det_norm = pair_norm(det, t)
+        for row in mat[k + 1:]:
+            r0, r1 = row[k]
+            for c in range(k + 1, n + 2):
+                x0, x1 = row[c]
+                y0, y1 = top[c]
+                u = v = 0
+                if x0 or x1:
+                    m = x1 * s1
+                    u, v = x0 * s0 - m, x0 * s1 + x1 * s0 + t * m
+                if (r0 or r1) and (y0 or y1):
+                    m = r1 * y1
+                    u, v = u - (r0 * y0 - m), v - (r0 * y1 + r1 * y0 + t * m)
+                if u or v:
+                    m = v * dc1
+                    u, v = u * dc0 - m, u * dc1 + v * dc0 + t * m
+                    if u % det_norm or v % det_norm:
+                        raise DomainError("basis pair division is not exact")
+                    row[c] = (u // det_norm, v // det_norm)
+                elif x0 or x1:
+                    row[c] = zero
+        det = top[k]
+    # row k now reads mat[k][k] y_k + sum_(c > k) mat[k][c] y_c = det * b_k
+    # for y = det * M^-1 e, an integral vector
+    sols = []
+    for col in (n, n + 1):
+        y = [zero] * n
+        for k in range(n - 1, -1, -1):
+            u, v = pair_mul(mat[k][col], det, t)
+            for c in range(k + 1, n):
+                x, w = pair_mul(mat[k][c], y[c], t)
+                u, v = u - x, v - w
+            y[k] = pair_divexact((u, v), mat[k][k], t)
+        sols.append(y)
+    return (sign * det[0], sign * det[1]), sols
+
+
+def log_one_norm(norms: Sequence) -> float:
+    """log sum(sqrt(n)) over integer norms, not all zero, without overflow.
+
+    Each norm is shifted right by 2k bits, rounded up, and k*log(2) added
+    back, an upper bound; k = 0, the plain float sum, when all norms fit.
+    """
+    big = max(norms)
+    k = 0 if big < _FLOAT_LIMIT else (big.bit_length() - 1022) // 2
+    return (
+        math.log(sum(math.sqrt(float(-(-n >> 2 * k))) for n in norms))
+        + k * _LN2
+    )
+
+
+def cofactor_certificate(c0: Sequence, c1: Sequence, deg: int,
+                         t: int) -> tuple:
+    """Resultant R plus a bound certificate for the fiber of the pair.
+
+    c0 and c1 are integral basis pairs as _bareiss takes them.  Solves
+    A0*F0 + A1*F1 = R*x^(2deg-1) and the mirror equation ending in
+    R*z^(2deg-1); returns (R, log S), R a basis pair and S the larger
+    coefficient one-norm of a solving pair.  On the unit polydisc this
+    certifies max(|F0|, |F1|) >= |R| / S.
+    """
+    if deg < 1:
+        raise DomainError("a certificate needs forms of degree >= 1")
+    R, sols = _bareiss(c0, c1, deg, t)
+    if sols is None:
+        raise DomainError("forms share a root; resultant vanishes")
+    return R, max(log_one_norm([pair_norm(x, t) for x in y]) for y in sols)
 
 
 class HeightValue(_Frozen):

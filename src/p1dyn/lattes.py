@@ -4,26 +4,19 @@ A curve y^2 = G(x) with complex multiplication pushes each multiplication
 map lambda down to a rational map on x-coordinates.  This module holds
 the two standard curves (square and hexagonal lattice), doubling and
 tripling built from division polynomials, a catalog of quotient maps of
-degree 2 to 9 derived from a few base maps by conjugation and units, and
-the parity-table oracle that predicts how the four 2-torsion images
-ramify.  Each map is built from forms proved coprime, without a gcd.
+degree 2 to 9 derived from a few base maps by conjugation and units.
+Each map is built from forms proved coprime, without a gcd.  The
+2-torsion of a curve, the ramification over it and the parity table
+that predicts it live in torus, with the curve's lattice.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .errors import DomainError, MapSpecError
-from .quadfield import (
-    QuadFieldElement,
-    cleared_pairs,
-    format_element,
-    omega_flag,
-    pair_norm,
-)
-from .ratmaps import (Poly, ProjPoint, RationalMap, _coords,
-                      distinct_preimages, poly_gcd)
+from .quadfield import QuadFieldElement, format_element
+from .ratmaps import Poly, RationalMap, _coords
 
 
 class _Frozen:
@@ -83,7 +76,11 @@ class EllipticCurveCM(_Frozen):
             raise DomainError("G must be a cubic")
         if self.G.leading() != QuadFieldElement.one(self.G.d):
             raise DomainError("G must be monic")
-        if poly_gcd(self.G, self.G.derivative()).degree > 0:
+        # the discriminant of x^3 + ax^2 + bx + c, zero exactly when G
+        # has a double root
+        c, b, a = (self.G.coeff(k) for k in range(3))
+        if (a * a * b * b - 4 * b * b * b - 4 * a * a * a * c - 27 * c * c
+                + 18 * a * b * c).is_zero():
             raise DomainError("G must be squarefree (smooth curve)")
         if self.d not in (1, 3):
             raise DomainError("supported CM discriminant tags are 1 and 3")
@@ -109,24 +106,6 @@ CURVES = {"E1": curve_E1, "E2": curve_E2}
 def _coprime_map(num: Poly, den: Poly) -> RationalMap:
     """num/den, for forms the caller has proved coprime: no gcd."""
     return RationalMap._from_coprime(*_coords(num, den)[0], num.d)
-
-
-class RamificationProfile(_Frozen):
-    """Distinct-preimage counts in [1, degree] over the 2-torsion images."""
-
-    __slots__ = ("counts", "degree")
-
-    def __init__(self, counts: tuple, degree: int):
-        super().__init__(counts, degree)
-        if len(self.counts) != 4:
-            raise DomainError("profile needs exactly four counts")
-        n = self.degree
-        for r in self.counts:
-            if not (1 <= r <= n):
-                raise DomainError(f"count {r} outside [1, {n}]")
-
-    def as_multiset(self) -> tuple:
-        return tuple(sorted(self.counts, reverse=True))
 
 
 @lru_cache(maxsize=16)
@@ -160,152 +139,6 @@ def lattes_triple(curve: EllipticCurveCM) -> RationalMap:
               0, 1], d)
     z = Poly([0, 1], d)
     return _coprime_map(z * psi3 * psi3 - 8 * G * q, psi3 * psi3)
-
-
-# Durand-Kerner sweeps of the double-precision root guess of a cubic
-_GUESS_SWEEPS = 100
-
-
-def _dyadic(x: float, s: int) -> tuple:
-    """x * 2^s exactly, as (num, den)."""
-    num, den = x.as_integer_ratio()
-    return (num << s, den) if s >= 0 else (num, den << -s)
-
-
-def _root_guesses(G: Poly) -> tuple:
-    """(guesses, s): the roots of the monic cubic G over Q(i) or
-    Q(sqrt(-3)) in double precision, as exact elements, and an s with
-    roots of modulus at most about 2^s.
-
-    The Durand-Kerner sweeps run on G(2^s y)/2^(3s), whose roots have
-    modulus about 1, so coefficients of any size fit a double.
-    """
-    d = G.d
-    pairs, den = cleared_pairs(G.coeffs)
-
-    def norm_bits(k):
-        # bit lengths of N(coefficient k) in lowest terms, num minus den
-        n, m = pair_norm(pairs[k], omega_flag(d)), den * den
-        g = math.gcd(n, m)
-        return (n // g).bit_length() - (m // g).bit_length()
-
-    s = max(norm_bits(k) // (6 - 2 * k) for k in range(3) if any(pairs[k]))
-    c0, c1, c2 = (
-        complex(G.coeff(k) / (1 << s * (3 - k)) if s >= 0
-                else G.coeff(k) * (1 << -s * (3 - k)))
-        for k in range(3))
-    ys = [(0.4 + 0.9j) ** k for k in range(3)]
-    for _ in range(_GUESS_SWEEPS):
-        for k, y in enumerate(ys):
-            ys[k] = y - (((y + c2) * y + c1) * y + c0) / (
-                (y - ys[k - 1]) * (y - ys[k - 2]))
-    return [QuadFieldElement._from_ratios(
-        _dyadic(y.real, s), _dyadic(y.imag / math.sqrt(d), s), d,
-    ) for y in ys], s
-
-
-def _round_half_even(n: int, m: int) -> int:
-    """n/m for m > 0 rounded to the nearest integer, ties to even, as
-    round() rounds a Fraction."""
-    q, r = divmod(n, m)
-    return q + (2 * r > m or (2 * r == m and q & 1))
-
-
-def _snap(x: QuadFieldElement, D: int) -> QuadFieldElement:
-    """A point of (1/D)O_K nearest x in each basis coordinate."""
-    [(u, v)], den = cleared_pairs([x])
-    return QuadFieldElement.from_basis_pair(
-        _round_half_even(D * u, den), _round_half_even(D * v, den), x.d) / D
-
-
-def two_torsion_targets(curve: EllipticCurveCM) -> list:
-    """Images of the 2-torsion: infinity plus the roots of G, sorted.
-
-    For D the common denominator of G, D*e is a root of the monic
-    integral cubic D^3 G(x/D), so every root e lies on (1/D)O_K.  Each
-    double-precision guess is polished by exact Newton steps, each
-    rounded back onto that lattice, and anything short of three distinct
-    exact roots raises DomainError.  The points are found once per
-    curve; each call returns a new list of them.
-    """
-    return list(_two_torsion_targets(curve))
-
-
-@lru_cache(maxsize=16)
-def _two_torsion_targets(curve: EllipticCurveCM) -> tuple:
-    G = curve.G
-    dG = G.derivative()
-    _, D = cleared_pairs(G.coeffs)
-    guesses, s = _root_guesses(G)
-    roots = set()
-    for e in guesses:
-        e = _snap(e, D)
-        # near a pair of close roots Newton halves its distance per step
-        # until it resolves the pair, at most about log2(2^s*D) steps
-        for _ in range(abs(s) + D.bit_length() + 64):
-            value, slope = G(e), dG(e)
-            if value.is_zero() or slope.is_zero():
-                break
-            step = _snap(e - value / slope, D)
-            if step == e:
-                break
-            e = step
-        if G(e).is_zero():
-            roots.add(e)
-    if len(roots) != 3:
-        raise DomainError(
-            f"G = {G} does not split over its coefficient field: "
-            f"{len(roots)} of 3 roots found on (1/{D})O_K"
-        )
-    # sorted by (a, b): for the roots (u + v w)/den over their common den,
-    # the key (2u + t v, v) is 2 den (a, b) over Z[omega] (t = 1) and
-    # den (2a, b) over Z[i]
-    roots = list(roots)
-    pairs, _ = cleared_pairs(roots)
-    t = omega_flag(curve.d)
-    order = sorted(range(3), key=lambda k: (
-        2 * pairs[k][0] + t * pairs[k][1], pairs[k][1]))
-    return (ProjPoint.infinity(curve.d),
-            *(ProjPoint.affine(roots[k]) for k in order))
-
-
-def ramification_profile(
-    phi: RationalMap, curve: EllipticCurveCM
-) -> RamificationProfile:
-    """Computed distinct-preimage counts over the 2-torsion images."""
-    if phi.d != curve.d:
-        raise DomainError("map and curve live over different fields")
-    counts = tuple(
-        distinct_preimages(phi, t) for t in two_torsion_targets(curve)
-    )
-    return RamificationProfile(counts, phi.degree)
-
-
-def predict_profile(lam: QuadFieldElement) -> RamificationProfile:
-    """Parity-table prediction of the four counts for a multiplier.
-
-    phi_lambda acts on the 2-torsion E[2] = O_K/2O_K through lambda mod
-    2O_K, so the table is indexed by the parities of lambda's basis pair
-    (u, v), lambda = u + v*w.  With h = N(lambda)//2: an odd norm gives
-    (h+1)^4, lambda in 2O_K gives (h+2, h, h, h), and the rest, only over
-    Z[i] since 2 is inert in Z[omega], gives (h, h+1, h, h+1).  A
-    non-integral multiplier and a norm below 2 are refused.
-    """
-    u, v = lam.basis_pair()
-    if not lam.is_integral():
-        raise DomainError(
-            f"no parity row covers the non-integral basis pair {u}, {v}")
-    n = pair_norm((u, v), omega_flag(lam.d))
-    if n < 2:
-        raise DomainError("multiplier norm below 2 has trivial dynamics")
-    h = n // 2
-    if n % 2:
-        counts = (h + 1,) * 4
-    elif u % 2 == 0 and v % 2 == 0:
-        counts = (h + 2, h, h, h)
-    else:
-        counts = (h, h + 1, h, h + 1)
-    return RamificationProfile(counts, n)
 
 
 class CatalogEntry(_Frozen):

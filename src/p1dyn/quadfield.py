@@ -21,10 +21,6 @@ from .errors import DomainError, FieldMismatchError, MapSpecError
 
 SUPPORTED_D = (0, 1, 3)
 
-# the grammar of Fraction(str) on this Python, which parse_rational
-# follows: 3.11 added underscores between digits, 3.12 spaces around "/"
-_UNDERSCORES = sys.version_info >= (3, 11)
-_SPACED_SLASH = sys.version_info >= (3, 12)
 _HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
@@ -460,30 +456,29 @@ def cleared_pairs(elements) -> tuple:
 
 def _digits(text: str, signed: bool = False) -> int:
     """The int of a run of decimal digits, with single underscores
-    between digits where this Python's Fraction takes them, and with an
-    optional sign when signed; ValueError otherwise."""
+    between digits, and with an optional sign when signed; ValueError
+    otherwise."""
     body = text[1:] if signed and text[:1] in ("+", "-") else text
-    parts = body.split("_") if _UNDERSCORES else (body,)
-    if not all(part.isdecimal() for part in parts):
+    if not all(part.isdecimal() for part in body.split("_")):
         raise ValueError(f"invalid rational literal {text!r}")
     return int(text)
 
 
 def parse_rational(text: str) -> tuple:
     """(num, den) in lowest terms, den > 0, of the rational that
-    fractions.Fraction(text) reads, computed on ints: an optional sign,
-    then digits and an optional /digits, or a decimal with an optional
-    exponent, with whitespace around.  ValueError or ZeroDivisionError
-    where Fraction(text) raises it."""
+    fractions.Fraction(text) reads on Python 3.12 and 3.13, computed on
+    ints, the same on every supported Python: an optional sign, then
+    digits and an optional /digits with whitespace allowed around the
+    slash, or a decimal with an optional exponent, with whitespace
+    around; single underscores may join digits.  ValueError or
+    ZeroDivisionError where that Fraction(text) raises it."""
     s = text.strip()
     negative = s[:1] == "-"
     if s[:1] in ("+", "-"):
         s = s[1:]
     head, slash, tail = s.partition("/")
     if slash:
-        if _SPACED_SLASH:
-            head, tail = head.rstrip(), tail.lstrip()
-        num, den = _digits(head), _digits(tail)
+        num, den = _digits(head.rstrip()), _digits(tail.lstrip())
         if not den:
             raise ZeroDivisionError(f"rational {text!r} has denominator 0")
     else:

@@ -19,20 +19,14 @@ from .quadfield import (
     _power,
     cleared_pairs,
     omega_flag,
-    pair_conj,
     pair_divexact,
     pair_gcd,
-    pair_mul,
     pair_norm,
     pair_turn,
     parse_element,
     format_element,
     unit_turns,
 )
-
-_LN2 = math.log(2)
-# integers from here up round to infinity as floats
-_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
 
 
 def _coerce_coeff(c, d: int) -> QuadFieldElement:
@@ -640,143 +634,3 @@ def _trim(A: list, B: list) -> tuple:
     while n and not (A[n - 1] or B[n - 1]):
         n -= 1
     return A[:n], B[:n]
-
-
-def distinct_preimages(phi: RationalMap, target: ProjPoint) -> int:
-    """Number of distinct solutions of phi(z) = target."""
-    return len(preimage_multiplicities(phi, target))
-
-
-def preimage_multiplicities(phi: RationalMap, target: ProjPoint) -> list:
-    """Multiplicity multiset of the fiber over target, sorted descending.
-
-    Finite fiber points are the roots of t1*num - t0*den; infinity
-    contributes when that polynomial drops below the map degree.
-    """
-    if phi.d != target.d:
-        raise FieldMismatchError("target lives in a different field")
-    if phi.degree < 1:
-        raise DomainError("constant maps have no fibers of interest")
-    h = target.x1 * phi.num - target.x0 * phi.den
-    if h.is_zero():
-        raise DomainError("target equals the constant value of the map")
-    mults = []
-    m_inf = phi.degree - h.degree
-    if m_inf > 0:
-        mults.append(m_inf)
-    # g <- gcd(g, g') from g = h lowers every root's multiplicity by one,
-    # so deg g_k = sum of max(e - k, 0) over the roots, e their multiplicity
-    g, degs, t = (h._u, h._v), [], omega_flag(phi.d)
-    while len(g[0]) > 1:
-        degs.append(len(g[0]) - 1)
-        dg = tuple([k * c for k, c in enumerate(v)][1:] for v in g)
-        g = _gcd_coords(g, dg, t)
-    degs += [0, 0]
-    for k in range(1, len(degs) - 1):
-        mults.extend([k] * (degs[k - 1] - 2 * degs[k] + degs[k + 1]))
-    return sorted(mults, reverse=True)
-
-
-def _bareiss(c0: Sequence, c1: Sequence, deg: int, t: int) -> tuple:
-    """Resultant R of two forms, with the solutions of their cofactor system.
-
-    c0 and c1 are deg + 1 integral basis pair tuples each, with t =
-    omega_flag(d).  Column i < deg of the cofactor matrix M holds c0
-    shifted down by i and column deg + i holds c1 shifted by i; it is the
-    Sylvester matrix transposed with its columns and each block of rows
-    reversed, so R = (-1)^deg det M.  M, with the unit columns e_(2deg-1)
-    and e_0 appended, is eliminated fraction-free (Bareiss, Math. Comp.
-    22, 1968), each division exact or DomainError.  Returns (R, sols), R
-    a basis pair and sols the two integral vectors +-det(M) * M^-1 e, or
-    None when R = 0.
-    """
-    if len(c0) != deg + 1 or len(c1) != deg + 1:
-        raise DomainError("coefficient lists must have length deg+1")
-    n, zero = 2 * deg, (0, 0)
-    mat = [
-        [c0[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
-        + [c1[k - i] if 0 <= k - i <= deg else zero for i in range(deg)]
-        + [(int(k == n - 1), 0), (int(k == 0), 0)]
-        for k in range(n)
-    ]
-    sign, det = (-1) ** deg, (1, 0)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if mat[r][k] != zero), None)
-        if piv is None:
-            return zero, None
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        top = mat[k]
-        # row[c] <- (row[c] top[k] - row[k] top[c]) / det, with pair_mul
-        # and pair_divexact inlined and the conjugate and norm of det taken
-        # once; a product with a zero factor is skipped, and so is an entry
-        # that stays zero, as the banded matrix has many
-        (s0, s1), (dc0, dc1) = top[k], pair_conj(det, t)
-        det_norm = pair_norm(det, t)
-        for row in mat[k + 1:]:
-            r0, r1 = row[k]
-            for c in range(k + 1, n + 2):
-                x0, x1 = row[c]
-                y0, y1 = top[c]
-                u = v = 0
-                if x0 or x1:
-                    m = x1 * s1
-                    u, v = x0 * s0 - m, x0 * s1 + x1 * s0 + t * m
-                if (r0 or r1) and (y0 or y1):
-                    m = r1 * y1
-                    u, v = u - (r0 * y0 - m), v - (r0 * y1 + r1 * y0 + t * m)
-                if u or v:
-                    m = v * dc1
-                    u, v = u * dc0 - m, u * dc1 + v * dc0 + t * m
-                    if u % det_norm or v % det_norm:
-                        raise DomainError("basis pair division is not exact")
-                    row[c] = (u // det_norm, v // det_norm)
-                elif x0 or x1:
-                    row[c] = zero
-        det = top[k]
-    # row k now reads mat[k][k] y_k + sum_(c > k) mat[k][c] y_c = det * b_k
-    # for y = det * M^-1 e, an integral vector
-    sols = []
-    for col in (n, n + 1):
-        y = [zero] * n
-        for k in range(n - 1, -1, -1):
-            u, v = pair_mul(mat[k][col], det, t)
-            for c in range(k + 1, n):
-                x, w = pair_mul(mat[k][c], y[c], t)
-                u, v = u - x, v - w
-            y[k] = pair_divexact((u, v), mat[k][k], t)
-        sols.append(y)
-    return (sign * det[0], sign * det[1]), sols
-
-
-def log_one_norm(norms: Sequence) -> float:
-    """log sum(sqrt(n)) over integer norms, not all zero, without overflow.
-
-    Each norm is shifted right by 2k bits, rounded up, and k*log(2) added
-    back, an upper bound; k = 0, the plain float sum, when all norms fit.
-    """
-    big = max(norms)
-    k = 0 if big < _FLOAT_LIMIT else (big.bit_length() - 1022) // 2
-    return (
-        math.log(sum(math.sqrt(float(-(-n >> 2 * k))) for n in norms))
-        + k * _LN2
-    )
-
-
-def cofactor_certificate(c0: Sequence, c1: Sequence, deg: int,
-                         t: int) -> tuple:
-    """Resultant R plus a bound certificate for the fiber of the pair.
-
-    c0 and c1 are integral basis pairs as _bareiss takes them.  Solves
-    A0*F0 + A1*F1 = R*x^(2deg-1) and the mirror equation ending in
-    R*z^(2deg-1); returns (R, log S), R a basis pair and S the larger
-    coefficient one-norm of a solving pair.  On the unit polydisc this
-    certifies max(|F0|, |F1|) >= |R| / S.
-    """
-    if deg < 1:
-        raise DomainError("a certificate needs forms of degree >= 1")
-    R, sols = _bareiss(c0, c1, deg, t)
-    if sols is None:
-        raise DomainError("forms share a root; resultant vanishes")
-    return R, max(log_one_norm([pair_norm(x, t) for x in y]) for y in sols)

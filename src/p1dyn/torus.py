@@ -1,15 +1,19 @@
-"""Period lattices of the catalog's CM curves, in pure Python.
+"""The 2-torsion and the torus of the catalog's CM curves, in pure Python.
 
 The closed forms of the Lattes maps live on the torus C/L of the curve
 y^2 = 4G(x): phi_lam(wp(u)) = wp(lam u) (Milnor, "On Lattes maps",
-arXiv math/0402147).  This module holds what they share and what needs
-no numpy: the periods by the complex AGM, a reduced basis, the integer
-matrix of a lattice endomorphism on that basis, the Hermite normal form
-of an integer matrix, wp at one point by its q-series, and one cached
-Lattice per curve (curve_lattice), from the exact roots of G, with the
-plane mass of 1/|G|.  A curve's roots, periods and mass come only from
-that Lattice: periodic takes the periodic points from it, measures runs
-the same q-series vectorised for the lattice leaves, and lattes_density
+arXiv math/0402147), and wp sends the 2-torsion of C/L to infinity and
+the roots of G.  This module holds what they share and what needs no
+numpy: the exact roots of G (two_torsion_targets); the ramification of a
+map over the 2-torsion, computed (ramification_profile) and predicted
+for a multiplier by the parity table (predict_profile); the periods by
+the complex AGM, a reduced basis, the integer matrix of a lattice
+endomorphism on that basis, the Hermite normal form of an integer
+matrix, wp at one point by its q-series, and one cached Lattice per
+curve (curve_lattice), from the exact roots of G, with the plane mass
+of 1/|G|.  A curve's roots, periods and mass come only from that
+Lattice: periodic takes the periodic points from it, measures runs the
+same q-series vectorised for the lattice leaves, and lattes_density
 reads the roots and the mass.
 """
 
@@ -19,10 +23,210 @@ import cmath
 import math
 from functools import lru_cache
 
-from .errors import ConvergenceError
-from .lattes import EllipticCurveCM, two_torsion_targets
+from .errors import ConvergenceError, DomainError, FieldMismatchError
+from .lattes import EllipticCurveCM, _Frozen
+from .quadfield import QuadFieldElement, cleared_pairs, omega_flag, pair_norm
+from .ratmaps import Poly, ProjPoint, RationalMap, poly_gcd
 
 TWO_PI = 2.0 * math.pi
+
+# Durand-Kerner sweeps of the double-precision root guess of a cubic
+_GUESS_SWEEPS = 100
+
+
+def _dyadic(x: float, s: int) -> tuple:
+    """x * 2^s exactly, as (num, den)."""
+    num, den = x.as_integer_ratio()
+    return (num << s, den) if s >= 0 else (num, den << -s)
+
+
+def _root_guesses(G: Poly) -> tuple:
+    """(guesses, s): the roots of the monic cubic G over Q(i) or
+    Q(sqrt(-3)) in double precision, as exact elements, and an s with
+    roots of modulus at most about 2^s.
+
+    The Durand-Kerner sweeps run on G(2^s y)/2^(3s), whose roots have
+    modulus about 1, so coefficients of any size fit a double.
+    """
+    d = G.d
+    pairs, den = cleared_pairs(G.coeffs)
+
+    def norm_bits(k):
+        # bit lengths of N(coefficient k) in lowest terms, num minus den
+        n, m = pair_norm(pairs[k], omega_flag(d)), den * den
+        g = math.gcd(n, m)
+        return (n // g).bit_length() - (m // g).bit_length()
+
+    s = max(norm_bits(k) // (6 - 2 * k) for k in range(3) if any(pairs[k]))
+    c0, c1, c2 = (
+        complex(G.coeff(k) / (1 << s * (3 - k)) if s >= 0
+                else G.coeff(k) * (1 << -s * (3 - k)))
+        for k in range(3))
+    ys = [(0.4 + 0.9j) ** k for k in range(3)]
+    for _ in range(_GUESS_SWEEPS):
+        for k, y in enumerate(ys):
+            ys[k] = y - (((y + c2) * y + c1) * y + c0) / (
+                (y - ys[k - 1]) * (y - ys[k - 2]))
+    return [QuadFieldElement._from_ratios(
+        _dyadic(y.real, s), _dyadic(y.imag / math.sqrt(d), s), d,
+    ) for y in ys], s
+
+
+def _round_half_even(n: int, m: int) -> int:
+    """n/m for m > 0 rounded to the nearest integer, ties to even, as
+    round() rounds a Fraction."""
+    q, r = divmod(n, m)
+    return q + (2 * r > m or (2 * r == m and q & 1))
+
+
+def _snap(x: QuadFieldElement, D: int) -> QuadFieldElement:
+    """A point of (1/D)O_K nearest x in each basis coordinate."""
+    [(u, v)], den = cleared_pairs([x])
+    return QuadFieldElement.from_basis_pair(
+        _round_half_even(D * u, den), _round_half_even(D * v, den), x.d) / D
+
+
+def two_torsion_targets(curve: EllipticCurveCM) -> list:
+    """Images of the 2-torsion: infinity plus the roots of G, sorted.
+
+    For D the common denominator of G, D*e is a root of the monic
+    integral cubic D^3 G(x/D), so every root e lies on (1/D)O_K.  Each
+    double-precision guess is polished by exact Newton steps, each
+    rounded back onto that lattice, and anything short of three distinct
+    exact roots raises DomainError.  The points are found once per
+    curve; each call returns a new list of them.
+    """
+    return list(_two_torsion_targets(curve))
+
+
+@lru_cache(maxsize=16)
+def _two_torsion_targets(curve: EllipticCurveCM) -> tuple:
+    G = curve.G
+    dG = G.derivative()
+    _, D = cleared_pairs(G.coeffs)
+    guesses, s = _root_guesses(G)
+    roots = set()
+    for e in guesses:
+        e = _snap(e, D)
+        # near a pair of close roots Newton halves its distance per step
+        # until it resolves the pair, at most about log2(2^s*D) steps
+        for _ in range(abs(s) + D.bit_length() + 64):
+            value, slope = G(e), dG(e)
+            if value.is_zero() or slope.is_zero():
+                break
+            step = _snap(e - value / slope, D)
+            if step == e:
+                break
+            e = step
+        if G(e).is_zero():
+            roots.add(e)
+    if len(roots) != 3:
+        raise DomainError(
+            f"G = {G} does not split over its coefficient field: "
+            f"{len(roots)} of 3 roots found on (1/{D})O_K"
+        )
+    # sorted by (a, b): for the roots (u + v w)/den over their common den,
+    # the key (2u + t v, v) is 2 den (a, b) over Z[omega] (t = 1) and
+    # den (2a, b) over Z[i]
+    roots = list(roots)
+    pairs, _ = cleared_pairs(roots)
+    t = omega_flag(curve.d)
+    order = sorted(range(3), key=lambda k: (
+        2 * pairs[k][0] + t * pairs[k][1], pairs[k][1]))
+    return (ProjPoint.infinity(curve.d),
+            *(ProjPoint.affine(roots[k]) for k in order))
+
+
+class RamificationProfile(_Frozen):
+    """Distinct-preimage counts in [1, degree] over the 2-torsion images."""
+
+    __slots__ = ("counts", "degree")
+
+    def __init__(self, counts: tuple, degree: int):
+        super().__init__(counts, degree)
+        if len(self.counts) != 4:
+            raise DomainError("profile needs exactly four counts")
+        n = self.degree
+        for r in self.counts:
+            if not (1 <= r <= n):
+                raise DomainError(f"count {r} outside [1, {n}]")
+
+    def as_multiset(self) -> tuple:
+        return tuple(sorted(self.counts, reverse=True))
+
+
+def distinct_preimages(phi: RationalMap, target: ProjPoint) -> int:
+    """Number of distinct solutions of phi(z) = target."""
+    return len(preimage_multiplicities(phi, target))
+
+
+def preimage_multiplicities(phi: RationalMap, target: ProjPoint) -> list:
+    """Multiplicity multiset of the fiber over target, sorted descending.
+
+    Finite fiber points are the roots of t1*num - t0*den; infinity
+    contributes when that polynomial drops below the map degree.
+    """
+    if phi.d != target.d:
+        raise FieldMismatchError("target lives in a different field")
+    if phi.degree < 1:
+        raise DomainError("constant maps have no fibers of interest")
+    h = target.x1 * phi.num - target.x0 * phi.den
+    if h.is_zero():
+        raise DomainError("target equals the constant value of the map")
+    mults = []
+    m_inf = phi.degree - h.degree
+    if m_inf > 0:
+        mults.append(m_inf)
+    # g <- gcd(g, g') from g = h lowers every root's multiplicity by one,
+    # so deg g_k = sum of max(e - k, 0) over the roots, e their multiplicity
+    g, degs = h, []
+    while g.degree > 0:
+        degs.append(g.degree)
+        g = poly_gcd(g, g.derivative())
+    degs += [0, 0]
+    for k in range(1, len(degs) - 1):
+        mults.extend([k] * (degs[k - 1] - 2 * degs[k] + degs[k + 1]))
+    return sorted(mults, reverse=True)
+
+
+def ramification_profile(
+    phi: RationalMap, curve: EllipticCurveCM
+) -> RamificationProfile:
+    """Computed distinct-preimage counts over the 2-torsion images."""
+    if phi.d != curve.d:
+        raise DomainError("map and curve live over different fields")
+    counts = tuple(
+        distinct_preimages(phi, t) for t in two_torsion_targets(curve)
+    )
+    return RamificationProfile(counts, phi.degree)
+
+
+def predict_profile(lam: QuadFieldElement) -> RamificationProfile:
+    """Parity-table prediction of the four counts for a multiplier.
+
+    phi_lambda acts on the 2-torsion E[2] = O_K/2O_K through lambda mod
+    2O_K, so the table is indexed by the parities of lambda's basis pair
+    (u, v), lambda = u + v*w.  With h = N(lambda)//2: an odd norm gives
+    (h+1)^4, lambda in 2O_K gives (h+2, h, h, h), and the rest, only over
+    Z[i] since 2 is inert in Z[omega], gives (h, h+1, h, h+1).  A
+    non-integral multiplier and a norm below 2 are refused.
+    """
+    u, v = lam.basis_pair()
+    if not lam.is_integral():
+        raise DomainError(
+            f"no parity row covers the non-integral basis pair {u}, {v}")
+    n = pair_norm((u, v), omega_flag(lam.d))
+    if n < 2:
+        raise DomainError("multiplier norm below 2 has trivial dynamics")
+    h = n // 2
+    if n % 2:
+        counts = (h + 1,) * 4
+    elif u % 2 == 0 and v % 2 == 0:
+        counts = (h + 2, h, h, h)
+    else:
+        counts = (h, h + 1, h, h + 1)
+    return RamificationProfile(counts, n)
+
 
 # _agm: steps before it gives up; roots 1e-300 apart need 13
 _AGM_STEPS = 40
@@ -152,7 +356,7 @@ class Lattice:
 @lru_cache(maxsize=16)
 def curve_lattice(curve: EllipticCurveCM) -> Lattice:
     """The Lattice of a curve, built once per curve value from the exact
-    roots of its G (lattes.two_torsion_targets, which raises DomainError
+    roots of its G (two_torsion_targets, which raises DomainError
     unless G splits over the curve's field)."""
     return Lattice([complex(t) for t in two_torsion_targets(curve)
                     if not t.is_infinity()])

@@ -12,11 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from p1dyn.quadfield import QuadFieldElement
-from p1dyn.ratmaps import (
-    ProjPoint,
-    RationalMap,
-    preimage_multiplicities,
-)
+from p1dyn.ratmaps import ProjPoint, RationalMap
 from p1dyn.heights import canonical_height
 from p1dyn.lattes import (
     CURVES,
@@ -26,9 +22,6 @@ from p1dyn.lattes import (
     curve_for_name,
     lattes_double,
     map_for_multiplier,
-    predict_profile,
-    ramification_profile,
-    two_torsion_targets,
 )
 from p1dyn.measures import (
     Lift,
@@ -42,6 +35,12 @@ from p1dyn.measures import (
     sample_histogram,
 )
 from p1dyn.periodic import periodic_points
+from p1dyn.torus import (
+    predict_profile,
+    preimage_multiplicities,
+    ramification_profile,
+    two_torsion_targets,
+)
 from test_measures import (
     curve_families, ks_uniform_statistic, metric_field, scaled_lift,
 )

@@ -89,17 +89,19 @@ from p1dyn import heights
 from p1dyn.formkernel import form_kernel, kernel_factory
 from p1dyn.heights import (
     _ARCH_CAP,
+    _bareiss,
     _engine,
     _ln2_fixed,
     _log_ratio,
     canonical_height,
+    cofactor_certificate,
+    log_one_norm,
 )
 from p1dyn.lattes import (
     catalog,
     catalog_entry,
     catalog_names,
     curve_for_name,
-    two_torsion_targets,
 )
 from p1dyn.quadfield import (
     QuadFieldElement as QF,
@@ -120,18 +122,15 @@ from p1dyn.ratmaps import (
     Poly,
     ProjPoint,
     RationalMap,
-    _bareiss,
     _coords,
     _field_convolve,
     _pack,
     _pseudo_divmod,
     _unpack,
-    cofactor_certificate,
-    log_one_norm,
     poly_from_strings,
     poly_gcd,
-    preimage_multiplicities,
 )
+from p1dyn.torus import preimage_multiplicities, two_torsion_targets
 
 # --------------------------------------------------------------------------
 # Fraction oracles
@@ -1952,20 +1951,18 @@ def added():
 import p1dyn
 loaded = {"import": added()}
 """
-# then run `p1dyn catalog`, `p1dyn green` and one `p1dyn height`
-_FRESH_IMPORT = _SPY + """
+
+
+def _command(argv):
+    """_SPY, then argv through cli.main; prints its exit status and, under
+    the subcommand's name, what loaded since the import."""
+    return _SPY + """
 from p1dyn import cli
-rcs = []
-for name, argv in (("catalog", ["catalog"]),
-                   ("green", ["green", "--catalog", "pow_2",
-                              "--point", "0.5,0"]),
-                   ("height", ["height", "--catalog", "pow_2",
-                               "--point", "7,3"])):
-    with contextlib.redirect_stdout(io.StringIO()):
-        rcs.append(cli.main(argv))
-    loaded[name] = added()
-print(json.dumps([rcs, loaded]))
-"""
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(%r)
+loaded[%r] = added()
+print(json.dumps([rc, loaded]))
+""" % (argv, argv[0])
 
 
 def spy(script):
@@ -1980,14 +1977,37 @@ def spy(script):
 
 
 def test_import_and_each_command_load_only_what_they_run():
-    # import p1dyn and catalog load no rational type, no height engine
-    # and no kernel; green adds its numpy-free module alone; a height
-    # loads the height engine, which compiles its form kernel.  Each
-    # list holds what loaded since the import, so green's stays in
-    # height's
-    assert spy(_FRESH_IMPORT) == [[0, 0, 0], {
-        "import": [], "catalog": [], "green": ["p1dyn.greenpoint"],
-        "height": ["p1dyn.formkernel", "p1dyn.greenpoint", "p1dyn.heights"]}]
+    # each command in a fresh interpreter, so that no command's loads
+    # hide another's.  import p1dyn and catalog load no rational type, no
+    # height engine, no torus and no kernel; commute and compose compile
+    # the outer map's form kernel; green loads its numpy-free module
+    # alone; a height loads the height engine, which compiles its form
+    # kernel; the 2-torsion and the parity table load torus and the
+    # kernel that evaluates G, but no numpy and no height engine
+    kernel = ["p1dyn.formkernel"]
+    engine = [*kernel, "p1dyn.heights"]
+    torus = [*kernel, "p1dyn.torus"]
+    for argv, loads in (
+        (["catalog"], []),
+        (["commute", "--catalog", "phi_1+i", "phi_1-i"], kernel),
+        (["compose", "--catalog", "phi_sqrt-3", "phi_sqrt-3*rho"], kernel),
+        (["green", "--catalog", "pow_2", "--point", "0.5,0"],
+         ["p1dyn.greenpoint"]),
+        (["height", "--catalog", "pow_2", "--point", "7,3"], engine),
+        (["nt-height", "--curve", "E1", "--point", "2"], engine),
+        (["ramify", "--catalog", "phi_1+2i"], torus),
+        (["table-check", "--lambda", "2,0,1"], torus),
+    ):
+        assert spy(_command(argv)) == [0, {"import": [], argv[0]: loads}]
+
+
+def test_torus_names_are_served_from_torus():
+    import p1dyn
+    from p1dyn import torus
+
+    # ramification_profile among them
+    for name in p1dyn._TORUS_NAMES:
+        assert getattr(p1dyn, name) is getattr(torus, name)
 
 
 def test_lift_loads_only_its_numpy_free_module():

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -362,6 +363,41 @@ def fraction_reads(text):
     return f.numerator, f.denominator
 
 
+# the grammar of Fraction(str) on Python 3.12 and 3.13, which
+# parse_rational reads on every supported Python: CPython's own pattern
+_FRACTION_GRAMMAR = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>\d*|\d+(_\d+)*)
+    (?:(?:\s*/\s*(?P<denom>\d+(_\d+)*))?
+     | (?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z""", re.VERBOSE | re.IGNORECASE)
+
+
+def grammar_reads(text):
+    """(num, den) of text in that grammar, read from its groups as
+    Fraction(text) reads them there, or the type of the exception that
+    Fraction raises."""
+    m = _FRACTION_GRAMMAR.match(text)
+    if m is None:
+        return ValueError
+    num, den = int(m["num"] or "0"), 1
+    if m["denom"]:
+        den = int(m["denom"])
+        if not den:
+            return ZeroDivisionError
+    if m["decimal"]:
+        scale = 10 ** len(m["decimal"].replace("_", ""))
+        num, den = num * scale + int(m["decimal"]), scale
+    if m["exp"]:
+        exp = int(m["exp"])
+        if exp >= 0:
+            num *= 10 ** exp
+        else:
+            den *= 10 ** -exp
+    f = Fraction(-num if m["sign"] == "-" else num, den)
+    return f.numerator, f.denominator
+
+
 def int_parser_reads(text):
     try:
         return parse_rational(text)
@@ -414,16 +450,28 @@ class TestRationalsWithoutFraction:
     @example(text="1.d")
     @example(text="5.")
     def test_int_parser_reads_as_fraction(self, text):
-        assert int_parser_reads(text) == fraction_reads(text)
+        # one grammar on every Python; on 3.12 and 3.13 it is Fraction's
+        assert int_parser_reads(text) == grammar_reads(text)
+        if sys.version_info[:2] in ((3, 12), (3, 13)):
+            assert grammar_reads(text) == fraction_reads(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("1_000", (1000, 1)), ("1 / 2", (1, 2)), ("-3_0/ 4_0", (-3, 4)),
+        ("1_0.2_5e1_0", (102500000000, 1)), (" +7 /\t14 ", (1, 2)),
+    ])
+    def test_one_grammar_on_every_python(self, text, want):
+        # Python 3.10's Fraction refuses the underscores, and 3.10's and
+        # 3.11's the spaces around the slash
+        assert parse_rational(text) == want
 
     @settings(max_examples=300, deadline=None)
     @given(a=_terms, b=_terms, d=st.sampled_from([1, 3]),
            sign=st.sampled_from(["+", "-"]))
     def test_parse_element_reads_as_before(self, a, b, d, sign):
-        # the element parse_element read with Fraction: each term's
-        # rational as Fraction reads it, whitespace dropped first
+        # each term's rational as the fixed grammar reads it, whitespace
+        # dropped first
         ra, rb = ("".join(t.split()) for t in (a, b))
-        ra, rb = fraction_reads(ra), fraction_reads(rb)
+        ra, rb = grammar_reads(ra), grammar_reads(rb)
         text = f"{a}{sign}{b}*w"
         if isinstance(ra, type) or isinstance(rb, type):
             with pytest.raises(MapSpecError, match="bad rational"):
@@ -438,7 +486,7 @@ class TestRationalsWithoutFraction:
     @given(a=_literals, b=_literals, d=st.sampled_from(["0", "1", "3"]))
     def test_lambda_reads_as_before(self, a, b, d):
         text = f"{a},{b},{d}"
-        ra, rb = fraction_reads(a), fraction_reads(b)
+        ra, rb = grammar_reads(a), grammar_reads(b)
         if isinstance(ra, type) or isinstance(rb, type):
             with pytest.raises(MapSpecError, match="needs two rationals"):
                 cli._parse_lambda(text)

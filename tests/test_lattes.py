@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import pickle
+import random
 import shlex
 import subprocess
 import sys
@@ -10,14 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from p1dyn import lattes
+from p1dyn import lattes, torus
 from p1dyn.errors import DomainError, MapSpecError
 from p1dyn.heights import HeightValue
 from p1dyn.lattes import (
     CURVES,
     CatalogEntry,
     EllipticCurveCM,
-    RamificationProfile,
     catalog,
     catalog_entry,
     catalog_names,
@@ -28,12 +28,16 @@ from p1dyn.lattes import (
     lattes_double,
     lattes_triple,
     map_for_multiplier,
+)
+from p1dyn.quadfield import QuadFieldElement as QF, format_element
+from p1dyn.ratmaps import Poly, ProjPoint, RationalMap, poly_gcd
+from p1dyn.torus import (
+    RamificationProfile,
     predict_profile,
+    preimage_multiplicities,
     ramification_profile,
     two_torsion_targets,
 )
-from p1dyn.quadfield import QuadFieldElement as QF, format_element
-from p1dyn.ratmaps import Poly, ProjPoint, RationalMap, preimage_multiplicities
 
 
 OMEGA = QF(Fraction(-1, 2), Fraction(1, 2), 3)  # primitive cube root of 1
@@ -133,9 +137,39 @@ def test_multiplication_maps_are_cached_per_curve(name):
 
 
 class TestCurveValidation:
-    def test_singular_curve_rejected(self):
-        with pytest.raises(DomainError):
-            EllipticCurveCM(Poly([0, 0, 0, 1], 1), 1)
+    @pytest.mark.parametrize("coeffs, d", [
+        ([0, 0, 0, 1], 1),  # x^3
+        # (x - i)^2 (x - 1)
+        ([1, QF(-1, 2, 1), QF(-1, -2, 1), 1], 1),
+        # (x - sqrt(-3))^2 (x + 2 sqrt(-3))
+        ([QF(0, -6, 3), 9, 0, 1], 3),
+    ], ids=["triple-root", "double-root-Q(i)", "double-root-Q(sqrt-3)"])
+    def test_singular_curve_rejected(self, coeffs, d):
+        G = Poly(coeffs, d)
+        assert poly_gcd(G, G.derivative()).degree > 0
+        with pytest.raises(DomainError, match="squarefree"):
+            EllipticCurveCM(G, d)
+
+    def test_discriminant_agrees_with_the_gcd(self):
+        # the smoothness test against the gcd of G and G' on monic cubics
+        # with small coefficients, a double or triple root among them
+        rng = random.Random(5)
+        for d in (1, 3):
+            for _ in range(150):
+                roots = [QF(rng.randint(-2, 2), rng.randint(-2, 2), d)
+                         for _ in range(2)]
+                if rng.random() < 0.5:
+                    G = Poly([-roots[0], 1], d) ** 2 * Poly([-roots[1], 1], d)
+                else:
+                    G = Poly([QF(rng.randint(-3, 3), rng.randint(-3, 3), d)
+                              for _ in range(3)] + [1], d)
+                singular = poly_gcd(G, G.derivative()).degree > 0
+                try:
+                    EllipticCurveCM(G, d)
+                except DomainError:
+                    assert singular, G
+                else:
+                    assert not singular, G
 
     def test_non_monic_rejected(self):
         with pytest.raises(DomainError):
@@ -293,16 +327,17 @@ class TestCoprimeConstruction:
         assert phi.degree == degree
         assert RationalMap(phi.num, phi.den) == phi
 
-    def test_import_takes_only_the_squarefree_gcds(self):
-        # building the catalog calls no RationalMap.__init__; the two gcds
-        # left are EllipticCurveCM's squarefree tests of E1 and E2
+    def test_import_takes_no_gcd(self):
+        # building the catalog calls no RationalMap.__init__, and
+        # EllipticCurveCM tests E1 and E2 for a double root by the
+        # discriminant, without a gcd
         src = os.path.dirname(os.path.dirname(lattes.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_CALLS], capture_output=True,
             text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, 2]
+        assert json.loads(proc.stdout) == [0, 0]
 
 
 class TestCompositionIdentities:
@@ -408,7 +443,7 @@ class TestTwoTorsion:
         def no_solve(G):
             raise AssertionError("root guesses taken again")
 
-        monkeypatch.setattr(lattes, "_root_guesses", no_solve)
+        monkeypatch.setattr(torus, "_root_guesses", no_solve)
         # an equal curve built anew finds the same cached points
         again = two_torsion_targets(EllipticCurveCM(Poly([-27, 0, 0, 1], 3),
                                                     3))
@@ -753,9 +788,9 @@ class TestValueTypes:
         assert entry == catalog_entry("pow_2")
 
     def test_equal_curves_share_a_cache_entry(self):
-        lattes._two_torsion_targets.cache_clear()
+        torus._two_torsion_targets.cache_clear()
         first = two_torsion_targets(EllipticCurveCM(Poly([0, 1, 0, 1], 1), 1))
         again = two_torsion_targets(EllipticCurveCM(Poly([0, 1, 0, 1], 1), 1))
         assert first == again
-        info = lattes._two_torsion_targets.cache_info()
+        info = torus._two_torsion_targets.cache_info()
         assert (info.hits, info.misses) == (1, 1)

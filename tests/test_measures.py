@@ -22,7 +22,6 @@ from p1dyn.lattes import (
     curve_E2,
     curve_for_name,
     lattes_double,
-    two_torsion_targets,
 )
 from p1dyn.measures import (
     ComplexSampleSet,
@@ -51,7 +50,7 @@ from p1dyn.measures import (
 from p1dyn.periodic import INF_POINT, periodic_points
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import Poly, RationalMap
-from p1dyn.torus import Lattice, curve_lattice
+from p1dyn.torus import Lattice, curve_lattice, two_torsion_targets
 
 
 # helpers that only the tests use, as oracles and fixtures

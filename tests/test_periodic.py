@@ -21,11 +21,11 @@ from p1dyn.lattes import (
     catalog_entry,
     catalog_names,
     curve_for_name,
-    two_torsion_targets,
 )
 from p1dyn.periodic import INF_POINT, _generic_periodic, periodic_points
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import RationalMap
+from p1dyn.torus import two_torsion_targets
 from test_heights import conjugate, mobius
 
 DPS = 60

@@ -8,21 +8,23 @@ import pytest
 
 from p1dyn import ratmaps
 from p1dyn.errors import DomainError, FieldMismatchError
-from p1dyn.heights import canonical_height, height_constants
+from p1dyn.heights import (
+    _bareiss,
+    canonical_height,
+    cofactor_certificate,
+    height_constants,
+)
 from p1dyn.lattes import catalog, catalog_names
 from p1dyn.quadfield import QuadFieldElement as QF
 from p1dyn.ratmaps import (
     Poly,
     ProjPoint,
     RationalMap,
-    _bareiss,
     _pseudo_divmod,
-    cofactor_certificate,
-    distinct_preimages,
     poly_from_strings,
     poly_gcd,
-    preimage_multiplicities,
 )
+from p1dyn.torus import distinct_preimages, preimage_multiplicities
 
 
 def P(*coeffs, d=0):
