@@ -8,13 +8,15 @@ and so are torus, which holds a curve's 2-torsion, the ramification over
 it and its period lattice, periodic, whose closed forms serve the
 catalog's maps, and greenpoint, which holds a map's complex lift (Lift)
 and its Green value at one point (green).  The complex-analytic layer,
-measures, needs numpy.  heights, measures, periodic, greenpoint and
-torus, and their names below, are imported on first access (PEP 562),
-so importing p1dyn compiles none of them, and exact work, p1dyn.Lift and
-p1dyn.green never load numpy.  __all__ holds the public names, not the
-submodules, which dir(p1dyn) lists too.  `from p1dyn import *` binds
-every name of __all__, the lazy ones among them, and so loads every lazy
-module, numpy included.
+measures, needs numpy, and so does roots, the Aberth solver (poly_roots)
+that measures' preimage trees and periodic's generic route run.
+heights, measures, periodic, roots, greenpoint and torus, and their
+names below, are imported on first access (PEP 562), each name from the
+one module that defines it, so importing p1dyn compiles none of them,
+and exact work, p1dyn.Lift and p1dyn.green never load numpy.  __all__
+holds the public names, not the submodules, which dir(p1dyn) lists too.
+`from p1dyn import *` binds every name of __all__, the lazy ones among
+them, and so loads every lazy module, numpy included.
 quadfield builds its rationals on ints, and the exact value types are
 slotted classes, not dataclasses, so importing p1dyn loads neither
 fractions (nor decimal and numbers) nor dataclasses and inspect: in a
@@ -76,7 +78,6 @@ _MEASURES_NAMES = (
     "julia_raster",
     "lattes_density",
     "measure_from_green",
-    "poly_roots",
     "preimage_sample",
     "sample_histogram",
     "write_csv",
@@ -96,6 +97,7 @@ _LAZY = {
     "heights": _HEIGHTS_NAMES,
     "measures": _MEASURES_NAMES,
     "periodic": _PERIODIC_NAMES,
+    "roots": ("poly_roots",),
     "torus": _TORUS_NAMES,
 }
 

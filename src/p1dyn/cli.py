@@ -11,10 +11,10 @@ subcommand once, with its handler.  A handler only computes its
 payload: main, the one path from arguments to stdout, stamps "command"
 and "schema" on it.  Each handler imports what only it runs: height
 and nt-height import heights; ramify and table-check import torus;
-measure, density-compare and julia import measures, and with it numpy,
-and so does periodic on a map outside the catalog.  green runs on
-greenpoint's Python floats, so it and the exact subcommands never load
-numpy.
+measure, density-compare and julia import measures, and with it numpy;
+periodic on a map outside the catalog imports roots, the root solver,
+and with it numpy, but not measures.  green runs on greenpoint's Python
+floats, so it and the exact subcommands never load numpy.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ measures' green_field at one point, with the forms' Horner on Python
 complex numbers (_forms_scalar), so that `p1dyn green` and the exact
 subcommands load neither numpy nor measures.  Its abs is numpy's
 complex abs, replicated bit for bit (cabs), and its logarithm is
-math.log.  measures re-exports Lift and green, so measures.green and
-p1dyn.green are this function.
+math.log.  p1dyn.Lift and p1dyn.green are served from here.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ then makes every component the correctly rounded value, for a root of
 unity as for the first point of a Lattes cycle; on fixed-point complex
 integers, the map's forms run on its formkernel.form_kernel kernel at
 t = 0, as every exact form does.  Every other map solves num - z den = 0
-for phi^n = num/den with measures.poly_roots, which loads numpy.
+for phi^n = num/den with roots.poly_roots, which loads numpy.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def _generic_periodic(phi: RationalMap, n: int) -> list:
     """periodic_points by a root solve, for any map and checked n.
 
     The finite points are the roots of num - z den for phi^n = num/den,
-    found by measures.poly_roots; phi^n is built as phi after phi^(n-1),
+    found by roots.poly_roots; phi^n is built as phi after phi^(n-1),
     so each of its n - 1 compositions runs phi's one compiled kernel.
     Each finite multiplier comes from the chain rule on the lift of phi
     along the point's orbit, det J / (d^n c^2) (see _cycle), which holds
@@ -310,7 +310,7 @@ def _generic_periodic(phi: RationalMap, n: int) -> list:
     _CYCLE_TOL (chordal) of its n-th image under phi.
     """
     from .greenpoint import Lift
-    from .measures import poly_roots
+    from .roots import poly_roots
 
     psi = phi
     for _ in range(n - 1):

@@ -23,10 +23,9 @@ from p1dyn.lattes import (
     lattes_double,
     map_for_multiplier,
 )
+from p1dyn.greenpoint import Lift, green
 from p1dyn.measures import (
-    Lift,
     compare_l1,
-    green,
     green_field,
     julia_raster,
     lattes_density,

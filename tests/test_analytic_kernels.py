@@ -41,28 +41,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from p1dyn import greenpoint, measures, periodic
+from p1dyn import greenpoint, measures, periodic, roots
 from p1dyn.errors import ConvergenceError, DomainError
-from p1dyn.greenpoint import cabs
+from p1dyn.greenpoint import Lift, cabs, green
 from p1dyn.lattes import catalog, catalog_entry, catalog_names
 from p1dyn.measures import (
     ComplexSampleSet,
     DensityGrid,
-    Lift,
-    _aberth_batch,
     _forms_into,
     _grid_centers,
     _preimage_tree,
-    green,
     green_field,
     measure_from_green,
-    poly_roots,
     preimage_sample,
     sample_histogram,
     write_csv,
 )
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import Poly, RationalMap
+from p1dyn.roots import _aberth_batch, poly_roots
 from test_heights import conjugate, mobius
 
 TWO_PI = measures.TWO_PI
@@ -709,11 +706,21 @@ def test_cabs_is_numpys_complex_abs():
 def test_every_green_is_the_numpy_free_one():
     import p1dyn
 
-    assert measures.green is greenpoint.green is p1dyn.green
+    assert greenpoint.green is p1dyn.green
     assert measures.Lift is greenpoint.Lift is p1dyn.Lift
     # each lazy name is served by one module
     names = [n for ns in p1dyn._LAZY.values() for n in ns]
     assert len(names) == len(set(names))
+
+
+def test_each_name_has_one_home():
+    # the solver is served from roots alone, and measures re-exports
+    # neither it nor green
+    import p1dyn
+
+    assert p1dyn.poly_roots is roots.poly_roots
+    assert not hasattr(measures, "poly_roots")
+    assert not hasattr(measures, "green")
 
 
 # green's values and refusals: the list `out` of repr or "DomainError:
@@ -1040,7 +1047,7 @@ def oracle_hull_radii(coeffs):
 def test_starts_sit_on_the_newton_polygon(coeffs):
     C = np.array(coeffs, dtype=complex)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = measures._newton_starts(C, np.array([0.3]))[:, 0]
+        z = roots._newton_starts(C, np.array([0.3]))[:, 0]
     want = np.array(oracle_hull_radii(coeffs))
     assert np.allclose(np.abs(z), want, rtol=1e-12)
     # the roots of one circle are equally spaced
@@ -1083,7 +1090,7 @@ def test_aberth_single_row_and_no_rng():
     # its own, with poly_roots's fixed tilt or a drawn one, it matches
     # the same row inside a batch
     C = _batch(3, 12, 7)
-    for tilt in (np.full(12, measures._ROOT_TILT), _tilts(9, 12, 7)):
+    for tilt in (np.full(12, roots._ROOT_TILT), _tilts(9, 12, 7)):
         batch = _aberth_batch(C, tilt, 1e-10, 300)
         for row in (0, 1, 7):
             alone = _aberth_batch(C[row : row + 1], tilt[row : row + 1],
@@ -1120,6 +1127,41 @@ def test_zero_roots_are_split_off_exactly():
     assert pts == [0j, 1 + 0j, periodic.INF_POINT]
 
 
+def test_rows_that_are_not_finite_are_flagged():
+    # a row with an inf or nan coefficient anywhere, below a split-off
+    # zero or in the leading column among them, is not swept: it comes
+    # back flagged with nan roots and errors, and the finite rows keep
+    # the bits they take without it
+    C = _batch(8, 7, 4)
+    C[5, :2] = 0
+    tilt = _tilts(8, 7, 4)
+    bad = C.copy()
+    bad[1, 2] = np.inf
+    bad[3, 0] = np.nan
+    bad[4, 4] = complex(1, np.nan)
+    bad[6, :3] = [0, -np.inf, 1]
+    with np.errstate(all="raise"):
+        got = _aberth_batch(bad, tilt, 1e-12, 300)
+    want = _aberth_batch(C, tilt, 1e-12, 300)
+    ok = np.array([1, 0, 1, 0, 0, 1, 0], dtype=bool)
+    assert np.array_equal(got[1], ok) and np.all(want[1])
+    assert np.all(np.isnan(got[0][~ok])) and np.all(np.isnan(got[2][~ok]))
+    for a, b in zip(got, want):
+        assert same_bits(a[ok], b[ok])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_tree_refuses_leaves_that_are_not_finite(depth):
+    # every coefficient of a1 F0 - a0 F1 overflows, so every row of the
+    # first generation is flagged and its preimages are nan; the 2, 4 or
+    # 8 leaves are within the allowance of 16 missed solves, and still
+    # raise, with no numpy warning on the way
+    big = str(17 * 10**307)
+    phi = RationalMap.from_strings([big, "0", big], ["-" + big, "1"], 0)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        preimage_sample(phi, 0.3 + 0.2j, depth)
+
+
 def test_lazy_compaction_keeps_each_column_its_own_bits():
     # rows with a cluster of width 10^-t at 0.5 finish later as t grows:
     # the batch finishes over several sweeps, and on most of them fewer
@@ -1146,17 +1188,17 @@ def test_lazy_compaction_keeps_each_column_its_own_bits():
 
 
 def test_poly_roots_convergence_error_residuals(monkeypatch):
-    monkeypatch.setattr(measures, "_ROOT_SWEEPS", 2)
+    monkeypatch.setattr(roots, "_ROOT_SWEEPS", 2)
     coeffs = [1.0, -3.0, 0.5j, 2.0, 0.0, 1.0, -1.0]
     with pytest.raises(ConvergenceError) as err:
         poly_roots(coeffs)
     C = np.array([coeffs], dtype=complex)
-    roots, ok, _ = _aberth_batch(C, np.array([measures._ROOT_TILT]),
-                                 measures._ROOT_TOL, 2)
+    got, ok, _ = _aberth_batch(C, np.array([roots._ROOT_TILT]),
+                               roots._ROOT_TOL, 2)
     assert not ok[0]
     resid = err.value.residuals
-    assert max(resid) > measures._ROOT_TOL
-    np.testing.assert_allclose(resid, backward_errors(C, roots)[0],
+    assert max(resid) > roots._ROOT_TOL
+    np.testing.assert_allclose(resid, backward_errors(C, got)[0],
                                rtol=1e-12)
 
 

@@ -1944,7 +1944,7 @@ _SPY = """
 import contextlib, io, json, sys
 lazy = ("dataclasses", "decimal", "fractions", "inspect", "numbers", "numpy",
         "p1dyn.formkernel", "p1dyn.greenpoint", "p1dyn.heights",
-        "p1dyn.measures", "p1dyn.periodic", "p1dyn.torus")
+        "p1dyn.measures", "p1dyn.periodic", "p1dyn.roots", "p1dyn.torus")
 before = set(sys.modules)
 def added():
     return sorted(m for m in lazy if m in sys.modules and m not in before)
@@ -1976,17 +1976,22 @@ def spy(script):
     return json.loads(proc.stdout)
 
 
-def test_import_and_each_command_load_only_what_they_run():
+def test_import_and_each_command_load_only_what_they_run(tmp_path):
     # each command in a fresh interpreter, so that no command's loads
     # hide another's.  import p1dyn and catalog load no rational type, no
-    # height engine, no torus and no kernel; commute and compose compile
-    # the outer map's form kernel; green loads its numpy-free module
-    # alone; a height loads the height engine, which compiles its form
-    # kernel; the 2-torsion and the parity table load torus and the
-    # kernel that evaluates G, but no numpy and no height engine
+    # height engine, no torus, no kernel and no root solver; commute and
+    # compose compile the outer map's form kernel; green loads its
+    # numpy-free module alone; a height loads the height engine, which
+    # compiles its form kernel; the 2-torsion and the parity table load
+    # torus and the kernel that evaluates G, but no numpy and no height
+    # engine; periodic takes a catalog map's closed forms without numpy,
+    # and solves any other map with roots, which loads numpy but not
+    # measures
     kernel = ["p1dyn.formkernel"]
     engine = [*kernel, "p1dyn.heights"]
     torus = [*kernel, "p1dyn.torus"]
+    spec = tmp_path / "two_z2.json"
+    spec.write_text('{"num": ["0", "0", "2"], "den": ["1"]}')
     for argv, loads in (
         (["catalog"], []),
         (["commute", "--catalog", "phi_1+i", "phi_1-i"], kernel),
@@ -1997,8 +2002,17 @@ def test_import_and_each_command_load_only_what_they_run():
         (["nt-height", "--curve", "E1", "--point", "2"], engine),
         (["ramify", "--catalog", "phi_1+2i"], torus),
         (["table-check", "--lambda", "2,0,1"], torus),
+        (["periodic", "--catalog", "phi_1+i", "--depth", "2"],
+         [*kernel, "p1dyn.periodic", "p1dyn.torus"]),
     ):
         assert spy(_command(argv)) == [0, {"import": [], argv[0]: loads}]
+    # numpy loads modules of the list itself (inspect, numbers), which
+    # depend on its version
+    rc, loaded = spy(_command(["periodic", "--map", str(spec)]))
+    assert rc == 0 and loaded["import"] == []
+    got = set(loaded["periodic"])
+    assert {"numpy", "p1dyn.periodic", "p1dyn.roots"} <= got
+    assert "p1dyn.measures" not in got
 
 
 def test_torus_names_are_served_from_torus():

@@ -22,6 +22,7 @@ is that of the full loop it replaced, full_fin_value, which runs through
 the idle steps after it, bit for bit.
 """
 
+import importlib
 import json
 import math
 import random
@@ -504,17 +505,13 @@ class TestTrialDivision:
 
 
 def test_lazy_names_resolve_in_process(monkeypatch):
-    # other tests import p1dyn.measures and p1dyn.periodic directly, which
-    # leaves the lazy names unset until the first attribute lookup takes
-    # __getattr__
-    for name in (*p1dyn._MEASURES_NAMES, *p1dyn._PERIODIC_NAMES):
-        monkeypatch.delitem(vars(p1dyn), name, raising=False)
-    from p1dyn import measures, periodic
-
-    assert p1dyn.green is measures.green
-    assert p1dyn.periodic_points is periodic.periodic_points
-    for module, names in ((measures, p1dyn._MEASURES_NAMES),
-                          (periodic, p1dyn._PERIODIC_NAMES)):
+    # other tests import the lazy modules directly, which leaves the lazy
+    # names unset until the first attribute lookup takes __getattr__
+    for names in p1dyn._LAZY.values():
+        for name in names:
+            monkeypatch.delitem(vars(p1dyn), name, raising=False)
+    for module, names in p1dyn._LAZY.items():
+        module = importlib.import_module("p1dyn." + module)
         for name in names:
             assert getattr(p1dyn, name) is getattr(module, name)
         assert set(names) <= set(dir(p1dyn))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p1dyn import measures, periodic, torus
+from p1dyn import measures, periodic, roots, torus
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.lattes import (
     CURVES,
@@ -23,11 +23,11 @@ from p1dyn.lattes import (
     curve_for_name,
     lattes_double,
 )
+from p1dyn.greenpoint import Lift, green
 from p1dyn.measures import (
     ComplexSampleSet,
     DensityGrid,
     GreenField,
-    Lift,
     _abs_g_on,
     _header_comments,
     _grid_centers,
@@ -36,18 +36,17 @@ from p1dyn.measures import (
     _preimage_tree,
     _series,
     compare_l1,
-    green,
     green_field,
     julia_raster,
     lattes_density,
     measure_from_green,
-    poly_roots,
     preimage_sample,
     sample_histogram,
     write_csv,
     write_pgm,
 )
 from p1dyn.periodic import INF_POINT, periodic_points
+from p1dyn.roots import poly_roots
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import Poly, RationalMap
 from p1dyn.torus import Lattice, curve_lattice, two_torsion_targets
@@ -520,6 +519,21 @@ class TestPolyRoots:
         r = poly_roots([1, 2, 1])  # (z+1)^2
         assert all(abs(z + 1) <= 1e-4 for z in r)
 
+    @pytest.mark.parametrize("coeffs", [
+        [math.nan, 1], [math.inf, 1], [1, 0, math.nan], [1, math.inf, 1],
+        [1, 2, complex(1, math.nan)], [1, 1j, -math.inf * 1j],
+    ])
+    def test_non_finite_coefficient_is_refused(self, coeffs):
+        with pytest.raises(DomainError, match="finite"):
+            poly_roots(coeffs)
+
+    def test_linear_root_beyond_the_double_range_is_refused(self):
+        with pytest.raises(DomainError, match="floating-point range"):
+            poly_roots([1e308, 1e-308])
+        # the largest double is still a root
+        assert poly_roots([-1.7976931348623157e308, 1]) == [
+            1.7976931348623157e308 + 0j]
+
 
 class TestPreimageSampling:
     def test_depth_zero(self):
@@ -861,7 +875,7 @@ class TestLatticeLeaves:
         def refuse(*args):
             raise AssertionError("the lattice was built again")
 
-        monkeypatch.setattr(measures, "poly_roots", refuse)
+        monkeypatch.setattr(roots, "poly_roots", refuse)
         monkeypatch.setattr(torus, "_periods", refuse)
         assert run() == want
         assert curve_lattice.cache_info().currsize <= 2

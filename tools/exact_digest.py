@@ -165,7 +165,7 @@ def _sha(data: bytes) -> str:
 def _analytic(cat, names) -> dict:
     import numpy as np
 
-    m = p1dyn.measures
+    m = p1dyn
     fields, greens, trees = {}, {}, {}
     for name in names:
         phi = cat(name)
@@ -204,7 +204,7 @@ DENSITY_WINDOWS = ((-3.0, 3.0, -3.0, 3.0), GREEN_WINDOW)
 
 
 def _densities(cat) -> dict:
-    m = p1dyn.measures
+    m = p1dyn
     out = {}
     for name, curve in (("E1", p1dyn.curve_E1()), ("E2", p1dyn.curve_E2())):
         for window in DENSITY_WINDOWS:
