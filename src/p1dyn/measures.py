@@ -4,6 +4,15 @@ preimage sampling, and raster export.
 Everything here runs in double precision.  Tolerances are those of
 numerical potential theory (grids, histograms, root residuals), not the
 certified bounds of the height engine; see heights for the exact side.
+
+Working memory: each pass over a grid or a sample runs on blocks of
+_CELL_BLOCK cells, or on green_field's worker blocks, so a call holds
+its result at full size plus the temporaries of one block per worker,
+with the same elementwise operations in the same order as on the whole
+array, and no output bit depends on a block size.  What still spans the
+whole array is named where it is made: the sums that normalize a grid,
+julia_raster's copy of the positive cells (partitioned in place by
+np.quantile), and the generations of a preimage tree.
 A map's complex lift (Lift), the Green value at one point (green) and
 the scalar Horner of the forms live in greenpoint, which needs no
 numpy; the Aberth solver that the preimage trees run lives in roots.
@@ -47,20 +56,65 @@ def _resolution_pair(resolution):
     return nx, ny
 
 
-def _grid_centers(window, nx, ny):
+def _grid_of(make, nx, ny):
+    """make((ny, nx)), np.empty or np.zeros, for a float grid of ny rows
+    of nx cells.  Each grid is allocated before its axes are built, so
+    one too large for memory is refused first; numpy refuses a size past
+    its index range with a ValueError, which is the same refusal."""
+    try:
+        return make((ny, nx))
+    except ValueError as exc:
+        raise MemoryError(f"a {nx} x {ny} grid: {exc}") from None
+
+
+def _grid_axes(window, nx, ny):
+    """(xs, ys, dx, dy): cell (i, j) of a window grid, row i of ny and
+    column j of nx, is centered at xs[j] + ys[i] 1j."""
     a, b, c, d = window
     dx = (b - a) / nx
     dy = (d - c) / ny
-    # the grid first, so one too large for memory is refused before its
-    # axes are built; numpy refuses a size past its index range with a
-    # ValueError, which is the same refusal
-    try:
-        out = np.empty((ny, nx), dtype=complex)
-    except ValueError as exc:
-        raise MemoryError(f"a {nx} x {ny} grid: {exc}") from None
-    out.real = a + dx * (np.arange(nx) + 0.5)
-    out.imag = (c + dy * (np.arange(ny) + 0.5))[:, None]
-    return out, dx, dy
+    return (a + dx * (np.arange(nx) + 0.5), c + dy * (np.arange(ny) + 0.5),
+            dx, dy)
+
+
+def _centers(xs, ys, lo, k):
+    """Centers of the cells lo, ..., lo + k - 1 of the row-major grid
+    whose axes are xs and ys (see _grid_axes), as a complex array."""
+    i = np.arange(lo, lo + k)
+    out = np.empty(k, complex)
+    out.real = xs[i % len(xs)]
+    out.imag = ys[i // len(xs)]
+    return out
+
+
+# cells, or points, that each pass over a grid or a sample below takes
+# at a time, outside the worker blocks of green_field, the leaf blocks
+# of _lattice_leaves and the root blocks of _solve_generation: every
+# such pass keeps only its result at full size, and the temporaries of
+# one block near 1 MB.  write_csv formats 64 rows of 512 at a time
+_CELL_BLOCK = 32768
+
+
+def _blocks(n):
+    """The slices of range(n) that take _CELL_BLOCK at a time."""
+    return [slice(lo, lo + _CELL_BLOCK) for lo in range(0, n, _CELL_BLOCK)]
+
+
+def _front(out, parts):
+    """Writes the arrays of parts, in order, from the front of the 1-D
+    array out, and returns that front.  parts may be a generator that
+    reads out itself, block by block, ahead of the front."""
+    kept = 0
+    for part in parts:
+        out[kept:kept + part.size] = part
+        kept += part.size
+    return out[:kept]
+
+
+def _all_blocks(test, a) -> bool:
+    """Whether test(block) holds everywhere on every block of a's cells."""
+    flat = a.reshape(-1)
+    return all(np.all(test(flat[s])) for s in _blocks(flat.size))
 
 
 def _forms_into(lift: Lift, bufs: list) -> list:
@@ -119,7 +173,7 @@ class GreenField:
     iterations: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
+        if not _all_blocks(np.isfinite, self.values):
             raise DomainError("Green field has non-finite entries")
         self.values.setflags(write=False)
 
@@ -144,9 +198,9 @@ class DensityGrid:
         if np.shape(self.mass) != (ny, nx):
             raise DomainError(f"density grid of shape {np.shape(self.mass)} "
                               f"does not match resolution {nx}x{ny}")
-        if not np.all(np.isfinite(self.mass)):
+        if not _all_blocks(np.isfinite, self.mass):
             raise DomainError("density grid has non-finite cells")
-        if np.any(self.mass < 0):
+        if not _all_blocks(lambda b: b >= 0, self.mass):
             raise DomainError("density grid has negative cells")
         if not 0.0 <= self.window_fraction <= 1.0:
             raise DomainError(f"window_fraction {self.window_fraction} "
@@ -246,18 +300,19 @@ def green_field(lift, window, resolution, n: int) -> GreenField:
     exception is re-raised here once every thread has ended.
     Every cell takes the same operations whichever worker iterates it,
     so neither the worker count nor the block size moves a bit.
+    Each block's cell centers are built from the grid's two axes, so the
+    call holds the values and, per worker, the arrays of one block.
     """
     lift = check_green(lift, n)
     window = _check_window(window)
     nx, ny = _resolution_pair(resolution)
-    centers, _, _ = _grid_centers(window, nx, ny)
-    flat = centers.ravel()
-    vals = np.empty((ny, nx))
+    vals = _grid_of(np.empty, nx, ny)
+    xs, ys, _, _ = _grid_axes(window, nx, ny)
     out = vals.ravel()
-    block = min(_GREEN_BLOCK, flat.size)
+    block = min(_GREEN_BLOCK, out.size)
     if _cpus() == 1:
         block = min(block, _SOLO_BLOCK)
-    starts = range(0, flat.size, block)
+    starts = range(0, out.size, block)
     scratch = [
         ([np.empty(block, complex) for _ in range(7)],
          np.zeros(block, complex), np.empty(block), np.empty(block))
@@ -275,8 +330,8 @@ def green_field(lift, window, resolution, n: int) -> GreenField:
                         lo = next(todo, None)
                     if lo is None:
                         return
-                    k = min(block, flat.size - lo)
-                    _green_block(lift, flat[lo:lo + k], n,
+                    k = min(block, out.size - lo)
+                    _green_block(lift, _centers(xs, ys, lo, k), n,
                                  [b[:k] for b in bufs], inv[:k], m[:k],
                                  t[:k], out[lo:lo + k])
         except BaseException as exc:
@@ -300,6 +355,9 @@ def measure_from_green(field: GreenField) -> DensityGrid:
     zero, boundary ring zeroed, mass normalized to one.  window_fraction
     is the mass of the Laplacian / 2 pi after clamping and before
     normalizing, capped at 1 because the measure is a probability measure.
+    The stencil, the clamp and both scalings run on blocks of rows of
+    _CELL_BLOCK cells, written into the one grid that is returned, so the
+    call holds that grid and the temporaries of one block.
     """
     nx, ny = field.resolution
     if min(nx, ny) < 32:
@@ -311,16 +369,30 @@ def measure_from_green(field: GreenField) -> DensityGrid:
         raise DomainError("window cells are too small or too large for "
                           "the Laplacian in double precision")
     g = field.values
-    lap = np.zeros_like(g)
-    lap[1:-1, 1:-1] = (
-        (g[1:-1, 2:] + g[1:-1, :-2] - 2.0 * g[1:-1, 1:-1]) / dx**2
-        + (g[2:, 1:-1] + g[:-2, 1:-1] - 2.0 * g[1:-1, 1:-1]) / dy**2
-    )
-    mass = np.maximum(lap, 0.0) * (dx * dy) / TWO_PI
+    mass = np.zeros_like(g)
+    dx2, dy2, cell = dx**2, dy**2, dx * dy
+    step = max(1, _CELL_BLOCK // nx)
+    for lo in range(1, ny - 1, step):
+        hi = min(lo + step, ny - 1)
+        # (g[r, 2:] + g[r, :-2] - 2 g[r, 1:-1]) / dx^2 + (the same along
+        # columns) / dy^2, then max(., 0) dx dy / 2 pi, in that order
+        out = mass[lo:hi, 1:-1]
+        mid = 2.0 * g[lo:hi, 1:-1]
+        across = g[lo:hi, 2:] + g[lo:hi, :-2]
+        across -= mid
+        across /= dx2
+        np.add(g[lo + 1:hi + 1, 1:-1], g[lo - 1:hi - 1, 1:-1], out=out)
+        out -= mid
+        out /= dy2
+        np.add(across, out, out=out)
+        np.maximum(out, 0.0, out=out)
+        out *= cell
+        out /= TWO_PI
     total = float(mass.sum())
     if total <= 0.0:
         raise DomainError("flat Green field: no measure in this window")
-    return DensityGrid(field.window, (nx, ny), mass / total,
+    mass /= total
+    return DensityGrid(field.window, (nx, ny), mass,
                        window_fraction=min(1.0, total))
 
 
@@ -420,7 +492,9 @@ def preimage_sample(
     at infinity.  Every other map solves the tree level by level (see
     _preimage_tree), reproducibly for a given seed, which only perturbs
     root-finder starting configurations.  The points come in no
-    promised order.
+    promised order.  The finite leaves are moved to the front of the
+    leaves' own array, one block at a time, and returned as a view of
+    it: no leaf is copied at full size.
     """
     deg = phi.degree
     if deg < 2:
@@ -438,9 +512,8 @@ def preimage_sample(
     if entry is None or entry.lam is None or not entry.curve_name:
         return _preimage_tree(phi, z, depth, seed)
     x = _lattice_leaves(entry, z, depth)
-    infinite = ~(np.abs(x) < 1e14)
-    return ComplexSampleSet(x[~infinite], int(np.count_nonzero(infinite)),
-                            seed, depth)
+    pts = _front(x, (x[s][np.abs(x[s]) < 1e14] for s in _blocks(x.size)))
+    return ComplexSampleSet(pts, x.size - pts.size, seed, depth)
 
 
 def _preimage_tree(phi: RationalMap, z: complex, depth: int,
@@ -449,10 +522,21 @@ def _preimage_tree(phi: RationalMap, z: complex, depth: int,
     arguments and depth >= 1: the rows of a generation are the
     preimages of its points in order, deg per point.  Raises
     ConvergenceError when more solves miss the residual target than
-    max(16, leaves / 500) allows, and when any leaf is not finite."""
+    max(16, leaves / 500) allows, and when any leaf is not finite.  Each
+    generation is held whole, and the next one while it is solved; the
+    last one's tests and quotients run one block at a time, into its own
+    first coordinate array."""
     deg = phi.degree
     f0, f1 = (np.array(f, dtype=complex)
               for f in Lift.from_map(phi)._coeffs)
+    # a row a1 F0 - a0 F1 of _solve_generation, with |a0|, |a1| <= 1,
+    # has parts below 4 t for forms whose parts are below t, so below
+    # 2^1022 for t = 2^1020; larger forms are scaled there by one power of
+    # two, which is exact and moves no root
+    top = max(np.max(np.abs(f.view(float))) for f in (f0, f1))
+    if top >= 2.0**1020:
+        unit = math.ldexp(1.0, 1020 - math.frexp(top)[1])
+        f0, f1 = f0 * unit, f1 * unit
     rng = np.random.default_rng(seed)
     scale = max(abs(z), 1.0)
     a0 = np.array([z / scale])
@@ -478,34 +562,49 @@ def _preimage_tree(phi: RationalMap, z: complex, depth: int,
             f"{total_missed} of {a0.size} preimage solves missed the "
             "residual target"
         )
-    lost = np.count_nonzero(~(np.isfinite(a0) & np.isfinite(a1)))
+    lost = sum(np.count_nonzero(~(np.isfinite(a0[s]) & np.isfinite(a1[s])))
+               for s in _blocks(a0.size))
     if lost:
         raise ConvergenceError(
             f"{lost} of {a0.size} preimages are not finite"
         )
-    infinite = np.abs(a1) <= 1e-14 * np.abs(a0)
-    pts = a0[~infinite] / a1[~infinite]
-    return ComplexSampleSet(pts, int(np.sum(infinite)), seed, depth)
+
+    def finite_leaves():
+        for s in _blocks(a0.size):
+            finite = np.abs(a1[s]) > 1e-14 * np.abs(a0[s])
+            yield a0[s][finite] / a1[s][finite]
+
+    pts = _front(a0, finite_leaves())
+    return ComplexSampleSet(pts, a0.size - pts.size, seed, depth)
 
 
 def sample_histogram(
     samples: ComplexSampleSet, window, resolution
 ) -> DensityGrid:
-    """Normalized 2-D histogram of the finite sample points in a window."""
+    """Normalized 2-D histogram of the finite sample points in a window.
+
+    The points are counted _CELL_BLOCK at a time, each adding 1.0 to its
+    cell of the one grid that is returned (np.add.at: a np.bincount of a
+    block would be as long as the grid), so the call holds that grid and
+    the temporaries of one block.  The counts are integers below 2^53,
+    exact in any order.
+    """
     window = _check_window(window)
     nx, ny = _resolution_pair(resolution)
     a, b, c, d = window
-    z = samples.points
-    inside = (
-        (z.real >= a) & (z.real < b) & (z.imag >= c) & (z.imag < d)
-    )
-    z = z[inside]
-    if len(z) == 0:
+    counts = _grid_of(np.zeros, nx, ny)
+    flat = counts.reshape(-1)
+    for s in _blocks(len(samples.points)):
+        z = samples.points[s]
+        z = z[(z.real >= a) & (z.real < b) & (z.imag >= c) & (z.imag < d)]
+        ix = np.minimum(((z.real - a) / (b - a) * nx).astype(int), nx - 1)
+        iy = np.minimum(((z.imag - c) / (d - c) * ny).astype(int), ny - 1)
+        np.add.at(flat, iy * nx + ix, 1.0)
+    total = counts.sum()
+    if total == 0:
         raise DomainError("no sample points fall inside the window")
-    ix = np.minimum(((z.real - a) / (b - a) * nx).astype(int), nx - 1)
-    iy = np.minimum(((z.imag - c) / (d - c) * ny).astype(int), ny - 1)
-    counts = np.bincount(iy * nx + ix, minlength=nx * ny).reshape(ny, nx)
-    return DensityGrid(window, (nx, ny), counts / counts.sum())
+    counts /= total
+    return DensityGrid(window, (nx, ny), counts)
 
 
 # ------------------------------------------------------ closed-form side
@@ -654,18 +753,24 @@ def lattes_density(
     of G, which get a 4x4 subsample.  window_fraction is the window's
     gridded mass over the exact plane mass, capped at 1.  The roots and
     the mass come from the curve's torus.curve_lattice, so G must split
-    over the curve's field (DomainError otherwise).
+    over the curve's field (DomainError otherwise).  |G| is evaluated on
+    blocks of _CELL_BLOCK cells, written into the one grid that is
+    returned, so the call holds that grid and the temporaries of one
+    block.
     """
     window = _check_window(window)
     nx, ny = _resolution_pair(resolution)
     lat = curve_lattice(curve)
     gc = [complex(c) for c in
           (curve.G.coeff(k) for k in range(curve.G.degree + 1))]
-    centers, dx, dy = _grid_centers(window, nx, ny)
-    vals = _abs_g_on(gc, centers)
-    # mass 0.0 where |G| is tiny or overflows, and dx dy may overflow too
-    mass = np.divide(dx * dy, vals, out=np.zeros_like(vals),
-                     where=(vals > 1e-300) & (vals < math.inf))
+    mass = _grid_of(np.zeros, nx, ny)
+    xs, ys, dx, dy = _grid_axes(window, nx, ny)
+    flat = mass.reshape(-1)
+    for s in _blocks(flat.size):
+        vals = _abs_g_on(gc, _centers(xs, ys, s.start, flat[s].size))
+        # mass 0.0 where |G| is tiny or overflows, and dx dy may overflow
+        np.divide(dx * dy, vals, out=flat[s],
+                  where=(vals > 1e-300) & (vals < math.inf))
     # subsample every cell whose closed rectangle contains a root; a
     # root on a shared edge belongs to all touching cells, which keeps
     # symmetric windows symmetric
@@ -695,10 +800,11 @@ def lattes_density(
     window_mass = float(mass.sum())
     if window_mass <= 0.0:
         raise DomainError("window captures no mass")
+    mass /= window_mass
     return DensityGrid(
         window,
         (nx, ny),
-        mass / window_mass,
+        mass,
         window_fraction=min(1.0, window_mass / lat.mass),
     )
 
@@ -719,14 +825,28 @@ def julia_raster(field: GreenField):
     Cell masses are scaled by the window's share of the measure before
     the 0.98-quantile sets full darkness, so a window that holds almost
     none of it stays light.  Returns a uint8 array, deterministic for
-    fixed inputs.
+    fixed inputs.  Past measure_from_green's grid, the call holds the
+    image, a copy of the positive cells, which np.quantile partitions in
+    place, and the temporaries of one block of _CELL_BLOCK cells, which
+    are scaled in place.
     """
     grid = measure_from_green(field)
-    v = grid.mass
-    pos = v[v > 0]
-    peak = float(np.quantile(pos, 0.98))
-    img = 255.0 * (1.0 - np.minimum(v * grid.window_fraction / peak, 1.0))
-    return np.asarray(np.rint(img), dtype=np.uint8)
+    v = grid.mass.reshape(-1)
+    spans = _blocks(v.size)
+    pos = np.empty(sum(np.count_nonzero(v[s] > 0) for s in spans))
+    _front(pos, (v[s][v[s] > 0] for s in spans))
+    peak = float(np.quantile(pos, 0.98, overwrite_input=True))
+    img = np.empty(grid.mass.shape, dtype=np.uint8)
+    flat = img.reshape(-1)
+    for s in spans:
+        # 255 (1 - min(v f / peak, 1)), rounded to the nearest integer
+        t = v[s] * grid.window_fraction
+        t /= peak
+        np.minimum(t, 1.0, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= 255.0
+        flat[s] = np.rint(t, out=t)
+    return img
 
 
 def _header_comments(metadata) -> bytes:
@@ -750,10 +870,6 @@ def write_pgm(path, image, metadata=None) -> None:
         f.write(f"{w} {h}\n255\n".encode())
         f.write(img.tobytes())
 
-
-# cells of the grid that write_csv formats at a time (64 rows of 512),
-# so the kernel's temporaries stay near 1 MB
-_CSV_BLOCK = 32768
 
 # 10**k correctly rounded (int to float and int / int both round
 # correctly), at index k + 87 for the k = 12 - e of exponents |e| < 100
@@ -852,7 +968,7 @@ def write_csv(grid: DensityGrid, path) -> None:
     and a row holding a text that is not 18 bytes long by the row format.
     """
     mass = grid.mass
-    step = max(1, _CSV_BLOCK // mass.shape[1])
+    step = max(1, _CELL_BLOCK // mass.shape[1])
     with open(path, "w") as f:
         for lo in range(0, mass.shape[0], step):
             f.write(_csv_text(mass[lo:lo + step]))

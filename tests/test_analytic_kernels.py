@@ -22,17 +22,23 @@ start each form at its top nonzero coefficient; against the full Horner
 Green value bit for bit, on the catalog lifts, on Mobius conjugates
 M^-1 phi M, whose forms are dense, and on random sparse lifts, and the
 conjugates' Green values must differ from phi's at Mz by log|cz + e|
-plus a constant.  The trees are
+plus a constant.  Every grid and sample pass of measures runs block by
+block: with its block patched small it must give the bits of its
+whole-array form (the oracle_* functions below, _grid_centers among
+them), and under tracemalloc its peak must stay within its result plus
+a few blocks.  The trees are
 built by _preimage_tree: on the curve maps
 below, preimage_sample takes its leaves from the period lattice and
 never reaches the Aberth kernel.
 """
 
+import contextlib
 import json
 import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -44,14 +50,22 @@ from hypothesis.extra import numpy as hnp
 from p1dyn import greenpoint, measures, periodic, roots
 from p1dyn.errors import ConvergenceError, DomainError
 from p1dyn.greenpoint import Lift, cabs, green
-from p1dyn.lattes import catalog, catalog_entry, catalog_names
+from p1dyn.lattes import (
+    catalog,
+    catalog_entry,
+    catalog_names,
+    curve_E1,
+    curve_E2,
+)
 from p1dyn.measures import (
     ComplexSampleSet,
     DensityGrid,
+    GreenField,
     _forms_into,
-    _grid_centers,
     _preimage_tree,
     green_field,
+    julia_raster,
+    lattes_density,
     measure_from_green,
     preimage_sample,
     sample_histogram,
@@ -60,6 +74,7 @@ from p1dyn.measures import (
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import Poly, RationalMap
 from p1dyn.roots import _aberth_batch, poly_roots
+from p1dyn.torus import curve_lattice
 from test_heights import conjugate, mobius
 
 TWO_PI = measures.TWO_PI
@@ -175,6 +190,101 @@ def oracle_histogram(points, window, nx, ny):
     counts = np.zeros((ny, nx), dtype=float)
     np.add.at(counts, (iy, ix), 1.0)
     return counts / counts.sum()
+
+
+def oracle_bincount_histogram(points, window, nx, ny):
+    """sample_histogram as one pass over the whole sample."""
+    a, b, c, d = window
+    z = points[(points.real >= a) & (points.real < b)
+               & (points.imag >= c) & (points.imag < d)]
+    if len(z) == 0:
+        raise DomainError("no sample points fall inside the window")
+    ix = np.minimum(((z.real - a) / (b - a) * nx).astype(int), nx - 1)
+    iy = np.minimum(((z.imag - c) / (d - c) * ny).astype(int), ny - 1)
+    counts = np.bincount(iy * nx + ix, minlength=nx * ny).reshape(ny, nx)
+    return counts / counts.sum()
+
+
+def oracle_measure(field):
+    """measure_from_green's (mass, window_fraction) as whole-grid
+    arrays."""
+    nx, ny = field.resolution
+    a, b, c, d = field.window
+    dx, dy = (b - a) / nx, (d - c) / ny
+    g = field.values
+    lap = np.zeros_like(g)
+    lap[1:-1, 1:-1] = (
+        (g[1:-1, 2:] + g[1:-1, :-2] - 2.0 * g[1:-1, 1:-1]) / dx**2
+        + (g[2:, 1:-1] + g[:-2, 1:-1] - 2.0 * g[1:-1, 1:-1]) / dy**2
+    )
+    mass = np.maximum(lap, 0.0) * (dx * dy) / TWO_PI
+    total = float(mass.sum())
+    return mass / total, min(1.0, total)
+
+
+def oracle_julia(field):
+    """julia_raster as whole-grid arrays."""
+    v, fraction = oracle_measure(field)
+    peak = float(np.quantile(v[v > 0], 0.98))
+    img = 255.0 * (1.0 - np.minimum(v * fraction / peak, 1.0))
+    return np.asarray(np.rint(img), dtype=np.uint8)
+
+
+def oracle_lattes_density(curve, window, nx, ny):
+    """lattes_density's (mass, window_fraction) with |G| evaluated on the
+    whole grid of centers at once."""
+    lat = curve_lattice(curve)
+    gc = [complex(c) for c in
+          (curve.G.coeff(k) for k in range(curve.G.degree + 1))]
+    centers, dx, dy = _grid_centers(window, nx, ny)
+    vals = measures._abs_g_on(gc, centers)
+    mass = np.divide(dx * dy, vals, out=np.zeros_like(vals),
+                     where=(vals > 1e-300) & (vals < math.inf))
+    a, b, c, d = window
+
+    def cells(val, lo, step, count):
+        eps = 1e-9 * max(1.0, abs(val))
+        i0 = max(0, math.floor((val - eps - lo) / step))
+        i1 = min(count - 1, math.floor((val + eps - lo) / step))
+        return range(int(i0), int(i1) + 1)
+
+    for r in lat.roots:
+        if not (a - dx <= r.real <= b + dx and c - dy <= r.imag <= d + dy):
+            continue
+        for iy in cells(r.imag, c, dy, ny):
+            for ix in cells(r.real, a, dx, nx):
+                x0, y0 = a + ix * dx, c + iy * dy
+                sx, sy = np.meshgrid(x0 + dx / 4.0 * (np.arange(4) + 0.5),
+                                     y0 + dy / 4.0 * (np.arange(4) + 0.5))
+                sv = measures._abs_g_on(gc, (sx + 1j * sy).ravel())
+                sv = sv[sv > 1e-300]
+                mass[iy, ix] = float(np.sum(np.divide(
+                    (dx / 4.0) * (dy / 4.0), sv, out=np.zeros_like(sv),
+                    where=sv < math.inf)))
+    window_mass = float(mass.sum())
+    if window_mass <= 0.0:
+        raise DomainError("window captures no mass")
+    return mass / window_mass, min(1.0, window_mass / lat.mass)
+
+
+def oracle_finite_leaves(a0, a1):
+    """The leaves of a tree's last generation (a0 : a1), as one pass:
+    (finite points, count at infinity)."""
+    infinite = np.abs(a1) <= 1e-14 * np.abs(a0)
+    return a0[~infinite] / a1[~infinite], int(np.sum(infinite))
+
+
+def _grid_centers(window, nx, ny):
+    """The complex cell centers of a window grid, as one array, with the
+    cell sizes: the grid that green_field and lattes_density build block
+    by block from its two axes."""
+    a, b, c, d = window
+    dx = (b - a) / nx
+    dy = (d - c) / ny
+    out = np.empty((ny, nx), dtype=complex)
+    out.real = a + dx * (np.arange(nx) + 0.5)
+    out.imag = (c + dy * (np.arange(ny) + 0.5))[:, None]
+    return out, dx, dy
 
 
 def oracle_green_field(lift, window, nx, ny, n):
@@ -1151,15 +1261,36 @@ def test_rows_that_are_not_finite_are_flagged():
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_tree_refuses_leaves_that_are_not_finite(depth):
-    # every coefficient of a1 F0 - a0 F1 overflows, so every row of the
-    # first generation is flagged and its preimages are nan; the 2, 4 or
-    # 8 leaves are within the allowance of 16 missed solves, and still
+def test_tree_refuses_leaves_that_are_not_finite(monkeypatch, depth):
+    # the first row of every batch is given an infinite coefficient, so
+    # the kernel flags it and its preimages are nan; the 2 to 8 such
+    # leaves are within the allowance of 16 missed solves, and still
     # raise, with no numpy warning on the way
-    big = str(17 * 10**307)
-    phi = RationalMap.from_strings([big, "0", big], ["-" + big, "1"], 0)
+    def poisoned(C, *args):
+        C = C.copy()
+        C[0, 0] = np.inf
+        return _aberth_batch(C, *args)
+
+    monkeypatch.setattr(measures, "_aberth_batch", poisoned)
     with pytest.raises(ConvergenceError, match="not finite"):
-        preimage_sample(phi, 0.3 + 0.2j, depth)
+        preimage_sample(catalog("pow_2"), 0.3 + 0.2j, depth)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_tree_scales_forms_that_would_overflow_a_row(depth):
+    # (B z^2 + B)/(z - B): at B = 17e307 every coefficient of a1 F0 - a0
+    # F1 would overflow, and the forms are scaled by 2^-4 first; the map
+    # is -(z^2 + 1) to within 1/B, so its leaves are those at B = 17e300
+    def tree(e):
+        big = str(17 * 10**e)
+        phi = RationalMap.from_strings([big, "0", big], ["-" + big, "1"], 0)
+        return preimage_sample(phi, 0.3 + 0.2j, depth)
+
+    got, want = tree(307), tree(300)
+    assert got.n_infinite == want.n_infinite == 0
+    nearest, dist = chordal_match(*_leaf_pairs(got), *_leaf_pairs(want))
+    assert len(set(nearest.tolist())) == got.size == 2**depth
+    assert dist.max() <= 1e-8
 
 
 def test_lazy_compaction_keeps_each_column_its_own_bits():
@@ -1384,7 +1515,7 @@ def test_csv_three_digit_exponent_row_among_regular_rows(tmp_path):
 def test_csv_block_edges(monkeypatch, tmp_path, shape, block):
     # the rows of every block, with slow cells on either side of an edge
     if block:
-        monkeypatch.setattr(measures, "_CSV_BLOCK", block * shape[1])
+        monkeypatch.setattr(measures, "_CELL_BLOCK", block * shape[1])
     rng = np.random.default_rng(shape[0] * shape[1])
     mass = rng.random(shape) ** 8
     ties = near_ties(2, 3)
@@ -1446,3 +1577,237 @@ def test_csv_digits_do_not_rest_on_log10(monkeypatch, shift):
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
     assert measures._csv_text(block) == oracle_text(block)
+
+
+# -------------------------------------------------------------- blocks
+#
+# Every pass of measures over a grid or a sample runs on blocks of
+# _CELL_BLOCK cells (green_field on its worker blocks), keeping only its
+# result at full size: with the block patched small it must give the
+# whole-array oracles' bits, and numpy reports its buffers to tracemalloc,
+# so its peak must stay within its result plus a few blocks
+
+
+@contextlib.contextmanager
+def tracing():
+    """Traces allocations in the with block, from a reset peak."""
+    was = tracemalloc.is_tracing()
+    if not was:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        yield
+    finally:
+        if not was:
+            tracemalloc.stop()
+
+
+def traced(fn, *args):
+    """(fn(*args), peak bytes traced above the call's start)."""
+    with tracing():
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+
+
+# what one pass may hold past its result: eight complex arrays of one
+# block (4 MiB); the parent's whole-array temporaries of the sizes below
+# were each well past it
+SLACK = 8 * 16 * measures._CELL_BLOCK
+BIG_WINDOW = (-1.5, 1.5, -1.5, 1.5)
+
+
+@pytest.fixture(scope="module")
+def big_field():
+    # 1024^2 cells of pow_2, two steps, on two workers
+    with pytest.MonkeyPatch.context() as mp:
+        pin_cpus(mp, 2)
+        return traced(green_field, catalog("pow_2"), BIG_WINDOW, 1024, 2)
+
+
+def test_green_field_holds_its_values_and_the_workers_blocks(big_field):
+    # each worker's ten scratch arrays and its block of centers: 13
+    # complex arrays of one block at most
+    field, peak = big_field
+    assert peak < field.values.nbytes + 2 * 13 * 16 * measures._GREEN_BLOCK
+
+
+def test_measure_from_green_holds_its_grid(big_field):
+    field, _ = big_field
+    grid, peak = traced(measure_from_green, field)
+    assert peak < grid.mass.nbytes + SLACK
+
+
+def test_julia_raster_holds_the_measure_and_its_positive_cells(big_field):
+    field, _ = big_field
+    img, peak = traced(julia_raster, field)
+    positive = np.count_nonzero(measure_from_green(field).mass > 0)
+    assert peak < img.nbytes + 8 * (img.size + positive) + SLACK
+
+
+def test_sample_histogram_holds_its_grid():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=2**20) + 1j * rng.normal(size=2**20)
+    grid, peak = traced(sample_histogram, ComplexSampleSet(pts, 0, 0, 1),
+                        BIG_WINDOW, 64)
+    assert peak < grid.mass.nbytes + SLACK
+
+
+def test_lattes_density_holds_its_grid():
+    grid, peak = traced(lattes_density, curve_E1(), BIG_WINDOW, 1024)
+    assert peak < grid.mass.nbytes + SLACK
+
+
+def test_lattice_leaves_are_not_copied():
+    # 4^10 leaves of phi_2@E1 from the period lattice, none at infinity:
+    # the q-series tables of 1024 rows and columns are small
+    sample, peak = traced(preimage_sample, catalog("phi_2@E1"),
+                          0.3 + 0.2j, 10)
+    assert sample.size == 4**10 and sample.n_infinite == 0
+    assert peak < sample.points.nbytes + SLACK
+
+
+def test_tree_leaves_are_not_copied(monkeypatch):
+    # from the return of the last generation's solve, which holds the
+    # coordinates (a0 : a1) of 2^18 leaves and the 2^17 of the generation
+    # before, the infinity test and the quotients a0/a1 take a few blocks
+    solve = measures._solve_generation
+
+    def solving(*args):
+        out = solve(*args)
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(measures, "_solve_generation", solving)
+    with tracing():
+        start = tracemalloc.get_traced_memory()[0]
+        sample = preimage_sample(catalog("pow_2"), 0.3 + 0.2j, 18)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    assert sample.size == 2**18 and sample.n_infinite == 0
+    assert peak < 3 * sample.points.nbytes + SLACK // 2
+
+
+# cell blocks for the bit-identity tests: one cell, a few cells, some
+# rows and a remainder, and the default
+CELL_BLOCKS = [1, 7, 3 * 37 + 5, None]
+
+
+def patch_cell_block(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(measures, "_CELL_BLOCK", block)
+
+
+@pytest.mark.parametrize("block", CELL_BLOCKS)
+@pytest.mark.parametrize("name,res", [("pow_2", (37, 33)),
+                                      ("phi_2@E1", (40, 35)),
+                                      ("user", (37, 64))])
+def test_measure_and_raster_blocks_match_oracle(monkeypatch, block, name,
+                                                res):
+    field = green_field(dict(LIFTS)[name], WINDOW, res, 12)
+    want, fraction = oracle_measure(field)
+    image = oracle_julia(field)
+    patch_cell_block(monkeypatch, block)
+    grid = measure_from_green(field)
+    assert same_bits(grid.mass, want)
+    assert repr(grid.window_fraction) == repr(fraction)
+    assert same_bits(julia_raster(field), image)
+
+
+@pytest.mark.parametrize("block", CELL_BLOCKS)
+def test_sample_histogram_blocks_match_oracle(monkeypatch, block):
+    # 5027 points, inside, outside and on every edge of the window
+    window = (-1.5, 2.0, -1.0, 1.25)
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-2.0, 2.5, 5000) + 1j * rng.uniform(-1.5, 1.75, 5000)
+    below_r, below_t = np.nextafter(2.0, 0.0), np.nextafter(1.25, 0.0)
+    edges = [complex(2.0, 0.3), complex(0.2, 1.25), complex(2.0, 1.25),
+             complex(below_r, 0.3), complex(0.2, below_t),
+             complex(below_r, below_t), complex(-1.5, -1.0)]
+    pts = np.concatenate([pts, np.repeat(edges, 3), [np.nan, np.inf]])
+    patch_cell_block(monkeypatch, block)
+    for res in ((37, 23), (64, 64), (2, 2)):
+        got = sample_histogram(ComplexSampleSet(pts, 0, 0, 1), window, res)
+        assert same_bits(got.mass, oracle_bincount_histogram(pts, window,
+                                                             *res))
+    # a window that no point falls in, over many blocks
+    with pytest.raises(DomainError, match="no sample points"):
+        sample_histogram(ComplexSampleSet(pts, 0, 0, 1),
+                         (3.0, 4.0, 3.0, 4.0), 8)
+
+
+@pytest.mark.parametrize("block", CELL_BLOCKS)
+def test_lattes_density_blocks_match_oracle(monkeypatch, block):
+    # the windows hold roots of G, whose cells are subsampled
+    cases = [(curve_E1(), WINDOW, (37, 23)), (curve_E2(), WINDOW, (30, 41)),
+             (curve_E1(), (-1.0, 1.0, -1.0, 1.0), (15, 15))]
+    patch_cell_block(monkeypatch, block)
+    for curve, window, res in cases:
+        got = lattes_density(curve, window, res)
+        want, fraction = oracle_lattes_density(curve, window, *res)
+        assert same_bits(got.mass, want)
+        assert repr(got.window_fraction) == repr(fraction)
+    # |G| overflows in every cell: a window without mass
+    with pytest.raises(DomainError, match="no mass"):
+        lattes_density(curve_E1(), (1e200, 2e200, 1e200, 2e200), 9)
+
+
+def captured(monkeypatch, name):
+    """Replaces measures.<name> by a wrapper that keeps a copy of each
+    result; returns the list of copies."""
+    fn, seen = getattr(measures, name), []
+
+    def keeping(*args):
+        out = fn(*args)
+        seen.append(tuple(np.copy(a) for a in out)
+                    if isinstance(out, tuple) else np.copy(out))
+        return out
+
+    monkeypatch.setattr(measures, name, keeping)
+    return seen
+
+
+@pytest.mark.parametrize("block", CELL_BLOCKS)
+def test_lattice_leaves_at_infinity_match_oracle(monkeypatch, block):
+    # from 1e12 one depth-4 leaf of phi_2@E1 is past 1e14
+    patch_cell_block(monkeypatch, block)
+    seen = captured(monkeypatch, "_lattice_leaves")
+    got = preimage_sample(catalog("phi_2@E1"), 1e12, 4)
+    x = seen[-1]
+    finite = np.abs(x) < 1e14
+    assert got.n_infinite == np.count_nonzero(~finite) == 1
+    assert same_bits(got.points, x[finite])
+
+
+@pytest.mark.parametrize("block", CELL_BLOCKS)
+def test_tree_leaves_at_infinity_match_oracle(monkeypatch, block):
+    # phi = (z^3+3z+1)/(z^3+5z^2+1) sends infinity to 1, and the row of
+    # the seed 1 is 3z - 5z^2: its leaves are 0, 3/5 and infinity
+    phi = RationalMap.from_strings(["1", "3", "0", "1"], ["1", "0", "5", "1"],
+                                   0)
+    patch_cell_block(monkeypatch, block)
+    seen = captured(monkeypatch, "_solve_generation")
+    got = preimage_sample(phi, 1.0, 1, seed=2)
+    pts, n_infinite = oracle_finite_leaves(*seen[-1][:2])
+    assert got.n_infinite == n_infinite == 1
+    assert same_bits(got.points, pts)
+    assert np.allclose(sorted(pts.real), [0.0, 0.6]) and not pts.imag.any()
+
+
+@pytest.mark.parametrize("block", [1, 2, None])
+def test_grid_checks_reach_every_block(monkeypatch, block):
+    # a negative cell in the first block and a nan in the last: the nan
+    # is named, as by one pass over the grid
+    patch_cell_block(monkeypatch, block)
+    mass = np.full((3, 4), 1 / 12)
+    mass[0, 0] = -0.0
+    mass[2, 3] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        DensityGrid(WINDOW, (4, 3), mass.copy())
+    mass[2, 3] = -1 / 12
+    mass[0, 1] += 2 / 12
+    with pytest.raises(DomainError, match="negative"):
+        DensityGrid(WINDOW, (4, 3), mass.copy())
+    values = np.zeros((3, 4))
+    values[2, 3] = np.inf
+    with pytest.raises(DomainError, match="non-finite"):
+        GreenField(WINDOW, (4, 3), values, 1)

@@ -30,7 +30,6 @@ from p1dyn.measures import (
     GreenField,
     _abs_g_on,
     _header_comments,
-    _grid_centers,
     _lattice_leaves,
     _coords,
     _preimage_tree,
@@ -50,6 +49,7 @@ from p1dyn.roots import poly_roots
 from p1dyn.quadfield import QuadFieldElement
 from p1dyn.ratmaps import Poly, RationalMap
 from p1dyn.torus import Lattice, curve_lattice, two_torsion_targets
+from test_analytic_kernels import _grid_centers
 
 
 # helpers that only the tests use, as oracles and fixtures
@@ -371,7 +371,7 @@ class TestNeronOracle:
         lift, lat, const = self.oracle(name)
         window = (-5.0, 5.0, -5.0, 5.0)
         field = green_field(lift, window, 8, 200).values
-        centers, _, _ = measures._grid_centers(window, 8, 8)
+        centers, _, _ = _grid_centers(window, 8, 8)
         for z, g in zip(centers.ravel(), field.ravel()):
             x, y = measures._elliptic_log(lat, complex(z))
             lam = neron_local(lat, float(x), float(y))

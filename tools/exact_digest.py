@@ -22,7 +22,10 @@ digest holds, with floats by `repr` so a one-ulp change shows:
     green_field values of every catalog map (a grid of three blocks),
     repr of scalar green values (one past the underflow of 2^-n), sha256
     of the depth-6 preimage_sample points, repr of poly_roots on fixed
-    polynomials, and sha256 of write_csv's bytes;
+    polynomials, sha256 of write_csv's bytes, and, on a grid and on
+    samples larger than one of measures' cell blocks, sha256 of the
+    measure_from_green masses, of the julia_raster bytes and of the
+    sample_histogram masses of a lattice sample and of a tree sample;
   - under "densities", for E1 and E2 on two windows: sha256 of the
     lattes_density cell masses, and repr of the window_fraction of
     lattes_density and of measure_from_green on the curve's doubling map.
@@ -156,6 +159,7 @@ def _images(cat) -> list:
 
 GREEN_WINDOW = (-1.9, 2.1, -1.7, 1.8)
 GREEN_POINTS = (0.3 + 0.1j, 2.5 - 0.5j, -0.7 + 1.2j, 0j)
+BLOCKS_RES = (257, 203)
 
 
 def _sha(data: bytes) -> str:
@@ -196,8 +200,20 @@ def _analytic(cat, names) -> dict:
         m.write_csv(grid, path)
         with open(path, "rb") as f:
             csv = _sha(f.read())
+    # 257 x 203 cells and 4^8 = 2^16 points: two blocks of measures'
+    # 32768 cells and a remainder
+    field = m.green_field(cat("phi_2@E1"), GREEN_WINDOW, BLOCKS_RES, 24)
+    hists = {}
+    for label, name, depth in (("lattice", "phi_2@E1", 8),
+                               ("tree", "pow_2", 16)):
+        s = m.preimage_sample(cat(name), 0.3 + 0.2j, depth, seed=SEED)
+        grid = m.sample_histogram(s, GREEN_WINDOW, BLOCKS_RES)
+        hists[f"{name} {label}"] = _sha(grid.mass.tobytes())
     return {"green_field": fields, "green": greens, "preimage": trees,
-            "poly_roots": roots, "csv": csv}
+            "poly_roots": roots, "csv": csv,
+            "measure": _sha(m.measure_from_green(field).mass.tobytes()),
+            "julia": _sha(m.julia_raster(field).tobytes()),
+            "histogram": hists}
 
 
 DENSITY_WINDOWS = ((-3.0, 3.0, -3.0, 3.0), GREEN_WINDOW)
