@@ -1,10 +1,13 @@
-"""Straight-line kernels for exact forms, one per form shape.
+"""Straight-line kernels for the forms of a map, one per form shape.
 
-Every exact form in p1dyn is evaluated by a kernel from form_kernel, the
-fixed-point complex integers of periodic's cycles as basis pairs at t = 0.  A
-shape is (t, deg, forms), t as in quadfield.pair_mul and each form as the
-tuple of its terms (k, general), general when the coefficient of x0^k
-x1^(deg-k) is not rational.  kernel_factory writes Python source without
+The forms of a map are evaluated by a kernel from form_kernel: a
+RationalMap's image of a point and its composition, the height engine's
+loops, and periodic's fixed-point lift, whose complex integers are basis
+pairs at t = 0.  A lone Poly, a curve's G among them, is evaluated on
+field elements by Poly.__call__ and compiles nothing.  A shape is (t,
+deg, forms), t as in quadfield.pair_mul and each form as the tuple of
+its terms (k, general), general when the coefficient of x0^k x1^(deg-k)
+is not rational.  kernel_factory writes Python source without
 loops or coefficient literals,
 
     def make(k0, k1, ...):
@@ -22,7 +25,7 @@ is compiled under a filename that names the shape, <form_kernel t=..
 r=.. deg=.. hash>, and stays in linecache while the factory is cached,
 so profiles tell the kernels apart and a traceback shows the generated
 line.  The module is imported by the first kernel, so a process that
-evaluates no form never compiles it.
+evaluates no map's forms never compiles it.
 """
 
 import linecache

@@ -33,7 +33,7 @@ from .greenpoint import _ONE, Lift, check_green
 from .lattes import CURVES, EllipticCurveCM, entry_for_map
 from .ratmaps import RationalMap
 from .roots import _aberth_batch
-from .torus import TWO_PI, _basis_matrix, _hermite, curve_lattice
+from .torus import _basis_matrix, _hermite, curve_lattice
 
 
 def _check_window(window):
@@ -387,7 +387,7 @@ def measure_from_green(field: GreenField) -> DensityGrid:
         np.add(across, out, out=out)
         np.maximum(out, 0.0, out=out)
         out *= cell
-        out /= TWO_PI
+        out /= math.tau
     total = float(mass.sum())
     if total <= 0.0:
         raise DomainError("flat Green field: no measure in this window")
@@ -435,7 +435,7 @@ def _solve_generation(f0, f1, deg, a0, a1, rng):
     rows that missed the (relaxed) backward-error target.
     """
     n = len(a0)
-    tilt = rng.uniform(0.0, TWO_PI / deg, size=n)
+    tilt = rng.uniform(0.0, math.tau / deg, size=n)
     out0 = np.empty(n * deg, dtype=complex)
     out1 = np.empty(n * deg, dtype=complex)
     missed = 0
@@ -675,7 +675,7 @@ def _elliptic_log(lat, z: complex) -> tuple:
             t = sig[:, None] + b
             f = 1.0 / sig + K + np.sum(
                 (c * sig[:, None] - 2.0 * b) / t**2, axis=1)
-            df = TWO_PI * s * co * (np.sum(
+            df = math.tau * s * co * (np.sum(
                 (c * b + 4.0 * b - c * sig[:, None]) / t**3, axis=1)
                 - 1.0 / sig**2)
             res = np.nan_to_num(np.abs(f - Z), nan=np.inf)
@@ -711,7 +711,8 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
     entry is an exact rational rounded once, reduced to [-1/2, 1/2]
     (the real part of B_j to [-1/2g, 1/2g], which permutes the row), so
     leaves near the pole keep their relative accuracy.  The leaves come
-    row j by row j.
+    row j by row j, and each block of _LEAF_BLOCK leaves builds its own
+    rows of the B_j tables, so a call holds the result and one block.
     """
     lat = curve_lattice(CURVES[entry.curve_name]())
     x, y = _elliptic_log(lat, z)
@@ -726,20 +727,19 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
     x0, y0 = (a11 * x + a12 * y) / nn, (a21 * x + a22 * y) / nn
     i = np.arange(g)
     xi = x0 + (i - g * np.rint(i / g + x0)) / g
-    j = np.arange(rows, dtype=np.int64)
-    jx = j * X % nn
-    bj = ((jx - rows * np.rint(jx / rows)) / nn
-          + (y0 + (j - rows * np.rint(j / rows + y0)) / rows) * tau)
     sx, cx = np.sin(math.pi * xi), np.cos(math.pi * xi)
-    sb, cb = np.sin(math.pi * bj), np.cos(math.pi * bj)
     out = np.empty((rows, g), dtype=complex)
     step = max(1, _LEAF_BLOCK // g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            sig = cb[lo:hi, None] * sx + sb[lo:hi, None] * cx
+            j = np.arange(lo, min(lo + step, rows), dtype=np.int64)
+            jx = j * X % nn
+            bj = ((jx - rows * np.rint(jx / rows)) / nn
+                  + (y0 + (j - rows * np.rint(j / rows + y0)) / rows) * tau)
+            sig = (np.cos(math.pi * bj)[:, None] * sx
+                   + np.sin(math.pi * bj)[:, None] * cx)
             np.multiply(sig, sig, out=sig)
-            _series(lat, sig, out[lo:hi])
+            _series(lat, sig, out[lo:lo + j.size])
         out *= lat.scale
     return out.ravel()
 

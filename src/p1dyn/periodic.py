@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DomainError
 from .lattes import CURVES, entry_for_map
 from .quadfield import cleared_pairs
 from .ratmaps import Poly, RationalMap
-from .torus import TWO_PI, _basis_matrix, _hermite, curve_lattice
+from .torus import _basis_matrix, _hermite, curve_lattice
 
 # point at infinity marker used in periodic-point listings
 INF_POINT = complex(float("inf"), 0.0)
@@ -96,7 +96,7 @@ def _power_points(phi: RationalMap, n: int) -> tuple:
     k = phi.degree
     N = k**n - 1
     (zr, zi), _ = _newton_polish(_fixed_point_lift(phi),
-                                 cmath.exp(1j * (TWO_PI / N)), n, complex(N))
+                                 cmath.exp(1j * (math.tau / N)), n, complex(N))
     mult = complex(k**n)
     pr, pi = _ONE, 0
     out = [(0j, 0j)]
@@ -126,7 +126,7 @@ class _Curve:
         self.conj = _basis_matrix(lat.w1.conjugate() / lat.w1,
                                   lat.w2.conjugate() / lat.w1, lat.tau,
                                   "conjugation")
-        zeta = 1j if curve.d == 1 else cmath.exp(1j * TWO_PI / 3)
+        zeta = 1j if curve.d == 1 else cmath.exp(1j * math.tau / 3)
         self.unit = _basis_matrix(zeta, zeta * lat.tau, lat.tau, "the unit")
         self.square = curve.d == 1
         self.half = {}

@@ -151,27 +151,12 @@ class Poly:
                         self._den, self._d)
 
     def __call__(self, z):
-        """Value at the field element z."""
-        return self.eval_pair(z, 1, max(self.degree, 0))
-
-    def eval_pair(self, x0, x1, deg: int):
-        """Evaluate the degree-`deg` homogenization at the pair (x0, x1).
-
-        Returns sum of c_k x0^k x1^(deg-k) for field elements x0, x1.
-        """
-        if self.degree > deg:
-            raise DomainError("declared degree below actual degree")
-        from .formkernel import form_kernel
-
-        d = self._d
-        (p0, p1), e = cleared_pairs([_coerce_coeff(x, d) for x in (x0, x1)])
-        u, v = form_kernel([self._terms()], deg, omega_flag(d))(*p0, *p1)
-        return QuadFieldElement._of(u, v, self._den * e**deg, d)
-
-    def _terms(self) -> list:
-        """The nonzero terms (k, basis pair) of den * self, for kernels."""
-        return [(k, c) for k, c in enumerate(zip(self._u, self._v))
-                if c[0] or c[1]]
+        """Value at the field element z, by Horner's rule."""
+        z = _coerce_coeff(z, self._d)
+        acc = QuadFieldElement.zero(self._d)
+        for k in range(self.degree, -1, -1):
+            acc = acc * z + self.coeff(k)
+        return acc
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -517,8 +502,10 @@ class RationalMap:
         if self._kernel is None:
             from .formkernel import form_kernel
 
+            # each form as its nonzero terms (k, basis pair of den * f)
             self._kernel = form_kernel(
-                [self._num._terms(), self._den._terms()], self._deg,
+                [[(k, c) for k, c in enumerate(zip(f._u, f._v)) if any(c)]
+                 for f in (self._num, self._den)], self._deg,
                 omega_flag(self._d))
         return self._kernel
 

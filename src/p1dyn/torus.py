@@ -28,8 +28,6 @@ from .lattes import EllipticCurveCM, _Frozen
 from .quadfield import QuadFieldElement, cleared_pairs, omega_flag, pair_norm
 from .ratmaps import Poly, ProjPoint, RationalMap, poly_gcd
 
-TWO_PI = 2.0 * math.pi
-
 # Durand-Kerner sweeps of the double-precision root guess of a cubic
 _GUESS_SWEEPS = 100
 
@@ -333,7 +331,7 @@ class Lattice:
         self.w1, self.w2 = _reduced(w1, w2)
         self.tau = self.w2 / self.w1
         self.scale = (math.pi / self.w1) ** 2
-        q = cmath.exp(1j * TWO_PI * self.tau)
+        q = cmath.exp(1j * math.tau * self.tau)
         terms = math.ceil(53 * math.log(2) / -math.log(abs(q)) - 0.5)
         qn = [q ** n for n in range(1, terms + 1)]
         self.c = [t + 1.0 / t for t in qn]

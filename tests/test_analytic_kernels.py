@@ -77,7 +77,7 @@ from p1dyn.roots import _aberth_batch, poly_roots
 from p1dyn.torus import curve_lattice
 from test_heights import conjugate, mobius
 
-TWO_PI = measures.TWO_PI
+TWO_PI = math.tau
 
 # ------------------------------------------------------------- oracles
 
@@ -265,6 +265,44 @@ def oracle_lattes_density(curve, window, nx, ny):
     if window_mass <= 0.0:
         raise DomainError("window captures no mass")
     return mass / window_mass, min(1.0, window_mass / lat.mass)
+
+
+def oracle_lattice_leaves(entry, z, depth):
+    """_lattice_leaves with its tables of rows j, jx, bj, sb and cb
+    built for the whole leaf set, as a (rows, g) array.  The q-series
+    runs on the blocks of _LEAF_BLOCK // g rows that _lattice_leaves
+    takes: numpy's complex products may round differently in a vector
+    loop and in its tail (on AVX-512 hosts they do), so their bits
+    depend on where a block ends."""
+    lat = curve_lattice(measures.CURVES[entry.curve_name]())
+    x, y = measures._elliptic_log(lat, z)
+    lam, tau = complex(entry.lam), lat.tau
+    p, q, r, s = measures._basis_matrix(lam, lam * tau, tau, entry.name)
+    a11, a12, a21, a22 = 1, 0, 0, 1
+    for _ in range(depth):
+        a11, a12, a21, a22 = (a11 * s - a12 * r, a12 * p - a11 * q,
+                              a21 * s - a22 * r, a22 * p - a21 * q)
+    nn, g, X = measures._hermite(a11, a12, a21, a22)
+    rows = nn // g
+    x0, y0 = (a11 * x + a12 * y) / nn, (a21 * x + a22 * y) / nn
+    i = np.arange(g)
+    xi = x0 + (i - g * np.rint(i / g + x0)) / g
+    j = np.arange(rows, dtype=np.int64)
+    jx = j * X % nn
+    bj = ((jx - rows * np.rint(jx / rows)) / nn
+          + (y0 + (j - rows * np.rint(j / rows + y0)) / rows) * tau)
+    sx, cx = np.sin(math.pi * xi), np.cos(math.pi * xi)
+    sb, cb = np.sin(math.pi * bj), np.cos(math.pi * bj)
+    out = np.empty((rows, g), dtype=complex)
+    step = max(1, measures._LEAF_BLOCK // g)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            sig = cb[lo:hi, None] * sx + sb[lo:hi, None] * cx
+            np.multiply(sig, sig, out=sig)
+            measures._series(lat, sig, out[lo:hi])
+        out *= lat.scale
+    return out
 
 
 def oracle_finite_leaves(a0, a1):
@@ -1667,6 +1705,15 @@ def test_lattice_leaves_are_not_copied():
     assert peak < sample.points.nbytes + SLACK
 
 
+def test_lattice_leaves_hold_one_block_of_rows():
+    # 5^8 leaves of phi_1+2i in 5^8 rows of one leaf (g = 1): the rows of
+    # the q-series tables are built block by block, not for all leaves
+    sample, peak = traced(preimage_sample, catalog("phi_1+2i"),
+                          0.3 + 0.2j, 8)
+    assert sample.size == 5**8 and sample.n_infinite == 0
+    assert peak < sample.points.nbytes + SLACK
+
+
 def test_tree_leaves_are_not_copied(monkeypatch):
     # from the return of the last generation's solve, which holds the
     # coordinates (a0 : a1) of 2^18 leaves and the 2^17 of the generation
@@ -1776,6 +1823,26 @@ def test_lattice_leaves_at_infinity_match_oracle(monkeypatch, block):
     finite = np.abs(x) < 1e14
     assert got.n_infinite == np.count_nonzero(~finite) == 1
     assert same_bits(got.points, x[finite])
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("phi_1+2i", 4), ("phi_2-i", 4), ("phi_2@E1", 5), ("phi_sqrt-3", 5),
+    ("phi_3@E2", 3),
+])
+def test_lattice_leaf_blocks_match_oracle(monkeypatch, name, depth):
+    # tables of rows built a block at a time give the bits of the whole
+    # tables, at the default block and at blocks of one row, of three
+    # rows and of all rows but one, the last two leaving a last block of
+    # one row on 5^4 rows
+    entry = catalog_entry(name)
+    rows, g = oracle_lattice_leaves(entry, 0.3 + 0.2j, depth).shape
+    assert rows > 3
+    for block in (None, 1, 3 * g, (rows - 1) * g):
+        if block:
+            monkeypatch.setattr(measures, "_LEAF_BLOCK", block)
+        want = oracle_lattice_leaves(entry, 0.3 + 0.2j, depth)
+        got = measures._lattice_leaves(entry, 0.3 + 0.2j, depth)
+        assert same_bits(got, want.ravel()), block
 
 
 @pytest.mark.parametrize("block", CELL_BLOCKS)

@@ -6,17 +6,19 @@ ring operations, the evaluation of forms, integral_gcd, pair_normalize,
 pair_divmod, ProjPoint.reduced_pair, cleared_pairs, integral_model and
 every Poly operation run on ints; compose skips poly_gcd, and
 the resultant and the Bezout certificate share one fraction-free
-elimination.  Forms are evaluated by one kernel, formkernel.form_kernel,
-for Poly.eval_pair, a map's image of a point, composition and both
-height loops: its stride r is the gcd of the exponent gaps within each
-form, the order of the rotation z -> zeta z that a Lattes map commutes
-with (2 on E1, 3 on E2), and it evaluates each form as x0^s x1^s'
-G(x0^r, x1^r) from powers of x0^r and x1^r, skips zero coefficients and
-takes two int products for a rational one; it takes and returns flat
-ints, kernel(a0, b0, a1, b1, mod) -> (u0, v0, u1, v1), so its oracles'
-pairs are compared flattened (flat).  It is straight-line code
-that formkernel.kernel_factory compiles once per shape of forms, the
-coefficients bound in its closure.  Its oracles are the shared-power
+elimination.  A lone Poly is evaluated by Horner's rule on field
+elements, against the Fraction Horner oracle_eval_pair; the forms of a
+map by one kernel, formkernel.form_kernel, for a map's image of a
+point, composition and both height loops: its stride r is the gcd of
+the exponent gaps within each form, the order of the rotation z ->
+zeta z that a Lattes map commutes with (2 on E1, 3 on E2), and it
+evaluates each form as x0^s x1^s' G(x0^r, x1^r) from powers of x0^r
+and x1^r, skips zero coefficients and takes two int products for a
+rational one; it takes and returns flat ints, kernel(a0, b0, a1, b1,
+mod) -> (u0, v0, u1, v1), so its oracles' pairs are compared flattened
+(flat).  It is straight-line code that formkernel.kernel_factory
+compiles once per shape of forms, the coefficients bound in its
+closure.  Its oracles are the shared-power
 evaluator it replaced, oracle_eval_forms, on forms of stride 1-4, mixed
 residues, single terms, zero forms and the height engines of the
 catalog, and Horner's rule on basis pairs, one form at a time, three
@@ -32,7 +34,9 @@ its oracle is the substitution it replaced, oracle_compose, on all three
 fields, constant maps and 1/0, general and 50-digit coefficients and
 degree products up to 81, and _pack and _unpack round-trip every digit
 of the balanced range.  Height engines are cached per map, at most 128,
-and neither import p1dyn nor p1dyn catalog compiles a kernel.
+and each subcommand, in a fresh interpreter, compiles one kernel per
+map whose forms it evaluates: none for import p1dyn, catalog, green,
+ramify, table-check and the analytic subcommands.
 The archimedean loop takes the last pair's
 log in double precision, of the norm itself from alpha^n = 2^13 on and
 of its 40th square below, and the shift's log 2 and the division by
@@ -212,6 +216,12 @@ def oracle_eval_pair(f: Poly, x0: FracQF, x1: FracQF, deg: int) -> FracQF:
         acc = acc * x0 + c[k] * p1
         p1 = p1 * x1
     return acc
+
+
+def poly_terms(f: Poly) -> list:
+    """The nonzero terms (k, basis pair) of f times its denominator, the
+    term list that RationalMap._form_kernel builds for each form."""
+    return [(k, c) for k, c in enumerate(zip(f._u, f._v)) if any(c)]
 
 
 def oracle_eval_form(coeffs: list, x0, x1, t: int, mod: int = 0) -> tuple:
@@ -944,17 +954,27 @@ class TestElementFormat:
 
     @settings(max_examples=60, deadline=None)
     @given(d=FIELDS, data=st.data())
-    def test_poly_eval_pair_matches_element_horner(self, d, data):
+    def test_poly_call_matches_element_horner(self, d, data):
         f = data.draw(kernel_polys(d))
-        x0, X0 = both(d, data)
-        x1, X1 = both(d, data)
-        deg = max(f.degree, 0) + data.draw(st.integers(0, 2))
-        assert_same(f.eval_pair(x0, x1, deg), oracle_eval_pair(f, X0, X1, deg))
+        x, X = both(d, data)
         one = FracQF(1, 0, d)
-        assert_same(f(x0), oracle_eval_pair(f, X0, one, max(f.degree, 0)))
-        if f.degree >= 1:
-            with pytest.raises(DomainError):
-                f.eval_pair(x0, x1, f.degree - 1)
+        assert_same(f(x), oracle_eval_pair(f, X, one, max(f.degree, 0)))
+        # ints and Fractions are taken as coefficients are
+        k = data.draw(st.integers(-10**20, 10**20))
+        assert_same(f(k), oracle_eval_pair(f, FracQF(k, 0, d), one,
+                                           max(f.degree, 0)))
+        assert_same(f(Fraction(k, 7)),
+                    oracle_eval_pair(f, FracQF(Fraction(k, 7), 0, d), one,
+                                     max(f.degree, 0)))
+        # a float and an element of another field are refused before
+        # any term is read, by the zero polynomial too
+        for g in (f, Poly([], d)):
+            with pytest.raises(TypeError, match="cannot interpret 0.5"):
+                g(0.5)
+            other = 3 if d == 1 else 1
+            with pytest.raises(FieldMismatchError, match=(
+                    f"coefficient lives in d={other}, polynomial in d={d}")):
+                g(QF(1, 1, other))
 
     @settings(max_examples=60, deadline=None)
     @given(d=FIELDS, data=st.data())
@@ -1083,22 +1103,29 @@ class TestSharedPowerEvaluator:
         # num and den share one set of powers; their supports differ, a
         # polynomial map's den being a constant
         phi = data.draw(maps_of(d))
-        x0, _ = both(d, data)
-        x1, _ = both(d, data)
-        deg = phi.degree
-        assert phi.eval_pair(x0, x1) == (phi.num.eval_pair(x0, x1, deg),
-                                         phi.den.eval_pair(x0, x1, deg))
+        x0, X0 = both(d, data)
+        x1, X1 = both(d, data)
+        deg, t = phi.degree, omega_flag(d)
+        for f, y in zip((phi.num, phi.den), phi.eval_pair(x0, x1)):
+            assert_same(y, oracle_eval_pair(f, X0, X1, deg))
+        (p0, p1), _ = cleared_pairs([x0, x1])
+        one_at_a_time = [form_kernel([poly_terms(f)], deg, t)(*p0, *p1)
+                         for f in (phi.num, phi.den)]
+        assert phi._form_kernel()(*p0, *p1) == sum(one_at_a_time, ())
 
     @settings(max_examples=40, deadline=None)
     @given(d=FIELDS, data=st.data())
     def test_kernel_follows_the_degree(self, d, data):
-        # a Poly builds the kernel of the degree it is evaluated at
+        # a form's terms build the kernel of the degree they are evaluated
+        # at, as the lower-degree form of a map pads with powers of x1
         f = data.draw(kernel_polys(d))
         x0, X0 = both(d, data)
         x1, X1 = both(d, data)
+        (p0, p1), e = cleared_pairs([x0, x1])
         low = max(f.degree, 0)
         for deg in (low + 2, low, low + 1, low + 2):
-            assert_same(f.eval_pair(x0, x1, deg),
+            u, v = form_kernel([poly_terms(f)], deg, omega_flag(d))(*p0, *p1)
+            assert_same(QF._of(u, v, f._den * e**deg, d),
                         oracle_eval_pair(f, X0, X1, deg))
 
 
@@ -1176,7 +1203,7 @@ class TestFormKernel:
         stride = {"E1": 2, "E2": 3, "big": 2}.get(curve, 1)
         assert _stride(_engine(phi)._plan) == stride
         assert _stride(phi._form_kernel()) == stride
-        assert _stride(form_kernel([phi.num._terms(), phi.den._terms()],
+        assert _stride(form_kernel([poly_terms(phi.num), poly_terms(phi.den)],
                                    phi.degree, omega_flag(phi.d))) == stride
 
     @staticmethod
@@ -1983,13 +2010,13 @@ def test_import_and_each_command_load_only_what_they_run(tmp_path):
     # compose compile the outer map's form kernel; green loads its
     # numpy-free module alone; a height loads the height engine, which
     # compiles its form kernel; the 2-torsion and the parity table load
-    # torus and the kernel that evaluates G, but no numpy and no height
-    # engine; periodic takes a catalog map's closed forms without numpy,
-    # and solves any other map with roots, which loads numpy but not
-    # measures
+    # torus alone, which evaluates G on field elements: no kernel, no
+    # numpy and no height engine; periodic takes a catalog map's closed
+    # forms without numpy, and solves any other map with roots, which
+    # loads numpy but not measures
     kernel = ["p1dyn.formkernel"]
     engine = [*kernel, "p1dyn.heights"]
-    torus = [*kernel, "p1dyn.torus"]
+    torus = ["p1dyn.torus"]
     spec = tmp_path / "two_z2.json"
     spec.write_text('{"num": ["0", "0", "2"], "den": ["1"]}')
     for argv, loads in (
@@ -2013,6 +2040,40 @@ def test_import_and_each_command_load_only_what_they_run(tmp_path):
     got = set(loaded["periodic"])
     assert {"numpy", "p1dyn.periodic", "p1dyn.roots"} <= got
     assert "p1dyn.measures" not in got
+
+
+# argv through cli.main in a fresh interpreter; prints its exit status
+# and how many kernels it compiled, 0 if formkernel never loaded
+_KERNELS = """
+import contextlib, io, json, sys
+from p1dyn import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(%r)
+fk = sys.modules.get("p1dyn.formkernel")
+print(json.dumps([rc, fk.kernel_factory.cache_info().misses if fk else 0]))
+"""
+
+
+@pytest.mark.parametrize("argv,compiled", [
+    ("catalog", 0),
+    ("green --catalog pow_2 --point 0.5,0", 0),
+    ("ramify --catalog phi_1+2i", 0),
+    ("table-check --lambda 1,2,1", 0),
+    ("density-compare --catalog phi_2@E2 --depth 5", 0),
+    ("measure --catalog phi_2@E1 --res 64", 0),
+    # the fixed-point lift; the curve lattice evaluates G on elements
+    ("periodic --catalog phi_2@E2 --depth 2", 1),
+    ("periodic --catalog pow_3 --depth 2", 1),
+    ("height --catalog pow_2 --point 7,3", 1),
+    ("nt-height --curve E1 --point 2", 1),
+    # compose runs the outer map's kernel, commute each map's in turn
+    ("compose --catalog phi_sqrt-3 phi_sqrt-3*rho", 1),
+    ("commute --catalog phi_2@E2 phi_3@E2", 2),
+])
+def test_kernels_compiled_per_command(argv, compiled):
+    # only a map's forms compile a kernel: a Poly, G among them, is
+    # evaluated on field elements
+    assert spy(_KERNELS % argv.split()) == [0, compiled]
 
 
 def test_torus_names_are_served_from_torus():

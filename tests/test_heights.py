@@ -26,6 +26,7 @@ from p1dyn.lattes import (
 )
 from p1dyn.quadfield import QuadFieldElement as QF, integral_gcd
 from p1dyn.ratmaps import Poly, ProjPoint, RationalMap
+from test_exact_kernels import FracQF, oracle_eval_pair
 
 
 def rmap(num, den, d=0):
@@ -54,7 +55,8 @@ def tate_limit_raw(phi, P, steps):
     x0, x1 = P.reduced_pair()
     out = []
     for n in range(1, steps + 1):
-        y0, y1 = f0.eval_pair(x0, x1, alpha), f1.eval_pair(x0, x1, alpha)
+        X0, X1 = FracQF.of(x0), FracQF.of(x1)
+        y0, y1 = (oracle_eval_pair(f, X0, X1, alpha).qf() for f in (f0, f1))
         g = integral_gcd(y0, y1)
         x0, x1 = y0 / g, y1 / g
         out.append(0.5 * math.log(int(max(x0.norm(), x1.norm()))) / alpha**n)

@@ -74,13 +74,6 @@ class TestPoly:
         f = P(1, 0, 2)
         assert f(QF(3)) == QF(19)
 
-    def test_eval_pair_homogenizes(self):
-        f = P(1, 0, 1)  # z^2 + 1  ->  X^2 + Z^2
-        assert f.eval_pair(QF(2), QF(3), 2) == QF(13)
-        # declared degree above actual pads with Z factors
-        g = P(1, 1)
-        assert g.eval_pair(QF(2), QF(3), 2) == QF(15)  # X Z + Z^2 -> 6+9
-
     def test_trim_and_degree(self):
         assert P(1, 2, 0, 0).degree == 1
         assert P().degree == -1
