@@ -633,22 +633,6 @@ def _coords(lat, v):
     return x - np.rint(x), y - np.rint(y)
 
 
-def _series(lat, sig, out):
-    """(w1/pi)^2 wp into out, from sigma = sin(pi v)^2: the q-series of
-    torus.Lattice, vectorised."""
-    np.divide(1.0, sig, out=out)
-    out += lat.K
-    t, num = np.empty_like(sig), np.empty_like(sig)
-    for c, b in zip(lat.c, lat.b):
-        np.add(sig, b, out=t)
-        np.multiply(t, t, out=t)
-        np.multiply(sig, c, out=num)
-        num -= 2.0 * b
-        num /= t
-        out += num
-    return out
-
-
 def _elliptic_log(lat, z: complex) -> tuple:
     """Coordinates (x, y) of a u with wp(u) = z.
 
@@ -739,7 +723,7 @@ def _lattice_leaves(entry, z: complex, depth: int) -> np.ndarray:
             sig = (np.cos(math.pi * bj)[:, None] * sx
                    + np.sin(math.pi * bj)[:, None] * cx)
             np.multiply(sig, sig, out=sig)
-            _series(lat, sig, out[lo:lo + j.size])
+            out[lo:lo + j.size] = lat.series(sig)
         out *= lat.scale
     return out.ravel()
 

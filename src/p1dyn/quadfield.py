@@ -471,7 +471,11 @@ def parse_rational(text: str) -> tuple:
     digits and an optional /digits with whitespace allowed around the
     slash, or a decimal with an optional exponent, with whitespace
     around; single underscores may join digits.  ValueError or
-    ZeroDivisionError where that Fraction(text) raises it."""
+    ZeroDivisionError where that Fraction(text) raises it, and
+    ValueError, before any power is taken, for an exponent of more than
+    sys.get_int_max_str_digits() in magnitude (4300 where that is 0 or
+    missing), the digits that Python reads into an int at most: 10^k
+    takes time that grows faster than k."""
     s = text.strip()
     negative = s[:1] == "-"
     if s[:1] in ("+", "-"):
@@ -493,6 +497,9 @@ def parse_rational(text: str) -> tuple:
             num = num * den + _digits(frac)
         if e:
             k = _digits(exp, signed=True)
+            if abs(k) > (getattr(sys, "get_int_max_str_digits",
+                                 lambda: 0)() or 4300):
+                raise ValueError(f"exponent of {text!r} is too large")
             if k >= 0:
                 num *= 10**k
             else:
@@ -520,7 +527,9 @@ def parse_element(text: str, d: int) -> QuadFieldElement:
     """Parse `a+b*w` / `p/q` / `b*w` into an element of the field tagged d.
 
     Whitespace is ignored.  `w` denotes sqrt(-d) and is rejected for d=0.
-    Each rational reads as parse_rational reads it.  Errors carry the
+    A term starts at each + or - that follows neither an operator nor
+    an exponent's e or E, so `1e-5+2.5E+1*w` is two terms.  Each term's
+    rational reads as parse_rational reads it.  Errors carry the
     position of the offending character in the original string.
     """
     if d not in SUPPORTED_D:
@@ -542,7 +551,7 @@ def parse_element(text: str, d: int) -> QuadFieldElement:
     terms = []
     start = 0
     for i in range(len(s)):
-        if i > start and s[i] in "+-" and s[i - 1] not in "+-/*":
+        if i > start and s[i] in "+-" and s[i - 1] not in "+-/*eE":
             terms.append((start, s[start:i]))
             start = i
     terms.append((start, s[start:]))
@@ -557,30 +566,19 @@ def parse_element(text: str, d: int) -> QuadFieldElement:
         if body[0] in "+-":
             sign = -1 if body[0] == "-" else 1
             body = body[1:]
-        is_w = False
-        if body == "w":
-            coef = (1, 1)
-            is_w = True
-        elif body.endswith("*w"):
-            coef_text = body[:-2]
-            is_w = True
-            try:
-                coef = parse_rational(coef_text)
-            except (ValueError, ZeroDivisionError):
-                raise MapSpecError(
-                    f"bad rational {coef_text!r}", position=_pos(off)
-                ) from None
-        else:
-            if "w" in body:
-                raise MapSpecError(
-                    f"malformed term {term!r}", position=_pos(off)
-                )
-            try:
-                coef = parse_rational(body)
-            except (ValueError, ZeroDivisionError):
-                raise MapSpecError(
-                    f"bad rational {body!r}", position=_pos(off)
-                ) from None
+        is_w = body == "w" or body.endswith("*w")
+        if is_w:
+            body = "1" if body == "w" else body[:-2]
+        elif "w" in body:
+            raise MapSpecError(
+                f"malformed term {term!r}", position=_pos(off)
+            )
+        try:
+            coef = parse_rational(body)
+        except (ValueError, ZeroDivisionError):
+            raise MapSpecError(
+                f"bad rational {body!r}", position=_pos(off)
+            ) from None
         if is_w and d == 0:
             raise MapSpecError(
                 "w is not allowed over the rationals (d=0)",

@@ -9,12 +9,12 @@ map over the 2-torsion, computed (ramification_profile) and predicted
 for a multiplier by the parity table (predict_profile); the periods by
 the complex AGM, a reduced basis, the integer matrix of a lattice
 endomorphism on that basis, the Hermite normal form of an integer
-matrix, wp at one point by its q-series, and one cached Lattice per
-curve (curve_lattice), from the exact roots of G, with the plane mass
-of 1/|G|.  A curve's roots, periods and mass come only from that
-Lattice: periodic takes the periodic points from it, measures runs the
-same q-series vectorised for the lattice leaves, and lattes_density
-reads the roots and the mass.
+matrix, the q-series of wp, written once for a Python complex and a
+numpy array alike, and one cached Lattice per curve (curve_lattice),
+from the exact roots of G, with the plane mass of 1/|G|.  A curve's
+roots, periods and mass come only from that Lattice: periodic takes the
+periodic points from it, measures runs its q-series on numpy blocks of
+lattice leaves, and lattes_density reads the roots and the mass.
 """
 
 from __future__ import annotations
@@ -307,7 +307,10 @@ def _hermite(a11: int, a12: int, a21: int, a22: int) -> tuple:
 
 class Lattice:
     """wp of the period lattice of a curve with roots e1, e2, e3 (kept
-    as roots), at one point at a time, by its q-series in Python complex.
+    as roots), by its q-series: series runs one body of augmented
+    assignments on a Python complex (wp, one point) or elementwise and
+    in place on a numpy array (the lattice leaves of measures), so this
+    module needs no numpy.
 
     On the reduced basis (w1, w2), tau = w2/w1, for v = u/w1 with
     |Im v| <= Im tau/2, sigma = sin(pi v)^2, c_n = q^n + q^-n and b_n =
@@ -339,16 +342,25 @@ class Lattice:
         self.K = 8.0 * sum(n * t / (1.0 - t) for n, t in
                            enumerate(qn, 1)) - 1.0 / 3.0
 
+    def series(self, sig):
+        """(w1/pi)^2 wp from sigma = sin(pi v)^2, on a Python complex or,
+        elementwise and in place, on a numpy array of them."""
+        out = 1.0 / sig
+        out += self.K
+        for c, b in zip(self.c, self.b):
+            t = sig + b
+            t *= t
+            num = sig * c
+            num -= 2.0 * b
+            num /= t
+            out += num
+        return out
+
     def wp(self, x: float, y: float) -> complex:
         """wp(u) for u = (x + y tau) w1, with x and y in [-1/2, 1/2] and
         not both 0."""
         s = cmath.sin(math.pi * (x + y * self.tau))
-        sig = s * s
-        out = 1.0 / sig + self.K
-        for c, b in zip(self.c, self.b):
-            t = sig + b
-            out += (c * sig - 2.0 * b) / (t * t)
-        return out * self.scale
+        return self.series(s * s) * self.scale
 
 
 @lru_cache(maxsize=16)

@@ -300,7 +300,7 @@ def oracle_lattice_leaves(entry, z, depth):
             hi = min(lo + step, rows)
             sig = cb[lo:hi, None] * sx + sb[lo:hi, None] * cx
             np.multiply(sig, sig, out=sig)
-            measures._series(lat, sig, out[lo:hi])
+            out[lo:hi] = lat.series(sig)
         out *= lat.scale
     return out
 

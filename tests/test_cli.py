@@ -505,7 +505,7 @@ class TestMeasure:
     def test_grid_past_the_index_range_is_out_of_memory(
         self, tmp_path, capsys, command
     ):
-        # 10^18 cells of 16 bytes: numpy refuses the size itself
+        # 10^18 cells of 8 bytes: numpy's allocation fails
         out_file = tmp_path / "out"
         rc, out, err = run(
             [command, "--catalog", "pow_2", "--res", "1000000000",
@@ -514,6 +514,25 @@ class TestMeasure:
         )
         assert (rc, out) == (1, "")
         assert err.startswith("error: out of memory:")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--catalog", "pow_2"],
+        ["julia", "--catalog", "pow_2", "--out", "{out}"],
+        ["density-compare", "--catalog", "phi_2@E1"],
+    ])
+    def test_grid_past_the_index_range_is_refused_unallocated(
+        self, tmp_path, capsys, argv
+    ):
+        # 2^64 cells: numpy refuses the shape with a ValueError before
+        # it allocates anything, reported as out of memory
+        out_file = tmp_path / "out"
+        argv = [a.replace("{out}", str(out_file)) for a in argv]
+        rc, out, err = run([*argv, "--res", str(2**32)], capsys)
+        assert (rc, out) == (1, "")
+        assert err.startswith(
+            "error: out of memory: a 4294967296 x 4294967296 grid: ")
         assert err.count("\n") == 1
         assert not out_file.exists()
 
@@ -1050,15 +1069,42 @@ class TestBigCoefficients:
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
                     reason="no cap on int-to-string conversion")
 def test_coefficient_too_long_to_print_is_one_error_line(tmp_path, capsys):
-    # 10^5000 z^2 composed with itself: the result's coefficients have
-    # more digits than Python converts to a string by default
+    # 10^2500 z^2 composed with itself: the result's leading coefficient,
+    # 10^7500, has more digits than Python converts to a string by
+    # default, though its input's exponent is under the parser's cap
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"num": ["0", "0", "1e5000"], "den": ["1"]}))
+    path.write_text(json.dumps({"num": ["0", "0", "1e2500"], "den": ["1"]}))
     rc, out, err = run(["compose", "--map", str(path), str(path)], capsys)
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"limit of {sys.get_int_max_str_digits()}" in err
+
+
+def test_huge_exponent_is_refused_before_its_power(capsys):
+    # 10^999999999 would take hours to build; the parser refuses the
+    # exponent first (the time is reported, not gated)
+    start = time.perf_counter()
+    rc, out, err = run(
+        ["height", "--catalog", "pow_2", "--point", "1e999999999,1"], capsys)
+    seconds = time.perf_counter() - start
+    assert (rc, out) == (2, ""), f"after {seconds:.3f} s"
+    assert err.startswith("error: bad rational '1e999999999'")
+    assert err.count("\n") == 1
+
+
+def test_map_file_reads_signed_exponents(tmp_path, capsys):
+    # coefficients with signed exponents, alone and inside an element,
+    # read as the same values written as fractions
+    path = tmp_path / "map.json"
+    payloads = []
+    for num in (["1e-3", "0", "2.5E-1+w"], ["1/1000", "0", "1/4+w"]):
+        path.write_text(json.dumps(
+            {"field": {"d": 1}, "num": num, "den": ["1"]}))
+        payloads.append(run_json(["compose", "--map", str(path), str(path)],
+                                 capsys))
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["num"][0] == "4001/4000000+1/1000000*w"
 
 
 class TestOverflowingLift:

@@ -344,11 +344,13 @@ _literals = st.one_of(
 
 
 # unsigned terms of parse_element, with no w: valid rationals and near
-# misses, with spaces that parse_element drops; exponents stay below
-# 1000, so that format_element can print every value
+# misses, signed exponents among them, with spaces that parse_element
+# drops; exponents stay below 1000, except where a term that ends in e
+# or E takes the next term's digits as its exponent
 _terms = st.one_of(
     st.builds("{}{}{}".format, _digits,
-              st.sampled_from(["", "/", ".", "e", "E", "_", " / "]),
+              st.sampled_from(["", "/", ".", "e", "E", "_", " / ", "e-",
+                               "E+", "e+", "E-"]),
               st.text("0123456789", max_size=3)),
     st.text("0123456789/._ \u0663", min_size=1, max_size=6),
 ).filter(str.strip)
@@ -398,10 +400,31 @@ def grammar_reads(text):
     return f.numerator, f.denominator
 
 
+# the largest exponent, in magnitude, that parse_rational takes 10^k of
+_EXP_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def parser_reads(text):
+    """grammar_reads, but ValueError for an exponent past _EXP_CAP in
+    magnitude, which parse_rational refuses where Fraction reads it."""
+    m = _FRACTION_GRAMMAR.match(text)
+    if m and m["exp"] and abs(int(m["exp"])) > _EXP_CAP:
+        return ValueError
+    return grammar_reads(text)
+
+
 def int_parser_reads(text):
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def format_reads(x):
+    """format_element(x), or DomainError for a part too long to print."""
+    try:
+        return format_element(x)
+    except DomainError as exc:
         return type(exc)
 
 
@@ -449,9 +472,11 @@ class TestRationalsWithoutFraction:
     @example(text="1/")
     @example(text="1.d")
     @example(text="5.")
+    @example(text="0E10000")
     def test_int_parser_reads_as_fraction(self, text):
-        # one grammar on every Python; on 3.12 and 3.13 it is Fraction's
-        assert int_parser_reads(text) == grammar_reads(text)
+        # one grammar on every Python; on 3.12 and 3.13 it is Fraction's,
+        # but for the exponents past the cap
+        assert int_parser_reads(text) == parser_reads(text)
         if sys.version_info[:2] in ((3, 12), (3, 13)):
             assert grammar_reads(text) == fraction_reads(text)
 
@@ -467,12 +492,20 @@ class TestRationalsWithoutFraction:
     @settings(max_examples=300, deadline=None)
     @given(a=_terms, b=_terms, d=st.sampled_from([1, 3]),
            sign=st.sampled_from(["+", "-"]))
+    @example(a="0e", b="0", d=1, sign="+")
+    @example(a="1E", b="2", d=3, sign="-")
+    @example(a="99999e", b="4299", d=1, sign="+")  # too long to print
+    @example(a="0e", b="4301", d=1, sign="-")  # past the exponent cap
     def test_parse_element_reads_as_before(self, a, b, d, sign):
         # each term's rational as the fixed grammar reads it, whitespace
-        # dropped first
-        ra, rb = ("".join(t.split()) for t in (a, b))
-        ra, rb = grammar_reads(ra), grammar_reads(rb)
+        # dropped first; a sign after an exponent's e or E stays in its
+        # term, so where a ends in one, a, the sign and b are the one
+        # rational of the w term
         text = f"{a}{sign}{b}*w"
+        ra, rb = ("".join(t.split()) for t in (a, b))
+        if ra[-1] in "eE":
+            ra, rb, sign = "0", ra + sign + rb, "+"
+        ra, rb = parser_reads(ra), parser_reads(rb)
         if isinstance(ra, type) or isinstance(rb, type):
             with pytest.raises(MapSpecError, match="bad rational"):
                 parse_element(text, d)
@@ -480,13 +513,13 @@ class TestRationalsWithoutFraction:
         want = QF(Fraction(*ra), (1 if sign == "+" else -1) * Fraction(*rb), d)
         got = parse_element(text, d)
         assert got == want and hash(got) == hash(want)
-        assert format_element(got) == format_element(want)
+        assert format_reads(got) == format_reads(want)
 
     @settings(max_examples=300, deadline=None)
     @given(a=_literals, b=_literals, d=st.sampled_from(["0", "1", "3"]))
     def test_lambda_reads_as_before(self, a, b, d):
         text = f"{a},{b},{d}"
-        ra, rb = grammar_reads(a), grammar_reads(b)
+        ra, rb = parser_reads(a), parser_reads(b)
         if isinstance(ra, type) or isinstance(rb, type):
             with pytest.raises(MapSpecError, match="needs two rationals"):
                 cli._parse_lambda(text)
@@ -496,6 +529,30 @@ class TestRationalsWithoutFraction:
         else:
             assert cli._parse_lambda(text) == QF(
                 Fraction(*ra), Fraction(*rb), int(d))
+
+    def test_exponent_cap(self):
+        # an exponent past Python's cap on int-string digits is refused
+        # before 10^k is taken
+        cap = _EXP_CAP
+        assert parse_rational(f"1e+{cap}") == (10**cap, 1)
+        assert parse_rational(f"-1e-{cap}") == (-1, 10**cap)
+        for text in (f"1e+{cap + 1}", f"1E-{cap + 1}", "1e999999999",
+                     "-1E-999999999"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_rational(text)
+            with pytest.raises(MapSpecError, match="bad rational"):
+                parse_element(f"1+{text}*w", 1)
+
+    @pytest.mark.parametrize("text, want", [
+        ("1e-5", QF(Fraction(1, 100000), 0, 1)),
+        ("1E-2*w", QF(0, Fraction(1, 100), 1)),
+        ("2.5e-1+w", QF(Fraction(1, 4), 1, 1)),
+        ("1e+5", QF(100000, 0, 1)),
+        ("-1e-3-2E+1*w", QF(Fraction(-1, 1000), -20, 1)),
+    ])
+    def test_signed_exponents_in_elements(self, text, want):
+        # a sign after an exponent's e or E stays in its term
+        assert parse_element(text, 1) == want
 
     @pytest.mark.parametrize("text", ["1/0", "1/", "0/0", "1/2/3"])
     def test_bad_rationals_are_map_spec_errors(self, text):

@@ -33,7 +33,6 @@ from p1dyn.measures import (
     _lattice_leaves,
     _coords,
     _preimage_tree,
-    _series,
     compare_l1,
     green_field,
     julia_raster,
@@ -735,11 +734,38 @@ def assert_leaves_match(monkeypatch, name, z0, depth, seed=1):
 
 
 def wp(lat, v):
-    """wp(w1 v) on a Lattice by the vectorised series, for complex v
-    anywhere."""
+    """wp(w1 v) on a Lattice by its series on a numpy array, for complex
+    v anywhere."""
     x, y = _coords(lat, np.asarray(v, dtype=complex))
     s = np.sin(math.pi * (x + y * lat.tau))
-    return _series(lat, s * s, np.empty_like(s)) * lat.scale
+    return lat.series(s * s) * lat.scale
+
+
+def oracle_series(lat, sig, out):
+    """The numpy q-series that measures ran before Lattice.series held
+    the one body, kept as written: (w1/pi)^2 wp into out."""
+    np.divide(1.0, sig, out=out)
+    out += lat.K
+    t, num = np.empty_like(sig), np.empty_like(sig)
+    for c, b in zip(lat.c, lat.b):
+        np.add(sig, b, out=t)
+        np.multiply(t, t, out=t)
+        np.multiply(sig, c, out=num)
+        num -= 2.0 * b
+        num /= t
+        out += num
+    return out
+
+
+def oracle_wp(lat, x, y):
+    """Lattice.wp at one point as it read before it called series."""
+    s = cmath.sin(math.pi * (x + y * lat.tau))
+    sig = s * s
+    out = 1.0 / sig + lat.K
+    for c, b in zip(lat.c, lat.b):
+        t = sig + b
+        out += (c * sig - 2.0 * b) / (t * t)
+    return out * lat.scale
 
 
 class TestLatticeLeaves:
@@ -844,9 +870,27 @@ class TestLatticeLeaves:
         assert np.all(np.abs(d * d - 4 * g) <= 1e-9 * np.abs(4 * g))
 
     @pytest.mark.parametrize("name", ["E1", "E2"])
+    def test_series_is_the_old_series_bit_for_bit(self, name):
+        # numpy blocks of 1 to 17 elements, across the widths of the
+        # vector loops and their tails (on one element an in-place
+        # product rounds as scalar arithmetic does), and of 8193, one
+        # past a block of leaves; then the scalar path through wp
+        lat = curve_lattice(CURVES[name]())
+        rng = np.random.default_rng(11)
+        for n in [*range(1, 18), 8193]:
+            xy = rng.uniform(-0.5, 0.5, (2, n))
+            s = np.sin(math.pi * (xy[0] + xy[1] * lat.tau))
+            sig = s * s
+            want = oracle_series(lat, sig, np.empty_like(sig))
+            assert lat.series(sig).tobytes() == want.tobytes(), n
+        for x, y in rng.uniform(-0.5, 0.5, (2000, 2)):
+            assert repr(lat.wp(x, y)) == repr(oracle_wp(lat, x, y))
+
+    @pytest.mark.parametrize("name", ["E1", "E2"])
     def test_scalar_series_matches_vector(self, name):
-        # Lattice.wp in Python complex and the numpy series that the
-        # leaves run, on the same cached lattice (measured: 2 ulps)
+        # Lattice.series on a Python complex and on the numpy arrays
+        # that the leaves run, on the same cached lattice (measured: 2
+        # ulps)
         lat = curve_lattice(CURVES[name]())
         rng = np.random.default_rng(5)
         xy = rng.uniform(-0.5, 0.5, (400, 2))
@@ -1081,6 +1125,13 @@ class TestLattesDensity:
         assert float(gap.max()) <= 1e-3
         d = lattes_density(curve_E2(), WIN, 96)
         assert d.mass.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_grid_past_the_index_range_is_refused_unallocated(self):
+        # 2^64 cells: numpy refuses the shape before it allocates, and
+        # the refusal is a MemoryError that names the grid
+        with pytest.raises(MemoryError,
+                           match="a 4294967296 x 4294967296 grid: "):
+            lattes_density(curve_E1(), WIN, 2**32)
 
     def test_curve_that_does_not_split_raises(self):
         # y^2 = x^3 - 2x: the roots +-sqrt(2) are not in Q(i)

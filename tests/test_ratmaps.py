@@ -80,6 +80,7 @@ class TestPoly:
 
     def test_string(self):
         assert str(P(1, -2, 0, 1)) == "z^3 - 2*z + 1"
+        assert str(Poly([])) == "0"
 
     def test_from_strings(self):
         f = poly_from_strings(["1/2", "-w"], 1)
@@ -109,6 +110,15 @@ class TestProjPoint:
     def test_zero_zero_rejected(self):
         with pytest.raises(DomainError):
             ProjPoint(0, 0)
+
+    def test_string(self):
+        # the coordinates as given, not reduced
+        p = ProjPoint(QF(Fraction(1, 2), -1, 1), QF(3, 0, 1))
+        assert str(p) == "(1/2-w : 3)"
+        assert repr(p) == "ProjPoint(1/2-w : 3)"
+        assert str(ProjPoint(6, 4)) == "(6 : 4)"
+        assert str(ProjPoint.infinity()) == "(1 : 0)"
+        assert repr(ProjPoint.infinity()) == "ProjPoint(1 : 0)"
 
     def test_reduced_pair_rational(self):
         assert ProjPoint(6, 4).reduced_pair() == (QF(3), QF(2))
