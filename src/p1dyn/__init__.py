@@ -14,9 +14,10 @@ heights, measures, periodic, roots, greenpoint and torus, and their
 names below, are imported on first access (PEP 562), each name from the
 one module that defines it, so importing p1dyn compiles none of them,
 and exact work, p1dyn.Lift and p1dyn.green never load numpy.  __all__
-holds the public names, not the submodules, which dir(p1dyn) lists too.
-`from p1dyn import *` binds every name of __all__, the lazy ones among
-them, and so loads every lazy module, numpy included.
+holds the eager public names only, so `from p1dyn import *` binds what
+importing p1dyn has loaded and loads no lazy module and no numpy; a
+lazy name is reached as p1dyn.<name> or `from p1dyn import <name>`, and
+dir(p1dyn) lists every public name and the submodules.
 quadfield builds its rationals on ints, and the exact value types are
 slotted classes, not dataclasses, so importing p1dyn loads neither
 fractions (nor decimal and numbers) nor dataclasses and inspect: in a
@@ -43,7 +44,6 @@ from .lattes import (
     curve_E2,
     curve_for_name,
     lattes_double,
-    lattes_triple,
     map_for_multiplier,
 )
 from .quadfield import (
@@ -56,7 +56,6 @@ from .ratmaps import (
     Poly,
     ProjPoint,
     RationalMap,
-    poly_from_strings,
 )
 
 __version__ = "0.1.0"
@@ -86,9 +85,7 @@ _MEASURES_NAMES = (
 _PERIODIC_NAMES = ("periodic_points",)
 _TORUS_NAMES = (
     "RamificationProfile",
-    "distinct_preimages",
     "predict_profile",
-    "preimage_multiplicities",
     "ramification_profile",
     "two_torsion_targets",
 )
@@ -122,7 +119,7 @@ def __dir__():
     return sorted({*globals(), *_LAZY, *(n for ns in _LAZY.values() for n in ns)})
 
 
-# the public names, not the submodules that dir(p1dyn) also lists
-__all__ = [name for name in __dir__() if not name.startswith("_")
-           and name not in _LAZY
-           and not isinstance(globals().get(name), _ModuleType)]
+# the eager public names, not the submodules: a star import binds only
+# what importing p1dyn has loaded
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -113,6 +113,10 @@ def _map_from_file(path: str) -> RationalMap:
         raise MapSpecError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # bytes that are no text, an integer past the int-string digit
+        # limit, or arrays nested past the recursion limit
+        raise MapSpecError(f"{path}: unreadable JSON: {exc}") from None
     if not isinstance(spec, dict) or "num" not in spec or "den" not in spec:
         raise MapSpecError(f"{path}: map spec needs 'num' and 'den' lists")
     field = spec.get("field", {})

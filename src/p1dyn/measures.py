@@ -834,12 +834,11 @@ def julia_raster(field: GreenField):
 
 
 def _header_comments(metadata) -> bytes:
-    if not metadata:
-        return b""
-    lines = []
-    for k in sorted(metadata):
-        lines.append(f"# {k}={metadata[k]}\n".encode())
-    return b"".join(lines)
+    # each CR or LF of a key or value is written as the two characters
+    # \r or \n, so that every entry stays one comment line
+    lines = (f"{k}={metadata[k]}".replace("\r", r"\r").replace("\n", r"\n")
+             for k in sorted(metadata or ()))
+    return "".join(f"# {line}\n" for line in lines).encode()
 
 
 def write_pgm(path, image, metadata=None) -> None:

@@ -497,9 +497,10 @@ def parse_rational(text: str) -> tuple:
             num = num * den + _digits(frac)
         if e:
             k = _digits(exp, signed=True)
-            if abs(k) > (getattr(sys, "get_int_max_str_digits",
-                                 lambda: 0)() or 4300):
-                raise ValueError(f"exponent of {text!r} is too large")
+            cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            if abs(k) > cap:
+                raise ValueError(
+                    f"exponent of {text!r} exceeds {cap} in magnitude")
             if k >= 0:
                 num *= 10**k
             else:
@@ -575,9 +576,9 @@ def parse_element(text: str, d: int) -> QuadFieldElement:
             )
         try:
             coef = parse_rational(body)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError) as exc:
             raise MapSpecError(
-                f"bad rational {body!r}", position=_pos(off)
+                f"bad rational {body!r}: {exc}", position=_pos(off)
             ) from None
         if is_w and d == 0:
             raise MapSpecError(

@@ -294,10 +294,6 @@ def _coords(*polys) -> tuple:
     ], den
 
 
-def poly_from_strings(coeffs: Sequence[str], d: int) -> Poly:
-    return Poly([parse_element(s, d) for s in coeffs], d)
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd, by Euclid on integer pseudo-remainders."""
     f._check(g)
@@ -457,7 +453,8 @@ class RationalMap:
     def from_strings(
         cls, num: Sequence[str], den: Sequence[str], d: int
     ) -> "RationalMap":
-        return cls(poly_from_strings(num, d), poly_from_strings(den, d))
+        return cls(Poly([parse_element(s, d) for s in num], d),
+                   Poly([parse_element(s, d) for s in den], d))
 
     @property
     def num(self) -> Poly:

@@ -153,11 +153,6 @@ class RamificationProfile(_Frozen):
         return tuple(sorted(self.counts, reverse=True))
 
 
-def distinct_preimages(phi: RationalMap, target: ProjPoint) -> int:
-    """Number of distinct solutions of phi(z) = target."""
-    return len(preimage_multiplicities(phi, target))
-
-
 def preimage_multiplicities(phi: RationalMap, target: ProjPoint) -> list:
     """Multiplicity multiset of the fiber over target, sorted descending.
 
@@ -194,7 +189,8 @@ def ramification_profile(
     if phi.d != curve.d:
         raise DomainError("map and curve live over different fields")
     counts = tuple(
-        distinct_preimages(phi, t) for t in two_torsion_targets(curve)
+        len(preimage_multiplicities(phi, t))
+        for t in two_torsion_targets(curve)
     )
     return RamificationProfile(counts, phi.degree)
 

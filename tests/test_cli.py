@@ -22,6 +22,11 @@ from p1dyn.ratmaps import RationalMap
 from test_cli_golden import GOLDEN
 from test_heights import CONJUGATED_PAIRS, conjugate, mobius
 
+# Pythons without a cap on int-string conversion read any integer
+NO_DIGIT_LIMIT = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="no cap on int-to-string conversion")
+
 
 def run(args, capsys):
     rc = cli.main(args)
@@ -724,6 +729,21 @@ class TestJulia:
                         b"# map=pow_2", b"# window=-2,2,-1.5,1.5",
                         b"32 32", b"255"]
 
+    def test_map_path_with_line_breaks_stays_in_comments(self, tmp_path,
+                                                         capsys):
+        # the map label is the path; its LF and CR are written as \n and
+        # \r, so no part of it is read as the size line
+        spec = map_spec_file(tmp_path, catalog("pow_2"), "a\nb\r.json")
+        out = str(tmp_path / "img.pgm")
+        run_json(["julia", "--map", spec, "--res", "32", "--out", out],
+                 capsys)
+        head = open(out, "rb").read().split(b"\n32 32\n255\n")[0]
+        lines = head.split(b"\n")
+        assert lines[0] == b"P5"
+        assert all(line.startswith(b"#") for line in lines[1:])
+        assert b"# map=" + spec.replace("\n", r"\n").replace(
+            "\r", r"\r").encode() in lines
+
 
 # windows whose width overflows to inf, and one whose Green field does
 _FAR_WINDOWS = [
@@ -870,6 +890,23 @@ class TestErrorPaths:
         )
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(b'{"num": [%s], "den": [1]}' % (b"7" * 5000),
+                     marks=NO_DIGIT_LIMIT),
+        b"[" * 200000,
+        b"\xff\xfe{}",
+    ], ids=["digits", "nesting", "bytes"])
+    def test_unreadable_map_file_is_one_error_line(self, tmp_path, capsys,
+                                                   body):
+        # an integer past the int-string digit limit, arrays nested past
+        # the recursion limit, and bytes that are no UTF-8
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        rc, out, err = run(["compose", "--map", str(path), str(path)],
+                           capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("coeffs", ['[true]', '[1.5]', '[]', '"1"'])
     def test_map_file_error_names_path_once(self, tmp_path, capsys, coeffs):
@@ -1066,8 +1103,7 @@ class TestBigCoefficients:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
-                    reason="no cap on int-to-string conversion")
+@NO_DIGIT_LIMIT
 def test_coefficient_too_long_to_print_is_one_error_line(tmp_path, capsys):
     # 10^2500 z^2 composed with itself: the result's leading coefficient,
     # 10^7500, has more digits than Python converts to a string by
@@ -1090,6 +1126,20 @@ def test_huge_exponent_is_refused_before_its_power(capsys):
     seconds = time.perf_counter() - start
     assert (rc, out) == (2, ""), f"after {seconds:.3f} s"
     assert err.startswith("error: bad rational '1e999999999'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("point, reason", [
+    ("1e999999999,1", "exponent of '1e999999999' exceeds "),
+    ("1/0,1", "rational '1/0' has denominator 0"),
+    ("1_/2,1", "invalid rational literal '1_'"),
+])
+def test_refused_rational_names_its_reason(point, reason, capsys):
+    # the parser's own message follows the quoted text
+    rc, out, err = run(["height", "--catalog", "pow_2", "--point", point],
+                       capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: bad rational ") and reason in err
     assert err.count("\n") == 1
 
 
@@ -1161,7 +1211,8 @@ import p1dyn
 report = {"rc": rc, "stdout": out.getvalue(), "dir": dir(p1dyn),
           "all": p1dyn.__all__}
 if sys.argv[2] == "open":
-    report["unresolved"] = [n for n in p1dyn.__all__
+    report["lazy"] = [n for ns in p1dyn._LAZY.values() for n in ns]
+    report["unresolved"] = [n for n in p1dyn.__all__ + report["lazy"]
                             if getattr(p1dyn, n, None) is None]
     star = {}
     exec("from p1dyn import *", star)
@@ -1207,11 +1258,40 @@ def test_smoke_table_with_and_without_numpy():
     assert (SMOKE.parent / "smoke.md5").read_text() == f"{md5}  -\n"
 
     # the lazy modules and names are listed without loading them (numpy
-    # was blocked), and all resolve; __all__ holds the names, not the
-    # modules, so a star import binds no module object
+    # was blocked), and all resolve; __all__ holds the eager names only,
+    # not the lazy ones nor the modules, so a star import binds exactly
+    # __all__ and no module object
     lazy = [*p1dyn._MEASURES_NAMES, *p1dyn._PERIODIC_NAMES]
     assert {"measures", "periodic", *lazy} <= set(blocked["dir"])
-    assert set(lazy) <= set(report["all"])
     assert report["unresolved"] == []
     assert report["star"] == sorted(report["all"])
+    assert not set(report["lazy"]) & set(report["all"])
     assert report["modules"] == []
+
+
+def test_star_import_loads_no_lazy_module():
+    # in a fresh interpreter with numpy blocked, as CI runs it
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from p1dyn import *\n"
+        "import p1dyn\n"
+        "print([m for m in p1dyn._LAZY if 'p1dyn.' + m in sys.modules])\n"
+    )
+    src = str(Path(p1dyn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", [
+    "poly_from_strings", "lattes_triple", "distinct_preimages",
+    "preimage_multiplicities",
+])
+def test_names_kept_in_their_modules_are_not_package_names(name):
+    assert name not in dir(p1dyn)
+    with pytest.raises(AttributeError, match=name):
+        getattr(p1dyn, name)

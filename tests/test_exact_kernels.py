@@ -121,6 +121,7 @@ from p1dyn.quadfield import (
     pair_norm,
     pair_normalize,
     pair_turn,
+    parse_element,
 )
 from p1dyn.ratmaps import (
     Poly,
@@ -131,7 +132,6 @@ from p1dyn.ratmaps import (
     _pack,
     _pseudo_divmod,
     _unpack,
-    poly_from_strings,
     poly_gcd,
 )
 from p1dyn.torus import preimage_multiplicities, two_torsion_targets
@@ -1594,9 +1594,8 @@ class TestPolyDivision:
         z, one, zero = Poly([0, 1], d), Poly([1], d), Poly([], d)
         c = Poly([half], d)
         # (z^2 + z)/(z^2 - 1) is z/(z - 1)
-        assert RationalMap(poly_from_strings(["0", "1", "1"], d),
-                           poly_from_strings(["-1", "0", "1"], d)) == (
-            RationalMap(z, z - one))
+        assert RationalMap.from_strings(["0", "1", "1"], ["-1", "0", "1"],
+                                        d) == RationalMap(z, z - one)
         for a, b in ((z, z - one), (zero, z), (z, zero), (c, one)):
             assert RationalMap(a * g, b * g) == RationalMap(a, b)
         # constant maps come out as c/1 or 1/0
@@ -1742,7 +1741,8 @@ class TestPolyLinear:
         w = "+1/2*w" if d else ""
         routes = [
             Poly([half, 0, Fraction(-2, 3), 5, 0, 0], d),
-            poly_from_strings([f"1/2{w}", "0", "-2/3", "5"], d),
+            Poly([parse_element(s, d) for s in (f"1/2{w}", "0", "-2/3", "5")],
+                 d),
             (f * Poly([3], d)) * Poly([Fraction(1, 3)], d),
             (f + Poly([1, 2, 3, 4, 5], d)) - Poly([1, 2, 3, 4, 5], d),
             -(-f),

@@ -21,10 +21,9 @@ from p1dyn.ratmaps import (
     ProjPoint,
     RationalMap,
     _pseudo_divmod,
-    poly_from_strings,
     poly_gcd,
 )
-from p1dyn.torus import distinct_preimages, preimage_multiplicities
+from p1dyn.torus import preimage_multiplicities
 
 
 def P(*coeffs, d=0):
@@ -83,7 +82,8 @@ class TestPoly:
         assert str(Poly([])) == "0"
 
     def test_from_strings(self):
-        f = poly_from_strings(["1/2", "-w"], 1)
+        # a monic denominator leaves the numerator as written
+        f = RationalMap.from_strings(["1/2", "-w"], ["1"], 1).num
         assert f.coeff(0) == QF(Fraction(1, 2), 0, 1)
         assert f.coeff(1) == QF(0, -1, 1)
 
@@ -390,8 +390,8 @@ class TestFibers:
         assert preimage_multiplicities(sq, ProjPoint.affine(QF(0))) == [2]
         assert preimage_multiplicities(sq, ProjPoint.affine(QF(1))) == [1, 1]
         assert preimage_multiplicities(sq, ProjPoint.infinity()) == [2]
-        assert distinct_preimages(sq, ProjPoint.affine(QF(4))) == 2
-        assert distinct_preimages(sq, ProjPoint.infinity()) == 1
+        assert len(preimage_multiplicities(sq, ProjPoint.affine(QF(4)))) == 2
+        assert len(preimage_multiplicities(sq, ProjPoint.infinity())) == 1
 
     def test_joukowski_fibers(self):
         # z + 1/z ramifies over 2 and -2, and splits infinity
@@ -405,7 +405,7 @@ class TestFibers:
         # z^3 - 3z has a double point and a simple point over 2
         f = rmap([0, -3, 0, 1], [1])
         assert preimage_multiplicities(f, ProjPoint.affine(QF(2))) == [2, 1]
-        assert distinct_preimages(f, ProjPoint.affine(QF(2))) == 2
+        assert len(preimage_multiplicities(f, ProjPoint.affine(QF(2)))) == 2
 
     def test_total_multiplicity_is_degree(self):
         f = rmap([1, 0, 6, 0, 1], [0, 4, 0, 4])
